@@ -1,8 +1,14 @@
-"""Projected finite-difference ascent shared by the randomized searches."""
+"""The one search engine: every estimated supremum in the package (level sups,
+dual norms, separation certificates) runs random restarts of a projected
+forward-difference ascent over the [Re, Im] encoding of a complex array.
+This module owns the encoding, the ascent and the restart loop.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .matcore import derive_rng
 
 
 class Budget:
@@ -18,6 +24,23 @@ class Budget:
         self.left -= 1
         self.used += 1
         return True
+
+
+def encode(arr: np.ndarray) -> np.ndarray:
+    """Real vector [Re, Im] of a complex array, the space the ascent works in."""
+    return np.concatenate([arr.real.ravel(), arr.imag.ravel()])
+
+
+def decode(vec: np.ndarray, shape) -> np.ndarray:
+    """Inverse of `encode`: the complex array of the given shape."""
+    half = vec.size // 2
+    return (vec[:half] + 1j * vec[half:]).reshape(shape)
+
+
+def to_sphere(vec: np.ndarray) -> np.ndarray:
+    """Projection for scale-invariant objectives: rescale to unit length."""
+    nrm = np.linalg.norm(vec)
+    return vec if nrm == 0.0 else vec / nrm
 
 
 def ascend(objective, x0, project, budget: Budget, fd_step: float = 1e-5, max_steps: int = 200):
@@ -62,3 +85,15 @@ def ascend(objective, x0, project, budget: Budget, fd_step: float = 1e-5, max_st
         if not moved:
             break
     return x, value
+
+
+def restarts(objective, project, start, budget: int, seed, *stream):
+    """Yield one `ascend` (iterate, value) per restart until `budget`
+    evaluations are spent (none if budget <= 0).  Restart r starts from
+    start(derive_rng(seed, *stream, r)); the caller may stop early.
+    """
+    state = Budget(budget)
+    restart = 0
+    while state.left > 0:
+        yield ascend(objective, start(derive_rng(seed, *stream, restart)), project, state)
+        restart += 1

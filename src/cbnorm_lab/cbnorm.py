@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import holofun, matcore, opspace
-from ._search import Budget, ascend
+from ._search import decode, encode, restarts
 from .errors import InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
@@ -75,68 +75,48 @@ def serialize_matrix(mat) -> str:
     return json.dumps([list(arr.shape), flat], separators=(",", ":"))
 
 
-def _encode(arr: np.ndarray) -> np.ndarray:
-    return np.concatenate([arr.real.ravel(), arr.imag.ravel()])
-
-
-def _decode(vec: np.ndarray, shape) -> np.ndarray:
-    half = vec.size // 2
-    return (vec[:half] + 1j * vec[half:]).reshape(shape)
-
-
 def _disk_problem(f: HoloFunction, m: int):
     shape = (m, m)
 
     def objective(vec):
-        z = _decode(vec, shape)
+        z = decode(vec, shape)
         nrm = matcore.operator_norm(z)
         if nrm > RADIUS_CAP:
             z = z * (RADIUS_CAP / nrm)
         return matcore.operator_norm(holofun._eval_array(f, z))
 
     def project(vec):
-        return _encode(matcore.project_ball(_decode(vec, shape), RADIUS_CAP))
+        return encode(matcore.project_ball(decode(vec, shape), RADIUS_CAP))
 
     def start(rng, radius):
-        return _encode(matcore._random_ball(rng, m, radius))
+        return encode(matcore._random_ball(rng, m, radius))
 
     def witness_matrix(vec):
-        return _decode(vec, shape)
+        return decode(vec, shape)
 
     return objective, project, start, witness_matrix
 
 
 def _space_problem(f: HoloFunction, m: int):
     space = f.domain_space
-    d, amb = space.dim, space.ambient
-    shape = (m, m, d)
-    flat_basis = np.ascontiguousarray(space.basis.reshape(d, amb * amb))
+    shape = (m, m, space.dim)
 
-    def realized_norm(entries):
-        blocks = (entries.reshape(m * m, d) @ flat_basis).reshape(m, m, amb, amb)
-        return matcore.operator_norm(
-            blocks.transpose(0, 2, 1, 3).reshape(m * amb, m * amb)
-        )
+    def clamp(vec):
+        entries = decode(vec, shape)
+        nrm = matcore.operator_norm(opspace.block_matrix(entries, space.basis))
+        return entries * (RADIUS_CAP / nrm) if nrm > RADIUS_CAP else entries
 
     def objective(vec):
-        entries = _decode(vec, shape)
-        nrm = realized_norm(entries)
-        if nrm > RADIUS_CAP:
-            entries = entries * (RADIUS_CAP / nrm)
-        return matcore.operator_norm(holofun._amplify_space_entries(f, entries))
+        return matcore.operator_norm(holofun._amplify_space_entries(f, clamp(vec)))
 
     def project(vec):
-        entries = _decode(vec, shape)
-        nrm = realized_norm(entries)
-        if nrm > RADIUS_CAP:
-            entries = entries * (RADIUS_CAP / nrm)
-        return _encode(entries)
+        return encode(clamp(vec))
 
     def start(rng, radius):
-        return _encode(opspace._random_matrix_ball(rng, space, m, radius).entries)
+        return encode(opspace._random_matrix_ball(rng, space, m, radius).entries)
 
     def witness_matrix(vec):
-        return opspace.OpSpaceMatrix(space, _decode(vec, shape))
+        return opspace.OpSpaceMatrix(space, decode(vec, shape))
 
     return objective, project, start, witness_matrix
 
@@ -145,40 +125,28 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     """Best found amplified norm over the level-m ball of radius 1 − 1e-6.
 
     Always a valid lower bound for the level-m supremum; budget counts
-    objective evaluations across random restarts.
+    objective evaluations across random restarts, and equal values go to the
+    witness with the smaller serialization.
     """
     if m < 1:
         raise InvalidInputError("level must be >= 1")
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     matcore.check_seed(seed)
-    if f.domain_space is None:
-        objective, project, start, witness_matrix = _disk_problem(f, m)
-    else:
-        objective, project, start, witness_matrix = _space_problem(f, m)
+    problem = _disk_problem if f.domain_space is None else _space_problem
+    objective, project, start, witness_matrix = problem(f, m)
 
-    state = Budget(budget)
-    best_value = -np.inf
-    best_vec = None
-    restart = 0
-    while state.left > 0:
-        rng = matcore.derive_rng(seed, m, restart)
+    def start_inside(rng):
+        # Radii crowd toward the cap; the radius is drawn before the start.
         u = float(rng.uniform(0.0, 1.0))
-        radius = RADIUS_CAP * (1.0 - 0.999 * u * u)
-        vec, value = ascend(objective, start(rng, radius), project, state)
-        if vec is not None:
-            if value > best_value:
-                best_value, best_vec = value, vec
-            elif value == best_value and best_vec is not None:
-                if _tie_key(witness_matrix(vec)) < _tie_key(witness_matrix(best_vec)):
-                    best_vec = vec
-        restart += 1
-    mat = witness_matrix(best_vec)
-    return Witness(level=m, matrix=mat, value=float(best_value))
+        return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
 
-
-def _tie_key(mat) -> str:
-    return serialize_matrix(mat)
+    key = lambda vec: serialize_matrix(witness_matrix(vec))
+    best_value, best_vec = -np.inf, None
+    for vec, value in restarts(objective, project, start_inside, budget, seed, m):
+        if value > best_value or (value == best_value and key(vec) < key(best_vec)):
+            best_value, best_vec = value, vec
+    return Witness(level=m, matrix=witness_matrix(best_vec), value=float(best_value))
 
 
 def witness_value(f: HoloFunction, w: Witness) -> float:
@@ -215,7 +183,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
             w = _lift_to(running, m)
         elif running is not None and running.value == w.value:
             lifted = _lift_to(running, m)
-            if _tie_key(lifted.matrix) < _tie_key(w.matrix):
+            if serialize_matrix(lifted.matrix) < serialize_matrix(w.matrix):
                 w = lifted
         running = w
         table[m] = LevelEntry(value=w.value, witness=w, samples=budget)

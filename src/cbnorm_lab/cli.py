@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import jsonschema
 
@@ -93,7 +94,15 @@ def _serialize_witness(w: cbnorm.Witness) -> dict:
     return {"level": w.level, "value": w.value, "matrix": matrix}
 
 
-def _serialize_estimate(est: cbnorm.CbEstimate) -> tuple[dict, dict]:
+def _fields(report, *drop) -> dict:
+    """A report dataclass as a results dict, without the named fields."""
+    return {k: v for k, v in asdict(report).items() if k not in drop}
+
+
+def _run_bounds(bounds, config):
+    """estimate (bounds = cb_lower_bound) and sandwich (bounds = sandwich)."""
+    f = descriptors.function_from_descriptor(config["function"])
+    est = bounds(f, config["max_level"], config["budget"], config["seed"])
     results = {
         "lower": est.lower,
         "upper": est.upper,
@@ -104,20 +113,6 @@ def _serialize_estimate(est: cbnorm.CbEstimate) -> tuple[dict, dict]:
         },
     }
     witnesses = {str(m): _serialize_witness(e.witness) for m, e in est.level_table.items()}
-    return results, witnesses
-
-
-def _run_estimate(config):
-    f = descriptors.function_from_descriptor(config["function"])
-    est = cbnorm.cb_lower_bound(f, config["max_level"], config["budget"], config["seed"])
-    results, witnesses = _serialize_estimate(est)
-    return results, witnesses, True
-
-
-def _run_sandwich(config):
-    f = descriptors.function_from_descriptor(config["function"])
-    est = cbnorm.sandwich(f, config["max_level"], config["budget"], config["seed"])
-    results, witnesses = _serialize_estimate(est)
     return results, witnesses, True
 
 
@@ -127,13 +122,7 @@ def _run_schwarz(config):
         f, config.get("max_level", 2), config.get("budget", 2000), config["seed"]
     )
     report = cbnorm.schwarz_check(f, est, config["trials"], config["seed"])
-    results = {
-        "upper": est.upper,
-        "passed": report.passed,
-        "trials": report.trials,
-        "worst_slack": report.worst_slack,
-        "detail": report.detail,
-    }
+    results = {"upper": est.upper, **_fields(report, "name")}
     return results, None, report.passed
 
 
@@ -141,12 +130,7 @@ def _run_algebra(config):
     f = descriptors.function_from_descriptor(config["function"])
     g = descriptors.function_from_descriptor(config["function2"])
     report = cbnorm.algebra_check(f, g, config["max_level"], config["budget"], config["seed"])
-    results = {
-        "passed": report.passed,
-        "worst_slack": report.worst_slack,
-        "detail": report.detail,
-    }
-    return results, None, report.passed
+    return _fields(report, "name", "trials"), None, report.passed
 
 
 def _run_probe(config):
@@ -158,29 +142,13 @@ def _run_probe(config):
         config["seed"],
         schedule=config.get("schedule"),
     )
-    results = {
-        "levels": list(report.levels),
-        "values": list(report.values),
-        "slope": report.slope,
-        "relative_growth": report.relative_growth,
-        "verdict": report.verdict,
-        "note": report.note,
-    }
-    return results, None, True
+    return _fields(report), None, True
 
 
 def _run_hull(config):
     k = descriptors.matrix_set_from_descriptor(config["set"])
     report = mconvex.hull_norm_check(k, config["trials"], config["seed"])
-    results = {
-        "passed": report.passed,
-        "trials": report.trials,
-        "set_norm": report.set_norm,
-        "worst_excess": report.worst_excess,
-        "identity_attained": report.identity_attained,
-        "detail": report.detail,
-    }
-    return results, None, report.passed
+    return _fields(report), None, report.passed
 
 
 def _run_separate(config):
@@ -190,15 +158,10 @@ def _run_separate(config):
     if cert is None:
         results = {"found": False, "certificate": None, "verdict": None}
     else:
-        verdict = mconvex.check_certificate(cert, k, x0)
         results = {
             "found": True,
             "certificate": descriptors.certificate_to_descriptor(cert),
-            "verdict": {
-                "valid": verdict.valid,
-                "generator_values": list(verdict.generator_values),
-                "target_value": verdict.target_value,
-            },
+            "verdict": _fields(mconvex.check_certificate(cert, k, x0)),
         }
     return results, None, True
 
@@ -217,20 +180,12 @@ def _run_delta_isometry(config):
     space = descriptors.space_from_descriptor(config["space"])
     x = descriptors.space_matrix_from_descriptor(config["point"], space)
     report = gcb.delta_isometry_check(x, config["budget"], config["seed"])
-    results = {
-        "passed": report.passed,
-        "point_norm": report.point_norm,
-        "upper": report.upper,
-        "lower": report.lower,
-        "upper_gap": report.upper_gap,
-        "lower_gap": report.lower_gap,
-    }
-    return results, None, report.passed
+    return _fields(report), None, report.passed
 
 
 _RUNNERS = {
-    "estimate": _run_estimate,
-    "sandwich": _run_sandwich,
+    "estimate": lambda config: _run_bounds(cbnorm.cb_lower_bound, config),
+    "sandwich": lambda config: _run_bounds(cbnorm.sandwich, config),
     "schwarz": _run_schwarz,
     "algebra": _run_algebra,
     "probe": _run_probe,
@@ -268,30 +223,33 @@ def record_to_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
+def _report_row(record: dict) -> list[str]:
+    results = record["results"]
+    config = record.get("config", {})
+    ident = (
+        descriptors.function_id(config["function"])
+        if "function" in config
+        else record.get("command", "?")
+    )
+    table = results.get("level_table", {})
+    summary = ";".join(f"{m}:{table[m]['value']:.6g}" for m in sorted(table, key=int))
+    fmt = lambda v: "" if v is None else repr(v)
+    return [ident, fmt(results.get("lower")), fmt(results.get("upper")), fmt(results.get("gap")), summary]
+
+
 def report_rows(paths) -> list[list[str]]:
-    """One CSV row per readable record: id, lower, upper, gap, level summary."""
+    """One CSV row per readable record: id, lower, upper, gap, level summary.
+
+    Unreadable files and JSON that is not shaped like a record are skipped
+    with a warning.
+    """
     rows = []
     for path in paths:
         try:
             with open(path) as fh:
-                record = json.load(fh)
-            results = record["results"]
-        except (OSError, ValueError, KeyError) as exc:
+                rows.append(_report_row(json.load(fh)))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-            continue
-        config = record.get("config", {})
-        ident = (
-            descriptors.function_id(config["function"])
-            if "function" in config
-            else record.get("command", "?")
-        )
-        lower = results.get("lower")
-        upper = results.get("upper")
-        gap = results.get("gap")
-        table = results.get("level_table", {})
-        summary = ";".join(f"{m}:{table[m]['value']:.6g}" for m in sorted(table, key=int))
-        fmt = lambda v: "" if v is None else repr(v)
-        rows.append([ident, fmt(lower), fmt(upper), fmt(gap), summary])
     return rows
 
 

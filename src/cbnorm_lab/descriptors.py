@@ -8,12 +8,27 @@ invariant is enforced on the way in.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import gcb, holofun, mconvex, opspace
 from .errors import InvalidInputError
+
+
+def _parser(parse):
+    """Report a missing key or a wrongly typed value in a descriptor as
+    InvalidInputError rather than as the KeyError or TypeError it raises."""
+
+    @functools.wraps(parse)
+    def checked(d, *args):
+        try:
+            return parse(d, *args)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InvalidInputError(f"malformed descriptor: {type(exc).__name__}: {exc}") from None
+
+    return checked
 
 
 def _complex_in(pair) -> complex:
@@ -44,6 +59,7 @@ def _array_out(arr: np.ndarray) -> list:
 # Spaces
 
 
+@_parser
 def space_from_descriptor(d) -> opspace.ConcreteOperatorSpace:
     if not isinstance(d, dict) or "kind" not in d:
         raise InvalidInputError("space descriptor must be an object with a 'kind'")
@@ -76,6 +92,7 @@ def space_to_descriptor(space: opspace.ConcreteOperatorSpace) -> dict:
 # Functions
 
 
+@_parser
 def function_from_descriptor(d) -> holofun.HoloFunction:
     if not isinstance(d, dict) or "kind" not in d:
         raise InvalidInputError("function descriptor must be an object with a 'kind'")
@@ -165,6 +182,7 @@ def function_id(d) -> str:
 # Matrices over a space, matrix sets, certificates
 
 
+@_parser
 def space_matrix_from_descriptor(d, space: opspace.ConcreteOperatorSpace) -> opspace.OpSpaceMatrix:
     entries = _array_in(d["entries"], depth=3)
     level = int(d.get("level", entries.shape[0]))
@@ -177,6 +195,7 @@ def space_matrix_to_descriptor(x: opspace.OpSpaceMatrix) -> dict:
     return {"level": x.level, "entries": _array_out(x.entries)}
 
 
+@_parser
 def matrix_set_from_descriptor(d) -> mconvex.MatrixSet:
     space = space_from_descriptor(d["space"])
     gens = tuple(space_matrix_from_descriptor(g, space) for g in d["generators"])
@@ -194,6 +213,7 @@ def certificate_to_descriptor(cert: mconvex.SeparationCertificate) -> dict:
     return {"level": cert.level, "grid": _array_out(cert.grid)}
 
 
+@_parser
 def certificate_from_descriptor(d, space) -> mconvex.SeparationCertificate:
     return mconvex.SeparationCertificate(space, _array_in(d["grid"], depth=3))
 
@@ -202,6 +222,7 @@ def certificate_from_descriptor(d, space) -> mconvex.SeparationCertificate:
 # Predual elements and dictionaries
 
 
+@_parser
 def gcb_element_from_descriptor(d) -> gcb.GcbElement:
     space = space_from_descriptor(d["space"])
     level = int(d["level"])
@@ -234,6 +255,7 @@ def gcb_element_to_descriptor(u: gcb.GcbElement) -> dict:
     }
 
 
+@_parser
 def dictionary_from_descriptor(d, space: opspace.ConcreteOperatorSpace) -> gcb.FunctionDictionary:
     entries = []
     for e in d.get("entries", []):

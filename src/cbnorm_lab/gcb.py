@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import holofun, matcore
+from . import holofun, matcore, mconvex
 from .errors import InvalidInputError
 from .holofun import GeometricPhi, HoloFunction
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
@@ -275,13 +275,6 @@ def gcb_lower_bound(u: GcbElement, dictionary: FunctionDictionary) -> float:
 # Shipped dictionaries and the evaluation-isometry check
 
 
-def _coordinate_grid_entry(space: ConcreteOperatorSpace) -> GridEntry:
-    # Ambient-entry functionals; the grid is the realization embedding, whose
-    # cb norm is exactly 1 because the space's norms are defined through it.
-    grid = np.ascontiguousarray(np.transpose(space.basis, (1, 2, 0)))
-    return GridEntry(space, grid, 1.0)
-
-
 def _coordinate_functional_entries(space: ConcreteOperatorSpace):
     """Dual-basis coordinate functionals with a crude certified bound via the
     pseudoinverse of the coordinate matrix."""
@@ -296,31 +289,23 @@ def _coordinate_functional_entries(space: ConcreteOperatorSpace):
     return entries
 
 
-def _svd_norming_entry(x: OpSpaceMatrix) -> GridEntry:
-    """Compression y ↦ a*·(realized y)·b from the top singular pair of the
-    realized point; certified by ‖a‖·‖b‖ <= 1 (Frobenius norms are 1)."""
-    space = x.space
-    n, amb = x.level, space.ambient
-    u, _, vh = np.linalg.svd(realize(x))
-    left = u[:, 0].reshape(n, amb).T  # columns u_k
-    right = vh[0, :].conj().reshape(n, amb).T
-    grid = np.einsum("ak,tab,bl->klt", left.conj(), space.basis, right)
-    bound = matcore.operator_norm(left) * matcore.operator_norm(right)
-    return GridEntry(space, grid, min(bound, 1.0))
-
-
 def norming_dictionary(space: ConcreteOperatorSpace, x: OpSpaceMatrix | None = None) -> FunctionDictionary:
     """Coordinate grid, coordinate functionals, an optional norming compression
     at a target point, and one geometric-functional test direction."""
-    entries = [_coordinate_grid_entry(space)]
-    entries.extend(_coordinate_functional_entries(space))
+    # The coordinate grid's cb norm is exactly 1 (mconvex.coordinate_grid).
+    entries = [GridEntry(space, mconvex.coordinate_grid(space), 1.0)]
+    functionals = _coordinate_functional_entries(space)
+    entries.extend(functionals)
     if x is not None:
-        entries.append(_svd_norming_entry(x))
-    coords = space.basis.reshape(space.dim, -1)
-    pinv = np.linalg.pinv(coords)
-    crude = float(np.linalg.norm(pinv[:, 0]) * np.sqrt(space.ambient))
+        # Certified by ‖a‖·‖b‖ <= 1, where the n×N block matrices a and b of
+        # the top singular pair have Frobenius norm 1.  The norms are taken
+        # of the N×n transposes: equal in exact arithmetic, but LAPACK's last
+        # bits differ, and the records were made with these.
+        grid, left, right = mconvex.svd_compression_grid(x)
+        bound = matcore.operator_norm(left.T) * matcore.operator_norm(right.T)
+        entries.append(GridEntry(space, grid, min(bound, 1.0)))
     phi = np.zeros(space.dim, dtype=np.complex128)
-    phi[0] = 0.5 / crude
+    phi[0] = 0.5 / functionals[0].bound  # so ‖φ‖ <= 0.5, certified
     entries.append(ScalarEntry(GeometricPhi(space, phi, 0.5), 1.0))
     return FunctionDictionary(tuple(entries))
 

@@ -12,11 +12,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Full SVD up to this dimension, power iteration on A*A above.  Desk-scale
-# inputs stay far below the cutoff; the iteration falls back to a full SVD
-# if it stalls, so correctness never depends on spectral gaps.
-_FULL_SVD_MAX_DIM = 64
-
 _MAX_SEED = 2**64
 
 
@@ -53,27 +48,6 @@ def operator_norm(a) -> float:
     m = as_matrix(a)
     if m.size == 0:
         return 0.0
-    if max(m.shape) <= _FULL_SVD_MAX_DIM:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    return _power_norm(m)
-
-
-def _power_norm(m: np.ndarray) -> float:
-    b = m.conj().T @ m
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(b.shape[0]) + 1j * rng.standard_normal(b.shape[0])
-    v /= np.linalg.norm(v)
-    lam = -1.0
-    for _ in range(20000):
-        w = b @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - lam) <= 1e-13 * nw:
-            return float(np.sqrt(nw))
-        lam = nw
-    # Stalled (near-degenerate top of the spectrum): correctness first.
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, opspace
-from ._search import Budget, ascend
+from ._search import decode, restarts, to_sphere
 from .errors import InvalidInputError, InvalidRepresentationError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
 
@@ -229,32 +229,39 @@ def check_certificate(f: SeparationCertificate, k: MatrixSet, x0: OpSpaceMatrix)
 
 
 def coordinate_grid(space: ConcreteOperatorSpace) -> np.ndarray:
-    """Grid of ambient-entry functionals: pairing with it rebuilds the realization."""
+    """Grid of ambient-entry functionals: pairing with it rebuilds the
+    realization, so as a map into M_N its cb norm is exactly 1."""
     return np.ascontiguousarray(np.transpose(space.basis, (1, 2, 0)))
 
 
-def _svd_compression_grid(x: OpSpaceMatrix) -> np.ndarray:
-    """Grid y ↦ u_k*·(realized y)·v_l from the top singular pair of realize(x)."""
+def svd_compression_grid(x: OpSpaceMatrix):
+    """Grid y ↦ u_k*·(realized y)·v_l from the top singular pair (u, v) of
+    realize(x), returned with the n×N matrices of blocks u_k and v_l."""
     space = x.space
     n, amb = x.level, space.ambient
     u, _, vh = np.linalg.svd(realize(x))
     left = u[:, 0].reshape(n, amb)
     right = vh[0, :].conj().reshape(n, amb)
-    return np.einsum("ka,tab,lb->klt", left.conj(), space.basis, right)
+    return np.einsum("ka,tab,lb->klt", left.conj(), space.basis, right), left, right
 
 
-def _scale_to_certificate(k, x0, grid, space):
-    cert = SeparationCertificate(space, grid)
+def _pairing_peaks(k, x0, grid):
+    """(largest generator pairing norm, target pairing norm) of a grid."""
+    cert = SeparationCertificate(k.space, grid)
     gen_max = max(matcore.operator_norm(pairing(cert, g)) for g in k.generators)
-    target = matcore.operator_norm(pairing(cert, x0))
+    return gen_max, matcore.operator_norm(pairing(cert, x0))
+
+
+def _scale_to_certificate(k, x0, grid):
+    gen_max, target = _pairing_peaks(k, x0, grid)
     if target <= 0.0:
         return None
     if gen_max > 1e-12:
         if target <= gen_max * (1.0 + 1e-6):
             return None
-        scaled = SeparationCertificate(space, grid / gen_max)
+        scaled = SeparationCertificate(k.space, grid / gen_max)
     else:
-        scaled = SeparationCertificate(space, grid * (2.0 / target))
+        scaled = SeparationCertificate(k.space, grid * (2.0 / target))
     verdict = check_certificate(scaled, k, x0)
     return scaled if verdict.valid else None
 
@@ -272,12 +279,9 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     if not same_space(k.space, x0.space):
         raise InvalidInputError("matrix set and target live over different spaces")
     space = k.space
-    state = Budget(budget)
-
-    for warm in (coordinate_grid(space), _svd_compression_grid(x0)):
-        if not state.spend():
-            return None
-        found = _scale_to_certificate(k, x0, warm, space)
+    # Each warm start costs one evaluation, like a restart's first point.
+    for warm in (coordinate_grid(space), svd_compression_grid(x0)[0])[:budget]:
+        found = _scale_to_certificate(k, x0, warm)
         if found is not None:
             return found
 
@@ -285,27 +289,12 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     shape = (n, n, d)
 
     def objective(vec):
-        half = vec.size // 2
-        grid = (vec[:half] + 1j * vec[half:]).reshape(shape)
-        cert = SeparationCertificate(space, grid)
-        gen_max = max(matcore.operator_norm(pairing(cert, g)) for g in k.generators)
-        target = matcore.operator_norm(pairing(cert, x0))
+        gen_max, target = _pairing_peaks(k, x0, decode(vec, shape))
         return target / max(gen_max, 1e-12)
 
-    def project(vec):
-        nrm = np.linalg.norm(vec)
-        return vec if nrm == 0.0 else vec / nrm
-
-    restart = 0
-    while state.left > 0:
-        rng = matcore.derive_rng(seed, restart)
-        v0 = rng.standard_normal(2 * n * n * d)
-        vec, _ = ascend(objective, v0, project, state)
-        if vec is not None:
-            half = vec.size // 2
-            grid = (vec[:half] + 1j * vec[half:]).reshape(shape)
-            found = _scale_to_certificate(k, x0, grid, space)
-            if found is not None:
-                return found
-        restart += 1
+    start = lambda rng: rng.standard_normal(2 * n * n * d)
+    for vec, _ in restarts(objective, to_sphere, start, budget - 2, seed):
+        found = _scale_to_certificate(k, x0, decode(vec, shape))
+        if found is not None:
+            return found
     return None

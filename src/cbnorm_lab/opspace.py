@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import _search, matcore
 from .errors import InvalidInputError
 
 # Smallest singular value of the d×N² coordinate matrix must exceed this for
@@ -94,11 +94,20 @@ class OpSpaceMatrix:
         return self.entries.shape[0]
 
 
+def block_matrix(entries: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The mN×mN block matrix whose (i, j) block is Σ_k entries[i,j,k]·B_k.
+
+    Takes raw (m, m, d) and (d, N, N) arrays so that the search can realize
+    its iterates without building an OpSpaceMatrix each time.
+    """
+    m, d, n = entries.shape[0], basis.shape[0], basis.shape[1]
+    blocks = (entries.reshape(m * m, d) @ basis.reshape(d, n * n)).reshape(m, m, n, n)
+    return blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
 def realize(x: OpSpaceMatrix) -> np.ndarray:
-    """The mN×mN block matrix whose (i, j) block is Σ_k entries[i,j,k]·B_k."""
-    m, d, n = x.level, x.space.dim, x.space.ambient
-    blocks = np.einsum("ijk,kab->iajb", x.entries, x.space.basis)
-    return np.ascontiguousarray(blocks.reshape(m * n, m * n))
+    """The realized block matrix of x (see block_matrix)."""
+    return block_matrix(x.entries, x.space.basis)
 
 
 def matrix_norm(x: OpSpaceMatrix) -> float:
@@ -236,8 +245,6 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
     Random complex-Gaussian starts followed by finite-difference ascent on the
     scale-invariant quotient |φ·c| / ‖Σ c_k B_k‖.
     """
-    from . import _search
-
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (space.dim,):
         raise InvalidInputError(f"functional must have {space.dim} coefficients")
@@ -247,27 +254,13 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
         return 0.0
     d = space.dim
 
-    def decode(v):
-        return v[:d] + 1j * v[d:]
-
     def objective(v):
-        c = decode(v)
+        c = _search.decode(v, d)
         t = matcore.operator_norm(np.tensordot(c, space.basis, axes=(0, 0)))
         if t <= 1e-300:
             return 0.0
         return abs(np.dot(phi, c)) / t
 
-    def project(v):
-        nrm = np.linalg.norm(v)
-        return v if nrm == 0.0 else v / nrm
-
-    budget_state = _search.Budget(budget)
-    best = 0.0
-    restart = 0
-    while budget_state.left > 0:
-        rng = matcore.derive_rng(seed, restart)
-        v0 = rng.standard_normal(2 * d)
-        _, value = _search.ascend(objective, v0, project, budget_state)
-        best = max(best, value)
-        restart += 1
-    return best
+    start = lambda rng: rng.standard_normal(2 * d)
+    runs = _search.restarts(objective, _search.to_sphere, start, budget, seed)
+    return max([0.0, *(value for _, value in runs)])

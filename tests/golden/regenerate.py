@@ -1,0 +1,31 @@
+"""Rewrite tests/golden/<stem>.json from the shipped configs.
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Each golden file is the record of one `configs/*.json` run through
+`cli.run`, with `runtime_ms` dropped, in `cli.record_to_json` form.  Only
+regenerate after a change that is meant to alter results, and say so in
+CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+from cbnorm_lab import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
+
+
+def golden_text(config_path: Path) -> str:
+    """The record of one shipped config, as stored in its golden file."""
+    config = json.loads(config_path.read_text())
+    record, _ = cli.run(config["command"], config)
+    record.pop("runtime_ms")
+    return cli.record_to_json(record)
+
+
+if __name__ == "__main__":
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        (GOLDEN_DIR / path.name).write_text(golden_text(path))
+        print(f"wrote {path.name}")

@@ -12,6 +12,7 @@ import pytest
 from cbnorm_lab import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
 
 
@@ -45,6 +46,10 @@ def test_shipped_config_runs_clean(config_path, tmp_path):
     assert record["schema_version"] == 1
     assert record["command"] == command
     assert "runtime_ms" in record
+    # Byte-identity against the committed record (tests/golden/regenerate.py
+    # rewrites these after a deliberate change of results).
+    record.pop("runtime_ms")
+    assert cli.record_to_json(record) == (GOLDEN_DIR / config_path.name).read_text()
 
 
 def test_sandwich_record_reports_quotient_bound(tmp_path):
@@ -82,12 +87,19 @@ def test_schema_violation_exits_one(tmp_path, capsys):
 
 
 def test_bad_descriptor_exits_one(tmp_path, capsys):
-    config = tmp_path / "bad.json"
-    config.write_text(
-        json.dumps({"command": "estimate", "function": {"kind": "mystery"}, "max_level": 1, "budget": 10, "seed": 1})
-    )
-    assert run_cli(["estimate", "--config", config]) == 1
-    assert "error" in capsys.readouterr().err
+    # An unknown kind, a missing key and a wrongly typed value all end in an
+    # `error:` line, never in a traceback.
+    for function in (
+        {"kind": "mystery"},
+        {"kind": "power_series"},
+        {"kind": "power_series", "coeffs": 5},
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(
+            json.dumps({"command": "sandwich", "function": function, "max_level": 1, "budget": 10, "seed": 1})
+        )
+        assert run_cli(["sandwich", "--config", config]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_command_mismatch_exits_one(tmp_path, capsys):
@@ -133,12 +145,14 @@ def test_report_rows_and_gap(tmp_path):
 
 
 def test_report_skips_corrupt_records(tmp_path, capsys):
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    assert run_cli(["report", broken]) == 0
-    captured = capsys.readouterr()
-    assert "skipping" in captured.err
-    assert captured.out.strip().splitlines() == ["id,lower,upper,gap,levels"]
+    # Invalid JSON, and valid JSON that is not shaped like a record.
+    for text in ("{not json", "[1, 2]", '{"results": 5}'):
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        assert run_cli(["report", broken]) == 0
+        captured = capsys.readouterr()
+        assert "warning: skipping" in captured.err
+        assert captured.out.strip().splitlines() == ["id,lower,upper,gap,levels"]
 
 
 def test_console_script_entry_point(tmp_path):

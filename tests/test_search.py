@@ -1,0 +1,103 @@
+"""Tests for the shared search engine: the [Re, Im] codec, the restart loop
+and its budget accounting, and budget 1 in every search built on it."""
+
+import numpy as np
+import pytest
+
+from cbnorm_lab import _search, holofun
+from cbnorm_lab.cbnorm import RADIUS_CAP, level_sup
+from cbnorm_lab.mconvex import MatrixSet, find_certificate
+from cbnorm_lab.opspace import (
+    OpSpaceElement,
+    OpSpaceMatrix,
+    dual_functional_norm,
+    space_min_linf,
+    space_row,
+    space_scalar,
+)
+
+
+def test_codec_round_trip():
+    rng = np.random.default_rng(4)
+    arr = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    vec = _search.encode(arr)
+    assert vec.dtype == np.float64 and vec.shape == (48,)
+    assert np.array_equal(_search.decode(vec, arr.shape), arr)
+
+
+def test_to_sphere():
+    assert np.allclose(np.linalg.norm(_search.to_sphere(np.array([3.0, 4.0]))), 1.0)
+    zero = np.zeros(3)
+    assert _search.to_sphere(zero) is zero
+
+
+def _counted_run(budget, seed):
+    calls = [0]
+
+    def objective(v):
+        calls[0] += 1
+        return -float(np.sum((v - 0.3) ** 2))
+
+    start = lambda rng: rng.standard_normal(4)
+    runs = list(_search.restarts(objective, _search.to_sphere, start, budget, seed, 5))
+    return calls[0], runs
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 17])
+def test_restarts_spend_exactly_the_budget(budget):
+    calls, runs = _counted_run(budget, seed=8)
+    assert calls == budget
+    assert runs and all(vec is not None for vec, _ in runs)
+    again_calls, again = _counted_run(budget, seed=8)
+    assert again_calls == calls
+    assert len(again) == len(runs)
+    for (vec, value), (vec2, value2) in zip(runs, again):
+        assert np.array_equal(vec, vec2) and value == value2
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_restarts_without_budget_yield_nothing(budget):
+    calls, runs = _counted_run(budget, seed=8)
+    assert calls == 0 and runs == []
+
+
+def test_restart_streams_are_distinct():
+    start = lambda rng: rng.standard_normal(3)
+    first = [
+        next(_search.restarts(lambda v: 0.0, lambda v: v, start, 1, 2, stream))[0]
+        for stream in (1, 2)
+    ]
+    assert not np.array_equal(first[0], first[1])
+
+
+def _level_sup_disk():
+    w = level_sup(holofun.PowerSeries([1.0]), 2, 1, seed=3)
+    assert 0.0 < w.value <= RADIUS_CAP + 1e-12
+
+
+def _level_sup_space():
+    space = space_row(2)
+    f = holofun.GeometricPhi(space, np.array([0.3, 0.4]), 0.5)
+    w = level_sup(f, 2, 1, seed=3)
+    assert w.level == 2 and w.value >= 0.0
+
+
+def _dual_functional_norm():
+    value = dual_functional_norm(space_min_linf(2), np.array([1.0, 1.0]), 1, seed=3)
+    assert 0.0 <= value <= 2.0 + 1e-9
+
+
+def _find_certificate():
+    s = space_scalar()
+    k = MatrixSet(s, (OpSpaceElement(s, np.array([1.0])).as_level1(),))
+    outside = find_certificate(k, OpSpaceMatrix(s, np.full((1, 1, 1), 2.0 + 0j)), 1, seed=3)
+    assert outside is not None  # the first warm start already separates
+    inside = find_certificate(k, OpSpaceMatrix(s, np.full((1, 1, 1), 0.5 + 0j)), 1, seed=3)
+    assert inside is None
+
+
+@pytest.mark.parametrize(
+    "search", [_level_sup_disk, _level_sup_space, _dual_functional_norm, _find_certificate]
+)
+def test_searches_run_at_budget_one(search):
+    search()
