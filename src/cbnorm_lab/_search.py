@@ -10,6 +10,10 @@ import numpy as np
 
 from .matcore import derive_rng
 
+# Forward-difference step and step cap of every ascent.
+_FD_STEP = 1e-5
+_MAX_STEPS = 200
+
 
 class Budget:
     """Counts objective evaluations; an exhausted budget stops a search."""
@@ -43,7 +47,7 @@ def to_sphere(vec: np.ndarray) -> np.ndarray:
     return vec if nrm == 0.0 else vec / nrm
 
 
-def ascend(objective, x0, project, budget: Budget, fd_step: float = 1e-5, max_steps: int = 200):
+def ascend(objective, x0, project, budget: Budget):
     """Maximize `objective` from `x0` with projected forward-difference ascent.
 
     `objective` must be well defined on all of R^n (it may clamp internally);
@@ -56,7 +60,7 @@ def ascend(objective, x0, project, budget: Budget, fd_step: float = 1e-5, max_st
     if not budget.spend():
         return None, -np.inf
     value = float(objective(x))
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         grad = np.zeros_like(x)
         starved = False
         for i in range(x.size):
@@ -64,8 +68,8 @@ def ascend(objective, x0, project, budget: Budget, fd_step: float = 1e-5, max_st
                 starved = True
                 break
             probe = x.copy()
-            probe[i] += fd_step
-            grad[i] = (float(objective(probe)) - value) / fd_step
+            probe[i] += _FD_STEP
+            grad[i] = (float(objective(probe)) - value) / _FD_STEP
         if starved:
             break
         gnorm = float(np.linalg.norm(grad))

@@ -35,8 +35,6 @@ RADIUS_CAP = 1.0 - 1e-6
 DEFAULT_LEVELS = (1, 2, 4, 8)
 
 _WIENER_TRUNCATION = 256
-# Allowance for Fourier extraction error in coefficient-sum bounds.
-_WIENER_PAD = _WIENER_TRUNCATION * 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,8 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     objective evaluations across random restarts, and equal values go to the
     witness with the smaller serialization.
     """
-    if m < 1:
-        raise InvalidInputError("level must be >= 1")
+    if not 1 <= m <= matcore.MAX_LEVEL:
+        raise InvalidInputError(f"level must lie in [1, {matcore.MAX_LEVEL}], got {m}")
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     matcore.check_seed(seed)
@@ -216,37 +214,21 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
 # Certified upper bounds
 
 
-def _wiener_bound(f: HoloFunction) -> float | None:
-    tc = holofun.taylor_coefficients(f, _WIENER_TRUNCATION)
-    if tc.tail_bound is None:
-        return None
-    return float(np.sum(np.abs(tc.coeffs))) + tc.tail_bound + _WIENER_PAD
-
-
 def _upper_rules(f: HoloFunction):
     """Minimum over the certified rules that apply to the variant.
 
-    Returns (bound or None, description of the winning rule).
+    Returns (bound, description of the winning rule).
     """
     if isinstance(f, PowerSeries):
         return float(np.sum(np.abs(f.coeffs))), "coefficient-sum (exact polynomial)"
     if isinstance(f, Blaschke):
         if f.zeros.size == 0:
             return 1.0, "coefficient-sum (monomial)"
-        candidates = []
-        wiener = _wiener_bound(f)
-        if wiener is not None:
-            candidates.append((wiener, "coefficient-sum (fourier + cauchy tail)"))
-        expanded, _ = _upper_rules(holofun.rescale_argument(f, 1.0))
-        if expanded is not None:
-            candidates.append((expanded, "expanded numerator over quotient factors"))
-        if not candidates:
-            return None, "no certified rule"
-        return min(candidates, key=lambda c: c[0])
+        tc = holofun.taylor_coefficients(f, _WIENER_TRUNCATION)
+        bound = float(np.sum(np.abs(tc.coeffs))) + tc.tail_bound
+        return bound, "coefficient-sum (rational form + majorant tail)"
     if isinstance(f, MoebiusQuotient):
         inner, _ = _upper_rules(f.inner)
-        if inner is None:
-            return None, "no certified rule (inner unknown)"
         return inner / (1.0 - abs(f.a)), "quotient rule inner/(1-|a|)"
     if isinstance(f, GeometricPhi):
         r = f.certified_norm
@@ -256,31 +238,19 @@ def _upper_rules(f: HoloFunction):
         if r == 0.0:
             return 0.0, "composite with zero functional"
         bound, rule = _upper_rules(holofun.rescale_argument(f.scalar, r))
-        if bound is None:
-            return None, "no certified rule (rescaled scalar part unknown)"
         return bound, f"composite via rescaled scalar part [{rule}]"
     if isinstance(f, Product):
-        lb, _ = _upper_rules(f.left)
-        rb, _ = _upper_rules(f.right)
-        if lb is None or rb is None:
-            return None, "no certified rule (factor unknown)"
-        return lb * rb, "product of factor bounds"
+        return _upper_rules(f.left)[0] * _upper_rules(f.right)[0], "product of factor bounds"
     if isinstance(f, Sum):
-        lb, _ = _upper_rules(f.left)
-        rb, _ = _upper_rules(f.right)
-        if lb is None or rb is None:
-            return None, "no certified rule (summand unknown)"
-        return lb + rb, "sum of summand bounds"
+        return _upper_rules(f.left)[0] + _upper_rules(f.right)[0], "sum of summand bounds"
     if isinstance(f, Scale):
         inner, rule = _upper_rules(f.inner)
-        if inner is None:
-            return None, "no certified rule (inner unknown)"
         return abs(f.c) * inner, f"scaled [{rule}]"
-    return None, "no certified rule"
+    raise InvalidInputError(f"no certified upper-bound rule for {type(f).__name__}")
 
 
-def cb_upper_bound(f: HoloFunction) -> float | None:
-    """Certified upper bound for the cb norm, or None when no rule applies."""
+def cb_upper_bound(f: HoloFunction) -> float:
+    """Certified upper bound for the cb norm."""
     bound, _ = _upper_rules(f)
     return bound
 
@@ -289,7 +259,7 @@ def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
     """Both bounds, with the consistency check lower <= upper + 1e-6."""
     est = cb_lower_bound(f, max_level, budget, seed)
     upper, rule = _upper_rules(f)
-    if upper is not None and est.lower > upper + 1e-6:
+    if est.lower > upper + 1e-6:
         raise SandwichViolationError(
             f"lower bound {est.lower} exceeds certified upper bound {upper}; "
             "one of the two computations is wrong"
@@ -297,7 +267,7 @@ def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
     return replace(
         est,
         upper=upper,
-        provenance=est.provenance + f"; upper: {rule}" + ("" if upper is None else f" = {upper}"),
+        provenance=est.provenance + f"; upper: {rule} = {upper}",
     )
 
 
@@ -353,14 +323,6 @@ def algebra_check(f: HoloFunction, g: HoloFunction, max_level: int, budget: int,
     """Test the algebra inequality lower(f·g) <= upper(f)·upper(g) + 1e-6."""
     uf = cb_upper_bound(f)
     ug = cb_upper_bound(g)
-    if uf is None or ug is None:
-        return CheckReport(
-            name="algebra",
-            passed=True,
-            trials=0,
-            worst_slack=np.inf,
-            detail="vacuous: a factor has no certified upper bound",
-        )
     lower = cb_lower_bound(Product(f, g), max_level, budget, seed).lower
     slack = uf * ug - lower
     return CheckReport(

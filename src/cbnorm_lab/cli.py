@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import jsonschema
 
-from . import __version__, cbnorm, descriptors, gcb, mconvex
+from . import __version__, cbnorm, descriptors, gcb, matcore, mconvex
 from .errors import CbnormLabError, SandwichViolationError
 
 SCHEMA_VERSION = 1
@@ -34,6 +34,7 @@ COMMANDS = (
 )
 
 _OBJECT = {"type": "object"}
+_LEVEL = {"type": "integer", "minimum": 1, "maximum": matcore.MAX_LEVEL}
 _PROPERTIES = {
     "schema_version": {"type": "integer", "const": SCHEMA_VERSION},
     "command": {"type": "string"},
@@ -41,7 +42,7 @@ _PROPERTIES = {
     "budget": {"type": "integer", "minimum": 1},
     "max_level": {"type": "integer", "minimum": 1},
     "trials": {"type": "integer", "minimum": 1},
-    "schedule": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
+    "schedule": {"type": "array", "items": _LEVEL, "minItems": 1},
     "function": _OBJECT,
     "function2": _OBJECT,
     "set": _OBJECT,

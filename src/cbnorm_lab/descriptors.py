@@ -9,7 +9,6 @@ invariant is enforced on the way in.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -98,9 +97,9 @@ def function_from_descriptor(d) -> holofun.HoloFunction:
         raise InvalidInputError("function descriptor must be an object with a 'kind'")
     kind = d["kind"]
     if kind == "power_series":
+        # An "analytic_radius" key is accepted and ignored: polynomials are entire.
         coeffs = np.asarray([_complex_in(c) for c in d["coeffs"]], dtype=np.complex128)
-        radius = float(d.get("analytic_radius", math.inf))
-        return holofun.PowerSeries(coeffs, analytic_radius=radius)
+        return holofun.PowerSeries(coeffs)
     if kind == "blaschke":
         zeros = np.asarray([_complex_in(z) for z in d.get("zeros", [])], dtype=np.complex128)
         return holofun.Blaschke(_complex_in(d["c"]), int(d["m"]), zeros)
@@ -127,10 +126,7 @@ def function_from_descriptor(d) -> holofun.HoloFunction:
 
 def function_to_descriptor(f: holofun.HoloFunction) -> dict:
     if isinstance(f, holofun.PowerSeries):
-        out = {"kind": "power_series", "coeffs": [_complex_out(c) for c in f.coeffs]}
-        if math.isfinite(f.analytic_radius):
-            out["analytic_radius"] = f.analytic_radius
-        return out
+        return {"kind": "power_series", "coeffs": [_complex_out(c) for c in f.coeffs]}
     if isinstance(f, holofun.Blaschke):
         return {
             "kind": "blaschke",

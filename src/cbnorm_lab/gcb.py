@@ -42,8 +42,8 @@ class GcbElement:
     terms: tuple
 
     def __post_init__(self):
-        if self.level < 1:
-            raise InvalidInputError("level must be >= 1")
+        if not 1 <= self.level <= matcore.MAX_LEVEL:
+            raise InvalidInputError(f"level must lie in [1, {matcore.MAX_LEVEL}], got {self.level}")
         terms = tuple(self.terms)
         for t in terms:
             if not isinstance(t, GcbTerm) or not same_space(t.point.space, self.space):

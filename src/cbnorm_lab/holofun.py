@@ -7,12 +7,18 @@ the open spectral unit ball; functional composites act on matrices over a
 concrete operator space by first applying a certified linear functional
 entrywise and then the scalar part.  Every variant takes the value 0 at 0,
 which is what makes zero-padding invariant under amplification.
+
+Every disk function is rational, p(z)/Π_b (1 − b·z) with |b| < 1 and the
+poles known from the construction; `_exact_rational` builds that form in exact
+arithmetic, and all Taylor data (coefficients, tail bound, radius of
+analyticity) comes from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,8 +30,7 @@ from .opspace import ConcreteOperatorSpace, OpSpaceElement, OpSpaceMatrix, matri
 # boundary; it only fires if a certified_norm claim was wrong.
 _IMAGE_GUARD = 1e-9
 
-_FOURIER_POINTS = 4096
-_MAX_TRUNCATION = _FOURIER_POINTS // 2
+_MAX_TRUNCATION = 2048
 
 
 class HoloFunction:
@@ -55,14 +60,9 @@ def _check_functional(space, phi, certified_norm):
 
 @dataclass(frozen=True, eq=False)
 class PowerSeries(HoloFunction):
-    """Polynomial Σ_{n>=1} coeffs[n-1]·z^n (no constant term by construction).
-
-    `analytic_radius` is the radius of analyticity claimed by the caller; it
-    only matters once the series is combined with other variants.
-    """
+    """Polynomial Σ_{n>=1} coeffs[n-1]·z^n (no constant term by construction)."""
 
     coeffs: np.ndarray
-    analytic_radius: float = math.inf
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
@@ -70,11 +70,7 @@ class PowerSeries(HoloFunction):
             raise InvalidInputError("coefficients must be a non-empty 1-D array")
         if not np.all(np.isfinite(c)):
             raise InvalidInputError("coefficients must be finite")
-        r = float(self.analytic_radius)
-        if not r >= 1.0:
-            raise InvalidInputError(f"analytic radius must be >= 1, got {r}")
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "analytic_radius", r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +210,12 @@ class Scale(HoloFunction):
 
 @dataclass(frozen=True)
 class TaylorCoeffs:
-    """Coefficients a_1..a_K at 0 plus a bound on Σ_{n>K}|a_n| (None = unknown)."""
+    """Coefficients a_1..a_K at 0 plus a bound on Σ_{n>K}|a_n| that also
+    covers the rounding in the coefficients."""
 
     coeffs: np.ndarray
     truncation: int
-    tail_bound: float | None
+    tail_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -324,44 +321,76 @@ def evaluate(f: HoloFunction, z) -> complex:
 # Taylor coefficients
 
 
-def analyticity_radius(f: HoloFunction) -> float:
-    """Radius of analyticity around 0 implied by the construction (may be inf)."""
+def _exact(values) -> tuple:
+    """A complex polynomial as exact (real, imaginary) arrays of Fractions."""
+    z = np.asarray(values, dtype=np.complex128).reshape(-1)
+    return tuple(np.array([Fraction(x) for x in part], dtype=object) for part in (z.real, z.imag))
+
+
+def _mul(p: tuple, q: tuple) -> tuple:
+    (pr, pi), (qr, qi) = p, q
+    return np.convolve(pr, qr) - np.convolve(pi, qi), np.convolve(pr, qi) + np.convolve(pi, qr)
+
+
+def _add(p: tuple, q: tuple) -> tuple:
+    n = max(p[0].size, q[0].size)
+    pad = lambda a: np.concatenate([a, np.full(n - a.size, Fraction(0), dtype=object)])
+    return tuple(pad(a) + pad(b) for a, b in zip(p, q))
+
+
+def _exact_rational(f: HoloFunction):
+    """(p, poles) with f(z) = p(z) / Π_b (1 − b·z), p held exactly by `_exact`.
+
+    The one place that knows each disk variant's rational form.  Poles are
+    kept with multiplicity and never cancelled against the numerator.
+    """
     if isinstance(f, PowerSeries):
-        return f.analytic_radius
+        return _exact(np.concatenate([[0.0], f.coeffs])), []
     if isinstance(f, Blaschke):
-        if f.zeros.size == 0:
-            return math.inf
-        return float(1.0 / np.max(np.abs(f.zeros)))
+        p = _exact(np.concatenate([np.zeros(f.m), [f.c]]))
+        for a in f.zeros:
+            p = _mul(p, _exact([-a, 1.0]))
+        return p, list(np.conj(f.zeros))
     if isinstance(f, MoebiusQuotient):
-        pole = math.inf if f.a == 0 else 1.0 / abs(f.a)
-        return min(analyticity_radius(f.inner), pole)
+        p, poles = _exact_rational(f.inner)
+        return p, poles + [f.a]
     if isinstance(f, (Product, Sum)):
-        return min(analyticity_radius(f.left), analyticity_radius(f.right))
+        (lp, lb), (rp, rb) = _exact_rational(f.left), _exact_rational(f.right)
+        if isinstance(f, Product):
+            return _mul(lp, rp), lb + rb
+        # Common denominator: each numerator times the other side's pole factors.
+        for b in lb:
+            rp = _mul(rp, _exact([1.0, -b]))
+        for b in rb:
+            lp = _mul(lp, _exact([1.0, -b]))
+        return _add(lp, rp), lb + rb
     if isinstance(f, Scale):
-        return analyticity_radius(f.inner)
+        p, poles = _exact_rational(f.inner)
+        return _mul(_exact([f.c]), p), poles
     raise InvalidInputError(f"{type(f).__name__} is not a disk-domain function")
 
 
-def _circle_samples(f: HoloFunction, radius: float) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(_FOURIER_POINTS) / _FOURIER_POINTS
-    return _eval_array(f, radius * np.exp(1j * angles))
+def _rational(f: HoloFunction):
+    """The rational form as complex arrays: p (ascending, rounded once) and the poles."""
+    (re, im), poles = _exact_rational(f)
+    return (re + 1j * im).astype(np.complex128), np.array(poles, dtype=np.complex128)
 
 
-def _cauchy_tail(f: HoloFunction, analytic_r: float, truncation: int) -> float:
-    # Sample max on a circle strictly between 1 and the analyticity radius;
-    # the 1.01 factor cushions the sampled max standing in for the true sup.
-    r = min(0.5 * (1.0 + analytic_r), 2.0)
-    peak = float(np.max(np.abs(_circle_samples(f, r)))) * 1.01
-    return peak * r ** (-truncation) / (r - 1.0)
+def analyticity_radius(f: HoloFunction) -> float:
+    """Radius of analyticity around 0 implied by the construction (may be inf)."""
+    peak = max(np.abs(_rational(f)[1]), default=0.0)
+    return math.inf if peak == 0.0 else float(1.0 / peak)
 
 
 def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
-    """Coefficients a_1..a_K of the expansion at 0.
+    """Coefficients a_1..a_K of the expansion at 0, from the rational form.
 
-    Power series are copied exactly.  Anything analytic past the closed disk
-    is inverted by a 4096-point discrete Fourier transform on the circle of
-    radius min(1, (1+R)/2) with a Cauchy-estimate tail bound; remaining
-    compositions use radius 0.9 and report an unknown tail.
+    Power series are copied exactly.  Otherwise f = p/Π(1 − b·z) (`_rational`)
+    and p, rounded once, is convolved with each pole's geometric series.  The
+    majorant Σ|p_k|z^k / Π(1 − |b|·z) dominates the series coefficientwise and
+    sums to E = Σ|p_k| / Π(1 − |b|), so with S_K the sum of its coefficients up
+    to degree K, Σ_{n>K}|a_n| <= E − S_K; the tail bound adds γ_N·E for the
+    rounding, so Σ|coeffs| + tail_bound >= Σ_{n>=1}|a_n| outright.
     """
     if f.domain_space is not None:
         raise InvalidInputError("Taylor extraction needs a disk-domain function")
@@ -374,16 +403,28 @@ def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
         coeffs[:n] = f.coeffs[:n]
         tail = float(np.sum(np.abs(f.coeffs[k:]))) if f.coeffs.size > k else 0.0
         return TaylorCoeffs(coeffs, k, tail)
-    radius = analyticity_radius(f)
-    if radius > 1.0 + 1e-12:
-        rho = min(1.0, 0.5 * (1.0 + radius))
-        tail = _cauchy_tail(f, radius, k)
-    else:
-        rho = 0.9
-        tail = None
-    hat = np.fft.fft(_circle_samples(f, rho)) / _FOURIER_POINTS
-    powers = rho ** np.arange(1, k + 1)
-    return TaylorCoeffs(hat[1 : k + 1] / powers, k, tail)
+    p, poles = _rational(f)
+    coeffs = np.zeros(k + 1, dtype=np.complex128)
+    coeffs[: min(k + 1, p.size)] = p[: k + 1]
+    majorant = np.abs(coeffs)
+    geometric = lambda b: np.cumprod(np.concatenate([[1.0], np.full(k, b)]))  # 1, b, ..., b^K
+    for b in poles:
+        coeffs = np.convolve(coeffs, geometric(b))[: k + 1]
+        majorant = np.convolve(majorant, geometric(abs(b)))[: k + 1]
+    radii = np.abs(poles)
+    e = float(np.sum(np.abs(p)) / np.prod(1.0 - radii))
+    # Rounding, in units u = 2^-53 measured against the majorant (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1, §3.6).
+    # Rounding p costs 1; per pole, the cumprod <= 3K (complex products) and
+    # the convolution <= 2K + 3, so each coefficient is off by <= γ_{1+P(5K+3)}
+    # times its majorant coefficient, and the errors sum to <= that times S_K
+    # <= E.  S_K costs <= P(3K+1) + K + 1 more, summing |coeffs| in the caller
+    # K + 1, E len(p) + 2P + 2 + Σ 1/(1 − |b|) (rounded |b| seen through
+    # 1 − |b|), the last subtraction and additions 3: N below exceeds it all.
+    n = 8 * (len(poles) + 1) * (k + 1) + p.size + float(np.sum(1.0 / (1.0 - radii)))
+    u = 2.0**-53
+    tail = (e - float(np.sum(majorant))) + n * u / (1.0 - n * u) * e
+    return TaylorCoeffs(coeffs[1:], k, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +444,12 @@ def rescale_argument(f: HoloFunction, t: float) -> HoloFunction:
         raise InvalidInputError("argument rescaling applies to disk-domain functions")
     if isinstance(f, PowerSeries):
         powers = t ** np.arange(1, f.coeffs.size + 1)
-        return PowerSeries(f.coeffs * powers, analytic_radius=f.analytic_radius / t)
+        return PowerSeries(f.coeffs * powers)
     if isinstance(f, Blaschke):
-        poly = np.array([f.c * t**f.m], dtype=np.complex128)
-        for a in f.zeros:
-            poly = np.convolve(poly, np.array([-a, t], dtype=np.complex128))
-        full = np.concatenate([np.zeros(f.m, dtype=np.complex128), poly])
-        out: HoloFunction = PowerSeries(full[1:], analytic_radius=math.inf)
-        for a in f.zeros:
-            out = MoebiusQuotient(out, np.conj(a) * t)
+        p, poles = _rational(f)
+        out: HoloFunction = PowerSeries(p[1:] * t ** np.arange(1, p.size))
+        for b in poles:
+            out = MoebiusQuotient(out, b * t)
         return out
     if isinstance(f, MoebiusQuotient):
         return MoebiusQuotient(rescale_argument(f.inner, t), f.a * t)

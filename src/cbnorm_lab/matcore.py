@@ -14,6 +14,9 @@ from .errors import InvalidInputError
 
 _MAX_SEED = 2**64
 
+# Largest matrix level a search or a pairing may build; 8 is the largest in use.
+MAX_LEVEL = 64
+
 
 def check_seed(seed) -> int:
     """Validate a 64-bit unsigned RNG seed and return it as a plain int."""

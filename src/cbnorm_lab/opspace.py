@@ -19,6 +19,9 @@ from .errors import InvalidInputError
 # the basis to count as linearly independent.
 _INDEPENDENCE_TOL = 1e-10
 
+# Largest builder parameter: the basis of M_k takes 16·k⁴ bytes, the others 16·n³.
+MAX_SPACE_PARAM = 32
+
 
 @dataclass(frozen=True, eq=False)
 class ConcreteOperatorSpace:
@@ -165,30 +168,30 @@ def space_scalar() -> ConcreteOperatorSpace:
 
 def space_mk(k: int) -> ConcreteOperatorSpace:
     """All of M_k, with the matrix units as basis (row-major order)."""
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    if not 1 <= k <= MAX_SPACE_PARAM:
+        raise InvalidInputError(f"k must lie in [1, {MAX_SPACE_PARAM}], got {k}")
     units = _matrix_units(k, [(i, j) for i in range(k) for j in range(k)])
     return ConcreteOperatorSpace(units, kind="matrix", param=k)
 
 
 def space_row(n: int) -> ConcreteOperatorSpace:
     """Row Hilbertian space: first-row matrix units of M_n."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    if not 1 <= n <= MAX_SPACE_PARAM:
+        raise InvalidInputError(f"n must lie in [1, {MAX_SPACE_PARAM}], got {n}")
     return ConcreteOperatorSpace(_matrix_units(n, [(0, j) for j in range(n)]), kind="row", param=n)
 
 
 def space_column(n: int) -> ConcreteOperatorSpace:
     """Column Hilbertian space: first-column matrix units of M_n."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    if not 1 <= n <= MAX_SPACE_PARAM:
+        raise InvalidInputError(f"n must lie in [1, {MAX_SPACE_PARAM}], got {n}")
     return ConcreteOperatorSpace(_matrix_units(n, [(j, 0) for j in range(n)]), kind="column", param=n)
 
 
 def space_min_linf(d: int) -> ConcreteOperatorSpace:
     """Minimal quantization of ℓ∞^d: diagonal matrix units of M_d."""
-    if d < 1:
-        raise InvalidInputError("d must be >= 1")
+    if not 1 <= d <= MAX_SPACE_PARAM:
+        raise InvalidInputError(f"d must lie in [1, {MAX_SPACE_PARAM}], got {d}")
     return ConcreteOperatorSpace(_matrix_units(d, [(j, j) for j in range(d)]), kind="min_linf", param=d)
 
 

@@ -28,7 +28,15 @@ from cbnorm_lab.holofun import (
     Sum,
     amplify,
 )
-from cbnorm_lab.opspace import dual_functional_norm, space_min_linf
+from cbnorm_lab.gcb import GcbElement
+from cbnorm_lab.opspace import (
+    MAX_SPACE_PARAM,
+    dual_functional_norm,
+    space_column,
+    space_min_linf,
+    space_mk,
+    space_row,
+)
 
 IDENTITY = PowerSeries([1.0])
 SQUARE = PowerSeries([0.0, 1.0])
@@ -127,6 +135,23 @@ def test_upper_bound_blaschke_certifies():
     bound = cb_upper_bound(f)
     # Coefficient sum of z(z-0.5)/(1-0.5z) converges to 2.
     assert 1.0 <= bound <= 2.0 + 1e-3
+
+
+def test_upper_bound_blaschke_zeros_near_circle():
+    # Σ|a_n| of z(z − a)/(1 − a·z) is 1 + 2a; the majorant tail past degree
+    # 256 is what remains of the bound.
+    assert 2.98 <= cb_upper_bound(Blaschke(1.0, 1, [0.99])) <= 20.0
+    assert cb_upper_bound(Blaschke(1.0, 1, [0.5])) <= 2.0 + 1e-9
+
+
+def test_size_caps_reject_before_allocation():
+    with pytest.raises(InvalidInputError):
+        level_sup(IDENTITY, matcore.MAX_LEVEL + 1, 1, 1)
+    for build in (space_mk, space_row, space_column, space_min_linf):
+        with pytest.raises(InvalidInputError):
+            build(MAX_SPACE_PARAM + 1)
+    with pytest.raises(InvalidInputError):
+        GcbElement(MIN2, matcore.MAX_LEVEL + 1, ())
 
 
 def test_upper_bound_composite_linear_is_certified_norm():

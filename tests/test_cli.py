@@ -79,27 +79,49 @@ def test_seed_override_changes_record(tmp_path):
 
 
 def test_schema_violation_exits_one(tmp_path, capsys):
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"command": "estimate", "function": {"kind": "power_series", "coeffs": [[1.0, 0.0]]}, "max_level": 2, "budget": 10}))
-    assert run_cli(["estimate", "--config", config]) == 1
-    err = capsys.readouterr().err
-    assert "$" in err and "seed" in err
+    # A missing seed, and a probe level just above the cap.
+    identity = {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
+    for command, extra, where in (
+        ("estimate", {}, "seed"),
+        ("probe", {"seed": 1, "schedule": [1, 65]}, "schedule"),
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"command": command, "function": identity, "max_level": 2, "budget": 10, **extra}))
+        assert run_cli([command, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "$" in err and where in err
 
 
 def test_bad_descriptor_exits_one(tmp_path, capsys):
-    # An unknown kind, a missing key and a wrongly typed value all end in an
-    # `error:` line, never in a traceback.
-    for function in (
-        {"kind": "mystery"},
-        {"kind": "power_series"},
-        {"kind": "power_series", "coeffs": 5},
-    ):
-        config = tmp_path / "bad.json"
-        config.write_text(
-            json.dumps({"command": "sandwich", "function": function, "max_level": 1, "budget": 10, "seed": 1})
+    # An unknown kind, a missing key, a wrongly typed value, and sizes just
+    # above their caps (a 33×33 matrix space, a level-65 predual element) all
+    # end in an `error:` line, never in a traceback or an allocation.
+    oversized_space = {"kind": "matrix", "param": 33}
+    cases = [
+        ({"command": "sandwich", "function": function, "max_level": 1, "budget": 10, "seed": 1}, message)
+        for function, message in (
+            ({"kind": "mystery"}, "error:"),
+            ({"kind": "power_series"}, "error:"),
+            ({"kind": "power_series", "coeffs": 5}, "error:"),
+            (
+                {"kind": "geometric_phi", "space": oversized_space, "phi": [], "certified_norm": 0.5},
+                "error: k must lie in [1, 32]",
+            ),
         )
-        assert run_cli(["sandwich", "--config", config]) == 1
-        assert "error:" in capsys.readouterr().err
+    ]
+    unit_grid = {"kind": "grid", "grid": [[[[1.0, 0.0]]]], "bound": 1.0}
+    element = {"space": {"kind": "scalar"}, "level": 65}
+    cases.append(
+        (
+            {"command": "gcb", "element": element, "dictionary": {"entries": [unit_grid]}, "budget": 10, "seed": 1},
+            "error: level must lie in [1, 64]",
+        )
+    )
+    for body, message in cases:
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(body))
+        assert run_cli([body["command"], "--config", config]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_command_mismatch_exits_one(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Round-trip tests for the JSON descriptor layer."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,7 @@ def test_space_round_trip_custom():
 
 def test_function_round_trip():
     functions = [
-        PowerSeries([1.0, 0.5j], analytic_radius=2.0),
+        PowerSeries([1.0, 0.5j]),
         Blaschke(1.0j, 2, [0.5, -0.25j]),
         MoebiusQuotient(PowerSeries([1.0]), 0.5),
         Sum(PowerSeries([1.0]), Scale(2.0, PowerSeries([0.0, 1.0]))),
@@ -48,10 +46,12 @@ def test_function_round_trip():
 
 
 def test_power_series_radius_default_is_infinite():
-    d = {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
-    f = descriptors.function_from_descriptor(d)
-    assert math.isinf(f.analytic_radius)
-    assert "analytic_radius" not in descriptors.function_to_descriptor(f)
+    # "analytic_radius" is accepted and ignored (polynomials are entire), and
+    # never emitted.
+    for radius in (2.0, 0.5):
+        d = {"kind": "power_series", "coeffs": [[1.0, 0.0]], "analytic_radius": radius}
+        f = descriptors.function_from_descriptor(d)
+        assert descriptors.function_to_descriptor(f) == {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
 
 
 def test_matrix_set_round_trip():

@@ -1,0 +1,157 @@
+"""Property tests over random disk expression trees of depth <= 3: Taylor data
+against an independent mpmath reference, evaluation, argument rescaling,
+descriptor round trips and sandwich order."""
+
+import cmath
+
+import mpmath
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cbnorm_lab import descriptors
+from cbnorm_lab.cbnorm import sandwich
+from cbnorm_lab.holofun import (
+    Blaschke,
+    MoebiusQuotient,
+    PowerSeries,
+    Product,
+    Scale,
+    Sum,
+    evaluate,
+    rescale_argument,
+    taylor_coefficients,
+)
+
+PROPERTY = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+mpmath.mp.dps = 40
+
+ANGLES = st.floats(0.0, 2.0 * np.pi)
+COEFFS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+DISK = st.builds(cmath.rect, st.floats(0.0, 0.9), ANGLES)
+
+
+def _trees(depth):
+    leaf = st.one_of(
+        st.lists(COEFFS, min_size=1, max_size=4).map(PowerSeries),
+        st.builds(
+            lambda t, m, zeros: Blaschke(cmath.exp(1j * t), m, zeros),
+            ANGLES,
+            st.integers(1, 3),
+            st.lists(DISK, max_size=2),
+        ),
+    )
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(MoebiusQuotient, sub, DISK),
+        st.builds(Product, sub, sub),
+        st.builds(Sum, sub, sub),
+        st.builds(Scale, COEFFS, sub),
+    )
+
+
+TREES = _trees(3)
+
+
+def _mp_mul(p, q):
+    return [
+        mpmath.fsum(p[i] * q[k - i] for i in range(len(p)) if 0 <= k - i < len(q))
+        for k in range(len(p) + len(q) - 1)
+    ]
+
+
+def _mp_rational(f):
+    """Numerator coefficients and poles of f in 40-digit arithmetic, built
+    from the tree independently of holofun."""
+    if isinstance(f, PowerSeries):
+        return [mpmath.mpc(0)] + [mpmath.mpc(c) for c in f.coeffs], []
+    if isinstance(f, Blaschke):
+        p = [mpmath.mpc(0)] * f.m + [mpmath.mpc(f.c)]
+        for a in f.zeros:
+            p = _mp_mul(p, [-mpmath.mpc(a), 1])
+        return p, [mpmath.conj(mpmath.mpc(a)) for a in f.zeros]
+    if isinstance(f, MoebiusQuotient):
+        p, poles = _mp_rational(f.inner)
+        return p, poles + [mpmath.mpc(f.a)]
+    if isinstance(f, Scale):
+        p, poles = _mp_rational(f.inner)
+        return [mpmath.mpc(f.c) * c for c in p], poles
+    (lp, lb), (rp, rb) = _mp_rational(f.left), _mp_rational(f.right)
+    if isinstance(f, Product):
+        return _mp_mul(lp, rp), lb + rb
+    for b in lb:
+        rp = _mp_mul(rp, [1, -b])
+    for b in rb:
+        lp = _mp_mul(lp, [1, -b])
+    n = max(len(lp), len(rp))
+    lp, rp = lp + [0] * (n - len(lp)), rp + [0] * (n - len(rp))
+    return [x + y for x, y in zip(lp, rp)], lb + rb
+
+
+def _mp_series(f, n, majorant=False):
+    """a_0..a_n by the recurrence g_i = h_i + b·g_(i-1) for each pole, or the
+    coefficients of the majorant Σ|p_k|z^k / Π(1 − |b|z)."""
+    p, poles = _mp_rational(f)
+    lift = abs if majorant else (lambda x: x)
+    a = [lift(c) for c in p[: n + 1]] + [mpmath.mpf(0)] * (n + 1 - len(p))
+    for b in poles:
+        b = lift(b)
+        for i in range(1, n + 1):
+            a[i] += b * a[i - 1]
+    return a
+
+
+@PROPERTY
+@given(TREES, st.integers(1, 256))
+def test_taylor_coefficients_match_mpmath_and_bound_the_abs_sum(f, k):
+    tc = taylor_coefficients(f, k)
+    exact = _mp_series(f, 2000)
+    majorant = _mp_series(f, k, majorant=True)
+    for n in range(1, k + 1):
+        assert abs(tc.coeffs[n - 1] - exact[n]) <= 1e-11 * majorant[n] + 1e-300
+    assert tc.tail_bound >= 0.0
+    certified = mpmath.fsum(abs(mpmath.mpc(c)) for c in tc.coeffs) + tc.tail_bound
+    assert certified >= mpmath.fsum(abs(c) for c in exact[1:])
+
+
+@PROPERTY
+@given(TREES, st.floats(0.0, 0.5), ANGLES)
+def test_taylor_series_sums_to_the_function(f, r, angle):
+    k = 128
+    z = cmath.rect(r, angle)
+    tc = taylor_coefficients(f, k)
+    terms = tc.coeffs * z ** np.arange(1, k + 1)
+    tol = 1e-12 * (1.0 + np.sum(np.abs(terms))) + r ** (k + 1) * tc.tail_bound
+    assert abs(np.sum(terms) - evaluate(f, z)) <= tol
+
+
+@PROPERTY
+@given(TREES, st.floats(0.05, 1.0), st.floats(0.0, 0.95), ANGLES)
+def test_rescale_argument_is_substitution(f, t, r, angle):
+    z = cmath.rect(r, angle)
+    scale = 1.0 + float(mpmath.fsum(_mp_series(f, 400, majorant=True)))
+    assert abs(evaluate(rescale_argument(f, t), z) - evaluate(f, t * z)) <= 1e-11 * scale
+
+
+@PROPERTY
+@given(TREES)
+def test_descriptor_round_trip(f):
+    d = descriptors.function_to_descriptor(f)
+    assert descriptors.function_to_descriptor(descriptors.function_from_descriptor(d)) == d
+
+
+@PROPERTY
+@given(TREES, st.integers(0, 2**32))
+def test_sandwich_lower_below_upper(f, seed):
+    est = sandwich(f, 2, 40, seed)
+    assert est.lower <= est.upper + 1e-6
