@@ -11,6 +11,7 @@ bounds, and product/sum/scale combination rules.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +35,8 @@ from .holofun import (
 RADIUS_CAP = 1.0 - 1e-6
 DEFAULT_LEVELS = (1, 2, 4, 8)
 
-_WIENER_TRUNCATION = 256
+# Fewest Taylor terms the Blaschke rule sums before bounding the tail.
+_MIN_TRUNCATION = 256
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,21 @@ def serialize_matrix(mat) -> str:
     return json.dumps([list(arr.shape), flat], separators=(",", ":"))
 
 
+def _clamp(points: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Rescale, in place, the points of a stack whose norm exceeds RADIUS_CAP
+    onto the cap; the others are left untouched, signed zeros included."""
+    over = norms > RADIUS_CAP
+    if over.any():
+        points[over] *= (RADIUS_CAP / norms[over]).reshape((-1,) + (1,) * (points.ndim - 1))
+    return points
+
+
 def _disk_problem(f: HoloFunction, m: int):
     shape = (m, m)
 
-    def objective(vec):
-        z = decode(vec, shape)
-        nrm = matcore.operator_norm(z)
-        if nrm > RADIUS_CAP:
-            z = z * (RADIUS_CAP / nrm)
-        return matcore.operator_norm(holofun._eval_array(f, z))
+    def objective(vecs):
+        z = decode(vecs, shape)
+        return matcore.operator_norms(holofun._eval_array(f, _clamp(z, matcore.operator_norms(z))))
 
     def project(vec):
         return encode(matcore.project_ball(decode(vec, shape), RADIUS_CAP))
@@ -99,16 +107,15 @@ def _space_problem(f: HoloFunction, m: int):
     space = f.domain_space
     shape = (m, m, space.dim)
 
-    def clamp(vec):
-        entries = decode(vec, shape)
-        nrm = matcore.operator_norm(opspace.block_matrix(entries, space.basis))
-        return entries * (RADIUS_CAP / nrm) if nrm > RADIUS_CAP else entries
+    def clamp(vecs):
+        entries = decode(vecs, shape)
+        return _clamp(entries, matcore.operator_norms(opspace.block_matrix(entries, space.basis)))
 
-    def objective(vec):
-        return matcore.operator_norm(holofun._amplify_space_entries(f, clamp(vec)))
+    def objective(vecs):
+        return matcore.operator_norms(holofun._amplify_space_entries(f, clamp(vecs)))
 
     def project(vec):
-        return encode(clamp(vec))
+        return encode(clamp(vec[None])[0])
 
     def start(rng, radius):
         return encode(opspace._random_matrix_ball(rng, space, m, radius).entries)
@@ -214,6 +221,14 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
 # Certified upper bounds
 
 
+def _blaschke_truncation(zeros: np.ndarray) -> int:
+    """Degree past which the slowest pole's geometric terms, max|b|^K, fall
+    below 2^-53, clamped to [_MIN_TRUNCATION, holofun._MAX_TRUNCATION]."""
+    peak = float(np.max(np.abs(zeros)))
+    k = math.ceil(53 * math.log(2) / -math.log(peak)) if peak > 0.0 else 0
+    return min(max(k, _MIN_TRUNCATION), holofun._MAX_TRUNCATION)
+
+
 def _upper_rules(f: HoloFunction):
     """Minimum over the certified rules that apply to the variant.
 
@@ -224,7 +239,7 @@ def _upper_rules(f: HoloFunction):
     if isinstance(f, Blaschke):
         if f.zeros.size == 0:
             return 1.0, "coefficient-sum (monomial)"
-        tc = holofun.taylor_coefficients(f, _WIENER_TRUNCATION)
+        tc = holofun.taylor_coefficients(f, _blaschke_truncation(f.zeros))
         bound = float(np.sum(np.abs(tc.coeffs))) + tc.tail_bound
         return bound, "coefficient-sum (rational form + majorant tail)"
     if isinstance(f, MoebiusQuotient):

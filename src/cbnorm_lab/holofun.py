@@ -71,6 +71,11 @@ class PowerSeries(HoloFunction):
         if not np.all(np.isfinite(c)):
             raise InvalidInputError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
+        # Indices of the nonzero coefficients of a long lacunary series,
+        # which `_eval_array` sums term by term; None for dense Horner.
+        nonzero = np.flatnonzero(c)
+        lacunary = c.size > 64 and nonzero.size <= c.size // 8
+        object.__setattr__(self, "_lacunary", nonzero if lacunary else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,11 +230,10 @@ class TaylorCoeffs:
 def _eval_array(f: HoloFunction, z):
     """Entrywise evaluation of a disk-domain function on a complex array."""
     if isinstance(f, PowerSeries):
-        nonzero = np.flatnonzero(f.coeffs)
-        if f.coeffs.size > 64 and nonzero.size <= f.coeffs.size // 8:
+        if f._lacunary is not None:
             # Long lacunary series: summing powers beats dense Horner.
             out = np.zeros_like(z)
-            for i in nonzero:
+            for i in f._lacunary:
                 out = out + f.coeffs[i] * z ** (i + 1)
             return out
         acc = np.zeros_like(z)
@@ -254,7 +258,7 @@ def _eval_array(f: HoloFunction, z):
 
 def _functional_image(entries: np.ndarray, phi: np.ndarray) -> np.ndarray:
     s = entries @ phi
-    if matcore.operator_norm(s) >= 1.0 - _IMAGE_GUARD:
+    if np.any(matcore.operator_norms(s) >= 1.0 - _IMAGE_GUARD):
         raise DomainError(
             "scalar image of the functional reached the guard radius; "
             "its certified norm looks wrong"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, opspace
-from ._search import decode, restarts, to_sphere
+from ._search import decode, each, restarts, to_sphere
 from .errors import InvalidInputError, InvalidRepresentationError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
 
@@ -293,7 +293,7 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
         return target / max(gen_max, 1e-12)
 
     start = lambda rng: rng.standard_normal(2 * n * n * d)
-    for vec, _ in restarts(objective, to_sphere, start, budget - 2, seed):
+    for vec, _ in restarts(each(objective), to_sphere, start, budget - 2, seed):
         found = _scale_to_certificate(k, x0, decode(vec, shape))
         if found is not None:
             return found

@@ -100,12 +100,14 @@ class OpSpaceMatrix:
 def block_matrix(entries: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The mN×mN block matrix whose (i, j) block is Σ_k entries[i,j,k]·B_k.
 
-    Takes raw (m, m, d) and (d, N, N) arrays so that the search can realize
-    its iterates without building an OpSpaceMatrix each time.
+    Takes raw (..., m, m, d) and (d, N, N) arrays so that the search can
+    realize a whole stack of iterates without building an OpSpaceMatrix for
+    each; leading axes carry over to the (..., mN, mN) result.
     """
-    m, d, n = entries.shape[0], basis.shape[0], basis.shape[1]
-    blocks = (entries.reshape(m * m, d) @ basis.reshape(d, n * n)).reshape(m, m, n, n)
-    return blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+    *lead, m, _, d = entries.shape
+    n = basis.shape[1]
+    blocks = (entries.reshape(-1, d) @ basis.reshape(d, n * n)).reshape(*lead, m, m, n, n)
+    return blocks.swapaxes(-3, -2).reshape(*lead, m * n, m * n)
 
 
 def realize(x: OpSpaceMatrix) -> np.ndarray:
@@ -258,12 +260,12 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
     d = space.dim
 
     def objective(v):
-        c = _search.decode(v, d)
+        c = _search.decode(v, (d,))
         t = matcore.operator_norm(np.tensordot(c, space.basis, axes=(0, 0)))
         if t <= 1e-300:
             return 0.0
         return abs(np.dot(phi, c)) / t
 
     start = lambda rng: rng.standard_normal(2 * d)
-    runs = _search.restarts(objective, _search.to_sphere, start, budget, seed)
+    runs = _search.restarts(_search.each(objective), _search.to_sphere, start, budget, seed)
     return max([0.0, *(value for _, value in runs)])

@@ -50,6 +50,35 @@ def test_operator_norm_rejects_non_finite():
         matcore.operator_norm([[np.inf, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("shape", [(6, 3, 3), (2, 3, 4, 2), (5, 1, 1)])
+def test_operator_norms_equal_operator_norm_bitwise(shape):
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    norms = matcore.operator_norms(stack)
+    assert norms.shape == shape[:-2]
+    for idx in np.ndindex(*shape[:-2]):
+        assert norms[idx] == matcore.operator_norm(stack[idx])
+
+
+def test_operator_norms_rejects_non_finite_and_low_ndim():
+    stack = np.zeros((3, 2, 2), dtype=np.complex128)
+    stack[1, 0, 1] = np.inf
+    with pytest.raises(InvalidInputError, match="finite"):
+        matcore.operator_norms(stack)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        matcore.operator_norms(stack)
+    for low in (np.ones(3), 1.0):
+        with pytest.raises(InvalidInputError, match="ndim"):
+            matcore.operator_norms(low)
+
+
+def test_operator_norms_empty_stack():
+    norms = matcore.operator_norms(np.zeros((0, 2, 3)))
+    assert norms.shape == (0,)
+    assert np.array_equal(matcore.operator_norms(np.zeros((4, 0, 3))), np.zeros(4))
+
+
 def test_direct_sum_diagonal():
     out = matcore.direct_sum([[1.0]], [[2.0]])
     assert np.array_equal(out, np.diag([1.0 + 0j, 2.0 + 0j]))

@@ -1,6 +1,7 @@
 """Property tests over random disk expression trees of depth <= 3: Taylor data
 against an independent mpmath reference, evaluation, argument rescaling,
-descriptor round trips and sandwich order."""
+descriptor round trips, sandwich order, and the search objectives evaluated
+on a stack against one point at a time."""
 
 import cmath
 
@@ -9,10 +10,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cbnorm_lab import descriptors
-from cbnorm_lab.cbnorm import sandwich
+from cbnorm_lab import _search, descriptors, holofun, matcore, opspace
+from cbnorm_lab.cbnorm import RADIUS_CAP, _disk_problem, _space_problem, sandwich
 from cbnorm_lab.holofun import (
     Blaschke,
+    Composite,
     MoebiusQuotient,
     PowerSeries,
     Product,
@@ -155,3 +157,85 @@ def test_descriptor_round_trip(f):
 def test_sandwich_lower_below_upper(f, seed):
     est = sandwich(f, 2, 40, seed)
     assert est.lower <= est.upper + 1e-6
+
+
+def _lacunary(n, coeffs):
+    c = np.zeros(n, dtype=np.complex128)
+    for i, a in enumerate(coeffs):
+        c[(n - 1) * (i + 1) // len(coeffs)] = a
+    return PowerSeries(c)
+
+
+LACUNARY = st.builds(_lacunary, st.integers(65, 96), st.lists(COEFFS, min_size=1, max_size=4))
+SCALARS = st.one_of(TREES, LACUNARY, st.builds(Product, LACUNARY, TREES))
+# Row scales relative to the row's norm: up to twice the cap, signed zeros too.
+ROW_SCALES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0)), min_size=1, max_size=5
+)
+SPACES = st.sampled_from([opspace.space_row(2), opspace.space_min_linf(2), opspace.space_mk(2)])
+
+
+def _probe_stack(norm_of, n, scales, seed):
+    """Random points at the given multiples of their norm, followed by the
+    forward-difference probes of the first one, built as the ascent builds them."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in scales:
+        v = rng.standard_normal(n)
+        rows.append(v * (t / norm_of(v)))
+    probes = np.repeat(rows[0][None], n, axis=0)
+    probes[np.arange(n), np.arange(n)] += _search._FD_STEP
+    return np.concatenate([np.array(rows), probes])
+
+
+def _one_point_disk(f, vec, m):
+    # The per-point objective before batching: clamp onto the cap, evaluate.
+    z = _search.decode(vec, (m, m))
+    nrm = matcore.operator_norm(z)
+    if nrm > RADIUS_CAP:
+        z = z * (RADIUS_CAP / nrm)
+    return matcore.operator_norm(holofun._eval_array(f, z))
+
+
+def _one_point_space(f, vec, m):
+    space = f.domain_space
+    entries = _search.decode(vec, (m, m, space.dim))
+    nrm = opspace.matrix_norm(opspace.OpSpaceMatrix(space, entries))
+    if nrm > RADIUS_CAP:
+        entries = entries * (RADIUS_CAP / nrm)
+    return matcore.operator_norm(holofun._amplify_space_entries(f, entries))
+
+
+def _assert_rows_bitwise(objective, one_point, stack):
+    batched = objective(stack)
+    assert batched.shape == (len(stack),)
+    rows = np.array([objective(stack[i : i + 1])[0] for i in range(len(stack))])
+    reference = np.array([one_point(vec) for vec in stack])
+    assert batched.tobytes() == rows.tobytes() == reference.tobytes()
+
+
+@PROPERTY
+@given(SCALARS, st.integers(1, 4), ROW_SCALES, st.integers(0, 2**32))
+def test_disk_objective_on_a_stack_equals_each_row(f, m, scales, seed):
+    norm_of = lambda v: matcore.operator_norm(_search.decode(v, (m, m)))
+    stack = _probe_stack(norm_of, 2 * m * m, scales, seed)
+    objective = _disk_problem(f, m)[0]
+    _assert_rows_bitwise(objective, lambda vec: _one_point_disk(f, vec, m), stack)
+
+
+@PROPERTY
+@given(SCALARS, SPACES, st.floats(0.1, 0.9), st.integers(1, 3), ROW_SCALES, st.integers(0, 2**32))
+def test_space_objective_on_a_stack_equals_each_row(scalar, space, r, m, scales, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    phi *= r / opspace.closed_form_dual_norm(space, phi)
+    f = Composite(scalar, space, phi, opspace.closed_form_dual_norm(space, phi))
+    shape = (m, m, space.dim)
+    norm_of = lambda v: opspace.matrix_norm(opspace.OpSpaceMatrix(space, _search.decode(v, shape)))
+    stack = _probe_stack(norm_of, 2 * m * m * space.dim, scales, seed)
+    objective = _space_problem(f, m)[0]
+    _assert_rows_bitwise(objective, lambda vec: _one_point_space(f, vec, m), stack)
+
+
+def test_lacunary_strategy_takes_the_term_by_term_path():
+    assert _lacunary(80, [1.0, 2.0])._lacunary is not None

@@ -4,7 +4,7 @@ and its budget accounting, and budget 1 in every search built on it."""
 import numpy as np
 import pytest
 
-from cbnorm_lab import _search, holofun
+from cbnorm_lab import _search, cbnorm, holofun
 from cbnorm_lab.cbnorm import RADIUS_CAP, level_sup
 from cbnorm_lab.mconvex import MatrixSet, find_certificate
 from cbnorm_lab.opspace import (
@@ -34,9 +34,9 @@ def test_to_sphere():
 def _counted_run(budget, seed):
     calls = [0]
 
-    def objective(v):
-        calls[0] += 1
-        return -float(np.sum((v - 0.3) ** 2))
+    def objective(stack):
+        calls[0] += len(stack)  # one evaluation per row
+        return -np.sum((stack - 0.3) ** 2, axis=1)
 
     start = lambda rng: rng.standard_normal(4)
     runs = list(_search.restarts(objective, _search.to_sphere, start, budget, seed, 5))
@@ -64,10 +64,33 @@ def test_restarts_without_budget_yield_nothing(budget):
 def test_restart_streams_are_distinct():
     start = lambda rng: rng.standard_normal(3)
     first = [
-        next(_search.restarts(lambda v: 0.0, lambda v: v, start, 1, 2, stream))[0]
+        next(_search.restarts(lambda s: np.zeros(len(s)), lambda v: v, start, 1, 2, stream))[0]
         for stream in (1, 2)
     ]
     assert not np.array_equal(first[0], first[1])
+
+
+def test_level_sup_spends_its_budget_when_one_gradient_needs_more(monkeypatch):
+    # At level 8 one gradient takes 2m² = 128 probes of 1 KB; with 100
+    # evaluations the start point takes one and the probes the other 99, in
+    # stacks of _STACK_BYTES.
+    rows = []
+    disk_problem = cbnorm._disk_problem
+
+    def counted(f, m):
+        objective, *rest = disk_problem(f, m)
+
+        def counting(stack):
+            rows.append(len(stack))
+            return objective(stack)
+
+        return (counting, *rest)
+
+    monkeypatch.setattr(cbnorm, "_disk_problem", counted)
+    w = level_sup(holofun.PowerSeries([1.0]), 8, 100, seed=5)
+    per = _search._STACK_BYTES // 1024
+    assert rows == [1, *[per] * (99 // per), 99 % per]
+    assert w.level == 8 and 0.0 < w.value <= RADIUS_CAP + 1e-12
 
 
 def _level_sup_disk():
