@@ -3,9 +3,9 @@ dual norms, separation certificates) runs random restarts of a projected
 forward-difference ascent over the [Re, Im] encoding of a complex array.
 This module owns the encoding, the ascent and the restart loop.
 
-An objective maps a (k, n) stack of encoded points to their k values, so a
-forward-difference gradient costs one call per stack of probes rather than
-one per probe; `each` adapts an objective written for one point at a time.
+Every objective maps a (k, n) stack of encoded points to their k values, so
+a forward-difference gradient costs one call per stack of probes rather than
+one per probe.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ def _probes(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     probes, i = np.repeat(x[None], hi - lo, axis=0), np.arange(hi - lo)
     probes[i, lo + i] += _FD_STEP
     return probes
-
-
-def each(objective):
-    """The stack form of a one-point objective: it is called once per row."""
-    return lambda stack: np.array([objective(row) for row in stack], dtype=float)
 
 
 def ascend(objective, x0, project, budget: Budget):

@@ -67,10 +67,7 @@ class CbEstimate:
 
 def serialize_matrix(mat) -> str:
     """Canonical string form used for deterministic tie-breaking."""
-    if isinstance(mat, opspace.OpSpaceMatrix):
-        arr = mat.entries
-    else:
-        arr = np.asarray(mat)
+    arr = np.asarray(getattr(mat, "entries", mat))
     flat = [[float(v.real), float(v.imag)] for v in arr.ravel()]
     return json.dumps([list(arr.shape), flat], separators=(",", ":"))
 
@@ -159,36 +156,34 @@ def witness_value(f: HoloFunction, w: Witness) -> float:
     return matcore.operator_norm(holofun.amplify(f, w.matrix))
 
 
+def _lift_to(w: Witness, level: int) -> Witness:
+    """Pad the witness with zero rows and columns up to `level`: same value."""
+    pad = ((0, level - w.level),) * 2
+    if isinstance(w.matrix, opspace.OpSpaceMatrix):
+        mat = opspace.OpSpaceMatrix(w.matrix.space, np.pad(w.matrix.entries, pad + ((0, 0),)))
+    else:
+        mat = np.pad(np.asarray(w.matrix), pad)
+    return Witness(level=level, matrix=mat, value=w.value)
+
+
 def lift_witness(w: Witness) -> Witness:
     """Pad the witness with one zero row/column: same value, level + 1."""
-    if isinstance(w.matrix, opspace.OpSpaceMatrix):
-        m, d = w.matrix.level, w.matrix.space.dim
-        padded = np.zeros((m + 1, m + 1, d), dtype=np.complex128)
-        padded[:m, :m] = w.matrix.entries
-        mat = opspace.OpSpaceMatrix(w.matrix.space, padded)
-    else:
-        mat = np.pad(np.asarray(w.matrix), ((0, 1), (0, 1)))
-    return Witness(level=w.level + 1, matrix=mat, value=w.value)
-
-
-def _lift_to(w: Witness, level: int) -> Witness:
-    while w.level < level:
-        w = lift_witness(w)
-    return w
+    return _lift_to(w, w.level + 1)
 
 
 def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
     # level_sup restarts until its per-level budget is gone, so each level
-    # spends exactly `budget` evaluations.
+    # spends exactly `budget` evaluations.  A lifted lower-level witness wins
+    # on a larger value, or on an equal one with the smaller serialization.
     table = {}
     running = None
     for m in levels:
         w = level_sup(f, m, budget, seed)
-        if running is not None and running.value > w.value:
-            w = _lift_to(running, m)
-        elif running is not None and running.value == w.value:
+        if running is not None:
             lifted = _lift_to(running, m)
-            if serialize_matrix(lifted.matrix) < serialize_matrix(w.matrix):
+            if lifted.value > w.value or (
+                lifted.value == w.value and serialize_matrix(lifted.matrix) < serialize_matrix(w.matrix)
+            ):
                 w = lifted
         running = w
         table[m] = LevelEntry(value=w.value, witness=w, samples=budget)

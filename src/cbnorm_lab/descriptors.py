@@ -36,6 +36,17 @@ def _complex_in(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
+def _int_in(value, name: str) -> int:
+    """A size or level: an int or an integral float, as the config schema's
+    `integer` accepts.  Bools, strings and fractions are rejected rather
+    than truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 def _complex_out(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
@@ -66,16 +77,16 @@ def space_from_descriptor(d) -> opspace.ConcreteOperatorSpace:
     if kind == "scalar":
         return opspace.space_scalar()
     if kind == "matrix":
-        return opspace.space_mk(int(d.get("param", 1)))
+        return opspace.space_mk(_int_in(d.get("param", 1), "param"))
     if kind == "row":
-        return opspace.space_row(int(d.get("param", 1)))
+        return opspace.space_row(_int_in(d.get("param", 1), "param"))
     if kind == "column":
-        return opspace.space_column(int(d.get("param", 1)))
+        return opspace.space_column(_int_in(d.get("param", 1), "param"))
     if kind == "min_linf":
-        return opspace.space_min_linf(int(d.get("param", 1)))
+        return opspace.space_min_linf(_int_in(d.get("param", 1), "param"))
     if kind == "custom":
         basis = _array_in(d["basis"], depth=3)
-        if basis.shape[1] != int(d.get("ambient", basis.shape[1])):
+        if basis.shape[1] != _int_in(d.get("ambient", basis.shape[1]), "ambient"):
             raise InvalidInputError("custom basis does not match the declared ambient size")
         return opspace.ConcreteOperatorSpace(basis, kind="custom")
     raise InvalidInputError(f"unknown space kind {kind!r}")
@@ -102,7 +113,7 @@ def function_from_descriptor(d) -> holofun.HoloFunction:
         return holofun.PowerSeries(coeffs)
     if kind == "blaschke":
         zeros = np.asarray([_complex_in(z) for z in d.get("zeros", [])], dtype=np.complex128)
-        return holofun.Blaschke(_complex_in(d["c"]), int(d["m"]), zeros)
+        return holofun.Blaschke(_complex_in(d["c"]), _int_in(d["m"], "m"), zeros)
     if kind == "moebius_quotient":
         return holofun.MoebiusQuotient(function_from_descriptor(d["inner"]), _complex_in(d["a"]))
     if kind == "geometric_phi":
@@ -181,7 +192,7 @@ def function_id(d) -> str:
 @_parser
 def space_matrix_from_descriptor(d, space: opspace.ConcreteOperatorSpace) -> opspace.OpSpaceMatrix:
     entries = _array_in(d["entries"], depth=3)
-    level = int(d.get("level", entries.shape[0]))
+    level = _int_in(d.get("level", entries.shape[0]), "level")
     if entries.shape[0] != level:
         raise InvalidInputError("declared level does not match the entry grid")
     return opspace.OpSpaceMatrix(space, entries)
@@ -209,11 +220,6 @@ def certificate_to_descriptor(cert: mconvex.SeparationCertificate) -> dict:
     return {"level": cert.level, "grid": _array_out(cert.grid)}
 
 
-@_parser
-def certificate_from_descriptor(d, space) -> mconvex.SeparationCertificate:
-    return mconvex.SeparationCertificate(space, _array_in(d["grid"], depth=3))
-
-
 # ---------------------------------------------------------------------------
 # Predual elements and dictionaries
 
@@ -221,7 +227,7 @@ def certificate_from_descriptor(d, space) -> mconvex.SeparationCertificate:
 @_parser
 def gcb_element_from_descriptor(d) -> gcb.GcbElement:
     space = space_from_descriptor(d["space"])
-    level = int(d["level"])
+    level = _int_in(d["level"], "level")
     terms = []
     for t in d.get("terms", []):
         terms.append(
@@ -233,22 +239,6 @@ def gcb_element_from_descriptor(d) -> gcb.GcbElement:
             )
         )
     return gcb.GcbElement(space, level, tuple(terms))
-
-
-def gcb_element_to_descriptor(u: gcb.GcbElement) -> dict:
-    return {
-        "space": space_to_descriptor(u.space),
-        "level": u.level,
-        "terms": [
-            {
-                "c": _complex_out(t.c),
-                "alpha": _array_out(np.asarray(t.alpha)),
-                "x": space_matrix_to_descriptor(t.point),
-                "beta": _array_out(np.asarray(t.beta)),
-            }
-            for t in u.terms
-        ],
-    }
 
 
 @_parser

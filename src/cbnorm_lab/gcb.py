@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import holofun, matcore, mconvex
+from ._search import Budget
 from .errors import InvalidInputError
 from .holofun import GeometricPhi, HoloFunction
-from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
+from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, matrix_norm, realize, same_space
 
 # Points carried by predual elements stay this far inside the unit ball.
 _INTERIOR_MARGIN = 1e-9
@@ -126,27 +127,19 @@ def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     matcore.check_seed(seed)
-    data = []
+    data, flat = [], []
     for t in u.terms:
         A, B, w = _term_parts(t)
-        if matcore.operator_norm(A) <= 0.0 or matcore.operator_norm(B) <= 0.0 or w <= 0.0:
+        na, nb = matcore.operator_norm(A), matcore.operator_norm(B)
+        if na <= 0.0 or nb <= 0.0 or w <= 0.0:
             continue  # the term is the zero functional; dropping it is value-preserving
         data.append((A, B, w))
+        flat.append((w * np.sqrt(nb / na), w * np.sqrt(na / nb)))
     if not data:
         return 0.0
 
-    evals = [0]
-    best = [np.inf]
-
-    def consider(groups, scales):
-        if evals[0] >= budget:
-            return
-        evals[0] += 1
-        parts = {i: (data[i][0], data[i][1], data[i][2], scales[i][0], scales[i][1]) for i in scales}
-        cost = sum(_group_cost([parts[i] for i in group]) for group in groups)
-        if cost < best[0]:
-            best[0] = cost
-        return cost
+    def cost(groups, scales):
+        return sum(_group_cost([(*data[i], *scales[i]) for i in group]) for group in groups)
 
     indices = list(range(len(data)))
     if len(data) <= 8:
@@ -154,35 +147,30 @@ def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
     else:
         # Full enumeration blows up; keep the two canonical groupings.
         index_partitions = [[indices], [[i] for i in indices]]
+    evals = Budget(budget)
+    best = np.inf
     for groups in index_partitions:
-        if evals[0] >= budget:
-            break
-        unit = {i: (1.0, 1.0) for g in groups for i in g}
-        flat = {}
-        for g in groups:
-            for i in g:
-                A, B, w = data[i]
-                na, nb = matcore.operator_norm(A), matcore.operator_norm(B)
-                flat[i] = (w * np.sqrt(nb / na), w * np.sqrt(na / nb))
-        for start in (unit, flat):
-            scales = dict(start)
-            current = consider(groups, scales)
-            if current is None:
-                break
+        for start in ([(1.0, 1.0)] * len(data), flat):
+            scales = list(start)
+            if not evals.spend():
+                return float(best)
+            current = cost(groups, scales)
+            best = min(best, current)
             for _ in range(2):
-                for i in sorted(scales):
-                    if evals[0] >= budget:
-                        break
+                for i in indices:
                     base_a, base_b = scales[i]
-                    best_local = (current, (base_a, base_b))
+                    best_local = (current, scales[i])
                     for g in _RESCALE_GRID:
                         for move in ((g, g), (g, 1.0 / g)):
+                            if not evals.spend():
+                                return float(best)
                             scales[i] = (base_a * move[0], base_b * move[1])
-                            cost = consider(groups, scales)
-                            if cost is not None and cost < best_local[0]:
-                                best_local = (cost, scales[i])
+                            trial = cost(groups, scales)
+                            best = min(best, trial)
+                            if trial < best_local[0]:
+                                best_local = (trial, scales[i])
                     current, scales[i] = best_local
-    return float(best[0])
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +222,7 @@ def _point_amplification(entry, point: OpSpaceMatrix) -> np.ndarray:
     if isinstance(entry, GridEntry):
         if not same_space(entry.space, point.space):
             raise InvalidInputError("grid entry and point live over different spaces")
-        m = entry.grid.shape[0]
-        k = point.level
-        block = np.einsum("klt,rst->rksl", entry.grid, point.entries)
-        return np.ascontiguousarray(block.reshape(k * m, k * m))
+        return block_matrix(point.entries, np.moveaxis(entry.grid, -1, 0))
     f = entry.function
     if f.domain_space is None:
         if point.space.ambient != 1:

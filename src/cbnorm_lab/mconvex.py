@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, opspace
-from ._search import decode, each, restarts, to_sphere
+from ._search import decode, restarts, to_sphere
 from .errors import InvalidInputError, InvalidRepresentationError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
 
@@ -206,9 +206,12 @@ def pairing(f: SeparationCertificate, x: OpSpaceMatrix) -> np.ndarray:
     """The nm×nm matrix (f_ij(x_kl)), rows indexed by (i,k), columns by (j,l)."""
     if not same_space(f.space, x.space):
         raise InvalidInputError("certificate and matrix live over different spaces")
-    n, m = f.level, x.level
-    out = np.einsum("ijt,klt->ikjl", f.grid, x.entries)
-    return np.ascontiguousarray(out.reshape(n * m, n * m))
+    return opspace.block_matrix(f.grid, np.moveaxis(x.entries, -1, 0))
+
+
+def _pairing_norms(grids, x: OpSpaceMatrix) -> np.ndarray:
+    """Norm of the pairing of x with each grid of a (..., n, n, d) stack."""
+    return matcore.operator_norms(opspace.block_matrix(grids, np.moveaxis(x.entries, -1, 0)))
 
 
 @dataclass(frozen=True)
@@ -222,10 +225,12 @@ def check_certificate(f: SeparationCertificate, k: MatrixSet, x0: OpSpaceMatrix)
     """VALID iff the pairing norm is <= 1 + 1e-9 on every generator and
     > 1 + 1e-9 at the target.  Generators suffice: compressions and direct
     sums cannot push the pairing norm past the generator supremum."""
-    gen_values = tuple(matcore.operator_norm(pairing(f, g)) for g in k.generators)
-    target = matcore.operator_norm(pairing(f, x0))
+    if not (same_space(f.space, k.space) and same_space(f.space, x0.space)):
+        raise InvalidInputError("certificate, matrix set and target live over different spaces")
+    gen_values = tuple(float(_pairing_norms(f.grid, g)) for g in k.generators)
+    target = float(_pairing_norms(f.grid, x0))
     valid = all(v <= 1.0 + _PAIRING_TOL for v in gen_values) and target > 1.0 + _PAIRING_TOL
-    return CertificateVerdict(valid=valid, generator_values=gen_values, target_value=float(target))
+    return CertificateVerdict(valid=valid, generator_values=gen_values, target_value=target)
 
 
 def coordinate_grid(space: ConcreteOperatorSpace) -> np.ndarray:
@@ -245,11 +250,11 @@ def svd_compression_grid(x: OpSpaceMatrix):
     return np.einsum("ka,tab,lb->klt", left.conj(), space.basis, right), left, right
 
 
-def _pairing_peaks(k, x0, grid):
-    """(largest generator pairing norm, target pairing norm) of a grid."""
-    cert = SeparationCertificate(k.space, grid)
-    gen_max = max(matcore.operator_norm(pairing(cert, g)) for g in k.generators)
-    return gen_max, matcore.operator_norm(pairing(cert, x0))
+def _pairing_peaks(k, x0, grids):
+    """(largest generator pairing norm, target pairing norm) of each grid of
+    a (..., n, n, d) stack."""
+    gen_max = np.max([_pairing_norms(grids, g) for g in k.generators], axis=0)
+    return gen_max, _pairing_norms(grids, x0)
 
 
 def _scale_to_certificate(k, x0, grid):
@@ -288,12 +293,12 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     n, d = x0.level, space.dim
     shape = (n, n, d)
 
-    def objective(vec):
-        gen_max, target = _pairing_peaks(k, x0, decode(vec, shape))
-        return target / max(gen_max, 1e-12)
+    def objective(vecs):
+        gen_max, target = _pairing_peaks(k, x0, decode(vecs, shape))
+        return target / np.maximum(gen_max, 1e-12)
 
     start = lambda rng: rng.standard_normal(2 * n * n * d)
-    for vec, _ in restarts(each(objective), to_sphere, start, budget - 2, seed):
+    for vec, _ in restarts(objective, to_sphere, start, budget - 2, seed):
         found = _scale_to_certificate(k, x0, decode(vec, shape))
         if found is not None:
             return found

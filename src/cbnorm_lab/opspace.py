@@ -102,11 +102,14 @@ def block_matrix(entries: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     Takes raw (..., m, m, d) and (d, N, N) arrays so that the search can
     realize a whole stack of iterates without building an OpSpaceMatrix for
-    each; leading axes carry over to the (..., mN, mN) result.
+    each; leading axes carry over to the (..., mN, mN) result.  Each matrix
+    of a stack takes its own product, so it equals its block matrix on its
+    own bit for bit (one product over the whole stack would not: numpy
+    switches BLAS routines when a product has a single row).
     """
     *lead, m, _, d = entries.shape
     n = basis.shape[1]
-    blocks = (entries.reshape(-1, d) @ basis.reshape(d, n * n)).reshape(*lead, m, m, n, n)
+    blocks = (entries.reshape(*lead, m * m, d) @ basis.reshape(d, n * n)).reshape(*lead, m, m, n, n)
     return blocks.swapaxes(-3, -2).reshape(*lead, m * n, m * n)
 
 
@@ -259,13 +262,11 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
         return 0.0
     d = space.dim
 
-    def objective(v):
-        c = _search.decode(v, (d,))
-        t = matcore.operator_norm(np.tensordot(c, space.basis, axes=(0, 0)))
-        if t <= 1e-300:
-            return 0.0
-        return abs(np.dot(phi, c)) / t
+    def objective(vecs):
+        c = _search.decode(vecs, (d,))  # each row a level-1 matrix over the space
+        t = matcore.operator_norms(block_matrix(c[..., None, None, :], space.basis))
+        return np.divide(np.abs(np.sum(c * phi, axis=-1)), t, out=np.zeros_like(t), where=t > 1e-300)
 
     start = lambda rng: rng.standard_normal(2 * d)
-    runs = _search.restarts(_search.each(objective), _search.to_sphere, start, budget, seed)
+    runs = _search.restarts(objective, _search.to_sphere, start, budget, seed)
     return max([0.0, *(value for _, value in runs)])

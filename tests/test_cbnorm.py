@@ -6,6 +6,7 @@ import pytest
 from cbnorm_lab import matcore
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
+    _lift_to,
     algebra_check,
     cb_lower_bound,
     cb_upper_bound,
@@ -14,6 +15,7 @@ from cbnorm_lab.cbnorm import (
     question_probe,
     sandwich,
     schwarz_check,
+    serialize_matrix,
     witness_value,
 )
 from cbnorm_lab.errors import InvalidInputError
@@ -92,6 +94,22 @@ def test_lift_twice_is_two_by_two_zero_block():
     mat = np.asarray(twice.matrix)
     assert mat.shape == (3, 3)
     assert np.all(mat[1:, :] == 0) and np.all(mat[:, 1:] == 0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [GEOMETRIC, GeometricPhi(space_row(2), np.array([0.3, 0.4]), 0.5)],
+    ids=["disk", "space"],
+)
+def test_lift_to_equals_repeated_lift_witness(f):
+    w = level_sup(f, 1, 200, 3)
+    direct, stepwise = _lift_to(w, 4), lift_witness(lift_witness(lift_witness(w)))
+    assert direct.level == stepwise.level == 4
+    assert direct.value == stepwise.value == w.value
+    assert type(direct.matrix) is type(stepwise.matrix)
+    assert serialize_matrix(direct.matrix) == serialize_matrix(stepwise.matrix)
+    arrays = [np.asarray(getattr(x.matrix, "entries", x.matrix)) for x in (direct, stepwise)]
+    assert arrays[0].dtype == arrays[1].dtype and arrays[0].tobytes() == arrays[1].tobytes()
 
 
 def test_cb_lower_identity():

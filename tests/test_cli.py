@@ -93,30 +93,44 @@ def test_schema_violation_exits_one(tmp_path, capsys):
 
 
 def test_bad_descriptor_exits_one(tmp_path, capsys):
-    # An unknown kind, a missing key, a wrongly typed value, and sizes just
-    # above their caps (a 33×33 matrix space, a level-65 predual element) all
-    # end in an `error:` line, never in a traceback or an allocation.
+    # An unknown kind, a missing key, a wrongly typed value, sizes just above
+    # their caps (a 33×33 matrix space, a level-65 predual element) and sizes
+    # that are not integers (fractional, boolean or string) all end in an
+    # `error:` line, never in a traceback, an allocation or a truncated size.
     oversized_space = {"kind": "matrix", "param": 33}
+    phi_on = lambda space: {"kind": "geometric_phi", "space": space, "phi": [], "certified_norm": 0.5}
     cases = [
         ({"command": "sandwich", "function": function, "max_level": 1, "budget": 10, "seed": 1}, message)
         for function, message in (
             ({"kind": "mystery"}, "error:"),
             ({"kind": "power_series"}, "error:"),
             ({"kind": "power_series", "coeffs": 5}, "error:"),
+            (phi_on(oversized_space), "error: k must lie in [1, 32]"),
+            (phi_on({"kind": "matrix", "param": 2.5}), "error: param must be an integer, got 2.5"),
+            (phi_on({"kind": "row", "param": True}), "error: param must be an integer, got True"),
+            (phi_on({"kind": "min_linf", "param": "3"}), "error: param must be an integer, got '3'"),
             (
-                {"kind": "geometric_phi", "space": oversized_space, "phi": [], "certified_norm": 0.5},
-                "error: k must lie in [1, 32]",
+                phi_on({"kind": "custom", "ambient": 1.5, "basis": [[[[1.0, 0.0]]]]}),
+                "error: ambient must be an integer, got 1.5",
             ),
+            ({"kind": "blaschke", "c": [1.0, 0.0], "m": 1.9}, "error: m must be an integer, got 1.9"),
         )
     ]
     unit_grid = {"kind": "grid", "grid": [[[[1.0, 0.0]]]], "bound": 1.0}
-    element = {"space": {"kind": "scalar"}, "level": 65}
-    cases.append(
+    point = {"entries": [[[[0.5, 0.0]]]]}
+    for element, message in (
+        ({"space": {"kind": "scalar"}, "level": 65}, "error: level must lie in [1, 64]"),
+        ({"space": {"kind": "scalar"}, "level": 1.5}, "error: level must be an integer, got 1.5"),
+        ({"space": {"kind": "scalar"}, "level": False}, "error: level must be an integer, got False"),
         (
-            {"command": "gcb", "element": element, "dictionary": {"entries": [unit_grid]}, "budget": 10, "seed": 1},
-            "error: level must lie in [1, 64]",
-        )
-    )
+            {"space": {"kind": "scalar"}, "level": 1, "terms": [
+                {"c": [1.0, 0.0], "alpha": [[[1.0, 0.0]]], "x": {**point, "level": 1.2}, "beta": [[[1.0, 0.0]]]}
+            ]},
+            "error: level must be an integer, got 1.2",
+        ),
+    ):
+        body = {"command": "gcb", "element": element, "dictionary": {"entries": [unit_grid]}, "budget": 10, "seed": 1}
+        cases.append((body, message))
     for body, message in cases:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(body))

@@ -91,3 +91,19 @@ def test_bad_descriptors_rejected():
         descriptors.space_matrix_from_descriptor(
             {"level": 2, "entries": [[[[1.0, 0.0]]]]}, space_mk(2)
         )
+    # Sizes are never truncated: JSON's non-integral numbers, NaN and
+    # infinity included, are rejected (the CLI test covers the rest).
+    for value in (None, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="param must be an integer"):
+            descriptors.space_from_descriptor({"kind": "row", "param": value})
+
+
+def test_integral_sizes_accepted_as_floats():
+    # The config schema's `integer` accepts 2.0; so do the descriptors.
+    space = descriptors.space_from_descriptor({"kind": "matrix", "param": 2.0})
+    assert same_space(space, space_mk(2)) and space.param == 2
+    f = descriptors.function_from_descriptor({"kind": "blaschke", "c": [1.0, 0.0], "m": 3.0})
+    assert isinstance(f, Blaschke) and f.m == 3 and type(f.m) is int
+    x = descriptors.space_matrix_from_descriptor({"level": 1.0, "entries": [[[[0.5, 0.0]]]]}, space_min_linf(1))
+    assert x.level == 1
+

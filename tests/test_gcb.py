@@ -19,6 +19,7 @@ from cbnorm_lab.gcb import (
     representation_cost,
 )
 from cbnorm_lab.holofun import PowerSeries, Scale
+from cbnorm_lab.matcore import derive_rng
 from cbnorm_lab.opspace import (
     OpSpaceMatrix,
     matrix_norm,
@@ -103,6 +104,53 @@ def test_gcb_upper_bound_duplicate_terms():
     assert abs(lower - 2 * matrix_norm(x)) < 1e-9
     assert upper >= lower - 1e-9
     assert abs(upper - 2 * matrix_norm(x)) < 1e-9
+
+
+def _random_element(space, level, point_levels, seed):
+    rng = derive_rng(seed)
+    gaussian = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    terms = []
+    for i, k in enumerate(point_levels):
+        x = sample_matrix_ball(space, k, float(rng.uniform(0.2, 0.9)), seed + i)
+        terms.append(GcbTerm(complex(*rng.standard_normal(2)), gaussian(level, k), x, gaussian(k, level)))
+    return GcbElement(space, level, tuple(terms))
+
+
+def test_gcb_upper_bound_budget_one_is_the_given_representation():
+    # The first evaluation is the single group with unit scales; the first
+    # partition lists the indices last to first, and the sums follow it.
+    for seed, space in enumerate(SPACES):
+        u = _random_element(space, 2, (1, 2, 1), seed)
+        assert gcb_upper_bound(u, 1, seed) == representation_cost(u, [[2, 1, 0]])
+
+
+def test_gcb_upper_bound_nonincreasing_in_budget():
+    for seed, space in enumerate(SPACES):
+        u = _random_element(space, 2, (2, 1, 2), 10 + seed)
+        values = [gcb_upper_bound(u, budget, 4) for budget in (1, 2, 35, 300)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[-1] < values[0]
+
+
+def test_gcb_pairing_grid_matches_quadruple_loop():
+    # Entry (r·m + k, s·m + l) of a grid's amplification at x is f_kl(x_rs),
+    # and each term is sandwiched by α ⊗ I_m and β ⊗ I_m.
+    space = space_min_linf(2)
+    rng = np.random.default_rng(13)
+    grid = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    u = _random_element(space, 2, (2, 2, 2), 14)
+    expected = np.zeros((4, 4), dtype=complex)
+    for t in u.terms:
+        amp = np.zeros((4, 4), dtype=complex)
+        for r in range(2):
+            for s in range(2):
+                for k in range(2):
+                    for l in range(2):
+                        amp[2 * r + k, 2 * s + l] = np.dot(grid[k, l], t.point.entries[r, s])
+        eye = np.eye(2)
+        expected += t.c * (np.kron(t.alpha, eye) @ amp @ np.kron(t.beta, eye))
+    out = gcb_pairing(u, GridEntry(space, grid, 1.0))
+    assert np.max(np.abs(out - expected)) < 1e-15
 
 
 def test_gcb_pairing_linear_functional_gives_functional_image():

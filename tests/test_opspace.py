@@ -9,6 +9,7 @@ from cbnorm_lab.opspace import (
     ConcreteOperatorSpace,
     OpSpaceElement,
     OpSpaceMatrix,
+    block_matrix,
     closed_form_dual_norm,
     compress,
     direct_sum_matrices,
@@ -79,6 +80,20 @@ def test_realize_matches_hand_indexed_blocks():
                     for k in range(4):
                         acc += entries[i, j, k] * s.basis[k, a, b]
                     assert big[2 * i + a, 2 * j + b] == acc
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_block_matrix_of_a_stack_is_each_block_matrix_bitwise(level):
+    # A general basis makes every product round; a stack of one at level 1
+    # is a single-row product, where numpy takes another BLAS routine.
+    rng = np.random.default_rng(9)
+    basis = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    stack = rng.standard_normal((6, level, level, 3)) + 1j * rng.standard_normal((6, level, level, 3))
+    blocks = block_matrix(stack, basis)
+    assert blocks.shape == (6, 2 * level, 2 * level)
+    for i in range(6):
+        assert blocks[i].tobytes() == block_matrix(stack[i], basis).tobytes()
+        assert blocks[i].tobytes() == block_matrix(stack[i : i + 1], basis)[0].tobytes()
 
 
 def test_mk_norm_matches_reshuffled_operator_norm():

@@ -4,14 +4,16 @@ and its budget accounting, and budget 1 in every search built on it."""
 import numpy as np
 import pytest
 
-from cbnorm_lab import _search, cbnorm, holofun
+from cbnorm_lab import _search, cbnorm, holofun, mconvex, opspace
 from cbnorm_lab.cbnorm import RADIUS_CAP, level_sup
-from cbnorm_lab.mconvex import MatrixSet, find_certificate
+from cbnorm_lab.mconvex import MatrixSet, SeparationCertificate, check_certificate, find_certificate
 from cbnorm_lab.opspace import (
+    ConcreteOperatorSpace,
     OpSpaceElement,
     OpSpaceMatrix,
     dual_functional_norm,
     space_min_linf,
+    space_mk,
     space_row,
     space_scalar,
 )
@@ -124,3 +126,72 @@ def _find_certificate():
 )
 def test_searches_run_at_budget_one(search):
     search()
+
+
+def _objectives_of(monkeypatch, module, run):
+    """The objectives that `run` hands to `restarts` through `module`."""
+    captured = []
+    real = module.restarts
+
+    def capturing(objective, *args):
+        captured.append(objective)
+        return real(objective, *args)
+
+    monkeypatch.setattr(module, "restarts", capturing)
+    run()
+    assert captured
+    return captured
+
+
+def _random_stack(rng, n):
+    # Seven random rows and a zero row, where every objective reads 0.
+    stack = rng.standard_normal((8, n))
+    stack[3] = 0.0
+    return stack
+
+
+def _assert_stack_is_row_by_row(objective, stack):
+    values = objective(stack)
+    rows = np.array([objective(stack[i : i + 1])[0] for i in range(len(stack))])
+    assert values.shape == (len(stack),)
+    assert np.array_equal(values, rows)  # bit for bit
+    return values
+
+
+def _custom_space():
+    basis = np.array([[[1.0, 0.5], [0.0, 1.0]], [[0.0, 1.0j], [2.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    return ConcreteOperatorSpace(basis)
+
+
+@pytest.mark.parametrize("space", [space_min_linf(2), space_mk(2), _custom_space()], ids=lambda s: s.kind)
+@pytest.mark.parametrize("level", [1, 2])
+def test_certificate_objective_stack_equals_rows(monkeypatch, space, level):
+    # A target inside the hull defeats both warm starts, so the search runs.
+    rng = np.random.default_rng(31)
+    gens = tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2))
+    k = MatrixSet(space, gens)
+    x0 = mconvex.hull_element(k, mconvex.random_representation(k, level, rng))
+    [objective] = _objectives_of(
+        monkeypatch, mconvex, lambda: find_certificate(k, x0, 20, seed=4)
+    )
+    shape = (level, level, space.dim)
+    stack = _random_stack(rng, 2 * level * level * space.dim)
+    values = _assert_stack_is_row_by_row(objective, stack)
+    assert values[3] == 0.0
+    grids = _search.decode(stack, shape)
+    for g_index, g in enumerate(k.generators):
+        norms = mconvex._pairing_norms(grids, g)
+        for row, grid in enumerate(grids):
+            verdict = check_certificate(SeparationCertificate(space, grid), k, x0)
+            assert verdict.generator_values[g_index] == norms[row]
+
+
+@pytest.mark.parametrize("space", [space_min_linf(3), space_row(2), space_mk(2), _custom_space()], ids=lambda s: s.kind)
+def test_dual_norm_objective_stack_equals_rows(monkeypatch, space):
+    rng = np.random.default_rng(32)
+    phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    [objective] = _objectives_of(
+        monkeypatch, _search, lambda: dual_functional_norm(space, phi, 30, seed=5)
+    )
+    values = _assert_stack_is_row_by_row(objective, _random_stack(rng, 2 * space.dim))
+    assert values[3] == 0.0 and np.all(values >= 0.0)
