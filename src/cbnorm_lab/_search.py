@@ -1,11 +1,11 @@
 """The one search engine: every estimated supremum in the package (level sups,
 dual norms, separation certificates) runs random restarts of a projected
-forward-difference ascent over the [Re, Im] encoding of a complex array.
-This module owns the encoding, the ascent and the restart loop.
+gradient ascent over the [Re, Im] encoding of a complex array.  This module
+owns the encoding, the ascent and the restart loop.
 
-Every objective maps a (k, n) stack of encoded points to their k values, so
-a forward-difference gradient costs one call per stack of probes rather than
-one per probe.
+Every objective is the top singular value of a map that is linear or
+entrywise holomorphic in the point, so the SVD that gives its value also
+gives its exact gradient, dσ₁ = Re(u*·dF·v) (Overton, SIAM J. Optim. 2, 1992).
 """
 
 from __future__ import annotations
@@ -14,18 +14,7 @@ import numpy as np
 
 from .matcore import derive_rng
 
-# Forward-difference step and step cap of every ascent.
-_FD_STEP = 1e-5
 _MAX_STEPS = 200
-
-# Most encoded bytes in one stack of gradient probes.  A level-8 gradient (128
-# probes of 1 KB) as one stack makes 128 KB temporaries, which the allocator
-# may hand back to the kernel after each call and fault in again.  On a 2-core
-# x86-64 VM with glibc that was 20 to 570 page faults per space-sandwich
-# benchmark pass, depending on the process, and about 8000 per disk-sandwich
-# pass; with 64 KB stacks every process settles at about 7 and 1250, near
-# the unbatched search's 0 and 1110.
-_STACK_BYTES = 64 * 1024
 
 
 class Budget:
@@ -49,10 +38,9 @@ def encode(arr: np.ndarray) -> np.ndarray:
 
 
 def decode(vec: np.ndarray, shape: tuple) -> np.ndarray:
-    """Inverse of `encode`: the complex array of the given shape.  A (k, n)
-    stack of vectors decodes to a (k, *shape) stack of arrays."""
-    half = vec.shape[-1] // 2
-    return (vec[..., :half] + 1j * vec[..., half:]).reshape(vec.shape[:-1] + shape)
+    """Inverse of `encode`: the complex array of the given shape."""
+    half = vec.size // 2
+    return (vec[:half] + 1j * vec[half:]).reshape(shape)
 
 
 def to_sphere(vec: np.ndarray) -> np.ndarray:
@@ -61,54 +49,46 @@ def to_sphere(vec: np.ndarray) -> np.ndarray:
     return vec if nrm == 0.0 else vec / nrm
 
 
-def _probes(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The forward-difference probes x + h·e_i for i in [lo, hi), as a stack."""
-    probes, i = np.repeat(x[None], hi - lo, axis=0), np.arange(hi - lo)
-    probes[i, lo + i] += _FD_STEP
-    return probes
+def real_gradient(g: np.ndarray) -> np.ndarray:
+    """Encoded gradient of a real function of a complex array z whose
+    differential is Re Σ g·dz."""
+    return encode(np.conj(g))
 
 
 def ascend(objective, x0, project, budget: Budget):
-    """Maximize `objective` from `x0` with projected forward-difference ascent.
+    """Maximize `objective` from `x0` with projected gradient ascent.
 
-    `objective` maps a (k, n) stack of points to k values and must be well
-    defined on all of R^n (it may clamp internally); `project` restores
-    feasibility of one point after each accepted step.  Each step spends n
-    evaluations at once on its gradient probes, x + h·e_i, and evaluates
-    them in stacks of at most _STACK_BYTES; when fewer than n evaluations
-    are left it spends them on the first probes and stops.  The start point
-    and each line-search candidate are stacks of one.  Returns
-    the best feasible iterate and its value, or (None, -inf) if the budget
-    was already exhausted.  Step sizes backtrack from a unit-length move,
-    which avoids derivative formulas at points where the spectral norm is
-    not smooth.
+    `objective(x)` returns the value at a feasible point x and a function
+    giving the encoded gradient there; `project` restores feasibility after
+    each step.  The budget is charged as a forward-difference search was: 1
+    evaluation for the start point and for each line-search candidate, and
+    n = x.size for each gradient; with fewer than n left, the ascent spends
+    them and stops without the gradient.  Returns the best feasible iterate
+    and its value, or (None, -inf) if the budget was already exhausted.
+    Step sizes backtrack from a unit-length move.
     """
     x = project(np.asarray(x0, dtype=float))
     if not budget.spend():
         return None, -np.inf
-    value = float(objective(x[None])[0])
+    value, gradient = objective(x)
     for _ in range(_MAX_STEPS):
-        k = budget.spend(x.size)
-        rows = max(1, _STACK_BYTES // x.nbytes)
-        values = [objective(_probes(x, lo, min(lo + rows, k))) for lo in range(0, k, rows)]
-        if k < x.size:
+        if budget.spend(x.size) < x.size:
             break
-        grad = (np.concatenate(values) - value) / _FD_STEP
+        grad = gradient()
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-12:
             break
         step = 1.0 / gnorm
-        moved = False
         while step * gnorm > 1e-9:
             if not budget.spend():
                 return x, value
             cand = project(x + step * grad)
-            cval = float(objective(cand[None])[0])
+            cval, cgrad = objective(cand)
             if cval > value:
-                x, value, moved = cand, cval, True
+                x, value, gradient = cand, cval, cgrad
                 break
             step *= 0.5
-        if not moved:
+        else:
             break
     return x, value
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import holofun, matcore, opspace
-from ._search import decode, encode, restarts
+from ._search import decode, encode, real_gradient, restarts
 from .errors import InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
@@ -72,21 +72,23 @@ def serialize_matrix(mat) -> str:
     return json.dumps([list(arr.shape), flat], separators=(",", ":"))
 
 
-def _clamp(points: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Rescale, in place, the points of a stack whose norm exceeds RADIUS_CAP
-    onto the cap; the others are left untouched, signed zeros included."""
-    over = norms > RADIUS_CAP
-    if over.any():
-        points[over] *= (RADIUS_CAP / norms[over]).reshape((-1,) + (1,) * (points.ndim - 1))
-    return points
+def _norm_and_gradient(values: np.ndarray, derivative: np.ndarray):
+    """σ₁ of an entrywise image F of the point and a function returning its
+    gradient, dσ₁ = Re Σ conj(u_i)·v_j·dF_ij with dF_ij = derivative[i, j]·dz_ij."""
+
+    def gradient():
+        _, u, v = matcore.top_singular_pair(values)
+        weights = np.outer(u.conj(), v)
+        return real_gradient(derivative * weights.reshape(weights.shape + (1,) * (derivative.ndim - 2)))
+
+    return matcore.operator_norm(values), gradient
 
 
 def _disk_problem(f: HoloFunction, m: int):
     shape = (m, m)
 
-    def objective(vecs):
-        z = decode(vecs, shape)
-        return matcore.operator_norms(holofun._eval_array(f, _clamp(z, matcore.operator_norms(z))))
+    def objective(vec):
+        return _norm_and_gradient(*holofun._eval_array(f, decode(vec, shape)))
 
     def project(vec):
         return encode(matcore.project_ball(decode(vec, shape), RADIUS_CAP))
@@ -104,15 +106,24 @@ def _space_problem(f: HoloFunction, m: int):
     space = f.domain_space
     shape = (m, m, space.dim)
 
-    def clamp(vecs):
-        entries = decode(vecs, shape)
-        return _clamp(entries, matcore.operator_norms(opspace.block_matrix(entries, space.basis)))
+    def along_cap(grad, entries):
+        # On the cap, the outward part of the gradient along the cap normal
+        # would only be scaled back by `project`; drop it.
+        nrm, u, v = matcore.top_singular_pair(opspace.block_matrix(entries, space.basis))
+        if nrm < RADIUS_CAP * (1.0 - 1e-12):
+            return grad
+        normal = real_gradient(opspace.block_adjoint(u, v, space.basis))
+        outward = grad @ normal
+        return grad - (outward / (normal @ normal)) * normal if outward > 0.0 else grad
 
-    def objective(vecs):
-        return matcore.operator_norms(holofun._amplify_space_entries(f, clamp(vecs)))
+    def objective(vec):
+        entries = decode(vec, shape)
+        value, gradient = _norm_and_gradient(*holofun._amplify_space_entries(f, entries))
+        return value, lambda: along_cap(gradient(), entries)
 
     def project(vec):
-        return encode(clamp(vec[None])[0])
+        nrm = matcore.operator_norm(opspace.block_matrix(decode(vec, shape), space.basis))
+        return vec * (RADIUS_CAP / nrm) if nrm > RADIUS_CAP else vec
 
     def start(rng, radius):
         return encode(opspace._random_matrix_ball(rng, space, m, radius).entries)

@@ -88,12 +88,12 @@ class Blaschke(HoloFunction):
 
     def __post_init__(self):
         c = complex(self.c)
-        if abs(abs(c) - 1.0) > 1e-12:
+        if not abs(abs(c) - 1.0) <= 1e-12:
             raise InvalidInputError(f"leading constant must be unimodular, got |c|={abs(c)}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise InvalidInputError("zero order at the origin must be a positive integer")
         z = np.asarray(self.zeros, dtype=np.complex128).reshape(-1)
-        if z.size and np.max(np.abs(z)) >= 1.0:
+        if z.size and not np.max(np.abs(z)) < 1.0:
             raise InvalidInputError("Blaschke zeros must lie strictly inside the disk")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "m", int(self.m))
@@ -111,7 +111,7 @@ class MoebiusQuotient(HoloFunction):
         if not isinstance(self.inner, HoloFunction) or self.inner.domain_space is not None:
             raise InvalidInputError("quotient inner function must be disk-domain")
         a = complex(self.a)
-        if abs(a) >= 1.0:
+        if not abs(a) < 1.0:
             raise InvalidInputError(f"quotient parameter must satisfy |a| < 1, got {abs(a)}")
         object.__setattr__(self, "a", a)
 
@@ -228,37 +228,49 @@ class TaylorCoeffs:
 
 
 def _eval_array(f: HoloFunction, z):
-    """Entrywise evaluation of a disk-domain function on a complex array."""
+    """Entrywise value and derivative (F, F′) of a disk function on a complex array."""
     if isinstance(f, PowerSeries):
         if f._lacunary is not None:
             # Long lacunary series: summing powers beats dense Horner.
-            out = np.zeros_like(z)
+            out, der = np.zeros_like(z), np.zeros_like(z)
             for i in f._lacunary:
                 out = out + f.coeffs[i] * z ** (i + 1)
-            return out
-        acc = np.zeros_like(z)
+                der = der + (i + 1) * f.coeffs[i] * z**i
+            return out, der
+        acc, dacc = np.zeros_like(z), np.zeros_like(z)
         for a in f.coeffs[::-1]:
+            dacc = dacc * z + acc
             acc = acc * z + a
-        return acc * z
+        return acc * z, acc + dacc * z
     if isinstance(f, Blaschke):
-        out = f.c * z**f.m
+        out, der = f.c * z**f.m, f.m * f.c * z ** (f.m - 1)
         for a in f.zeros:
-            out = out * (z - a) / (1.0 - np.conj(a) * z)
-        return out
+            den = 1.0 - np.conj(a) * z
+            out, der = out * (z - a) / den, der * (z - a) / den + out * (1.0 - abs(a) ** 2) / den**2
+        return out, der
     if isinstance(f, MoebiusQuotient):
-        return _eval_array(f.inner, z) / (1.0 - f.a * z)
-    if isinstance(f, Product):
-        return _eval_array(f.left, z) * _eval_array(f.right, z)
-    if isinstance(f, Sum):
-        return _eval_array(f.left, z) + _eval_array(f.right, z)
-    if isinstance(f, Scale):
-        return f.c * _eval_array(f.inner, z)
+        (inner, der), den = _eval_array(f.inner, z), 1.0 - f.a * z
+        out = inner / den
+        return out, (der + f.a * out) / den
+    if isinstance(f, (Product, Sum, Scale)):
+        return _combine(f, _eval_array, z)
     raise InvalidInputError(f"{type(f).__name__} is not a disk-domain function")
+
+
+def _combine(f, evaluate, z):
+    """(F, F′) of a product, sum or scale from its parts'; F′ may have more axes."""
+    if isinstance(f, Scale):
+        return tuple(f.c * part for part in evaluate(f.inner, z))
+    (lo, ld), (ro, rd) = evaluate(f.left, z), evaluate(f.right, z)
+    if isinstance(f, Sum):
+        return lo + ro, ld + rd
+    axes = (...,) + (None,) * (ld.ndim - lo.ndim)
+    return lo * ro, ld * ro[axes] + lo[axes] * rd
 
 
 def _functional_image(entries: np.ndarray, phi: np.ndarray) -> np.ndarray:
     s = entries @ phi
-    if np.any(matcore.operator_norms(s) >= 1.0 - _IMAGE_GUARD):
+    if matcore.operator_norm(s) >= 1.0 - _IMAGE_GUARD:
         raise DomainError(
             "scalar image of the functional reached the guard radius; "
             "its certified norm looks wrong"
@@ -266,18 +278,16 @@ def _functional_image(entries: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return s
 
 
-def _amplify_space_entries(f: HoloFunction, entries: np.ndarray) -> np.ndarray:
+def _amplify_space_entries(f: HoloFunction, entries: np.ndarray):
+    """(F, ∂F_ij/∂E_ijk) of f on an (m, m, d) grid E; for g∘φ that is g′(E_ij·φ)·φ_k."""
     if isinstance(f, GeometricPhi):
         s = _functional_image(entries, f.phi)
-        return s / (1.0 - s)
+        return s / (1.0 - s), (1.0 / (1.0 - s) ** 2)[..., None] * f.phi
     if isinstance(f, Composite):
-        return _eval_array(f.scalar, _functional_image(entries, f.phi))
-    if isinstance(f, Product):
-        return _amplify_space_entries(f.left, entries) * _amplify_space_entries(f.right, entries)
-    if isinstance(f, Sum):
-        return _amplify_space_entries(f.left, entries) + _amplify_space_entries(f.right, entries)
-    if isinstance(f, Scale):
-        return f.c * _amplify_space_entries(f.inner, entries)
+        out, der = _eval_array(f.scalar, _functional_image(entries, f.phi))
+        return out, der[..., None] * f.phi
+    if isinstance(f, (Product, Sum, Scale)):
+        return _combine(f, _amplify_space_entries, entries)
     raise InvalidInputError(f"{type(f).__name__} cannot be amplified over a space")
 
 
@@ -294,13 +304,13 @@ def amplify(f: HoloFunction, x) -> np.ndarray:
         nrm = matcore.operator_norm(z)
         if nrm >= 1.0:
             raise DomainError(f"matrix argument must have operator norm < 1, got {nrm}")
-        return _eval_array(f, z)
+        return _eval_array(f, z)[0]
     if not isinstance(x, OpSpaceMatrix) or not same_space(x.space, space):
         raise InvalidInputError("argument must be an OpSpaceMatrix over the function's domain space")
     nrm = matrix_norm(x)
     if nrm >= 1.0:
         raise DomainError(f"matrix argument must have matrix norm < 1, got {nrm}")
-    return _amplify_space_entries(f, x.entries)
+    return _amplify_space_entries(f, x.entries)[0]
 
 
 def evaluate(f: HoloFunction, z) -> complex:
@@ -313,7 +323,7 @@ def evaluate(f: HoloFunction, z) -> complex:
         z = complex(z)
         if abs(z) >= 1.0:
             raise DomainError(f"evaluation point must satisfy |z| < 1, got |z|={abs(z)}")
-        return complex(_eval_array(f, np.complex128(z)))
+        return complex(_eval_array(f, np.complex128(z))[0])
     if isinstance(z, OpSpaceElement):
         z = z.as_level1()
     if not isinstance(z, OpSpaceMatrix) or z.level != 1:

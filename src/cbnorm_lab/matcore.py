@@ -33,42 +33,29 @@ def derive_rng(seed, *stream) -> np.random.Generator:
     return np.random.default_rng([check_seed(seed), *(int(s) for s in stream)])
 
 
-def _as_finite(a) -> np.ndarray:
-    """Coerce input to a complex128 array, rejecting non-finite entries."""
+def as_matrix(a) -> np.ndarray:
+    """Coerce input to a 2-D complex128 array, rejecting non-finite entries."""
     try:
         m = np.asarray(a, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"not a complex matrix: {exc}") from None
     if m.size and not np.isfinite(m).all():
         raise InvalidInputError("matrix entries must be finite")
-    return m
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array, rejecting non-finite entries."""
-    m = _as_finite(a)
     if m.ndim != 2:
         raise InvalidInputError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
 
 
-def operator_norms(stack) -> np.ndarray:
-    """Largest singular value of each matrix of a (..., p, q) stack, accurate
-    to ~1e-10 relative.  One batched SVD, bitwise equal to one per matrix."""
-    m = _as_finite(stack)
-    if m.ndim < 2:
-        raise InvalidInputError(f"expected a stack of matrices (ndim >= 2), got ndim={m.ndim}")
-    if m.size == 0:
-        return np.zeros(m.shape[:-2])
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
-
-
 def operator_norm(a) -> float:
-    """Largest singular value of one matrix (see operator_norms)."""
-    norm = operator_norms(a)
-    if norm.ndim != 0:
-        raise InvalidInputError(f"expected a 2-D matrix, got ndim={norm.ndim + 2}")
-    return float(norm)
+    """Largest singular value of one matrix, accurate to ~1e-10 relative."""
+    m = as_matrix(a)
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def top_singular_pair(a):
+    """(σ₁, u, v) with A·v = σ₁·u, u and v unit; where σ₁ is simple, dσ₁ = Re(u*·dA·v)."""
+    u, s, vh = np.linalg.svd(as_matrix(a))
+    return float(s[0]), u[:, 0], vh[0].conj()
 
 
 def direct_sum(a, b) -> np.ndarray:
@@ -120,9 +107,7 @@ def project_ball(a, r: float) -> np.ndarray:
     r = float(r)
     if not r > 0.0:
         raise InvalidInputError(f"projection radius must be positive, got {r}")
-    if m.size == 0:
+    if m.size == 0 or operator_norm(m) <= r:
         return m
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s[0] <= r:
-        return m
     return (u * np.minimum(s, r)) @ vh

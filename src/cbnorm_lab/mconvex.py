@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, opspace
-from ._search import decode, restarts, to_sphere
+from ._search import decode, real_gradient, restarts, to_sphere
 from .errors import InvalidInputError, InvalidRepresentationError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
 
@@ -209,9 +209,10 @@ def pairing(f: SeparationCertificate, x: OpSpaceMatrix) -> np.ndarray:
     return opspace.block_matrix(f.grid, np.moveaxis(x.entries, -1, 0))
 
 
-def _pairing_norms(grids, x: OpSpaceMatrix) -> np.ndarray:
-    """Norm of the pairing of x with each grid of a (..., n, n, d) stack."""
-    return matcore.operator_norms(opspace.block_matrix(grids, np.moveaxis(x.entries, -1, 0)))
+def _pairing_gradient(f: SeparationCertificate, x: OpSpaceMatrix) -> np.ndarray:
+    """The grid G with dσ₁(pairing(f, x)) = Re Σ G·d(f.grid), x's entries as basis."""
+    _, u, v = matcore.top_singular_pair(pairing(f, x))
+    return opspace.block_adjoint(u, v, np.moveaxis(x.entries, -1, 0))
 
 
 @dataclass(frozen=True)
@@ -227,8 +228,8 @@ def check_certificate(f: SeparationCertificate, k: MatrixSet, x0: OpSpaceMatrix)
     sums cannot push the pairing norm past the generator supremum."""
     if not (same_space(f.space, k.space) and same_space(f.space, x0.space)):
         raise InvalidInputError("certificate, matrix set and target live over different spaces")
-    gen_values = tuple(float(_pairing_norms(f.grid, g)) for g in k.generators)
-    target = float(_pairing_norms(f.grid, x0))
+    gen_values = tuple(matcore.operator_norm(pairing(f, g)) for g in k.generators)
+    target = matcore.operator_norm(pairing(f, x0))
     valid = all(v <= 1.0 + _PAIRING_TOL for v in gen_values) and target > 1.0 + _PAIRING_TOL
     return CertificateVerdict(valid=valid, generator_values=gen_values, target_value=target)
 
@@ -242,23 +243,13 @@ def coordinate_grid(space: ConcreteOperatorSpace) -> np.ndarray:
 def svd_compression_grid(x: OpSpaceMatrix):
     """Grid y ↦ u_k*·(realized y)·v_l from the top singular pair (u, v) of
     realize(x), returned with the n×N matrices of blocks u_k and v_l."""
-    space = x.space
-    n, amb = x.level, space.ambient
-    u, _, vh = np.linalg.svd(realize(x))
-    left = u[:, 0].reshape(n, amb)
-    right = vh[0, :].conj().reshape(n, amb)
-    return np.einsum("ka,tab,lb->klt", left.conj(), space.basis, right), left, right
-
-
-def _pairing_peaks(k, x0, grids):
-    """(largest generator pairing norm, target pairing norm) of each grid of
-    a (..., n, n, d) stack."""
-    gen_max = np.max([_pairing_norms(grids, g) for g in k.generators], axis=0)
-    return gen_max, _pairing_norms(grids, x0)
+    _, u, v = matcore.top_singular_pair(realize(x))
+    return opspace.block_adjoint(u, v, x.space.basis), u.reshape(x.level, -1), v.reshape(x.level, -1)
 
 
 def _scale_to_certificate(k, x0, grid):
-    gen_max, target = _pairing_peaks(k, x0, grid)
+    verdict = check_certificate(SeparationCertificate(k.space, grid), k, x0)
+    gen_max, target = max(verdict.generator_values), verdict.target_value
     if target <= 0.0:
         return None
     if gen_max > 1e-12:
@@ -276,8 +267,10 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     (which says nothing about hull membership).
 
     Deterministic warm starts (the realization grid, the top singular pair of
-    the target) come first, then random grids improved by ascent on the ratio
-    of the target pairing norm to the best generator pairing norm.
+    the target) come first, then random grids improved by gradient ascent on
+    the unit sphere of T/G: the target pairing norm over the largest
+    generator pairing norm, floored at 1e-12.  Its gradient is dT/G − T·dG/G²,
+    with dG that of the active generator's pairing.
     """
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
@@ -293,9 +286,20 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     n, d = x0.level, space.dim
     shape = (n, n, d)
 
-    def objective(vecs):
-        gen_max, target = _pairing_peaks(k, x0, decode(vecs, shape))
-        return target / np.maximum(gen_max, 1e-12)
+    def objective(vec):
+        f = SeparationCertificate(space, decode(vec, shape))
+        verdict = check_certificate(f, k, x0)
+        active = int(np.argmax(verdict.generator_values))
+        peak = max(verdict.generator_values[active], 1e-12)
+
+        def gradient():
+            # The quotient rule, through the active generator's pairing.
+            grad = _pairing_gradient(f, x0) / peak
+            if verdict.generator_values[active] > 1e-12:
+                grad = grad - verdict.target_value / peak**2 * _pairing_gradient(f, k.generators[active])
+            return real_gradient(grad)
+
+        return verdict.target_value / peak, gradient
 
     start = lambda rng: rng.standard_normal(2 * n * n * d)
     for vec, _ in restarts(objective, to_sphere, start, budget - 2, seed):

@@ -98,19 +98,20 @@ class OpSpaceMatrix:
 
 
 def block_matrix(entries: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The mN×mN block matrix whose (i, j) block is Σ_k entries[i,j,k]·B_k.
-
-    Takes raw (..., m, m, d) and (d, N, N) arrays so that the search can
-    realize a whole stack of iterates without building an OpSpaceMatrix for
-    each; leading axes carry over to the (..., mN, mN) result.  Each matrix
-    of a stack takes its own product, so it equals its block matrix on its
-    own bit for bit (one product over the whole stack would not: numpy
-    switches BLAS routines when a product has a single row).
-    """
-    *lead, m, _, d = entries.shape
+    """The mN×mN block matrix whose (i, j) block is Σ_k entries[i,j,k]·B_k,
+    from raw (m, m, d) and (d, N, N) arrays."""
+    m, _, d = entries.shape
     n = basis.shape[1]
-    blocks = (entries.reshape(*lead, m * m, d) @ basis.reshape(d, n * n)).reshape(*lead, m, m, n, n)
-    return blocks.swapaxes(-3, -2).reshape(*lead, m * n, m * n)
+    blocks = (entries.reshape(m * m, d) @ basis.reshape(d, n * n)).reshape(m, m, n, n)
+    return blocks.swapaxes(1, 2).reshape(m * n, m * n)
+
+
+def block_adjoint(u: np.ndarray, v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The (m, m, d) grid u_i*·B_k·v_j of the N-blocks of mN-vectors u and v:
+    Re(u*·block_matrix(dE, basis)·v) = Re Σ grid·dE, so at the top singular
+    pair (u, v) it gives the block norm's gradient in the entries."""
+    n = basis.shape[1]
+    return np.einsum("ka,tab,lb->klt", u.reshape(-1, n).conj(), basis, v.reshape(-1, n))
 
 
 def realize(x: OpSpaceMatrix) -> np.ndarray:
@@ -250,8 +251,10 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
     """Best found value of |Σ φ_k x_k| over unit-ball elements: a lower bound
     on the dual norm of the functional.
 
-    Random complex-Gaussian starts followed by finite-difference ascent on the
-    scale-invariant quotient |φ·c| / ‖Σ c_k B_k‖.
+    Random complex-Gaussian starts followed by gradient ascent on the unit
+    sphere of the quotient |p|/t, p = φ·c and t = ‖Σ c_k B_k‖ > 0, whose
+    gradient is d|p|/t − |p|·dt/t² with d|p| = Re(conj(p)/|p|·φ·dc) (Re(φ·dc)
+    where p = 0) and dt from the top singular pair.
     """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (space.dim,):
@@ -262,10 +265,17 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
         return 0.0
     d = space.dim
 
-    def objective(vecs):
-        c = _search.decode(vecs, (d,))  # each row a level-1 matrix over the space
-        t = matcore.operator_norms(block_matrix(c[..., None, None, :], space.basis))
-        return np.divide(np.abs(np.sum(c * phi, axis=-1)), t, out=np.zeros_like(t), where=t > 1e-300)
+    def objective(vec):
+        c = _search.decode(vec, (1, 1, d))  # a level-1 matrix over the space
+        p, realized = np.sum(c * phi), block_matrix(c, space.basis)
+        t = matcore.operator_norm(realized)
+
+        def gradient():
+            _, u, v = matcore.top_singular_pair(realized)
+            phase = np.conj(p) / abs(p) if p else 1.0
+            return _search.real_gradient(phase * phi / t - abs(p) / t**2 * block_adjoint(u, v, space.basis))
+
+        return abs(p) / t, gradient
 
     start = lambda rng: rng.standard_normal(2 * d)
     runs = _search.restarts(objective, _search.to_sphere, start, budget, seed)

@@ -232,6 +232,15 @@ def test_variant_validation():
         Blaschke(1.0, 1, [1.0])
     with pytest.raises(InvalidInputError):
         MoebiusQuotient(IDENTITY, 1.0)
+    # Non-finite and bool parameters, each of which once constructed.
+    with pytest.raises(InvalidInputError):
+        MoebiusQuotient(IDENTITY, np.nan)
+    with pytest.raises(InvalidInputError):
+        Blaschke(np.nan, 1, [])
+    with pytest.raises(InvalidInputError):
+        Blaschke(1.0, 1, [np.nan])
+    with pytest.raises(InvalidInputError):
+        Blaschke(1.0, True, [])
     with pytest.raises(InvalidInputError):
         MoebiusQuotient(GEOM_PHI, 0.5)
     with pytest.raises(InvalidInputError):

@@ -50,33 +50,26 @@ def test_operator_norm_rejects_non_finite():
         matcore.operator_norm([[np.inf, 0], [0, 1]])
 
 
-@pytest.mark.parametrize("shape", [(6, 3, 3), (2, 3, 4, 2), (5, 1, 1)])
-def test_operator_norms_equal_operator_norm_bitwise(shape):
-    rng = np.random.default_rng(17)
-    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    norms = matcore.operator_norms(stack)
-    assert norms.shape == shape[:-2]
-    for idx in np.ndindex(*shape[:-2]):
-        assert norms[idx] == matcore.operator_norm(stack[idx])
-
-
-def test_operator_norms_rejects_non_finite_and_low_ndim():
-    stack = np.zeros((3, 2, 2), dtype=np.complex128)
-    stack[1, 0, 1] = np.inf
-    with pytest.raises(InvalidInputError, match="finite"):
-        matcore.operator_norms(stack)
-    stack[1, 0, 1] = np.nan
-    with pytest.raises(InvalidInputError, match="finite"):
-        matcore.operator_norms(stack)
-    for low in (np.ones(3), 1.0):
+def test_operator_norm_rejects_wrong_ndim():
+    for wrong in (np.ones(3), 1.0, np.ones((2, 2, 2))):
         with pytest.raises(InvalidInputError, match="ndim"):
-            matcore.operator_norms(low)
+            matcore.operator_norm(wrong)
 
 
-def test_operator_norms_empty_stack():
-    norms = matcore.operator_norms(np.zeros((0, 2, 3)))
-    assert norms.shape == (0,)
-    assert np.array_equal(matcore.operator_norms(np.zeros((4, 0, 3))), np.zeros(4))
+def test_operator_norm_empty_matrix():
+    assert matcore.operator_norm(np.zeros((0, 3))) == 0.0
+    assert matcore.operator_norm(np.zeros((4, 0))) == 0.0
+
+
+def test_top_singular_pair_gives_the_norm_and_its_differential():
+    rng = np.random.default_rng(19)
+    a, da = random_complex(rng, 4, 3), random_complex(rng, 4, 3)
+    sigma, u, v = matcore.top_singular_pair(a)
+    assert abs(sigma - matcore.operator_norm(a)) <= 1e-12 * sigma
+    assert np.allclose(a @ v, sigma * u, atol=1e-12)
+    h = 1e-6
+    central = (matcore.operator_norm(a + h * da) - matcore.operator_norm(a - h * da)) / (2 * h)
+    assert abs(central - np.real(u.conj() @ da @ v)) <= 1e-8
 
 
 def test_direct_sum_diagonal():
@@ -203,6 +196,21 @@ def test_project_ball_idempotent_and_nonexpansive():
             matcore.operator_norm(pa - pb)
             <= matcore.operator_norm(a - b) + 1e-10
         )
+
+
+def test_project_ball_takes_singular_vectors_only_outside_the_ball(monkeypatch):
+    with_vectors = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, compute_uv=True, **kwargs):
+        with_vectors.append(compute_uv)
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    matcore.project_ball(np.diag([0.5, 0.25]), 1.0)
+    assert with_vectors == [False]
+    matcore.project_ball(np.diag([2.0, 0.25]), 1.0)
+    assert with_vectors == [False, False, True]
 
 
 def test_project_ball_rejects_nonpositive_radius():

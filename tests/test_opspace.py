@@ -9,6 +9,7 @@ from cbnorm_lab.opspace import (
     ConcreteOperatorSpace,
     OpSpaceElement,
     OpSpaceMatrix,
+    block_adjoint,
     block_matrix,
     closed_form_dual_norm,
     compress,
@@ -83,17 +84,14 @@ def test_realize_matches_hand_indexed_blocks():
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_block_matrix_of_a_stack_is_each_block_matrix_bitwise(level):
-    # A general basis makes every product round; a stack of one at level 1
-    # is a single-row product, where numpy takes another BLAS routine.
+def test_block_adjoint_is_the_adjoint_of_block_matrix(level):
     rng = np.random.default_rng(9)
     basis = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-    stack = rng.standard_normal((6, level, level, 3)) + 1j * rng.standard_normal((6, level, level, 3))
-    blocks = block_matrix(stack, basis)
-    assert blocks.shape == (6, 2 * level, 2 * level)
-    for i in range(6):
-        assert blocks[i].tobytes() == block_matrix(stack[i], basis).tobytes()
-        assert blocks[i].tobytes() == block_matrix(stack[i : i + 1], basis)[0].tobytes()
+    de = rng.standard_normal((level, level, 3)) + 1j * rng.standard_normal((level, level, 3))
+    u, v = (rng.standard_normal(2 * level) + 1j * rng.standard_normal(2 * level) for _ in range(2))
+    grid = block_adjoint(u, v, basis)
+    assert grid.shape == (level, level, 3)
+    assert np.isclose(u.conj() @ block_matrix(de, basis) @ v, np.sum(grid * de), rtol=1e-13)
 
 
 def test_mk_norm_matches_reshuffled_operator_norm():

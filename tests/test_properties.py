@@ -1,17 +1,18 @@
 """Property tests over random disk expression trees of depth <= 3: Taylor data
 against an independent mpmath reference, evaluation, argument rescaling,
-descriptor round trips, sandwich order, and the search objectives evaluated
-on a stack against one point at a time."""
+descriptor round trips, sandwich order, and each search objective's exact
+gradient against a central difference."""
 
 import cmath
+from unittest import mock
 
 import mpmath
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cbnorm_lab import _search, descriptors, holofun, matcore, opspace
-from cbnorm_lab.cbnorm import RADIUS_CAP, _disk_problem, _space_problem, sandwich
+from cbnorm_lab import _search, descriptors, holofun, matcore, mconvex, opspace
+from cbnorm_lab.cbnorm import _disk_problem, _space_problem, sandwich
 from cbnorm_lab.holofun import (
     Blaschke,
     Composite,
@@ -168,73 +169,107 @@ def _lacunary(n, coeffs):
 
 LACUNARY = st.builds(_lacunary, st.integers(65, 96), st.lists(COEFFS, min_size=1, max_size=4))
 SCALARS = st.one_of(TREES, LACUNARY, st.builds(Product, LACUNARY, TREES))
-# Row scales relative to the row's norm: up to twice the cap, signed zeros too.
-ROW_SCALES = st.lists(
-    st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0)), min_size=1, max_size=5
-)
 SPACES = st.sampled_from([opspace.space_row(2), opspace.space_min_linf(2), opspace.space_mk(2)])
+CUSTOM = opspace.ConcreteOperatorSpace(
+    np.array([[[1.0, 0.5], [0.0, 1.0]], [[0.0, 1.0j], [2.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+)
+FOUR_SPACES = st.sampled_from(
+    [opspace.space_min_linf(3), opspace.space_row(2), opspace.space_mk(2), CUSTOM]
+)
 
 
-def _probe_stack(norm_of, n, scales, seed):
-    """Random points at the given multiples of their norm, followed by the
-    forward-difference probes of the first one, built as the ascent builds them."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for t in scales:
-        v = rng.standard_normal(n)
-        rows.append(v * (t / norm_of(v)))
-    probes = np.repeat(rows[0][None], n, axis=0)
-    probes[np.arange(n), np.arange(n)] += _search._FD_STEP
-    return np.concatenate([np.array(rows), probes])
+def _simple_top(*matrices):
+    """Whether each matrix's top singular value is clear of the next,
+    σ₁ − σ₂ > 1e-3·σ₁, so that σ₁ is differentiable there."""
+    for a in matrices:
+        s = np.linalg.svd(a, compute_uv=False)
+        if not s[0] - (s[1] if s.size > 1 else 0.0) > 1e-3 * s[0]:
+            return False
+    return True
 
 
-def _one_point_disk(f, vec, m):
-    # The per-point objective before batching: clamp onto the cap, evaluate.
-    z = _search.decode(vec, (m, m))
-    nrm = matcore.operator_norm(z)
-    if nrm > RADIUS_CAP:
-        z = z * (RADIUS_CAP / nrm)
-    return matcore.operator_norm(holofun._eval_array(f, z))
+def _assert_exact_gradient(objective, x, h=1e-6):
+    """The objective's gradient at x against a central difference."""
+    _, gradient = objective(x)
+    exact = gradient()
+    steps = h * np.eye(x.size)
+    central = np.array([objective(x + e)[0] - objective(x - e)[0] for e in steps]) / (2 * h)
+    assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(exact))
 
 
-def _one_point_space(f, vec, m):
-    space = f.domain_space
-    entries = _search.decode(vec, (m, m, space.dim))
-    nrm = opspace.matrix_norm(opspace.OpSpaceMatrix(space, entries))
-    if nrm > RADIUS_CAP:
-        entries = entries * (RADIUS_CAP / nrm)
-    return matcore.operator_norm(holofun._amplify_space_entries(f, entries))
-
-
-def _assert_rows_bitwise(objective, one_point, stack):
-    batched = objective(stack)
-    assert batched.shape == (len(stack),)
-    rows = np.array([objective(stack[i : i + 1])[0] for i in range(len(stack))])
-    reference = np.array([one_point(vec) for vec in stack])
-    assert batched.tobytes() == rows.tobytes() == reference.tobytes()
+def _point(rng, norm_of, n, radius):
+    v = rng.standard_normal(n)
+    return v * (radius / norm_of(v))
 
 
 @PROPERTY
-@given(SCALARS, st.integers(1, 4), ROW_SCALES, st.integers(0, 2**32))
-def test_disk_objective_on_a_stack_equals_each_row(f, m, scales, seed):
+@given(SCALARS, st.integers(1, 3), st.floats(0.1, 0.9), st.integers(0, 2**32))
+def test_disk_objective_gradient_is_exact(f, m, r, seed):
     norm_of = lambda v: matcore.operator_norm(_search.decode(v, (m, m)))
-    stack = _probe_stack(norm_of, 2 * m * m, scales, seed)
-    objective = _disk_problem(f, m)[0]
-    _assert_rows_bitwise(objective, lambda vec: _one_point_disk(f, vec, m), stack)
+    x = _point(np.random.default_rng(seed), norm_of, 2 * m * m, r)
+    assume(_simple_top(holofun.amplify(f, _search.decode(x, (m, m)))))
+    _assert_exact_gradient(_disk_problem(f, m)[0], x)
 
 
-@PROPERTY
-@given(SCALARS, SPACES, st.floats(0.1, 0.9), st.integers(1, 3), ROW_SCALES, st.integers(0, 2**32))
-def test_space_objective_on_a_stack_equals_each_row(scalar, space, r, m, scales, seed):
-    rng = np.random.default_rng(seed)
+def _functional(rng, space, r):
     phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     phi *= r / opspace.closed_form_dual_norm(space, phi)
-    f = Composite(scalar, space, phi, opspace.closed_form_dual_norm(space, phi))
+    return phi, opspace.closed_form_dual_norm(space, phi)
+
+
+@PROPERTY
+@given(
+    SCALARS, SPACES, st.floats(0.1, 0.9), st.integers(1, 3), st.floats(0.1, 0.9), st.booleans(), st.integers(0, 2**32)
+)
+def test_space_objective_gradient_is_exact(scalar, space, r, m, radius, times_geometric, seed):
+    rng = np.random.default_rng(seed)
+    f = Composite(scalar, space, *_functional(rng, space, r))
+    if times_geometric:  # two functionals: ∂F/∂E is no multiple of one φ
+        f = Product(f, holofun.GeometricPhi(space, *_functional(rng, space, 0.5)))
     shape = (m, m, space.dim)
-    norm_of = lambda v: opspace.matrix_norm(opspace.OpSpaceMatrix(space, _search.decode(v, shape)))
-    stack = _probe_stack(norm_of, 2 * m * m * space.dim, scales, seed)
-    objective = _space_problem(f, m)[0]
-    _assert_rows_bitwise(objective, lambda vec: _one_point_space(f, vec, m), stack)
+    as_matrix = lambda v: opspace.OpSpaceMatrix(space, _search.decode(v, shape))
+    x = _point(rng, lambda v: opspace.matrix_norm(as_matrix(v)), 2 * m * m * space.dim, radius)
+    assume(_simple_top(holofun.amplify(f, as_matrix(x))))
+    _assert_exact_gradient(_space_problem(f, m)[0], x)
+
+
+def _objective_of(module, run):
+    """The objective that `run` hands to `restarts` through `module`; the
+    search itself is skipped."""
+    captured = []
+    with mock.patch.object(module, "restarts", lambda objective, *args: captured.append(objective) or ()):
+        run()
+    return captured[0]
+
+
+@PROPERTY
+@given(FOUR_SPACES, st.integers(0, 2**32))
+def test_dual_norm_objective_gradient_is_exact(space, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    objective = _objective_of(_search, lambda: opspace.dual_functional_norm(space, phi, 30, seed=5))
+    x = _search.to_sphere(rng.standard_normal(2 * space.dim))
+    c = _search.decode(x, (1, 1, space.dim))
+    assume(abs(np.sum(c * phi)) > 1e-3 * np.linalg.norm(phi))  # |φ·c| is smooth there
+    assume(_simple_top(opspace.block_matrix(c, space.basis)))
+    _assert_exact_gradient(objective, x)
+
+
+@PROPERTY
+@given(FOUR_SPACES, st.integers(1, 2), st.integers(0, 2**32))
+def test_certificate_objective_gradient_is_exact(space, level, seed):
+    rng = np.random.default_rng(seed)
+    gens = tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2))
+    k = mconvex.MatrixSet(space, gens)
+    x0 = mconvex.hull_element(k, mconvex.random_representation(k, level, rng))
+    objective = _objective_of(mconvex, lambda: mconvex.find_certificate(k, x0, 20, seed=4))
+    shape = (level, level, space.dim)
+    x = _search.to_sphere(rng.standard_normal(2 * level * level * space.dim))
+    f = mconvex.SeparationCertificate(space, _search.decode(x, shape))
+    values = sorted(mconvex.check_certificate(f, k, x0).generator_values)
+    assume(values[-1] - values[-2] > 1e-3 * values[-1])  # one active generator
+    assume(_simple_top(*(mconvex.pairing(f, g) for g in (x0, *gens))))
+    _assert_exact_gradient(objective, x)
 
 
 def test_lacunary_strategy_takes_the_term_by_term_path():
