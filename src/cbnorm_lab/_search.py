@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import derive_rng
+from .errors import InvalidInputError
+from .matcore import as_int, derive_rng
 
 _MAX_STEPS = 200
 
@@ -21,7 +22,7 @@ class Budget:
     """Counts objective evaluations; an exhausted budget stops a search."""
 
     def __init__(self, evals: int):
-        self.left = int(evals)
+        self.left = as_int(evals, "budget")
         self.used = 0
 
     def spend(self, k: int = 1) -> int:
@@ -30,6 +31,14 @@ class Budget:
         self.left -= k
         self.used += k
         return k
+
+
+def positive_budget(budget) -> int:
+    """A search's evaluation budget as a plain int, rejecting values below 1."""
+    evals = as_int(budget, "budget")
+    if evals < 1:
+        raise InvalidInputError("budget must be >= 1")
+    return evals
 
 
 def encode(arr: np.ndarray) -> np.ndarray:

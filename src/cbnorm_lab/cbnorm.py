@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import holofun, matcore, opspace
-from ._search import decode, encode, real_gradient, restarts
+from ._search import decode, encode, positive_budget, real_gradient, restarts
 from .errors import InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
@@ -143,8 +143,7 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     """
     if not 1 <= m <= matcore.MAX_LEVEL:
         raise InvalidInputError(f"level must lie in [1, {matcore.MAX_LEVEL}], got {m}")
-    if budget < 1:
-        raise InvalidInputError("budget must be >= 1")
+    budget = positive_budget(budget)
     matcore.check_seed(seed)
     problem = _disk_problem if f.domain_space is None else _space_problem
     objective, project, start, witness_matrix = problem(f, m)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import gcb, holofun, mconvex, opspace
 from .errors import InvalidInputError
+from .matcore import as_int
 
 
 def _parser(parse):
@@ -34,17 +35,6 @@ def _complex_in(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise InvalidInputError(f"complex scalars are [re, im] pairs, got {pair!r}")
     return complex(float(pair[0]), float(pair[1]))
-
-
-def _int_in(value, name: str) -> int:
-    """A size or level: an int or an integral float, as the config schema's
-    `integer` accepts.  Bools, strings and fractions are rejected rather
-    than truncated."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 def _complex_out(z) -> list:
@@ -77,16 +67,16 @@ def space_from_descriptor(d) -> opspace.ConcreteOperatorSpace:
     if kind == "scalar":
         return opspace.space_scalar()
     if kind == "matrix":
-        return opspace.space_mk(_int_in(d.get("param", 1), "param"))
+        return opspace.space_mk(as_int(d.get("param", 1), "param"))
     if kind == "row":
-        return opspace.space_row(_int_in(d.get("param", 1), "param"))
+        return opspace.space_row(as_int(d.get("param", 1), "param"))
     if kind == "column":
-        return opspace.space_column(_int_in(d.get("param", 1), "param"))
+        return opspace.space_column(as_int(d.get("param", 1), "param"))
     if kind == "min_linf":
-        return opspace.space_min_linf(_int_in(d.get("param", 1), "param"))
+        return opspace.space_min_linf(as_int(d.get("param", 1), "param"))
     if kind == "custom":
         basis = _array_in(d["basis"], depth=3)
-        if basis.shape[1] != _int_in(d.get("ambient", basis.shape[1]), "ambient"):
+        if basis.shape[1] != as_int(d.get("ambient", basis.shape[1]), "ambient"):
             raise InvalidInputError("custom basis does not match the declared ambient size")
         return opspace.ConcreteOperatorSpace(basis, kind="custom")
     raise InvalidInputError(f"unknown space kind {kind!r}")
@@ -113,7 +103,7 @@ def function_from_descriptor(d) -> holofun.HoloFunction:
         return holofun.PowerSeries(coeffs)
     if kind == "blaschke":
         zeros = np.asarray([_complex_in(z) for z in d.get("zeros", [])], dtype=np.complex128)
-        return holofun.Blaschke(_complex_in(d["c"]), _int_in(d["m"], "m"), zeros)
+        return holofun.Blaschke(_complex_in(d["c"]), as_int(d["m"], "m"), zeros)
     if kind == "moebius_quotient":
         return holofun.MoebiusQuotient(function_from_descriptor(d["inner"]), _complex_in(d["a"]))
     if kind == "geometric_phi":
@@ -192,7 +182,7 @@ def function_id(d) -> str:
 @_parser
 def space_matrix_from_descriptor(d, space: opspace.ConcreteOperatorSpace) -> opspace.OpSpaceMatrix:
     entries = _array_in(d["entries"], depth=3)
-    level = _int_in(d.get("level", entries.shape[0]), "level")
+    level = as_int(d.get("level", entries.shape[0]), "level")
     if entries.shape[0] != level:
         raise InvalidInputError("declared level does not match the entry grid")
     return opspace.OpSpaceMatrix(space, entries)
@@ -227,7 +217,7 @@ def certificate_to_descriptor(cert: mconvex.SeparationCertificate) -> dict:
 @_parser
 def gcb_element_from_descriptor(d) -> gcb.GcbElement:
     space = space_from_descriptor(d["space"])
-    level = _int_in(d["level"], "level")
+    level = as_int(d["level"], "level")
     terms = []
     for t in d.get("terms", []):
         terms.append(

@@ -12,12 +12,13 @@ the norm of their base point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import holofun, matcore, mconvex
-from ._search import Budget
+from ._search import Budget, positive_budget
 from .errors import InvalidInputError
 from .holofun import GeometricPhi, HoloFunction
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, matrix_norm, realize, same_space
@@ -25,7 +26,9 @@ from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, matrix_
 # Points carried by predual elements stay this far inside the unit ball.
 _INTERIOR_MARGIN = 1e-9
 
-_RESCALE_GRID = 2.0 ** np.arange(-8, 9)  # 33 geometric points, exact in binary
+_RESCALE_GRID = 2.0 ** np.arange(-8, 9)  # 17 geometric points, exact in binary
+# A sweep's moves of one term's (α, β) scales: (g, g) and (g, 1/g) for each g.
+_MOVES = np.stack([np.repeat(_RESCALE_GRID, 2), np.ravel([_RESCALE_GRID, 1.0 / _RESCALE_GRID], order="F")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +81,17 @@ def _term_parts(t: GcbTerm):
     return alpha @ alpha.conj().T, beta.conj().T @ beta, abs(t.c) * matrix_norm(t.point)
 
 
-def _group_cost(parts) -> float:
-    """‖Σ a_i·A_i‖^½ · ‖Σ b_i·B_i‖^½ · max w_i/√(a_i·b_i) for one group."""
-    row = sum(a * A for A, _, _, a, _ in parts)
-    col = sum(b * B for _, B, _, _, b in parts)
-    peak = max(w / np.sqrt(a * b) for _, _, w, a, b in parts)
-    return float(np.sqrt(matcore.operator_norm(row)) * np.sqrt(matcore.operator_norm(col)) * peak)
+def _group_cost(parts) -> np.ndarray:
+    """‖Σ a_i·A_i‖^½ · ‖Σ b_i·B_i‖^½ · max w_i/√(a_i·b_i) for one group.
+
+    Each scale is a float or a (k,) array of trial values; the costs come
+    back as a (k,) array, of length 1 when every scale is a float.  Every
+    entry has the bits of the same cost computed with float scales.
+    """
+    row = sum(np.multiply.outer(np.atleast_1d(a), A) for A, _, _, a, _ in parts)
+    col = sum(np.multiply.outer(np.atleast_1d(b), B) for _, B, _, _, b in parts)
+    peak = functools.reduce(np.maximum, [w / np.sqrt(a * b) for _, _, w, a, b in parts])
+    return np.sqrt(matcore.operator_norms(row)) * np.sqrt(matcore.operator_norms(col)) * peak
 
 
 def representation_cost(u: GcbElement, grouping) -> float:
@@ -94,7 +102,7 @@ def representation_cost(u: GcbElement, grouping) -> float:
     if not grouping:
         return 0.0
     parts = [(*_term_parts(t), 1.0, 1.0) for t in u.terms]
-    return sum(_group_cost([parts[i] for i in group]) for group in grouping)
+    return float(sum(_group_cost([parts[i] for i in group]) for group in grouping)[0])
 
 
 def _partitions(items, max_groups):
@@ -120,13 +128,16 @@ def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
     flattened one where every term contributes weight 1.  Rescaling c and the
     point together (c·t, x/t) changes neither the cost nor the searched
     minimum, since |c|·‖x‖ is invariant, so it is not iterated.  Budget counts
-    cost evaluations; zero terms are dropped.
+    cost evaluations; zero terms are dropped.  A sweep over one term's 34
+    moves, (g, g) and (g, 1/g) for the 17 grid points g, is charged 34
+    evaluations and evaluated as one stack, with the other groups' costs
+    taken once per sweep; a budget that runs out mid-sweep keeps the moves it
+    granted, in grid order, which is where a move-by-move search would stop.
     """
+    evals = Budget(positive_budget(budget))
+    matcore.check_seed(seed)
     if not u.terms:
         return 0.0
-    if budget < 1:
-        raise InvalidInputError("budget must be >= 1")
-    matcore.check_seed(seed)
     data, flat = [], []
     for t in u.terms:
         A, B, w = _term_parts(t)
@@ -147,29 +158,25 @@ def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
     else:
         # Full enumeration blows up; keep the two canonical groupings.
         index_partitions = [[indices], [[i] for i in indices]]
-    evals = Budget(budget)
     best = np.inf
     for groups in index_partitions:
         for start in ([(1.0, 1.0)] * len(data), flat):
             scales = list(start)
             if not evals.spend():
                 return float(best)
-            current = cost(groups, scales)
+            current = cost(groups, scales)[0]
             best = min(best, current)
             for _ in range(2):
                 for i in indices:
-                    base_a, base_b = scales[i]
-                    best_local = (current, scales[i])
-                    for g in _RESCALE_GRID:
-                        for move in ((g, g), (g, 1.0 / g)):
-                            if not evals.spend():
-                                return float(best)
-                            scales[i] = (base_a * move[0], base_b * move[1])
-                            trial = cost(groups, scales)
-                            best = min(best, trial)
-                            if trial < best_local[0]:
-                                best_local = (trial, scales[i])
-                    current, scales[i] = best_local
+                    granted = evals.spend(_MOVES.shape[1])
+                    if not granted:
+                        return float(best)
+                    moved = (scales[i][0] * _MOVES[0, :granted], scales[i][1] * _MOVES[1, :granted])
+                    trials = cost(groups, scales[:i] + [moved] + scales[i + 1 :])
+                    best = min(best, trials.min())
+                    j = int(np.argmin(trials))
+                    if trials[j] < current:
+                        current, scales[i] = trials[j], (moved[0][j], moved[1][j])
     return float(best)
 
 

@@ -28,28 +28,52 @@ def check_seed(seed) -> int:
     return seed
 
 
+def as_int(value, name: str) -> int:
+    """A count, size or level: an int or an integral float, as the config
+    schema's `integer` accepts.  Bools, strings and fractions are rejected
+    rather than truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 def derive_rng(seed, *stream) -> np.random.Generator:
     """Deterministic generator for (seed, *stream); each call site owns its own."""
     return np.random.default_rng([check_seed(seed), *(int(s) for s in stream)])
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array, rejecting non-finite entries."""
+def as_matrix(a, ndim: int = 2) -> np.ndarray:
+    """Coerce input to a complex128 matrix (ndim 2) or stack of matrices
+    (ndim 3), rejecting non-finite entries."""
     try:
         m = np.asarray(a, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"not a complex matrix: {exc}") from None
     if m.size and not np.isfinite(m).all():
         raise InvalidInputError("matrix entries must be finite")
-    if m.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim != ndim:
+        raise InvalidInputError(f"expected a {ndim}-D array, got ndim={m.ndim}")
     return m
 
 
+def operator_norms(stack, ndim: int = 3) -> np.ndarray:
+    """Largest singular value of each matrix of a (k, p, q) stack, or of one
+    (p, q) matrix when ndim is 2, accurate to ~1e-10 relative.  The SVD gufunc
+    decomposes each matrix on its own, so a value has the same bits whatever
+    else shares the stack."""
+    s = as_matrix(stack, ndim)
+    return np.linalg.svd(s, compute_uv=False)[..., 0] if s.size else np.zeros(s.shape[:-2])
+
+
 def operator_norm(a) -> float:
-    """Largest singular value of one matrix, accurate to ~1e-10 relative."""
-    m = as_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+    """Largest singular value of one matrix: `operator_norms` with ndim 2.
+
+    A single matrix goes to the SVD as it is: wrapped as a stack of one, it
+    would take the gufunc's batched loop, which costs more per call than
+    the SVD of a small matrix."""
+    return float(operator_norms(a, ndim=2))
 
 
 def top_singular_pair(a):

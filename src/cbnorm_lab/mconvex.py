@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, opspace
-from ._search import decode, real_gradient, restarts, to_sphere
+from ._search import decode, positive_budget, real_gradient, restarts, to_sphere
 from .errors import InvalidInputError, InvalidRepresentationError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
 
@@ -272,8 +272,7 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     generator pairing norm, floored at 1e-12.  Its gradient is dT/G − T·dG/G²,
     with dG that of the active generator's pairing.
     """
-    if budget < 1:
-        raise InvalidInputError("budget must be >= 1")
+    budget = positive_budget(budget)
     if not same_space(k.space, x0.space):
         raise InvalidInputError("matrix set and target live over different spaces")
     space = k.space

@@ -259,8 +259,7 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (space.dim,):
         raise InvalidInputError(f"functional must have {space.dim} coefficients")
-    if budget < 1:
-        raise InvalidInputError("budget must be >= 1")
+    budget = _search.positive_budget(budget)
     if not np.any(phi):
         return 0.0
     d = space.dim

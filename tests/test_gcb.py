@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from cbnorm_lab import gcb
+from cbnorm_lab._search import Budget
 from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.gcb import (
     FunctionDictionary,
@@ -19,7 +21,7 @@ from cbnorm_lab.gcb import (
     representation_cost,
 )
 from cbnorm_lab.holofun import PowerSeries, Scale
-from cbnorm_lab.matcore import derive_rng
+from cbnorm_lab.matcore import derive_rng, operator_norm
 from cbnorm_lab.opspace import (
     OpSpaceMatrix,
     matrix_norm,
@@ -130,6 +132,133 @@ def test_gcb_upper_bound_nonincreasing_in_budget():
         values = [gcb_upper_bound(u, budget, 4) for budget in (1, 2, 35, 300)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] < values[0]
+
+
+def _scalar_group_cost(parts) -> float:
+    """One group's cost with float scales, one SVD per side, as computed
+    before sweeps were stacked."""
+    row = sum(a * A for A, _, _, a, _ in parts)
+    col = sum(b * B for _, B, _, _, b in parts)
+    peak = max(w / np.sqrt(a * b) for _, _, w, a, b in parts)
+    return float(np.sqrt(operator_norm(row)) * np.sqrt(operator_norm(col)) * peak)
+
+
+def _move_by_move(u, budget):
+    """The search as it ran before sweeps were stacked, one cost evaluation
+    per move.  Returns the best cost after each evaluation: entry B − 1 is its
+    result at budget B, and the last entry is that of any budget past the end."""
+    data, flat = [], []
+    for t in u.terms:
+        A, B, w = gcb._term_parts(t)
+        na, nb = operator_norm(A), operator_norm(B)
+        if na <= 0.0 or nb <= 0.0 or w <= 0.0:
+            continue
+        data.append((A, B, w))
+        flat.append((w * np.sqrt(nb / na), w * np.sqrt(na / nb)))
+
+    def cost(groups, scales):
+        return sum(_scalar_group_cost([(*data[i], *scales[i]) for i in group]) for group in groups)
+
+    indices = list(range(len(data)))
+    if len(data) <= 8:
+        index_partitions = list(gcb._partitions(indices, 3))
+    else:
+        index_partitions = [[indices], [[i] for i in indices]]
+    evals = Budget(budget)
+    best, running = np.inf, []
+    for groups in index_partitions:
+        for start in ([(1.0, 1.0)] * len(data), flat):
+            scales = list(start)
+            if not evals.spend():
+                return running
+            current = cost(groups, scales)
+            best = min(best, current)
+            running.append(best)
+            for _ in range(2):
+                for i in indices:
+                    base_a, base_b = scales[i]
+                    best_local = (current, scales[i])
+                    for g in gcb._RESCALE_GRID:
+                        for move in ((g, g), (g, 1.0 / g)):
+                            if not evals.spend():
+                                return running
+                            scales[i] = (base_a * move[0], base_b * move[1])
+                            trial = cost(groups, scales)
+                            best = min(best, trial)
+                            running.append(best)
+                            if trial < best_local[0]:
+                                best_local = (trial, scales[i])
+                    current, scales[i] = best_local
+    return running
+
+
+# (space, element level, point levels): 1–4 terms at levels 1–3 over three spaces.
+_REFERENCE_ELEMENTS = [
+    (SCALAR, 1, (1,)),
+    (SCALAR, 2, (2, 1, 3, 1)),
+    (MK2, 2, (2, 1, 2)),
+    (MK2, 3, (3, 1)),
+    (space_row(2), 3, (1, 2, 3, 2)),
+    (space_row(2), 1, (2, 3)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_REFERENCE_ELEMENTS)))
+def test_gcb_upper_bound_equals_move_by_move_search_bitwise(case):
+    # Every budget up to 420 cuts some sweep short or ends a start; 1000 and
+    # 3000 reach the partitions into two and three groups.
+    space, level, point_levels = _REFERENCE_ELEMENTS[case]
+    u = _random_element(space, level, point_levels, 40 + case)
+    running = _move_by_move(u, 3000)
+    for budget in [*range(1, 421), 1000, 3000]:
+        expected = running[min(budget, len(running)) - 1]
+        assert gcb_upper_bound(u, budget, 0).hex() == expected.hex(), budget
+
+
+def test_group_cost_stack_equals_each_row_bitwise():
+    u = _random_element(MK2, 2, (2, 1, 3), 50)
+    parts = [gcb._term_parts(t) for t in u.terms]
+    rng = np.random.default_rng(51)
+    floats = [tuple(rng.uniform(0.1, 4.0, 2)) for _ in parts]
+    for i in range(len(parts)):
+        a, b = rng.uniform(0.01, 100.0, (2, 34))
+        stacked = gcb._group_cost(
+            [(*p, *((a, b) if j == i else floats[j])) for j, p in enumerate(parts)]
+        )
+        assert stacked.shape == (34,)
+        for r in range(34):
+            row = [(*p, *((a[r], b[r]) if j == i else floats[j])) for j, p in enumerate(parts)]
+            assert stacked[r].hex() == gcb._group_cost(row)[0].hex() == _scalar_group_cost(row).hex()
+
+
+def test_gcb_upper_bound_stacks_each_sweep(monkeypatch):
+    # At budget 300 the one-group partition is swept move by move in 609 SVDs.
+    u = _random_element(MK2, 2, (2, 1, 2), 52)
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    gcb_upper_bound(u, 300, 0)
+    assert calls[0] <= 40
+
+
+@pytest.mark.parametrize("budget", [True, False, 1.5, "3", None])
+def test_gcb_rejects_non_integer_budgets(budget):
+    x = sample_matrix_ball(MK2, 2, 0.5, 53)
+    with pytest.raises(InvalidInputError, match="budget"):
+        gcb_upper_bound(delta_element(x), budget, 0)
+    with pytest.raises(InvalidInputError, match="budget"):
+        delta_isometry_check(x, budget, 0)
+
+
+def test_gcb_accepts_integer_budgets():
+    u = _random_element(MK2, 2, (2, 1), 53)
+    for budget in (np.int64(40), 40.0):
+        assert gcb_upper_bound(u, budget, 0) == gcb_upper_bound(u, 40, 0)
 
 
 def test_gcb_pairing_grid_matches_quadruple_loop():

@@ -61,6 +61,32 @@ def test_operator_norm_empty_matrix():
     assert matcore.operator_norm(np.zeros((4, 0))) == 0.0
 
 
+@pytest.mark.parametrize("k", [1, 34, 0])
+def test_operator_norms_equal_operator_norm_bitwise(k):
+    rng = np.random.default_rng(20 + k)
+    stack = random_complex(rng, 3 * k, 3).reshape(k, 3, 3)
+    norms = matcore.operator_norms(stack)
+    assert norms.shape == (k,)
+    for matrix, norm in zip(stack, norms):
+        assert norm.hex() == matcore.operator_norm(matrix).hex()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_operator_norms_reject_non_finite_anywhere(bad):
+    rng = np.random.default_rng(21)
+    for index in [(0, 0, 0), (33, 2, 2), (17, 1, 0)]:
+        stack = random_complex(rng, 3 * 34, 3).reshape(34, 3, 3)
+        stack[index] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            matcore.operator_norms(stack)
+
+
+def test_operator_norms_reject_wrong_ndim():
+    for wrong in (np.ones((2, 2)), np.ones((2, 2, 2, 2))):
+        with pytest.raises(InvalidInputError, match="ndim"):
+            matcore.operator_norms(wrong)
+
+
 def test_top_singular_pair_gives_the_norm_and_its_differential():
     rng = np.random.default_rng(19)
     a, da = random_complex(rng, 4, 3), random_complex(rng, 4, 3)

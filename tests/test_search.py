@@ -1,12 +1,14 @@
 """Tests for the shared search engine: the [Re, Im] codec, the restart loop
-and its budget accounting, the ascent from a degenerate start, and budget 1
-in every search built on it."""
+and its budget accounting, the ascent from a degenerate start, budget 1
+in every search built on it, and the rejection of budgets that are not
+integers."""
 
 import numpy as np
 import pytest
 
 from cbnorm_lab import _search, cbnorm, holofun, opspace
 from cbnorm_lab.cbnorm import RADIUS_CAP, level_sup
+from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.mconvex import MatrixSet, find_certificate
 from cbnorm_lab.opspace import (
     OpSpaceElement,
@@ -183,3 +185,41 @@ def _find_certificate():
 )
 def test_searches_run_at_budget_one(search):
     search()
+
+
+_NOT_INTEGERS = [True, False, 1.5, float("nan"), float("inf"), "3", None]
+
+
+@pytest.mark.parametrize("budget", _NOT_INTEGERS)
+def test_budget_rejects_non_integers(budget):
+    with pytest.raises(InvalidInputError, match="budget must be an integer"):
+        _search.Budget(budget)
+    with pytest.raises(InvalidInputError, match="budget must be an integer"):
+        _search.positive_budget(budget)
+
+
+def test_budget_accepts_integers():
+    assert _search.Budget(np.int64(3)).left == 3 and _search.Budget(np.uint8(2)).left == 2
+    # Integral floats pass, as the config schema's `integer` lets them through.
+    assert _search.Budget(2.0).left == 2 and _search.Budget(np.float64(5.0)).left == 5
+    assert _search.Budget(0).left == 0 and _search.Budget(-2).spend(5) == 0
+    assert _search.positive_budget(np.int32(7)) == 7
+    for budget in (0, -1, np.int64(0)):
+        with pytest.raises(InvalidInputError, match="budget must be >= 1"):
+            _search.positive_budget(budget)
+
+
+@pytest.mark.parametrize("budget", [True, 1.5])
+def test_searches_reject_non_integer_budgets(budget):
+    s = space_scalar()
+    k = MatrixSet(s, (OpSpaceElement(s, np.array([1.0])).as_level1(),))
+    x0 = OpSpaceMatrix(s, np.full((1, 1, 1), 2.0 + 0j))
+    searches = [
+        lambda: level_sup(holofun.PowerSeries([1.0]), 2, budget, seed=3),
+        lambda: level_sup(holofun.GeometricPhi(space_row(2), np.array([0.3, 0.4]), 0.5), 2, budget, seed=3),
+        lambda: dual_functional_norm(space_min_linf(2), np.array([1.0, 1.0]), budget, seed=3),
+        lambda: find_certificate(k, x0, budget, seed=3),
+    ]
+    for search in searches:
+        with pytest.raises(InvalidInputError, match="budget must be an integer"):
+            search()
