@@ -308,6 +308,7 @@ def schwarz_check(f: HoloFunction, estimate: CbEstimate, trials: int, seed) -> C
     """Sample (level, X) pairs and test ‖f_m(X)‖ <= upper·‖X‖ + 1e-8."""
     if estimate.upper is None:
         raise InvalidInputError("schwarz check needs an estimate with a finite upper bound")
+    trials = matcore.as_int(trials, "trials")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     upper = float(estimate.upper)
@@ -315,7 +316,7 @@ def schwarz_check(f: HoloFunction, estimate: CbEstimate, trials: int, seed) -> C
     worst = np.inf
     worst_detail = ""
     failures = 0
-    for t in range(int(trials)):
+    for t in range(trials):
         rng = matcore.derive_rng(seed, t)
         m = int(rng.integers(1, 5))
         radius = float(rng.uniform(0.05, RADIUS_CAP))
@@ -333,7 +334,7 @@ def schwarz_check(f: HoloFunction, estimate: CbEstimate, trials: int, seed) -> C
     return CheckReport(
         name="schwarz",
         passed=failures == 0,
-        trials=int(trials),
+        trials=trials,
         worst_slack=float(worst),
         detail=f"{failures} violations; tightest trial: {worst_detail}",
     )

@@ -21,6 +21,8 @@ from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize,
 
 _CONSTRAINT_TOL = 1e-10
 _PAIRING_TOL = 1e-9
+# Bytes of sampled stacks `hull_norm_check` evaluates at once.
+_STACK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +70,7 @@ def validate_representation(k: MatrixSet, rep: HullRepresentation) -> None:
     n = rep.target_level
     if not rep.terms:
         raise InvalidRepresentationError("representation has no terms")
-    row = np.zeros((n, n), dtype=np.complex128)
-    col = np.zeros((n, n), dtype=np.complex128)
+    alphas, betas = [], []
     for term in rep.terms:
         if not 0 <= term.index < len(k.generators):
             raise InvalidRepresentationError(f"generator index {term.index} out of range")
@@ -81,11 +82,30 @@ def validate_representation(k: MatrixSet, rep: HullRepresentation) -> None:
                 f"term shapes {alpha.shape}, {beta.shape} do not match target level {n} "
                 f"and generator level {level}"
             )
-        row += alpha @ alpha.conj().T
-        col += beta.conj().T @ beta
-    if matcore.operator_norm(row) > 1.0 + _CONSTRAINT_TOL:
+        alphas.append(alpha)
+        betas.append(beta)
+    _check_constraints(alphas, betas)
+
+
+def _grams(alphas, betas):
+    """Σ αα* and Σ β*β, summed in term order, for matrices or (T, ·, ·) stacks."""
+    row = sum(a @ a.conj().swapaxes(-1, -2) for a in alphas)
+    col = sum(b.conj().swapaxes(-1, -2) @ b for b in betas)
+    return row, col
+
+
+def _constraint_norms(alphas, betas):
+    """‖Σ αα*‖ and ‖Σ β*β‖: floats for matrices, (T,) arrays for stacks."""
+    row, col = _grams(alphas, betas)
+    return matcore.operator_norms(row, row.ndim), matcore.operator_norms(col, col.ndim)
+
+
+def _check_constraints(alphas, betas) -> None:
+    """Both contraction constraints, on every matrix of the stacks."""
+    row, col = _constraint_norms(alphas, betas)
+    if np.any(row > 1.0 + _CONSTRAINT_TOL):
         raise InvalidRepresentationError("row constraint ‖Σ αα*‖ <= 1 violated")
-    if matcore.operator_norm(col) > 1.0 + _CONSTRAINT_TOL:
+    if np.any(col > 1.0 + _CONSTRAINT_TOL):
         raise InvalidRepresentationError("column constraint ‖Σ β*β‖ <= 1 violated")
 
 
@@ -108,35 +128,72 @@ def identity_representation(k: MatrixSet, index: int) -> HullRepresentation:
 
 
 def _inv_sqrt(s: np.ndarray) -> np.ndarray:
-    # Hermitian PSD inverse square root with a small ridge.
-    vals, vecs = np.linalg.eigh(s + 1e-12 * np.eye(s.shape[0]))
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
+    # Hermitian PSD inverse square roots of a (T, n, n) stack, with a small ridge.
+    vals, vecs = np.linalg.eigh(s + 1e-12 * np.eye(s.shape[-1]))
+    return (vecs / np.sqrt(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def random_representation(k: MatrixSet, target_level: int, rng) -> HullRepresentation:
-    """Gaussian α, β for every generator, normalized into the constraint set."""
+def _split(k: MatrixSet, target_level: int, draws: np.ndarray):
+    """Per-generator (T, n, k_i) α and (T, k_i, n) β stacks from T rows of
+    4·n·Σk_i standard normal draws.  A row holds, for each generator in turn,
+    the real and then the imaginary parts of α, then those of β."""
     n = target_level
-    alphas, betas = [], []
+    alphas, betas, start = [], [], 0
     for gen in k.generators:
-        kk = gen.level
-        alphas.append(rng.standard_normal((n, kk)) + 1j * rng.standard_normal((n, kk)))
-        betas.append(rng.standard_normal((kk, n)) + 1j * rng.standard_normal((kk, n)))
-    row = sum(a @ a.conj().T for a in alphas)
-    col = sum(b.conj().T @ b for b in betas)
+        size = n * gen.level
+        parts = draws[:, start:start + 4 * size].reshape(-1, 2, 2, size)
+        pair = parts[:, :, 0] + 1j * parts[:, :, 1]
+        alphas.append(pair[:, 0].reshape(-1, n, gen.level))
+        betas.append(pair[:, 1].reshape(-1, gen.level, n))
+        start += 4 * size
+    return alphas, betas
+
+
+def _rescale(stacks, excess) -> None:
+    # Divide each sample whose constraint norm is above 1 by its square root.
+    over = excess > 1.0
+    if over.any():
+        scale = np.sqrt(excess[over])[:, None, None]
+        for s in stacks:
+            s[over] = s[over] / scale
+
+
+def _normalize(alphas, betas):
+    """Map (T, n, k_i) α and (T, k_i, n) β stacks into the constraint set,
+    each of the T samples on its own."""
+    row, col = _grams(alphas, betas)
     left = _inv_sqrt(row)
     right = _inv_sqrt(col)
     alphas = [left @ a for a in alphas]
     betas = [b @ right for b in betas]
     # The ridge leaves rank-deficient samples a hair outside the constraint
     # set; rescale onto it exactly.
-    excess_row = matcore.operator_norm(sum(a @ a.conj().T for a in alphas))
-    excess_col = matcore.operator_norm(sum(b.conj().T @ b for b in betas))
-    if excess_row > 1.0:
-        alphas = [a / np.sqrt(excess_row) for a in alphas]
-    if excess_col > 1.0:
-        betas = [b / np.sqrt(excess_col) for b in betas]
-    terms = tuple(HullTerm(a, i, b) for i, (a, b) in enumerate(zip(alphas, betas)))
-    return HullRepresentation(terms=terms, target_level=n)
+    excess_row, excess_col = _constraint_norms(alphas, betas)
+    _rescale(alphas, excess_row)
+    _rescale(betas, excess_col)
+    return alphas, betas
+
+
+def random_representation(k: MatrixSet, target_level: int, rng) -> HullRepresentation:
+    """Gaussian α, β for every generator, normalized into the constraint set:
+    the stack-of-one case of the sampler `hull_norm_check` runs."""
+    draws = rng.standard_normal(4 * target_level * sum(g.level for g in k.generators))
+    alphas, betas = _normalize(*_split(k, target_level, draws[None]))
+    terms = tuple(HullTerm(a[0], i, b[0]) for i, (a, b) in enumerate(zip(alphas, betas)))
+    return HullRepresentation(terms=terms, target_level=target_level)
+
+
+def _sampled_norms(k: MatrixSet, target_level: int, draws) -> np.ndarray:
+    """Norms of the hull points of same-level draws, one stack per step: the
+    normalized α and β, their constraint check, the points Σ αᵢ·xᵢ·βᵢ and
+    their realizations."""
+    alphas, betas = _normalize(*_split(k, target_level, np.stack(draws)))
+    _check_constraints(alphas, betas)
+    points = sum(
+        np.einsum("tpr,rsd,tsq->tpqd", a, gen.entries, b)
+        for a, gen, b in zip(alphas, k.generators, betas)
+    )
+    return matcore.operator_norms(opspace.block_matrix(points, k.space.basis))
 
 
 @dataclass(frozen=True)
@@ -151,25 +208,38 @@ class HullReport:
 
 def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
     """Sampled hull points must not beat the generator norm (within 1e-8);
-    the identity representation must attain it exactly."""
+    the identity representation must attain it exactly.
+
+    Trial t draws its level and its α, β from `derive_rng(seed, t)`.  Trials
+    are drawn in chunks that fill about `_STACK_BYTES`, and each chunk's
+    trials are evaluated as one stack per level; every norm has the bits of
+    the same trial evaluated alone."""
+    trials = matcore.as_int(trials, "trials")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
-    bound = set_norm(k)
+    gen_norms = [matrix_norm(g) for g in k.generators]
+    bound = max(gen_norms)
+    best_index = int(np.argmax(gen_norms))
+    width = 4 * sum(g.level for g in k.generators)
+    # Rough bytes of one level-3 trial in the stacks: draws, α, β, point and realization.
+    trial_bytes = 8 * 3 * width + 16 * 9 * (k.space.ambient**2 + k.space.dim)
+    chunk = max(1, _STACK_BYTES // trial_bytes)
     worst = -np.inf
     failures = 0
-    for t in range(int(trials)):
-        rng = matcore.derive_rng(seed, t)
-        level = int(rng.integers(1, 4))
-        rep = random_representation(k, level, rng)
-        excess = matrix_norm(hull_element(k, rep)) - bound
-        worst = max(worst, excess)
-        if excess > 1e-8:
-            failures += 1
-    best_index = int(np.argmax([matrix_norm(g) for g in k.generators]))
+    for start in range(0, trials, chunk):
+        by_level = {}
+        for t in range(start, min(start + chunk, trials)):
+            rng = matcore.derive_rng(seed, t)
+            level = int(rng.integers(1, 4))
+            by_level.setdefault(level, []).append(rng.standard_normal(level * width))
+        for level, draws in by_level.items():
+            excess = _sampled_norms(k, level, draws) - bound
+            worst = max(worst, float(excess.max()))
+            failures += int(np.count_nonzero(excess > 1e-8))
     attained = matrix_norm(hull_element(k, identity_representation(k, best_index))) == bound
     return HullReport(
         passed=failures == 0 and attained,
-        trials=int(trials),
+        trials=trials,
         set_norm=float(bound),
         worst_excess=float(worst),
         identity_attained=attained,

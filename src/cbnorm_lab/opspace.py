@@ -99,11 +99,13 @@ class OpSpaceMatrix:
 
 def block_matrix(entries: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The mN×mN block matrix whose (i, j) block is Σ_k entries[i,j,k]·B_k,
-    from raw (m, m, d) and (d, N, N) arrays."""
-    m, _, d = entries.shape
+    from raw (m, m, d) and (d, N, N) arrays; a (T, m, m, d) stack of entries
+    gives a (T, mN, mN) stack, each matrix with the bits it has alone."""
+    stack = entries.shape[:-3]
+    m, _, d = entries.shape[-3:]
     n = basis.shape[1]
-    blocks = (entries.reshape(m * m, d) @ basis.reshape(d, n * n)).reshape(m, m, n, n)
-    return blocks.swapaxes(1, 2).reshape(m * n, m * n)
+    blocks = (entries.reshape(stack + (m * m, d)) @ basis.reshape(d, n * n)).reshape(stack + (m, m, n, n))
+    return blocks.swapaxes(-3, -2).reshape(stack + (m * n, m * n))
 
 
 def block_adjoint(u: np.ndarray, v: np.ndarray, basis: np.ndarray) -> np.ndarray:

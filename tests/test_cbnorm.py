@@ -300,3 +300,18 @@ def test_validation_errors():
         level_sup(IDENTITY, 1, 0, 1)
     with pytest.raises(InvalidInputError):
         cb_lower_bound(IDENTITY, 0, 100, 1)
+
+
+@pytest.mark.parametrize("trials", [True, False, 1.5, "3", None])
+def test_schwarz_check_rejects_non_integer_trials(trials):
+    est = sandwich(IDENTITY, 1, 50, 1)
+    with pytest.raises(InvalidInputError):
+        schwarz_check(IDENTITY, est, trials, 1)
+
+
+def test_schwarz_check_accepts_integral_trials():
+    est = sandwich(SQUARE, 1, 50, 1)
+    report = schwarz_check(SQUARE, est, 60, 7)
+    assert report.trials == 60
+    assert schwarz_check(SQUARE, est, np.int64(60), 7) == report
+    assert schwarz_check(SQUARE, est, 60.0, 7) == report

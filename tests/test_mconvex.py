@@ -1,11 +1,15 @@
 """Tests for hull representations, the pairing, and separation certificates."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cbnorm_lab import matcore
+from cbnorm_lab import descriptors, matcore, mconvex
 from cbnorm_lab.errors import InvalidInputError, InvalidRepresentationError
 from cbnorm_lab.mconvex import (
+    HullReport,
     HullRepresentation,
     HullTerm,
     MatrixSet,
@@ -26,12 +30,16 @@ from cbnorm_lab.opspace import (
     realize,
     space_min_linf,
     space_mk,
+    space_row,
     space_scalar,
 )
 
 SCALAR = space_scalar()
 MK2 = space_mk(2)
 MIN2 = space_min_linf(2)
+ROW2 = space_row(2)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SPACES = {"scalar": SCALAR, "matrix2": MK2, "row2": ROW2, "min2": MIN2}
 
 
 def scalar_point(value, level=1):
@@ -226,3 +234,178 @@ def test_matrix_set_validation():
         MatrixSet(SCALAR, ())
     with pytest.raises(InvalidInputError):
         MatrixSet(SCALAR, (OpSpaceElement(MIN2, np.array([1.0, 0.0])).as_level1(),))
+
+
+# ---------------------------------------------------------------------------
+# hull_norm_check's level stacks against the trial-by-trial loop they replace
+
+
+def _reference_inv_sqrt(s):
+    vals, vecs = np.linalg.eigh(s + 1e-12 * np.eye(s.shape[0]))
+    return (vecs / np.sqrt(vals)) @ vecs.conj().T
+
+
+def _reference_representation(k, n, rng):
+    """One sample drawn and normalized on its own: the reference for the stacks."""
+    alphas, betas = [], []
+    for gen in k.generators:
+        kk = gen.level
+        alphas.append(rng.standard_normal((n, kk)) + 1j * rng.standard_normal((n, kk)))
+        betas.append(rng.standard_normal((kk, n)) + 1j * rng.standard_normal((kk, n)))
+    row = sum(a @ a.conj().T for a in alphas)
+    col = sum(b.conj().T @ b for b in betas)
+    left = _reference_inv_sqrt(row)
+    right = _reference_inv_sqrt(col)
+    alphas = [left @ a for a in alphas]
+    betas = [b @ right for b in betas]
+    excess_row = matcore.operator_norm(sum(a @ a.conj().T for a in alphas))
+    excess_col = matcore.operator_norm(sum(b.conj().T @ b for b in betas))
+    if excess_row > 1.0:
+        alphas = [a / np.sqrt(excess_row) for a in alphas]
+    if excess_col > 1.0:
+        betas = [b / np.sqrt(excess_col) for b in betas]
+    terms = tuple(HullTerm(a, i, b) for i, (a, b) in enumerate(zip(alphas, betas)))
+    return HullRepresentation(terms=terms, target_level=n)
+
+
+def _trial_norm(k, seed, t):
+    rng = matcore.derive_rng(seed, t)
+    level = int(rng.integers(1, 4))
+    return level, matrix_norm(hull_element(k, _reference_representation(k, level, rng)))
+
+
+def _trial_by_trial(k, trials, seed):
+    """hull_norm_check as one trial at a time."""
+    bound = set_norm(k)
+    worst = -np.inf
+    failures = 0
+    for t in range(int(trials)):
+        excess = _trial_norm(k, seed, t)[1] - bound
+        worst = max(worst, excess)
+        if excess > 1e-8:
+            failures += 1
+    best_index = int(np.argmax([matrix_norm(g) for g in k.generators]))
+    attained = matrix_norm(hull_element(k, identity_representation(k, best_index))) == bound
+    return HullReport(
+        passed=failures == 0 and attained,
+        trials=int(trials),
+        set_norm=float(bound),
+        worst_excess=float(worst),
+        identity_attained=attained,
+        detail=f"{failures} sampled violations; identity representation attains the bound: {attained}",
+    )
+
+
+def _random_set(space, seed):
+    rng = np.random.default_rng(seed)
+    gens = []
+    for level in rng.integers(1, 4, size=int(rng.integers(1, 4))):
+        g = random_point(rng, space, int(level))
+        gens.append(OpSpaceMatrix(space, g.entries * (rng.uniform(0.2, 1.0) / matrix_norm(g))))
+    return MatrixSet(space, tuple(gens))
+
+
+def _assert_same_report(report, expected):
+    assert report == expected
+    assert report.worst_excess.hex() == expected.worst_excess.hex()
+    assert report.set_norm.hex() == expected.set_norm.hex()
+
+
+@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hull_norm_check_matches_trial_by_trial(name, seed):
+    k = _random_set(SPACES[name], 10 * seed + list(SPACES).index(name))
+    for trials in (1, 2, 3, 7, 60, 200):
+        _assert_same_report(hull_norm_check(k, trials, seed), _trial_by_trial(k, trials, seed))
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 5000])
+def test_hull_norm_check_chunks_match_trial_by_trial(monkeypatch, stack_bytes):
+    # One trial per chunk, then chunks of a few trials each.
+    k = _random_set(MK2, 5)
+    monkeypatch.setattr(mconvex, "_STACK_BYTES", stack_bytes)
+    _assert_same_report(hull_norm_check(k, 60, 4), _trial_by_trial(k, 60, 4))
+
+
+def test_sampled_norms_match_each_trial():
+    k = _random_set(MIN2, 6)
+    width = 4 * sum(g.level for g in k.generators)
+    by_level = {}
+    for t in range(200):
+        rng = matcore.derive_rng(8, t)
+        level = int(rng.integers(1, 4))
+        by_level.setdefault(level, ([], []))
+        by_level[level][0].append(rng.standard_normal(level * width))
+        by_level[level][1].append(_trial_norm(k, 8, t)[1])
+    for level, (draws, expected) in by_level.items():
+        norms = mconvex._sampled_norms(k, level, draws)
+        assert [v.hex() for v in norms.tolist()] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_random_representation_matches_reference_bits(name):
+    k = _random_set(SPACES[name], 40 + list(SPACES).index(name))
+    for level in (1, 2, 3):
+        rep = random_representation(k, level, np.random.default_rng(level))
+        expected = _reference_representation(k, level, np.random.default_rng(level))
+        for term, ref in zip(rep.terms, expected.terms, strict=True):
+            assert term.index == ref.index
+            assert np.asarray(term.alpha).tobytes() == ref.alpha.tobytes()
+            assert np.asarray(term.beta).tobytes() == ref.beta.tobytes()
+
+
+def test_hull_norm_check_stacks_by_level(monkeypatch):
+    # Trial by trial, these 200 trials take about 1000 SVDs and 400 eighs.
+    config = json.loads((CONFIGS / "hull_mk2.json").read_text())
+    k = descriptors.matrix_set_from_descriptor(config["set"])
+    calls = {"svd": 0, "eigh": 0}
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    hull_norm_check(k, 200, config["seed"])
+    # Three levels of five norm stacks, two generator norms and the identity
+    # representation's two constraint norms and its norm.
+    assert calls["eigh"] <= 6
+    assert calls["svd"] <= 3 * 5 + len(k.generators) + 3
+
+
+@pytest.mark.parametrize("trials", [True, False, 1.5, "3", None])
+def test_hull_norm_check_rejects_non_integer_trials(trials):
+    k = MatrixSet(SCALAR, (scalar_point(0.7),))
+    with pytest.raises(InvalidInputError):
+        hull_norm_check(k, trials, 0)
+
+
+def test_hull_norm_check_accepts_integral_trials():
+    k = _random_set(MK2, 7)
+    report = hull_norm_check(k, 60, 3)
+    assert report.trials == 60
+    _assert_same_report(hull_norm_check(k, np.int64(60), 3), report)
+    _assert_same_report(hull_norm_check(k, 60.0, 3), report)
+
+
+def test_hull_norm_check_checks_constraints_on_every_trial(monkeypatch):
+    k = _random_set(MIN2, 9)
+    checked = []
+    check = mconvex._check_constraints
+
+    def recording(alphas, betas):
+        checked.append(int(np.prod(alphas[0].shape[:-2])))
+        check(alphas, betas)
+
+    monkeypatch.setattr(mconvex, "_check_constraints", recording)
+    hull_norm_check(k, 50, 0)
+    # Every trial, and then the identity representation.
+    assert sum(checked) == 51
+    monkeypatch.setattr(mconvex, "_CONSTRAINT_TOL", -0.5)
+    with pytest.raises(InvalidRepresentationError):
+        hull_norm_check(k, 5, 0)
