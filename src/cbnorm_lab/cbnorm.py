@@ -18,7 +18,7 @@ import numpy as np
 
 from . import holofun, matcore, opspace
 from ._search import decode, encode, positive_budget, real_gradient, restarts
-from .errors import InvalidInputError, SandwichViolationError
+from .errors import ImageGuardError, InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
     Composite,
@@ -72,26 +72,28 @@ def serialize_matrix(mat) -> str:
     return json.dumps([list(arr.shape), flat], separators=(",", ":"))
 
 
-def _norm_and_gradient(values: np.ndarray, derivative: np.ndarray):
-    """σ₁ of an entrywise image F of the point and a function returning its
-    gradient, dσ₁ = Re Σ conj(u_i)·v_j·dF_ij with dF_ij = derivative[i, j]·dz_ij."""
+def _norms_and_gradients(values: np.ndarray, derivative: np.ndarray):
+    """σ₁ of each entrywise image F of a stack of points, and a function
+    returning row i's gradient, dσ₁ = Re Σ conj(u_j)·v_l·dF_jl with
+    dF_jl = derivative[i, j, l]·dz_jl."""
 
-    def gradient():
-        _, u, v = matcore.top_singular_pair(values)
+    def gradient_at(i):
+        _, u, v = matcore.top_singular_pair(values[i])
         weights = np.outer(u.conj(), v)
-        return real_gradient(derivative * weights.reshape(weights.shape + (1,) * (derivative.ndim - 2)))
+        der = derivative[i]
+        return real_gradient(der * weights.reshape(weights.shape + (1,) * (der.ndim - 2)))
 
-    return matcore.operator_norm(values), gradient
+    return matcore.operator_norms(values), gradient_at
 
 
 def _disk_problem(f: HoloFunction, m: int):
     shape = (m, m)
 
-    def objective(vec):
-        return _norm_and_gradient(*holofun._eval_array(f, decode(vec, shape)))
+    def objective(stack):
+        return _norms_and_gradients(*holofun._eval_array(f, decode(stack, shape)))
 
-    def project(vec):
-        return encode(matcore.project_ball(decode(vec, shape), RADIUS_CAP))
+    def project(stack):
+        return encode(matcore.project_ball(decode(stack, shape), RADIUS_CAP), stacked=True)
 
     def start(rng, radius):
         return encode(matcore._random_ball(rng, m, radius))
@@ -116,14 +118,31 @@ def _space_problem(f: HoloFunction, m: int):
         outward = grad @ normal
         return grad - (outward / (normal @ normal)) * normal if outward > 0.0 else grad
 
-    def objective(vec):
-        entries = decode(vec, shape)
-        value, gradient = _norm_and_gradient(*holofun._amplify_space_entries(f, entries))
-        return value, lambda: along_cap(gradient(), entries)
+    def objective(stack):
+        # The guard raises for the first row, which is always charged.  A
+        # later row that trips it ends the stack: `ascend` puts that row first
+        # in its next stack only if no earlier row improved, as trying the
+        # candidates one at a time would reach it.
+        entries = decode(stack, shape)
+        while True:
+            try:
+                images = holofun._amplify_space_entries(f, entries)
+                break
+            except ImageGuardError as err:
+                if not err.row:
+                    raise
+                entries = entries[: err.row]
+        values, gradient_at = _norms_and_gradients(*images)
+        return values, lambda i: along_cap(gradient_at(i), entries[i])
 
-    def project(vec):
-        nrm = matcore.operator_norm(opspace.block_matrix(decode(vec, shape), space.basis))
-        return vec * (RADIUS_CAP / nrm) if nrm > RADIUS_CAP else vec
+    def project(stack):
+        norms = matcore.operator_norms(opspace.block_matrix(decode(stack, shape), space.basis))
+        outside = norms > RADIUS_CAP
+        if not outside.any():
+            return stack
+        out = stack.copy()
+        out[outside] = stack[outside] * (RADIUS_CAP / norms[outside])[:, None]
+        return out
 
     def start(rng, radius):
         return encode(opspace._random_matrix_ball(rng, space, m, radius).entries)

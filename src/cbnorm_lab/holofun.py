@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import matcore
-from .errors import ConfigurationError, DomainError, InvalidInputError
+from .errors import ConfigurationError, DomainError, ImageGuardError, InvalidInputError
 from .opspace import ConcreteOperatorSpace, OpSpaceElement, OpSpaceMatrix, matrix_norm, same_space
 
 # Amplification through a functional rejects scalar images this close to the
@@ -269,17 +269,21 @@ def _combine(f, evaluate, z):
 
 
 def _functional_image(entries: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """φ applied to every entry of an (m, m, d) grid or a (k, m, m, d) stack."""
     s = entries @ phi
-    if matcore.operator_norm(s) >= 1.0 - _IMAGE_GUARD:
-        raise DomainError(
+    tripped = np.flatnonzero(matcore.operator_norms(s, s.ndim) >= 1.0 - _IMAGE_GUARD)
+    if tripped.size:
+        raise ImageGuardError(
             "scalar image of the functional reached the guard radius; "
-            "its certified norm looks wrong"
+            "its certified norm looks wrong",
+            row=int(tripped[0]) if s.ndim == 3 else None,
         )
     return s
 
 
 def _amplify_space_entries(f: HoloFunction, entries: np.ndarray):
-    """(F, ∂F_ij/∂E_ijk) of f on an (m, m, d) grid E; for g∘φ that is g′(E_ij·φ)·φ_k."""
+    """(F, ∂F_ij/∂E_ijk) of f on an (m, m, d) grid E, or on each grid of a
+    (k, m, m, d) stack; for g∘φ that is g′(E_ij·φ)·φ_k."""
     if isinstance(f, GeometricPhi):
         s = _functional_image(entries, f.phi)
         return s / (1.0 - s), (1.0 / (1.0 - s) ** 2)[..., None] * f.phi

@@ -125,13 +125,28 @@ def sample_ball(m: int, radius: float, seed) -> np.ndarray:
     return _random_ball(derive_rng(seed), int(m), radius)
 
 
+def _clip(m: np.ndarray, r: float) -> np.ndarray:
+    # Singular values of a matrix or of each matrix of a stack clipped at r.
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return (u * np.minimum(s, r)[..., None, :]) @ vh
+
+
 def project_ball(a, r: float) -> np.ndarray:
-    """Clip singular values at r; points already inside the ball are fixed."""
-    m = as_matrix(a)
+    """Clip singular values at r, of one matrix or of each matrix of a
+    (k, p, q) stack; matrices already inside the ball are returned unchanged.
+
+    Every matrix takes a values-only SVD, and those outside the ball one SVD
+    with vectors, as one stack; each result has the bits of the same matrix
+    projected alone."""
+    m = as_matrix(a, 3 if np.ndim(a) == 3 else 2)
     r = float(r)
     if not r > 0.0:
         raise InvalidInputError(f"projection radius must be positive, got {r}")
-    if m.size == 0 or operator_norm(m) <= r:
+    outside = operator_norms(m, m.ndim) > r
+    if not outside.any():
         return m
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return (u * np.minimum(s, r)) @ vh
+    if outside.all():
+        return _clip(m, r)
+    out = m.copy()
+    out[outside] = _clip(m[outside], r)
+    return out

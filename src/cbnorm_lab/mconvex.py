@@ -272,16 +272,21 @@ class SeparationCertificate:
         return self.grid.shape[0]
 
 
+def _pairings(grid: np.ndarray, x: OpSpaceMatrix) -> np.ndarray:
+    """`pairing` of a raw (n, n, d) grid, or of each grid of a (k, n, n, d) stack."""
+    return opspace.block_matrix(grid, np.moveaxis(x.entries, -1, 0))
+
+
 def pairing(f: SeparationCertificate, x: OpSpaceMatrix) -> np.ndarray:
     """The nm×nm matrix (f_ij(x_kl)), rows indexed by (i,k), columns by (j,l)."""
     if not same_space(f.space, x.space):
         raise InvalidInputError("certificate and matrix live over different spaces")
-    return opspace.block_matrix(f.grid, np.moveaxis(x.entries, -1, 0))
+    return _pairings(f.grid, x)
 
 
-def _pairing_gradient(f: SeparationCertificate, x: OpSpaceMatrix) -> np.ndarray:
-    """The grid G with dσ₁(pairing(f, x)) = Re Σ G·d(f.grid), x's entries as basis."""
-    _, u, v = matcore.top_singular_pair(pairing(f, x))
+def _pairing_gradient(grid: np.ndarray, x: OpSpaceMatrix) -> np.ndarray:
+    """The grid G with dσ₁(pairing(grid, x)) = Re Σ G·d(grid), x's entries as basis."""
+    _, u, v = matcore.top_singular_pair(_pairings(grid, x))
     return opspace.block_adjoint(u, v, np.moveaxis(x.entries, -1, 0))
 
 
@@ -355,20 +360,22 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     n, d = x0.level, space.dim
     shape = (n, n, d)
 
-    def objective(vec):
-        f = SeparationCertificate(space, decode(vec, shape))
-        verdict = check_certificate(f, k, x0)
-        active = int(np.argmax(verdict.generator_values))
-        peak = max(verdict.generator_values[active], 1e-12)
+    def objective(stack):
+        grids = decode(stack, shape)
+        target = matcore.operator_norms(_pairings(grids, x0))
+        gen_values = np.stack([matcore.operator_norms(_pairings(grids, g)) for g in k.generators], axis=1)
+        active = np.argmax(gen_values, axis=1)
+        peak = np.maximum(gen_values.max(axis=1), 1e-12)
 
-        def gradient():
+        def gradient_at(i):
             # The quotient rule, through the active generator's pairing.
-            grad = _pairing_gradient(f, x0) / peak
-            if verdict.generator_values[active] > 1e-12:
-                grad = grad - verdict.target_value / peak**2 * _pairing_gradient(f, k.generators[active])
+            top, value = float(peak[i]), float(target[i])
+            grad = _pairing_gradient(grids[i], x0) / top
+            if gen_values[i, active[i]] > 1e-12:
+                grad = grad - value / top**2 * _pairing_gradient(grids[i], k.generators[active[i]])
             return real_gradient(grad)
 
-        return verdict.target_value / peak, gradient
+        return target / peak, gradient_at
 
     start = lambda rng: rng.standard_normal(2 * n * n * d)
     for vec, _ in restarts(objective, to_sphere, start, budget - 2, seed):

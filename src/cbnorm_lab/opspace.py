@@ -266,17 +266,20 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
         return 0.0
     d = space.dim
 
-    def objective(vec):
-        c = _search.decode(vec, (1, 1, d))  # a level-1 matrix over the space
-        p, realized = np.sum(c * phi), block_matrix(c, space.basis)
-        t = matcore.operator_norm(realized)
+    def objective(stack):
+        c = _search.decode(stack, (1, 1, d))  # level-1 matrices over the space
+        # Row by row: an axis reduction sums in another order, and |p| of an
+        # array can differ in the last bit from |p| of one number.
+        p = np.array([np.sum(row * phi) for row in c])
+        t = matcore.operator_norms(block_matrix(c, space.basis))
 
-        def gradient():
-            _, u, v = matcore.top_singular_pair(realized)
-            phase = np.conj(p) / abs(p) if p else 1.0
-            return _search.real_gradient(phase * phi / t - abs(p) / t**2 * block_adjoint(u, v, space.basis))
+        def gradient_at(i):
+            _, u, v = matcore.top_singular_pair(block_matrix(c[i], space.basis))
+            pi, ti = p[i], float(t[i])
+            phase = np.conj(pi) / abs(pi) if pi else 1.0
+            return _search.real_gradient(phase * phi / ti - abs(pi) / ti**2 * block_adjoint(u, v, space.basis))
 
-        return abs(p) / t, gradient
+        return np.array([abs(pi) for pi in p]) / t, gradient_at
 
     start = lambda rng: rng.standard_normal(2 * d)
     runs = _search.restarts(objective, _search.to_sphere, start, budget, seed)

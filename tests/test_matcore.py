@@ -239,6 +239,61 @@ def test_project_ball_takes_singular_vectors_only_outside_the_ball(monkeypatch):
     assert with_vectors == [False, False, True]
 
 
+def _stack_across_the_ball(rng, k=12, n=3):
+    """k random n×n matrices with norms spread over [0.2, 2.0]."""
+    stack = random_complex(rng, k * n, n).reshape(k, n, n)
+    norms = np.array([matcore.operator_norm(a) for a in stack])
+    return stack * (np.linspace(0.2, 2.0, k) / norms)[:, None, None]
+
+
+def test_project_ball_stack_rows_have_the_bits_of_one_matrix():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 8):
+        stack = _stack_across_the_ball(rng, n=n)
+        out = matcore.project_ball(stack, 0.999999)
+        assert out.shape == stack.shape
+        for a, row in zip(stack, out):
+            assert np.array_equal(row, matcore.project_ball(a, 0.999999))
+
+
+def test_project_ball_stack_returns_interior_rows_unchanged():
+    stack = _stack_across_the_ball(np.random.default_rng(32))
+    out = matcore.project_ball(stack, 1.0)
+    inside = np.array([matcore.operator_norm(a) <= 1.0 for a in stack])
+    assert inside.any() and not inside.all()
+    assert np.array_equal(out[inside], stack[inside])
+    assert all(matcore.operator_norm(a) <= 1.0 + 1e-12 for a in out[~inside])
+
+
+def test_project_ball_stack_takes_vectors_only_of_rows_outside(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, compute_uv=True, **kwargs):
+        calls.append((compute_uv, np.shape(a)[:-2]))
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    stack = _stack_across_the_ball(np.random.default_rng(33))
+    outside = sum(matcore.operator_norm(a) > 1.0 for a in stack)
+    inside = stack[:4] / 2.0
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert np.array_equal(matcore.project_ball(inside, 1.0), inside)
+    assert calls == [(False, (4,))]
+    calls.clear()
+    matcore.project_ball(stack, 1.0)
+    assert calls == [(False, (12,)), (True, (outside,))]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_project_ball_stack_rejects_non_finite_anywhere(bad):
+    rng = np.random.default_rng(34)
+    for index in [(0, 0, 0), (11, 2, 2), (5, 1, 0)]:
+        stack = _stack_across_the_ball(rng)
+        stack[index] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            matcore.project_ball(stack, 1.0)
+
+
 def test_project_ball_rejects_nonpositive_radius():
     with pytest.raises(InvalidInputError):
         matcore.project_ball(np.eye(2), 0.0)

@@ -1,14 +1,17 @@
 """Tests for the shared search engine: the [Re, Im] codec, the restart loop
-and its budget accounting, the ascent from a degenerate start, budget 1
-in every search built on it, and the rejection of budgets that are not
-integers."""
+and its budget accounting, the batched line search against the sequential
+one, the functional-image guard on batched candidates, the ascent from a
+degenerate start, budget 1 in every search built on it, and the rejection
+of budgets that are not integers."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cbnorm_lab import _search, cbnorm, holofun, opspace
+from cbnorm_lab import _search, cbnorm, holofun, matcore, mconvex, opspace
 from cbnorm_lab.cbnorm import RADIUS_CAP, level_sup
-from cbnorm_lab.errors import InvalidInputError
+from cbnorm_lab.errors import DomainError, InvalidInputError
 from cbnorm_lab.mconvex import MatrixSet, find_certificate
 from cbnorm_lab.opspace import (
     OpSpaceElement,
@@ -26,12 +29,23 @@ def test_codec_round_trip():
     vec = _search.encode(arr)
     assert vec.dtype == np.float64 and vec.shape == (48,)
     assert np.array_equal(_search.decode(vec, arr.shape), arr)
+    # A stack encodes row by row, each row as its point alone.
+    stack = _search.encode(arr, stacked=True)
+    assert stack.shape == (2, 24)
+    for row, point in zip(stack, arr):
+        assert np.array_equal(row, _search.encode(point))
+    assert np.array_equal(_search.decode(stack, (3, 4)), arr)
 
 
 def test_to_sphere():
-    assert np.allclose(np.linalg.norm(_search.to_sphere(np.array([3.0, 4.0]))), 1.0)
-    zero = np.zeros(3)
-    assert _search.to_sphere(zero) is zero
+    rng = np.random.default_rng(5)
+    stack = np.vstack([[3.0, 4.0, 0.0], np.zeros(3), rng.standard_normal((5, 3))])
+    before = stack.copy()
+    out = _search.to_sphere(stack)
+    assert np.allclose(out[0], [0.6, 0.8, 0.0]) and np.array_equal(out[1], np.zeros(3))
+    for row, vec in zip(out[2:], stack[2:]):
+        assert np.array_equal(row, vec / np.linalg.norm(vec))  # the bits of the row alone
+    assert np.array_equal(stack, before)
 
 
 def _grants(monkeypatch):
@@ -49,19 +63,33 @@ def _grants(monkeypatch):
 
 
 def _counted_run(monkeypatch, budget, seed):
-    calls = [0]
+    # A point counts once it is one the sequential search evaluates: a start
+    # point, or a line-search candidate up to the first that beats the
+    # iterate.  Rows of a batch after that one are evaluated but not counted.
+    calls, iterate = [0], [None]
 
-    def objective(x):
-        calls[0] += 1  # one evaluation per point
+    def objective(stack):
+        values = -np.sum((stack - 0.3) ** 2, axis=1)
+        if iterate[0] is None:  # a start point
+            calls[0] += 1
+            iterate[0] = values[0]
+        else:
+            better = np.flatnonzero(values > iterate[0])
+            calls[0] += int(better[0]) + 1 if better.size else len(stack)
+            if better.size:
+                iterate[0] = values[better[0]]
 
-        def gradient():
-            calls[0] += x.size  # a gradient costs n evaluations
-            return -2.0 * (x - 0.3)
+        def gradient_at(i):
+            calls[0] += stack.shape[1]  # a gradient costs n evaluations
+            return -2.0 * (stack[i] - 0.3)
 
-        return -np.sum((x - 0.3) ** 2), gradient
+        return values, gradient_at
+
+    def start(rng):
+        iterate[0] = None
+        return rng.standard_normal(4)
 
     grants = _grants(monkeypatch)
-    start = lambda rng: rng.standard_normal(4)
     runs = list(_search.restarts(objective, _search.to_sphere, start, budget, seed, 5))
     # A gradient granted fewer than its n evaluations is spent without being taken.
     short = sum(granted for asked, granted in grants if asked == 4 and granted < 4)
@@ -89,7 +117,7 @@ def test_restarts_without_budget_yield_nothing(monkeypatch, budget):
 
 def test_restart_streams_are_distinct():
     start = lambda rng: rng.standard_normal(3)
-    objective = lambda x: (0.0, lambda: np.zeros(x.size))
+    objective = lambda stack: (np.zeros(len(stack)), lambda i: np.zeros(stack.shape[1]))
     first = [
         next(_search.restarts(objective, lambda v: v, start, 1, 2, stream))[0]
         for stream in (1, 2)
@@ -106,10 +134,10 @@ def test_level_sup_spends_its_budget_when_one_gradient_needs_more(monkeypatch):
     def counted(f, m):
         objective, *rest = disk_problem(f, m)
 
-        def counting(x):
-            points.append(x)
-            value, gradient = objective(x)
-            return value, lambda: gradients.append(x) or gradient()
+        def counting(stack):
+            points.extend(stack)
+            values, gradient_at = objective(stack)
+            return values, lambda i: gradients.append(stack[i]) or gradient_at(i)
 
         return (counting, *rest)
 
@@ -143,13 +171,13 @@ def test_space_gradient_on_the_cap_drops_its_outward_part():
     space = space_min_linf(2)
     f = holofun.Composite(holofun.PowerSeries([1.0]), space, np.array([0.3, 0.4]), 0.7)
     objective, project, _, _ = cbnorm._space_problem(f, 2)
-    x = project(2.0 * np.random.default_rng(6).standard_normal(16))  # onto the cap
+    x = project(2.0 * np.random.default_rng(6).standard_normal((1, 16)))[0]  # onto the cap
     # The cap's outward normal and the objective's gradient, by central differences.
     block_norm = lambda v: opspace.matrix_norm(OpSpaceMatrix(space, _search.decode(v, (2, 2, 2))))
     central = lambda g: np.array([g(x + e) - g(x - e) for e in 1e-6 * np.eye(16)]) / 2e-6
-    normal, raw = central(block_norm), central(lambda v: objective(v)[0])
+    normal, raw = central(block_norm), central(lambda v: objective(v[None])[0][0])
     assert raw @ normal > 0.1 * np.linalg.norm(raw) * np.linalg.norm(normal)
-    grad = objective(x)[1]()
+    grad = objective(x[None])[1](0)
     assert abs(grad @ normal) <= 1e-6 * np.linalg.norm(grad) * np.linalg.norm(normal)
     assert np.linalg.norm(grad) > 0.1 * np.linalg.norm(raw)
 
@@ -223,3 +251,231 @@ def test_searches_reject_non_integer_budgets(budget):
     for search in searches:
         with pytest.raises(InvalidInputError, match="budget must be an integer"):
             search()
+
+
+# ---------------------------------------------------------------------------
+# The batched line search against the sequential one
+
+
+def _sequential_ascend(objective, x0, project, budget):
+    """The ascent that tries one line-search candidate at a time, as the
+    search ran before candidates were batched: the reference `ascend` must
+    match bit for bit.  `objective` and `project` take one point."""
+    x = project(np.asarray(x0, dtype=float))
+    if not budget.spend():
+        return None, -np.inf
+    value, gradient = objective(x)
+    for _ in range(_search._MAX_STEPS):
+        if budget.spend(x.size) < x.size:
+            break
+        grad = gradient()
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= 1e-12:
+            break
+        step = 1.0 / gnorm
+        while step * gnorm > 1e-9:
+            if not budget.spend():
+                return x, value
+            cand = project(x + step * grad)
+            cval, cgrad = objective(cand)
+            if cval > value:
+                x, value, gradient = cand, cval, cgrad
+                break
+            step *= 0.5
+        else:
+            break
+    return x, value
+
+
+def _one_point(objective, project):
+    """A stacked objective and projection as maps of one point, a stack of one."""
+
+    def single(x):
+        values, gradient_at = objective(x[None])
+        return values[0], lambda: gradient_at(0)
+
+    return single, lambda x: project(x[None])[0]
+
+
+# Each case is a random problem: (objective, project, start point, and the
+# value of one point computed on its own, as the single-point objectives did).
+
+
+def _disk_case(rng):
+    f = [holofun.PowerSeries([1.0]), holofun.MoebiusQuotient(holofun.PowerSeries([0.0, 1.0]), 0.5),
+         holofun.PowerSeries([0.2, -0.5, 0.3j])][int(rng.integers(3))]
+    m = int(rng.integers(2, 4))
+    objective, project, start, _ = cbnorm._disk_problem(f, m)
+    alone = lambda vec: matcore.operator_norm(holofun._eval_array(f, _search.decode(vec, (m, m)))[0])
+    return objective, project, start(rng, 0.5), alone
+
+
+def _space_case(rng):
+    space = [space_min_linf(2), space_row(2), opspace.space_mk(2)][int(rng.integers(3))]
+    phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    phi *= 0.6 / opspace.closed_form_dual_norm(space, phi)
+    f = holofun.Product(holofun.Composite(holofun.PowerSeries([1.0, 0.5]), space, phi, 0.6),
+                        holofun.GeometricPhi(space, phi[::-1], 0.6))
+    m = int(rng.integers(1, 3))
+    objective, project, start, _ = cbnorm._space_problem(f, m)
+    alone = lambda vec: matcore.operator_norm(
+        holofun.amplify(f, OpSpaceMatrix(space, _search.decode(vec, (m, m, space.dim))))
+    )
+    return objective, project, start(rng, 0.5), alone
+
+
+def _dual_case(rng):
+    space = [space_min_linf(3), space_row(2), opspace.space_mk(2)][int(rng.integers(3))]
+    phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    captured = []
+    with mock.patch.object(_search, "restarts", lambda objective, *args: captured.append(objective) or ()):
+        dual_functional_norm(space, phi, 30, seed=5)
+
+    def alone(vec):
+        c = _search.decode(vec, (1, 1, space.dim))
+        return abs(np.sum(c * phi)) / matcore.operator_norm(opspace.block_matrix(c, space.basis))
+
+    return captured[0], _search.to_sphere, rng.standard_normal(2 * space.dim), alone
+
+
+def _certificate_case(rng):
+    space = [space_min_linf(2), space_row(2)][int(rng.integers(2))]
+    k = MatrixSet(space, tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2)))
+    level = int(rng.integers(1, 3))
+    x0 = mconvex.hull_element(k, mconvex.random_representation(k, level, rng))
+    captured = []
+    with mock.patch.object(mconvex, "restarts", lambda objective, *args: captured.append(objective) or ()):
+        find_certificate(k, x0, 20, seed=4)
+    shape = (level, level, space.dim)
+
+    def alone(vec):
+        f = mconvex.SeparationCertificate(space, _search.decode(vec, shape))
+        verdict = mconvex.check_certificate(f, k, x0)
+        return verdict.target_value / max(max(verdict.generator_values), 1e-12)
+
+    return captured[0], _search.to_sphere, rng.standard_normal(2 * level * level * space.dim), alone
+
+
+_CASES = [_disk_case, _space_case, _dual_case, _certificate_case]
+
+
+@pytest.mark.parametrize("case", _CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_objective_rows_have_the_bits_of_one_point(case, seed):
+    rng = np.random.default_rng(10 + seed)
+    objective, project, x0, alone = case(rng)
+    stack = project(x0 + 0.3 * rng.standard_normal((6, x0.size)))
+    values, _ = objective(stack)
+    assert len(values) == 6
+    for row, value in zip(stack, values):
+        assert value.hex() == float(alone(row)).hex()
+
+
+def _batches(objective, x0, project, budget):
+    """(evaluations spent before, rows) of each stack `ascend` evaluates."""
+    batches, state = [], _search.Budget(budget)
+
+    def recording(stack):
+        batches.append((state.used, len(stack)))
+        return objective(stack)
+
+    _search.ascend(recording, x0, project, state)
+    return batches
+
+
+@pytest.mark.parametrize("case", _CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_line_search_matches_the_sequential_one(case, seed):
+    rng = np.random.default_rng(seed)
+    objective, project, x0, _ = case(rng)
+    # Budgets that run out inside a batch of several candidates, so the
+    # batch is cut short, and budgets drawn at random.
+    cuts = [used + j for used, rows in _batches(objective, x0, project, 3000) for j in range(1, rows)]
+    assert cuts
+    budgets = sorted({*rng.choice(cuts, min(len(cuts), 8), replace=False), *rng.integers(1, 401, 8), 1000, 3000})
+    single, project_one = _one_point(objective, project)
+    for budget in budgets:
+        batched, sequential = _search.Budget(budget), _search.Budget(budget)
+        x, value = _search.ascend(objective, x0, project, batched)
+        x_ref, value_ref = _sequential_ascend(single, x0, project_one, sequential)
+        assert value.hex() == value_ref.hex()
+        assert np.array_equal(x, x_ref)
+        assert batched.used == sequential.used
+
+
+# A composite over min-ℓ∞² whose second functional has norm |φ|₁ ≈ 1.01, not
+# the certified 0.5, so candidates near the cap trip the image guard.
+_UNDERSTATED = holofun.Sum(
+    holofun.Composite(holofun.PowerSeries([2.0, 1.0]), space_min_linf(2), np.array([0.3 + 0.4j, -0.2 + 0.2j]), 0.8),
+    holofun.Composite(holofun.PowerSeries([1.0]), space_min_linf(2), np.array([-0.2 - 0.7j, 0.2 + 0.2j]), 0.5),
+)
+
+
+def _guarded_ascent(monkeypatch, x0):
+    """The batched and the sequential ascent at level 1 from x0, each as
+    ("ok", iterate, value, evaluations) or ("raise",), and the stack rows at
+    which the image guard tripped during the batched one."""
+    objective, project, _, _ = cbnorm._space_problem(_UNDERSTATED, 1)
+    tripped = []
+    image = holofun._functional_image
+
+    def spying(entries, phi):
+        try:
+            return image(entries, phi)
+        except DomainError as err:
+            tripped.append(err.row)
+            raise
+
+    def run(ascend, objective, project):
+        budget = _search.Budget(300)
+        try:
+            x, value = ascend(objective, np.array(x0), project, budget)
+        except DomainError:
+            return ("raise",)
+        return "ok", x, value, budget.used
+
+    with monkeypatch.context() as patch:
+        patch.setattr(holofun, "_functional_image", spying)
+        batched = run(_search.ascend, objective, project)
+    sequential = run(_sequential_ascend, *_one_point(objective, project))
+    return batched, sequential, tripped
+
+
+def test_guard_ignores_a_row_after_the_first_improving_one(monkeypatch):
+    batched, sequential, tripped = _guarded_ascent(monkeypatch, [-0.2, 0.2, -0.1, -0.1])
+    # Rows past the first of their stack tripped the guard, but an earlier
+    # row improved, so the sequential search never evaluates them.
+    assert tripped and all(row > 0 for row in tripped)
+    assert batched[0] == sequential[0] == "ok"
+    assert batched[2].hex() == sequential[2].hex() and np.array_equal(batched[1], sequential[1])
+    assert batched[3] == sequential[3]
+
+
+def test_guard_raises_when_a_charged_row_trips(monkeypatch):
+    batched, sequential, tripped = _guarded_ascent(monkeypatch, [0.0, 0.2, 0.2, 0.2])
+    # A row that tripped past the first of its stack comes first in the next
+    # stack, as no earlier row improved; there it is charged and raises.
+    assert any(row > 0 for row in tripped) and tripped[-1] == 0
+    assert batched == sequential == ("raise",)
+
+
+def test_space_objective_stops_at_a_row_that_trips_the_guard():
+    objective, _, _, _ = cbnorm._space_problem(_UNDERSTATED, 1)
+    phi = _UNDERSTATED.right.phi
+    inside, tripping = np.array([0.1, 0.1, 0.0, 0.0]), _search.encode(0.99 * np.conj(phi) / np.abs(phi))
+    values, _ = objective(np.stack([inside, inside, tripping, inside]))
+    assert len(values) == 2
+    alone, _ = objective(inside[None])
+    assert values[0].hex() == alone[0].hex()
+    with pytest.raises(DomainError, match="guard radius"):
+        objective(np.stack([tripping, inside]))
+
+
+def test_level_eight_disk_search_takes_fewer_svds(monkeypatch):
+    # One level-8 disk level_sup at budget 300 took 38 SVDs when each
+    # line-search candidate was evaluated and projected alone; batched, 20.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    level_sup(holofun.PowerSeries([1.0]), 8, 300, seed=8)
+    assert len(calls) <= 29
