@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
 from .matcore import as_int, derive_rng
 
 _MAX_STEPS = 200
@@ -33,14 +32,6 @@ class Budget:
         self.left -= k
         self.used += k
         return k
-
-
-def positive_budget(budget) -> int:
-    """A search's evaluation budget as a plain int, rejecting values below 1."""
-    evals = as_int(budget, "budget")
-    if evals < 1:
-        raise InvalidInputError("budget must be >= 1")
-    return evals
 
 
 def encode(arr: np.ndarray, stacked: bool = False) -> np.ndarray:

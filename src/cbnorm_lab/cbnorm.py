@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import holofun, matcore, opspace
-from ._search import decode, encode, positive_budget, real_gradient, restarts
+from ._search import decode, encode, real_gradient, restarts
 from .errors import ImageGuardError, InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
@@ -160,9 +160,8 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     objective evaluations across random restarts, and equal values go to the
     witness with the smaller serialization.
     """
-    if not 1 <= m <= matcore.MAX_LEVEL:
-        raise InvalidInputError(f"level must lie in [1, {matcore.MAX_LEVEL}], got {m}")
-    budget = positive_budget(budget)
+    m = matcore.check_level(m)
+    budget = matcore.check_count(budget, "budget")
     matcore.check_seed(seed)
     problem = _disk_problem if f.domain_space is None else _space_problem
     objective, project, start, witness_matrix = problem(f, m)
@@ -222,8 +221,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
 def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
     """Max of level sups over the schedule (1, 2, 4, 8) capped at max_level,
     with zero-pad lifting keeping the level table nondecreasing."""
-    if max_level < 1:
-        raise InvalidInputError("max_level must be >= 1")
+    max_level = matcore.check_count(max_level, "max_level")
     levels = [m for m in DEFAULT_LEVELS if m <= max_level]
     table = _lower_table(f, levels, budget, seed)
     lower = max(entry.value for entry in table.values())
@@ -323,14 +321,12 @@ class CheckReport:
     detail: str
 
 
-def schwarz_check(f: HoloFunction, estimate: CbEstimate, trials: int, seed) -> CheckReport:
-    """Sample (level, X) pairs and test ‖f_m(X)‖ <= upper·‖X‖ + 1e-8."""
-    if estimate.upper is None:
-        raise InvalidInputError("schwarz check needs an estimate with a finite upper bound")
-    trials = matcore.as_int(trials, "trials")
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    upper = float(estimate.upper)
+def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckReport:
+    """Sample (level, X) pairs and test ‖f_m(X)‖ <= upper·‖X‖ + 1e-8 for a certified upper."""
+    if isinstance(upper, bool) or not isinstance(upper, (int, float)) or not math.isfinite(upper):
+        raise InvalidInputError(f"schwarz check needs a finite upper bound, got {upper!r}")
+    upper = float(upper)
+    trials = matcore.check_count(trials, "trials")
     space = f.domain_space
     worst = np.inf
     worst_detail = ""
@@ -384,6 +380,14 @@ class ProbeReport:
     note: str
 
 
+def probe_levels(schedule) -> list:
+    """The distinct levels, ascending, of a probe schedule: a non-empty list of
+    levels in [1, MAX_LEVEL]."""
+    if not isinstance(schedule, (list, tuple)) or not schedule:
+        raise InvalidInputError(f"schedule must be a non-empty list of levels, got {schedule!r}")
+    return sorted({matcore.check_level(m, "schedule entry") for m in schedule})
+
+
 def question_probe(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> ProbeReport:
     """Level-sup growth table with a least-squares trend on value vs log(level).
 
@@ -393,10 +397,9 @@ def question_probe(f: HoloFunction, max_level: int, budget: int, seed, schedule=
     if f.domain_space is not None:
         raise InvalidInputError("growth probe applies to disk-domain functions")
     if schedule is None:
+        max_level = matcore.check_count(max_level, "max_level")
         schedule = [m for m in DEFAULT_LEVELS if m <= max_level]
-    levels = sorted(set(int(m) for m in schedule))
-    if not levels or levels[0] < 1:
-        raise InvalidInputError("schedule must contain positive levels")
+    levels = probe_levels(schedule)
     table = _lower_table(f, levels, budget, seed)
     values = [table[m].value for m in levels]
     if len(levels) < 2:

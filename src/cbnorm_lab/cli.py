@@ -1,6 +1,6 @@
 """Reproducible experiment runner: JSON configs in, JSON result records out.
 
-Exit codes: 0 success, 1 input/schema errors, 2 property failures (a check
+Exit codes: 0 success, 1 input errors, 2 property failures (a check
 report that did not pass, or an internal sandwich violation).  Records rerun
 bit-for-bit from the same config; only runtime_ms is exempt.
 """
@@ -14,10 +14,8 @@ import sys
 import time
 from dataclasses import asdict
 
-import jsonschema
-
 from . import __version__, cbnorm, descriptors, gcb, matcore, mconvex
-from .errors import CbnormLabError, SandwichViolationError
+from .errors import CbnormLabError, InvalidInputError, SandwichViolationError
 
 SCHEMA_VERSION = 1
 
@@ -33,25 +31,23 @@ COMMANDS = (
     "delta-isometry",
 )
 
-_OBJECT = {"type": "object"}
-_LEVEL = {"type": "integer", "minimum": 1, "maximum": matcore.MAX_LEVEL}
-_PROPERTIES = {
-    "schema_version": {"type": "integer", "const": SCHEMA_VERSION},
-    "command": {"type": "string"},
-    "seed": {"type": "integer", "minimum": 0},
-    "budget": {"type": "integer", "minimum": 1},
-    "max_level": {"type": "integer", "minimum": 1},
-    "trials": {"type": "integer", "minimum": 1},
-    "schedule": {"type": "array", "items": _LEVEL, "minItems": 1},
-    "function": _OBJECT,
-    "function2": _OBJECT,
-    "set": _OBJECT,
-    "x0": _OBJECT,
-    "element": _OBJECT,
-    "dictionary": _OBJECT,
-    "space": _OBJECT,
-    "point": _OBJECT,
-    "out": {"type": "string"},
+
+def _schema_version(value, name):
+    if isinstance(value, bool) or value != SCHEMA_VERSION:
+        raise InvalidInputError(f"{name} must be {SCHEMA_VERSION}, got {value!r}")
+
+
+# Every config key: the type its value must have, or the library check it must pass.
+_KEYS = {
+    "schema_version": _schema_version,
+    "command": str,
+    "seed": lambda value, name: matcore.check_seed(value),
+    "budget": matcore.check_count,
+    "max_level": matcore.check_count,
+    "trials": matcore.check_count,
+    "schedule": lambda value, name: cbnorm.probe_levels(value),
+    **dict.fromkeys(("function", "function2", "set", "x0", "element", "dictionary", "space", "point"), dict),
+    "out": str,
 }
 
 _REQUIRED = {
@@ -67,21 +63,24 @@ _REQUIRED = {
 }
 
 
-def config_schema(command: str) -> dict:
-    return {
-        "type": "object",
-        "properties": _PROPERTIES,
-        "required": _REQUIRED[command],
-        "additionalProperties": False,
-    }
-
-
 def validate_config(command: str, config: dict) -> None:
-    validator = jsonschema.Draft202012Validator(config_schema(command))
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise CbnormLabError(f"config invalid at {best.json_path}: {best.message}")
+    """Reject a config with a missing, unknown or invalid key, naming the key."""
+    if not isinstance(config, dict):
+        raise CbnormLabError(f"config invalid at $: expected an object, got {type(config).__name__}")
+    for key in _REQUIRED[command]:
+        if key not in config:
+            raise CbnormLabError(f"config invalid at $.{key}: required key is missing")
+    for key, value in config.items():
+        if key not in _KEYS:
+            raise CbnormLabError(f"config invalid at $.{key}: unknown key")
+        check = _KEYS[key]
+        try:
+            if not isinstance(check, type):
+                check(value, key)
+            elif not isinstance(value, check):
+                raise InvalidInputError(f"{key} must be a {check.__name__}, got {type(value).__name__}")
+        except InvalidInputError as exc:
+            raise CbnormLabError(f"config invalid at $.{key}: {exc}") from None
     declared = config.get("command")
     if declared is not None and declared != command:
         raise CbnormLabError(f"config declares command {declared!r} but {command!r} was invoked")
@@ -119,11 +118,9 @@ def _run_bounds(bounds, config):
 
 def _run_schwarz(config):
     f = descriptors.function_from_descriptor(config["function"])
-    est = cbnorm.sandwich(
-        f, config.get("max_level", 2), config.get("budget", 2000), config["seed"]
-    )
-    report = cbnorm.schwarz_check(f, est, config["trials"], config["seed"])
-    results = {"upper": est.upper, **_fields(report, "name")}
+    upper = cbnorm.cb_upper_bound(f)
+    report = cbnorm.schwarz_check(f, upper, config["trials"], config["seed"])
+    results = {"upper": upper, **_fields(report, "name")}
     return results, None, report.passed
 
 
@@ -286,9 +283,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-        if not isinstance(config, dict):
-            raise CbnormLabError("config must be a JSON object")
-        if args.seed is not None:
+        if args.seed is not None and isinstance(config, dict):
             config["seed"] = args.seed
         record, passed = run(args.command, config)
     except SandwichViolationError as exc:

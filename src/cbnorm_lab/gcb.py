@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import holofun, matcore, mconvex
-from ._search import Budget, positive_budget
+from ._search import Budget
 from .errors import InvalidInputError
 from .holofun import GeometricPhi, HoloFunction
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, matrix_norm, realize, same_space
@@ -46,8 +46,7 @@ class GcbElement:
     terms: tuple
 
     def __post_init__(self):
-        if not 1 <= self.level <= matcore.MAX_LEVEL:
-            raise InvalidInputError(f"level must lie in [1, {matcore.MAX_LEVEL}], got {self.level}")
+        object.__setattr__(self, "level", matcore.check_level(self.level))
         terms = tuple(self.terms)
         for t in terms:
             if not isinstance(t, GcbTerm) or not same_space(t.point.space, self.space):
@@ -134,7 +133,7 @@ def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
     taken once per sweep; a budget that runs out mid-sweep keeps the moves it
     granted, in grid order, which is where a move-by-move search would stop.
     """
-    evals = Budget(positive_budget(budget))
+    evals = Budget(matcore.check_count(budget, "budget"))
     matcore.check_seed(seed)
     if not u.terms:
         return 0.0

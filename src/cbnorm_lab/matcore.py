@@ -29,14 +29,29 @@ def check_seed(seed) -> int:
 
 
 def as_int(value, name: str) -> int:
-    """A count, size or level: an int or an integral float, as the config
-    schema's `integer` accepts.  Bools, strings and fractions are rejected
-    rather than truncated."""
+    """A count, size or level: an int or an integral float, as JSON may write
+    one.  Bools, strings and fractions are rejected rather than truncated."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(value, name: str) -> int:
+    """A positive count (a budget, trials, a level bound, a sample's size)."""
+    count = as_int(value, name)
+    if count < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def check_level(value, name: str = "level") -> int:
+    """A level a search or a pairing may build: an integer in [1, MAX_LEVEL]."""
+    level = as_int(value, name)
+    if not 1 <= level <= MAX_LEVEL:
+        raise InvalidInputError(f"{name} must lie in [1, {MAX_LEVEL}], got {level}")
+    return level
 
 
 def derive_rng(seed, *stream) -> np.random.Generator:
@@ -117,12 +132,11 @@ def sample_ball(m: int, radius: float, seed) -> np.ndarray:
     Gaussian draw followed by exact rescaling, so the boundary sphere of any
     requested radius is reachable (no rejection).
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidInputError(f"level must be a positive integer, got {m!r}")
+    m = check_count(m, "level")
     radius = float(radius)
     if not 0.0 < radius < 1.0:
         raise InvalidInputError(f"radius must lie in (0, 1), got {radius}")
-    return _random_ball(derive_rng(seed), int(m), radius)
+    return _random_ball(derive_rng(seed), m, radius)
 
 
 def _clip(m: np.ndarray, r: float) -> np.ndarray:

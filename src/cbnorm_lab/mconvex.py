@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, opspace
-from ._search import decode, positive_budget, real_gradient, restarts, to_sphere
+from ._search import decode, real_gradient, restarts, to_sphere
 from .errors import InvalidInputError, InvalidRepresentationError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
 
@@ -214,9 +214,7 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
     are drawn in chunks that fill about `_STACK_BYTES`, and each chunk's
     trials are evaluated as one stack per level; every norm has the bits of
     the same trial evaluated alone."""
-    trials = matcore.as_int(trials, "trials")
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    trials = matcore.check_count(trials, "trials")
     gen_norms = [matrix_norm(g) for g in k.generators]
     bound = max(gen_norms)
     best_index = int(np.argmax(gen_norms))
@@ -347,7 +345,8 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     generator pairing norm, floored at 1e-12.  Its gradient is dT/G − T·dG/G²,
     with dG that of the active generator's pairing.
     """
-    budget = positive_budget(budget)
+    budget = matcore.check_count(budget, "budget")
+    matcore.check_seed(seed)
     if not same_space(k.space, x0.space):
         raise InvalidInputError("matrix set and target live over different spaces")
     space = k.space

@@ -241,8 +241,7 @@ def _random_matrix_ball(rng, space: ConcreteOperatorSpace, level: int, radius: f
 
 def sample_matrix_ball(space: ConcreteOperatorSpace, level: int, radius: float, seed) -> OpSpaceMatrix:
     """Deterministic level-`level` matrix over the space of norm exactly `radius`."""
-    if level < 1:
-        raise InvalidInputError("level must be >= 1")
+    level = matcore.check_count(level, "level")
     radius = float(radius)
     if not 0.0 < radius < 1.0:
         raise InvalidInputError(f"radius must lie in (0, 1), got {radius}")
@@ -261,7 +260,7 @@ def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0)
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (space.dim,):
         raise InvalidInputError(f"functional must have {space.dim} coefficients")
-    budget = _search.positive_budget(budget)
+    budget = matcore.check_count(budget, "budget")
     if not np.any(phi):
         return 0.0
     d = space.dim

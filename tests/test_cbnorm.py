@@ -232,28 +232,29 @@ def test_linear_composite_matches_dual_norm_estimate():
 
 def test_schwarz_check_identity_tight():
     est = sandwich(IDENTITY, 2, 500, 37)
-    report = schwarz_check(IDENTITY, est, 200, 37)
+    report = schwarz_check(IDENTITY, est.upper, 200, 37)
     assert report.passed
     assert report.worst_slack >= -1e-12
 
 
 def test_schwarz_check_square_has_positive_slack():
     est = sandwich(SQUARE, 2, 500, 37)
-    report = schwarz_check(SQUARE, est, 200, 37)
+    report = schwarz_check(SQUARE, est.upper, 200, 37)
     assert report.passed
     assert report.worst_slack > 0.0
 
 
 def test_schwarz_check_geometric():
     est = sandwich(GEOMETRIC, 2, 500, 37)
-    report = schwarz_check(GEOMETRIC, est, 300, 41)
+    report = schwarz_check(GEOMETRIC, est.upper, 300, 41)
     assert report.passed
 
 
 def test_schwarz_check_needs_upper():
     est = cb_lower_bound(IDENTITY, 1, 200, 1)
-    with pytest.raises(InvalidInputError):
-        schwarz_check(IDENTITY, est, 10, 1)
+    for upper in (est.upper, float("inf"), float("nan")):
+        with pytest.raises(InvalidInputError):
+            schwarz_check(IDENTITY, upper, 10, 1)
 
 
 def test_algebra_check_pairs():
@@ -306,12 +307,12 @@ def test_validation_errors():
 def test_schwarz_check_rejects_non_integer_trials(trials):
     est = sandwich(IDENTITY, 1, 50, 1)
     with pytest.raises(InvalidInputError):
-        schwarz_check(IDENTITY, est, trials, 1)
+        schwarz_check(IDENTITY, est.upper, trials, 1)
 
 
 def test_schwarz_check_accepts_integral_trials():
     est = sandwich(SQUARE, 1, 50, 1)
-    report = schwarz_check(SQUARE, est, 60, 7)
+    report = schwarz_check(SQUARE, est.upper, 60, 7)
     assert report.trials == 60
-    assert schwarz_check(SQUARE, est, np.int64(60), 7) == report
-    assert schwarz_check(SQUARE, est, 60.0, 7) == report
+    assert schwarz_check(SQUARE, est.upper, np.int64(60), 7) == report
+    assert schwarz_check(SQUARE, est.upper, 60.0, 7) == report

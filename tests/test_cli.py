@@ -92,6 +92,86 @@ def test_schema_violation_exits_one(tmp_path, capsys):
         assert "$" in err and where in err
 
 
+_PROBE = {
+    "command": "probe",
+    "function": {"kind": "power_series", "coeffs": [[1.0, 0.0]]},
+    "max_level": 2,
+    "budget": 10,
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("schema_version", 1),
+        ("schema_version", 1.0),
+        ("budget", 600.0),
+        ("max_level", 1.0),
+        ("trials", 2.0),
+        ("schedule", [1.0]),
+        ("schedule", [1, 64]),
+        ("function2", {}),
+    ],
+)
+def test_validate_config_accepts(key, value):
+    cli.validate_config("probe", {**_PROBE, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("schema_version", True),
+        ("schema_version", "1"),
+        ("schema_version", 2),
+        ("seed", -1),
+        ("seed", True),
+        # Integer-valued but not ints: every seeded search rejects them.
+        ("seed", 3.0),
+        ("seed", 2**70),
+        ("budget", 0),
+        ("budget", True),
+        ("budget", "3"),
+        ("max_level", 1.5),
+        ("schedule", []),
+        ("schedule", [0]),
+        ("schedule", "1"),
+        ("schedule", [True]),
+        ("schedule", [1, 65]),
+        ("out", 5),
+        ("command", 5),
+        ("colour", "red"),
+    ],
+)
+def test_validate_config_rejects(key, value, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**_PROBE, key: value}))
+    assert run_cli(["probe", "--config", config]) == 1
+    assert f"config invalid at $.{key}: " in capsys.readouterr().err
+
+
+def test_validate_config_rejects_non_object(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps([_PROBE]))
+    assert run_cli(["probe", "--config", config, "--seed", "2"]) == 1
+    assert "config invalid at $: " in capsys.readouterr().err
+
+
+def test_cli_runs_without_jsonschema():
+    # Configs are checked by the library's own checks alone.
+    script = (
+        "import json, sys; sys.modules['jsonschema'] = None; "
+        "from cbnorm_lab import cli; "
+        "record, passed = cli.run('hull', json.load(open(sys.argv[1]))); "
+        "record.pop('runtime_ms'); sys.stdout.write(cli.record_to_json(record))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(CONFIG_DIR / "hull_mk2.json")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / "hull_mk2.json").read_text()
+
+
 def test_bad_descriptor_exits_one(tmp_path, capsys):
     # An unknown kind, a missing key, a wrongly typed value, sizes just above
     # their caps (a 33×33 matrix space, a level-65 predual element) and sizes

@@ -99,7 +99,7 @@ def test_bad_descriptors_rejected():
 
 
 def test_integral_sizes_accepted_as_floats():
-    # The config schema's `integer` accepts 2.0; so do the descriptors.
+    # A JSON config may write 2 as 2.0: the config check accepts it, and so do the descriptors.
     space = descriptors.space_from_descriptor({"kind": "matrix", "param": 2.0})
     assert same_space(space, space_mk(2)) and space.param == 2
     f = descriptors.function_from_descriptor({"kind": "blaschke", "c": [1.0, 0.0], "m": 3.0})

@@ -229,6 +229,18 @@ def test_find_certificate_inside_point_not_found():
     assert find_certificate(k, inside, 300, 13) is None
 
 
+@pytest.mark.parametrize("seed", ["x", -1, 2**70, 3.5, None])
+def test_find_certificate_checks_seed_before_warm_starts(seed):
+    # The first warm start separates this target, so only a seed check made
+    # before it can reject the seed.
+    config = json.loads((CONFIGS / "separate_scalar.json").read_text())
+    k = descriptors.matrix_set_from_descriptor(config["set"])
+    x0 = descriptors.space_matrix_from_descriptor(config["x0"], k.space)
+    assert find_certificate(k, x0, config["budget"], config["seed"]) is not None
+    with pytest.raises(InvalidInputError, match="seed must"):
+        find_certificate(k, x0, config["budget"], seed)
+
+
 def test_matrix_set_validation():
     with pytest.raises(InvalidInputError):
         MatrixSet(SCALAR, ())

@@ -2,14 +2,14 @@
 and its budget accounting, the batched line search against the sequential
 one, the functional-image guard on batched candidates, the ascent from a
 degenerate start, budget 1 in every search built on it, and the rejection
-of budgets that are not integers."""
+of budgets, levels and sample sizes that are not integers."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cbnorm_lab import _search, cbnorm, holofun, matcore, mconvex, opspace
+from cbnorm_lab import _search, cbnorm, gcb, holofun, matcore, mconvex, opspace
 from cbnorm_lab.cbnorm import RADIUS_CAP, level_sup
 from cbnorm_lab.errors import DomainError, InvalidInputError
 from cbnorm_lab.mconvex import MatrixSet, find_certificate
@@ -223,18 +223,76 @@ def test_budget_rejects_non_integers(budget):
     with pytest.raises(InvalidInputError, match="budget must be an integer"):
         _search.Budget(budget)
     with pytest.raises(InvalidInputError, match="budget must be an integer"):
-        _search.positive_budget(budget)
+        matcore.check_count(budget, "budget")
 
 
 def test_budget_accepts_integers():
     assert _search.Budget(np.int64(3)).left == 3 and _search.Budget(np.uint8(2)).left == 2
-    # Integral floats pass, as the config schema's `integer` lets them through.
+    # Integral floats pass, as a JSON config may write a count.
     assert _search.Budget(2.0).left == 2 and _search.Budget(np.float64(5.0)).left == 5
     assert _search.Budget(0).left == 0 and _search.Budget(-2).spend(5) == 0
-    assert _search.positive_budget(np.int32(7)) == 7
+    assert matcore.check_count(np.int32(7), "budget") == 7
     for budget in (0, -1, np.int64(0)):
         with pytest.raises(InvalidInputError, match="budget must be >= 1"):
-            _search.positive_budget(budget)
+            matcore.check_count(budget, "budget")
+
+
+# Each level or count below goes through `matcore.check_level` or
+# `matcore.check_count`, so a fraction, a bool, a string or None is an
+# input error wherever it is passed, never a truncation or a TypeError.
+
+
+@pytest.mark.parametrize("level", _NOT_INTEGERS)
+def test_level_sup_rejects_non_integer_levels(level):
+    with pytest.raises(InvalidInputError, match="level must be an integer"):
+        level_sup(holofun.PowerSeries([1.0]), level, 10, seed=1)
+
+
+@pytest.mark.parametrize("max_level", _NOT_INTEGERS)
+def test_cb_lower_bound_rejects_non_integer_max_level(max_level):
+    with pytest.raises(InvalidInputError, match="max_level must be an integer"):
+        cbnorm.cb_lower_bound(holofun.PowerSeries([1.0]), max_level, 10, 1)
+
+
+@pytest.mark.parametrize("level", _NOT_INTEGERS)
+def test_question_probe_rejects_non_integer_schedules(level):
+    with pytest.raises(InvalidInputError, match="schedule entry must be an integer"):
+        cbnorm.question_probe(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[1, level])
+
+
+@pytest.mark.parametrize("schedule", [[], 5, "12"])
+def test_question_probe_rejects_non_list_schedules(schedule):
+    with pytest.raises(InvalidInputError, match="schedule must be a non-empty list"):
+        cbnorm.question_probe(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=schedule)
+
+
+@pytest.mark.parametrize("level", _NOT_INTEGERS)
+def test_gcb_element_rejects_non_integer_levels(level):
+    with pytest.raises(InvalidInputError, match="level must be an integer"):
+        gcb.GcbElement(space_scalar(), level, ())
+
+
+@pytest.mark.parametrize("level", _NOT_INTEGERS)
+def test_sample_matrix_ball_rejects_non_integer_levels(level):
+    with pytest.raises(InvalidInputError, match="level must be an integer"):
+        opspace.sample_matrix_ball(space_row(2), level, 0.5, 1)
+
+
+@pytest.mark.parametrize("level", _NOT_INTEGERS)
+def test_sample_ball_rejects_non_integer_levels(level):
+    with pytest.raises(InvalidInputError, match="level must be an integer"):
+        matcore.sample_ball(level, 0.5, 1)
+
+
+def test_integral_float_levels_are_integers():
+    # Samples are not search levels: a sample's level is any count, as the
+    # 64 cap guards only what a search or a pairing builds.
+    assert np.array_equal(matcore.sample_ball(2.0, 0.5, 1), matcore.sample_ball(2, 0.5, 1))
+    assert matcore.sample_ball(65, 0.5, 1).shape == (65, 65)
+    assert opspace.sample_matrix_ball(space_row(2), 2.0, 0.5, 1).level == 2
+    assert gcb.GcbElement(space_scalar(), 2.0, ()).level == 2
+    report = cbnorm.question_probe(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[2.0, 1])
+    assert report.levels == (1, 2)
 
 
 @pytest.mark.parametrize("budget", [True, 1.5])
