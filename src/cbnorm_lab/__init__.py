@@ -37,7 +37,6 @@ from .gcb import (
     gcb_pairing,
     gcb_upper_bound,
     norming_dictionary,
-    representation_cost,
 )
 from .holofun import (
     Blaschke,
@@ -51,16 +50,12 @@ from .holofun import (
     Sum,
     TaylorCoeffs,
     amplify,
-    analyticity_radius,
-    evaluate,
     rescale_argument,
     taylor_coefficients,
 )
 from .matcore import (
-    direct_sum,
     operator_norm,
     project_ball,
-    sample_ball,
     schur_product,
 )
 from .mconvex import (
@@ -76,10 +71,7 @@ from .mconvex import (
 )
 from .opspace import (
     ConcreteOperatorSpace,
-    OpSpaceElement,
     OpSpaceMatrix,
-    dual_functional_norm,
-    element_norm,
     matrix_norm,
     realize,
     sample_matrix_ball,

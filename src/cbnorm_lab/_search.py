@@ -1,7 +1,8 @@
-"""The one search engine: every estimated supremum in the package (level sups,
-dual norms, separation certificates) runs random restarts of a projected
-gradient ascent over the [Re, Im] encoding of a complex array.  This module
-owns the encoding, the ascent and the restart loop.
+"""The one search engine: every estimated supremum in the package (the level
+sups of `cbnorm` and the separation certificates of `mconvex`) runs random
+restarts of a projected gradient ascent over the [Re, Im] encoding of a
+complex array; `gcb` counts its cost evaluations with the same `Budget`.
+This module owns the encoding, the ascent and the restart loop.
 
 Every objective is the top singular value of a map that is linear or
 entrywise holomorphic in the point, so the SVD that gives its value also
@@ -77,12 +78,11 @@ def ascend(objective, x0, project, budget: Budget):
     The budget is charged as a forward-difference search was: 1 evaluation
     for the start point and for each line-search candidate, and n for each
     gradient; with fewer than n left, the ascent spends them and stops
-    without the gradient.  Returns the best feasible iterate and its value,
-    or (None, -inf) if the budget was already exhausted.
+    without the gradient.  The budget must have at least one evaluation left,
+    as `restarts` ensures.  Returns the best feasible iterate and its value.
     """
     x = project(np.asarray(x0, dtype=float)[None])
-    if not budget.spend():
-        return None, -np.inf
+    budget.spend()
     values, gradient_at = objective(x)
     x, value, row = x[0], float(values[0]), 0
     for _ in range(_MAX_STEPS):

@@ -221,6 +221,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
 def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
     """Max of level sups over the schedule (1, 2, 4, 8) capped at max_level,
     with zero-pad lifting keeping the level table nondecreasing."""
+    budget = matcore.check_count(budget, "budget")
     max_level = matcore.check_count(max_level, "max_level")
     levels = [m for m in DEFAULT_LEVELS if m <= max_level]
     table = _lower_table(f, levels, budget, seed)
@@ -234,7 +235,7 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
         upper=None,
         level_table=table,
         seed=int(seed),
-        budget=int(budget),
+        budget=budget,
         provenance=provenance,
     )
 

@@ -93,17 +93,6 @@ def _group_cost(parts) -> np.ndarray:
     return np.sqrt(matcore.operator_norms(row)) * np.sqrt(matcore.operator_norms(col)) * peak
 
 
-def representation_cost(u: GcbElement, grouping) -> float:
-    """Σ over groups of ‖Σαα*‖^½·‖Σβ*β‖^½·max |c|·‖x‖ for the given partition."""
-    indices = sorted(i for group in grouping for i in group)
-    if indices != list(range(len(u.terms))):
-        raise InvalidInputError("grouping must partition the term indices exactly")
-    if not grouping:
-        return 0.0
-    parts = [(*_term_parts(t), 1.0, 1.0) for t in u.terms]
-    return float(sum(_group_cost([parts[i] for i in group]) for group in grouping)[0])
-
-
 def _partitions(items, max_groups):
     """All partitions of `items` into at most `max_groups` nonempty blocks."""
     if not items:

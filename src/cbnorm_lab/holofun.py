@@ -1,5 +1,5 @@
-"""Symbolic holomorphic functions vanishing at 0, their evaluation, Taylor
-coefficients, and entrywise amplification to matrix arguments.
+"""Symbolic holomorphic functions vanishing at 0, their Taylor coefficients,
+and entrywise amplification to matrix arguments.
 
 Two kinds of domain coexist: disk functions (power series, Blaschke products,
 Möbius quotients and their sums/products) act entrywise on complex matrices in
@@ -10,13 +10,11 @@ which is what makes zero-padding invariant under amplification.
 
 Every disk function is rational, p(z)/Π_b (1 − b·z) with |b| < 1 and the
 poles known from the construction; `_exact_rational` builds that form in exact
-arithmetic, and all Taylor data (coefficients, tail bound, radius of
-analyticity) comes from it.
+arithmetic, and all Taylor data (coefficients and tail bound) comes from it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import matcore
 from .errors import ConfigurationError, DomainError, ImageGuardError, InvalidInputError
-from .opspace import ConcreteOperatorSpace, OpSpaceElement, OpSpaceMatrix, matrix_norm, same_space
+from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, same_space
 
 # Amplification through a functional rejects scalar images this close to the
 # boundary; it only fires if a certified_norm claim was wrong.
@@ -317,24 +315,6 @@ def amplify(f: HoloFunction, x) -> np.ndarray:
     return _amplify_space_entries(f, x.entries)[0]
 
 
-def evaluate(f: HoloFunction, z) -> complex:
-    """Evaluate at a single point of the open unit ball.
-
-    Disk functions take a complex number |z| < 1; functional composites take
-    an OpSpaceElement (or a 1×1 OpSpaceMatrix) of norm < 1.
-    """
-    if f.domain_space is None:
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise DomainError(f"evaluation point must satisfy |z| < 1, got |z|={abs(z)}")
-        return complex(_eval_array(f, np.complex128(z))[0])
-    if isinstance(z, OpSpaceElement):
-        z = z.as_level1()
-    if not isinstance(z, OpSpaceMatrix) or z.level != 1:
-        raise InvalidInputError("evaluation over a space needs a level-1 argument")
-    return complex(amplify(f, z)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Taylor coefficients
 
@@ -392,12 +372,6 @@ def _rational(f: HoloFunction):
     """The rational form as complex arrays: p (ascending, rounded once) and the poles."""
     (re, im), poles = _exact_rational(f)
     return (re + 1j * im).astype(np.complex128), np.array(poles, dtype=np.complex128)
-
-
-def analyticity_radius(f: HoloFunction) -> float:
-    """Radius of analyticity around 0 implied by the construction (may be inf)."""
-    peak = max(np.abs(_rational(f)[1]), default=0.0)
-    return math.inf if peak == 0.0 else float(1.0 / peak)
 
 
 def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: spectral norms, direct sums, Schur products,
-and sampling/projection for the operator-norm unit ball.
+"""Dense complex linear algebra: spectral norms, Schur products, and
+sampling/projection for the operator-norm unit ball.
 
 All functions are pure; randomness is always owned by the caller through an
 explicit 64-bit seed, so identical seeds and call sequences reproduce
@@ -97,15 +97,6 @@ def top_singular_pair(a):
     return float(s[0]), u[:, 0], vh[0].conj()
 
 
-def direct_sum(a, b) -> np.ndarray:
-    """Block-diagonal sum A ⊕ B; its norm is max(‖A‖, ‖B‖)."""
-    a, b = as_matrix(a), as_matrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
-
-
 def schur_product(a, b) -> np.ndarray:
     """Entrywise product of two same-shaped matrices.
 
@@ -124,19 +115,6 @@ def _random_ball(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
         nrm = operator_norm(g)
         if nrm > 0.0:
             return g * (radius / nrm)
-
-
-def sample_ball(m: int, radius: float, seed) -> np.ndarray:
-    """Deterministic m×m matrix of operator norm exactly `radius` ∈ (0, 1).
-
-    Gaussian draw followed by exact rescaling, so the boundary sphere of any
-    requested radius is reachable (no rejection).
-    """
-    m = check_count(m, "level")
-    radius = float(radius)
-    if not 0.0 < radius < 1.0:
-        raise InvalidInputError(f"radius must lie in (0, 1), got {radius}")
-    return _random_ball(derive_rng(seed), m, radius)
 
 
 def _clip(m: np.ndarray, r: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _search, matcore
+from . import matcore
 from .errors import InvalidInputError
 
 # Smallest singular value of the d×N² coordinate matrix must exceed this for
@@ -54,25 +54,6 @@ class ConcreteOperatorSpace:
 
 def same_space(a: ConcreteOperatorSpace, b: ConcreteOperatorSpace) -> bool:
     return a is b or (a.basis.shape == b.basis.shape and np.array_equal(a.basis, b.basis))
-
-
-@dataclass(frozen=True, eq=False)
-class OpSpaceElement:
-    """A vector in the space, stored as coefficients against the basis."""
-
-    space: ConcreteOperatorSpace
-    coeffs: np.ndarray  # (d,) complex
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.space.dim,):
-            raise InvalidInputError(f"expected {self.space.dim} coefficients, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise InvalidInputError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    def as_level1(self) -> "OpSpaceMatrix":
-        return OpSpaceMatrix(self.space, self.coeffs.reshape(1, 1, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +105,6 @@ def realize(x: OpSpaceMatrix) -> np.ndarray:
 def matrix_norm(x: OpSpaceMatrix) -> float:
     """Operator norm of the realization; these norms satisfy Ruan's axioms."""
     return matcore.operator_norm(realize(x))
-
-
-def element_norm(x: OpSpaceElement) -> float:
-    return matrix_norm(x.as_level1())
 
 
 def compress(alpha, x: OpSpaceMatrix, beta) -> OpSpaceMatrix:
@@ -206,8 +183,7 @@ def space_min_linf(d: int) -> ConcreteOperatorSpace:
 def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float | None:
     """Exact dual norm of a coefficient functional, for the builder spaces.
 
-    Returns None for custom spaces, where only the sampled lower bound from
-    dual_functional_norm is available.
+    Returns None for custom spaces, which have no closed form.
     """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (space.dim,):
@@ -225,7 +201,7 @@ def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and dual-norm estimation
+# Sampling
 
 
 def _random_matrix_ball(rng, space: ConcreteOperatorSpace, level: int, radius: float) -> OpSpaceMatrix:
@@ -247,39 +223,3 @@ def sample_matrix_ball(space: ConcreteOperatorSpace, level: int, radius: float, 
         raise InvalidInputError(f"radius must lie in (0, 1), got {radius}")
     return _random_matrix_ball(matcore.derive_rng(seed), space, level, radius)
 
-
-def dual_functional_norm(space: ConcreteOperatorSpace, phi, budget: int, seed=0) -> float:
-    """Best found value of |Σ φ_k x_k| over unit-ball elements: a lower bound
-    on the dual norm of the functional.
-
-    Random complex-Gaussian starts followed by gradient ascent on the unit
-    sphere of the quotient |p|/t, p = φ·c and t = ‖Σ c_k B_k‖ > 0, whose
-    gradient is d|p|/t − |p|·dt/t² with d|p| = Re(conj(p)/|p|·φ·dc) (Re(φ·dc)
-    where p = 0) and dt from the top singular pair.
-    """
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.shape != (space.dim,):
-        raise InvalidInputError(f"functional must have {space.dim} coefficients")
-    budget = matcore.check_count(budget, "budget")
-    if not np.any(phi):
-        return 0.0
-    d = space.dim
-
-    def objective(stack):
-        c = _search.decode(stack, (1, 1, d))  # level-1 matrices over the space
-        # Row by row: an axis reduction sums in another order, and |p| of an
-        # array can differ in the last bit from |p| of one number.
-        p = np.array([np.sum(row * phi) for row in c])
-        t = matcore.operator_norms(block_matrix(c, space.basis))
-
-        def gradient_at(i):
-            _, u, v = matcore.top_singular_pair(block_matrix(c[i], space.basis))
-            pi, ti = p[i], float(t[i])
-            phase = np.conj(pi) / abs(pi) if pi else 1.0
-            return _search.real_gradient(phase * phi / ti - abs(pi) / ti**2 * block_adjoint(u, v, space.basis))
-
-        return np.array([abs(pi) for pi in p]) / t, gradient_at
-
-    start = lambda rng: rng.standard_normal(2 * d)
-    runs = _search.restarts(objective, _search.to_sphere, start, budget, seed)
-    return max([0.0, *(value for _, value in runs)])

@@ -40,7 +40,6 @@ from cbnorm_lab.mconvex import (
     hull_element,
 )
 from cbnorm_lab.opspace import (
-    OpSpaceElement,
     OpSpaceMatrix,
     compress,
     direct_sum_matrices,
@@ -219,7 +218,7 @@ def shipped_generator_sets():
     g2 = sample_matrix_ball(mk2, 2, 0.9, 809)
     yield MatrixSet(mk2, (g1, g2))
 
-    g3 = OpSpaceElement(MIN2, np.array([0.8, 0.0])).as_level1()
+    g3 = OpSpaceMatrix(MIN2, np.array([0.8, 0.0]).reshape(1, 1, -1))
     g4 = sample_matrix_ball(MIN2, 2, 0.6, 810)
     yield MatrixSet(MIN2, (g3, g4))
 

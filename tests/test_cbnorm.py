@@ -33,7 +33,7 @@ from cbnorm_lab.holofun import (
 from cbnorm_lab.gcb import GcbElement
 from cbnorm_lab.opspace import (
     MAX_SPACE_PARAM,
-    dual_functional_norm,
+    closed_form_dual_norm,
     space_column,
     space_min_linf,
     space_mk,
@@ -221,13 +221,12 @@ def test_sandwich_on_zoo_is_consistent():
         assert est.lower <= est.upper + 1e-6
 
 
-def test_linear_composite_matches_dual_norm_estimate():
+def test_linear_composite_matches_closed_form_dual_norm():
     phi = np.array([0.3, 0.4], dtype=complex)
     f = Composite(IDENTITY, MIN2, phi, 0.7)
     est = cb_lower_bound(f, 2, 4000, 31)
-    dual = dual_functional_norm(MIN2, phi, 4000, seed=31)
-    assert abs(est.lower - dual) < 1e-3
-    assert abs(est.lower - 0.7) < 1e-3
+    assert closed_form_dual_norm(MIN2, phi) == 0.7
+    assert abs(est.lower - closed_form_dual_norm(MIN2, phi)) < 1e-3
 
 
 def test_schwarz_check_identity_tight():

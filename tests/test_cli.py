@@ -157,6 +157,21 @@ def test_validate_config_rejects_non_object(tmp_path, capsys):
     assert "config invalid at $: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "sandwich"])
+def test_float_budget_records_integer_samples(command):
+    # An integral float budget searches as the integer does, and its record
+    # says so: integer samples, the same provenance and the same bounds.
+    config = {**load(CONFIG_DIR / "estimate_identity.json"), "command": command, "budget": 200}
+    whole, _ = cli.run(command, config)
+    floating, _ = cli.run(command, {**config, "budget": 200.0})
+    results = floating["results"]
+    assert all(type(entry["samples"]) is int and entry["samples"] == 200 for entry in results["level_table"].values())
+    assert "budget 200 per level" in results["provenance"]
+    assert results["lower"] == whole["results"]["lower"]
+    assert cli.record_to_json(results) == cli.record_to_json(whole["results"])
+    assert floating["witnesses"] == whole["witnesses"]
+
+
 def test_cli_runs_without_jsonschema():
     # Configs are checked by the library's own checks alone.
     script = (

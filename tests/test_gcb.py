@@ -18,7 +18,6 @@ from cbnorm_lab.gcb import (
     gcb_pairing,
     gcb_upper_bound,
     norming_dictionary,
-    representation_cost,
 )
 from cbnorm_lab.holofun import PowerSeries, Scale
 from cbnorm_lab.matcore import derive_rng, operator_norm
@@ -50,40 +49,6 @@ def scalar_matrix(values):
 def eye_term(x, c=1.0):
     eye = np.eye(x.level, dtype=complex)
     return GcbTerm(complex(c), eye, x, eye)
-
-
-def test_representation_cost_trivial_is_point_norm():
-    x = sample_matrix_ball(MK2, 2, 0.75, 1)
-    u = delta_element(x)
-    assert representation_cost(u, [[0]]) == matrix_norm(x)
-
-
-def test_representation_cost_scales_with_coefficient():
-    x = sample_matrix_ball(MK2, 1, 0.4, 2)
-    u1 = GcbElement(MK2, 1, (eye_term(x, 1.0),))
-    u2 = GcbElement(MK2, 1, (eye_term(x, 2.0),))
-    assert representation_cost(u2, [[0]]) == 2 * representation_cost(u1, [[0]])
-
-
-def test_representation_cost_groupings_hand_formula():
-    x = sample_matrix_ball(MK2, 1, 0.4, 3)
-    y = sample_matrix_ball(MK2, 1, 0.7, 4)
-    u = GcbElement(MK2, 1, (eye_term(x), eye_term(y)))
-    a, b = matrix_norm(x), matrix_norm(y)
-    separate = representation_cost(u, [[0], [1]])
-    merged = representation_cost(u, [[0, 1]])
-    assert abs(separate - (a + b)) < 1e-12
-    # Merged group: sqrt(2)·sqrt(2)·max(a, b).
-    assert abs(merged - 2 * max(a, b)) < 1e-12
-
-
-def test_representation_cost_rejects_bad_grouping():
-    x = sample_matrix_ball(MK2, 1, 0.4, 5)
-    u = GcbElement(MK2, 1, (eye_term(x),))
-    with pytest.raises(InvalidInputError):
-        representation_cost(u, [[0, 0]])
-    with pytest.raises(InvalidInputError):
-        representation_cost(u, [])
 
 
 def test_gcb_upper_bound_empty_element():
@@ -118,12 +83,22 @@ def _random_element(space, level, point_levels, seed):
     return GcbElement(space, level, tuple(terms))
 
 
+def _one_group_cost(u):
+    """‖Σαα*‖^½·‖Σβ*β‖^½·max |c|·‖x‖: the cost of all terms in one group at
+    unit scales, with the sums taken last term first."""
+    terms = u.terms[::-1]
+    row = sum(t.alpha @ t.alpha.conj().T for t in terms)
+    col = sum(t.beta.conj().T @ t.beta for t in terms)
+    peak = max(abs(t.c) * matrix_norm(t.point) for t in terms)
+    return np.sqrt(operator_norm(row)) * np.sqrt(operator_norm(col)) * peak
+
+
 def test_gcb_upper_bound_budget_one_is_the_given_representation():
     # The first evaluation is the single group with unit scales; the first
     # partition lists the indices last to first, and the sums follow it.
     for seed, space in enumerate(SPACES):
         u = _random_element(space, 2, (1, 2, 1), seed)
-        assert gcb_upper_bound(u, 1, seed) == representation_cost(u, [[2, 1, 0]])
+        assert gcb_upper_bound(u, 1, seed) == _one_group_cost(u)
 
 
 def test_gcb_upper_bound_nonincreasing_in_budget():

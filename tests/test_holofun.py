@@ -15,12 +15,10 @@ from cbnorm_lab.holofun import (
     Scale,
     Sum,
     amplify,
-    analyticity_radius,
-    evaluate,
     rescale_argument,
     taylor_coefficients,
 )
-from cbnorm_lab.opspace import OpSpaceElement, OpSpaceMatrix, space_min_linf
+from cbnorm_lab.opspace import OpSpaceMatrix, space_min_linf
 
 IDENTITY = PowerSeries([1.0])
 SQUARE = PowerSeries([0.0, 1.0])
@@ -43,27 +41,35 @@ DISK_ZOO = [
 ]
 
 
+def value_at(f, z):
+    """f at one point: a complex number for a disk function, a coefficient
+    vector over the domain space for a functional composite."""
+    if f.domain_space is None:
+        return amplify(f, np.array([[z]]))[0, 0]
+    return amplify(f, OpSpaceMatrix(f.domain_space, np.asarray(z).reshape(1, 1, -1)))[0, 0]
+
+
 def test_evaluate_linear():
-    assert evaluate(PowerSeries([0.5]), 0.4) == 0.2
+    assert value_at(PowerSeries([0.5]), 0.4) == 0.2
 
 
 def test_evaluate_blaschke_zero_of_product():
-    assert abs(evaluate(BLASCHKE, 0.5)) == 0.0
+    assert abs(value_at(BLASCHKE, 0.5)) == 0.0
 
 
 def test_evaluate_vanishes_at_origin():
     for f in DISK_ZOO:
-        assert evaluate(f, 0.0) == 0.0
-    zero = OpSpaceElement(MIN2, np.zeros(2, dtype=complex))
-    assert evaluate(GEOM_PHI, zero) == 0.0
-    assert evaluate(COMPOSITE, zero) == 0.0
+        assert value_at(f, 0.0) == 0.0
+    zero = np.zeros(2, dtype=complex)
+    assert value_at(GEOM_PHI, zero) == 0.0
+    assert value_at(COMPOSITE, zero) == 0.0
 
 
 def test_evaluate_rejects_boundary():
     with pytest.raises(DomainError):
-        evaluate(IDENTITY, 1.0)
+        value_at(IDENTITY, 1.0)
     with pytest.raises(DomainError):
-        evaluate(GEOMETRIC, 1.0 + 0.2j)
+        value_at(GEOMETRIC, 1.0 + 0.2j)
 
 
 def test_evaluate_matches_closed_forms():
@@ -72,13 +78,13 @@ def test_evaluate_matches_closed_forms():
         z = 0.9 * (rng.standard_normal() + 1j * rng.standard_normal()) / 2.0
         if abs(z) >= 1.0:
             continue
-        assert abs(evaluate(GEOMETRIC, z) - z / (1 - 0.5 * z)) < 1e-14
+        assert abs(value_at(GEOMETRIC, z) - z / (1 - 0.5 * z)) < 1e-14
         expected = z * (z - 0.5) / (1 - 0.5 * z)
-        assert abs(evaluate(BLASCHKE, z) - expected) < 1e-14
+        assert abs(value_at(BLASCHKE, z) - expected) < 1e-14
 
 
 def test_amplify_identity_returns_argument():
-    x = matcore.sample_ball(3, 0.8, 1)
+    x = matcore._random_ball(np.random.default_rng(1), 3, 0.8)
     assert np.array_equal(amplify(IDENTITY, x), x)
 
 
@@ -99,23 +105,13 @@ def test_amplify_rejects_boundary_matrix():
         amplify(IDENTITY, np.eye(2))
 
 
-def test_amplify_level1_matches_evaluate():
-    rng = np.random.default_rng(1)
-    for f in DISK_ZOO:
-        z = 0.6 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        assert abs(amplify(f, np.array([[z]]))[0, 0] - evaluate(f, z)) < 1e-15
-    x = OpSpaceElement(MIN2, np.array([0.5, -0.3j]))
-    for f in (GEOM_PHI, COMPOSITE):
-        assert abs(amplify(f, x.as_level1())[0, 0] - evaluate(f, x)) < 1e-15
-
-
 def test_amplify_commutes_with_direct_sums_exactly():
     rng = np.random.default_rng(2)
     for f in DISK_ZOO:
         a = matcore._random_ball(rng, 2, 0.5)
         b = matcore._random_ball(rng, 3, 0.7)
-        combined = amplify(f, matcore.direct_sum(a, b))
-        expected = matcore.direct_sum(amplify(f, a), amplify(f, b))
+        combined = amplify(f, np.block([[a, np.zeros((2, 3))], [np.zeros((3, 2)), b]]))
+        expected = np.block([[amplify(f, a), np.zeros((2, 3))], [np.zeros((3, 2)), amplify(f, b)]])
         assert np.array_equal(combined, expected)
 
 
@@ -133,7 +129,7 @@ def test_amplify_space_direct_sum_exact():
 
 def test_amplify_guard_catches_bad_certification():
     lying = GeometricPhi(MIN2, np.array([5.0, 0.0], dtype=complex), 0.5)
-    x = OpSpaceElement(MIN2, np.array([0.9, 0.0])).as_level1()
+    x = OpSpaceMatrix(MIN2, np.array([0.9, 0.0]).reshape(1, 1, -1))
     with pytest.raises(DomainError):
         amplify(lying, x)
 
@@ -200,13 +196,6 @@ def test_taylor_rejects_space_domain():
         taylor_coefficients(GEOM_PHI, 4)
 
 
-def test_analyticity_radius():
-    assert analyticity_radius(IDENTITY) == np.inf
-    assert analyticity_radius(GEOMETRIC) == 2.0
-    assert analyticity_radius(BLASCHKE) == 2.0
-    assert analyticity_radius(Product(GEOMETRIC, MoebiusQuotient(IDENTITY, 0.8))) == 1.25
-
-
 def test_rescale_argument_matches_substitution():
     rng = np.random.default_rng(4)
     t = 0.6
@@ -214,7 +203,7 @@ def test_rescale_argument_matches_substitution():
         g = rescale_argument(f, t)
         for _ in range(20):
             z = 0.95 * np.exp(1j * rng.uniform(0, 2 * np.pi)) * rng.uniform(0, 1)
-            assert abs(evaluate(g, z) - evaluate(f, t * z)) < 1e-12
+            assert abs(value_at(g, z) - value_at(f, t * z)) < 1e-12
 
 
 def test_scale_nodes_collapse():

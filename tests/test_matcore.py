@@ -98,28 +98,6 @@ def test_top_singular_pair_gives_the_norm_and_its_differential():
     assert abs(central - np.real(u.conj() @ da @ v)) <= 1e-8
 
 
-def test_direct_sum_diagonal():
-    out = matcore.direct_sum([[1.0]], [[2.0]])
-    assert np.array_equal(out, np.diag([1.0 + 0j, 2.0 + 0j]))
-    assert matcore.operator_norm(out) == 2.0
-
-
-def test_direct_sum_zero_padding_preserves_norm():
-    rng = np.random.default_rng(5)
-    a = random_complex(rng, 3, 3)
-    padded = matcore.direct_sum(a, np.zeros((2, 2)))
-    assert abs(matcore.operator_norm(padded) - matcore.operator_norm(a)) < 1e-12
-
-
-def test_direct_sum_norm_is_max():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = random_complex(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        b = random_complex(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        expected = max(matcore.operator_norm(a), matcore.operator_norm(b))
-        assert abs(matcore.operator_norm(matcore.direct_sum(a, b)) - expected) < 1e-12
-
-
 def test_schur_product_all_ones():
     ones = np.ones((2, 2))
     out = matcore.schur_product(ones, ones)
@@ -161,33 +139,31 @@ def test_compression_norm_inequality():
         assert matcore.operator_norm(alpha @ a @ beta) <= bound + 1e-10
 
 
+# `_random_ball` draws the search starts and the Schwarz trials.
+
+
 def test_sample_ball_norm_exact():
-    a = matcore.sample_ball(4, 0.5, 123)
+    a = matcore._random_ball(np.random.default_rng(123), 4, 0.5)
     assert abs(matcore.operator_norm(a) - 0.5) < 1e-12
 
 
 def test_sample_ball_deterministic():
-    assert np.array_equal(matcore.sample_ball(3, 0.7, 99), matcore.sample_ball(3, 0.7, 99))
-    assert not np.array_equal(matcore.sample_ball(3, 0.7, 99), matcore.sample_ball(3, 0.7, 100))
+    draw = lambda seed: matcore._random_ball(matcore.derive_rng(seed), 3, 0.7)
+    assert np.array_equal(draw(99), draw(99))
+    assert not np.array_equal(draw(99), draw(100))
 
 
 def test_sample_ball_scalar_modulus():
-    a = matcore.sample_ball(1, 0.25, 4)
+    a = matcore._random_ball(np.random.default_rng(4), 1, 0.25)
     assert a.shape == (1, 1)
     assert abs(abs(a[0, 0]) - 0.25) < 1e-12
 
 
-@pytest.mark.parametrize("radius", [0.0, 1.0, -0.5, 1.5])
-def test_sample_ball_rejects_bad_radius(radius):
-    with pytest.raises(InvalidInputError):
-        matcore.sample_ball(2, radius, 1)
-
-
 def test_sample_ball_rejects_bad_seed():
     with pytest.raises(InvalidInputError):
-        matcore.sample_ball(2, 0.5, -1)
+        matcore.derive_rng(-1)
     with pytest.raises(InvalidInputError):
-        matcore.sample_ball(2, 0.5, 2**64)
+        matcore.derive_rng(2**64)
 
 
 def test_project_ball_fixes_interior_exactly():

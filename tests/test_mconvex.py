@@ -24,7 +24,6 @@ from cbnorm_lab.mconvex import (
     set_norm,
 )
 from cbnorm_lab.opspace import (
-    OpSpaceElement,
     OpSpaceMatrix,
     matrix_norm,
     realize,
@@ -212,8 +211,8 @@ def test_find_certificate_never_separates_generator():
 def test_find_certificate_coordinate_direction():
     # Norm separation fails here (0.8 < 0.9): only the functional direction
     # orthogonal to the generator separates.
-    e1 = OpSpaceElement(MIN2, np.array([0.9, 0.0])).as_level1()
-    e2 = OpSpaceElement(MIN2, np.array([0.0, 0.8])).as_level1()
+    e1 = OpSpaceMatrix(MIN2, np.array([0.9, 0.0]).reshape(1, 1, -1))
+    e2 = OpSpaceMatrix(MIN2, np.array([0.0, 0.8]).reshape(1, 1, -1))
     k = MatrixSet(MIN2, (e1,))
     cert = find_certificate(k, e2, 10000, 11)
     assert cert is not None
@@ -245,7 +244,7 @@ def test_matrix_set_validation():
     with pytest.raises(InvalidInputError):
         MatrixSet(SCALAR, ())
     with pytest.raises(InvalidInputError):
-        MatrixSet(SCALAR, (OpSpaceElement(MIN2, np.array([1.0, 0.0])).as_level1(),))
+        MatrixSet(SCALAR, (OpSpaceMatrix(MIN2, np.array([1.0, 0.0]).reshape(1, 1, -1)),))
 
 
 # ---------------------------------------------------------------------------

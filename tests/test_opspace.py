@@ -7,15 +7,12 @@ from cbnorm_lab import matcore
 from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.opspace import (
     ConcreteOperatorSpace,
-    OpSpaceElement,
     OpSpaceMatrix,
     block_adjoint,
     block_matrix,
     closed_form_dual_norm,
     compress,
     direct_sum_matrices,
-    dual_functional_norm,
-    element_norm,
     matrix_norm,
     realize,
     sample_matrix_ball,
@@ -62,7 +59,7 @@ def test_realize_level1_is_basis_combination():
     s = space_mk(2)
     rng = np.random.default_rng(1)
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    x = OpSpaceElement(s, c).as_level1()
+    x = OpSpaceMatrix(s, c.reshape(1, 1, -1))
     expected = sum(c[k] * s.basis[k] for k in range(4))
     assert np.allclose(realize(x), expected, atol=0)
 
@@ -110,16 +107,16 @@ def test_mk_norm_matches_reshuffled_operator_norm():
 
 def test_row_element_norm_is_euclidean():
     s = space_row(2)
-    assert abs(element_norm(OpSpaceElement(s, np.array([1.0, 1.0]))) - np.sqrt(2)) < 1e-12
+    assert abs(matrix_norm(OpSpaceMatrix(s, np.array([1.0, 1.0]).reshape(1, 1, -1))) - np.sqrt(2)) < 1e-12
     rng = np.random.default_rng(4)
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert abs(element_norm(OpSpaceElement(s, c)) - np.linalg.norm(c)) < 1e-12
+    assert abs(matrix_norm(OpSpaceMatrix(s, c.reshape(1, 1, -1))) - np.linalg.norm(c)) < 1e-12
 
 
 def test_min_linf_element_norm_is_max_modulus():
     s = space_min_linf(2)
     c = np.array([0.3 - 0.1j, -0.9 + 0.2j])
-    assert abs(element_norm(OpSpaceElement(s, c)) - np.max(np.abs(c))) < 1e-12
+    assert abs(matrix_norm(OpSpaceMatrix(s, c.reshape(1, 1, -1))) - np.max(np.abs(c))) < 1e-12
 
 
 def test_scalar_space_matrix_norm_is_operator_norm():
@@ -174,25 +171,10 @@ def test_sample_matrix_ball_norm_and_determinism():
     assert np.array_equal(x.entries, y.entries)
 
 
-def test_dual_functional_norm_scalar_exact():
-    s = space_scalar()
-    assert abs(dual_functional_norm(s, np.array([0.3 + 0.4j]), 200, seed=1) - 0.5) < 1e-9
-
-
-def test_dual_functional_norm_reaches_l1_dual():
-    s = space_min_linf(2)
-    value = dual_functional_norm(s, np.array([1.0, 1.0], dtype=complex), 3000, seed=3)
-    assert value >= 2.0 - 1e-3
-    assert value <= 2.0 + 1e-9
-
-
-def test_dual_functional_norm_never_exceeds_true_norm():
-    rng = np.random.default_rng(9)
-    for space in SPACES:
-        phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        truth = closed_form_dual_norm(space, phi)
-        est = dual_functional_norm(space, phi, 800, seed=11)
-        assert est <= truth + 1e-9
+@pytest.mark.parametrize("radius", [0.0, 1.0, -0.5, 1.5])
+def test_sample_matrix_ball_rejects_bad_radius(radius):
+    with pytest.raises(InvalidInputError, match="radius"):
+        sample_matrix_ball(space_row(2), 2, radius, 1)
 
 
 def test_closed_form_dual_norms():
@@ -206,7 +188,7 @@ def test_closed_form_dual_norms():
 def test_element_validation():
     s = space_row(2)
     with pytest.raises(InvalidInputError):
-        OpSpaceElement(s, np.array([1.0]))
+        OpSpaceMatrix(s, np.array([1.0]).reshape(1, 1, -1))
     with pytest.raises(InvalidInputError):
         OpSpaceMatrix(s, np.ones((2, 3, 2), dtype=complex))
     with pytest.raises(InvalidInputError):

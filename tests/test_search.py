@@ -14,9 +14,7 @@ from cbnorm_lab.cbnorm import RADIUS_CAP, level_sup
 from cbnorm_lab.errors import DomainError, InvalidInputError
 from cbnorm_lab.mconvex import MatrixSet, find_certificate
 from cbnorm_lab.opspace import (
-    OpSpaceElement,
     OpSpaceMatrix,
-    dual_functional_norm,
     space_min_linf,
     space_row,
     space_scalar,
@@ -164,7 +162,7 @@ def test_ascent_leaves_a_degenerate_start(f):
     objective, project, _, _ = cbnorm._disk_problem(f, 2)
     x0 = _search.encode(0.5 * np.eye(2, dtype=complex))
     _, value = _search.ascend(objective, x0, project, _search.Budget(200))
-    assert value >= holofun.evaluate(f, RADIUS_CAP).real - 1e-9
+    assert value >= holofun.amplify(f, np.array([[RADIUS_CAP]]))[0, 0].real - 1e-9
 
 
 def test_space_gradient_on_the_cap_drops_its_outward_part():
@@ -194,14 +192,9 @@ def _level_sup_space():
     assert w.level == 2 and w.value >= 0.0
 
 
-def _dual_functional_norm():
-    value = dual_functional_norm(space_min_linf(2), np.array([1.0, 1.0]), 1, seed=3)
-    assert 0.0 <= value <= 2.0 + 1e-9
-
-
 def _find_certificate():
     s = space_scalar()
-    k = MatrixSet(s, (OpSpaceElement(s, np.array([1.0])).as_level1(),))
+    k = MatrixSet(s, (OpSpaceMatrix(s, np.array([1.0]).reshape(1, 1, -1)),))
     outside = find_certificate(k, OpSpaceMatrix(s, np.full((1, 1, 1), 2.0 + 0j)), 1, seed=3)
     assert outside is not None  # the first warm start already separates
     inside = find_certificate(k, OpSpaceMatrix(s, np.full((1, 1, 1), 0.5 + 0j)), 1, seed=3)
@@ -209,7 +202,7 @@ def _find_certificate():
 
 
 @pytest.mark.parametrize(
-    "search", [_level_sup_disk, _level_sup_space, _dual_functional_norm, _find_certificate]
+    "search", [_level_sup_disk, _level_sup_space, _find_certificate]
 )
 def test_searches_run_at_budget_one(search):
     search()
@@ -278,18 +271,11 @@ def test_sample_matrix_ball_rejects_non_integer_levels(level):
         opspace.sample_matrix_ball(space_row(2), level, 0.5, 1)
 
 
-@pytest.mark.parametrize("level", _NOT_INTEGERS)
-def test_sample_ball_rejects_non_integer_levels(level):
-    with pytest.raises(InvalidInputError, match="level must be an integer"):
-        matcore.sample_ball(level, 0.5, 1)
-
-
 def test_integral_float_levels_are_integers():
     # Samples are not search levels: a sample's level is any count, as the
     # 64 cap guards only what a search or a pairing builds.
-    assert np.array_equal(matcore.sample_ball(2.0, 0.5, 1), matcore.sample_ball(2, 0.5, 1))
-    assert matcore.sample_ball(65, 0.5, 1).shape == (65, 65)
     assert opspace.sample_matrix_ball(space_row(2), 2.0, 0.5, 1).level == 2
+    assert opspace.sample_matrix_ball(space_scalar(), 65, 0.5, 1).level == 65
     assert gcb.GcbElement(space_scalar(), 2.0, ()).level == 2
     report = cbnorm.question_probe(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[2.0, 1])
     assert report.levels == (1, 2)
@@ -298,12 +284,11 @@ def test_integral_float_levels_are_integers():
 @pytest.mark.parametrize("budget", [True, 1.5])
 def test_searches_reject_non_integer_budgets(budget):
     s = space_scalar()
-    k = MatrixSet(s, (OpSpaceElement(s, np.array([1.0])).as_level1(),))
+    k = MatrixSet(s, (OpSpaceMatrix(s, np.array([1.0]).reshape(1, 1, -1)),))
     x0 = OpSpaceMatrix(s, np.full((1, 1, 1), 2.0 + 0j))
     searches = [
         lambda: level_sup(holofun.PowerSeries([1.0]), 2, budget, seed=3),
         lambda: level_sup(holofun.GeometricPhi(space_row(2), np.array([0.3, 0.4]), 0.5), 2, budget, seed=3),
-        lambda: dual_functional_norm(space_min_linf(2), np.array([1.0, 1.0]), budget, seed=3),
         lambda: find_certificate(k, x0, budget, seed=3),
     ]
     for search in searches:
@@ -382,20 +367,6 @@ def _space_case(rng):
     return objective, project, start(rng, 0.5), alone
 
 
-def _dual_case(rng):
-    space = [space_min_linf(3), space_row(2), opspace.space_mk(2)][int(rng.integers(3))]
-    phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    captured = []
-    with mock.patch.object(_search, "restarts", lambda objective, *args: captured.append(objective) or ()):
-        dual_functional_norm(space, phi, 30, seed=5)
-
-    def alone(vec):
-        c = _search.decode(vec, (1, 1, space.dim))
-        return abs(np.sum(c * phi)) / matcore.operator_norm(opspace.block_matrix(c, space.basis))
-
-    return captured[0], _search.to_sphere, rng.standard_normal(2 * space.dim), alone
-
-
 def _certificate_case(rng):
     space = [space_min_linf(2), space_row(2)][int(rng.integers(2))]
     k = MatrixSet(space, tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2)))
@@ -414,7 +385,7 @@ def _certificate_case(rng):
     return captured[0], _search.to_sphere, rng.standard_normal(2 * level * level * space.dim), alone
 
 
-_CASES = [_disk_case, _space_case, _dual_case, _certificate_case]
+_CASES = [_disk_case, _space_case, _certificate_case]
 
 
 @pytest.mark.parametrize("case", _CASES)
