@@ -36,7 +36,6 @@ from .gcb import (
     gcb_lower_bound,
     gcb_pairing,
     gcb_upper_bound,
-    norming_dictionary,
 )
 from .holofun import (
     Blaschke,

@@ -52,7 +52,6 @@ class Witness:
 class LevelEntry:
     value: float
     witness: Witness
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
             ):
                 w = lifted
         running = w
-        table[m] = LevelEntry(value=w.value, witness=w, samples=budget)
+        table[m] = LevelEntry(value=w.value, witness=w)
     return table
 
 

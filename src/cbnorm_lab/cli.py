@@ -109,7 +109,7 @@ def _run_bounds(bounds, config):
         "gap": None if est.upper is None else est.upper - est.lower,
         "provenance": est.provenance,
         "level_table": {
-            str(m): {"value": e.value, "samples": e.samples} for m, e in est.level_table.items()
+            str(m): {"value": e.value, "samples": est.budget} for m, e in est.level_table.items()
         },
     }
     witnesses = {str(m): _serialize_witness(e.witness) for m, e in est.level_table.items()}

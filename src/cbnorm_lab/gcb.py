@@ -5,9 +5,11 @@ points strictly inside matrix unit balls.  The norm is sandwiched between the
 representation-cost infimum (searched over groupings and value-preserving
 rescalings of a finite family) and pairings against a dictionary of functions
 with certified unit bounds.  Dictionaries may contain plain scalar functions
-and grids of linear functionals; the grid built from the ambient coordinates
-reproduces the realization exactly, which is what pins evaluation elements to
-the norm of their base point.
+and grids of linear functionals.  Every cb-holomorphic f factors through δ by
+a linear map, so a linear entry pairs with u at its linearized point
+Σ cᵢ·αᵢ·xᵢ·βᵢ.  The grid built from the ambient coordinates pairs that point
+to its realization, so it is norming among the linear entries; it pins
+evaluation elements to the norm of their base point exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from . import holofun, matcore, mconvex
 from ._search import Budget
 from .errors import InvalidInputError
-from .holofun import GeometricPhi, HoloFunction
-from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, matrix_norm, realize, same_space
+from .holofun import HoloFunction
+from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, compress, matrix_norm, realize, same_space
 
 # Points carried by predual elements stay this far inside the unit ball.
 _INTERIOR_MARGIN = 1e-9
@@ -212,31 +214,35 @@ class FunctionDictionary:
         object.__setattr__(self, "entries", tuple(normalized))
 
 
-def _point_amplification(entry, point: OpSpaceMatrix) -> np.ndarray:
-    """Amplified value of a dictionary entry at one point, sized k·m_entry."""
-    if isinstance(entry, GridEntry):
-        if not same_space(entry.space, point.space):
-            raise InvalidInputError("grid entry and point live over different spaces")
-        return block_matrix(point.entries, np.moveaxis(entry.grid, -1, 0))
-    f = entry.function
-    if f.domain_space is None:
-        if point.space.ambient != 1:
-            raise InvalidInputError("disk-domain dictionary entries need the scalar space")
-        return holofun.amplify(f, realize(point))
-    return holofun.amplify(f, point)
+def linearize(u: GcbElement) -> OpSpaceMatrix:
+    """The level-n point Σ cᵢ·αᵢ·xᵢ·βᵢ.  Every cb-holomorphic f factors
+    through δ by a linear map, so a linear f pairs with u as f_n at this point."""
+    acc = np.zeros((u.level, u.level, u.space.dim), dtype=np.complex128)
+    for t in u.terms:
+        acc += t.c * compress(t.alpha, t.point, t.beta).entries
+    return OpSpaceMatrix(u.space, acc)
 
 
 def gcb_pairing(u: GcbElement, entry) -> np.ndarray:
-    """⟨u, f⟩ = Σ cᵢ·(αᵢ⊗I)·f(xᵢ)·(βᵢ⊗I), an (n·m)×(n·m) matrix."""
-    m = entry.grid.shape[0] if isinstance(entry, GridEntry) else 1
-    size = u.level * m
-    out = np.zeros((size, size), dtype=np.complex128)
-    eye = np.eye(m, dtype=np.complex128)
+    """⟨u, f⟩, an (n·m)×(n·m) matrix: a grid entry's amplification at
+    linearize(u), or Σ cᵢ·αᵢ·f(xᵢ)·βᵢ for a scalar entry (m = 1)."""
+    if isinstance(entry, GridEntry):
+        if not same_space(entry.space, u.space):
+            raise InvalidInputError("grid entry and element live over different spaces")
+        # Contiguous like a space's basis, so that the coordinate grid pairs a
+        # point to its realization bit for bit.
+        functionals = np.ascontiguousarray(np.moveaxis(entry.grid, -1, 0))
+        return block_matrix(linearize(u).entries, functionals)
+    f = entry.function
+    out = np.zeros((u.level, u.level), dtype=np.complex128)
     for t in u.terms:
-        amp = _point_amplification(entry, t.point)
-        left = np.kron(np.asarray(t.alpha), eye) if m > 1 else np.asarray(t.alpha)
-        right = np.kron(np.asarray(t.beta), eye) if m > 1 else np.asarray(t.beta)
-        out += t.c * (left @ amp @ right)
+        if f.domain_space is None:
+            if t.point.space.ambient != 1:
+                raise InvalidInputError("disk-domain dictionary entries need the scalar space")
+            value = holofun.amplify(f, realize(t.point))
+        else:
+            value = holofun.amplify(f, t.point)
+        out += t.c * (np.asarray(t.alpha) @ value @ np.asarray(t.beta))
     return out
 
 
@@ -252,42 +258,7 @@ def gcb_lower_bound(u: GcbElement, dictionary: FunctionDictionary) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shipped dictionaries and the evaluation-isometry check
-
-
-def _coordinate_functional_entries(space: ConcreteOperatorSpace):
-    """Dual-basis coordinate functionals with a crude certified bound via the
-    pseudoinverse of the coordinate matrix."""
-    coords = space.basis.reshape(space.dim, -1)
-    pinv = np.linalg.pinv(coords)  # (N², d)
-    entries = []
-    for t in range(space.dim):
-        bound = float(np.linalg.norm(pinv[:, t]) * np.sqrt(space.ambient))
-        grid = np.zeros((1, 1, space.dim), dtype=np.complex128)
-        grid[0, 0, t] = 1.0
-        entries.append(GridEntry(space, grid, bound))
-    return entries
-
-
-def norming_dictionary(space: ConcreteOperatorSpace, x: OpSpaceMatrix | None = None) -> FunctionDictionary:
-    """Coordinate grid, coordinate functionals, an optional norming compression
-    at a target point, and one geometric-functional test direction."""
-    # The coordinate grid's cb norm is exactly 1 (mconvex.coordinate_grid).
-    entries = [GridEntry(space, mconvex.coordinate_grid(space), 1.0)]
-    functionals = _coordinate_functional_entries(space)
-    entries.extend(functionals)
-    if x is not None:
-        # Certified by ‖a‖·‖b‖ <= 1, where the n×N block matrices a and b of
-        # the top singular pair have Frobenius norm 1.  The norms are taken
-        # of the N×n transposes: equal in exact arithmetic, but LAPACK's last
-        # bits differ, and the records were made with these.
-        grid, left, right = mconvex.svd_compression_grid(x)
-        bound = matcore.operator_norm(left.T) * matcore.operator_norm(right.T)
-        entries.append(GridEntry(space, grid, min(bound, 1.0)))
-    phi = np.zeros(space.dim, dtype=np.complex128)
-    phi[0] = 0.5 / functionals[0].bound  # so ‖φ‖ <= 0.5, certified
-    entries.append(ScalarEntry(GeometricPhi(space, phi, 0.5), 1.0))
-    return FunctionDictionary(tuple(entries))
+# The evaluation-isometry check
 
 
 @dataclass(frozen=True)
@@ -305,15 +276,18 @@ def delta_isometry_check(x: OpSpaceMatrix, budget: int, seed) -> DeltaIsometryRe
 
     The upper gap must stay within 1e-9 (the trivial representation costs
     exactly ‖x‖ and no value-preserving move can beat it on a single term);
-    the lower gap must stay within 1e-6 (the coordinate grid reproduces the
-    realization).
+    the lower gap must stay within 1e-6.  The lower bound pairs δ(x) with the
+    coordinate grid alone: its cb norm is exactly 1 and it pairs the
+    linearized point x to realize(x), so it is norming among the linear
+    entries, and no entry of cb norm <= 1 can exceed ‖δ(x)‖ = ‖x‖.
     """
     nx = matrix_norm(x)
     if nx > 1.0 - _INTERIOR_MARGIN:
         raise InvalidInputError("point must lie strictly inside the matrix unit ball")
     u = delta_element(x)
     upper = gcb_upper_bound(u, budget, seed)
-    lower = gcb_lower_bound(u, norming_dictionary(x.space, x))
+    coordinates = GridEntry(x.space, mconvex.coordinate_grid(x.space), 1.0)
+    lower = gcb_lower_bound(u, FunctionDictionary((coordinates,)))
     upper_gap = upper - nx
     lower_gap = nx - lower
     return DeltaIsometryReport(

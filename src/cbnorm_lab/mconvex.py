@@ -313,11 +313,13 @@ def coordinate_grid(space: ConcreteOperatorSpace) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(space.basis, (1, 2, 0)))
 
 
-def svd_compression_grid(x: OpSpaceMatrix):
+def svd_compression_grid(x: OpSpaceMatrix) -> np.ndarray:
     """Grid y ↦ u_k*·(realized y)·v_l from the top singular pair (u, v) of
-    realize(x), returned with the n×N matrices of blocks u_k and v_l."""
+    realize(x): `find_certificate`'s warm start.  No grid of cb norm <= 1
+    norms a point better than the coordinate grid, which pairs it to its
+    realization, so `gcb`'s evaluation-isometry check pairs with that alone."""
     _, u, v = matcore.top_singular_pair(realize(x))
-    return opspace.block_adjoint(u, v, x.space.basis), u.reshape(x.level, -1), v.reshape(x.level, -1)
+    return opspace.block_adjoint(u, v, x.space.basis)
 
 
 def _scale_to_certificate(k, x0, grid):
@@ -351,7 +353,7 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
         raise InvalidInputError("matrix set and target live over different spaces")
     space = k.space
     # Each warm start costs one evaluation, like a restart's first point.
-    for warm in (coordinate_grid(space), svd_compression_grid(x0)[0])[:budget]:
+    for warm in (coordinate_grid(space), svd_compression_grid(x0))[:budget]:
         found = _scale_to_certificate(k, x0, warm)
         if found is not None:
             return found

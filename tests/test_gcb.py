@@ -17,12 +17,14 @@ from cbnorm_lab.gcb import (
     gcb_lower_bound,
     gcb_pairing,
     gcb_upper_bound,
-    norming_dictionary,
 )
-from cbnorm_lab.holofun import PowerSeries, Scale
+from cbnorm_lab.holofun import Composite, GeometricPhi, PowerSeries, Scale
 from cbnorm_lab.matcore import derive_rng, operator_norm
+from cbnorm_lab.mconvex import coordinate_grid
 from cbnorm_lab.opspace import (
+    ConcreteOperatorSpace,
     OpSpaceMatrix,
+    block_matrix,
     matrix_norm,
     realize,
     sample_matrix_ball,
@@ -40,6 +42,10 @@ SPACES = [SCALAR, MK2, space_row(2), space_column(2), space_min_linf(2)]
 IDENTITY = PowerSeries([1.0])
 SQUARE = PowerSeries([0.0, 1.0])
 
+# Pairings computed in different orders of operations agree to this many
+# units of the largest entry.
+_ULPS = 8 * 2.0**-52
+
 
 def scalar_matrix(values):
     arr = np.asarray(values, dtype=complex)
@@ -49,6 +55,11 @@ def scalar_matrix(values):
 def eye_term(x, c=1.0):
     eye = np.eye(x.level, dtype=complex)
     return GcbTerm(complex(c), eye, x, eye)
+
+
+def coordinate_dictionary(space):
+    """The coordinate grid alone; its cb norm as a map into M_N is exactly 1."""
+    return FunctionDictionary((GridEntry(space, coordinate_grid(space), 1.0),))
 
 
 def test_gcb_upper_bound_empty_element():
@@ -67,7 +78,7 @@ def test_gcb_upper_bound_duplicate_terms():
     x = sample_matrix_ball(MK2, 1, 0.5, 8)
     u = GcbElement(MK2, 1, (eye_term(x), eye_term(x)))
     upper = gcb_upper_bound(u, 3000, 9)
-    lower = gcb_lower_bound(u, norming_dictionary(MK2, x))
+    lower = gcb_lower_bound(u, coordinate_dictionary(MK2))
     assert abs(lower - 2 * matrix_norm(x)) < 1e-9
     assert upper >= lower - 1e-9
     assert abs(upper - 2 * matrix_norm(x)) < 1e-9
@@ -254,7 +265,54 @@ def test_gcb_pairing_grid_matches_quadruple_loop():
         eye = np.eye(2)
         expected += t.c * (np.kron(t.alpha, eye) @ amp @ np.kron(t.beta, eye))
     out = gcb_pairing(u, GridEntry(space, grid, 1.0))
-    assert np.max(np.abs(out - expected)) < 1e-15
+    assert np.max(np.abs(out - expected)) <= _ULPS * np.max(np.abs(expected))
+
+
+def _custom_space():
+    rng = np.random.default_rng(20)
+    return ConcreteOperatorSpace(rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
+
+
+_LINEARIZATION_SPACES = [*SPACES, _custom_space()]
+
+
+def _functional_norm_bound(space, phi):
+    """|φ(y)| <= Σ |φ_k|·|y_k|, and the coefficient y_k = ⟨D_k, realized y⟩ of
+    the dual basis D = pinv of the coordinate matrix has |y_k| <= ‖D_k‖_F·√N·‖y‖."""
+    dual = np.linalg.pinv(space.basis.reshape(space.dim, -1))
+    return float(np.sum(np.abs(phi) * np.linalg.norm(dual, axis=0)) * np.sqrt(space.ambient))
+
+
+def _kronecker_pairing(u, grid):
+    """Σ c·(α ⊗ I_m)·G(x)·(β ⊗ I_m), with G(x) the grid's value at the point."""
+    eye = np.eye(grid.shape[0])
+    values = [block_matrix(t.point.entries, np.moveaxis(grid, -1, 0)) for t in u.terms]
+    return sum(t.c * (np.kron(t.alpha, eye) @ g @ np.kron(t.beta, eye)) for t, g in zip(u.terms, values))
+
+
+@pytest.mark.parametrize("space_index", range(len(_LINEARIZATION_SPACES)))
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_grid_entries_pair_at_the_linearized_point(space_index, level, m):
+    space = _LINEARIZATION_SPACES[space_index]
+    seed = 100 * space_index + 10 * level + m
+    u = _random_element(space, level, (1, 3, 2)[: 1 + seed % 3], seed)
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal((m, m, space.dim)) + 1j * rng.standard_normal((m, m, space.dim))
+    point = gcb.linearize(u)
+    out = gcb_pairing(u, GridEntry(space, grid, 1.0))
+    functionals = np.ascontiguousarray(np.moveaxis(grid, -1, 0))
+    assert np.array_equal(out, block_matrix(point.entries, functionals))
+    expected = _kronecker_pairing(u, grid)
+    assert np.max(np.abs(out - expected)) <= _ULPS * np.max(np.abs(expected))
+    # A linear scalar entry, x ↦ φ(x), pairs term by term; the 1×1 grid φ at
+    # the linearized point agrees with it.
+    phi = 0.5 * grid[0, 0] / _functional_norm_bound(space, grid[0, 0])
+    linear = gcb_pairing(u, ScalarEntry(Composite(IDENTITY, space, phi, 0.5), 1.0))
+    functional = gcb_pairing(u, GridEntry(space, phi.reshape(1, 1, -1), 1.0))
+    assert np.max(np.abs(functional - linear)) <= _ULPS * np.max(np.abs(linear))
+    coordinates = gcb_pairing(u, GridEntry(space, coordinate_grid(space), 1.0))
+    assert operator_norm(coordinates) == matrix_norm(point)
 
 
 def test_gcb_pairing_linear_functional_gives_functional_image():
@@ -316,7 +374,7 @@ def test_gcb_lower_bound_delta_reaches_point_norm():
     for space in SPACES:
         x = sample_matrix_ball(space, 2, 0.7, 14)
         u = delta_element(x)
-        lower = gcb_lower_bound(u, norming_dictionary(space, x))
+        lower = gcb_lower_bound(u, coordinate_dictionary(space))
         assert lower >= matrix_norm(x) - 1e-6
         assert lower <= matrix_norm(x) + 1e-9
 
@@ -342,7 +400,14 @@ def test_gcb_sandwich_random_elements():
             terms.append(GcbTerm(complex(rng.standard_normal()), alpha, x, beta))
         u = GcbElement(space, n, tuple(terms))
         upper = gcb_upper_bound(u, 800, trial)
-        lower = gcb_lower_bound(u, norming_dictionary(space))
+        # φ = 0.5·e₀ has dual norm 0.5 on every builder space, so φ/(1 − φ)
+        # has cb norm at most 0.5/(1 − 0.5) = 1.
+        phi = np.zeros(space.dim, dtype=complex)
+        phi[0] = 0.5
+        dictionary = FunctionDictionary(
+            (*coordinate_dictionary(space).entries, ScalarEntry(GeometricPhi(space, phi, 0.5), 1.0))
+        )
+        lower = gcb_lower_bound(u, dictionary)
         assert lower <= upper + 1e-6
 
 
@@ -372,6 +437,19 @@ def test_delta_isometry_random_row_space_level3():
     report = delta_isometry_check(x, 500, 19)
     assert report.passed
     assert report.lower_gap <= 1e-4
+
+
+def test_delta_isometry_lower_bound_is_the_point_norm_exactly():
+    # The coordinate grid pairs δ(x) to realize(x), so the lower bound is the
+    # point's norm with no rounding at all; 30 points over the builder spaces.
+    for i, space in enumerate(SPACES):
+        for level in (1, 2, 3):
+            for j, radius in enumerate((0.3, 0.95)):
+                x = sample_matrix_ball(space, level, radius, 200 + 10 * i + 2 * level + j)
+                report = delta_isometry_check(x, 40, i)
+                assert report.passed
+                assert report.lower == report.point_norm
+                assert report.lower_gap == 0.0
 
 
 def test_delta_isometry_rejects_boundary_point():
