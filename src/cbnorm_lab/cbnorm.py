@@ -92,7 +92,11 @@ def _disk_problem(f: HoloFunction, m: int):
         return _norms_and_gradients(*holofun._eval_array(f, decode(stack, shape)))
 
     def project(stack):
-        return encode(matcore.project_ball(decode(stack, shape), RADIUS_CAP), stacked=True)
+        # An unclipped stack goes on as given: encode(decode(·)) would copy it
+        # and can turn −0.0 entries into +0.0.
+        points = decode(stack, shape)
+        projected = matcore.project_ball(points, RADIUS_CAP)
+        return stack if projected is points else encode(projected, stacked=True)
 
     def start(rng, radius):
         return encode(matcore._random_ball(rng, m, radius))

@@ -218,7 +218,7 @@ def run(command: str, config: dict) -> tuple[dict, bool]:
 
 
 def record_to_json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _report_row(record: dict) -> list[str]:

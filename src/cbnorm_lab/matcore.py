@@ -117,28 +117,21 @@ def _random_ball(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
             return g * (radius / nrm)
 
 
-def _clip(m: np.ndarray, r: float) -> np.ndarray:
-    # Singular values of a matrix or of each matrix of a stack clipped at r.
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return (u * np.minimum(s, r)[..., None, :]) @ vh
-
-
 def project_ball(a, r: float) -> np.ndarray:
     """Clip singular values at r, of one matrix or of each matrix of a
-    (k, p, q) stack; matrices already inside the ball are returned unchanged.
+    (k, p, q) stack; when every matrix is already inside the ball, the input
+    comes back as it is (the very array given, if it is complex128).
 
-    Every matrix takes a values-only SVD, and those outside the ball one SVD
-    with vectors, as one stack; each result has the bits of the same matrix
-    projected alone."""
+    One SVD with vectors of the whole stack both decides which matrices lie
+    outside and clips them; matrices inside keep their entries.  The SVD
+    gufunc decomposes each matrix on its own, so each result has the bits of
+    the same matrix projected alone."""
     m = as_matrix(a, 3 if np.ndim(a) == 3 else 2)
     r = float(r)
     if not r > 0.0:
         raise InvalidInputError(f"projection radius must be positive, got {r}")
-    outside = operator_norms(m, m.ndim) > r
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    outside = (s > r).any(axis=-1)
     if not outside.any():
         return m
-    if outside.all():
-        return _clip(m, r)
-    out = m.copy()
-    out[outside] = _clip(m[outside], r)
-    return out
+    return np.where(outside[..., None, None], (u * np.minimum(s, r)[..., None, :]) @ vh, m)

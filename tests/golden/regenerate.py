@@ -4,8 +4,9 @@
 
 Each golden file is the record of one `configs/*.json` run through
 `cli.run`, with `runtime_ms` dropped, in `cli.record_to_json` form.  Only
-regenerate after a change that is meant to alter results, and say so in
-CHANGES.md.
+regenerate after a change that is meant to alter results or their text form,
+and say so in CHANGES.md; after a change of text form alone, check that each
+rewritten file parses to the object its old file parsed to.
 """
 
 import json

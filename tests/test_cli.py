@@ -52,6 +52,43 @@ def test_shipped_config_runs_clean(config_path, tmp_path):
     assert cli.record_to_json(record) == (GOLDEN_DIR / config_path.name).read_text()
 
 
+def _sandwich_record():
+    config = load(CONFIG_DIR / "sandwich_geometric.json")
+    record, _ = cli.run(config["command"], config)
+    record.pop("runtime_ms")
+    return record
+
+
+def test_record_to_json_is_one_line_that_loads_back_to_the_record():
+    record = _sandwich_record()
+    assert record["witnesses"]
+    text = cli.record_to_json(record)
+    assert text.endswith("\n") and text.count("\n") == 1
+    # Dict equality compares every float with ==, so no digit was lost.
+    assert json.loads(text) == record
+
+
+def test_main_out_writes_the_record_text(tmp_path):
+    out = tmp_path / "record.json"
+    assert run_cli(["sandwich", "--config", CONFIG_DIR / "sandwich_geometric.json", "--out", out]) == 0
+    text = out.read_text()
+    record = json.loads(text)
+    assert text == cli.record_to_json(record)
+    record.pop("runtime_ms")
+    assert record == _sandwich_record()
+
+
+def test_report_reads_an_indented_record(tmp_path):
+    # Records written before they became one compact line were indented.
+    record = _sandwich_record()
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    compact.write_text(cli.record_to_json(record))
+    indented.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    rows = cli.report_rows([compact, indented])
+    assert len(rows) == 2 and rows[0] == rows[1]
+    assert rows[0][0] == "moebius_quotient(power_series)"
+
+
 def test_sandwich_record_reports_quotient_bound(tmp_path):
     out = tmp_path / "rec.json"
     assert run_cli(["sandwich", "--config", CONFIG_DIR / "sandwich_geometric.json", "--out", out]) == 0

@@ -200,21 +200,6 @@ def test_project_ball_idempotent_and_nonexpansive():
         )
 
 
-def test_project_ball_takes_singular_vectors_only_outside_the_ball(monkeypatch):
-    with_vectors = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, compute_uv=True, **kwargs):
-        with_vectors.append(compute_uv)
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    matcore.project_ball(np.diag([0.5, 0.25]), 1.0)
-    assert with_vectors == [False]
-    matcore.project_ball(np.diag([2.0, 0.25]), 1.0)
-    assert with_vectors == [False, False, True]
-
-
 def _stack_across_the_ball(rng, k=12, n=3):
     """k random n×n matrices with norms spread over [0.2, 2.0]."""
     stack = random_complex(rng, k * n, n).reshape(k, n, n)
@@ -241,23 +226,38 @@ def test_project_ball_stack_returns_interior_rows_unchanged():
     assert all(matcore.operator_norm(a) <= 1.0 + 1e-12 for a in out[~inside])
 
 
-def test_project_ball_stack_takes_vectors_only_of_rows_outside(monkeypatch):
+_STACK = _stack_across_the_ball(np.random.default_rng(33))
+
+
+@pytest.mark.parametrize(
+    "a, n_inside",
+    [
+        (np.diag([0.5, 0.25]).astype(complex), 1),
+        (np.diag([2.0, 0.25]).astype(complex), 0),
+        (_STACK[:4], 4),
+        (_STACK[-4:], 0),
+        (_STACK, 5),
+    ],
+    ids=["matrix-inside", "matrix-outside", "stack-inside", "stack-outside", "stack-mixed"],
+)
+def test_project_ball_takes_one_svd_with_vectors(a, n_inside, monkeypatch):
     calls = []
     svd = np.linalg.svd
 
-    def counting(a, *args, compute_uv=True, **kwargs):
-        calls.append((compute_uv, np.shape(a)[:-2]))
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+    def counting(x, *args, compute_uv=True, **kwargs):
+        calls.append((compute_uv, np.shape(x)))
+        return svd(x, *args, compute_uv=compute_uv, **kwargs)
 
-    stack = _stack_across_the_ball(np.random.default_rng(33))
-    outside = sum(matcore.operator_norm(a) > 1.0 for a in stack)
-    inside = stack[:4] / 2.0
     monkeypatch.setattr(np.linalg, "svd", counting)
-    assert np.array_equal(matcore.project_ball(inside, 1.0), inside)
-    assert calls == [(False, (4,))]
-    calls.clear()
-    matcore.project_ball(stack, 1.0)
-    assert calls == [(False, (12,)), (True, (outside,))]
+    out = matcore.project_ball(a, 1.0)
+    assert calls == [(True, a.shape)]
+    monkeypatch.undo()
+    inside = matcore.operator_norms(a, a.ndim) <= 1.0
+    assert inside.sum() == n_inside
+    # A stack with no row outside comes back as the very array given.
+    assert (out is a) == bool(inside.all())
+    assert np.array_equal(out[inside], a[inside])
+    assert (matcore.operator_norms(out, a.ndim)[~inside] <= 1.0 + 1e-12).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
