@@ -1,8 +1,8 @@
 """The one search engine: every estimated supremum in the package (the level
 sups of `cbnorm` and the separation certificates of `mconvex`) runs random
-restarts of a projected gradient ascent over the [Re, Im] encoding of a
-complex array; `gcb` counts its cost evaluations with the same `Budget`.
-This module owns the encoding, the ascent and the restart loop.
+restarts of a projected gradient ascent over complex arrays; `gcb` counts its
+cost evaluations with the same `Budget`.  This module owns the ascent and
+the restart loop.
 
 Every objective is the top singular value of a map that is linear or
 entrywise holomorphic in the point, so the SVD that gives its value also
@@ -35,58 +35,52 @@ class Budget:
         return k
 
 
-def encode(arr: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """Real vector [Re, Im] of a complex array, the space the ascent works in;
-    with `stacked`, one such row per index of the first axis."""
-    flat = arr.reshape(len(arr), -1) if stacked else arr.reshape(-1)
-    return np.concatenate([flat.real, flat.imag], axis=-1)
-
-
-def decode(vec: np.ndarray, shape: tuple) -> np.ndarray:
-    """Inverse of `encode`: the complex array of the given shape, one per row
-    of a 2-D stack of encoded points."""
-    half = vec.shape[-1] // 2
-    return (vec[..., :half] + 1j * vec[..., half:]).reshape(vec.shape[:-1] + shape)
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Σ conj(a)·b: the real inner product of two complex arrays."""
+    # One dot product over all real parts, then all imaginary parts: this
+    # summation order fixes the bits of every norm, step and projection built
+    # on it, and so of every searched record.
+    parts = lambda z: np.concatenate([z.real.ravel(), z.imag.ravel()])
+    return float(parts(a) @ parts(b))
 
 
 def to_sphere(stack: np.ndarray) -> np.ndarray:
-    """Projection for scale-invariant objectives: rescale each row to unit
-    length, with the bits `np.linalg.norm` gives that row alone."""
-    out = np.array(stack, dtype=float)
+    """Projection for scale-invariant objectives: rescale each point of the
+    stack to unit length, with the bits that point alone gives."""
+    out = np.array(stack, dtype=np.complex128)
     for row in out:
-        nrm = np.linalg.norm(row)
+        nrm = np.sqrt(inner(row, row))
         if nrm != 0.0:
-            row /= nrm
+            # Divided part by part: complex division by nrm + 0j rounds differently.
+            row.view(np.float64)[...] /= nrm
     return out
-
-
-def real_gradient(g: np.ndarray) -> np.ndarray:
-    """Encoded gradient of a real function of a complex array z whose
-    differential is Re Σ g·dz."""
-    return encode(np.conj(g))
 
 
 def ascend(objective, x0, project, budget: Budget):
     """Maximize `objective` from `x0` with projected gradient ascent.
 
-    Points travel as (k, n) stacks of encoded points.  `objective(stack)`
-    returns the values of the rows and `gradient_at`, where `gradient_at(i)`
-    is the encoded gradient at row i; it may stop at a row it cannot
-    evaluate and return the values of the rows before it.  `project(stack)`
-    restores feasibility row by row; the start point is a stack of one.
+    A point is a complex array, and points travel as stacks: arrays of shape
+    (k, *point shape).  `objective(stack)` returns the values of the points
+    and `gradient_at`, where `gradient_at(i)` is the gradient at point i: the
+    array conj(G) of the point's shape for a value whose differential is
+    Re Σ G·dz.  It may stop at a point it cannot evaluate and return the
+    values of the points before it.  `project(stack)` restores feasibility
+    point by point; the start point is a stack of one.
 
     The budget is charged as a forward-difference search was: 1 evaluation
-    for the start point and for each line-search candidate, and n for each
-    gradient; with fewer than n left, the ascent spends them and stops
-    without the gradient.  The budget must have at least one evaluation left,
-    as `restarts` ensures.  Returns the best feasible iterate and its value.
+    for the start point and for each line-search candidate, and 2·size for
+    each gradient, one per real coordinate; with fewer left, the ascent
+    spends them and stops without the gradient.  The budget must have at
+    least one evaluation left, as `restarts` ensures.  Returns the best
+    feasible iterate and its value.
     """
-    x = project(np.asarray(x0, dtype=float)[None])
+    x = project(np.asarray(x0, dtype=np.complex128)[None])
     budget.spend()
     values, gradient_at = objective(x)
     x, value, row = x[0], float(values[0]), 0
+    cost = 2 * x.size
     for _ in range(_MAX_STEPS):
-        if budget.spend(x.size) < x.size:
+        if budget.spend(cost) < cost:
             break
         found = _line_search(objective, project, x, value, gradient_at(row), budget)
         if found is None:
@@ -100,20 +94,26 @@ def _line_search(objective, project, x, value, grad, budget: Budget):
     while s·|grad| > 1e-9, whose value beats `value`: (point, value,
     gradient_at, row), or None if none does before the budget runs out.
 
-    The candidates are evaluated in batches of 1, 2, 4, ... rows, each capped
-    at what the budget has left.  A batch is charged up to and including its
-    first improving row, or whole when no row improves, so the outcome and
-    the budget spent are those of trying the candidates one at a time.
+    The candidates are evaluated in batches of 1, 2, 4, ... points, each
+    capped at what the budget has left.  A batch is charged up to and
+    including its first improving point, or whole when no point improves, so
+    the outcome and the budget spent are those of trying the candidates one
+    at a time.
     """
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = float(np.sqrt(inner(grad, grad)))
     if gnorm <= 1e-12:
         return None
     # Exact halvings: the floats that halving one step at a time gives.
     steps = np.ldexp(1.0 / gnorm, -_HALVINGS)
     steps = steps[steps * gnorm > 1e-9]
+    # Steps scale the gradient's real and imaginary parts, so a −0.0 part
+    # stays −0.0, as it would not through a complex product.
+    parts = grad.view(np.float64)
     batch = 1
     while steps.size and budget.left:
-        cands = project(x + steps[: min(batch, steps.size, budget.left), None] * grad)
+        taken = steps[: min(batch, steps.size, budget.left)]
+        moves = (taken.reshape((-1,) + (1,) * parts.ndim) * parts).view(np.complex128)
+        cands = project(x + moves)
         values, gradient_at = objective(cands)
         better = np.flatnonzero(values > value)
         if better.size:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import holofun, matcore, opspace
-from ._search import decode, encode, real_gradient, restarts
+from ._search import inner, restarts
 from .errors import ImageGuardError, InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
@@ -49,16 +49,10 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class LevelEntry:
-    value: float
-    witness: Witness
-
-
-@dataclass(frozen=True)
 class CbEstimate:
     lower: float
     upper: float | None
-    level_table: dict
+    level_table: dict  # level -> its Witness
     seed: int
     budget: int
     provenance: str
@@ -80,36 +74,29 @@ def _norms_and_gradients(values: np.ndarray, derivative: np.ndarray):
         _, u, v = matcore.top_singular_pair(values[i])
         weights = np.outer(u.conj(), v)
         der = derivative[i]
-        return real_gradient(der * weights.reshape(weights.shape + (1,) * (der.ndim - 2)))
+        return np.conj(der * weights.reshape(weights.shape + (1,) * (der.ndim - 2)))
 
     return matcore.operator_norms(values), gradient_at
 
 
 def _disk_problem(f: HoloFunction, m: int):
-    shape = (m, m)
-
     def objective(stack):
-        return _norms_and_gradients(*holofun._eval_array(f, decode(stack, shape)))
+        return _norms_and_gradients(*holofun._eval_array(f, stack))
 
     def project(stack):
-        # An unclipped stack goes on as given: encode(decode(·)) would copy it
-        # and can turn −0.0 entries into +0.0.
-        points = decode(stack, shape)
-        projected = matcore.project_ball(points, RADIUS_CAP)
-        return stack if projected is points else encode(projected, stacked=True)
+        return matcore.project_ball(stack, RADIUS_CAP)
 
     def start(rng, radius):
-        return encode(matcore._random_ball(rng, m, radius))
+        return matcore._random_ball(rng, m, radius)
 
-    def witness_matrix(vec):
-        return decode(vec, shape)
+    def witness_matrix(point):
+        return point
 
     return objective, project, start, witness_matrix
 
 
 def _space_problem(f: HoloFunction, m: int):
     space = f.domain_space
-    shape = (m, m, space.dim)
 
     def along_cap(grad, entries):
         # On the cap, the outward part of the gradient along the cap normal
@@ -117,16 +104,15 @@ def _space_problem(f: HoloFunction, m: int):
         nrm, u, v = matcore.top_singular_pair(opspace.block_matrix(entries, space.basis))
         if nrm < RADIUS_CAP * (1.0 - 1e-12):
             return grad
-        normal = real_gradient(opspace.block_adjoint(u, v, space.basis))
-        outward = grad @ normal
-        return grad - (outward / (normal @ normal)) * normal if outward > 0.0 else grad
+        normal = np.conj(opspace.block_adjoint(u, v, space.basis))
+        outward = inner(grad, normal)
+        return grad - (outward / inner(normal, normal)) * normal if outward > 0.0 else grad
 
-    def objective(stack):
-        # The guard raises for the first row, which is always charged.  A
-        # later row that trips it ends the stack: `ascend` puts that row first
-        # in its next stack only if no earlier row improved, as trying the
-        # candidates one at a time would reach it.
-        entries = decode(stack, shape)
+    def objective(entries):
+        # The guard raises for the first point, which is always charged.  A
+        # later point that trips it ends the stack: `ascend` puts that point
+        # first in its next stack only if no earlier point improved, as
+        # trying the candidates one at a time would reach it.
         while True:
             try:
                 images = holofun._amplify_space_entries(f, entries)
@@ -139,19 +125,21 @@ def _space_problem(f: HoloFunction, m: int):
         return values, lambda i: along_cap(gradient_at(i), entries[i])
 
     def project(stack):
-        norms = matcore.operator_norms(opspace.block_matrix(decode(stack, shape), space.basis))
+        norms = matcore.operator_norms(opspace.block_matrix(stack, space.basis))
         outside = norms > RADIUS_CAP
         if not outside.any():
             return stack
+        # Scaled part by part, so a −0.0 part stays −0.0.
+        scale = (RADIUS_CAP / norms[outside]).reshape(-1, 1, 1, 1)
         out = stack.copy()
-        out[outside] = stack[outside] * (RADIUS_CAP / norms[outside])[:, None]
+        out[outside] = (stack[outside].view(np.float64) * scale).view(np.complex128)
         return out
 
     def start(rng, radius):
-        return encode(opspace._random_matrix_ball(rng, space, m, radius).entries)
+        return opspace._random_matrix_ball(rng, space, m, radius).entries
 
-    def witness_matrix(vec):
-        return opspace.OpSpaceMatrix(space, decode(vec, shape))
+    def witness_matrix(point):
+        return opspace.OpSpaceMatrix(space, point)
 
     return objective, project, start, witness_matrix
 
@@ -174,12 +162,12 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
         u = float(rng.uniform(0.0, 1.0))
         return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
 
-    key = lambda vec: serialize_matrix(witness_matrix(vec))
-    best_value, best_vec = -np.inf, None
-    for vec, value in restarts(objective, project, start_inside, budget, seed, m):
-        if value > best_value or (value == best_value and key(vec) < key(best_vec)):
-            best_value, best_vec = value, vec
-    return Witness(level=m, matrix=witness_matrix(best_vec), value=float(best_value))
+    key = lambda point: serialize_matrix(witness_matrix(point))
+    best_value, best_point = -np.inf, None
+    for point, value in restarts(objective, project, start_inside, budget, seed, m):
+        if value > best_value or (value == best_value and key(point) < key(best_point)):
+            best_value, best_point = value, point
+    return Witness(level=m, matrix=witness_matrix(best_point), value=float(best_value))
 
 
 def witness_value(f: HoloFunction, w: Witness) -> float:
@@ -217,7 +205,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
             ):
                 w = lifted
         running = w
-        table[m] = LevelEntry(value=w.value, witness=w)
+        table[m] = w
     return table
 
 
@@ -228,7 +216,7 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     max_level = matcore.check_count(max_level, "max_level")
     levels = [m for m in DEFAULT_LEVELS if m <= max_level]
     table = _lower_table(f, levels, budget, seed)
-    lower = max(entry.value for entry in table.values())
+    lower = max(w.value for w in table.values())
     provenance = (
         f"lower: projected-ascent level sups at levels {levels}, "
         f"budget {budget} per level, radius cap {RADIUS_CAP}"

@@ -19,18 +19,6 @@ from .errors import CbnormLabError, InvalidInputError, SandwichViolationError
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "estimate",
-    "sandwich",
-    "schwarz",
-    "algebra",
-    "probe",
-    "hull",
-    "separate",
-    "gcb",
-    "delta-isometry",
-)
-
 
 def _schema_version(value, name):
     if isinstance(value, bool) or value != SCHEMA_VERSION:
@@ -108,11 +96,9 @@ def _run_bounds(bounds, config):
         "upper": est.upper,
         "gap": None if est.upper is None else est.upper - est.lower,
         "provenance": est.provenance,
-        "level_table": {
-            str(m): {"value": e.value, "samples": est.budget} for m, e in est.level_table.items()
-        },
+        "level_table": {str(m): {"value": w.value, "samples": est.budget} for m, w in est.level_table.items()},
     }
-    witnesses = {str(m): _serialize_witness(e.witness) for m, e in est.level_table.items()}
+    witnesses = {str(m): _serialize_witness(w) for m, w in est.level_table.items()}
     return results, witnesses, True
 
 
@@ -192,6 +178,7 @@ _RUNNERS = {
     "gcb": _run_gcb,
     "delta-isometry": _run_delta_isometry,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(command: str, config: dict) -> tuple[dict, bool]:

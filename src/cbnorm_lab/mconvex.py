@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, opspace
-from ._search import decode, real_gradient, restarts, to_sphere
+from ._search import restarts, to_sphere
 from .errors import InvalidInputError, InvalidRepresentationError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize, same_space
 
@@ -358,11 +358,7 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
         if found is not None:
             return found
 
-    n, d = x0.level, space.dim
-    shape = (n, n, d)
-
-    def objective(stack):
-        grids = decode(stack, shape)
+    def objective(grids):
         target = matcore.operator_norms(_pairings(grids, x0))
         gen_values = np.stack([matcore.operator_norms(_pairings(grids, g)) for g in k.generators], axis=1)
         active = np.argmax(gen_values, axis=1)
@@ -374,13 +370,16 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
             grad = _pairing_gradient(grids[i], x0) / top
             if gen_values[i, active[i]] > 1e-12:
                 grad = grad - value / top**2 * _pairing_gradient(grids[i], k.generators[active[i]])
-            return real_gradient(grad)
+            return np.conj(grad)
 
         return target / peak, gradient_at
 
-    start = lambda rng: rng.standard_normal(2 * n * n * d)
-    for vec, _ in restarts(objective, to_sphere, start, budget - 2, seed):
-        found = _scale_to_certificate(k, x0, decode(vec, shape))
+    def start(rng):
+        draw = rng.standard_normal((2, x0.level, x0.level, space.dim))
+        return draw[0] + 1j * draw[1]
+
+    for grid, _ in restarts(objective, to_sphere, start, budget - 2, seed):
+        found = _scale_to_certificate(k, x0, grid)
         if found is not None:
             return found
     return None

@@ -172,10 +172,10 @@ def test_criterion_6_witness_lifting(identity_estimate, geometric_estimate, geom
     for f, est in pairs:
         values = [est.level_table[m].value for m in sorted(est.level_table)]
         assert values == sorted(values)
-        for entry in est.level_table.values():
-            lifted = lift_witness(entry.witness)
-            assert lifted.value == entry.witness.value
-            assert abs(witness_value(f, lifted) - entry.witness.value) < 1e-12
+        for w in est.level_table.values():
+            lifted = lift_witness(w)
+            assert lifted.value == w.value
+            assert abs(witness_value(f, lifted) - w.value) < 1e-12
             witnesses += 1
     announce(6, f"{witnesses} stored witnesses lift exactly; tables nondecreasing")
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cbnorm_lab import matcore
-from cbnorm_lab._search import decode, encode
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
     _disk_problem,
@@ -87,14 +86,15 @@ def test_disk_projection_returns_an_inside_stack_as_given(m):
     _, project, _, _ = _disk_problem(GEOMETRIC, m)
     rng = np.random.default_rng(40 + m)
     points = rng.standard_normal((6, m, m)) + 1j * rng.standard_normal((6, m, m))
-    at_norms = lambda radii: encode(points * (radii / matcore.operator_norms(points))[:, None, None], stacked=True)
+    at_norms = lambda radii: points * (radii / matcore.operator_norms(points))[:, None, None]
     inside = at_norms(np.linspace(0.2, 0.9, 6))
     assert project(inside) is inside
-    # With a row clipped, the stack is projected as matrices, bit for bit.
+    # With a point clipped, each point is projected as it would be alone,
+    # bit for bit.
     for radii in (np.linspace(0.5, 1.5, 6), np.linspace(1.1, 2.0, 6)):
         stack = at_norms(radii)
         out = project(stack)
-        expected = encode(matcore.project_ball(decode(stack, (m, m)), RADIUS_CAP), stacked=True)
+        expected = np.stack([matcore.project_ball(point, RADIUS_CAP) for point in stack])
         assert out.shape == stack.shape and out.tobytes() == expected.tobytes()
         assert not np.array_equal(out, stack)
 

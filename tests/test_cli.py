@@ -31,6 +31,13 @@ def stripped(record_path):
     return json.dumps(record, sort_keys=True)
 
 
+def test_each_command_has_one_runner_and_its_required_keys(tmp_path):
+    assert cli.COMMANDS == tuple(cli._RUNNERS) and len(cli.COMMANDS) == 9
+    assert set(cli._REQUIRED) == set(cli.COMMANDS)
+    for name in cli.COMMANDS:  # a subcommand that parses, then finds no config
+        assert run_cli([name, "--config", tmp_path / "missing.json"]) == 1
+
+
 def test_shipped_configs_exist():
     assert len(SHIPPED) >= 8
 

@@ -1,7 +1,9 @@
-"""Import hygiene: every name a package module imports is used in it.
+"""Name hygiene: every name a package module imports is used in it, and
+every local variable a function assigns is read.
 
-No linter ships with the test extras, so this stdlib `ast` scan stands in
-for one.  `__init__.py` is exempt: it imports names to re-export them.
+No linter ships with the test extras, so these stdlib `ast` scans stand in
+for one.  `__init__.py` is exempt from the import scan: it imports names to
+re-export them.
 """
 
 import ast
@@ -28,6 +30,50 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """The nodes of a function's body, without those of nested functions."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list:
+    """The local variables a function assigns that neither it nor a function
+    nested in it reads; `_` marks a value dropped on purpose."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, _SCOPES):
+            continue
+        stored, declared = {}, set()
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        found += [f"{name} (line {line})" for name, line in stored.items() if name not in read | declared | {"_"}]
+    return sorted(found)
+
+
+def test_scan_finds_an_unused_local():
+    source = (
+        "def problem(m):\n"
+        "    shape = (m, m)\n"
+        "    size, _ = m * m, None\n"
+        "    def project(stack):\n"
+        "        return stack[:size]\n"
+        "    return project\n"
+    )
+    assert unused_locals(source) == ["shape (line 2)"]
+    assert unused_locals("def f(xs):\n    total = 0\n    for x in xs:\n        total += x\n    return total\n") == []
+
+
 def test_scan_finds_an_unused_import():
     source = "import math\nfrom .opspace import OpSpaceMatrix, matrix_norm\n\nmatrix_norm(None)\n"
     assert unused_imports(source) == ["OpSpaceMatrix (line 2)", "math (line 1)"]
@@ -41,3 +87,8 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_reads_every_local_it_assigns(module):
+    assert unused_locals(module.read_text(encoding="utf-8")) == []

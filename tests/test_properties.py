@@ -194,26 +194,29 @@ def _simple_top(*matrices):
 
 
 def _assert_exact_gradient(objective, x, h=1e-6):
-    """The objective's gradient at x against a central difference, the 2n
-    shifted points evaluated as one stack."""
-    exact = objective(x[None])[1](0)
-    steps = h * np.eye(x.size)
+    """The objective's gradient at the complex point x against a central
+    difference along each of its n real coordinates (all real parts, then
+    all imaginary parts), the 2n shifted points evaluated as one stack."""
+    grad = objective(x[None])[1](0)
+    exact = np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+    n = exact.size
+    steps = h * np.concatenate([np.eye(n // 2), 1j * np.eye(n // 2)]).reshape(n, *x.shape)
     values, _ = objective(np.concatenate([x + steps, x - steps]))
-    central = (values[: x.size] - values[x.size:]) / (2 * h)
+    central = (values[:n] - values[n:]) / (2 * h)
     assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(exact))
 
 
-def _point(rng, norm_of, n, radius):
-    v = rng.standard_normal(n)
-    return v * (radius / norm_of(v))
+def _point(rng, norm_of, shape, radius):
+    draw = rng.standard_normal((2, *shape))
+    z = draw[0] + 1j * draw[1]
+    return z * (radius / norm_of(z))
 
 
 @PROPERTY
 @given(SCALARS, st.integers(1, 3), st.floats(0.1, 0.9), st.integers(0, 2**32))
 def test_disk_objective_gradient_is_exact(f, m, r, seed):
-    norm_of = lambda v: matcore.operator_norm(_search.decode(v, (m, m)))
-    x = _point(np.random.default_rng(seed), norm_of, 2 * m * m, r)
-    assume(_simple_top(holofun.amplify(f, _search.decode(x, (m, m)))))
+    x = _point(np.random.default_rng(seed), matcore.operator_norm, (m, m), r)
+    assume(_simple_top(holofun.amplify(f, x)))
     _assert_exact_gradient(_disk_problem(f, m)[0], x)
 
 
@@ -233,8 +236,8 @@ def test_space_objective_gradient_is_exact(scalar, space, r, m, radius, times_ge
     if times_geometric:  # two functionals: ∂F/∂E is no multiple of one φ
         f = Product(f, holofun.GeometricPhi(space, *_functional(rng, space, 0.5)))
     shape = (m, m, space.dim)
-    as_matrix = lambda v: opspace.OpSpaceMatrix(space, _search.decode(v, shape))
-    x = _point(rng, lambda v: opspace.matrix_norm(as_matrix(v)), 2 * m * m * space.dim, radius)
+    as_matrix = lambda z: opspace.OpSpaceMatrix(space, z)
+    x = _point(rng, lambda z: opspace.matrix_norm(as_matrix(z)), shape, radius)
     assume(_simple_top(holofun.amplify(f, as_matrix(x))))
     _assert_exact_gradient(_space_problem(f, m)[0], x)
 
@@ -256,9 +259,9 @@ def test_certificate_objective_gradient_is_exact(space, level, seed):
     k = mconvex.MatrixSet(space, gens)
     x0 = mconvex.hull_element(k, mconvex.random_representation(k, level, rng))
     objective = _objective_of(mconvex, lambda: mconvex.find_certificate(k, x0, 20, seed=4))
-    shape = (level, level, space.dim)
-    x = _search.to_sphere(rng.standard_normal(2 * level * level * space.dim))
-    f = mconvex.SeparationCertificate(space, _search.decode(x, shape))
+    draw = rng.standard_normal((2, 1, level, level, space.dim))
+    x = _search.to_sphere(draw[0] + 1j * draw[1])[0]
+    f = mconvex.SeparationCertificate(space, x)
     values = sorted(mconvex.check_certificate(f, k, x0).generator_values)
     assume(values[-1] - values[-2] > 1e-3 * values[-1])  # one active generator
     assume(_simple_top(*(mconvex.pairing(f, g) for g in (x0, *gens))))

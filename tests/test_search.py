@@ -1,9 +1,12 @@
-"""Tests for the shared search engine: the [Re, Im] codec, the restart loop
-and its budget accounting, the batched line search against the sequential
-one, the functional-image guard on batched candidates, the ascent from a
-degenerate start, budget 1 in every search built on it, and the rejection
-of budgets, levels and sample sizes that are not integers."""
+"""Tests for the shared search engine: the real inner product and the
+sphere projection of complex points, the restart loop and its budget
+accounting, the batched line search against the sequential one, the
+functional-image guard on batched candidates, the ascent from a degenerate
+start, budget 1 in every search built on it, bit-exact searches pinned to
+captured constants, and the rejection of budgets, levels and sample sizes
+that are not integers."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -21,29 +24,37 @@ from cbnorm_lab.opspace import (
 )
 
 
-def test_codec_round_trip():
+def _parts(z):
+    """The real vector of all real parts, then all imaginary parts."""
+    return np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+
+def _complex_normal(rng, shape):
+    draw = rng.standard_normal((2, *shape))
+    return draw[0] + 1j * draw[1]
+
+
+def test_inner_is_one_dot_over_the_real_parts_then_the_imaginary_parts():
     rng = np.random.default_rng(4)
-    arr = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
-    vec = _search.encode(arr)
-    assert vec.dtype == np.float64 and vec.shape == (48,)
-    assert np.array_equal(_search.decode(vec, arr.shape), arr)
-    # A stack encodes row by row, each row as its point alone.
-    stack = _search.encode(arr, stacked=True)
-    assert stack.shape == (2, 24)
-    for row, point in zip(stack, arr):
-        assert np.array_equal(row, _search.encode(point))
-    assert np.array_equal(_search.decode(stack, (3, 4)), arr)
+    for shape in [(7,), (3, 3), (2, 2, 5)]:
+        a, b = _complex_normal(rng, shape), _complex_normal(rng, shape)
+        assert _search.inner(a, b).hex() == float(_parts(a) @ _parts(b)).hex()
+        assert np.isclose(_search.inner(a, b), np.vdot(a, b).real)
 
 
 def test_to_sphere():
     rng = np.random.default_rng(5)
-    stack = np.vstack([[3.0, 4.0, 0.0], np.zeros(3), rng.standard_normal((5, 3))])
+    stack = np.concatenate([[[3.0, 4.0j, 0.0]], np.zeros((1, 3)), _complex_normal(rng, (5, 3))])
     before = stack.copy()
     out = _search.to_sphere(stack)
-    assert np.allclose(out[0], [0.6, 0.8, 0.0]) and np.array_equal(out[1], np.zeros(3))
+    assert np.allclose(out[0], [0.6, 0.8j, 0.0]) and np.array_equal(out[1], np.zeros(3))
     for row, vec in zip(out[2:], stack[2:]):
-        assert np.array_equal(row, vec / np.linalg.norm(vec))  # the bits of the row alone
+        # The bits of the point alone, scaled as its real vector of parts.
+        assert np.array_equal(_parts(row), _parts(vec) / np.linalg.norm(_parts(vec)))
     assert np.array_equal(stack, before)
+    points = _complex_normal(rng, (3, 2, 2, 3))
+    for row, point in zip(_search.to_sphere(points), points):
+        assert np.array_equal(_parts(row), _parts(point) / np.linalg.norm(_parts(point)))
 
 
 def _grants(monkeypatch):
@@ -67,7 +78,7 @@ def _counted_run(monkeypatch, budget, seed):
     calls, iterate = [0], [None]
 
     def objective(stack):
-        values = -np.sum((stack - 0.3) ** 2, axis=1)
+        values = -np.sum(np.abs(stack - 0.3) ** 2, axis=1)
         if iterate[0] is None:  # a start point
             calls[0] += 1
             iterate[0] = values[0]
@@ -78,18 +89,18 @@ def _counted_run(monkeypatch, budget, seed):
                 iterate[0] = values[better[0]]
 
         def gradient_at(i):
-            calls[0] += stack.shape[1]  # a gradient costs n evaluations
+            calls[0] += 2 * stack[i].size  # a gradient costs one per real coordinate
             return -2.0 * (stack[i] - 0.3)
 
         return values, gradient_at
 
     def start(rng):
         iterate[0] = None
-        return rng.standard_normal(4)
+        return _complex_normal(rng, (2,))
 
     grants = _grants(monkeypatch)
     runs = list(_search.restarts(objective, _search.to_sphere, start, budget, seed, 5))
-    # A gradient granted fewer than its n evaluations is spent without being taken.
+    # A gradient granted fewer than its 4 evaluations is spent without being taken.
     short = sum(granted for asked, granted in grants if asked == 4 and granted < 4)
     assert sum(granted for _, granted in grants) == max(budget, 0)
     return calls[0] + short, runs
@@ -113,9 +124,23 @@ def test_restarts_without_budget_yield_nothing(monkeypatch, budget):
     assert calls == 0 and runs == []
 
 
+def test_line_search_steps_keep_negative_zero_parts():
+    # The value -(Im z + 2)² climbs along -i; the gradient's real part is
+    # −0.0, and a step scales it part by part, so the iterate's −0.0 real
+    # part stays −0.0 (a complex product would give +0.0).
+    def objective(stack):
+        def gradient_at(i):
+            return np.array([complex(-0.0, -2.0 * (stack[i, 0].imag + 2.0))])
+
+        return -((stack[:, 0].imag + 2.0) ** 2), gradient_at
+
+    x, value = _search.ascend(objective, np.array([complex(-0.0, 0.5)]), lambda stack: stack, _search.Budget(20))
+    assert value > -6.25 and np.signbit(x.real[0])
+
+
 def test_restart_streams_are_distinct():
-    start = lambda rng: rng.standard_normal(3)
-    objective = lambda stack: (np.zeros(len(stack)), lambda i: np.zeros(stack.shape[1]))
+    start = lambda rng: _complex_normal(rng, (3,))
+    objective = lambda stack: (np.zeros(len(stack)), lambda i: np.zeros_like(stack[i]))
     first = [
         next(_search.restarts(objective, lambda v: v, start, 1, 2, stream))[0]
         for stream in (1, 2)
@@ -160,7 +185,7 @@ def test_ascent_leaves_a_degenerate_start(f):
     # At 0.5·I₂ the top singular value of f[Z] is double; the ascent still
     # climbs to f(RADIUS_CAP), the level-2 supremum within the cap.
     objective, project, _, _ = cbnorm._disk_problem(f, 2)
-    x0 = _search.encode(0.5 * np.eye(2, dtype=complex))
+    x0 = 0.5 * np.eye(2, dtype=complex)
     _, value = _search.ascend(objective, x0, project, _search.Budget(200))
     assert value >= holofun.amplify(f, np.array([[RADIUS_CAP]]))[0, 0].real - 1e-9
 
@@ -169,13 +194,15 @@ def test_space_gradient_on_the_cap_drops_its_outward_part():
     space = space_min_linf(2)
     f = holofun.Composite(holofun.PowerSeries([1.0]), space, np.array([0.3, 0.4]), 0.7)
     objective, project, _, _ = cbnorm._space_problem(f, 2)
-    x = project(2.0 * np.random.default_rng(6).standard_normal((1, 16)))[0]  # onto the cap
-    # The cap's outward normal and the objective's gradient, by central differences.
-    block_norm = lambda v: opspace.matrix_norm(OpSpaceMatrix(space, _search.decode(v, (2, 2, 2))))
-    central = lambda g: np.array([g(x + e) - g(x - e) for e in 1e-6 * np.eye(16)]) / 2e-6
-    normal, raw = central(block_norm), central(lambda v: objective(v[None])[0][0])
+    x = project(2.0 * _complex_normal(np.random.default_rng(6), (1, 2, 2, 2)))[0]  # onto the cap
+    # The cap's outward normal and the objective's gradient, by central
+    # differences along the 16 real coordinates, as real vectors of parts.
+    block_norm = lambda z: opspace.matrix_norm(OpSpaceMatrix(space, z))
+    units = np.concatenate([np.eye(8), 1j * np.eye(8)]).reshape(16, 2, 2, 2)
+    central = lambda g: np.array([g(x + e) - g(x - e) for e in 1e-6 * units]) / 2e-6
+    normal, raw = central(block_norm), central(lambda z: objective(z[None])[0][0])
     assert raw @ normal > 0.1 * np.linalg.norm(raw) * np.linalg.norm(normal)
-    grad = objective(x[None])[1](0)
+    grad = _parts(objective(x[None])[1](0))
     assert abs(grad @ normal) <= 1e-6 * np.linalg.norm(grad) * np.linalg.norm(normal)
     assert np.linalg.norm(grad) > 0.1 * np.linalg.norm(raw)
 
@@ -304,15 +331,15 @@ def _sequential_ascend(objective, x0, project, budget):
     """The ascent that tries one line-search candidate at a time, as the
     search ran before candidates were batched: the reference `ascend` must
     match bit for bit.  `objective` and `project` take one point."""
-    x = project(np.asarray(x0, dtype=float))
+    x = project(np.asarray(x0, dtype=complex))
     if not budget.spend():
         return None, -np.inf
     value, gradient = objective(x)
     for _ in range(_search._MAX_STEPS):
-        if budget.spend(x.size) < x.size:
+        if budget.spend(2 * x.size) < 2 * x.size:
             break
         grad = gradient()
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = float(np.linalg.norm(_parts(grad)))
         if gnorm <= 1e-12:
             break
         step = 1.0 / gnorm
@@ -349,7 +376,7 @@ def _disk_case(rng):
          holofun.PowerSeries([0.2, -0.5, 0.3j])][int(rng.integers(3))]
     m = int(rng.integers(2, 4))
     objective, project, start, _ = cbnorm._disk_problem(f, m)
-    alone = lambda vec: matcore.operator_norm(holofun._eval_array(f, _search.decode(vec, (m, m)))[0])
+    alone = lambda point: matcore.operator_norm(holofun._eval_array(f, point)[0])
     return objective, project, start(rng, 0.5), alone
 
 
@@ -361,9 +388,7 @@ def _space_case(rng):
                         holofun.GeometricPhi(space, phi[::-1], 0.6))
     m = int(rng.integers(1, 3))
     objective, project, start, _ = cbnorm._space_problem(f, m)
-    alone = lambda vec: matcore.operator_norm(
-        holofun.amplify(f, OpSpaceMatrix(space, _search.decode(vec, (m, m, space.dim))))
-    )
+    alone = lambda point: matcore.operator_norm(holofun.amplify(f, OpSpaceMatrix(space, point)))
     return objective, project, start(rng, 0.5), alone
 
 
@@ -375,14 +400,12 @@ def _certificate_case(rng):
     captured = []
     with mock.patch.object(mconvex, "restarts", lambda objective, *args: captured.append(objective) or ()):
         find_certificate(k, x0, 20, seed=4)
-    shape = (level, level, space.dim)
 
-    def alone(vec):
-        f = mconvex.SeparationCertificate(space, _search.decode(vec, shape))
-        verdict = mconvex.check_certificate(f, k, x0)
+    def alone(point):
+        verdict = mconvex.check_certificate(mconvex.SeparationCertificate(space, point), k, x0)
         return verdict.target_value / max(max(verdict.generator_values), 1e-12)
 
-    return captured[0], _search.to_sphere, rng.standard_normal(2 * level * level * space.dim), alone
+    return captured[0], _search.to_sphere, _complex_normal(rng, (level, level, space.dim)), alone
 
 
 _CASES = [_disk_case, _space_case, _certificate_case]
@@ -393,7 +416,7 @@ _CASES = [_disk_case, _space_case, _certificate_case]
 def test_objective_rows_have_the_bits_of_one_point(case, seed):
     rng = np.random.default_rng(10 + seed)
     objective, project, x0, alone = case(rng)
-    stack = project(x0 + 0.3 * rng.standard_normal((6, x0.size)))
+    stack = project(x0 + 0.3 * _complex_normal(rng, (6, *x0.shape)))
     values, _ = objective(stack)
     assert len(values) == 6
     for row, value in zip(stack, values):
@@ -471,7 +494,7 @@ def _guarded_ascent(monkeypatch, x0):
 
 
 def test_guard_ignores_a_row_after_the_first_improving_one(monkeypatch):
-    batched, sequential, tripped = _guarded_ascent(monkeypatch, [-0.2, 0.2, -0.1, -0.1])
+    batched, sequential, tripped = _guarded_ascent(monkeypatch, [[[-0.2 - 0.1j, 0.2 - 0.1j]]])
     # Rows past the first of their stack tripped the guard, but an earlier
     # row improved, so the sequential search never evaluates them.
     assert tripped and all(row > 0 for row in tripped)
@@ -481,7 +504,7 @@ def test_guard_ignores_a_row_after_the_first_improving_one(monkeypatch):
 
 
 def test_guard_raises_when_a_charged_row_trips(monkeypatch):
-    batched, sequential, tripped = _guarded_ascent(monkeypatch, [0.0, 0.2, 0.2, 0.2])
+    batched, sequential, tripped = _guarded_ascent(monkeypatch, [[[0.2j, 0.2 + 0.2j]]])
     # A row that tripped past the first of its stack comes first in the next
     # stack, as no earlier row improved; there it is charged and raises.
     assert any(row > 0 for row in tripped) and tripped[-1] == 0
@@ -491,7 +514,7 @@ def test_guard_raises_when_a_charged_row_trips(monkeypatch):
 def test_space_objective_stops_at_a_row_that_trips_the_guard():
     objective, _, _, _ = cbnorm._space_problem(_UNDERSTATED, 1)
     phi = _UNDERSTATED.right.phi
-    inside, tripping = np.array([0.1, 0.1, 0.0, 0.0]), _search.encode(0.99 * np.conj(phi) / np.abs(phi))
+    inside, tripping = np.full((1, 1, 2), 0.1 + 0j), (0.99 * np.conj(phi) / np.abs(phi)).reshape(1, 1, 2)
     values, _ = objective(np.stack([inside, inside, tripping, inside]))
     assert len(values) == 2
     alone, _ = objective(inside[None])
@@ -508,3 +531,47 @@ def test_level_eight_disk_search_takes_fewer_svds(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
     level_sup(holofun.PowerSeries([1.0]), 8, 300, seed=8)
     assert len(calls) <= 29
+
+
+# ---------------------------------------------------------------------------
+# Searches no golden record reaches, pinned bit for bit: every shipped config
+# searches the disk, and the shipped separation succeeds on a warm start.
+
+
+def test_space_search_and_restart_certificate_keep_their_bits():
+    row = space_row(2)
+    phi, psi = np.array([0.3 + 0.1j, 0.4]), np.array([0.2, -0.1j])
+    f = holofun.Product(
+        holofun.GeometricPhi(row, phi, float(np.linalg.norm(phi))),
+        holofun.GeometricPhi(row, psi, float(np.linalg.norm(psi))),
+    )
+    w = level_sup(f, 2, 400, seed=3)
+    assert w.value.hex() == "0x1.cd09548d85df2p-3"
+    assert hashlib.sha256(w.matrix.entries.tobytes()).hexdigest() == (
+        "aac22965e368e0f5dd15dca02d5eabf0ae432f9d5ecc7b9f019edb5a422400b0"
+    )
+
+    space = opspace.space_mk(2)
+    rng = np.random.default_rng(1)
+    k = MatrixSet(space, tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2)))
+    x0 = opspace._random_matrix_ball(rng, space, 2, 0.4)
+    for warm in (mconvex.coordinate_grid(space), mconvex.svd_compression_grid(x0)):
+        assert mconvex._scale_to_certificate(k, x0, warm) is None  # found by a restart
+    cert = find_certificate(k, x0, 300, seed=1)
+    assert hashlib.sha256(cert.grid.tobytes()).hexdigest() == (
+        "adf80d5e93a657ff62e28390135e8d7bf8a1a28f63dfd0181fd0c3a42606a951"
+    )
+
+    # Both projections keep −0.0 parts: the disk one leaves a point inside
+    # the ball as given, and the space one scales a point's parts alone.
+    signed = np.array([[complex(-0.0, 0.1), complex(0.2, -0.0)], [complex(-0.0, -0.0), complex(-0.1, 0.3)]])
+    signs = lambda z: np.signbit(z.view(np.float64))
+    _, disk_project, _, _ = cbnorm._disk_problem(holofun.PowerSeries([1.0]), 2)
+    disk = disk_project(np.stack([signed, 4.0 * signed]))
+    assert np.array_equal(signs(disk[0]), signs(signed)) and disk[0].tobytes() == signed.tobytes()
+    _, space_project, _, _ = cbnorm._space_problem(holofun.GeometricPhi(row, phi, float(np.linalg.norm(phi))), 2)
+    entries = np.stack([signed, signed], axis=-1)
+    outside = (4.0 * entries.view(np.float64)).view(np.complex128)  # a complex product would drop −0.0
+    out = space_project(np.stack([entries, outside]))
+    assert out[0].tobytes() == entries.tobytes()
+    assert np.array_equal(signs(out[1]), signs(entries)) and not np.array_equal(out[1], outside)
