@@ -63,9 +63,8 @@ def ascend(objective, x0, project, budget: Budget):
     (k, *point shape).  `objective(stack)` returns the values of the points
     and `gradient_at`, where `gradient_at(i)` is the gradient at point i: the
     array conj(G) of the point's shape for a value whose differential is
-    Re Σ G·dz.  It may stop at a point it cannot evaluate and return the
-    values of the points before it.  `project(stack)` restores feasibility
-    point by point; the start point is a stack of one.
+    Re Σ G·dz.  `project(stack)` restores feasibility point by point; the
+    start point is a stack of one.
 
     The budget is charged as a forward-difference search was: 1 evaluation
     for the start point and for each line-search candidate, and 2·size for
@@ -120,8 +119,8 @@ def _line_search(objective, project, x, value, grad, budget: Budget):
             i = int(better[0])
             budget.spend(i + 1)
             return cands[i], float(values[i]), gradient_at, i
-        budget.spend(len(values))
-        steps = steps[len(values):]
+        budget.spend(taken.size)
+        steps = steps[taken.size:]
         batch *= 2
     return None
 

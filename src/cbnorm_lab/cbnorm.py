@@ -18,7 +18,7 @@ import numpy as np
 
 from . import holofun, matcore, opspace
 from ._search import inner, restarts
-from .errors import ImageGuardError, InvalidInputError, SandwichViolationError
+from .errors import InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
     Composite,
@@ -109,19 +109,7 @@ def _space_problem(f: HoloFunction, m: int):
         return grad - (outward / inner(normal, normal)) * normal if outward > 0.0 else grad
 
     def objective(entries):
-        # The guard raises for the first point, which is always charged.  A
-        # later point that trips it ends the stack: `ascend` puts that point
-        # first in its next stack only if no earlier point improved, as
-        # trying the candidates one at a time would reach it.
-        while True:
-            try:
-                images = holofun._amplify_space_entries(f, entries)
-                break
-            except ImageGuardError as err:
-                if not err.row:
-                    raise
-                entries = entries[: err.row]
-        values, gradient_at = _norms_and_gradients(*images)
+        values, gradient_at = _norms_and_gradients(*holofun._amplify_space_entries(f, entries))
         return values, lambda i: along_cap(gradient_at(i), entries[i])
 
     def project(stack):
@@ -162,7 +150,7 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
         u = float(rng.uniform(0.0, 1.0))
         return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
 
-    key = lambda point: serialize_matrix(witness_matrix(point))
+    key = serialize_matrix  # a point serializes as its witness matrix does
     best_value, best_point = -np.inf, None
     for point, value in restarts(objective, project, start_inside, budget, seed, m):
         if value > best_value or (value == best_value and key(point) < key(best_point)):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each is raised somewhere in it."""
 
 
 class CbnormLabError(Exception):
@@ -17,19 +17,9 @@ class DomainError(CbnormLabError, ValueError):
     """Evaluation was requested at or outside the boundary of the open unit ball."""
 
 
-class ImageGuardError(DomainError):
-    """A functional's scalar image reached the guard radius, so its certified
-    norm was understated.  `row` is the first grid of a stack whose image did,
-    or None for a single grid."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
-
-
 class ConfigurationError(CbnormLabError, ValueError):
-    """A symbolic object is missing a certification it needs, e.g. a composite
-    built on a functional with no certified norm."""
+    """A symbolic object lacks a certification it needs, e.g. a composite on
+    a functional with no stated norm, or with a computed norm of 1 or more."""
 
 
 class SandwichViolationError(CbnormLabError, RuntimeError):

@@ -4,7 +4,7 @@ Elements are finite combinations Σ cᵢ·αᵢ·δ(xᵢ)·βᵢ of evaluation f
 points strictly inside matrix unit balls.  The norm is sandwiched between the
 representation-cost infimum (searched over groupings and value-preserving
 rescalings of a finite family) and pairings against a dictionary of functions
-with certified unit bounds.  Dictionaries may contain plain scalar functions
+with certified bounds.  Dictionaries may contain plain scalar functions
 and grids of linear functionals.  Every cb-holomorphic f factors through δ by
 a linear map, so a linear entry pairs with u at its linearized point
 Σ cᵢ·αᵢ·xᵢ·βᵢ.  The grid built from the ambient coordinates pairs that point
@@ -176,7 +176,7 @@ def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ScalarEntry:
-    """A scalar test function with a certified cb bound (normalized <= 1)."""
+    """A scalar test function with a certified cb bound."""
 
     function: HoloFunction
     bound: float
@@ -197,21 +197,14 @@ class FunctionDictionary:
     entries: tuple
 
     def __post_init__(self):
-        normalized = []
-        for e in self.entries:
+        entries = tuple(self.entries)
+        for e in entries:
             bound = float(e.bound)
             if bound < 0.0 or not np.isfinite(bound):
                 raise InvalidInputError("entry bounds must be finite and nonnegative")
-            if bound > 1.0 + 1e-12:
-                # Rescale into the certified unit ball.
-                if isinstance(e, ScalarEntry):
-                    e = ScalarEntry(holofun.Scale(1.0 / bound, e.function), 1.0)
-                else:
-                    e = GridEntry(e.space, e.grid / bound, 1.0)
-            normalized.append(e)
-        if not normalized:
+        if not entries:
             raise InvalidInputError("dictionary must have at least one entry")
-        object.__setattr__(self, "entries", tuple(normalized))
+        object.__setattr__(self, "entries", entries)
 
 
 def linearize(u: GcbElement) -> OpSpaceMatrix:
@@ -247,7 +240,7 @@ def gcb_pairing(u: GcbElement, entry) -> np.ndarray:
 
 
 def gcb_lower_bound(u: GcbElement, dictionary: FunctionDictionary) -> float:
-    """Max pairing norm over the certified unit-ball entries: a valid lower bound."""
+    """Max over the entries of pairing norm / certified bound: a valid lower bound."""
     best = 0.0
     for entry in dictionary.entries:
         if entry.bound <= 1e-12:

@@ -4,9 +4,11 @@ and entrywise amplification to matrix arguments.
 Two kinds of domain coexist: disk functions (power series, Blaschke products,
 Möbius quotients and their sums/products) act entrywise on complex matrices in
 the open spectral unit ball; functional composites act on matrices over a
-concrete operator space by first applying a certified linear functional
-entrywise and then the scalar part.  Every variant takes the value 0 at 0,
-which is what makes zero-padding invariant under amplification.
+concrete operator space by first applying a linear functional entrywise and
+then the scalar part; the functional's norm, certified from its space when it
+is built, is below 1, so the image of the ball lies in the open disk.  Every
+variant takes the value 0 at 0, which makes zero-padding invariant under
+amplification.
 
 Every disk function is rational, p(z)/Π_b (1 − b·z) with |b| < 1 and the
 poles known from the construction; `_exact_rational` builds that form in exact
@@ -21,12 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import matcore
-from .errors import ConfigurationError, DomainError, ImageGuardError, InvalidInputError
-from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, same_space
-
-# Amplification through a functional rejects scalar images this close to the
-# boundary; it only fires if a certified_norm claim was wrong.
-_IMAGE_GUARD = 1e-9
+from .errors import ConfigurationError, DomainError, InvalidInputError
+from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, closed_form_dual_norm, matrix_norm, same_space
 
 _MAX_TRUNCATION = 2048
 
@@ -41,6 +39,9 @@ class HoloFunction:
 
 
 def _check_functional(space, phi, certified_norm):
+    """φ as complex coefficients, and r = max(stated norm, the norm that
+    `closed_form_dual_norm` computes from the space).  A functional's cb norm
+    is its norm, so g∘φ maps the ball into the disk exactly when it is < 1."""
     if not isinstance(space, ConcreteOperatorSpace):
         raise InvalidInputError("functional variants need a ConcreteOperatorSpace")
     phi = np.asarray(phi, dtype=np.complex128)
@@ -53,7 +54,10 @@ def _check_functional(space, phi, certified_norm):
     certified_norm = float(certified_norm)
     if not 0.0 <= certified_norm < 1.0:
         raise ConfigurationError(f"certified norm must lie in [0, 1), got {certified_norm}")
-    return phi, certified_norm
+    norm = closed_form_dual_norm(space, phi)
+    if not norm < 1.0:
+        raise ConfigurationError(f"functional has norm {norm} on its space, not below 1")
+    return phi, max(certified_norm, norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +120,7 @@ class MoebiusQuotient(HoloFunction):
 
 @dataclass(frozen=True, eq=False)
 class GeometricPhi(HoloFunction):
-    """x ↦ φ(x)/(1 − φ(x)) for a functional with certified norm < 1."""
+    """x ↦ φ(x)/(1 − φ(x)) for a functional of norm r < 1 (`_check_functional`)."""
 
     space: ConcreteOperatorSpace
     phi: np.ndarray
@@ -134,7 +138,7 @@ class GeometricPhi(HoloFunction):
 
 @dataclass(frozen=True, eq=False)
 class Composite(HoloFunction):
-    """x ↦ scalar(φ(x)): a disk function precomposed with a certified functional."""
+    """x ↦ scalar(φ(x)): a disk function after a functional of norm r < 1."""
 
     scalar: HoloFunction
     space: ConcreteOperatorSpace
@@ -266,27 +270,14 @@ def _combine(f, evaluate, z):
     return lo * ro, ld * ro[axes] + lo[axes] * rd
 
 
-def _functional_image(entries: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """φ applied to every entry of an (m, m, d) grid or a (k, m, m, d) stack."""
-    s = entries @ phi
-    tripped = np.flatnonzero(matcore.operator_norms(s, s.ndim) >= 1.0 - _IMAGE_GUARD)
-    if tripped.size:
-        raise ImageGuardError(
-            "scalar image of the functional reached the guard radius; "
-            "its certified norm looks wrong",
-            row=int(tripped[0]) if s.ndim == 3 else None,
-        )
-    return s
-
-
 def _amplify_space_entries(f: HoloFunction, entries: np.ndarray):
     """(F, ∂F_ij/∂E_ijk) of f on an (m, m, d) grid E, or on each grid of a
     (k, m, m, d) stack; for g∘φ that is g′(E_ij·φ)·φ_k."""
     if isinstance(f, GeometricPhi):
-        s = _functional_image(entries, f.phi)
+        s = entries @ f.phi
         return s / (1.0 - s), (1.0 / (1.0 - s) ** 2)[..., None] * f.phi
     if isinstance(f, Composite):
-        out, der = _eval_array(f.scalar, _functional_image(entries, f.phi))
+        out, der = _eval_array(f.scalar, entries @ f.phi)
         return out, der[..., None] * f.phi
     if isinstance(f, (Product, Sum, Scale)):
         return _combine(f, _amplify_space_entries, entries)

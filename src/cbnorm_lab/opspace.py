@@ -41,6 +41,14 @@ class ConcreteOperatorSpace:
         smin = np.linalg.svd(coords, compute_uv=False)[-1] if coords.shape[0] <= coords.shape[1] else 0.0
         if smin <= _INDEPENDENCE_TOL:
             raise InvalidInputError("basis matrices are not linearly independent")
+        # A builder kind promises its closed-form dual norm and descriptor,
+        # so it must come with the builder's basis.
+        if self.kind != "custom" and not (
+            self.kind in _UNITS
+            and self.param == basis.shape[1]
+            and np.array_equal(basis, _matrix_units(self.kind, self.param))
+        ):
+            raise InvalidInputError(f"basis is not that of the {self.kind!r} builder space; use kind 'custom'")
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -139,51 +147,71 @@ def direct_sum_matrices(x: OpSpaceMatrix, y: OpSpaceMatrix) -> OpSpaceMatrix:
 # Builders
 
 
-def _matrix_units(n: int, positions) -> np.ndarray:
+# The positions of the matrix units spanning each builder space in M_n.
+_UNITS = {
+    "scalar": lambda n: [(0, 0)],
+    "matrix": lambda n: [(i, j) for i in range(n) for j in range(n)],
+    "row": lambda n: [(0, j) for j in range(n)],
+    "column": lambda n: [(j, 0) for j in range(n)],
+    "min_linf": lambda n: [(j, j) for j in range(n)],
+}
+
+
+def _matrix_units(kind: str, n: int) -> np.ndarray:
+    positions = _UNITS[kind](n)
     out = np.zeros((len(positions), n, n), dtype=np.complex128)
     for k, (i, j) in enumerate(positions):
         out[k, i, j] = 1.0
     return out
 
 
+def _builder(kind: str, n: int) -> ConcreteOperatorSpace:
+    return ConcreteOperatorSpace(_matrix_units(kind, n), kind=kind, param=n)
+
+
 def space_scalar() -> ConcreteOperatorSpace:
     """The scalar space: one basis matrix [1] inside M_1."""
-    return ConcreteOperatorSpace(np.ones((1, 1, 1), dtype=np.complex128), kind="scalar", param=1)
+    return _builder("scalar", 1)
 
 
 def space_mk(k: int) -> ConcreteOperatorSpace:
     """All of M_k, with the matrix units as basis (row-major order)."""
     if not 1 <= k <= MAX_SPACE_PARAM:
         raise InvalidInputError(f"k must lie in [1, {MAX_SPACE_PARAM}], got {k}")
-    units = _matrix_units(k, [(i, j) for i in range(k) for j in range(k)])
-    return ConcreteOperatorSpace(units, kind="matrix", param=k)
+    return _builder("matrix", k)
 
 
 def space_row(n: int) -> ConcreteOperatorSpace:
     """Row Hilbertian space: first-row matrix units of M_n."""
     if not 1 <= n <= MAX_SPACE_PARAM:
         raise InvalidInputError(f"n must lie in [1, {MAX_SPACE_PARAM}], got {n}")
-    return ConcreteOperatorSpace(_matrix_units(n, [(0, j) for j in range(n)]), kind="row", param=n)
+    return _builder("row", n)
 
 
 def space_column(n: int) -> ConcreteOperatorSpace:
     """Column Hilbertian space: first-column matrix units of M_n."""
     if not 1 <= n <= MAX_SPACE_PARAM:
         raise InvalidInputError(f"n must lie in [1, {MAX_SPACE_PARAM}], got {n}")
-    return ConcreteOperatorSpace(_matrix_units(n, [(j, 0) for j in range(n)]), kind="column", param=n)
+    return _builder("column", n)
 
 
 def space_min_linf(d: int) -> ConcreteOperatorSpace:
     """Minimal quantization of ℓ∞^d: diagonal matrix units of M_d."""
     if not 1 <= d <= MAX_SPACE_PARAM:
         raise InvalidInputError(f"d must lie in [1, {MAX_SPACE_PARAM}], got {d}")
-    return ConcreteOperatorSpace(_matrix_units(d, [(j, j) for j in range(d)]), kind="min_linf", param=d)
+    return _builder("min_linf", d)
 
 
-def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float | None:
-    """Exact dual norm of a coefficient functional, for the builder spaces.
+def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float:
+    """Dual norm of a coefficient functional: exact on builder spaces, an
+    upper bound on custom ones.
 
-    Returns None for custom spaces, which have no closed form.
+    φ extends to M_N with the same norm (Hahn–Banach), and M_N's dual is the
+    trace class under ⟨X, W⟩ = Σ X_ij·W_ij, so every W with ⟨B_k, W⟩ = φ_k
+    has ‖φ‖ <= ‖W‖₁, with equality for some W.  On a builder space the W
+    that puts φ on the basis's matrix units attains it: |φ|, Σ|φ_k|, ‖φ‖₂,
+    or the trace norm of φ as a k×k matrix.  A custom space gets the
+    least-squares W (`_extension_norm`).
     """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (space.dim,):
@@ -195,9 +223,14 @@ def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float | None:
     if space.kind in ("row", "column"):
         return float(np.linalg.norm(phi))
     if space.kind == "matrix":
-        k = space.param
-        return float(np.sum(np.linalg.svd(phi.reshape(k, k), compute_uv=False)))
-    return None
+        return float(np.sum(np.linalg.svd(phi.reshape(space.param, space.param), compute_uv=False)))
+    return _extension_norm(space, phi)
+
+
+def _extension_norm(space: ConcreteOperatorSpace, phi: np.ndarray) -> float:
+    """‖W‖₁ of the least-squares W with ⟨B_k, W⟩ = φ_k: an upper bound for ‖φ‖."""
+    w = np.linalg.lstsq(space.basis.reshape(space.dim, -1), phi, rcond=None)[0]
+    return float(np.sum(np.linalg.svd(w.reshape(space.ambient, space.ambient), compute_uv=False)))
 
 
 # ---------------------------------------------------------------------------

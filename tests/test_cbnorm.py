@@ -240,6 +240,20 @@ def test_sandwich_on_zoo_is_consistent():
         assert est.lower <= est.upper + 1e-6
 
 
+def test_understated_functional_norm_is_replaced_by_the_computed_one():
+    # φ = (0.5, 0.45) on min-ℓ∞² has norm 0.95 and states 0.5.  With the
+    # stated norm as r the upper bound was 0.5, `sandwich` raised on a lower
+    # bound of 0.94998, and `schwarz_check` found 158 violations in 200.
+    phi = [0.5, 0.45]
+    f = Composite(IDENTITY, MIN2, phi, 0.5)
+    upper = cb_upper_bound(f)
+    assert upper == closed_form_dual_norm(MIN2, phi) == 0.95
+    est = sandwich(f, 2, 300, 1)
+    assert upper - 1e-4 < est.lower <= est.upper == upper
+    report = schwarz_check(f, upper, 200, 1)
+    assert report.passed and report.detail.startswith("0 violations")
+
+
 def test_linear_composite_matches_closed_form_dual_norm():
     phi = np.array([0.3, 0.4], dtype=complex)
     f = Composite(IDENTITY, MIN2, phi, 0.7)

@@ -277,6 +277,19 @@ def test_bad_descriptor_exits_one(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phi", [[[5.0, 0.0], [0.0, 0.0]], [[-0.2, -0.7], [0.2, 0.2]]], ids=["5", "1.01"])
+@pytest.mark.parametrize("kind", ["geometric_phi", "composite"])
+def test_functional_of_norm_one_or_more_exits_one(kind, phi, tmp_path, capsys):
+    # Both functionals state 0.5; their norms on min-ℓ∞², |φ|₁, are 5 and about 1.01.
+    function = {"kind": kind, "space": {"kind": "min_linf", "param": 2}, "phi": phi, "certified_norm": 0.5}
+    if kind == "composite":
+        function["scalar"] = {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
+    config = tmp_path / "oversized.json"
+    config.write_text(json.dumps({"command": "sandwich", "function": function, "max_level": 1, "budget": 10, "seed": 1}))
+    assert run_cli(["sandwich", "--config", config]) == 1
+    assert "not below 1" in capsys.readouterr().err
+
+
 def test_command_mismatch_exits_one(tmp_path, capsys):
     assert run_cli(["sandwich", "--config", CONFIG_DIR / "estimate_identity.json"]) == 1
     assert "declares command" in capsys.readouterr().err

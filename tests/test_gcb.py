@@ -468,11 +468,18 @@ def test_gcb_element_rejects_boundary_points():
 
 
 def test_dictionary_normalizes_large_bounds():
-    d = FunctionDictionary((ScalarEntry(IDENTITY, 4.0),))
-    entry = d.entries[0]
-    assert entry.bound == 1.0
-    assert isinstance(entry.function, Scale)
-    assert entry.function.c == 0.25
+    # Entries stay as given, and the lower bound divides each pairing norm by
+    # its entry's bound: a bound-4 entry gives a quarter of the bound-1 one.
+    u = delta_element(sample_matrix_ball(MK2, 2, 0.6, 6))
+    entries = (
+        lambda bound: ScalarEntry(Composite(SQUARE, MK2, [0.3, 0.1j, 0.0, 0.2], 0.6), bound),
+        lambda bound: GridEntry(MK2, coordinate_grid(MK2), bound),
+    )
+    for entry in entries:
+        one = gcb_lower_bound(u, FunctionDictionary((entry(1.0),)))
+        d = FunctionDictionary((entry(4.0),))
+        assert d.entries[0].bound == 4.0
+        assert one > 0.0 and abs(gcb_lower_bound(u, d) - one / 4) <= np.spacing(one / 4)
 
 
 def test_dictionary_rejects_empty():

@@ -18,7 +18,7 @@ from cbnorm_lab.holofun import (
     rescale_argument,
     taylor_coefficients,
 )
-from cbnorm_lab.opspace import OpSpaceMatrix, space_min_linf
+from cbnorm_lab.opspace import OpSpaceMatrix, closed_form_dual_norm, space_min_linf
 
 IDENTITY = PowerSeries([1.0])
 SQUARE = PowerSeries([0.0, 1.0])
@@ -127,11 +127,24 @@ def test_amplify_space_direct_sum_exact():
     assert np.all(out[2:, :] == 0) and np.all(out[:, 2:] == 0)
 
 
-def test_amplify_guard_catches_bad_certification():
-    lying = GeometricPhi(MIN2, np.array([5.0, 0.0], dtype=complex), 0.5)
-    x = OpSpaceMatrix(MIN2, np.array([0.9, 0.0]).reshape(1, 1, -1))
-    with pytest.raises(DomainError):
-        amplify(lying, x)
+# Functionals whose norm on min-ℓ∞², |φ|₁, is 5 and about 1.01: each states
+# 0.5, and each is rejected where it is built.
+OVERSIZED = [[5.0, 0.0], [-0.2 - 0.7j, 0.2 + 0.2j]]
+
+
+@pytest.mark.parametrize("phi", OVERSIZED, ids=["5", "1.01"])
+def test_functional_of_norm_one_or_more_is_rejected(phi):
+    with pytest.raises(ConfigurationError, match="not below 1"):
+        GeometricPhi(MIN2, phi, 0.5)
+    with pytest.raises(ConfigurationError, match="not below 1"):
+        Composite(IDENTITY, MIN2, phi, 0.5)
+
+
+def test_certified_norm_is_the_larger_of_stated_and_computed():
+    computed = closed_form_dual_norm(MIN2, PHI)  # 0.4 + 0.2 rounds to 0.6000000000000001
+    assert GeometricPhi(MIN2, PHI, 0.6).certified_norm == computed > 0.6
+    assert GeometricPhi(MIN2, PHI, 0.7).certified_norm == 0.7
+    assert Composite(SQUARE, MIN2, PHI, 0.0).certified_norm == computed
 
 
 def test_composite_requires_certification():

@@ -1,5 +1,6 @@
-"""Name hygiene: every name a package module imports is used in it, and
-every local variable a function assigns is read.
+"""Name hygiene: every name a package module imports is used in it, every
+local variable a function assigns is read, and every exception class that
+`errors.py` defines is raised somewhere in the package.
 
 No linter ships with the test extras, so these stdlib `ast` scans stand in
 for one.  `__init__.py` is exempt from the import scan: it imports names to
@@ -61,6 +62,18 @@ def unused_locals(source: str) -> list:
     return sorted(found)
 
 
+def unraised_errors(errors_source: str, sources) -> list:
+    """The classes `errors_source` defines that no `raise` in `sources` names."""
+    defined = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)]
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return [name for name in defined if name not in raised]
+
+
 def test_scan_finds_an_unused_local():
     source = (
         "def problem(m):\n"
@@ -78,6 +91,18 @@ def test_scan_finds_an_unused_import():
     source = "import math\nfrom .opspace import OpSpaceMatrix, matrix_norm\n\nmatrix_norm(None)\n"
     assert unused_imports(source) == ["OpSpaceMatrix (line 2)", "math (line 1)"]
     assert unused_imports("from __future__ import annotations\nimport numpy as np\nnp.pi\n") == []
+
+
+def test_scan_finds_an_unraised_error():
+    errors = "class BaseError(Exception):\n    pass\n\n\nclass GuardError(BaseError):\n    row = None\n"
+    caught_only = ["raise BaseError('x')\n", "try:\n    pass\nexcept GuardError:\n    pass\n"]
+    assert unraised_errors(errors, caught_only) == ["GuardError"]
+    assert unraised_errors(errors, ["raise errors.GuardError\n", "raise BaseError from None\n"]) == []
+
+
+def test_every_error_class_is_raised():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(encoding="utf-8"), sources) == []
 
 
 def test_modules_found():

@@ -7,6 +7,7 @@ from cbnorm_lab import matcore
 from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.opspace import (
     ConcreteOperatorSpace,
+    _extension_norm,
     OpSpaceMatrix,
     block_adjoint,
     block_matrix,
@@ -183,6 +184,22 @@ def test_closed_form_dual_norms():
     assert abs(closed_form_dual_norm(space_row(2), [3.0, 4.0]) - 5.0) < 1e-12
     # Trace norm of [[1, 0], [0, 1]] is 2.
     assert abs(closed_form_dual_norm(space_mk(2), [1.0, 0.0, 0.0, 1.0]) - 2.0) < 1e-12
+
+
+def test_builder_kind_needs_the_builder_basis():
+    rng = np.random.default_rng(7)
+    basis = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    for kind in ("scalar", "matrix", "row", "column", "min_linf", "mystery"):
+        with pytest.raises(InvalidInputError, match="builder space"):
+            ConcreteOperatorSpace(basis, kind=kind, param=2)
+    row = space_row(2).basis
+    for kind, param in (("row", 3), ("column", 2)):
+        with pytest.raises(InvalidInputError, match="builder space"):
+            ConcreteOperatorSpace(row, kind=kind, param=param)
+    assert ConcreteOperatorSpace(row, kind="row", param=2).kind == "row"
+    # As a custom space the random basis gets the extension bound instead.
+    custom, phi = ConcreteOperatorSpace(basis), np.array([0.3, 0.4j])
+    assert closed_form_dual_norm(custom, phi) == _extension_norm(custom, phi)
 
 
 def test_element_validation():

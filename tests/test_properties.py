@@ -227,6 +227,39 @@ def _functional(rng, space, r):
 
 
 @PROPERTY
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 3), st.integers(0, 2**32))
+def test_extension_bound_dominates_the_functional_on_custom_spaces(n, d, m, seed):
+    # The functional's cb norm is its norm, so at every level the scalar
+    # image (φ(x_ij)) has norm <= ‖φ‖·‖x‖ <= the bound·‖x‖.  On M_1 the
+    # bound is |φ/b| and equality holds, up to rounding.
+    rng = np.random.default_rng(seed)
+    shape = (min(d, n * n), n, n)
+    space = opspace.ConcreteOperatorSpace(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    bound = opspace.closed_form_dual_norm(space, phi)
+    for _ in range(10):
+        x = opspace._random_matrix_ball(rng, space, m, 0.5)
+        image = matcore.operator_norm(x.entries @ phi)
+        assert image <= bound * opspace.matrix_norm(x) * (1.0 + 1e-12)
+
+
+BUILDER_SPACES = st.sampled_from(
+    [opspace.space_scalar(), opspace.space_mk(2), opspace.space_mk(3), opspace.space_row(3)]
+    + [opspace.space_column(3), opspace.space_min_linf(3)]
+)
+
+
+@PROPERTY
+@given(BUILDER_SPACES, st.integers(0, 2**32))
+def test_extension_norm_matches_the_closed_form_on_builder_spaces(space, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        phi = rng.uniform(0.01, 3.0) * (rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim))
+        closed = opspace.closed_form_dual_norm(space, phi)
+        assert abs(opspace._extension_norm(space, phi) - closed) <= 4 * np.spacing(closed)
+
+
+@PROPERTY
 @given(
     SCALARS, SPACES, st.floats(0.1, 0.9), st.integers(1, 3), st.floats(0.1, 0.9), st.booleans(), st.integers(0, 2**32)
 )

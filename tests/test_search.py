@@ -1,10 +1,9 @@
 """Tests for the shared search engine: the real inner product and the
 sphere projection of complex points, the restart loop and its budget
-accounting, the batched line search against the sequential one, the
-functional-image guard on batched candidates, the ascent from a degenerate
-start, budget 1 in every search built on it, bit-exact searches pinned to
-captured constants, and the rejection of budgets, levels and sample sizes
-that are not integers."""
+accounting, the batched line search against the sequential one, the ascent
+from a degenerate start, budget 1 in every search built on it, bit-exact
+searches pinned to captured constants, and the rejection of budgets, levels
+and sample sizes that are not integers."""
 
 import hashlib
 from unittest import mock
@@ -14,7 +13,7 @@ import pytest
 
 from cbnorm_lab import _search, cbnorm, gcb, holofun, matcore, mconvex, opspace
 from cbnorm_lab.cbnorm import RADIUS_CAP, level_sup
-from cbnorm_lab.errors import DomainError, InvalidInputError
+from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.mconvex import MatrixSet, find_certificate
 from cbnorm_lab.opspace import (
     OpSpaceMatrix,
@@ -453,74 +452,6 @@ def test_batched_line_search_matches_the_sequential_one(case, seed):
         assert value.hex() == value_ref.hex()
         assert np.array_equal(x, x_ref)
         assert batched.used == sequential.used
-
-
-# A composite over min-ℓ∞² whose second functional has norm |φ|₁ ≈ 1.01, not
-# the certified 0.5, so candidates near the cap trip the image guard.
-_UNDERSTATED = holofun.Sum(
-    holofun.Composite(holofun.PowerSeries([2.0, 1.0]), space_min_linf(2), np.array([0.3 + 0.4j, -0.2 + 0.2j]), 0.8),
-    holofun.Composite(holofun.PowerSeries([1.0]), space_min_linf(2), np.array([-0.2 - 0.7j, 0.2 + 0.2j]), 0.5),
-)
-
-
-def _guarded_ascent(monkeypatch, x0):
-    """The batched and the sequential ascent at level 1 from x0, each as
-    ("ok", iterate, value, evaluations) or ("raise",), and the stack rows at
-    which the image guard tripped during the batched one."""
-    objective, project, _, _ = cbnorm._space_problem(_UNDERSTATED, 1)
-    tripped = []
-    image = holofun._functional_image
-
-    def spying(entries, phi):
-        try:
-            return image(entries, phi)
-        except DomainError as err:
-            tripped.append(err.row)
-            raise
-
-    def run(ascend, objective, project):
-        budget = _search.Budget(300)
-        try:
-            x, value = ascend(objective, np.array(x0), project, budget)
-        except DomainError:
-            return ("raise",)
-        return "ok", x, value, budget.used
-
-    with monkeypatch.context() as patch:
-        patch.setattr(holofun, "_functional_image", spying)
-        batched = run(_search.ascend, objective, project)
-    sequential = run(_sequential_ascend, *_one_point(objective, project))
-    return batched, sequential, tripped
-
-
-def test_guard_ignores_a_row_after_the_first_improving_one(monkeypatch):
-    batched, sequential, tripped = _guarded_ascent(monkeypatch, [[[-0.2 - 0.1j, 0.2 - 0.1j]]])
-    # Rows past the first of their stack tripped the guard, but an earlier
-    # row improved, so the sequential search never evaluates them.
-    assert tripped and all(row > 0 for row in tripped)
-    assert batched[0] == sequential[0] == "ok"
-    assert batched[2].hex() == sequential[2].hex() and np.array_equal(batched[1], sequential[1])
-    assert batched[3] == sequential[3]
-
-
-def test_guard_raises_when_a_charged_row_trips(monkeypatch):
-    batched, sequential, tripped = _guarded_ascent(monkeypatch, [[[0.2j, 0.2 + 0.2j]]])
-    # A row that tripped past the first of its stack comes first in the next
-    # stack, as no earlier row improved; there it is charged and raises.
-    assert any(row > 0 for row in tripped) and tripped[-1] == 0
-    assert batched == sequential == ("raise",)
-
-
-def test_space_objective_stops_at_a_row_that_trips_the_guard():
-    objective, _, _, _ = cbnorm._space_problem(_UNDERSTATED, 1)
-    phi = _UNDERSTATED.right.phi
-    inside, tripping = np.full((1, 1, 2), 0.1 + 0j), (0.99 * np.conj(phi) / np.abs(phi)).reshape(1, 1, 2)
-    values, _ = objective(np.stack([inside, inside, tripping, inside]))
-    assert len(values) == 2
-    alone, _ = objective(inside[None])
-    assert values[0].hex() == alone[0].hex()
-    with pytest.raises(DomainError, match="guard radius"):
-        objective(np.stack([tripping, inside]))
 
 
 def test_level_eight_disk_search_takes_fewer_svds(monkeypatch):
