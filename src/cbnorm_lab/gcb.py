@@ -2,19 +2,19 @@
 
 Elements are finite combinations Σ cᵢ·αᵢ·δ(xᵢ)·βᵢ of evaluation functionals at
 points strictly inside matrix unit balls.  The norm is sandwiched between the
-representation-cost infimum (searched over groupings and value-preserving
-rescalings of a finite family) and pairings against a dictionary of functions
-with certified bounds.  Dictionaries may contain plain scalar functions
-and grids of linear functionals.  Every cb-holomorphic f factors through δ by
-a linear map, so a linear entry pairs with u at its linearized point
-Σ cᵢ·αᵢ·xᵢ·βᵢ.  The grid built from the ambient coordinates pairs that point
-to its realization, so it is norming among the linear entries; it pins
+representation-cost infimum and pairings against a dictionary of functions
+with certified bounds.  The infimum is searched with all terms in one group,
+since merging groups never raises the cost, over value-preserving rescalings,
+in which the cost is log-convex.  Dictionaries may contain plain scalar
+functions and grids of linear functionals.  Every cb-holomorphic f factors
+through δ by a linear map, so a linear entry pairs with u at its linearized
+point Σ cᵢ·αᵢ·xᵢ·βᵢ.  The grid built from the ambient coordinates pairs that
+point to its realization, so it is norming among the linear entries; it pins
 evaluation elements to the norm of their base point exactly.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +28,10 @@ from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, compres
 # Points carried by predual elements stay this far inside the unit ball.
 _INTERIOR_MARGIN = 1e-9
 
-_RESCALE_GRID = 2.0 ** np.arange(-8, 9)  # 17 geometric points, exact in binary
-# A sweep's moves of one term's (α, β) scales: (g, g) and (g, 1/g) for each g.
-_MOVES = np.stack([np.repeat(_RESCALE_GRID, 2), np.ravel([_RESCALE_GRID, 1.0 / _RESCALE_GRID], order="F")])
+# The upper-bound search steps log-scales by at most _MAX_STEP along directions
+# clipped to ±_CLIP; its cost is second order in the last step, so it stops
+# once no step moves a scale by _STEP_FLOOR, an excess of order 1e-16.
+_MAX_STEP, _CLIP, _STEP_FLOOR = 0.25, 4.0, 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,97 +77,48 @@ def delta_element(x: OpSpaceMatrix) -> GcbElement:
 # Representation cost and the searched upper bound
 
 
-def _term_parts(t: GcbTerm):
-    alpha = np.asarray(t.alpha)
-    beta = np.asarray(t.beta)
-    return alpha @ alpha.conj().T, beta.conj().T @ beta, abs(t.c) * matrix_norm(t.point)
-
-
-def _group_cost(parts) -> np.ndarray:
-    """‖Σ a_i·A_i‖^½ · ‖Σ b_i·B_i‖^½ · max w_i/√(a_i·b_i) for one group.
-
-    Each scale is a float or a (k,) array of trial values; the costs come
-    back as a (k,) array, of length 1 when every scale is a float.  Every
-    entry has the bits of the same cost computed with float scales.
-    """
-    row = sum(np.multiply.outer(np.atleast_1d(a), A) for A, _, _, a, _ in parts)
-    col = sum(np.multiply.outer(np.atleast_1d(b), B) for _, B, _, _, b in parts)
-    peak = functools.reduce(np.maximum, [w / np.sqrt(a * b) for _, _, w, a, b in parts])
-    return np.sqrt(matcore.operator_norms(row)) * np.sqrt(matcore.operator_norms(col)) * peak
-
-
-def _partitions(items, max_groups):
-    """All partitions of `items` into at most `max_groups` nonempty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest, max_groups):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        if len(part) < max_groups:
-            yield part + [[first]]
-
-
 def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
-    """Minimum representation cost over groupings into <= 3 groups and
-    value-preserving per-term rescalings: a valid upper bound for the norm.
+    """The least cost found for u's terms as one group, over value-preserving
+    rescalings: a valid upper bound for the norm.
 
-    The rescaling knobs move positive scale between α, β and the coefficient
-    (the element is unchanged); they are swept over a binary geometric grid by
-    coordinate descent from two starts, the representation as given and the
-    flattened one where every term contributes weight 1.  Rescaling c and the
-    point together (c·t, x/t) changes neither the cost nor the searched
-    minimum, since |c|·‖x‖ is invariant, so it is not iterated.  Budget counts
-    cost evaluations; zero terms are dropped.  A sweep over one term's 34
-    moves, (g, g) and (g, 1/g) for the 17 grid points g, is charged 34
-    evaluations and evaluated as one stack, with the other groups' costs
-    taken once per sweep; a budget that runs out mid-sweep keeps the moves it
-    granted, in grid order, which is where a move-by-move search would stop.
+    Scales e^sᵢ on αᵢ and wᵢ²·e^−sᵢ on βᵢ, with wᵢ = |cᵢ|·‖xᵢ‖, cost
+    √‖Σ e^sᵢ·αᵢαᵢ*‖·√‖Σ wᵢ²e^−sᵢ·βᵢ*βᵢ‖.  One group is exact, since merging
+    groups never costs (the Haagerup-norm triangle inequality, Effros–Ruan,
+    Operator Spaces, ch. 9); one start is exact, since the cost is log-convex
+    in s.  From s = 0 each step moves s along log(qᵢ/pᵢ), with pᵢ and qᵢ term
+    i's shares of the two norms, a descent direction; the step halves on a
+    rejected candidate and doubles back on an accepted one.  Budget counts
+    cost evaluations, two SVDs each; zero terms are dropped.
     """
     evals = Budget(matcore.check_count(budget, "budget"))
     matcore.check_seed(seed)
-    if not u.terms:
-        return 0.0
-    data, flat = [], []
+    grams = []
     for t in u.terms:
-        A, B, w = _term_parts(t)
-        na, nb = matcore.operator_norm(A), matcore.operator_norm(B)
-        if na <= 0.0 or nb <= 0.0 or w <= 0.0:
-            continue  # the term is the zero functional; dropping it is value-preserving
-        data.append((A, B, w))
-        flat.append((w * np.sqrt(nb / na), w * np.sqrt(na / nb)))
-    if not data:
+        alpha, beta, w = np.asarray(t.alpha), np.asarray(t.beta), abs(t.c) * matrix_norm(t.point)
+        if alpha.any() and beta.any() and w > 0.0:  # otherwise the term is the zero functional
+            grams.append((alpha @ alpha.conj().T, w**2 * (beta.conj().T @ beta)))
+    if not grams:
         return 0.0
+    grams = np.array(grams)  # (terms, 2, n, n)
 
-    def cost(groups, scales):
-        return sum(_group_cost([(*data[i], *scales[i]) for i in group]) for group in groups)
+    def evaluate(s):
+        scales = np.exp(np.multiply.outer(s, [1.0, -1.0]))
+        _, sv, vh = np.linalg.svd(sum(c[:, None, None] * g for c, g in zip(scales, grams)))
+        # Each term's share of each norm, at the top singular vector vh[:, 0]* of that
+        # side; a zero share gives a clipped direction.
+        shares = scales * np.real(np.einsum("ja,kjab,jb->kj", vh[:, 0], grams, vh[:, 0].conj()))
+        p, q = np.maximum(shares / shares.sum(axis=0), 1e-300).T
+        return np.sqrt(sv[0, 0]) * np.sqrt(sv[1, 0]), np.clip(np.log(q / p), -_CLIP, _CLIP)
 
-    indices = list(range(len(data)))
-    if len(data) <= 8:
-        index_partitions = list(_partitions(indices, 3))
-    else:
-        # Full enumeration blows up; keep the two canonical groupings.
-        index_partitions = [[indices], [[i] for i in indices]]
-    best = np.inf
-    for groups in index_partitions:
-        for start in ([(1.0, 1.0)] * len(data), flat):
-            scales = list(start)
-            if not evals.spend():
-                return float(best)
-            current = cost(groups, scales)[0]
-            best = min(best, current)
-            for _ in range(2):
-                for i in indices:
-                    granted = evals.spend(_MOVES.shape[1])
-                    if not granted:
-                        return float(best)
-                    moved = (scales[i][0] * _MOVES[0, :granted], scales[i][1] * _MOVES[1, :granted])
-                    trials = cost(groups, scales[:i] + [moved] + scales[i + 1 :])
-                    best = min(best, trials.min())
-                    j = int(np.argmin(trials))
-                    if trials[j] < current:
-                        current, scales[i] = trials[j], (moved[0][j], moved[1][j])
+    evals.spend()  # the start; a budget is at least 1
+    s, step = np.zeros(len(grams)), _MAX_STEP
+    best, d = evaluate(s)
+    while np.max(np.abs(step * d)) >= _STEP_FLOOR and evals.spend():
+        value, trial_d = evaluate(s + step * d)
+        if value < best:
+            s, best, d, step = s + step * d, value, trial_d, min(2.0 * step, _MAX_STEP)
+        else:
+            step /= 2.0
     return float(best)
 
 
@@ -241,13 +193,8 @@ def gcb_pairing(u: GcbElement, entry) -> np.ndarray:
 
 def gcb_lower_bound(u: GcbElement, dictionary: FunctionDictionary) -> float:
     """Max over the entries of pairing norm / certified bound: a valid lower bound."""
-    best = 0.0
-    for entry in dictionary.entries:
-        if entry.bound <= 1e-12:
-            continue
-        value = matcore.operator_norm(gcb_pairing(u, entry)) / entry.bound
-        best = max(best, value)
-    return float(best)
+    values = [matcore.operator_norm(gcb_pairing(u, e)) / e.bound for e in dictionary.entries if e.bound > 1e-12]
+    return max(values, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +214,13 @@ class DeltaIsometryReport:
 def delta_isometry_check(x: OpSpaceMatrix, budget: int, seed) -> DeltaIsometryReport:
     """Sandwich the trivial evaluation element of x and compare with ‖x‖.
 
-    The upper gap must stay within 1e-9 (the trivial representation costs
-    exactly ‖x‖ and no value-preserving move can beat it on a single term);
-    the lower gap must stay within 1e-6.  The lower bound pairs δ(x) with the
-    coordinate grid alone: its cb norm is exactly 1 and it pairs the
-    linearized point x to realize(x), so it is norming among the linear
-    entries, and no entry of cb norm <= 1 can exceed ‖δ(x)‖ = ‖x‖.
+    The upper gap must stay within 1e-9, and it is 0: one term is one group,
+    its start costs √‖I‖·√‖ ‖x‖²·I ‖ = ‖x‖ in floats too, and its two shares
+    are both 1, so no rescaling moves it.  The lower gap must stay within
+    1e-6.  The lower bound pairs δ(x) with the coordinate grid alone: its cb
+    norm is exactly 1 and it pairs the linearized point x to realize(x), so
+    it is norming among the linear entries, and no entry of cb norm <= 1 can
+    exceed ‖δ(x)‖ = ‖x‖.
     """
     nx = matrix_norm(x)
     if nx > 1.0 - _INTERIOR_MARGIN:
@@ -281,13 +229,5 @@ def delta_isometry_check(x: OpSpaceMatrix, budget: int, seed) -> DeltaIsometryRe
     upper = gcb_upper_bound(u, budget, seed)
     coordinates = GridEntry(x.space, mconvex.coordinate_grid(x.space), 1.0)
     lower = gcb_lower_bound(u, FunctionDictionary((coordinates,)))
-    upper_gap = upper - nx
-    lower_gap = nx - lower
-    return DeltaIsometryReport(
-        passed=upper_gap <= 1e-9 and lower_gap <= 1e-6,
-        point_norm=float(nx),
-        upper=float(upper),
-        lower=float(lower),
-        upper_gap=float(upper_gap),
-        lower_gap=float(lower_gap),
-    )
+    upper_gap, lower_gap = upper - nx, nx - lower
+    return DeltaIsometryReport(upper_gap <= 1e-9 and lower_gap <= 1e-6, nx, upper, lower, upper_gap, lower_gap)

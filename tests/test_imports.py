@@ -1,6 +1,7 @@
 """Name hygiene: every name a package module imports is used in it, every
-local variable a function assigns is read, and every exception class that
-`errors.py` defines is raised somewhere in the package.
+local variable a function assigns is read, every private module-level name
+is read somewhere in the package, and every exception class that `errors.py`
+defines is raised somewhere in the package.
 
 No linter ships with the test extras, so these stdlib `ast` scans stand in
 for one.  `__init__.py` is exempt from the import scan: it imports names to
@@ -72,6 +73,74 @@ def unraised_errors(errors_source: str, sources) -> list:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
     return [name for name in defined if name not in raised]
+
+
+def _defined_names(statement) -> list:
+    """The names a module-level statement defines: a def, a class or the
+    targets of an assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def _read_names(statement) -> set:
+    """The names a statement reads, as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources: dict) -> list:
+    """The private module-level names (`_x`, not dunders) of `sources`, a map
+    from module name to source, that no module-level statement reads except
+    the one defining them; a recursive function's calls to itself do not count.
+    Any attribute `._x` counts as a read, so the scan can miss a name but
+    never flags a used one."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            reads.append(_read_names(statement))
+            for name in _defined_names(statement):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, len(reads) - 1))
+    return sorted(
+        f"{module}.{name}"
+        for module, name, own in defined
+        if not any(name in read for i, read in enumerate(reads) if i != own)
+    )
+
+
+def test_scan_finds_an_unread_private_name():
+    source = (
+        "_GRID, _USED = 2.0, 3.0\n"
+        "_SCALED = _USED * 2\n"
+        "def _walk(items):\n"
+        "    return [] if not items else _walk(items[1:])\n"
+        "class _Shape:\n"
+        "    pass\n"
+        "def _helper():\n"
+        "    return _SCALED\n"
+    )
+    other = "from .a import _helper\nimport a\nprint(_helper(), a._Shape)\n"
+    assert unread_private_names({"a": source, "b": other}) == ["a._GRID", "a._walk"]
+    assert unread_private_names({"a": "__all__ = []\n_x: int = 1\n", "b": "import a\na._x\n"}) == []
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 def test_scan_finds_an_unused_local():
