@@ -53,7 +53,6 @@ class CbEstimate:
     lower: float
     upper: float | None
     level_table: dict  # level -> its Witness
-    seed: int
     budget: int
     provenance: str
 
@@ -213,7 +212,6 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
         lower=float(lower),
         upper=None,
         level_table=table,
-        seed=int(seed),
         budget=budget,
         provenance=provenance,
     )
@@ -294,7 +292,6 @@ def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
 
 @dataclass(frozen=True)
 class CheckReport:
-    name: str
     passed: bool
     trials: int
     worst_slack: float
@@ -327,7 +324,6 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
         if actual > upper * radius + 1e-8:
             failures += 1
     return CheckReport(
-        name="schwarz",
         passed=failures == 0,
         trials=trials,
         worst_slack=float(worst),
@@ -342,7 +338,6 @@ def algebra_check(f: HoloFunction, g: HoloFunction, max_level: int, budget: int,
     lower = cb_lower_bound(Product(f, g), max_level, budget, seed).lower
     slack = uf * ug - lower
     return CheckReport(
-        name="algebra",
         passed=lower <= uf * ug + 1e-6,
         trials=1,
         worst_slack=float(slack),

@@ -46,8 +46,8 @@ _REQUIRED = {
     "probe": ["function", "max_level", "budget", "seed"],
     "hull": ["set", "trials", "seed"],
     "separate": ["set", "x0", "budget", "seed"],
-    "gcb": ["element", "dictionary", "budget", "seed"],
-    "delta-isometry": ["space", "point", "budget", "seed"],
+    "gcb": ["element", "dictionary", "budget"],
+    "delta-isometry": ["space", "point", "budget"],
 }
 
 
@@ -106,7 +106,7 @@ def _run_schwarz(config):
     f = descriptors.function_from_descriptor(config["function"])
     upper = cbnorm.cb_upper_bound(f)
     report = cbnorm.schwarz_check(f, upper, config["trials"], config["seed"])
-    results = {"upper": upper, **_fields(report, "name")}
+    results = {"upper": upper, **_fields(report)}
     return results, None, report.passed
 
 
@@ -114,7 +114,7 @@ def _run_algebra(config):
     f = descriptors.function_from_descriptor(config["function"])
     g = descriptors.function_from_descriptor(config["function2"])
     report = cbnorm.algebra_check(f, g, config["max_level"], config["budget"], config["seed"])
-    return _fields(report, "name", "trials"), None, report.passed
+    return _fields(report, "trials"), None, report.passed
 
 
 def _run_probe(config):
@@ -153,7 +153,7 @@ def _run_separate(config):
 def _run_gcb(config):
     u = descriptors.gcb_element_from_descriptor(config["element"])
     dictionary = descriptors.dictionary_from_descriptor(config["dictionary"], u.space)
-    upper = gcb.gcb_upper_bound(u, config["budget"], config["seed"])
+    upper = gcb.gcb_upper_bound(u, config["budget"])
     lower = gcb.gcb_lower_bound(u, dictionary)
     passed = lower <= upper + 1e-6
     results = {"upper": upper, "lower": lower, "gap": upper - lower, "passed": passed}
@@ -163,7 +163,7 @@ def _run_gcb(config):
 def _run_delta_isometry(config):
     space = descriptors.space_from_descriptor(config["space"])
     x = descriptors.space_matrix_from_descriptor(config["point"], space)
-    report = gcb.delta_isometry_check(x, config["budget"], config["seed"])
+    report = gcb.delta_isometry_check(x, config["budget"])
     return _fields(report), None, report.passed
 
 

@@ -66,20 +66,14 @@ def space_from_descriptor(d) -> opspace.ConcreteOperatorSpace:
     kind = d["kind"]
     if kind == "scalar":
         return opspace.space_scalar()
-    if kind == "matrix":
-        return opspace.space_mk(as_int(d.get("param", 1), "param"))
-    if kind == "row":
-        return opspace.space_row(as_int(d.get("param", 1), "param"))
-    if kind == "column":
-        return opspace.space_column(as_int(d.get("param", 1), "param"))
-    if kind == "min_linf":
-        return opspace.space_min_linf(as_int(d.get("param", 1), "param"))
     if kind == "custom":
         basis = _array_in(d["basis"], depth=3)
         if basis.shape[1] != as_int(d.get("ambient", basis.shape[1]), "ambient"):
             raise InvalidInputError("custom basis does not match the declared ambient size")
         return opspace.ConcreteOperatorSpace(basis, kind="custom")
-    raise InvalidInputError(f"unknown space kind {kind!r}")
+    if not isinstance(kind, str) or kind not in opspace.SIZED_BUILDERS:
+        raise InvalidInputError(f"unknown space kind {kind!r}")
+    return opspace.SIZED_BUILDERS[kind](as_int(d.get("param", 1), "param"))
 
 
 def space_to_descriptor(space: opspace.ConcreteOperatorSpace) -> dict:
@@ -152,10 +146,9 @@ def function_to_descriptor(f: holofun.HoloFunction) -> dict:
             "phi": [_complex_out(c) for c in f.phi],
             "certified_norm": f.certified_norm,
         }
-    if isinstance(f, holofun.Product):
-        return {"kind": "product", "left": function_to_descriptor(f.left), "right": function_to_descriptor(f.right)}
-    if isinstance(f, holofun.Sum):
-        return {"kind": "sum", "left": function_to_descriptor(f.left), "right": function_to_descriptor(f.right)}
+    if isinstance(f, (holofun.Product, holofun.Sum)):
+        kind = "product" if isinstance(f, holofun.Product) else "sum"
+        return {"kind": kind, "left": function_to_descriptor(f.left), "right": function_to_descriptor(f.right)}
     if isinstance(f, holofun.Scale):
         return {"kind": "scale", "c": _complex_out(f.c), "inner": function_to_descriptor(f.inner)}
     raise InvalidInputError(f"cannot serialize {type(f).__name__}")

@@ -77,7 +77,7 @@ def delta_element(x: OpSpaceMatrix) -> GcbElement:
 # Representation cost and the searched upper bound
 
 
-def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
+def gcb_upper_bound(u: GcbElement, budget: int) -> float:
     """The least cost found for u's terms as one group, over value-preserving
     rescalings: a valid upper bound for the norm.
 
@@ -88,10 +88,10 @@ def gcb_upper_bound(u: GcbElement, budget: int, seed) -> float:
     in s.  From s = 0 each step moves s along log(qᵢ/pᵢ), with pᵢ and qᵢ term
     i's shares of the two norms, a descent direction; the step halves on a
     rejected candidate and doubles back on an accepted one.  Budget counts
-    cost evaluations, two SVDs each; zero terms are dropped.
+    cost evaluations, two SVDs each; zero terms are dropped.  No step draws
+    a random number, so the bound needs no seed.
     """
     evals = Budget(matcore.check_count(budget, "budget"))
-    matcore.check_seed(seed)
     grams = []
     for t in u.terms:
         alpha, beta, w = np.asarray(t.alpha), np.asarray(t.beta), abs(t.c) * matrix_norm(t.point)
@@ -142,6 +142,9 @@ class GridEntry:
     space: ConcreteOperatorSpace
     grid: np.ndarray  # (m, m, d)
     bound: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", mconvex.check_grid(self.space, self.grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +214,7 @@ class DeltaIsometryReport:
     lower_gap: float
 
 
-def delta_isometry_check(x: OpSpaceMatrix, budget: int, seed) -> DeltaIsometryReport:
+def delta_isometry_check(x: OpSpaceMatrix, budget: int) -> DeltaIsometryReport:
     """Sandwich the trivial evaluation element of x and compare with ‖x‖.
 
     The upper gap must stay within 1e-9, and it is 0: one term is one group,
@@ -226,7 +229,7 @@ def delta_isometry_check(x: OpSpaceMatrix, budget: int, seed) -> DeltaIsometryRe
     if nx > 1.0 - _INTERIOR_MARGIN:
         raise InvalidInputError("point must lie strictly inside the matrix unit ball")
     u = delta_element(x)
-    upper = gcb_upper_bound(u, budget, seed)
+    upper = gcb_upper_bound(u, budget)
     coordinates = GridEntry(x.space, mconvex.coordinate_grid(x.space), 1.0)
     lower = gcb_lower_bound(u, FunctionDictionary((coordinates,)))
     upper_gap, lower_gap = upper - nx, nx - lower

@@ -32,32 +32,37 @@ _MAX_TRUNCATION = 2048
 class HoloFunction:
     """Base class; concrete variants are the dataclasses below."""
 
-    @property
-    def domain_space(self) -> ConcreteOperatorSpace | None:
-        """None for disk functions, the concrete space for functional composites."""
-        return None
+    # None for disk functions; a variant over a concrete space stores that
+    # space in `__post_init__`.  A plain attribute, not a dataclass field, so
+    # no constructor takes it and no repr shows it.
+    domain_space = None
 
 
-def _check_functional(space, phi, certified_norm):
-    """φ as complex coefficients, and r = max(stated norm, the norm that
-    `closed_form_dual_norm` computes from the space).  A functional's cb norm
-    is its norm, so g∘φ maps the ball into the disk exactly when it is < 1."""
+def _set_functional(f) -> None:
+    """Check f's functional against f.space and store φ as complex
+    coefficients, r = max(stated norm, the norm that `closed_form_dual_norm`
+    computes from the space) as its certified norm, and the space as its
+    domain.  A functional's cb norm is its norm, so g∘φ maps the ball into
+    the disk exactly when it is < 1."""
+    space = f.space
     if not isinstance(space, ConcreteOperatorSpace):
         raise InvalidInputError("functional variants need a ConcreteOperatorSpace")
-    phi = np.asarray(phi, dtype=np.complex128)
+    phi = np.asarray(f.phi, dtype=np.complex128)
     if phi.shape != (space.dim,):
         raise InvalidInputError(f"functional must have {space.dim} coefficients")
     if not np.all(np.isfinite(phi)):
         raise InvalidInputError("functional coefficients must be finite")
-    if certified_norm is None:
+    if f.certified_norm is None:
         raise ConfigurationError("functional has no certified norm")
-    certified_norm = float(certified_norm)
+    certified_norm = float(f.certified_norm)
     if not 0.0 <= certified_norm < 1.0:
         raise ConfigurationError(f"certified norm must lie in [0, 1), got {certified_norm}")
     norm = closed_form_dual_norm(space, phi)
     if not norm < 1.0:
         raise ConfigurationError(f"functional has norm {norm} on its space, not below 1")
-    return phi, max(certified_norm, norm)
+    object.__setattr__(f, "phi", phi)
+    object.__setattr__(f, "certified_norm", max(certified_norm, norm))
+    object.__setattr__(f, "domain_space", space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,20 +125,13 @@ class MoebiusQuotient(HoloFunction):
 
 @dataclass(frozen=True, eq=False)
 class GeometricPhi(HoloFunction):
-    """x ↦ φ(x)/(1 − φ(x)) for a functional of norm r < 1 (`_check_functional`)."""
+    """x ↦ φ(x)/(1 − φ(x)) for a functional of norm r < 1 (`_set_functional`)."""
 
     space: ConcreteOperatorSpace
     phi: np.ndarray
     certified_norm: float
 
-    def __post_init__(self):
-        phi, r = _check_functional(self.space, self.phi, self.certified_norm)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "certified_norm", r)
-
-    @property
-    def domain_space(self):
-        return self.space
+    __post_init__ = _set_functional
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,48 +146,31 @@ class Composite(HoloFunction):
     def __post_init__(self):
         if not isinstance(self.scalar, HoloFunction) or self.scalar.domain_space is not None:
             raise InvalidInputError("composite scalar part must be disk-domain")
-        phi, r = _check_functional(self.space, self.phi, self.certified_norm)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "certified_norm", r)
-
-    @property
-    def domain_space(self):
-        return self.space
-
-
-def _common_space(left: HoloFunction, right: HoloFunction):
-    ls, rs = left.domain_space, right.domain_space
-    if ls is None and rs is None:
-        return None
-    if ls is not None and rs is not None and same_space(ls, rs):
-        return ls
-    raise InvalidInputError("operands must share a domain (both disk, or the same space)")
+        _set_functional(self)
 
 
 @dataclass(frozen=True, eq=False)
-class Product(HoloFunction):
+class _Pair(HoloFunction):
+    """Two operands over one domain: both disk, or the same space."""
+
     left: HoloFunction
     right: HoloFunction
 
     def __post_init__(self):
-        object.__setattr__(self, "_space", _common_space(self.left, self.right))
-
-    @property
-    def domain_space(self):
-        return self._space
+        ls, rs = self.left.domain_space, self.right.domain_space
+        if (ls is None) != (rs is None) or (ls is not None and not same_space(ls, rs)):
+            raise InvalidInputError("operands must share a domain (both disk, or the same space)")
+        object.__setattr__(self, "domain_space", ls)
 
 
 @dataclass(frozen=True, eq=False)
-class Sum(HoloFunction):
-    left: HoloFunction
-    right: HoloFunction
+class Product(_Pair):
+    """x ↦ left(x)·right(x)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_space", _common_space(self.left, self.right))
 
-    @property
-    def domain_space(self):
-        return self._space
+@dataclass(frozen=True, eq=False)
+class Sum(_Pair):
+    """x ↦ left(x) + right(x)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +190,7 @@ class Scale(HoloFunction):
             inner = inner.inner
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "inner", inner)
-
-    @property
-    def domain_space(self):
-        return self.inner.domain_space
+        object.__setattr__(self, "domain_space", inner.domain_space)
 
 
 @dataclass(frozen=True)
@@ -221,7 +199,6 @@ class TaylorCoeffs:
     covers the rounding in the coefficients."""
 
     coeffs: np.ndarray
-    truncation: int
     tail_bound: float
 
 
@@ -254,7 +231,7 @@ def _eval_array(f: HoloFunction, z):
         (inner, der), den = _eval_array(f.inner, z), 1.0 - f.a * z
         out = inner / den
         return out, (der + f.a * out) / den
-    if isinstance(f, (Product, Sum, Scale)):
+    if isinstance(f, (_Pair, Scale)):
         return _combine(f, _eval_array, z)
     raise InvalidInputError(f"{type(f).__name__} is not a disk-domain function")
 
@@ -279,7 +256,7 @@ def _amplify_space_entries(f: HoloFunction, entries: np.ndarray):
     if isinstance(f, Composite):
         out, der = _eval_array(f.scalar, entries @ f.phi)
         return out, der[..., None] * f.phi
-    if isinstance(f, (Product, Sum, Scale)):
+    if isinstance(f, (_Pair, Scale)):
         return _combine(f, _amplify_space_entries, entries)
     raise InvalidInputError(f"{type(f).__name__} cannot be amplified over a space")
 
@@ -343,7 +320,7 @@ def _exact_rational(f: HoloFunction):
     if isinstance(f, MoebiusQuotient):
         p, poles = _exact_rational(f.inner)
         return p, poles + [f.a]
-    if isinstance(f, (Product, Sum)):
+    if isinstance(f, _Pair):
         (lp, lb), (rp, rb) = _exact_rational(f.left), _exact_rational(f.right)
         if isinstance(f, Product):
             return _mul(lp, rp), lb + rb
@@ -385,7 +362,7 @@ def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
         n = min(k, f.coeffs.size)
         coeffs[:n] = f.coeffs[:n]
         tail = float(np.sum(np.abs(f.coeffs[k:]))) if f.coeffs.size > k else 0.0
-        return TaylorCoeffs(coeffs, k, tail)
+        return TaylorCoeffs(coeffs, tail)
     p, poles = _rational(f)
     coeffs = np.zeros(k + 1, dtype=np.complex128)
     coeffs[: min(k + 1, p.size)] = p[: k + 1]
@@ -407,7 +384,7 @@ def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
     n = 8 * (len(poles) + 1) * (k + 1) + p.size + float(np.sum(1.0 / (1.0 - radii)))
     u = 2.0**-53
     tail = (e - float(np.sum(majorant))) + n * u / (1.0 - n * u) * e
-    return TaylorCoeffs(coeffs[1:], k, tail)
+    return TaylorCoeffs(coeffs[1:], tail)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +413,8 @@ def rescale_argument(f: HoloFunction, t: float) -> HoloFunction:
         return out
     if isinstance(f, MoebiusQuotient):
         return MoebiusQuotient(rescale_argument(f.inner, t), f.a * t)
-    if isinstance(f, Product):
-        return Product(rescale_argument(f.left, t), rescale_argument(f.right, t))
-    if isinstance(f, Sum):
-        return Sum(rescale_argument(f.left, t), rescale_argument(f.right, t))
+    if isinstance(f, _Pair):
+        return type(f)(rescale_argument(f.left, t), rescale_argument(f.right, t))
     if isinstance(f, Scale):
         return Scale(f.c, rescale_argument(f.inner, t))
     raise InvalidInputError(f"cannot rescale {type(f).__name__}")

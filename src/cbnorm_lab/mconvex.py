@@ -249,6 +249,17 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
 # Separation certificates
 
 
+def check_grid(space: ConcreteOperatorSpace, grid) -> np.ndarray:
+    """A grid of functionals on the space as an (n, n, d) complex array of
+    finite coefficient vectors: the one check of every stored grid."""
+    g = np.asarray(grid, dtype=np.complex128)
+    if g.ndim != 3 or g.shape[0] != g.shape[1] or g.shape[2] != space.dim:
+        raise InvalidInputError(f"grid must have shape (n, n, {space.dim}), got {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise InvalidInputError("grid entries must be finite")
+    return g
+
+
 @dataclass(frozen=True, eq=False)
 class SeparationCertificate:
     """An n×n grid of functionals, stored as coefficient vectors against the
@@ -258,12 +269,7 @@ class SeparationCertificate:
     grid: np.ndarray  # (n, n, d)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.complex128)
-        if g.ndim != 3 or g.shape[0] != g.shape[1] or g.shape[2] != self.space.dim:
-            raise InvalidInputError(f"grid must have shape (n, n, {self.space.dim}), got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise InvalidInputError("grid entries must be finite")
-        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "grid", check_grid(self.space, self.grid))
 
     @property
     def level(self) -> int:

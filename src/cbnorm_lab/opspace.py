@@ -165,7 +165,9 @@ def _matrix_units(kind: str, n: int) -> np.ndarray:
     return out
 
 
-def _builder(kind: str, n: int) -> ConcreteOperatorSpace:
+def _builder(kind: str, n: int, name: str = "n") -> ConcreteOperatorSpace:
+    if not 1 <= n <= MAX_SPACE_PARAM:
+        raise InvalidInputError(f"{name} must lie in [1, {MAX_SPACE_PARAM}], got {n}")
     return ConcreteOperatorSpace(_matrix_units(kind, n), kind=kind, param=n)
 
 
@@ -176,30 +178,26 @@ def space_scalar() -> ConcreteOperatorSpace:
 
 def space_mk(k: int) -> ConcreteOperatorSpace:
     """All of M_k, with the matrix units as basis (row-major order)."""
-    if not 1 <= k <= MAX_SPACE_PARAM:
-        raise InvalidInputError(f"k must lie in [1, {MAX_SPACE_PARAM}], got {k}")
-    return _builder("matrix", k)
+    return _builder("matrix", k, "k")
 
 
 def space_row(n: int) -> ConcreteOperatorSpace:
     """Row Hilbertian space: first-row matrix units of M_n."""
-    if not 1 <= n <= MAX_SPACE_PARAM:
-        raise InvalidInputError(f"n must lie in [1, {MAX_SPACE_PARAM}], got {n}")
     return _builder("row", n)
 
 
 def space_column(n: int) -> ConcreteOperatorSpace:
     """Column Hilbertian space: first-column matrix units of M_n."""
-    if not 1 <= n <= MAX_SPACE_PARAM:
-        raise InvalidInputError(f"n must lie in [1, {MAX_SPACE_PARAM}], got {n}")
     return _builder("column", n)
 
 
 def space_min_linf(d: int) -> ConcreteOperatorSpace:
     """Minimal quantization of ℓ∞^d: diagonal matrix units of M_d."""
-    if not 1 <= d <= MAX_SPACE_PARAM:
-        raise InvalidInputError(f"d must lie in [1, {MAX_SPACE_PARAM}], got {d}")
-    return _builder("min_linf", d)
+    return _builder("min_linf", d, "d")
+
+
+# The builders that take a size, by space kind.
+SIZED_BUILDERS = {"matrix": space_mk, "row": space_row, "column": space_column, "min_linf": space_min_linf}
 
 
 def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float:

@@ -270,7 +270,7 @@ def test_criterion_10_delta_isometry():
         level = int(rng.integers(1, 4))
         radius = float(rng.uniform(0.2, 0.95))
         x = sample_matrix_ball(space, level, radius, 2000 + checked)
-        report = delta_isometry_check(x, 600, 3000 + checked)
+        report = delta_isometry_check(x, 600)
         assert report.upper_gap <= 1e-9, report
         assert report.lower_gap <= 1e-4, report
         worst_upper = max(worst_upper, report.upper_gap)

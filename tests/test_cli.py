@@ -122,6 +122,19 @@ def test_seed_override_changes_record(tmp_path):
     assert load(b)["config"]["seed"] == 99
 
 
+@pytest.mark.parametrize("name", ["gcb_duplicate_delta.json", "delta_isometry_row2.json"])
+def test_gcb_and_delta_isometry_need_no_seed(name):
+    # Neither command draws a random number: without a seed, or with another
+    # one, the results are those of the shipped config.
+    config = load(CONFIG_DIR / name)
+    shipped, _ = cli.run(config["command"], config)
+    unseeded = {k: v for k, v in config.items() if k != "seed"}
+    for other in (unseeded, {**unseeded, "seed": config["seed"] + 1}):
+        record, passed = cli.run(config["command"], other)
+        assert passed and record["config"] == other
+        assert record["results"] == shipped["results"]
+
+
 def test_schema_violation_exits_one(tmp_path, capsys):
     # A missing seed, and a probe level just above the cap.
     identity = {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
@@ -270,6 +283,16 @@ def test_bad_descriptor_exits_one(tmp_path, capsys):
     ):
         body = {"command": "gcb", "element": element, "dictionary": {"entries": [unit_grid]}, "budget": 10, "seed": 1}
         cases.append((body, message))
+    # Grid entries over min-ℓ∞², whose grids must have shape (n, n, 2).
+    term = {"c": [1.0, 0.0], "alpha": [[[1.0, 0.0]]], "x": {"entries": [[[[0.5, 0.0], [0.0, 0.0]]]]}, "beta": [[[1.0, 0.0]]]}
+    element = {"space": {"kind": "min_linf", "param": 2}, "level": 1, "terms": [term]}
+    for grid, shape in (
+        ([[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]], "(1, 1, 3)"),
+        ([[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [1.0, 0.0]]]], "(2, 1, 2)"),
+    ):
+        dictionary = {"entries": [{"kind": "grid", "grid": grid, "bound": 1.0}]}
+        body = {"command": "gcb", "element": element, "dictionary": dictionary, "budget": 10, "seed": 1}
+        cases.append((body, f"error: grid must have shape (n, n, 2), got {shape}"))
     for body, message in cases:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(body))

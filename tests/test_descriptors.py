@@ -5,7 +5,7 @@ import pytest
 
 from cbnorm_lab import descriptors
 from cbnorm_lab.errors import InvalidInputError
-from cbnorm_lab.holofun import Blaschke, Composite, MoebiusQuotient, PowerSeries, Scale, Sum
+from cbnorm_lab.holofun import Blaschke, Composite, GeometricPhi, MoebiusQuotient, PowerSeries, Product, Scale, Sum
 from cbnorm_lab.opspace import same_space, space_mk, space_min_linf
 
 
@@ -37,7 +37,9 @@ def test_function_round_trip():
         Blaschke(1.0j, 2, [0.5, -0.25j]),
         MoebiusQuotient(PowerSeries([1.0]), 0.5),
         Sum(PowerSeries([1.0]), Scale(2.0, PowerSeries([0.0, 1.0]))),
+        Product(Blaschke(1.0, 1, [0.5]), PowerSeries([0.0, 1.0])),
         Composite(PowerSeries([1.0]), space_min_linf(2), np.array([0.3, 0.4]), 0.7),
+        GeometricPhi(space_min_linf(2), np.array([0.3, 0.4]), 0.7),
     ]
     for f in functions:
         d = descriptors.function_to_descriptor(f)

@@ -63,7 +63,7 @@ def coordinate_dictionary(space):
 
 def test_gcb_upper_bound_empty_element():
     u = GcbElement(MK2, 2, ())
-    assert gcb_upper_bound(u, 10, 1) == 0.0
+    assert gcb_upper_bound(u, 10) == 0.0
 
 
 def test_gcb_upper_bound_delta_is_point_norm():
@@ -72,15 +72,15 @@ def test_gcb_upper_bound_delta_is_point_norm():
     for i, space in enumerate(SPACES):
         for level in (1, 2, 3):
             x = sample_matrix_ball(space, level, 0.6, 6 + 10 * i + level)
-            assert gcb_upper_bound(delta_element(x), 2000, 7) == matrix_norm(x)
-            report = delta_isometry_check(x, 300, 7)
+            assert gcb_upper_bound(delta_element(x), 2000) == matrix_norm(x)
+            report = delta_isometry_check(x, 300)
             assert report.upper == report.point_norm and report.upper_gap == 0.0
 
 
 def test_gcb_upper_bound_duplicate_terms():
     x = sample_matrix_ball(MK2, 1, 0.5, 8)
     u = GcbElement(MK2, 1, (eye_term(x), eye_term(x)))
-    upper = gcb_upper_bound(u, 3000, 9)
+    upper = gcb_upper_bound(u, 3000)
     lower = gcb_lower_bound(u, coordinate_dictionary(MK2))
     assert abs(lower - 2 * matrix_norm(x)) < 1e-9
     assert upper >= lower - 1e-9
@@ -115,14 +115,14 @@ def test_gcb_upper_bound_budget_one_is_the_given_representation():
         row = sum(t.alpha @ t.alpha.conj().T for t in u.terms)
         col = sum((abs(t.c) * matrix_norm(t.point)) ** 2 * (t.beta.conj().T @ t.beta) for t in u.terms)
         start = np.sqrt(top_singular_pair(row)[0]) * np.sqrt(top_singular_pair(col)[0])
-        assert gcb_upper_bound(u, 1, seed) == start
+        assert gcb_upper_bound(u, 1) == start
         assert start <= _one_group_cost(u) * (1 + 1e-12)
 
 
 def test_gcb_upper_bound_nonincreasing_in_budget():
     for seed, space in enumerate(SPACES):
         u = _random_element(space, 2, (2, 1, 2), 10 + seed)
-        values = [gcb_upper_bound(u, budget, 4) for budget in (1, 2, 35, 300)]
+        values = [gcb_upper_bound(u, budget) for budget in (1, 2, 35, 300)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] < values[0]
 
@@ -145,7 +145,7 @@ def test_gcb_upper_bound_lies_below_the_given_and_singleton_costs():
         given = _random_element(space, level, point_levels, 1000 * trial)
         scaled = [GcbTerm(t.c, t.alpha * np.exp(rng.uniform(-3, 3)), t.point, t.beta) for t in given.terms]
         u = GcbElement(space, level, tuple(scaled))
-        upper = gcb_upper_bound(u, 300, trial)
+        upper = gcb_upper_bound(u, 300)
         assert upper <= _one_group_cost(u) * (1 + 1e-12)
         assert upper <= _singleton_cost(u) * (1 + 1e-12)
         assert gcb_lower_bound(u, coordinate_dictionary(space)) <= upper * (1 + 1e-12)
@@ -166,7 +166,7 @@ def test_gcb_upper_bound_stacks_each_sweep(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     for budget in (1, 5, 300):
         shapes.clear()
-        gcb_upper_bound(u, budget, 0)
+        gcb_upper_bound(u, budget)
         assert [len(shape) for shape in shapes[:3]] == [2, 2, 2]  # the points' norms
         assert set(shapes[3:]) == {(2, 2, 2)}
         assert len(shapes) - 3 == budget if budget < 300 else len(shapes) - 3 < 40
@@ -176,15 +176,15 @@ def test_gcb_upper_bound_stacks_each_sweep(monkeypatch):
 def test_gcb_rejects_non_integer_budgets(budget):
     x = sample_matrix_ball(MK2, 2, 0.5, 53)
     with pytest.raises(InvalidInputError, match="budget"):
-        gcb_upper_bound(delta_element(x), budget, 0)
+        gcb_upper_bound(delta_element(x), budget)
     with pytest.raises(InvalidInputError, match="budget"):
-        delta_isometry_check(x, budget, 0)
+        delta_isometry_check(x, budget)
 
 
 def test_gcb_accepts_integer_budgets():
     u = _random_element(MK2, 2, (2, 1), 53)
     for budget in (np.int64(40), 40.0):
-        assert gcb_upper_bound(u, budget, 0) == gcb_upper_bound(u, 40, 0)
+        assert gcb_upper_bound(u, budget) == gcb_upper_bound(u, 40)
 
 
 def test_gcb_pairing_grid_matches_quadruple_loop():
@@ -339,7 +339,7 @@ def test_gcb_sandwich_random_elements():
             beta = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
             terms.append(GcbTerm(complex(rng.standard_normal()), alpha, x, beta))
         u = GcbElement(space, n, tuple(terms))
-        upper = gcb_upper_bound(u, 800, trial)
+        upper = gcb_upper_bound(u, 800)
         # φ = 0.5·e₀ has dual norm 0.5 on every builder space, so φ/(1 − φ)
         # has cb norm at most 0.5/(1 − 0.5) = 1.
         phi = np.zeros(space.dim, dtype=complex)
@@ -352,7 +352,7 @@ def test_gcb_sandwich_random_elements():
 
 
 def test_delta_isometry_scalar():
-    report = delta_isometry_check(scalar_matrix([[0.5]]), 500, 17)
+    report = delta_isometry_check(scalar_matrix([[0.5]]), 500)
     assert report.passed
     assert abs(report.point_norm - 0.5) < 1e-12
     assert abs(report.upper - 0.5) < 1e-9
@@ -367,14 +367,14 @@ def test_delta_isometry_scaled_identity_level2():
     entries[1, 1, 3] = 0.9
     x = OpSpaceMatrix(MK2, entries)
     assert np.allclose(realize(x), 0.9 * np.eye(4), atol=0)
-    report = delta_isometry_check(x, 500, 18)
+    report = delta_isometry_check(x, 500)
     assert report.passed
     assert abs(report.point_norm - 0.9) < 1e-12
 
 
 def test_delta_isometry_random_row_space_level3():
     x = sample_matrix_ball(space_row(2), 3, 0.85, 19)
-    report = delta_isometry_check(x, 500, 19)
+    report = delta_isometry_check(x, 500)
     assert report.passed
     assert report.lower_gap <= 1e-4
 
@@ -386,7 +386,7 @@ def test_delta_isometry_lower_bound_is_the_point_norm_exactly():
         for level in (1, 2, 3):
             for j, radius in enumerate((0.3, 0.95)):
                 x = sample_matrix_ball(space, level, radius, 200 + 10 * i + 2 * level + j)
-                report = delta_isometry_check(x, 40, i)
+                report = delta_isometry_check(x, 40)
                 assert report.passed
                 assert report.lower == report.point_norm
                 assert report.lower_gap == 0.0
@@ -396,7 +396,7 @@ def test_delta_isometry_rejects_boundary_point():
     entries = np.zeros((1, 1, 1), dtype=complex)
     entries[0, 0, 0] = 1.0
     with pytest.raises(InvalidInputError):
-        delta_isometry_check(OpSpaceMatrix(SCALAR, entries), 100, 1)
+        delta_isometry_check(OpSpaceMatrix(SCALAR, entries), 100)
 
 
 def test_gcb_element_rejects_boundary_points():

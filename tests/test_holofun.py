@@ -1,5 +1,7 @@
 """Tests for symbolic holomorphic functions, amplification, and Taylor data."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,16 @@ def test_scale_nodes_collapse():
     s = Scale(2.0, Scale(3.0, IDENTITY))
     assert s.c == 6.0
     assert isinstance(s.inner, PowerSeries)
+
+
+def test_domain_space_is_an_attribute_not_a_field():
+    # Set at construction, so constructors, repr and fields() leave it out.
+    pair = Product(GEOM_PHI, COMPOSITE)
+    over_space = [GEOM_PHI, COMPOSITE, pair, Sum(COMPOSITE, GEOM_PHI), Scale(2.0, pair)]
+    for f in DISK_ZOO + over_space:
+        assert f.domain_space is (MIN2 if f in over_space else None)
+        assert "domain_space" not in [field.name for field in fields(f)] and "domain_space" not in repr(f)
+    assert [field.name for field in fields(Product)] == [field.name for field in fields(Sum)] == ["left", "right"]
 
 
 def test_variant_validation():

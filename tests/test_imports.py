@@ -1,7 +1,7 @@
 """Name hygiene: every name a package module imports is used in it, every
 local variable a function assigns is read, every private module-level name
-is read somewhere in the package, and every exception class that `errors.py`
-defines is raised somewhere in the package.
+is read somewhere in the package, no parameter is only validated, and every
+exception class that `errors.py` defines is raised somewhere in the package.
 
 No linter ships with the test extras, so these stdlib `ast` scans stand in
 for one.  `__init__.py` is exempt from the import scan: it imports names to
@@ -120,6 +120,64 @@ def unread_private_names(sources: dict) -> list:
         for module, name, own in defined
         if not any(name in read for i, read in enumerate(reads) if i != own)
     )
+
+
+_VALIDATORS = {"check_seed", "check_count", "check_level", "as_int"}
+
+
+def _is_validator_call(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id in _VALIDATORS) or (
+        isinstance(func, ast.Attribute) and func.attr in _VALIDATORS
+    )
+
+
+def validated_only_parameters(source: str) -> list:
+    """The parameters whose every read is an argument of a `check_seed`,
+    `check_count`, `check_level` or `as_int` call whose result is thrown
+    away (an expression statement): checked, then never used."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        checked_only = set()
+        for statement in ast.walk(scope):
+            if isinstance(statement, ast.Expr) and _is_validator_call(statement.value):
+                checked_only.update(id(arg) for arg in statement.value.args)
+        args = scope.args
+        for param in args.posonlyargs + args.args + args.kwonlyargs:
+            reads = [
+                node for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and node.id == param.arg and isinstance(node.ctx, ast.Load)
+            ]
+            if reads and all(id(node) in checked_only for node in reads):
+                found.append(f"{scope.name}({param.arg}) (line {scope.lineno})")
+    return found
+
+
+def test_scan_finds_a_validated_only_parameter():
+    source = (
+        "def bound(u, budget, seed):\n"
+        "    evals = Budget(check_count(budget, 'budget'))\n"
+        "    matcore.check_seed(seed)\n"
+        "    return evals, u\n"
+        "def search(level, seed, n):\n"
+        "    level = matcore.check_level(level)\n"
+        "    check_seed(seed)\n"
+        "    as_int(n, 'n')\n"
+        "    return restarts(level, seed)\n"
+        "def size(n):\n"
+        "    as_int(n, 'n')\n"
+    )
+    assert validated_only_parameters(source) == ["bound(seed) (line 1)", "search(n) (line 5)", "size(n) (line 10)"]
+    assert validated_only_parameters("key = lambda value, name: check_seed(value)\n") == []
+
+
+def test_no_parameter_is_only_validated():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.stem}.{name}" for name in validated_only_parameters(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def test_scan_finds_an_unread_private_name():
