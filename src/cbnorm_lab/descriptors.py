@@ -65,6 +65,8 @@ def space_from_descriptor(d) -> opspace.ConcreteOperatorSpace:
         raise InvalidInputError("space descriptor must be an object with a 'kind'")
     kind = d["kind"]
     if kind == "scalar":
+        if as_int(d.get("param", 1), "param") != 1:
+            raise InvalidInputError(f"a scalar space has param 1, got {d['param']!r}")
         return opspace.space_scalar()
     if kind == "custom":
         basis = _array_in(d["basis"], depth=3)

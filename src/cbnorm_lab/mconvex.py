@@ -183,11 +183,11 @@ def random_representation(k: MatrixSet, target_level: int, rng) -> HullRepresent
     return HullRepresentation(terms=terms, target_level=target_level)
 
 
-def _sampled_norms(k: MatrixSet, target_level: int, draws) -> np.ndarray:
-    """Norms of the hull points of same-level draws, one stack per step: the
-    normalized α and β, their constraint check, the points Σ αᵢ·xᵢ·βᵢ and
-    their realizations."""
-    alphas, betas = _normalize(*_split(k, target_level, np.stack(draws)))
+def _sampled_norms(k: MatrixSet, target_level: int, draws: np.ndarray) -> np.ndarray:
+    """Norms of the hull points of a (T, 4·n·Σk_i) array of same-level draws,
+    one stack per step: the normalized α and β, their constraint check, the
+    points Σ αᵢ·xᵢ·βᵢ and their realizations."""
+    alphas, betas = _normalize(*_split(k, target_level, draws))
     _check_constraints(alphas, betas)
     points = sum(
         np.einsum("tpr,rsd,tsq->tpqd", a, gen.entries, b)
@@ -210,10 +210,13 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
     """Sampled hull points must not beat the generator norm (within 1e-8);
     the identity representation must attain it exactly.
 
-    Trial t draws its level and its α, β from `derive_rng(seed, t)`.  Trials
-    are drawn in chunks that fill about `_STACK_BYTES`, and each chunk's
-    trials are evaluated as one stack per level; every norm has the bits of
-    the same trial evaluated alone."""
+    The trial levels come in trial order from `derive_rng(seed)`, and the
+    α, β rows of the level-L trials in trial order from `derive_rng(seed, L)`.
+    Trials are drawn in chunks that fill about `_STACK_BYTES`: a chunk takes
+    its next levels with one `integers` call and each level's rows with one
+    `standard_normal` call, then evaluates one stack per level.  The streams
+    run on across chunks, so no result depends on the chunk size, and every
+    norm has the bits of the same trial evaluated alone."""
     trials = matcore.check_count(trials, "trials")
     gen_norms = [matrix_norm(g) for g in k.generators]
     bound = max(gen_norms)
@@ -222,18 +225,18 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
     # Rough bytes of one level-3 trial in the stacks: draws, α, β, point and realization.
     trial_bytes = 8 * 3 * width + 16 * 9 * (k.space.ambient**2 + k.space.dim)
     chunk = max(1, _STACK_BYTES // trial_bytes)
+    levels = matcore.derive_rng(seed)
+    rows = {level: matcore.derive_rng(seed, level) for level in range(1, 4)}
     worst = -np.inf
     failures = 0
     for start in range(0, trials, chunk):
-        by_level = {}
-        for t in range(start, min(start + chunk, trials)):
-            rng = matcore.derive_rng(seed, t)
-            level = int(rng.integers(1, 4))
-            by_level.setdefault(level, []).append(rng.standard_normal(level * width))
-        for level, draws in by_level.items():
-            excess = _sampled_norms(k, level, draws) - bound
-            worst = max(worst, float(excess.max()))
-            failures += int(np.count_nonzero(excess > 1e-8))
+        counts = np.bincount(levels.integers(1, 4, size=min(chunk, trials - start)), minlength=4)
+        for level in range(1, 4):
+            if counts[level]:
+                draws = rows[level].standard_normal((counts[level], level * width))
+                excess = _sampled_norms(k, level, draws) - bound
+                worst = max(worst, float(excess.max()))
+                failures += int(np.count_nonzero(excess > 1e-8))
     attained = matrix_norm(hull_element(k, identity_representation(k, best_index))) == bound
     return HullReport(
         passed=failures == 0 and attained,
@@ -278,7 +281,7 @@ class SeparationCertificate:
 
 def _pairings(grid: np.ndarray, x: OpSpaceMatrix) -> np.ndarray:
     """`pairing` of a raw (n, n, d) grid, or of each grid of a (k, n, n, d) stack."""
-    return opspace.block_matrix(grid, np.moveaxis(x.entries, -1, 0))
+    return opspace.block_matrix(grid, x.entries.transpose(2, 0, 1))
 
 
 def pairing(f: SeparationCertificate, x: OpSpaceMatrix) -> np.ndarray:
@@ -291,7 +294,7 @@ def pairing(f: SeparationCertificate, x: OpSpaceMatrix) -> np.ndarray:
 def _pairing_gradient(grid: np.ndarray, x: OpSpaceMatrix) -> np.ndarray:
     """The grid G with dσ₁(pairing(grid, x)) = Re Σ G·d(grid), x's entries as basis."""
     _, u, v = matcore.top_singular_pair(_pairings(grid, x))
-    return opspace.block_adjoint(u, v, np.moveaxis(x.entries, -1, 0))
+    return opspace.block_adjoint(u, v, x.entries.transpose(2, 0, 1))
 
 
 @dataclass(frozen=True)

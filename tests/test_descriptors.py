@@ -100,6 +100,20 @@ def test_bad_descriptors_rejected():
             descriptors.space_from_descriptor({"kind": "row", "param": value})
 
 
+@pytest.mark.parametrize("param", ["junk", 7, True])
+def test_scalar_space_rejects_param_other_than_one(param):
+    with pytest.raises(InvalidInputError):
+        descriptors.space_from_descriptor({"kind": "scalar", "param": param})
+
+
+@pytest.mark.parametrize("d", [{"kind": "scalar"}, {"kind": "scalar", "param": 1}])
+def test_scalar_space_parses_without_param_or_with_param_one(d):
+    space = descriptors.space_from_descriptor(d)
+    assert descriptors.space_to_descriptor(space) == {"kind": "scalar", "param": 1}
+    again = descriptors.space_from_descriptor(descriptors.space_to_descriptor(space))
+    assert same_space(space, again)
+
+
 def test_integral_sizes_accepted_as_floats():
     # A JSON config may write 2 as 2.0: the config check accepts it, and so do the descriptors.
     space = descriptors.space_from_descriptor({"kind": "matrix", "param": 2.0})

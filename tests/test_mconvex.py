@@ -279,10 +279,14 @@ def _reference_representation(k, n, rng):
     return HullRepresentation(terms=terms, target_level=n)
 
 
-def _trial_norm(k, seed, t):
-    rng = matcore.derive_rng(seed, t)
-    level = int(rng.integers(1, 4))
-    return level, matrix_norm(hull_element(k, _reference_representation(k, level, rng)))
+def _trial_norms(k, trials, seed):
+    """(level, norm) of each trial in turn, one trial at a time: the level from
+    `derive_rng(seed)`, then α and β from the level's `derive_rng(seed, level)`."""
+    levels = matcore.derive_rng(seed)
+    rows = {level: matcore.derive_rng(seed, level) for level in (1, 2, 3)}
+    for _ in range(int(trials)):
+        level = int(levels.integers(1, 4))
+        yield level, matrix_norm(hull_element(k, _reference_representation(k, level, rows[level])))
 
 
 def _trial_by_trial(k, trials, seed):
@@ -290,8 +294,8 @@ def _trial_by_trial(k, trials, seed):
     bound = set_norm(k)
     worst = -np.inf
     failures = 0
-    for t in range(int(trials)):
-        excess = _trial_norm(k, seed, t)[1] - bound
+    for _, norm in _trial_norms(k, trials, seed):
+        excess = norm - bound
         worst = max(worst, excess)
         if excess > 1e-8:
             failures += 1
@@ -332,25 +336,44 @@ def test_hull_norm_check_matches_trial_by_trial(name, seed):
 
 @pytest.mark.parametrize("stack_bytes", [1, 5000])
 def test_hull_norm_check_chunks_match_trial_by_trial(monkeypatch, stack_bytes):
-    # One trial per chunk, then chunks of a few trials each.
+    # One trial per chunk, then chunks of a few trials each: the streams run
+    # on across chunks, so the report is that of one chunk and of one trial
+    # at a time.
     k = _random_set(MK2, 5)
+    whole = hull_norm_check(k, 60, 4)
     monkeypatch.setattr(mconvex, "_STACK_BYTES", stack_bytes)
-    _assert_same_report(hull_norm_check(k, 60, 4), _trial_by_trial(k, 60, 4))
+    chunked = hull_norm_check(k, 60, 4)
+    _assert_same_report(chunked, _trial_by_trial(k, 60, 4))
+    _assert_same_report(chunked, whole)
+
+
+@pytest.mark.parametrize("trials", [1, 60, 200])
+def test_hull_norm_check_makes_at_most_four_streams(monkeypatch, trials):
+    # One stream for the levels and one per level, whatever the trial count.
+    k = _random_set(MK2, 5)
+    calls = []
+    derive_rng = matcore.derive_rng
+
+    def counting(*args):
+        calls.append(args)
+        return derive_rng(*args)
+
+    monkeypatch.setattr(matcore, "derive_rng", counting)
+    hull_norm_check(k, trials, 4)
+    assert len(calls) <= 4
 
 
 def test_sampled_norms_match_each_trial():
     k = _random_set(MIN2, 6)
     width = 4 * sum(g.level for g in k.generators)
-    by_level = {}
-    for t in range(200):
-        rng = matcore.derive_rng(8, t)
-        level = int(rng.integers(1, 4))
-        by_level.setdefault(level, ([], []))
-        by_level[level][0].append(rng.standard_normal(level * width))
-        by_level[level][1].append(_trial_norm(k, 8, t)[1])
-    for level, (draws, expected) in by_level.items():
-        norms = mconvex._sampled_norms(k, level, draws)
-        assert [v.hex() for v in norms.tolist()] == [v.hex() for v in expected]
+    expected = {}
+    for level, norm in _trial_norms(k, 200, 8):
+        expected.setdefault(level, []).append(norm)
+    for level, norms in expected.items():
+        rows = matcore.derive_rng(8, level)
+        draws = np.stack([rows.standard_normal(level * width) for _ in norms])
+        got = mconvex._sampled_norms(k, level, draws)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in norms]
 
 
 @pytest.mark.parametrize("name", SPACES)
