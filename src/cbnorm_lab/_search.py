@@ -40,8 +40,12 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
     # One dot product over all real parts, then all imaginary parts: this
     # summation order fixes the bits of every norm, step and projection built
     # on it, and so of every searched record.
-    parts = lambda z: np.concatenate([z.real.ravel(), z.imag.ravel()])
-    return float(parts(a) @ parts(b))
+    return float(_parts(a) @ _parts(b))
+
+
+def _parts(z: np.ndarray) -> np.ndarray:
+    """The real vector of all real parts, then all imaginary parts."""
+    return np.concatenate([z.real.ravel(), z.imag.ravel()])
 
 
 def to_sphere(stack: np.ndarray) -> np.ndarray:
@@ -93,13 +97,14 @@ def _line_search(objective, project, x, value, grad, budget: Budget):
     while s·|grad| > 1e-9, whose value beats `value`: (point, value,
     gradient_at, row), or None if none does before the budget runs out.
 
-    The candidates are evaluated in batches of 1, 2, 4, ... points, each
-    capped at what the budget has left.  A batch is charged up to and
-    including its first improving point, or whole when no point improves, so
-    the outcome and the budget spent are those of trying the candidates one
-    at a time.
+    The candidates are evaluated in batches of 1, 8, 64, ... points, each
+    capped at the candidates and the budget left.  A batch is charged up to
+    and including its first improving point, or whole when no point
+    improves, so the outcome and the budget spent are those of trying the
+    candidates one at a time.
     """
-    gnorm = float(np.sqrt(inner(grad, grad)))
+    vec = _parts(grad)  # inner(grad, grad), its vector formed once
+    gnorm = float(np.sqrt(vec @ vec))
     if gnorm <= 1e-12:
         return None
     # Exact halvings: the floats that halving one step at a time gives.
@@ -121,7 +126,7 @@ def _line_search(objective, project, x, value, grad, budget: Budget):
             return cands[i], float(values[i]), gradient_at, i
         budget.spend(taken.size)
         steps = steps[taken.size:]
-        batch *= 2
+        batch *= 8
     return None
 
 

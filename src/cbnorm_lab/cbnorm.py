@@ -71,7 +71,7 @@ def _norms_and_gradients(values: np.ndarray, derivative: np.ndarray):
 
     def gradient_at(i):
         _, u, v = matcore.top_singular_pair(values[i])
-        weights = np.outer(u.conj(), v)
+        weights = u.conj()[:, None] * v
         der = derivative[i]
         return np.conj(der * weights.reshape(weights.shape + (1,) * (der.ndim - 2)))
 

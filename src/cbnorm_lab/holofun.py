@@ -209,14 +209,31 @@ class TaylorCoeffs:
 def _eval_array(f: HoloFunction, z):
     """Entrywise value and derivative (F, F′) of a disk function on a complex array."""
     if isinstance(f, PowerSeries):
-        if f._lacunary is not None:
-            # Long lacunary series: summing powers beats dense Horner.
-            out, der = np.zeros_like(z), np.zeros_like(z)
-            for i in f._lacunary:
-                out = out + f.coeffs[i] * z ** (i + 1)
-                der = der + (i + 1) * f.coeffs[i] * z**i
+        idx = f._lacunary
+        if idx is not None:
+            # Long lacunary series: summing powers beats dense Horner.  One
+            # power call gives every term of F and one every term of F′,
+            # along a last axis that starts with a +0 term.
+            # - Coefficient first, each product takes numpy's vector loop,
+            #   as the scalar-times-array product of one term did; the zero
+            #   term keeps that axis longer than 1, where a product of
+            #   one-element operands would take a scalar loop that rounds
+            #   differently on CPUs with fused multiply-add.
+            # - The order of the sum matters, as float addition does not
+            #   associate: accumulating along the axis adds the terms one
+            #   at a time, in order, from +0, so F and F′ get the roundings
+            #   and signed zeros of the term-by-term sum, and the records
+            #   their bits.  A pairwise `sum` would not.
+            coeffs = f.coeffs[idx]
+            terms = np.zeros((2, *z.shape, idx.size + 1), dtype=np.complex128)
+            np.power(z[..., None], idx + 1, out=terms[0, ..., 1:])
+            np.power(z[..., None], idx, out=terms[1, ..., 1:])
+            factors = np.zeros((2, idx.size + 1), dtype=np.complex128)
+            factors[0, 1:], factors[1, 1:] = coeffs, (idx + 1) * coeffs
+            np.multiply(factors.reshape(2, *(1,) * z.ndim, -1), terms, out=terms)
+            out, der = np.add.accumulate(terms, axis=-1)[..., -1]
             return out, der
-        acc, dacc = np.zeros_like(z), np.zeros_like(z)
+        acc = dacc = np.zeros(z.shape, dtype=np.complex128)
         for a in f.coeffs[::-1]:
             dacc = dacc * z + acc
             acc = acc * z + a

@@ -134,4 +134,5 @@ def project_ball(a, r: float) -> np.ndarray:
     outside = (s > r).any(axis=-1)
     if not outside.any():
         return m
-    return np.where(outside[..., None, None], (u * np.minimum(s, r)[..., None, :]) @ vh, m)
+    clipped = (u * np.minimum(s, r)[..., None, :]) @ vh
+    return clipped if outside.all() else np.where(outside[..., None, None], clipped, m)

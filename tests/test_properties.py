@@ -1,13 +1,15 @@
 """Property tests over random disk expression trees of depth <= 3: Taylor data
 against an independent mpmath reference, evaluation, argument rescaling,
-descriptor round trips, sandwich order, and each search objective's exact
-gradient against a central difference."""
+descriptor round trips, sandwich order, each search objective's exact
+gradient against a central difference, and lacunary evaluation against the
+term-by-term sum, bit for bit."""
 
 import cmath
 from unittest import mock
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -303,3 +305,74 @@ def test_certificate_objective_gradient_is_exact(space, level, seed):
 
 def test_lacunary_strategy_takes_the_term_by_term_path():
     assert _lacunary(80, [1.0, 2.0])._lacunary is not None
+
+
+def _term_by_term(f, z):
+    """(F, F′) of a lacunary series summed one term at a time, as
+    `_eval_array` summed it before its terms were evaluated in one call."""
+    out, der = np.zeros_like(z), np.zeros_like(z)
+    for i in f._lacunary:
+        out = out + f.coeffs[i] * z ** (i + 1)
+        der = der + (i + 1) * f.coeffs[i] * z**i
+    return out, der
+
+
+def _signed_stack(rng, rows, level, radius):
+    """A stack of `rows` level×level points with entries of modulus at most
+    `radius`.  Past the first entry, some real or imaginary parts are −0.0,
+    and some entries are −0.0 − 0.0j."""
+    z = rng.standard_normal((rows, level, level)) + 1j * rng.standard_normal((rows, level, level))
+    z *= radius / np.max(np.abs(z))
+    parts = z.reshape(-1).view(np.float64).reshape(-1, 2)
+    parts[1::3, 0] = -0.0
+    parts[2::5, 1] = -0.0
+    parts[3::7] = -0.0
+    return z
+
+
+def _assert_term_by_term_bits(f, z):
+    for new, old in zip(holofun._eval_array(f, z), _term_by_term(f, z)):
+        assert new.shape == old.shape
+        assert np.ascontiguousarray(new).tobytes() == old.tobytes()
+
+
+_STACKS = [(rows, level) for rows in (1, 3, 30) for level in (1, 2, 4, 8)]
+
+
+@PROPERTY
+@given(LACUNARY, st.floats(0.05, 0.99), st.integers(0, 2**32))
+def test_lacunary_evaluation_has_the_bits_of_the_term_by_term_sum(f, radius, seed):
+    # Exponents below 100, which numpy raises by repeated squaring.  A
+    # one-term series on a 1×1 point is where a product of one-element
+    # arrays would round differently.
+    rng = np.random.default_rng(seed)
+    for rows, level in _STACKS:
+        z = _signed_stack(rng, rows, level, radius)
+        _assert_term_by_term_bits(f, z)
+        _assert_term_by_term_bits(f, z[0])
+
+
+def _binary_lacunary():
+    """Σ_{k=1}^{12} 2^-k·z^(2^k) of degree 4096, as the benchmark builds it."""
+    c = np.zeros(2**12)
+    c[2 ** np.arange(1, 13) - 1] = 2.0 ** -np.arange(1, 13)
+    return PowerSeries(c)
+
+
+@pytest.mark.parametrize("rows, level", _STACKS)
+def test_lacunary_evaluations_have_the_term_by_term_bits(rows, level):
+    # Exponents from 128 take numpy's cpow; a series with no nonzero term
+    # sums to +0 everywhere; and series of 1, 2 and 4 terms with random
+    # coefficients, whose products round where the strategy's simple
+    # coefficients often multiply exactly.
+    rng = np.random.default_rng(100 * rows + level)
+    drawn = [
+        _lacunary(int(rng.integers(65, 97)), rng.uniform(-2.0, 2.0, k) + 1j * rng.uniform(-2.0, 2.0, k))
+        for k in (1, 2, 4)
+    ]
+    for f in (_binary_lacunary(), PowerSeries(np.zeros(100)), *drawn):
+        assert f._lacunary is not None
+        for radius in (1e-3, 0.5, 0.99):
+            z = _signed_stack(rng, rows, level, radius)
+            _assert_term_by_term_bits(f, z)
+            _assert_term_by_term_bits(f, z[0])

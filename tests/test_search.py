@@ -1,9 +1,9 @@
 """Tests for the shared search engine: the real inner product and the
 sphere projection of complex points, the restart loop and its budget
-accounting, the batched line search against the sequential one, the ascent
-from a degenerate start, budget 1 in every search built on it, bit-exact
-searches pinned to captured constants, and the rejection of budgets, levels
-and sample sizes that are not integers."""
+accounting, the batched line search's schedule and its match with the
+sequential one, the ascent from a degenerate start, budget 1 in every search
+built on it, bit-exact searches pinned to captured constants, and the
+rejection of budgets, levels and sample sizes that are not integers."""
 
 import hashlib
 from unittest import mock
@@ -454,14 +454,29 @@ def test_batched_line_search_matches_the_sequential_one(case, seed):
         assert batched.used == sequential.used
 
 
+def test_line_search_batches_grow_eightfold():
+    # The gradient given points downhill, so no candidate beats the iterate
+    # and the line search tries all 30 steps with s·|grad| > 1e-9: one row,
+    # then 8, then the other 21.  The start point is charged 1 before it is
+    # evaluated, and a point of size 2 charges 4 per gradient.
+    def objective(stack):
+        return -np.sum(np.abs(stack) ** 2, axis=1), lambda i: stack[i]
+
+    x0 = np.array([0.5, 0.5j])
+    assert _batches(objective, x0, lambda stack: stack, 1000) == [(1, 1), (5, 1), (6, 8), (14, 21)]
+    # Each batch is capped at the budget left.
+    assert _batches(objective, x0, lambda stack: stack, 10) == [(1, 1), (5, 1), (6, 4)]
+
+
 def test_level_eight_disk_search_takes_fewer_svds(monkeypatch):
     # One level-8 disk level_sup at budget 300 took 38 SVDs when each
-    # line-search candidate was evaluated and projected alone; batched, 20.
+    # line-search candidate was evaluated and projected alone, 15 in
+    # batches of 1, 2, 4, ... rows, and 13 in batches of 1, 8, 64, ...
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
     level_sup(holofun.PowerSeries([1.0]), 8, 300, seed=8)
-    assert len(calls) <= 29
+    assert len(calls) <= 13
 
 
 # ---------------------------------------------------------------------------
