@@ -34,6 +34,8 @@ from .holofun import (
 # Search stays strictly inside the open ball while approaching the supremum.
 RADIUS_CAP = 1.0 - 1e-6
 DEFAULT_LEVELS = (1, 2, 4, 8)
+# How far a lower bound may pass its upper bound before the pair is out of order.
+SANDWICH_SLACK = 1e-6
 
 # Fewest Taylor terms the Blaschke rule sums before bounding the tail.
 _MIN_TRUNCATION = 256
@@ -149,12 +151,20 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
         u = float(rng.uniform(0.0, 1.0))
         return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
 
-    key = serialize_matrix  # a point serializes as its witness matrix does
     best_value, best_point = -np.inf, None
     for point, value in restarts(objective, project, start_inside, budget, seed, m):
-        if value > best_value or (value == best_value and key(point) < key(best_point)):
+        # A point serializes as its witness matrix does.
+        if _beats(value, point, best_value, best_point):
             best_value, best_point = value, point
     return Witness(level=m, matrix=witness_matrix(best_point), value=float(best_value))
+
+
+def _beats(value: float, matrix, best_value: float, best_matrix) -> bool:
+    """A larger value wins; an equal one wins with the smaller serialization,
+    which only an exact tie computes."""
+    return value > best_value or (
+        value == best_value and serialize_matrix(matrix) < serialize_matrix(best_matrix)
+    )
 
 
 def witness_value(f: HoloFunction, w: Witness) -> float:
@@ -179,29 +189,32 @@ def lift_witness(w: Witness) -> Witness:
 
 def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
     # level_sup restarts until its per-level budget is gone, so each level
-    # spends exactly `budget` evaluations.  A lifted lower-level witness wins
-    # on a larger value, or on an equal one with the smaller serialization.
+    # spends exactly `budget` evaluations.  A lifted lower-level witness
+    # replaces the level's own when it `_beats` it.
     table = {}
     running = None
     for m in levels:
         w = level_sup(f, m, budget, seed)
         if running is not None:
             lifted = _lift_to(running, m)
-            if lifted.value > w.value or (
-                lifted.value == w.value and serialize_matrix(lifted.matrix) < serialize_matrix(w.matrix)
-            ):
+            if _beats(lifted.value, lifted.matrix, w.value, w.matrix):
                 w = lifted
         running = w
         table[m] = w
     return table
 
 
+def _default_levels(max_level: int) -> list:
+    """The schedule DEFAULT_LEVELS capped at max_level."""
+    max_level = matcore.check_count(max_level, "max_level")
+    return [m for m in DEFAULT_LEVELS if m <= max_level]
+
+
 def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
     """Max of level sups over the schedule (1, 2, 4, 8) capped at max_level,
     with zero-pad lifting keeping the level table nondecreasing."""
     budget = matcore.check_count(budget, "budget")
-    max_level = matcore.check_count(max_level, "max_level")
-    levels = [m for m in DEFAULT_LEVELS if m <= max_level]
+    levels = _default_levels(max_level)
     table = _lower_table(f, levels, budget, seed)
     lower = max(w.value for w in table.values())
     provenance = (
@@ -271,10 +284,10 @@ def cb_upper_bound(f: HoloFunction) -> float:
 
 
 def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
-    """Both bounds, with the consistency check lower <= upper + 1e-6."""
+    """Both bounds, with the consistency check lower <= upper + SANDWICH_SLACK."""
     est = cb_lower_bound(f, max_level, budget, seed)
     upper, rule = _upper_rules(f)
-    if est.lower > upper + 1e-6:
+    if est.lower > upper + SANDWICH_SLACK:
         raise SandwichViolationError(
             f"lower bound {est.lower} exceeds certified upper bound {upper}; "
             "one of the two computations is wrong"
@@ -332,13 +345,13 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
 
 
 def algebra_check(f: HoloFunction, g: HoloFunction, max_level: int, budget: int, seed) -> CheckReport:
-    """Test the algebra inequality lower(f·g) <= upper(f)·upper(g) + 1e-6."""
+    """Test the algebra inequality lower(f·g) <= upper(f)·upper(g) + SANDWICH_SLACK."""
     uf = cb_upper_bound(f)
     ug = cb_upper_bound(g)
     lower = cb_lower_bound(Product(f, g), max_level, budget, seed).lower
     slack = uf * ug - lower
     return CheckReport(
-        passed=lower <= uf * ug + 1e-6,
+        passed=lower <= uf * ug + SANDWICH_SLACK,
         trials=1,
         worst_slack=float(slack),
         detail=f"lower(product) = {lower:.12f} vs bound product {uf * ug:.12f}",
@@ -371,10 +384,7 @@ def question_probe(f: HoloFunction, max_level: int, budget: int, seed, schedule=
     """
     if f.domain_space is not None:
         raise InvalidInputError("growth probe applies to disk-domain functions")
-    if schedule is None:
-        max_level = matcore.check_count(max_level, "max_level")
-        schedule = [m for m in DEFAULT_LEVELS if m <= max_level]
-    levels = probe_levels(schedule)
+    levels = probe_levels(_default_levels(max_level) if schedule is None else schedule)
     table = _lower_table(f, levels, budget, seed)
     values = [table[m].value for m in levels]
     if len(levels) < 2:

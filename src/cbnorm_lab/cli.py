@@ -155,7 +155,7 @@ def _run_gcb(config):
     dictionary = descriptors.dictionary_from_descriptor(config["dictionary"], u.space)
     upper = gcb.gcb_upper_bound(u, config["budget"])
     lower = gcb.gcb_lower_bound(u, dictionary)
-    passed = lower <= upper + 1e-6
+    passed = lower <= upper + cbnorm.SANDWICH_SLACK
     results = {"upper": upper, "lower": lower, "gap": upper - lower, "passed": passed}
     return results, None, passed
 

@@ -88,86 +88,70 @@ def space_to_descriptor(space: opspace.ConcreteOperatorSpace) -> dict:
 # Functions
 
 
+# Codecs: a key's (read, write) pair.  Nested reads call the module-level
+# parsers by name, so a wrapper installed on a parser sees nested calls too.
+_COMPLEX = (_complex_in, _complex_out)
+_COMPLEXES = (
+    lambda values: np.asarray([_complex_in(c) for c in values], dtype=np.complex128),
+    lambda values: [_complex_out(c) for c in values],
+)
+_REAL = (float, lambda x: x)
+_ORDER = (lambda v: as_int(v, "m"), lambda m: m)
+_SPACE = (lambda d: space_from_descriptor(d), space_to_descriptor)
+_FUNCTION = (lambda d: function_from_descriptor(d), lambda f: function_to_descriptor(f))
+
+# Each function kind's class and descriptor keys: the class's constructor
+# arguments, in order, with their codecs.  A `power_series` may carry an
+# "analytic_radius" key, which is ignored: polynomials are entire.
+_FUNCTIONS = {
+    "power_series": (holofun.PowerSeries, {"coeffs": _COMPLEXES}),
+    "blaschke": (holofun.Blaschke, {"c": _COMPLEX, "m": _ORDER, "zeros": _COMPLEXES}),
+    "moebius_quotient": (holofun.MoebiusQuotient, {"inner": _FUNCTION, "a": _COMPLEX}),
+    "geometric_phi": (holofun.GeometricPhi, {"space": _SPACE, "phi": _COMPLEXES, "certified_norm": _REAL}),
+    "composite": (
+        holofun.Composite,
+        {"scalar": _FUNCTION, "space": _SPACE, "phi": _COMPLEXES, "certified_norm": _REAL},
+    ),
+    "product": (holofun.Product, {"left": _FUNCTION, "right": _FUNCTION}),
+    "sum": (holofun.Sum, {"left": _FUNCTION, "right": _FUNCTION}),
+    "scale": (holofun.Scale, {"c": _COMPLEX, "inner": _FUNCTION}),
+}
+
+
+def _function_kind(kind):
+    """The (class, keys) entry of a function kind, or None for an unknown one."""
+    return _FUNCTIONS.get(kind) if isinstance(kind, str) else None
+
+
 @_parser
 def function_from_descriptor(d) -> holofun.HoloFunction:
     if not isinstance(d, dict) or "kind" not in d:
         raise InvalidInputError("function descriptor must be an object with a 'kind'")
-    kind = d["kind"]
-    if kind == "power_series":
-        # An "analytic_radius" key is accepted and ignored: polynomials are entire.
-        coeffs = np.asarray([_complex_in(c) for c in d["coeffs"]], dtype=np.complex128)
-        return holofun.PowerSeries(coeffs)
-    if kind == "blaschke":
-        zeros = np.asarray([_complex_in(z) for z in d.get("zeros", [])], dtype=np.complex128)
-        return holofun.Blaschke(_complex_in(d["c"]), as_int(d["m"], "m"), zeros)
-    if kind == "moebius_quotient":
-        return holofun.MoebiusQuotient(function_from_descriptor(d["inner"]), _complex_in(d["a"]))
-    if kind == "geometric_phi":
-        space = space_from_descriptor(d["space"])
-        phi = np.asarray([_complex_in(c) for c in d["phi"]], dtype=np.complex128)
-        return holofun.GeometricPhi(space, phi, float(d["certified_norm"]))
-    if kind == "composite":
-        space = space_from_descriptor(d["space"])
-        phi = np.asarray([_complex_in(c) for c in d["phi"]], dtype=np.complex128)
-        return holofun.Composite(
-            function_from_descriptor(d["scalar"]), space, phi, float(d["certified_norm"])
-        )
-    if kind == "product":
-        return holofun.Product(function_from_descriptor(d["left"]), function_from_descriptor(d["right"]))
-    if kind == "sum":
-        return holofun.Sum(function_from_descriptor(d["left"]), function_from_descriptor(d["right"]))
-    if kind == "scale":
-        return holofun.Scale(_complex_in(d["c"]), function_from_descriptor(d["inner"]))
-    raise InvalidInputError(f"unknown function kind {kind!r}")
+    entry = _function_kind(d["kind"])
+    if entry is None:
+        raise InvalidInputError(f"unknown function kind {d['kind']!r}")
+    cls, keys = entry
+    # Only the keys present: a missing one takes its class's default, or
+    # is a missing argument, which `_parser` reports.
+    return cls(**{key: read(d[key]) for key, (read, _) in keys.items() if key in d})
 
 
 def function_to_descriptor(f: holofun.HoloFunction) -> dict:
-    if isinstance(f, holofun.PowerSeries):
-        return {"kind": "power_series", "coeffs": [_complex_out(c) for c in f.coeffs]}
-    if isinstance(f, holofun.Blaschke):
-        return {
-            "kind": "blaschke",
-            "c": _complex_out(f.c),
-            "m": f.m,
-            "zeros": [_complex_out(z) for z in f.zeros],
-        }
-    if isinstance(f, holofun.MoebiusQuotient):
-        return {"kind": "moebius_quotient", "inner": function_to_descriptor(f.inner), "a": _complex_out(f.a)}
-    if isinstance(f, holofun.GeometricPhi):
-        return {
-            "kind": "geometric_phi",
-            "space": space_to_descriptor(f.space),
-            "phi": [_complex_out(c) for c in f.phi],
-            "certified_norm": f.certified_norm,
-        }
-    if isinstance(f, holofun.Composite):
-        return {
-            "kind": "composite",
-            "scalar": function_to_descriptor(f.scalar),
-            "space": space_to_descriptor(f.space),
-            "phi": [_complex_out(c) for c in f.phi],
-            "certified_norm": f.certified_norm,
-        }
-    if isinstance(f, (holofun.Product, holofun.Sum)):
-        kind = "product" if isinstance(f, holofun.Product) else "sum"
-        return {"kind": kind, "left": function_to_descriptor(f.left), "right": function_to_descriptor(f.right)}
-    if isinstance(f, holofun.Scale):
-        return {"kind": "scale", "c": _complex_out(f.c), "inner": function_to_descriptor(f.inner)}
+    for kind, (cls, keys) in _FUNCTIONS.items():
+        if isinstance(f, cls):
+            return {"kind": kind, **{key: write(getattr(f, key)) for key, (_, write) in keys.items()}}
     raise InvalidInputError(f"cannot serialize {type(f).__name__}")
 
 
 def function_id(d) -> str:
-    """Compact human-readable tag for report rows."""
+    """Compact human-readable tag for report rows: the kind, then the tags
+    of its function-valued keys."""
     if not isinstance(d, dict) or "kind" not in d:
         return "?"
     kind = d["kind"]
-    if kind in ("product", "sum"):
-        return f"{kind}({function_id(d.get('left'))},{function_id(d.get('right'))})"
-    if kind in ("moebius_quotient", "scale"):
-        return f"{kind}({function_id(d.get('inner'))})"
-    if kind == "composite":
-        return f"composite({function_id(d.get('scalar'))})"
-    return kind
+    _, keys = _function_kind(kind) or (None, {})
+    nested = [function_id(d.get(key)) for key, codec in keys.items() if codec is _FUNCTION]
+    return f"{kind}({','.join(nested)})" if nested else kind
 
 
 # ---------------------------------------------------------------------------

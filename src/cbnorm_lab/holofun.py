@@ -91,7 +91,7 @@ class Blaschke(HoloFunction):
 
     c: complex
     m: int
-    zeros: np.ndarray
+    zeros: np.ndarray = ()
 
     def __post_init__(self):
         c = complex(self.c)

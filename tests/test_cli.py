@@ -255,7 +255,9 @@ def test_bad_descriptor_exits_one(tmp_path, capsys):
         ({"command": "sandwich", "function": function, "max_level": 1, "budget": 10, "seed": 1}, message)
         for function, message in (
             ({"kind": "mystery"}, "error:"),
+            ({"kind": 3}, "error: unknown function kind 3"),
             ({"kind": "power_series"}, "error:"),
+            ({"kind": "scale", "c": [2.0, 0.0]}, "error: malformed descriptor"),
             ({"kind": "power_series", "coeffs": 5}, "error:"),
             (phi_on(oversized_space), "error: k must lie in [1, 32]"),
             (phi_on({"kind": "matrix", "param": 2.5}), "error: param must be an integer, got 2.5"),

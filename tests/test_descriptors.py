@@ -1,9 +1,11 @@
 """Round-trip tests for the JSON descriptor layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cbnorm_lab import descriptors
+from cbnorm_lab import descriptors, holofun
 from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.holofun import Blaschke, Composite, GeometricPhi, MoebiusQuotient, PowerSeries, Product, Scale, Sum
 from cbnorm_lab.opspace import same_space, space_mk, space_min_linf
@@ -47,6 +49,28 @@ def test_function_round_trip():
         assert descriptors.function_to_descriptor(g) == d
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_function_class_has_one_kind_keyed_by_its_arguments():
+    # `_Pair` only shares the operands of `Product` and `Sum`.
+    concrete = {cls for cls in _subclasses(holofun.HoloFunction) if not cls.__name__.startswith("_")}
+    classes = [cls for cls, _ in descriptors._FUNCTIONS.values()]
+    assert len(classes) == len(set(classes)) and set(classes) == concrete
+    for cls, keys in descriptors._FUNCTIONS.values():
+        assert list(keys) == [field.name for field in dataclasses.fields(cls)]
+
+
+def test_blaschke_zeros_default_to_empty():
+    f = descriptors.function_from_descriptor({"kind": "blaschke", "c": [0.0, 1.0], "m": 2})
+    assert f.zeros.dtype == np.complex128 and f.zeros.shape == (0,)
+    assert Blaschke(1.0j, 2).zeros.shape == (0,)
+    assert descriptors.function_to_descriptor(f) == {"kind": "blaschke", "c": [0.0, 1.0], "m": 2, "zeros": []}
+
+
 def test_power_series_radius_default_is_infinite():
     # "analytic_radius" is accepted and ignored (polynomials are entire), and
     # never emitted.
@@ -80,6 +104,13 @@ def test_function_id_tags():
     assert descriptors.function_id({"kind": "product", "left": d, "right": d}) == (
         "product(moebius_quotient(power_series),moebius_quotient(power_series))"
     )
+    series = d["inner"]
+    space = {"kind": "min_linf", "param": 2}
+    functional = {"space": space, "phi": [[0.3, 0.0], [0.4, 0.0]], "certified_norm": 0.7}
+    assert descriptors.function_id({"kind": "composite", "scalar": series, **functional}) == "composite(power_series)"
+    assert descriptors.function_id({"kind": "scale", "c": [2.0, 0.0], "inner": series}) == "scale(power_series)"
+    assert descriptors.function_id({"kind": "geometric_phi", **functional}) == "geometric_phi"
+    assert descriptors.function_id({"kind": "scale"}) == "scale(?)"
 
 
 def test_bad_descriptors_rejected():

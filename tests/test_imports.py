@@ -1,7 +1,8 @@
 """Name hygiene: every name a package module imports is used in it, every
 local variable a function assigns is read, every private module-level name
-is read somewhere in the package, no parameter is only validated, and every
-exception class that `errors.py` defines is raised somewhere in the package.
+is read somewhere in the package, every instance attribute the package
+stores is read, no parameter is only validated, and every exception class
+that `errors.py` defines is raised somewhere in the package.
 
 No linter ships with the test extras, so these stdlib `ast` scans stand in
 for one.  `__init__.py` is exempt from the import scan: it imports names to
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cbnorm_lab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cbnorm_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -122,6 +124,43 @@ def unread_private_names(sources: dict) -> list:
     )
 
 
+def _stored_attributes(tree):
+    """(name, line) of each attribute a `self.x = …` (augmented too) or an
+    `object.__setattr__(obj, "x", …)` stores."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            and len(node.args) == 3
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value, node.lineno
+
+
+def unread_attributes(sources: dict, readers=()) -> list:
+    """The instance attributes that `sources`, a map from module name to
+    source, store and that no `.x` in `sources` or in the `readers` sources
+    reads.  An augmented assignment `self.x += …` stores, and its read does
+    not count; dataclass fields read through `asdict` are out of scope."""
+    stored, read = {}, set()
+    for module, source in sources.items():
+        for name, line in sorted(_stored_attributes(ast.parse(source)), key=lambda store: store[1]):
+            stored.setdefault((module, name), line)
+    for source in [*sources.values(), *readers]:
+        read.update(
+            node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+        )
+    return sorted(f"{module}.{name} (line {line})" for (module, name), line in stored.items() if name not in read)
+
+
 _VALIDATORS = {"check_seed", "check_count", "check_level", "as_int"}
 
 
@@ -199,6 +238,33 @@ def test_scan_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def test_scan_finds_an_unread_attribute():
+    source = (
+        "class Budget:\n"
+        "    def __init__(self, n):\n"
+        "        self.left, self.used = n, 0\n"
+        "    def spend(self):\n"
+        "        self.left -= 1\n"
+        "        self.used += 1\n"
+        "        return self.left\n"
+        "def _freeze(f, grid):\n"
+        "    object.__setattr__(f, 'grid', grid)\n"
+        "    object.__setattr__(f, 'phi', grid)\n"
+        "    other.left = 0\n"
+    )
+    reader = "def show(f):\n    return f.phi\n"
+    assert unread_attributes({"a": source}, [reader]) == ["a.grid (line 9)", "a.used (line 3)"]
+    assert unread_attributes({"a": source}, [reader, "budget.used\nf.grid = 1\n"]) == ["a.grid (line 9)"]
+
+
+def test_every_stored_attribute_is_read():
+    # The benchmark's tracer reads package state (`Budget.used` is its
+    # count of evaluations per ascent), so its reads count.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py")]
+    assert unread_attributes(sources, readers) == []
 
 
 def test_scan_finds_an_unused_local():
