@@ -251,7 +251,7 @@ def _upper_rules(f: HoloFunction):
         return float(np.sum(np.abs(f.coeffs))), "coefficient-sum (exact polynomial)"
     if isinstance(f, Blaschke):
         if f.zeros.size == 0:
-            return 1.0, "coefficient-sum (monomial)"
+            return abs(f.c), "coefficient-sum (monomial)"
         tc = holofun.taylor_coefficients(f, _blaschke_truncation(f.zeros))
         bound = float(np.sum(np.abs(tc.coeffs))) + tc.tail_bound
         return bound, "coefficient-sum (rational form + majorant tail)"

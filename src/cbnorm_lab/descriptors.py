@@ -17,18 +17,36 @@ from .errors import InvalidInputError
 from .matcore import as_int
 
 
-def _parser(parse):
-    """Report a missing key or a wrongly typed value in a descriptor as
-    InvalidInputError rather than as the KeyError or TypeError it raises."""
+def _parser(declared, kind_of=None):
+    """Wrap a descriptor reader so that it rejects every key outside its
+    declaration, and reports a missing key or a wrongly typed value as
+    InvalidInputError rather than as the KeyError or TypeError it raises.
 
-    @functools.wraps(parse)
-    def checked(d, *args):
-        try:
-            return parse(d, *args)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise InvalidInputError(f"malformed descriptor: {type(exc).__name__}: {exc}") from None
+    `declared` is the reader's keys or, for a reader of the kinds of a
+    `kind_of` (a space, say), a map from each kind to that kind's keys.
+    """
 
-    return checked
+    def wrap(parse):
+        @functools.wraps(parse)
+        def checked(d, *args):
+            try:
+                keys = declared
+                if kind_of is not None:
+                    if not isinstance(d, dict) or "kind" not in d:
+                        raise InvalidInputError(f"{kind_of} descriptor must be an object with a 'kind'")
+                    if not isinstance(d["kind"], str) or d["kind"] not in declared:
+                        raise InvalidInputError(f"unknown {kind_of} kind {d['kind']!r}")
+                    keys = ("kind", *declared[d["kind"]])
+                for key in d if isinstance(d, dict) else ():
+                    if key not in keys:
+                        raise InvalidInputError(f"malformed descriptor: unknown key {key!r}")
+                return parse(d, *args)
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise InvalidInputError(f"malformed descriptor: {type(exc).__name__}: {exc}") from None
+
+        return checked
+
+    return wrap
 
 
 def _complex_in(pair) -> complex:
@@ -59,23 +77,14 @@ def _array_out(arr: np.ndarray) -> list:
 # Spaces
 
 
-@_parser
+@_parser({"custom": ("basis", "ambient"), **dict.fromkeys(opspace._KINDS, ("param",))}, "space")
 def space_from_descriptor(d) -> opspace.ConcreteOperatorSpace:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise InvalidInputError("space descriptor must be an object with a 'kind'")
-    kind = d["kind"]
-    if kind == "scalar":
-        if as_int(d.get("param", 1), "param") != 1:
-            raise InvalidInputError(f"a scalar space has param 1, got {d['param']!r}")
-        return opspace.space_scalar()
-    if kind == "custom":
+    if d["kind"] == "custom":
         basis = _array_in(d["basis"], depth=3)
         if basis.shape[1] != as_int(d.get("ambient", basis.shape[1]), "ambient"):
             raise InvalidInputError("custom basis does not match the declared ambient size")
-        return opspace.ConcreteOperatorSpace(basis, kind="custom")
-    if not isinstance(kind, str) or kind not in opspace.SIZED_BUILDERS:
-        raise InvalidInputError(f"unknown space kind {kind!r}")
-    return opspace.SIZED_BUILDERS[kind](as_int(d.get("param", 1), "param"))
+        return opspace.ConcreteOperatorSpace(basis)
+    return opspace.builder_space(d["kind"], as_int(d.get("param", 1), "param"))
 
 
 def space_to_descriptor(space: opspace.ConcreteOperatorSpace) -> dict:
@@ -101,8 +110,7 @@ _SPACE = (lambda d: space_from_descriptor(d), space_to_descriptor)
 _FUNCTION = (lambda d: function_from_descriptor(d), lambda f: function_to_descriptor(f))
 
 # Each function kind's class and descriptor keys: the class's constructor
-# arguments, in order, with their codecs.  A `power_series` may carry an
-# "analytic_radius" key, which is ignored: polynomials are entire.
+# arguments, in order, with their codecs.
 _FUNCTIONS = {
     "power_series": (holofun.PowerSeries, {"coeffs": _COMPLEXES}),
     "blaschke": (holofun.Blaschke, {"c": _COMPLEX, "m": _ORDER, "zeros": _COMPLEXES}),
@@ -118,19 +126,9 @@ _FUNCTIONS = {
 }
 
 
-def _function_kind(kind):
-    """The (class, keys) entry of a function kind, or None for an unknown one."""
-    return _FUNCTIONS.get(kind) if isinstance(kind, str) else None
-
-
-@_parser
+@_parser({kind: keys for kind, (_, keys) in _FUNCTIONS.items()}, "function")
 def function_from_descriptor(d) -> holofun.HoloFunction:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise InvalidInputError("function descriptor must be an object with a 'kind'")
-    entry = _function_kind(d["kind"])
-    if entry is None:
-        raise InvalidInputError(f"unknown function kind {d['kind']!r}")
-    cls, keys = entry
+    cls, keys = _FUNCTIONS[d["kind"]]
     # Only the keys present: a missing one takes its class's default, or
     # is a missing argument, which `_parser` reports.
     return cls(**{key: read(d[key]) for key, (read, _) in keys.items() if key in d})
@@ -149,7 +147,7 @@ def function_id(d) -> str:
     if not isinstance(d, dict) or "kind" not in d:
         return "?"
     kind = d["kind"]
-    _, keys = _function_kind(kind) or (None, {})
+    keys = _FUNCTIONS[kind][1] if isinstance(kind, str) and kind in _FUNCTIONS else {}
     nested = [function_id(d.get(key)) for key, codec in keys.items() if codec is _FUNCTION]
     return f"{kind}({','.join(nested)})" if nested else kind
 
@@ -158,7 +156,7 @@ def function_id(d) -> str:
 # Matrices over a space, matrix sets, certificates
 
 
-@_parser
+@_parser(("level", "entries"))
 def space_matrix_from_descriptor(d, space: opspace.ConcreteOperatorSpace) -> opspace.OpSpaceMatrix:
     entries = _array_in(d["entries"], depth=3)
     level = as_int(d.get("level", entries.shape[0]), "level")
@@ -171,7 +169,7 @@ def space_matrix_to_descriptor(x: opspace.OpSpaceMatrix) -> dict:
     return {"level": x.level, "entries": _array_out(x.entries)}
 
 
-@_parser
+@_parser(("space", "generators"))
 def matrix_set_from_descriptor(d) -> mconvex.MatrixSet:
     space = space_from_descriptor(d["space"])
     gens = tuple(space_matrix_from_descriptor(g, space) for g in d["generators"])
@@ -193,32 +191,31 @@ def certificate_to_descriptor(cert: mconvex.SeparationCertificate) -> dict:
 # Predual elements and dictionaries
 
 
-@_parser
+@_parser(("space", "level", "terms"))
 def gcb_element_from_descriptor(d) -> gcb.GcbElement:
     space = space_from_descriptor(d["space"])
     level = as_int(d["level"], "level")
-    terms = []
-    for t in d.get("terms", []):
-        terms.append(
-            gcb.GcbTerm(
-                c=_complex_in(t["c"]),
-                alpha=_array_in(t["alpha"], depth=2),
-                point=space_matrix_from_descriptor(t["x"], space),
-                beta=_array_in(t["beta"], depth=2),
-            )
-        )
-    return gcb.GcbElement(space, level, tuple(terms))
+    terms = tuple(_gcb_term(t, space) for t in d.get("terms", []))
+    return gcb.GcbElement(space, level, terms)
 
 
-@_parser
+@_parser(("c", "alpha", "x", "beta"))
+def _gcb_term(t, space: opspace.ConcreteOperatorSpace) -> gcb.GcbTerm:
+    return gcb.GcbTerm(
+        c=_complex_in(t["c"]),
+        alpha=_array_in(t["alpha"], depth=2),
+        point=space_matrix_from_descriptor(t["x"], space),
+        beta=_array_in(t["beta"], depth=2),
+    )
+
+
+@_parser(("entries",))
 def dictionary_from_descriptor(d, space: opspace.ConcreteOperatorSpace) -> gcb.FunctionDictionary:
-    entries = []
-    for e in d.get("entries", []):
-        kind = e.get("kind")
-        if kind == "scalar":
-            entries.append(gcb.ScalarEntry(function_from_descriptor(e["function"]), float(e["bound"])))
-        elif kind == "grid":
-            entries.append(gcb.GridEntry(space, _array_in(e["grid"], depth=3), float(e["bound"])))
-        else:
-            raise InvalidInputError(f"unknown dictionary entry kind {kind!r}")
-    return gcb.FunctionDictionary(tuple(entries))
+    return gcb.FunctionDictionary(tuple(_dictionary_entry(e, space) for e in d.get("entries", [])))
+
+
+@_parser({"scalar": ("function", "bound"), "grid": ("grid", "bound")}, "dictionary entry")
+def _dictionary_entry(e, space: opspace.ConcreteOperatorSpace):
+    if e["kind"] == "scalar":
+        return gcb.ScalarEntry(function_from_descriptor(e["function"]), float(e["bound"]))
+    return gcb.GridEntry(space, _array_in(e["grid"], depth=3), float(e["bound"]))

@@ -28,8 +28,9 @@ class ConcreteOperatorSpace:
     """A d-dimensional subspace of M_N spanned by explicit basis matrices."""
 
     basis: np.ndarray  # (d, N, N) complex
-    kind: str = "custom"
-    param: int = 0
+    # Set by `builder_space` on the spaces it builds.
+    kind = "custom"
+    param = None
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.complex128)
@@ -41,14 +42,6 @@ class ConcreteOperatorSpace:
         smin = np.linalg.svd(coords, compute_uv=False)[-1] if coords.shape[0] <= coords.shape[1] else 0.0
         if smin <= _INDEPENDENCE_TOL:
             raise InvalidInputError("basis matrices are not linearly independent")
-        # A builder kind promises its closed-form dual norm and descriptor,
-        # so it must come with the builder's basis.
-        if self.kind != "custom" and not (
-            self.kind in _UNITS
-            and self.param == basis.shape[1]
-            and np.array_equal(basis, _matrix_units(self.kind, self.param))
-        ):
-            raise InvalidInputError(f"basis is not that of the {self.kind!r} builder space; use kind 'custom'")
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -147,57 +140,66 @@ def direct_sum_matrices(x: OpSpaceMatrix, y: OpSpaceMatrix) -> OpSpaceMatrix:
 # Builders
 
 
-# The positions of the matrix units spanning each builder space in M_n.
-_UNITS = {
-    "scalar": lambda n: [(0, 0)],
-    "matrix": lambda n: [(i, j) for i in range(n) for j in range(n)],
-    "row": lambda n: [(0, j) for j in range(n)],
-    "column": lambda n: [(j, 0) for j in range(n)],
-    "min_linf": lambda n: [(j, j) for j in range(n)],
+def _trace_norm(w: np.ndarray) -> float:
+    return float(np.sum(np.linalg.svd(w, compute_uv=False)))
+
+
+# Each builder kind: the name of its size n, the positions in M_n of the
+# matrix units spanning it, and the dual norm of a coefficient functional φ,
+# the trace norm of the W that puts φ on those units.
+_KINDS = {
+    "scalar": ("n", lambda n: [(0, 0)], lambda phi, n: float(abs(phi[0]))),
+    "matrix": (
+        "k",
+        lambda n: [(i, j) for i in range(n) for j in range(n)],
+        lambda phi, n: _trace_norm(phi.reshape(n, n)),
+    ),
+    "row": ("n", lambda n: [(0, j) for j in range(n)], lambda phi, n: float(np.linalg.norm(phi))),
+    "column": ("n", lambda n: [(j, 0) for j in range(n)], lambda phi, n: float(np.linalg.norm(phi))),
+    "min_linf": ("d", lambda n: [(j, j) for j in range(n)], lambda phi, n: float(np.sum(np.abs(phi)))),
 }
 
 
-def _matrix_units(kind: str, n: int) -> np.ndarray:
-    positions = _UNITS[kind](n)
-    out = np.zeros((len(positions), n, n), dtype=np.complex128)
-    for k, (i, j) in enumerate(positions):
-        out[k, i, j] = 1.0
-    return out
-
-
-def _builder(kind: str, n: int, name: str = "n") -> ConcreteOperatorSpace:
+def builder_space(kind: str, n: int) -> ConcreteOperatorSpace:
+    """The builder space of a kind and size, spanned by matrix units of M_n."""
+    size, positions, _ = _KINDS[kind]
+    if kind == "scalar" and n != 1:
+        raise InvalidInputError(f"a scalar space has param 1, got {n!r}")
     if not 1 <= n <= MAX_SPACE_PARAM:
-        raise InvalidInputError(f"{name} must lie in [1, {MAX_SPACE_PARAM}], got {n}")
-    return ConcreteOperatorSpace(_matrix_units(kind, n), kind=kind, param=n)
+        raise InvalidInputError(f"{size} must lie in [1, {MAX_SPACE_PARAM}], got {n}")
+    units = positions(n)
+    basis = np.zeros((len(units), n, n), dtype=np.complex128)
+    for k, (i, j) in enumerate(units):
+        basis[k, i, j] = 1.0
+    space = ConcreteOperatorSpace(basis)
+    object.__setattr__(space, "kind", kind)
+    object.__setattr__(space, "param", n)
+    return space
 
 
 def space_scalar() -> ConcreteOperatorSpace:
     """The scalar space: one basis matrix [1] inside M_1."""
-    return _builder("scalar", 1)
+    return builder_space("scalar", 1)
 
 
 def space_mk(k: int) -> ConcreteOperatorSpace:
     """All of M_k, with the matrix units as basis (row-major order)."""
-    return _builder("matrix", k, "k")
+    return builder_space("matrix", k)
 
 
 def space_row(n: int) -> ConcreteOperatorSpace:
     """Row Hilbertian space: first-row matrix units of M_n."""
-    return _builder("row", n)
+    return builder_space("row", n)
 
 
 def space_column(n: int) -> ConcreteOperatorSpace:
     """Column Hilbertian space: first-column matrix units of M_n."""
-    return _builder("column", n)
+    return builder_space("column", n)
 
 
 def space_min_linf(d: int) -> ConcreteOperatorSpace:
     """Minimal quantization of ℓ∞^d: diagonal matrix units of M_d."""
-    return _builder("min_linf", d, "d")
-
-
-# The builders that take a size, by space kind.
-SIZED_BUILDERS = {"matrix": space_mk, "row": space_row, "column": space_column, "min_linf": space_min_linf}
+    return builder_space("min_linf", d)
 
 
 def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float:
@@ -207,28 +209,22 @@ def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float:
     φ extends to M_N with the same norm (Hahn–Banach), and M_N's dual is the
     trace class under ⟨X, W⟩ = Σ X_ij·W_ij, so every W with ⟨B_k, W⟩ = φ_k
     has ‖φ‖ <= ‖W‖₁, with equality for some W.  On a builder space the W
-    that puts φ on the basis's matrix units attains it: |φ|, Σ|φ_k|, ‖φ‖₂,
-    or the trace norm of φ as a k×k matrix.  A custom space gets the
-    least-squares W (`_extension_norm`).
+    that puts φ on the basis's matrix units attains it (`_KINDS`): |φ|,
+    Σ|φ_k|, ‖φ‖₂, or the trace norm of φ as a k×k matrix.  A custom space
+    gets the least-squares W (`_extension_norm`).
     """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (space.dim,):
         raise InvalidInputError(f"functional must have {space.dim} coefficients")
-    if space.kind == "scalar":
-        return float(abs(phi[0]))
-    if space.kind == "min_linf":
-        return float(np.sum(np.abs(phi)))
-    if space.kind in ("row", "column"):
-        return float(np.linalg.norm(phi))
-    if space.kind == "matrix":
-        return float(np.sum(np.linalg.svd(phi.reshape(space.param, space.param), compute_uv=False)))
+    if space.kind in _KINDS:
+        return _KINDS[space.kind][2](phi, space.param)
     return _extension_norm(space, phi)
 
 
 def _extension_norm(space: ConcreteOperatorSpace, phi: np.ndarray) -> float:
     """‖W‖₁ of the least-squares W with ⟨B_k, W⟩ = φ_k: an upper bound for ‖φ‖."""
     w = np.linalg.lstsq(space.basis.reshape(space.dim, -1), phi, rcond=None)[0]
-    return float(np.sum(np.linalg.svd(w.reshape(space.ambient, space.ambient), compute_uv=False)))
+    return _trace_norm(w.reshape(space.ambient, space.ambient))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,16 @@ def test_upper_bound_rules():
     assert cb_upper_bound(Scale(2.0j, GEOMETRIC)) == 4.0
 
 
+def test_upper_bound_blaschke_monomial_is_the_modulus_of_its_constant():
+    # The constructor allows |c| up to 1 + 1e-12, and such a c·z reaches past 1.
+    f = Blaschke(1.0 + 5e-13, 1)
+    reached = matcore.operator_norm(amplify(f, 0.9999999999999 * np.eye(2)))
+    assert reached > 1.0
+    assert cb_upper_bound(f) == abs(f.c) >= reached
+    for c in (1.0, -1.0, 1.0j, -1.0j):
+        assert cb_upper_bound(Blaschke(c, 2)) == 1.0
+
+
 def test_upper_bound_blaschke_certifies():
     f = Blaschke(1.0, 1, [0.5])
     bound = cb_upper_bound(f)

@@ -32,8 +32,11 @@ def stripped(record_path):
 
 
 def test_each_command_has_one_runner_and_its_required_keys(tmp_path):
-    assert cli.COMMANDS == tuple(cli._RUNNERS) and len(cli.COMMANDS) == 9
-    assert set(cli._REQUIRED) == set(cli.COMMANDS)
+    assert cli.COMMANDS == tuple(cli._COMMANDS) and len(cli.COMMANDS) == 9
+    for runner, required, optional in cli._COMMANDS.values():
+        assert callable(runner)
+        declared = [*required, *optional, *cli._COMMON]
+        assert len(declared) == len(set(declared)) and set(declared) <= set(cli._KEYS)
     for name in cli.COMMANDS:  # a subcommand that parses, then finds no config
         assert run_cli([name, "--config", tmp_path / "missing.json"]) == 1
 
@@ -172,7 +175,9 @@ _PROBE = {
     ],
 )
 def test_validate_config_accepts(key, value):
-    cli.validate_config("probe", {**_PROBE, key: value})
+    # trials and function2 are keys of schwarz and algebra, which also take probe's other keys.
+    command = {"trials": "schwarz", "function2": "algebra"}.get(key, "probe")
+    cli.validate_config(command, {**_PROBE, "command": command, key: value})
 
 
 @pytest.mark.parametrize(
@@ -212,6 +217,60 @@ def test_validate_config_rejects_non_object(tmp_path, capsys):
     config.write_text(json.dumps([_PROBE]))
     assert run_cli(["probe", "--config", config, "--seed", "2"]) == 1
     assert "config invalid at $: " in capsys.readouterr().err
+
+
+# A value for each key that passes the key's own check.
+_VALID = {"seed": 1, "budget": 10, "max_level": 1, "trials": 1, "schedule": [1]}
+_UNDECLARED = [
+    (command, key)
+    for command, (_, required, optional) in cli._COMMANDS.items()
+    for key in cli._KEYS
+    if key not in (*required, *optional, *cli._COMMON)
+]
+
+
+def test_undeclared_keys_include_the_known_strays():
+    assert ("sandwich", "trials") in _UNDECLARED and ("estimate", "schedule") in _UNDECLARED
+    optional = {(command, key) for command, (_, _, keys) in cli._COMMANDS.items() for key in keys}
+    # All but probe's schedule are accepted though unread: schwarz's max_level
+    # and budget, and the seed of gcb and of delta-isometry.
+    assert optional == {
+        ("probe", "schedule"),
+        ("schwarz", "max_level"),
+        ("schwarz", "budget"),
+        ("gcb", "seed"),
+        ("delta-isometry", "seed"),
+    }
+
+
+@pytest.mark.parametrize("command, key", _UNDECLARED, ids=lambda v: v)
+def test_undeclared_key_exits_one(command, key, tmp_path, capsys):
+    shipped = next(load(path) for path in SHIPPED if load(path)["command"] == command)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**shipped, key: _VALID.get(key, {})}))
+    assert run_cli([command, "--config", config]) == 1
+    assert f"config invalid at $.{key}: not a key of {command!r}" in capsys.readouterr().err
+
+
+def test_undeclared_descriptor_key_exits_one(tmp_path, capsys):
+    # A misspelt key names itself instead of being read as absent.
+    blaschke = {"kind": "blaschke", "c": [1.0, 0.0], "m": 1, "zeroes": [[0.5, 0.0]]}
+    series = {"kind": "power_series", "coeffs": [[1.0, 0.0]], "analytic_radius": 2.0}
+    search = {"command": "sandwich", "max_level": 1, "budget": 10, "seed": 1}
+    element = {"space": {"kind": "scalar"}, "level": 1, "term": []}
+    gcb_config = {"command": "gcb", "element": element, "dictionary": {"entries": []}, "budget": 10}
+    point = {"entries": [[[[0.5, 0.0], [0.0, 0.0]]]]}
+    row = {"command": "delta-isometry", "space": {"kind": "row", "param": 2, "junk": 1}, "point": point, "budget": 10}
+    for body, key in (
+        ({**search, "function": blaschke}, "zeroes"),
+        ({**search, "function": series}, "analytic_radius"),
+        (gcb_config, "term"),
+        (row, "junk"),
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(body))
+        assert run_cli([body["command"], "--config", config]) == 1
+        assert f"error: malformed descriptor: unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["estimate", "sandwich"])

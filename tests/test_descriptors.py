@@ -71,13 +71,11 @@ def test_blaschke_zeros_default_to_empty():
     assert descriptors.function_to_descriptor(f) == {"kind": "blaschke", "c": [0.0, 1.0], "m": 2, "zeros": []}
 
 
-def test_power_series_radius_default_is_infinite():
-    # "analytic_radius" is accepted and ignored (polynomials are entire), and
-    # never emitted.
-    for radius in (2.0, 0.5):
-        d = {"kind": "power_series", "coeffs": [[1.0, 0.0]], "analytic_radius": radius}
-        f = descriptors.function_from_descriptor(d)
-        assert descriptors.function_to_descriptor(f) == {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
+def test_power_series_rejects_analytic_radius():
+    # Polynomials are entire: a power series declares no radius.
+    d = {"kind": "power_series", "coeffs": [[1.0, 0.0]], "analytic_radius": 2.0}
+    with pytest.raises(InvalidInputError, match="unknown key 'analytic_radius'"):
+        descriptors.function_from_descriptor(d)
 
 
 def test_matrix_set_round_trip():
@@ -111,6 +109,47 @@ def test_function_id_tags():
     assert descriptors.function_id({"kind": "scale", "c": [2.0, 0.0], "inner": series}) == "scale(power_series)"
     assert descriptors.function_id({"kind": "geometric_phi", **functional}) == "geometric_phi"
     assert descriptors.function_id({"kind": "scale"}) == "scale(?)"
+
+
+_SCALAR = {"kind": "scalar"}
+_POINT = {"level": 1, "entries": [[[[0.5, 0.0]]]]}
+_TERM = {"c": [1.0, 0.0], "alpha": [[[1.0, 0.0]]], "x": _POINT, "beta": [[[1.0, 0.0]]]}
+_SERIES = {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
+_GRID = {"kind": "grid", "grid": [[[[1.0, 0.0]]]], "bound": 1.0}
+_READERS = {
+    "builder space": (descriptors.space_from_descriptor, {"kind": "row", "param": 2}),
+    "custom space": (descriptors.space_from_descriptor, {"kind": "custom", "ambient": 1, "basis": [[[[1.0, 0.0]]]]}),
+    "function": (descriptors.function_from_descriptor, {"kind": "scale", "c": [2.0, 0.0], "inner": _SERIES}),
+    "matrix": (lambda d: descriptors.space_matrix_from_descriptor(d, space_min_linf(1)), _POINT),
+    "set": (descriptors.matrix_set_from_descriptor, {"space": _SCALAR, "generators": [_POINT]}),
+    "gcb element": (descriptors.gcb_element_from_descriptor, {"space": _SCALAR, "level": 1, "terms": [_TERM]}),
+    "dictionary": (lambda d: descriptors.dictionary_from_descriptor(d, space_min_linf(1)), {"entries": [_GRID]}),
+}
+
+
+@pytest.mark.parametrize("name", _READERS)
+def test_each_reader_rejects_a_key_outside_its_declaration(name):
+    read, d = _READERS[name]
+    read(d)
+    with pytest.raises(InvalidInputError, match="unknown key 'junk'"):
+        read({**d, "junk": 1})
+
+
+def test_nested_readers_reject_a_key_outside_their_declaration():
+    element = {"space": _SCALAR, "level": 1, "terms": [{**_TERM, "junk": 1}]}
+    with pytest.raises(InvalidInputError, match="unknown key 'junk'"):
+        descriptors.gcb_element_from_descriptor(element)
+    # A key of one dictionary entry kind is outside the other's declaration.
+    scalar = {"kind": "scalar", "function": _SERIES, "bound": 1.0}
+    for entry, other in ((scalar, "grid"), (_GRID, "function")):
+        descriptors.dictionary_from_descriptor({"entries": [entry]}, space_min_linf(1))
+        with pytest.raises(InvalidInputError, match=f"unknown key '{other}'"):
+            descriptors.dictionary_from_descriptor({"entries": [{**entry, other: 1}]}, space_min_linf(1))
+    # A custom space's keys are not a builder space's, and the reverse.
+    with pytest.raises(InvalidInputError, match="unknown key 'ambient'"):
+        descriptors.space_from_descriptor({"kind": "row", "param": 2, "ambient": 2})
+    with pytest.raises(InvalidInputError, match="unknown key 'param'"):
+        descriptors.space_from_descriptor({"kind": "custom", "param": 1, "basis": [[[[1.0, 0.0]]]]})
 
 
 def test_bad_descriptors_rejected():
