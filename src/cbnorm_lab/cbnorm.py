@@ -3,9 +3,9 @@
 The lower bound maximizes the amplified norm over sampled-and-ascended
 matrices at a sparse schedule of levels, with zero-padding used to transfer
 witnesses upward (padding cannot change the amplified norm because every
-function vanishes at 0).  The upper bound is the minimum over certified
-analytic rules: exact coefficient sums, quotient and geometric-functional
-bounds, and product/sum/scale combination rules.
+function vanishes at 0).  The upper bound comes from the one certified
+analytic rule of the function's kind: exact coefficient sums, quotient and
+geometric-functional bounds, and product/sum/scale combination rules.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ RADIUS_CAP = 1.0 - 1e-6
 DEFAULT_LEVELS = (1, 2, 4, 8)
 # How far a lower bound may pass its upper bound before the pair is out of order.
 SANDWICH_SLACK = 1e-6
-
-# Fewest Taylor terms the Blaschke rule sums before bounding the tail.
-_MIN_TRUNCATION = 256
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ def witness_value(f: HoloFunction, w: Witness) -> float:
     return matcore.operator_norm(holofun.amplify(f, w.matrix))
 
 
-def _lift_to(w: Witness, level: int) -> Witness:
+def lift_witness(w: Witness, level: int) -> Witness:
     """Pad the witness with zero rows and columns up to `level`: same value."""
     pad = ((0, level - w.level),) * 2
     if isinstance(w.matrix, opspace.OpSpaceMatrix):
@@ -180,11 +177,6 @@ def _lift_to(w: Witness, level: int) -> Witness:
     else:
         mat = np.pad(np.asarray(w.matrix), pad)
     return Witness(level=level, matrix=mat, value=w.value)
-
-
-def lift_witness(w: Witness) -> Witness:
-    """Pad the witness with one zero row/column: same value, level + 1."""
-    return _lift_to(w, w.level + 1)
 
 
 def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
@@ -196,7 +188,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
     for m in levels:
         w = level_sup(f, m, budget, seed)
         if running is not None:
-            lifted = _lift_to(running, m)
+            lifted = lift_witness(running, m)
             if _beats(lifted.value, lifted.matrix, w.value, w.matrix):
                 w = lifted
         running = w
@@ -234,25 +226,17 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
 # Certified upper bounds
 
 
-def _blaschke_truncation(zeros: np.ndarray) -> int:
-    """Degree past which the slowest pole's geometric terms, max|b|^K, fall
-    below 2^-53, clamped to [_MIN_TRUNCATION, holofun._MAX_TRUNCATION]."""
-    peak = float(np.max(np.abs(zeros)))
-    k = math.ceil(53 * math.log(2) / -math.log(peak)) if peak > 0.0 else 0
-    return min(max(k, _MIN_TRUNCATION), holofun._MAX_TRUNCATION)
-
-
 def _upper_rules(f: HoloFunction):
-    """Minimum over the certified rules that apply to the variant.
+    """The certified rule of the variant's kind; each kind has exactly one.
 
-    Returns (bound, description of the winning rule).
+    Returns (bound, description of the rule).
     """
     if isinstance(f, PowerSeries):
         return float(np.sum(np.abs(f.coeffs))), "coefficient-sum (exact polynomial)"
     if isinstance(f, Blaschke):
         if f.zeros.size == 0:
             return abs(f.c), "coefficient-sum (monomial)"
-        tc = holofun.taylor_coefficients(f, _blaschke_truncation(f.zeros))
+        tc = holofun.taylor_coefficients(f, holofun.blaschke_truncation(f.zeros))
         bound = float(np.sum(np.abs(tc.coeffs))) + tc.tail_bound
         return bound, "coefficient-sum (rational form + majorant tail)"
     if isinstance(f, MoebiusQuotient):
@@ -379,12 +363,16 @@ def probe_levels(schedule) -> list:
 def question_probe(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> ProbeReport:
     """Level-sup growth table with a least-squares trend on value vs log(level).
 
+    The levels are the schedule's, or DEFAULT_LEVELS, each at most max_level.
     The verdict is HEURISTIC EVIDENCE about boundedness of the amplified sups,
     never a proof in either direction.
     """
     if f.domain_space is not None:
         raise InvalidInputError("growth probe applies to disk-domain functions")
-    levels = probe_levels(_default_levels(max_level) if schedule is None else schedule)
+    max_level = matcore.check_count(max_level, "max_level")
+    levels = _default_levels(max_level) if schedule is None else probe_levels(schedule)
+    if levels[-1] > max_level:
+        raise InvalidInputError(f"schedule level {levels[-1]} exceeds max_level {max_level}")
     table = _lower_table(f, levels, budget, seed)
     values = [table[m].value for m in levels]
     if len(levels) < 2:

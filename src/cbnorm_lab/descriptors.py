@@ -176,13 +176,6 @@ def matrix_set_from_descriptor(d) -> mconvex.MatrixSet:
     return mconvex.MatrixSet(space, gens)
 
 
-def matrix_set_to_descriptor(k: mconvex.MatrixSet) -> dict:
-    return {
-        "space": space_to_descriptor(k.space),
-        "generators": [space_matrix_to_descriptor(g) for g in k.generators],
-    }
-
-
 def certificate_to_descriptor(cert: mconvex.SeparationCertificate) -> dict:
     return {"level": cert.level, "grid": _array_out(cert.grid)}
 

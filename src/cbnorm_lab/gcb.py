@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import holofun, matcore, mconvex
+from . import holofun, matcore, mconvex, opspace
 from ._search import Budget
 from .errors import InvalidInputError
 from .holofun import HoloFunction
@@ -47,24 +47,22 @@ class GcbElement:
     space: ConcreteOperatorSpace
     level: int
     terms: tuple
+    # ‖xᵢ‖ of each term's point, from the interior check.
+    norms = ()
 
     def __post_init__(self):
         object.__setattr__(self, "level", matcore.check_level(self.level))
         terms = tuple(self.terms)
+        norms = []
         for t in terms:
             if not isinstance(t, GcbTerm) or not same_space(t.point.space, self.space):
                 raise InvalidInputError("terms must be GcbTerm values over the element's space")
-            k = t.point.level
-            alpha = matcore.as_matrix(t.alpha)
-            beta = matcore.as_matrix(t.beta)
-            if alpha.shape != (self.level, k) or beta.shape != (k, self.level):
-                raise InvalidInputError(
-                    f"term shapes {alpha.shape}, {beta.shape} do not match level {self.level} "
-                    f"and point level {k}"
-                )
-            if matrix_norm(t.point) > 1.0 - _INTERIOR_MARGIN:
+            opspace.compression_pair(t.alpha, t.beta, self.level, t.point.level)
+            norms.append(matrix_norm(t.point))
+            if norms[-1] > 1.0 - _INTERIOR_MARGIN:
                 raise InvalidInputError("points must lie strictly inside the matrix unit ball")
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "norms", tuple(norms))
 
 
 def delta_element(x: OpSpaceMatrix) -> GcbElement:
@@ -81,8 +79,8 @@ def gcb_upper_bound(u: GcbElement, budget: int) -> float:
     """The least cost found for u's terms as one group, over value-preserving
     rescalings: a valid upper bound for the norm.
 
-    Scales e^sᵢ on αᵢ and wᵢ²·e^−sᵢ on βᵢ, with wᵢ = |cᵢ|·‖xᵢ‖, cost
-    √‖Σ e^sᵢ·αᵢαᵢ*‖·√‖Σ wᵢ²e^−sᵢ·βᵢ*βᵢ‖.  One group is exact, since merging
+    Scales e^sᵢ on αᵢ and wᵢ²·e^−sᵢ on βᵢ, with wᵢ = |cᵢ|·‖xᵢ‖ (`u.norms`),
+    cost √‖Σ e^sᵢ·αᵢαᵢ*‖·√‖Σ wᵢ²e^−sᵢ·βᵢ*βᵢ‖.  One group is exact, since merging
     groups never costs (the Haagerup-norm triangle inequality, Effros–Ruan,
     Operator Spaces, ch. 9); one start is exact, since the cost is log-convex
     in s.  From s = 0 each step moves s along log(qᵢ/pᵢ), with pᵢ and qᵢ term
@@ -93,8 +91,8 @@ def gcb_upper_bound(u: GcbElement, budget: int) -> float:
     """
     evals = Budget(matcore.check_count(budget, "budget"))
     grams = []
-    for t in u.terms:
-        alpha, beta, w = np.asarray(t.alpha), np.asarray(t.beta), abs(t.c) * matrix_norm(t.point)
+    for t, norm in zip(u.terms, u.norms):
+        alpha, beta, w = np.asarray(t.alpha), np.asarray(t.beta), abs(t.c) * norm
         if alpha.any() and beta.any() and w > 0.0:  # otherwise the term is the zero functional
             grams.append((alpha @ alpha.conj().T, w**2 * (beta.conj().T @ beta)))
     if not grams:
@@ -225,10 +223,8 @@ def delta_isometry_check(x: OpSpaceMatrix, budget: int) -> DeltaIsometryReport:
     it is norming among the linear entries, and no entry of cb norm <= 1 can
     exceed ‖δ(x)‖ = ‖x‖.
     """
-    nx = matrix_norm(x)
-    if nx > 1.0 - _INTERIOR_MARGIN:
-        raise InvalidInputError("point must lie strictly inside the matrix unit ball")
     u = delta_element(x)
+    nx = u.norms[0]
     upper = gcb_upper_bound(u, budget)
     coordinates = GridEntry(x.space, mconvex.coordinate_grid(x.space), 1.0)
     lower = gcb_lower_bound(u, FunctionDictionary((coordinates,)))

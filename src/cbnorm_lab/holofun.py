@@ -17,6 +17,7 @@ arithmetic, and all Taylor data (coefficients and tail bound) comes from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from . import matcore
 from .errors import ConfigurationError, DomainError, InvalidInputError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, closed_form_dual_norm, matrix_norm, same_space
 
-_MAX_TRUNCATION = 2048
+# Fewest and most Taylor terms `blaschke_truncation` sizes a truncation to.
+_MIN_TRUNCATION, _MAX_TRUNCATION = 256, 2048
 
 
 class HoloFunction:
@@ -359,10 +361,18 @@ def _rational(f: HoloFunction):
     return (re + 1j * im).astype(np.complex128), np.array(poles, dtype=np.complex128)
 
 
+def blaschke_truncation(zeros: np.ndarray) -> int:
+    """Degree past which the slowest pole's geometric terms, max|b|^K, fall
+    below 2^-53, clamped to [_MIN_TRUNCATION, _MAX_TRUNCATION]."""
+    peak = float(np.max(np.abs(zeros)))
+    k = math.ceil(53 * math.log(2) / -math.log(peak)) if peak > 0.0 else 0
+    return min(max(k, _MIN_TRUNCATION), _MAX_TRUNCATION)
+
+
 def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
     """Coefficients a_1..a_K of the expansion at 0, from the rational form.
 
-    Power series are copied exactly.  Otherwise f = p/Π(1 − b·z) (`_rational`)
+    f = p/Π(1 − b·z) (`_rational`; a power series is p itself, with no poles)
     and p, rounded once, is convolved with each pole's geometric series.  The
     majorant Σ|p_k|z^k / Π(1 − |b|·z) dominates the series coefficientwise and
     sums to E = Σ|p_k| / Π(1 − |b|), so with S_K the sum of its coefficients up
@@ -374,12 +384,6 @@ def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
     k = int(truncation)
     if not 1 <= k <= _MAX_TRUNCATION:
         raise InvalidInputError(f"truncation must lie in [1, {_MAX_TRUNCATION}], got {k}")
-    if isinstance(f, PowerSeries):
-        coeffs = np.zeros(k, dtype=np.complex128)
-        n = min(k, f.coeffs.size)
-        coeffs[:n] = f.coeffs[:n]
-        tail = float(np.sum(np.abs(f.coeffs[k:]))) if f.coeffs.size > k else 0.0
-        return TaylorCoeffs(coeffs, tail)
     p, poles = _rational(f)
     coeffs = np.zeros(k + 1, dtype=np.complex128)
     coeffs[: min(k + 1, p.size)] = p[: k + 1]

@@ -61,30 +61,19 @@ class HullRepresentation:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.target_level < 1:
-            raise InvalidInputError("target level must be >= 1")
+        object.__setattr__(self, "target_level", matcore.check_level(self.target_level, "target level"))
 
 
 def validate_representation(k: MatrixSet, rep: HullRepresentation) -> None:
-    """Check shapes against generator levels and the two contraction constraints."""
-    n = rep.target_level
+    """Check each term's generator and shapes, then the two contraction constraints."""
     if not rep.terms:
-        raise InvalidRepresentationError("representation has no terms")
-    alphas, betas = [], []
-    for term in rep.terms:
-        if not 0 <= term.index < len(k.generators):
-            raise InvalidRepresentationError(f"generator index {term.index} out of range")
-        level = k.generators[term.index].level
-        alpha = matcore.as_matrix(term.alpha)
-        beta = matcore.as_matrix(term.beta)
-        if alpha.shape != (n, level) or beta.shape != (level, n):
-            raise InvalidRepresentationError(
-                f"term shapes {alpha.shape}, {beta.shape} do not match target level {n} "
-                f"and generator level {level}"
-            )
-        alphas.append(alpha)
-        betas.append(beta)
-    _check_constraints(alphas, betas)
+        raise InvalidInputError("representation has no terms")
+    pairs = []
+    for t in rep.terms:
+        if not 0 <= t.index < len(k.generators):
+            raise InvalidInputError(f"generator index {t.index} out of range")
+        pairs.append(opspace.compression_pair(t.alpha, t.beta, rep.target_level, k.generators[t.index].level))
+    _check_constraints(*zip(*pairs))
 
 
 def _grams(alphas, betas):
@@ -172,15 +161,6 @@ def _normalize(alphas, betas):
     _rescale(alphas, excess_row)
     _rescale(betas, excess_col)
     return alphas, betas
-
-
-def random_representation(k: MatrixSet, target_level: int, rng) -> HullRepresentation:
-    """Gaussian α, β for every generator, normalized into the constraint set:
-    the stack-of-one case of the sampler `hull_norm_check` runs."""
-    draws = rng.standard_normal(4 * target_level * sum(g.level for g in k.generators))
-    alphas, betas = _normalize(*_split(k, target_level, draws[None]))
-    terms = tuple(HullTerm(a[0], i, b[0]) for i, (a, b) in enumerate(zip(alphas, betas)))
-    return HullRepresentation(terms=terms, target_level=target_level)
 
 
 def _sampled_norms(k: MatrixSet, target_level: int, draws: np.ndarray) -> np.ndarray:

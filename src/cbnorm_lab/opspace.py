@@ -25,7 +25,8 @@ MAX_SPACE_PARAM = 32
 
 @dataclass(frozen=True, eq=False)
 class ConcreteOperatorSpace:
-    """A d-dimensional subspace of M_N spanned by explicit basis matrices."""
+    """A d-dimensional subspace of M_N spanned by explicit basis matrices;
+    a given basis is proved independent by an SVD of its coordinates."""
 
     basis: np.ndarray  # (d, N, N) complex
     # Set by `builder_space` on the spaces it builds.
@@ -108,6 +109,17 @@ def matrix_norm(x: OpSpaceMatrix) -> float:
     return matcore.operator_norm(realize(x))
 
 
+def compression_pair(alpha, beta, n: int, m: int):
+    """α and β as complex matrices, checked to compress a level-m point to
+    level n: α is n×m and β is m×n."""
+    alpha, beta = matcore.as_matrix(alpha), matcore.as_matrix(beta)
+    if alpha.shape != (n, m) or beta.shape != (m, n):
+        raise InvalidInputError(
+            f"compression shapes must be ({n}, {m}) and ({m}, {n}), got {alpha.shape} and {beta.shape}"
+        )
+    return alpha, beta
+
+
 def compress(alpha, x: OpSpaceMatrix, beta) -> OpSpaceMatrix:
     """Two-sided scalar compression α·x·β, computed on coefficient grids.
 
@@ -115,12 +127,7 @@ def compress(alpha, x: OpSpaceMatrix, beta) -> OpSpaceMatrix:
     at level l.  Realizing the result equals (α⊗I_N)·realize(x)·(β⊗I_N).
     """
     alpha = matcore.as_matrix(alpha)
-    beta = matcore.as_matrix(beta)
-    m = x.level
-    if alpha.ndim != 2 or alpha.shape[1] != m or beta.shape[0] != m or beta.shape[1] != alpha.shape[0]:
-        raise InvalidInputError(
-            f"compression shapes must be (l, {m}) and ({m}, l), got {alpha.shape} and {beta.shape}"
-        )
+    alpha, beta = compression_pair(alpha, beta, alpha.shape[0], x.level)
     out = np.einsum("pr,rsd,sq->pqd", alpha, x.entries, beta)
     return OpSpaceMatrix(x.space, out)
 
@@ -171,9 +178,11 @@ def builder_space(kind: str, n: int) -> ConcreteOperatorSpace:
     basis = np.zeros((len(units), n, n), dtype=np.complex128)
     for k, (i, j) in enumerate(units):
         basis[k, i, j] = 1.0
-    space = ConcreteOperatorSpace(basis)
-    object.__setattr__(space, "kind", kind)
-    object.__setattr__(space, "param", n)
+    # Distinct matrix units are independent by construction, so the space
+    # skips `__post_init__` and its d×N² SVD.
+    space = object.__new__(ConcreteOperatorSpace)
+    for name, value in (("basis", basis), ("kind", kind), ("param", n)):
+        object.__setattr__(space, name, value)
     return space
 
 

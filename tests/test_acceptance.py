@@ -173,7 +173,7 @@ def test_criterion_6_witness_lifting(identity_estimate, geometric_estimate, geom
         values = [est.level_table[m].value for m in sorted(est.level_table)]
         assert values == sorted(values)
         for w in est.level_table.values():
-            lifted = lift_witness(w)
+            lifted = lift_witness(w, w.level + 1)
             assert lifted.value == w.value
             assert abs(witness_value(f, lifted) - w.value) < 1e-12
             witnesses += 1

@@ -7,7 +7,6 @@ from cbnorm_lab import matcore
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
     _disk_problem,
-    _lift_to,
     algebra_check,
     cb_lower_bound,
     cb_upper_bound,
@@ -101,7 +100,7 @@ def test_disk_projection_returns_an_inside_stack_as_given(m):
 
 def test_lift_witness_preserves_value():
     w = level_sup(GEOMETRIC, 1, 2000, 7)
-    lifted = lift_witness(w)
+    lifted = lift_witness(w, w.level + 1)
     assert lifted.level == w.level + 1
     assert lifted.value == w.value
     assert abs(witness_value(GEOMETRIC, lifted) - w.value) < 1e-12
@@ -109,7 +108,7 @@ def test_lift_witness_preserves_value():
 
 def test_lift_twice_is_two_by_two_zero_block():
     w = level_sup(SQUARE, 1, 500, 3)
-    twice = lift_witness(lift_witness(w))
+    twice = lift_witness(lift_witness(w, 2), 3)
     mat = np.asarray(twice.matrix)
     assert mat.shape == (3, 3)
     assert np.all(mat[1:, :] == 0) and np.all(mat[:, 1:] == 0)
@@ -122,7 +121,7 @@ def test_lift_twice_is_two_by_two_zero_block():
 )
 def test_lift_to_equals_repeated_lift_witness(f):
     w = level_sup(f, 1, 200, 3)
-    direct, stepwise = _lift_to(w, 4), lift_witness(lift_witness(lift_witness(w)))
+    direct, stepwise = lift_witness(w, 4), lift_witness(lift_witness(lift_witness(w, 2), 3), 4)
     assert direct.level == stepwise.level == 4
     assert direct.value == stepwise.value == w.value
     assert type(direct.matrix) is type(stepwise.matrix)

@@ -161,6 +161,17 @@ _PROBE = {
 }
 
 
+def test_probe_schedule_above_max_level_exits_one(tmp_path, capsys):
+    # max_level bounds a given schedule as it bounds the default one.
+    config = tmp_path / "probe.json"
+    config.write_text(json.dumps({**_PROBE, "schedule": [1, 16]}))
+    assert run_cli(["probe", "--config", config]) == 1
+    assert "schedule level 16 exceeds max_level 2" in capsys.readouterr().err
+    config.write_text(json.dumps({**_PROBE, "schedule": [2, 1]}))
+    assert run_cli(["probe", "--config", config, "--out", tmp_path / "record.json"]) == 0
+    assert load(tmp_path / "record.json")["results"]["levels"] == [1, 2]
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -232,8 +243,9 @@ _UNDECLARED = [
 def test_undeclared_keys_include_the_known_strays():
     assert ("sandwich", "trials") in _UNDECLARED and ("estimate", "schedule") in _UNDECLARED
     optional = {(command, key) for command, (_, _, keys) in cli._COMMANDS.items() for key in keys}
-    # All but probe's schedule are accepted though unread: schwarz's max_level
-    # and budget, and the seed of gcb and of delta-isometry.
+    # Probe reads its schedule, and checks it against max_level.  The others
+    # are accepted though unread: schwarz's max_level and budget, and the seed
+    # of gcb and of delta-isometry.
     assert optional == {
         ("probe", "schedule"),
         ("schwarz", "max_level"),

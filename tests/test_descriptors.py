@@ -89,7 +89,6 @@ def test_matrix_set_round_trip():
     k = descriptors.matrix_set_from_descriptor(d)
     assert same_space(k.space, space)
     assert np.allclose(k.generators[0].entries, entries, atol=0)
-    assert descriptors.matrix_set_to_descriptor(k) == d
 
 
 def test_function_id_tags():

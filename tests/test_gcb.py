@@ -152,9 +152,10 @@ def test_gcb_upper_bound_lies_below_the_given_and_singleton_costs():
 
 
 def test_gcb_upper_bound_stacks_each_sweep(monkeypatch):
-    # An SVD-count guard: beyond one norm per term, each cost evaluation is
-    # one SVD call on the stack of its two Gram sums; a budget of B evaluations
-    # takes at most B of them, and this element converges in fewer than 300.
+    # An SVD-count guard: the points' norms come with the element, and each
+    # cost evaluation is one SVD call on the stack of its two Gram sums; a
+    # budget of B evaluations takes at most B of them, and this element
+    # converges in fewer than 300.
     u = _random_element(MK2, 2, (2, 1, 2), 52)
     shapes = []
     svd = np.linalg.svd
@@ -167,9 +168,8 @@ def test_gcb_upper_bound_stacks_each_sweep(monkeypatch):
     for budget in (1, 5, 300):
         shapes.clear()
         gcb_upper_bound(u, budget)
-        assert [len(shape) for shape in shapes[:3]] == [2, 2, 2]  # the points' norms
-        assert set(shapes[3:]) == {(2, 2, 2)}
-        assert len(shapes) - 3 == budget if budget < 300 else len(shapes) - 3 < 40
+        assert set(shapes) == {(2, 2, 2)}
+        assert len(shapes) == budget if budget < 300 else len(shapes) < 40
 
 
 @pytest.mark.parametrize("budget", [True, False, 1.5, "3", None])
@@ -390,6 +390,27 @@ def test_delta_isometry_lower_bound_is_the_point_norm_exactly():
                 assert report.passed
                 assert report.lower == report.point_norm
                 assert report.lower_gap == 0.0
+
+
+def test_delta_isometry_decomposes_the_point_once(monkeypatch):
+    # ‖x‖ is one SVD of realize(x), which the element keeps; the upper bound
+    # takes one SVD, its start, and the lower bound one of the coordinate
+    # pairing, which is realize(x) bit for bit.
+    for space in (MK2, space_row(3)):
+        x = sample_matrix_ball(space, 2, 0.7, 23)
+        target = realize(x)
+        inputs = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            inputs.append(np.array(a, copy=True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        assert delta_isometry_check(x, 40).passed
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert [a.shape for a in inputs] == [target.shape, (2, 2, 2), target.shape]
+        assert inputs[0].tobytes() == inputs[2].tobytes() == target.tobytes()
 
 
 def test_delta_isometry_rejects_boundary_point():

@@ -157,9 +157,11 @@ def test_composite_requires_certification():
 
 
 def test_taylor_power_series_exact_copy():
+    # The coefficients are exact; the tail is only the rounding allowance.
     tc = taylor_coefficients(PowerSeries([0.0, 1.0]), 5)
     assert np.array_equal(tc.coeffs, np.array([0, 1, 0, 0, 0], dtype=complex))
-    assert tc.tail_bound == 0.0
+    assert 0.0 <= tc.tail_bound < 1e-14
+    assert np.sum(np.abs(tc.coeffs)) + tc.tail_bound >= 1.0
 
 
 def test_taylor_geometric_series():

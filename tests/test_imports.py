@@ -1,6 +1,7 @@
 """Name hygiene: every name a package module imports is used in it, every
 local variable a function assigns is read, every private module-level name
-is read somewhere in the package, every instance attribute the package
+is read somewhere in the package, every public one there, in the benchmark
+or in the acceptance tests, every instance attribute the package
 stores is read, no parameter is only validated, and every exception class
 that `errors.py` defines is raised somewhere in the package.
 
@@ -104,24 +105,36 @@ def _read_names(statement) -> set:
     return read
 
 
-def unread_private_names(sources: dict) -> list:
-    """The private module-level names (`_x`, not dunders) of `sources`, a map
-    from module name to source, that no module-level statement reads except
-    the one defining them; a recursive function's calls to itself do not count.
-    Any attribute `._x` counts as a read, so the scan can miss a name but
-    never flags a used one."""
-    defined, reads = [], []
+def _unread_names(sources: dict, private: bool, readers=()) -> list:
+    """The module-level names of `sources`, a map from module name to source,
+    that are private (`_x`, not dunders) or public, as `private` says, and
+    that no module-level statement of `sources` reads except the one defining
+    them, nor any statement of the `readers` sources; a recursive function's
+    calls to itself do not count.  Any attribute `.x` counts as a read, so the
+    scan can miss a name but never flags a used one."""
+    defined, reads = [], [_read_names(ast.parse(source)) for source in readers]
     for module, source in sources.items():
         for statement in ast.parse(source).body:
             reads.append(_read_names(statement))
             for name in _defined_names(statement):
-                if name.startswith("_") and not name.startswith("__"):
+                if not name.startswith("__") and name.startswith("_") == private:
                     defined.append((module, name, len(reads) - 1))
     return sorted(
         f"{module}.{name}"
         for module, name, own in defined
         if not any(name in read for i, read in enumerate(reads) if i != own)
     )
+
+
+def unread_private_names(sources: dict) -> list:
+    """The private module-level names that no other statement of `sources` reads."""
+    return _unread_names(sources, private=True)
+
+
+def unreached_public_names(sources: dict, readers=()) -> list:
+    """The public module-level names that no other statement of `sources`,
+    nor any of the `readers` sources, reads: names only unit tests reach."""
+    return _unread_names(sources, private=False, readers=readers)
 
 
 def _stored_attributes(tree):
@@ -238,6 +251,33 @@ def test_scan_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def test_scan_finds_an_unreached_public_name():
+    source = (
+        "LIMIT, USED = 2.0, 3.0\n"
+        "def walk(items):\n"
+        "    return [] if not items else walk(items[1:])\n"
+        "class Shape:\n"
+        "    pass\n"
+        "def helper():\n"
+        "    return USED\n"
+        "def _private():\n"
+        "    return 0\n"
+    )
+    package = {"a": source, "__init__": "from .a import helper\n"}
+    assert unreached_public_names(package) == ["a.LIMIT", "a.Shape", "a.walk"]
+    assert unreached_public_names(package, ["import a\na.Shape(a.walk([]))\n", "LIMIT = 1\n"]) == ["a.LIMIT"]
+
+
+def test_every_public_name_is_reached():
+    # A public name must be read by another statement of the package (its
+    # `__init__.py` included), by the benchmark or by the acceptance tests;
+    # the unit tests alone do not keep a name alive.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py")]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert unreached_public_names(sources, readers) == []
 
 
 def test_scan_finds_an_unread_attribute():

@@ -20,7 +20,6 @@ from cbnorm_lab.mconvex import (
     hull_norm_check,
     identity_representation,
     pairing,
-    random_representation,
     set_norm,
 )
 from cbnorm_lab.opspace import (
@@ -32,6 +31,7 @@ from cbnorm_lab.opspace import (
     space_row,
     space_scalar,
 )
+from hull_reference import reference_representation
 
 SCALAR = space_scalar()
 MK2 = space_mk(2)
@@ -77,7 +77,7 @@ def test_hull_element_two_terms_matches_block_arithmetic():
     rng = np.random.default_rng(1)
     gens = (random_point(rng, MK2, 1), random_point(rng, MK2, 2))
     k = MatrixSet(MK2, gens)
-    rep = random_representation(k, 2, rng)
+    rep = reference_representation(k, 2, rng)
     out = realize(hull_element(k, rep))
     eye = np.eye(MK2.ambient)
     expected = np.zeros_like(out)
@@ -96,15 +96,17 @@ def test_representation_constraints_enforced():
 
 
 def test_random_representation_satisfies_constraints():
+    # The normalized α, β stacks that `hull_norm_check` draws, 50 per level.
     rng = np.random.default_rng(2)
     gens = (random_point(rng, MIN2, 1), random_point(rng, MIN2, 3))
     k = MatrixSet(MIN2, gens)
-    for _ in range(50):
-        rep = random_representation(k, int(rng.integers(1, 4)), rng)
-        row = sum(np.asarray(t.alpha) @ np.asarray(t.alpha).conj().T for t in rep.terms)
-        col = sum(np.asarray(t.beta).conj().T @ np.asarray(t.beta) for t in rep.terms)
-        assert matcore.operator_norm(row) <= 1.0 + 1e-10
-        assert matcore.operator_norm(col) <= 1.0 + 1e-10
+    for level in (1, 2, 3):
+        draws = rng.standard_normal((50, 4 * level * sum(g.level for g in gens)))
+        alphas, betas = mconvex._normalize(*mconvex._split(k, level, draws))
+        row = sum(a @ a.conj().swapaxes(-1, -2) for a in alphas)
+        col = sum(b.conj().swapaxes(-1, -2) @ b for b in betas)
+        assert np.all(matcore.operator_norms(row) <= 1.0 + 1e-10)
+        assert np.all(matcore.operator_norms(col) <= 1.0 + 1e-10)
 
 
 def test_hull_norm_check_scalar():
@@ -179,7 +181,7 @@ def test_sampled_hull_pairings_bounded_by_generator_pairings():
     )
     gen_sup = max(matcore.operator_norm(pairing(f, g)) for g in k.generators)
     for _ in range(100):
-        rep = random_representation(k, int(rng.integers(1, 4)), rng)
+        rep = reference_representation(k, int(rng.integers(1, 4)), rng)
         value = matcore.operator_norm(pairing(f, hull_element(k, rep)))
         assert value <= gen_sup + 1e-8
 
@@ -251,34 +253,6 @@ def test_matrix_set_validation():
 # hull_norm_check's level stacks against the trial-by-trial loop they replace
 
 
-def _reference_inv_sqrt(s):
-    vals, vecs = np.linalg.eigh(s + 1e-12 * np.eye(s.shape[0]))
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
-
-
-def _reference_representation(k, n, rng):
-    """One sample drawn and normalized on its own: the reference for the stacks."""
-    alphas, betas = [], []
-    for gen in k.generators:
-        kk = gen.level
-        alphas.append(rng.standard_normal((n, kk)) + 1j * rng.standard_normal((n, kk)))
-        betas.append(rng.standard_normal((kk, n)) + 1j * rng.standard_normal((kk, n)))
-    row = sum(a @ a.conj().T for a in alphas)
-    col = sum(b.conj().T @ b for b in betas)
-    left = _reference_inv_sqrt(row)
-    right = _reference_inv_sqrt(col)
-    alphas = [left @ a for a in alphas]
-    betas = [b @ right for b in betas]
-    excess_row = matcore.operator_norm(sum(a @ a.conj().T for a in alphas))
-    excess_col = matcore.operator_norm(sum(b.conj().T @ b for b in betas))
-    if excess_row > 1.0:
-        alphas = [a / np.sqrt(excess_row) for a in alphas]
-    if excess_col > 1.0:
-        betas = [b / np.sqrt(excess_col) for b in betas]
-    terms = tuple(HullTerm(a, i, b) for i, (a, b) in enumerate(zip(alphas, betas)))
-    return HullRepresentation(terms=terms, target_level=n)
-
-
 def _trial_norms(k, trials, seed):
     """(level, norm) of each trial in turn, one trial at a time: the level from
     `derive_rng(seed)`, then α and β from the level's `derive_rng(seed, level)`."""
@@ -286,7 +260,7 @@ def _trial_norms(k, trials, seed):
     rows = {level: matcore.derive_rng(seed, level) for level in (1, 2, 3)}
     for _ in range(int(trials)):
         level = int(levels.integers(1, 4))
-        yield level, matrix_norm(hull_element(k, _reference_representation(k, level, rows[level])))
+        yield level, matrix_norm(hull_element(k, reference_representation(k, level, rows[level])))
 
 
 def _trial_by_trial(k, trials, seed):
@@ -374,18 +348,6 @@ def test_sampled_norms_match_each_trial():
         draws = np.stack([rows.standard_normal(level * width) for _ in norms])
         got = mconvex._sampled_norms(k, level, draws)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in norms]
-
-
-@pytest.mark.parametrize("name", SPACES)
-def test_random_representation_matches_reference_bits(name):
-    k = _random_set(SPACES[name], 40 + list(SPACES).index(name))
-    for level in (1, 2, 3):
-        rep = random_representation(k, level, np.random.default_rng(level))
-        expected = _reference_representation(k, level, np.random.default_rng(level))
-        for term, ref in zip(rep.terms, expected.terms, strict=True):
-            assert term.index == ref.index
-            assert np.asarray(term.alpha).tobytes() == ref.alpha.tobytes()
-            assert np.asarray(term.beta).tobytes() == ref.beta.tobytes()
 
 
 def test_hull_norm_check_stacks_by_level(monkeypatch):

@@ -49,6 +49,37 @@ def test_dependent_basis_rejected():
         ConcreteOperatorSpace(basis)
 
 
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_builder_spaces_skip_the_independence_svd(monkeypatch):
+    # Distinct matrix units are independent by construction.
+    calls = _count_svds(monkeypatch)
+    mk = space_mk(32)
+    others = [space_scalar(), space_row(3), space_column(3), space_min_linf(3)]
+    assert calls == []
+    assert mk.basis.shape == (1024, 32, 32) and mk.basis.dtype == np.complex128
+    assert np.array_equal(mk.basis.reshape(1024, -1), np.eye(1024))
+    assert [s.dim for s in others] == [1, 3, 3, 3]
+
+
+def test_custom_basis_keeps_the_independence_svd(monkeypatch):
+    row = space_row(3)
+    calls = _count_svds(monkeypatch)
+    assert ConcreteOperatorSpace(row.basis).dim == 3 and calls == [(3, 9)]
+    with pytest.raises(InvalidInputError, match="not linearly independent"):
+        ConcreteOperatorSpace(np.concatenate([row.basis, row.basis[:1] + row.basis[1:2]]))
+
+
 def test_realize_scalar_space_is_plain_matrix():
     s = space_scalar()
     rng = np.random.default_rng(0)

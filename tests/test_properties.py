@@ -10,7 +10,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cbnorm_lab import _search, descriptors, holofun, matcore, mconvex, opspace
@@ -27,6 +27,7 @@ from cbnorm_lab.holofun import (
     rescale_argument,
     taylor_coefficients,
 )
+from hull_reference import reference_representation
 
 PROPERTY = settings(
     max_examples=25,
@@ -118,6 +119,8 @@ def _mp_series(f, n, majorant=False):
 
 @PROPERTY
 @given(TREES, st.integers(1, 256))
+# A truncated power series whose dropped tail the certified sum must cover.
+@example(PowerSeries([1, 0.1 + 0.1j, 0.1 + 1.3j]), 1)
 def test_taylor_coefficients_match_mpmath_and_bound_the_abs_sum(f, k):
     tc = taylor_coefficients(f, k)
     exact = _mp_series(f, 2000)
@@ -292,7 +295,7 @@ def test_certificate_objective_gradient_is_exact(space, level, seed):
     rng = np.random.default_rng(seed)
     gens = tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2))
     k = mconvex.MatrixSet(space, gens)
-    x0 = mconvex.hull_element(k, mconvex.random_representation(k, level, rng))
+    x0 = mconvex.hull_element(k, reference_representation(k, level, rng))
     objective = _objective_of(mconvex, lambda: mconvex.find_certificate(k, x0, 20, seed=4))
     draw = rng.standard_normal((2, 1, level, level, space.dim))
     x = _search.to_sphere(draw[0] + 1j * draw[1])[0]

@@ -21,6 +21,7 @@ from cbnorm_lab.opspace import (
     space_row,
     space_scalar,
 )
+from hull_reference import reference_representation
 
 
 def _parts(z):
@@ -395,7 +396,7 @@ def _certificate_case(rng):
     space = [space_min_linf(2), space_row(2)][int(rng.integers(2))]
     k = MatrixSet(space, tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2)))
     level = int(rng.integers(1, 3))
-    x0 = mconvex.hull_element(k, mconvex.random_representation(k, level, rng))
+    x0 = mconvex.hull_element(k, reference_representation(k, level, rng))
     captured = []
     with mock.patch.object(mconvex, "restarts", lambda objective, *args: captured.append(objective) or ()):
         find_certificate(k, x0, 20, seed=4)
