@@ -1,8 +1,10 @@
 """The one search engine: every estimated supremum in the package (the level
-sups of `cbnorm` and the separation certificates of `mconvex`) runs random
-restarts of a projected gradient ascent over complex arrays; `gcb` counts its
-cost evaluations with the same `Budget`.  This module owns the ascent and
-the restart loop.
+sups of `cbnorm` at levels m >= 2 and at every level of a space function, and
+the separation certificates of `mconvex`) runs random restarts of a projected
+gradient ascent over complex arrays; `gcb` counts its cost evaluations with
+the same `Budget`.  Level 1 of a disk function is not searched here: its
+ball is the disk, and `cbnorm` scans the circle |z| = RADIUS_CAP instead.
+This module owns the ascent and the restart loop.
 
 Every objective is the top singular value of a map that is linear or
 entrywise holomorphic in the point, so the SVD that gives its value also

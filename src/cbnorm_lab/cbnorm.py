@@ -1,9 +1,10 @@
 """Sandwich bounds for the completely bounded norm of a holomorphic function.
 
-The lower bound maximizes the amplified norm over sampled-and-ascended
-matrices at a sparse schedule of levels, with zero-padding used to transfer
-witnesses upward (padding cannot change the amplified norm because every
-function vanishes at 0).  The upper bound comes from the one certified
+The lower bound maximizes the amplified norm at a sparse schedule of levels:
+level 1 of a disk function by a scan of the circle |z| = RADIUS_CAP, every
+other level over sampled-and-ascended matrices, with zero-padding used to
+transfer witnesses upward (padding cannot change the amplified norm because
+every function vanishes at 0).  The upper bound comes from the one certified
 analytic rule of the function's kind: exact coefficient sums, quotient and
 geometric-functional bounds, and product/sum/scale combination rules.
 """
@@ -36,6 +37,17 @@ RADIUS_CAP = 1.0 - 1e-6
 DEFAULT_LEVELS = (1, 2, 4, 8)
 # How far a lower bound may pass its upper bound before the pair is out of order.
 SANDWICH_SLACK = 1e-6
+
+# The circle scan: the most evaluations it keeps for zooming, how many grid
+# maxima it zooms, the points of one zoom round (shared by those maxima),
+# and the most points it hands the objective at once.
+_ZOOM_SHARE = 192
+_ZOOM_PEAKS = 4
+_ZOOM_ROWS = 16
+_SCAN_STACK = 4096
+# Scan values this close to the best, relatively, are ties: evaluation
+# rounding alone spreads |z²| over the circle by 5 ulps.
+_ROUNDING_TIE = 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -133,13 +145,19 @@ def _space_problem(f: HoloFunction, m: int):
 def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     """Best found amplified norm over the level-m ball of radius 1 − 1e-6.
 
-    Always a valid lower bound for the level-m supremum; budget counts
-    objective evaluations across random restarts, and equal values go to the
-    witness with the smaller serialization.
+    Always a valid lower bound for the level-m supremum, and every level
+    spends exactly `budget` objective evaluations.  Level 1 of a disk
+    function is the disk itself, where |f| peaks on the circle
+    |z| = RADIUS_CAP (maximum modulus): `_circle_scan` searches that circle
+    and reads no seed.  Every other level runs random restarts of projected
+    ascent, and equal values go to the witness with the smaller
+    serialization.
     """
     m = matcore.check_level(m)
     budget = matcore.check_count(budget, "budget")
     matcore.check_seed(seed)
+    if m == 1 and f.domain_space is None:
+        return _circle_scan(f, budget)
     problem = _disk_problem if f.domain_space is None else _space_problem
     objective, project, start, witness_matrix = problem(f, m)
 
@@ -154,6 +172,59 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
         if _beats(value, point, best_value, best_point):
             best_value, best_point = value, point
     return Witness(level=m, matrix=witness_matrix(best_point), value=float(best_value))
+
+
+def _circle_scan(f: HoloFunction, budget: int) -> Witness:
+    """The best of `budget` points z = RADIUS_CAP·e^{iθ}, each evaluated as a
+    1×1 point through the level-1 disk problem's `project` and `objective`.
+
+    A uniform grid from θ = 0 comes first; the budget's last
+    min(budget // 2, _ZOOM_SHARE) points then zoom in on the grid's best
+    local maxima, up to _ZOOM_PEAKS of them.  Each zoom round tries q points
+    around each peak's best angle c, at c ± h/(q + 1), c ± 3h/(q + 1), ...
+    in that order, inner ones first for a round the budget cuts short; q is
+    the even share of _ZOOM_ROWS per peak.  Then h, which starts at the grid
+    spacing, shrinks to the spacing 2h/(q + 1) of those points.
+    The witness is the earliest point, in scan order, whose value ties the
+    best up to _ROUNDING_TIE.
+    """
+    objective, project, _, _ = _disk_problem(f, 1)
+    points, values = [], []
+
+    def scan(theta):
+        chunks = []
+        for lo in range(0, theta.size, _SCAN_STACK):
+            stack = project((RADIUS_CAP * np.exp(1j * theta[lo : lo + _SCAN_STACK]))[:, None, None])
+            points.append(stack)
+            chunks.append(objective(stack)[0])
+        values.extend(chunks)
+        return np.concatenate(chunks)
+
+    n = budget - min(budget // 2, _ZOOM_SHARE)
+    h = 2.0 * np.pi / n
+    grid = h * np.arange(n)
+    at = scan(grid)
+    peaks = np.flatnonzero((at >= np.roll(at, 1)) & (at >= np.roll(at, -1)))
+    peaks = peaks[np.argsort(-at[peaks], kind="stable")][:_ZOOM_PEAKS]
+    centers, best = grid[peaks], at[peaks]
+    q = _ZOOM_ROWS // centers.size // 2 * 2
+    odd = np.arange(1, q, 2) / (q + 1)
+    offsets = np.stack([-odd, odd], axis=1).ravel()
+    left = budget - n
+    while left:
+        candidates = centers[:, None] + h * offsets
+        theta = candidates.ravel()[:left]
+        tried = np.full(candidates.size, -np.inf)
+        tried[: theta.size] = scan(theta)
+        tried = tried.reshape(candidates.shape)
+        top = np.argmax(tried, axis=1)
+        rows = np.flatnonzero(tried[np.arange(centers.size), top] > best)
+        centers[rows], best[rows] = candidates[rows, top[rows]], tried[rows, top[rows]]
+        h *= 2.0 / (q + 1)
+        left -= theta.size
+    values = np.concatenate(values)
+    i = int(np.flatnonzero(values >= values.max() * (1.0 - _ROUNDING_TIE))[0])
+    return Witness(level=1, matrix=np.concatenate(points)[i], value=float(values[i]))
 
 
 def _beats(value: float, matrix, best_value: float, best_matrix) -> bool:
@@ -204,15 +275,19 @@ def _default_levels(max_level: int) -> list:
 
 def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
     """Max of level sups over the schedule (1, 2, 4, 8) capped at max_level,
-    with zero-pad lifting keeping the level table nondecreasing."""
+    with zero-pad lifting keeping the level table nondecreasing.  A disk
+    function's level 1 comes from the circle scan, every other level from
+    projected ascent (`level_sup`)."""
     budget = matcore.check_count(budget, "budget")
     levels = _default_levels(max_level)
     table = _lower_table(f, levels, budget, seed)
     lower = max(w.value for w in table.values())
-    provenance = (
-        f"lower: projected-ascent level sups at levels {levels}, "
-        f"budget {budget} per level, radius cap {RADIUS_CAP}"
-    )
+    disk = f.domain_space is None
+    sources = ["circle scan at level 1"] if disk else []
+    ascended = levels[1:] if disk else levels
+    if ascended:
+        sources.append(f"projected-ascent level sups at levels {ascended}")
+    provenance = f"lower: {', '.join(sources)}, budget {budget} per level, radius cap {RADIUS_CAP}"
     return CbEstimate(
         lower=float(lower),
         upper=None,

@@ -3,10 +3,11 @@
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Each golden file is the record of one `configs/*.json` run through
-`cli.run`, with `runtime_ms` dropped, in `cli.record_to_json` form.  Only
-regenerate after a change that is meant to alter results or their text form,
-and say so in CHANGES.md; after a change of text form alone, check that each
-rewritten file parses to the object its old file parsed to.
+`cli.run`, with `runtime_ms` dropped, in `cli.record_to_json` form.  Each
+file written is reported as changed or unchanged.  Only regenerate after a
+change that is meant to alter results or their text form, and name the
+changed files in CHANGES.md; after a change of text form alone, check that
+each rewritten file parses to the object its old file parsed to.
 """
 
 import json
@@ -28,5 +29,8 @@ def golden_text(config_path: Path) -> str:
 
 if __name__ == "__main__":
     for path in sorted(CONFIG_DIR.glob("*.json")):
-        (GOLDEN_DIR / path.name).write_text(golden_text(path))
-        print(f"wrote {path.name}")
+        golden = GOLDEN_DIR / path.name
+        text = golden_text(path)
+        unchanged = golden.exists() and golden.read_text() == text
+        golden.write_text(text)
+        print(f"wrote {path.name}: {'unchanged' if unchanged else 'changed'}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbnorm_lab import matcore
+from cbnorm_lab import cbnorm, matcore
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
     _disk_problem,
@@ -43,6 +43,7 @@ from cbnorm_lab.opspace import (
 IDENTITY = PowerSeries([1.0])
 SQUARE = PowerSeries([0.0, 1.0])
 GEOMETRIC = MoebiusQuotient(IDENTITY, 0.5)
+BLASCHKE_HALF = Blaschke(1.0, 1, [0.5])
 MIN2 = space_min_linf(2)
 
 
@@ -96,6 +97,68 @@ def test_disk_projection_returns_an_inside_stack_as_given(m):
         expected = np.stack([matcore.project_ball(point, RADIUS_CAP) for point in stack])
         assert out.shape == stack.shape and out.tobytes() == expected.tobytes()
         assert not np.array_equal(out, stack)
+
+
+# ---------------------------------------------------------------------------
+# Level 1 of a disk function: the circle scan
+
+
+def _nonnegative_catalog():
+    """The disk functions with nonnegative coefficients that the benchmark
+    sandwiches: z, z², z/(1−z/2), z/(1−0.9z), Σ 2^-k·z^(2^k) and
+    z·z/(1−z/2)."""
+    return [IDENTITY, SQUARE, GEOMETRIC, MoebiusQuotient(IDENTITY, 0.9), lacunary(), Product(IDENTITY, GEOMETRIC)]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 300, 2 * cbnorm._SCAN_STACK + 300])
+def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget):
+    stacks = []
+    disk_problem = cbnorm._disk_problem
+
+    def counted(f, m):
+        objective, *rest = disk_problem(f, m)
+        return (lambda stack: stacks.append(stack.shape) or objective(stack), *rest)
+
+    monkeypatch.setattr(cbnorm, "_disk_problem", counted)
+    w = level_sup(BLASCHKE_HALF, 1, budget, 5)
+    assert sum(shape[0] for shape in stacks) == budget
+    assert all(shape[1:] == (1, 1) and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
+    assert w.level == 1 and 0.0 < w.value < 1.0
+
+
+def test_circle_scan_reads_no_seed():
+    for f in (GEOMETRIC, BLASCHKE_HALF, lacunary()):
+        first, second = level_sup(f, 1, 300, 1), level_sup(f, 1, 300, 2)
+        assert first.value.hex() == second.value.hex()
+        assert first.matrix.tobytes() == second.matrix.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 300, 2000])
+def test_circle_scan_witness_recomputes_bit_for_bit(budget):
+    for f in (*_nonnegative_catalog(), BLASCHKE_HALF, Sum(SQUARE, Scale(-0.5j, GEOMETRIC))):
+        w = level_sup(f, 1, budget, 3)
+        assert w.matrix.shape == (1, 1)
+        assert matcore.operator_norm(w.matrix) < 1.0
+        assert witness_value(f, w).hex() == w.value.hex()
+
+
+@pytest.mark.parametrize("budget", [1, 300, 2000])
+def test_circle_scan_takes_the_cap_for_nonnegative_coefficients(budget):
+    # |f| <= f(|z|) on the disk, so z = RADIUS_CAP is a maximizer; points on
+    # the circle that beat it do so by rounding alone, and tie with it.
+    cap = np.array([[RADIUS_CAP]], dtype=np.complex128)
+    for f in _nonnegative_catalog():
+        w = level_sup(f, 1, budget, 3)
+        assert w.matrix.tobytes() == cap.tobytes()
+        assert w.value == matcore.operator_norm(amplify(f, cap))
+
+
+def test_circle_scan_finds_the_blaschke_maximum_at_minus_the_cap():
+    # |z(z−½)/(1−½z)| on |z| = r peaks at z = −r: r(r + ½)/(1 + r/2).
+    w = level_sup(BLASCHKE_HALF, 1, 300, 3)
+    assert abs(abs(np.angle(w.matrix[0, 0])) - np.pi) < 1e-6
+    r = RADIUS_CAP
+    assert w.value == pytest.approx(r * (r + 0.5) / (1.0 + 0.5 * r), rel=1e-15)
 
 
 def test_lift_witness_preserves_value():

@@ -1,6 +1,7 @@
 """Property tests over random disk expression trees of depth <= 3: Taylor data
 against an independent mpmath reference, evaluation, argument rescaling,
-descriptor round trips, sandwich order, each search objective's exact
+descriptor round trips, sandwich order, the level-1 circle scan against the
+ascent it replaced and a fine reference grid, each search objective's exact
 gradient against a central difference, and lacunary evaluation against the
 term-by-term sum, bit for bit."""
 
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cbnorm_lab import _search, descriptors, holofun, matcore, mconvex, opspace
-from cbnorm_lab.cbnorm import _disk_problem, _space_problem, sandwich
+from cbnorm_lab.cbnorm import RADIUS_CAP, _disk_problem, _space_problem, level_sup, sandwich
 from cbnorm_lab.holofun import (
     Blaschke,
     Composite,
@@ -168,6 +169,40 @@ def test_descriptor_round_trip(f):
 def test_sandwich_lower_below_upper(f, seed):
     est = sandwich(f, 2, 40, seed)
     assert est.lower <= est.upper + 1e-6
+
+
+def _level_one_ascent(f, budget, seed):
+    """The best value of the level-1 search the circle scan replaced:
+    restarts of projected ascent, each from a start whose radius, drawn
+    first, crowds toward the cap."""
+    objective, project, start, _ = _disk_problem(f, 1)
+
+    def start_inside(rng):
+        u = float(rng.uniform(0.0, 1.0))
+        return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
+
+    return max(value for _, value in _search.restarts(objective, project, start_inside, budget, seed, 1))
+
+
+def _circle_reference(f, k=2**16):
+    """max |f| over k equally spaced points of |z| = RADIUS_CAP, from the
+    40-digit rational form rounded to complex128."""
+    p, poles = _mp_rational(f)
+    z = RADIUS_CAP * np.exp(2j * np.pi * np.arange(k) / k)
+    values = np.polyval([complex(c) for c in p[::-1]], z)
+    for b in poles:
+        values /= 1.0 - complex(b) * z
+    return float(np.max(np.abs(values)))
+
+
+@PROPERTY
+@given(TREES, st.integers(0, 2**32))
+def test_circle_scan_is_never_worse_than_the_ascent_it_replaced(f, seed):
+    reference = _circle_reference(f)
+    for budget, tol in ((300, 1e-9), (2000, 1e-12)):
+        scan = level_sup(f, 1, budget, seed).value
+        assert scan >= _level_one_ascent(f, budget, seed) * (1.0 - tol)
+        assert scan >= reference * (1.0 - 1e-12)
 
 
 def _lacunary(n, coeffs):
