@@ -11,7 +11,6 @@ geometric-functional bounds, and product/sum/scale combination rules.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -66,13 +65,6 @@ class CbEstimate:
     level_table: dict  # level -> its Witness
     budget: int
     provenance: str
-
-
-def serialize_matrix(mat) -> str:
-    """Canonical string form used for deterministic tie-breaking."""
-    arr = np.asarray(getattr(mat, "entries", mat))
-    flat = [[float(v.real), float(v.imag)] for v in arr.ravel()]
-    return json.dumps([list(arr.shape), flat], separators=(",", ":"))
 
 
 def _norms_and_gradients(values: np.ndarray, derivative: np.ndarray):
@@ -150,8 +142,7 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     function is the disk itself, where |f| peaks on the circle
     |z| = RADIUS_CAP (maximum modulus): `_circle_scan` searches that circle
     and reads no seed.  Every other level runs random restarts of projected
-    ascent, and equal values go to the witness with the smaller
-    serialization.
+    ascent and keeps the first restart that reaches the best value.
     """
     m = matcore.check_level(m)
     budget = matcore.check_count(budget, "budget")
@@ -166,17 +157,14 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
         u = float(rng.uniform(0.0, 1.0))
         return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
 
-    best_value, best_point = -np.inf, None
-    for point, value in restarts(objective, project, start_inside, budget, seed, m):
-        # A point serializes as its witness matrix does.
-        if _beats(value, point, best_value, best_point):
-            best_value, best_point = value, point
-    return Witness(level=m, matrix=witness_matrix(best_point), value=float(best_value))
+    # max keeps the first of equal values.
+    point, value = max(restarts(objective, project, start_inside, budget, seed, m), key=lambda run: run[1])
+    return Witness(level=m, matrix=witness_matrix(point), value=float(value))
 
 
 def _circle_scan(f: HoloFunction, budget: int) -> Witness:
-    """The best of `budget` points z = RADIUS_CAP·e^{iθ}, each evaluated as a
-    1×1 point through the level-1 disk problem's `project` and `objective`.
+    """The best of `budget` points z = RADIUS_CAP·e^{iθ} by |f(z)|, each
+    evaluated as a 1×1 point.
 
     A uniform grid from θ = 0 comes first; the budget's last
     min(budget // 2, _ZOOM_SHARE) points then zoom in on the grid's best
@@ -188,15 +176,14 @@ def _circle_scan(f: HoloFunction, budget: int) -> Witness:
     The witness is the earliest point, in scan order, whose value ties the
     best up to _ROUNDING_TIE.
     """
-    objective, project, _, _ = _disk_problem(f, 1)
     points, values = [], []
 
     def scan(theta):
         chunks = []
         for lo in range(0, theta.size, _SCAN_STACK):
-            stack = project((RADIUS_CAP * np.exp(1j * theta[lo : lo + _SCAN_STACK]))[:, None, None])
+            stack = (RADIUS_CAP * np.exp(1j * theta[lo : lo + _SCAN_STACK]))[:, None, None]
             points.append(stack)
-            chunks.append(objective(stack)[0])
+            chunks.append(matcore.operator_norms(holofun._eval_array(f, stack)[0]))
         values.extend(chunks)
         return np.concatenate(chunks)
 
@@ -227,14 +214,6 @@ def _circle_scan(f: HoloFunction, budget: int) -> Witness:
     return Witness(level=1, matrix=np.concatenate(points)[i], value=float(values[i]))
 
 
-def _beats(value: float, matrix, best_value: float, best_matrix) -> bool:
-    """A larger value wins; an equal one wins with the smaller serialization,
-    which only an exact tie computes."""
-    return value > best_value or (
-        value == best_value and serialize_matrix(matrix) < serialize_matrix(best_matrix)
-    )
-
-
 def witness_value(f: HoloFunction, w: Witness) -> float:
     """Recompute the amplified norm at a stored witness."""
     return matcore.operator_norm(holofun.amplify(f, w.matrix))
@@ -253,14 +232,14 @@ def lift_witness(w: Witness, level: int) -> Witness:
 def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
     # level_sup restarts until its per-level budget is gone, so each level
     # spends exactly `budget` evaluations.  A lifted lower-level witness
-    # replaces the level's own when it `_beats` it.
+    # replaces the level's own only when its value is strictly larger.
     table = {}
     running = None
     for m in levels:
         w = level_sup(f, m, budget, seed)
         if running is not None:
             lifted = lift_witness(running, m)
-            if _beats(lifted.value, lifted.matrix, w.value, w.matrix):
+            if lifted.value > w.value:
                 w = lifted
         running = w
         table[m] = w

@@ -381,7 +381,7 @@ def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
     """
     if f.domain_space is not None:
         raise InvalidInputError("Taylor extraction needs a disk-domain function")
-    k = int(truncation)
+    k = matcore.as_int(truncation, "truncation")
     if not 1 <= k <= _MAX_TRUNCATION:
         raise InvalidInputError(f"truncation must lie in [1, {_MAX_TRUNCATION}], got {k}")
     p, poles = _rational(f)

@@ -169,7 +169,10 @@ _KINDS = {
 
 def builder_space(kind: str, n: int) -> ConcreteOperatorSpace:
     """The builder space of a kind and size, spanned by matrix units of M_n."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidInputError(f"unknown builder space kind {kind!r}")
     size, positions, _ = _KINDS[kind]
+    n = matcore.as_int(n, size)
     if kind == "scalar" and n != 1:
         raise InvalidInputError(f"a scalar space has param 1, got {n!r}")
     if not 1 <= n <= MAX_SPACE_PARAM:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from cbnorm_lab import cbnorm, matcore
+from cbnorm_lab import cbnorm, holofun, matcore
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
+    Witness,
     _disk_problem,
     algebra_check,
     cb_lower_bound,
@@ -15,7 +16,6 @@ from cbnorm_lab.cbnorm import (
     question_probe,
     sandwich,
     schwarz_check,
-    serialize_matrix,
     witness_value,
 )
 from cbnorm_lab.errors import InvalidInputError
@@ -112,14 +112,13 @@ def _nonnegative_catalog():
 
 @pytest.mark.parametrize("budget", [1, 2, 7, 300, 2 * cbnorm._SCAN_STACK + 300])
 def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget):
+    # A Blaschke product is evaluated in one `_eval_array` call, so every
+    # call counted is one stack of the scan.  Points on the circle need no
+    # projection.
     stacks = []
-    disk_problem = cbnorm._disk_problem
-
-    def counted(f, m):
-        objective, *rest = disk_problem(f, m)
-        return (lambda stack: stacks.append(stack.shape) or objective(stack), *rest)
-
-    monkeypatch.setattr(cbnorm, "_disk_problem", counted)
+    eval_array = holofun._eval_array
+    monkeypatch.setattr(holofun, "_eval_array", lambda f, z: stacks.append(z.shape) or eval_array(f, z))
+    monkeypatch.setattr(matcore, "project_ball", lambda *args: pytest.fail("the scan projected a point"))
     w = level_sup(BLASCHKE_HALF, 1, budget, 5)
     assert sum(shape[0] for shape in stacks) == budget
     assert all(shape[1:] == (1, 1) and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
@@ -161,6 +160,31 @@ def test_circle_scan_finds_the_blaschke_maximum_at_minus_the_cap():
     assert w.value == pytest.approx(r * (r + 0.5) / (1.0 + 0.5 * r), rel=1e-15)
 
 
+def test_level_sup_keeps_the_first_restart_of_equal_values(monkeypatch):
+    # Stub restarts: the second and third tie exactly, and the third has
+    # the smaller entries.
+    points = [np.full((2, 2), c, dtype=np.complex128) for c in (0.1, 0.3, 0.2, 0.4)]
+    runs = list(zip(points, (0.5, 0.7, 0.7, 0.6)))
+    monkeypatch.setattr(cbnorm, "restarts", lambda *args: iter(runs))
+    w = level_sup(GEOMETRIC, 2, 10, 5)
+    assert w.matrix is points[1] and w.value == 0.7
+
+
+def test_lower_table_keeps_the_direct_witness_on_a_tie_with_the_lifted_one(monkeypatch):
+    # Stub level sups: level 2 ties the lifted level-1 witness exactly, and
+    # level 4 falls below it.
+    direct = {
+        1: Witness(level=1, matrix=np.array([[0.5]], dtype=np.complex128), value=0.8),
+        2: Witness(level=2, matrix=np.diag([0.75, 0.0]).astype(np.complex128), value=0.8),
+        4: Witness(level=4, matrix=0.1 * np.eye(4, dtype=np.complex128), value=0.7),
+    }
+    monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, budget, seed: direct[m])
+    table = cbnorm._lower_table(GEOMETRIC, [1, 2, 4], 10, 5)
+    assert table[1] is direct[1] and table[2] is direct[2]
+    assert table[4].value == 0.8
+    assert table[4].matrix.tobytes() == lift_witness(direct[2], 4).matrix.tobytes()
+
+
 def test_lift_witness_preserves_value():
     w = level_sup(GEOMETRIC, 1, 2000, 7)
     lifted = lift_witness(w, w.level + 1)
@@ -188,7 +212,6 @@ def test_lift_to_equals_repeated_lift_witness(f):
     assert direct.level == stepwise.level == 4
     assert direct.value == stepwise.value == w.value
     assert type(direct.matrix) is type(stepwise.matrix)
-    assert serialize_matrix(direct.matrix) == serialize_matrix(stepwise.matrix)
     arrays = [np.asarray(getattr(x.matrix, "entries", x.matrix)) for x in (direct, stepwise)]
     assert arrays[0].dtype == arrays[1].dtype and arrays[0].tobytes() == arrays[1].tobytes()
 

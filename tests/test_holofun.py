@@ -208,6 +208,14 @@ def test_taylor_tail_unknown_at_unit_radius():
     assert np.max(np.abs(tc.coeffs - expected)) < 1e-9
 
 
+@pytest.mark.parametrize("truncation", [2.7, True, "3", None, 0, 2.0**70])
+def test_taylor_rejects_a_truncation_that_is_not_an_integer_in_range(truncation):
+    with pytest.raises(InvalidInputError):
+        taylor_coefficients(GEOMETRIC, truncation)
+    exact = taylor_coefficients(GEOMETRIC, 3).coeffs
+    assert taylor_coefficients(GEOMETRIC, 3.0).coeffs.tobytes() == exact.tobytes()
+
+
 def test_taylor_rejects_space_domain():
     with pytest.raises(InvalidInputError):
         taylor_coefficients(GEOM_PHI, 4)

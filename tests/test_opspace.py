@@ -11,6 +11,7 @@ from cbnorm_lab.opspace import (
     OpSpaceMatrix,
     block_adjoint,
     block_matrix,
+    builder_space,
     closed_form_dual_norm,
     compress,
     direct_sum_matrices,
@@ -39,6 +40,29 @@ def test_builder_shapes():
     assert space_row(4).dim == 4 and space_row(4).ambient == 4
     assert space_column(4).dim == 4 and space_column(4).ambient == 4
     assert space_min_linf(5).dim == 5 and space_min_linf(5).ambient == 5
+    # An integral float is a size, as the descriptor reader takes `param` 2.0.
+    row = space_row(2.0)
+    assert row.param == 2 and type(row.param) is int
+    assert row.basis.tobytes() == space_row(2).basis.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (space_row, (2.5,)),
+        (space_row, (True,)),
+        (space_row, ("x",)),
+        (space_column, (0,)),
+        (space_mk, (None,)),
+        (space_min_linf, (2.5,)),
+        (builder_space, ("bogus", 2)),
+        (builder_space, (["row"], 2)),
+        (builder_space, ("scalar", 2)),
+    ],
+)
+def test_builders_report_a_bad_kind_or_size_as_invalid_input(build, args):
+    with pytest.raises(InvalidInputError):
+        build(*args)
 
 
 def test_dependent_basis_rejected():
