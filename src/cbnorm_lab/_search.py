@@ -1,9 +1,10 @@
 """The one search engine: every estimated supremum in the package (the level
-sups of `cbnorm` at levels m >= 2 and at every level of a space function, and
-the separation certificates of `mconvex`) runs random restarts of a projected
-gradient ascent over complex arrays; `gcb` counts its cost evaluations with
-the same `Budget`.  Level 1 of a disk function is not searched here: its
-ball is the disk, and `cbnorm` scans the circle |z| = RADIUS_CAP instead.
+sups of `cbnorm` at levels m >= 2, at level 1 of a space function without a
+norming element, and the separation certificates of `mconvex`) runs random
+restarts of a projected gradient ascent over complex arrays; `gcb` counts its
+cost evaluations with the same `Budget`.  Level 1 of a disk function, or of a
+one-functional composite over a builder space, is not searched here: |f|
+peaks on a circle of radius RADIUS_CAP there, and `cbnorm` scans it instead.
 This module owns the ascent and the restart loop.
 
 Every objective is the top singular value of a map that is linear or

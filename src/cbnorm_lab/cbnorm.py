@@ -1,7 +1,8 @@
 """Sandwich bounds for the completely bounded norm of a holomorphic function.
 
 The lower bound maximizes the amplified norm at a sparse schedule of levels:
-level 1 of a disk function by a scan of the circle |z| = RADIUS_CAP, every
+level 1 of a disk function, or of a one-functional composite over a builder
+space, by a scan of a circle of radius RADIUS_CAP (`_scan_unit`), every
 other level over sampled-and-ascended matrices, with zero-padding used to
 transfer witnesses upward (padding cannot change the amplified norm because
 every function vanishes at 0).  The upper bound comes from the one certified
@@ -134,21 +135,45 @@ def _space_problem(f: HoloFunction, m: int):
     return objective, project, start, witness_matrix
 
 
+def _scan_unit(f: HoloFunction):
+    """The unit level-1 point u whose circle w·u, |w| = RADIUS_CAP, holds the
+    maximum of |f| over the level-1 ball of radius RADIUS_CAP; None when
+    none is known.
+
+    A disk function's level-1 ball is the disk, where |f| peaks on the circle
+    (maximum modulus): u = [1].  A functional's cb norm is its norm, so φ
+    maps the level-1 ball of a space onto the closed disk of radius
+    RADIUS_CAP·‖φ‖, where |g| peaks on the circle; with u the norming
+    element of φ (`opspace.norming_element`), φ(w·u) = w·‖φ‖ runs over that
+    circle.  So a composite g∘φ or a geometric functional over a builder
+    space takes its norming element.  Products and sums of functionals, and
+    custom spaces, have none.
+    """
+    if f.domain_space is None:
+        return np.ones((1, 1), dtype=np.complex128)
+    if isinstance(f, (Composite, GeometricPhi)):
+        e = opspace.norming_element(f.space, f.phi)
+        return None if e is None else e.reshape(1, 1, -1)
+    return None
+
+
 def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     """Best found amplified norm over the level-m ball of radius 1 − 1e-6.
 
     Always a valid lower bound for the level-m supremum, and every level
-    spends exactly `budget` objective evaluations.  Level 1 of a disk
-    function is the disk itself, where |f| peaks on the circle
-    |z| = RADIUS_CAP (maximum modulus): `_circle_scan` searches that circle
-    and reads no seed.  Every other level runs random restarts of projected
-    ascent and keeps the first restart that reaches the best value.
+    spends exactly `budget` objective evaluations.  At level 1 of a function
+    with a scan unit (`_scan_unit`: a disk function, or a one-functional
+    composite over a builder space), |f| peaks on a circle of level-1 points,
+    and `_circle_scan` searches that circle and reads no seed.  Every other
+    level runs random restarts of projected ascent and keeps the first
+    restart that reaches the best value.
     """
     m = matcore.check_level(m)
     budget = matcore.check_count(budget, "budget")
     matcore.check_seed(seed)
-    if m == 1 and f.domain_space is None:
-        return _circle_scan(f, budget)
+    unit = _scan_unit(f) if m == 1 else None
+    if unit is not None:
+        return _circle_scan(f, budget, unit)
     problem = _disk_problem if f.domain_space is None else _space_problem
     objective, project, start, witness_matrix = problem(f, m)
 
@@ -162,9 +187,10 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     return Witness(level=m, matrix=witness_matrix(point), value=float(value))
 
 
-def _circle_scan(f: HoloFunction, budget: int) -> Witness:
-    """The best of `budget` points z = RADIUS_CAP·e^{iθ} by |f(z)|, each
-    evaluated as a 1×1 point.
+def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray) -> Witness:
+    """The best of `budget` level-1 points w·unit, w = RADIUS_CAP·e^{iθ}, by
+    the amplified norm |f(w·unit)|: `unit` is a disk function's 1×1 matrix
+    [1] or the (1, 1, d) entries of a space's norming element (`_scan_unit`).
 
     A uniform grid from θ = 0 comes first; the budget's last
     min(budget // 2, _ZOOM_SHARE) points then zoom in on the grid's best
@@ -176,14 +202,17 @@ def _circle_scan(f: HoloFunction, budget: int) -> Witness:
     The witness is the earliest point, in scan order, whose value ties the
     best up to _ROUNDING_TIE.
     """
+    space = f.domain_space
+    evaluate = holofun._eval_array if space is None else holofun._amplify_space_entries
     points, values = [], []
 
     def scan(theta):
         chunks = []
         for lo in range(0, theta.size, _SCAN_STACK):
-            stack = (RADIUS_CAP * np.exp(1j * theta[lo : lo + _SCAN_STACK]))[:, None, None]
+            w = RADIUS_CAP * np.exp(1j * theta[lo : lo + _SCAN_STACK])
+            stack = w.reshape((-1,) + (1,) * unit.ndim) * unit
             points.append(stack)
-            chunks.append(matcore.operator_norms(holofun._eval_array(f, stack)[0]))
+            chunks.append(matcore.operator_norms(evaluate(f, stack)[0]))
         values.extend(chunks)
         return np.concatenate(chunks)
 
@@ -211,7 +240,9 @@ def _circle_scan(f: HoloFunction, budget: int) -> Witness:
         left -= theta.size
     values = np.concatenate(values)
     i = int(np.flatnonzero(values >= values.max() * (1.0 - _ROUNDING_TIE))[0])
-    return Witness(level=1, matrix=np.concatenate(points)[i], value=float(values[i]))
+    point = np.concatenate(points)[i]
+    matrix = point if space is None else opspace.OpSpaceMatrix(space, point)
+    return Witness(level=1, matrix=matrix, value=float(values[i]))
 
 
 def witness_value(f: HoloFunction, w: Witness) -> float:
@@ -254,16 +285,17 @@ def _default_levels(max_level: int) -> list:
 
 def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
     """Max of level sups over the schedule (1, 2, 4, 8) capped at max_level,
-    with zero-pad lifting keeping the level table nondecreasing.  A disk
-    function's level 1 comes from the circle scan, every other level from
-    projected ascent (`level_sup`)."""
+    with zero-pad lifting keeping the level table nondecreasing.  Level 1 of
+    a function with a scan unit (a disk function, or a one-functional
+    composite over a builder space) comes from the circle scan, every other
+    level from projected ascent (`level_sup`)."""
     budget = matcore.check_count(budget, "budget")
     levels = _default_levels(max_level)
     table = _lower_table(f, levels, budget, seed)
     lower = max(w.value for w in table.values())
-    disk = f.domain_space is None
-    sources = ["circle scan at level 1"] if disk else []
-    ascended = levels[1:] if disk else levels
+    scanned = _scan_unit(f) is not None
+    sources = ["circle scan at level 1"] if scanned else []
+    ascended = levels[1:] if scanned else levels
     if ascended:
         sources.append(f"projected-ascent level sups at levels {ascended}")
     provenance = f"lower: {', '.join(sources)}, budget {budget} per level, radius cap {RADIUS_CAP}"

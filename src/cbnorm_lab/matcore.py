@@ -39,7 +39,7 @@ def as_int(value, name: str) -> int:
 
 
 def check_count(value, name: str) -> int:
-    """A positive count (a budget, trials, a level bound, a sample's size)."""
+    """A positive count (a budget, trials, a level bound)."""
     count = as_int(value, name)
     if count < 1:
         raise InvalidInputError(f"{name} must be >= 1, got {count}")
@@ -47,7 +47,8 @@ def check_count(value, name: str) -> int:
 
 
 def check_level(value, name: str = "level") -> int:
-    """A level a search or a pairing may build: an integer in [1, MAX_LEVEL]."""
+    """A level a search, a pairing or a sample may build: an integer in
+    [1, MAX_LEVEL]."""
     level = as_int(value, name)
     if not 1 <= level <= MAX_LEVEL:
         raise InvalidInputError(f"{name} must lie in [1, {MAX_LEVEL}], got {level}")

@@ -9,6 +9,7 @@ an exactly computable model: every norm in the package bottoms out here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -151,19 +152,56 @@ def _trace_norm(w: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(w, compute_uv=False)))
 
 
-# Each builder kind: the name of its size n, the positions in M_n of the
-# matrix units spanning it, and the dual norm of a coefficient functional φ,
-# the trace norm of the W that puts φ on those units.
+def _phases(phi: np.ndarray, n: int) -> np.ndarray:
+    """conj(φ_k)/|φ_k|, and 1 where φ_k = 0; taken through the angle, so a
+    subnormal φ_k still gets a phase of modulus 1."""
+    return np.where(phi == 0.0, 1.0 + 0.0j, np.exp(-1j * np.angle(phi)))
+
+
+def _unit_vector(phi: np.ndarray, n: int) -> np.ndarray:
+    """φ̄/‖φ‖₂, with φ first scaled by its largest modulus so that no
+    square underflows."""
+    psi = np.conj(phi / np.max(np.abs(phi)))
+    return psi / np.linalg.norm(psi)
+
+
+def _unitary_factor(phi: np.ndarray, n: int) -> np.ndarray:
+    """conj(U·V*) from the SVD U·Σ·V* of φ as an n×n matrix, scaled by its
+    computed norm: rounding leaves U·V* a few ulps off unitary."""
+    u, _, vh = np.linalg.svd(phi.reshape(n, n))
+    w = u @ vh
+    return np.conj(w / matcore.operator_norm(w)).reshape(-1)
+
+
+class _Kind(NamedTuple):
+    """A builder kind: the name of its size n, the positions in M_n of the
+    matrix units spanning it, the dual norm of a coefficient functional φ
+    (the trace norm of the W that puts φ on those units), and a norming
+    element of a nonzero φ: a unit-norm e with φ(e) = ‖φ‖."""
+
+    size: str
+    positions: Callable
+    dual_norm: Callable
+    norming: Callable
+
+
 _KINDS = {
-    "scalar": ("n", lambda n: [(0, 0)], lambda phi, n: float(abs(phi[0]))),
-    "matrix": (
+    "scalar": _Kind("n", lambda n: [(0, 0)], lambda phi, n: float(abs(phi[0])), _phases),
+    "matrix": _Kind(
         "k",
         lambda n: [(i, j) for i in range(n) for j in range(n)],
         lambda phi, n: _trace_norm(phi.reshape(n, n)),
+        _unitary_factor,
     ),
-    "row": ("n", lambda n: [(0, j) for j in range(n)], lambda phi, n: float(np.linalg.norm(phi))),
-    "column": ("n", lambda n: [(j, 0) for j in range(n)], lambda phi, n: float(np.linalg.norm(phi))),
-    "min_linf": ("d", lambda n: [(j, j) for j in range(n)], lambda phi, n: float(np.sum(np.abs(phi)))),
+    "row": _Kind(
+        "n", lambda n: [(0, j) for j in range(n)], lambda phi, n: float(np.linalg.norm(phi)), _unit_vector
+    ),
+    "column": _Kind(
+        "n", lambda n: [(j, 0) for j in range(n)], lambda phi, n: float(np.linalg.norm(phi)), _unit_vector
+    ),
+    "min_linf": _Kind(
+        "d", lambda n: [(j, j) for j in range(n)], lambda phi, n: float(np.sum(np.abs(phi))), _phases
+    ),
 }
 
 
@@ -171,7 +209,7 @@ def builder_space(kind: str, n: int) -> ConcreteOperatorSpace:
     """The builder space of a kind and size, spanned by matrix units of M_n."""
     if not isinstance(kind, str) or kind not in _KINDS:
         raise InvalidInputError(f"unknown builder space kind {kind!r}")
-    size, positions, _ = _KINDS[kind]
+    size, positions = _KINDS[kind].size, _KINDS[kind].positions
     n = matcore.as_int(n, size)
     if kind == "scalar" and n != 1:
         raise InvalidInputError(f"a scalar space has param 1, got {n!r}")
@@ -229,8 +267,25 @@ def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float:
     if phi.shape != (space.dim,):
         raise InvalidInputError(f"functional must have {space.dim} coefficients")
     if space.kind in _KINDS:
-        return _KINDS[space.kind][2](phi, space.param)
+        return _KINDS[space.kind].dual_norm(phi, space.param)
     return _extension_norm(space, phi)
+
+
+def norming_element(space: ConcreteOperatorSpace, phi: np.ndarray):
+    """Coefficients (d,) of a point e of the space with matrix norm 1 and
+    φ(e) = Σ φ_k·e_k = ‖φ‖, for φ given as d complex coefficients; None on a
+    custom space, which has no closed form for one.
+
+    On a builder space `_KINDS` gives e in closed form: the phases of φ̄ on
+    the scalar and min-ℓ∞ spaces, φ̄/‖φ‖₂ on the row and column spaces, and
+    conj(U·V*) on M_k.  Every unit point norms the zero functional; it gets
+    the first basis element.
+    """
+    if space.kind not in _KINDS:
+        return None
+    if not np.any(phi):
+        return np.eye(1, space.dim, dtype=np.complex128)[0]
+    return _KINDS[space.kind].norming(phi, space.param)
 
 
 def _extension_norm(space: ConcreteOperatorSpace, phi: np.ndarray) -> float:
@@ -256,7 +311,7 @@ def _random_matrix_ball(rng, space: ConcreteOperatorSpace, level: int, radius: f
 
 def sample_matrix_ball(space: ConcreteOperatorSpace, level: int, radius: float, seed) -> OpSpaceMatrix:
     """Deterministic level-`level` matrix over the space of norm exactly `radius`."""
-    level = matcore.check_count(level, "level")
+    level = matcore.check_level(level)
     radius = float(radius)
     if not 0.0 < radius < 1.0:
         raise InvalidInputError(f"radius must lie in (0, 1), got {radius}")

@@ -33,11 +33,15 @@ from cbnorm_lab.holofun import (
 from cbnorm_lab.gcb import GcbElement
 from cbnorm_lab.opspace import (
     MAX_SPACE_PARAM,
+    ConcreteOperatorSpace,
+    OpSpaceMatrix,
     closed_form_dual_norm,
+    matrix_norm,
     space_column,
     space_min_linf,
     space_mk,
     space_row,
+    space_scalar,
 )
 
 IDENTITY = PowerSeries([1.0])
@@ -45,6 +49,14 @@ SQUARE = PowerSeries([0.0, 1.0])
 GEOMETRIC = MoebiusQuotient(IDENTITY, 0.5)
 BLASCHKE_HALF = Blaschke(1.0, 1, [0.5])
 MIN2 = space_min_linf(2)
+
+
+def _functional(space, r, seed):
+    """A seeded functional on the space with dual norm r, and r as computed."""
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    phi *= r / closed_form_dual_norm(space, phi)
+    return phi, closed_form_dual_norm(space, phi)
 
 
 def lacunary(k_max=12):
@@ -110,16 +122,24 @@ def _nonnegative_catalog():
     return [IDENTITY, SQUARE, GEOMETRIC, MoebiusQuotient(IDENTITY, 0.9), lacunary(), Product(IDENTITY, GEOMETRIC)]
 
 
-@pytest.mark.parametrize("budget", [1, 2, 7, 300, 2 * cbnorm._SCAN_STACK + 300])
-def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget):
-    # A Blaschke product is evaluated in one `_eval_array` call, so every
-    # call counted is one stack of the scan.  Points on the circle need no
-    # projection.
+_SCAN_BUDGETS = [1, 2, 7, 300, 2 * cbnorm._SCAN_STACK + 300]
+_BLASCHKE_COMPOSITE = Composite(BLASCHKE_HALF, space_mk(2), *_functional(space_mk(2), 0.6, 0))
+
+
+@pytest.mark.parametrize(
+    "budget, f",
+    [pytest.param(b, BLASCHKE_HALF, id=str(b)) for b in _SCAN_BUDGETS]
+    + [pytest.param(b, _BLASCHKE_COMPOSITE, id=f"composite-{b}") for b in _SCAN_BUDGETS],
+)
+def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget, f):
+    # A Blaschke product is evaluated in one `_eval_array` call, also as the
+    # scalar part of a composite, so every call counted is one stack of the
+    # scan.  Points on the circle need no projection.
     stacks = []
     eval_array = holofun._eval_array
     monkeypatch.setattr(holofun, "_eval_array", lambda f, z: stacks.append(z.shape) or eval_array(f, z))
     monkeypatch.setattr(matcore, "project_ball", lambda *args: pytest.fail("the scan projected a point"))
-    w = level_sup(BLASCHKE_HALF, 1, budget, 5)
+    w = level_sup(f, 1, budget, 5)
     assert sum(shape[0] for shape in stacks) == budget
     assert all(shape[1:] == (1, 1) and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
     assert w.level == 1 and 0.0 < w.value < 1.0
@@ -158,6 +178,62 @@ def test_circle_scan_finds_the_blaschke_maximum_at_minus_the_cap():
     assert abs(abs(np.angle(w.matrix[0, 0])) - np.pi) < 1e-6
     r = RADIUS_CAP
     assert w.value == pytest.approx(r * (r + 0.5) / (1.0 + 0.5 * r), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Level 1 of a one-functional composite: the circle scan through a norming element
+
+
+# One space of each builder kind, with a composite g∘φ (g = z/(1−z/2)) and a
+# geometric functional φ/(1−φ), both with nonnegative coefficients, so that
+# |f| peaks at φ(x) = RADIUS_CAP·‖φ‖.
+SCANNED = [
+    pytest.param(space, kind, seed, id=f"{space.kind}{space.param}-{kind}")
+    for seed, space in enumerate([space_scalar(), space_mk(2), space_mk(3), space_row(3), space_column(2), MIN2])
+    for kind in ("composite", "geometric_phi")
+]
+
+
+def _scanned(space, kind, seed):
+    phi, r = _functional(space, 0.6, seed)
+    if kind == "composite":
+        return Composite(GEOMETRIC, space, phi, r), lambda t: t / (1.0 - 0.5 * t)
+    return GeometricPhi(space, phi, r), lambda t: t / (1.0 - t)
+
+
+@pytest.mark.parametrize("space, kind, seed", SCANNED)
+def test_one_functional_level_one_takes_the_cap_circle(space, kind, seed):
+    f, g = _scanned(space, kind, seed)
+    w = level_sup(f, 1, 300, 3)
+    expected = g(RADIUS_CAP * closed_form_dual_norm(space, f.phi))
+    assert abs(w.value - expected) <= 1e-12 * expected
+    assert isinstance(w.matrix, OpSpaceMatrix) and w.matrix.level == 1
+    assert matrix_norm(w.matrix) < 1.0
+    assert witness_value(f, w).hex() == w.value.hex()
+    other = level_sup(f, 1, 300, 4)
+    assert other.value.hex() == w.value.hex()
+    assert other.matrix.entries.tobytes() == w.matrix.entries.tobytes()
+
+
+def test_one_functional_provenance_names_the_scan():
+    f, _ = _scanned(MIN2, "composite", 0)
+    est = cb_lower_bound(f, 4, 50, 1)
+    assert est.provenance.startswith("lower: circle scan at level 1, projected-ascent level sups at levels [2, 4]")
+
+
+def test_custom_space_and_two_functionals_still_search_level_one():
+    # A custom space has no closed-form norming element, and a product of
+    # two functionals is no function of one φ: both keep the seeded ascent.
+    custom = ConcreteOperatorSpace(space_row(2).basis)
+    phi = np.array([0.3, 0.4j])
+    two = Product(*(_scanned(MIN2, kind, 0)[0] for kind in ("composite", "geometric_phi")))
+    for f in (Composite(GEOMETRIC, custom, phi, 0.5), two):
+        first, second = level_sup(f, 1, 300, 1), level_sup(f, 1, 300, 2)
+        for w in (first, second):
+            assert matrix_norm(w.matrix) <= RADIUS_CAP * (1.0 + 1e-12)
+            assert abs(witness_value(f, w) - w.value) <= 1e-12 * w.value
+        assert first.matrix.entries.tobytes() != second.matrix.entries.tobytes()
+        assert cb_lower_bound(f, 2, 50, 1).provenance.startswith("lower: projected-ascent level sups at levels [1, 2]")
 
 
 def test_level_sup_keeps_the_first_restart_of_equal_values(monkeypatch):
@@ -344,7 +420,9 @@ def test_understated_functional_norm_is_replaced_by_the_computed_one():
     upper = cb_upper_bound(f)
     assert upper == closed_form_dual_norm(MIN2, phi) == 0.95
     est = sandwich(f, 2, 300, 1)
-    assert upper - 1e-4 < est.lower <= est.upper == upper
+    # Level 1 scans the circle φ(x) = RADIUS_CAP·‖φ‖·e^{iθ}, which holds the sup.
+    assert est.lower == pytest.approx(RADIUS_CAP * upper, rel=1e-12)
+    assert est.lower <= est.upper == upper
     report = schwarz_check(f, upper, 200, 1)
     assert report.passed and report.detail.startswith("0 violations")
 
@@ -354,7 +432,7 @@ def test_linear_composite_matches_closed_form_dual_norm():
     f = Composite(IDENTITY, MIN2, phi, 0.7)
     est = cb_lower_bound(f, 2, 4000, 31)
     assert closed_form_dual_norm(MIN2, phi) == 0.7
-    assert abs(est.lower - closed_form_dual_norm(MIN2, phi)) < 1e-3
+    assert est.lower == pytest.approx(RADIUS_CAP * closed_form_dual_norm(MIN2, phi), rel=1e-12)
 
 
 def test_schwarz_check_identity_tight():

@@ -16,6 +16,7 @@ from cbnorm_lab.opspace import (
     compress,
     direct_sum_matrices,
     matrix_norm,
+    norming_element,
     realize,
     sample_matrix_ball,
     space_column,
@@ -239,6 +240,22 @@ def test_closed_form_dual_norms():
     assert abs(closed_form_dual_norm(space_row(2), [3.0, 4.0]) - 5.0) < 1e-12
     # Trace norm of [[1, 0], [0, 1]] is 2.
     assert abs(closed_form_dual_norm(space_mk(2), [1.0, 0.0, 0.0, 1.0]) - 2.0) < 1e-12
+
+
+def test_norming_element_of_a_tiny_functional_has_unit_norm():
+    # Squares of 1e-170 underflow to 0, and conj(φ_k)/|φ_k| of a subnormal
+    # φ_k overflows; the norming element stays a unit point that norms φ.
+    cases = [
+        (space_row(2), [3e-170, 4e-170j], 5e-170),
+        (space_min_linf(2), [6 * 5e-324 + 5e-324j, 0.5], 0.5),
+        (space_mk(2), [1e-310, 0.0, 2e-310j, 0.0], 5**0.5 * 1e-310),
+    ]
+    for space, phi, norm in cases:
+        phi = np.array(phi)
+        e = norming_element(space, phi)
+        assert abs(matrix_norm(OpSpaceMatrix(space, e.reshape(1, 1, -1))) - 1.0) <= 4 * 2.0**-52
+        assert phi @ e == pytest.approx(norm, rel=1e-12)
+    assert norming_element(ConcreteOperatorSpace(space_row(2).basis), np.array([0.3, 0.4j])) is None
 
 
 def test_only_the_builders_set_a_kind():

@@ -1,7 +1,8 @@
 """Property tests over random disk expression trees of depth <= 3: Taylor data
 against an independent mpmath reference, evaluation, argument rescaling,
 descriptor round trips, sandwich order, the level-1 circle scan against the
-ascent it replaced and a fine reference grid, each search objective's exact
+ascent it replaced and a fine reference grid, norming elements of functionals
+on the builder spaces, each search objective's exact
 gradient against a central difference, and lacunary evaluation against the
 term-by-term sum, bit for bit."""
 
@@ -297,6 +298,24 @@ def test_extension_norm_matches_the_closed_form_on_builder_spaces(seed):
         phi = rng.uniform(0.01, 3.0) * (rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim))
         closed = opspace.closed_form_dual_norm(space, phi)
         assert abs(opspace._extension_norm(space, phi) - closed) <= 4 * np.spacing(closed)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.sampled_from(["dense", "some zeros", "zero"]))
+def test_norming_element_has_unit_norm_and_attains_the_dual_norm(seed, zeros):
+    # e is a level-1 point of norm 1 with φ(e) = ‖φ‖, up to rounding; the
+    # zero functional, and φ with zero coordinates, included.
+    rng = np.random.default_rng(seed)
+    for space in BUILDER_SPACES:
+        phi = rng.uniform(0.01, 3.0) * (rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim))
+        if zeros == "some zeros":
+            phi[rng.random(space.dim) < 0.5] = 0.0
+        elif zeros == "zero":
+            phi[:] = 0.0
+        e = opspace.norming_element(space, phi)
+        assert opspace.matrix_norm(opspace.OpSpaceMatrix(space, e.reshape(1, 1, -1))) <= 1.0 + 4 * 2.0**-52
+        closed = opspace.closed_form_dual_norm(space, phi)
+        assert abs(phi @ e - closed) <= 1e-12 * closed
 
 
 @PROPERTY

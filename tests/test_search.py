@@ -298,11 +298,16 @@ def test_sample_matrix_ball_rejects_non_integer_levels(level):
         opspace.sample_matrix_ball(space_row(2), level, 0.5, 1)
 
 
+@pytest.mark.parametrize("level", [0, matcore.MAX_LEVEL + 1])
+def test_sample_matrix_ball_rejects_levels_past_the_cap(level):
+    # A sample is a dense build like a search level: a level past MAX_LEVEL
+    # is refused before anything is allocated.
+    with pytest.raises(InvalidInputError, match=r"level must lie in \[1, 64\]"):
+        opspace.sample_matrix_ball(space_scalar(), level, 0.5, 1)
+
+
 def test_integral_float_levels_are_integers():
-    # Samples are not search levels: a sample's level is any count, as the
-    # 64 cap guards only what a search or a pairing builds.
     assert opspace.sample_matrix_ball(space_row(2), 2.0, 0.5, 1).level == 2
-    assert opspace.sample_matrix_ball(space_scalar(), 65, 0.5, 1).level == 65
     assert gcb.GcbElement(space_scalar(), 2.0, ()).level == 2
     report = cbnorm.question_probe(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[2.0, 1])
     assert report.levels == (1, 2)
