@@ -54,7 +54,6 @@ from .holofun import (
 )
 from .matcore import (
     operator_norm,
-    project_ball,
     schur_product,
 )
 from .mconvex import (

@@ -3,8 +3,9 @@
 The lower bound maximizes the amplified norm at a sparse schedule of levels:
 level 1 of a disk function, or of a one-functional composite over a builder
 space, by a scan of a circle of radius RADIUS_CAP (`_scan_unit`), every
-other level over sampled-and-ascended matrices, with zero-padding used to
-transfer witnesses upward (padding cannot change the amplified norm because
+other level over sampled-and-ascended matrices (of a disk function, on the
+scaled unitaries RADIUS_CAP·U(m)), with zero-padding used to transfer
+witnesses upward (padding cannot change the amplified norm because
 every function vanishes at 0).  The upper bound comes from the one certified
 analytic rule of the function's kind: exact coefficient sums, quotient and
 geometric-functional bounds, and product/sum/scale combination rules.
@@ -87,7 +88,11 @@ def _disk_problem(f: HoloFunction, m: int):
         return _norms_and_gradients(*holofun._eval_array(f, stack))
 
     def project(stack):
-        return matcore.project_ball(stack, RADIUS_CAP)
+        # The polar factor of each point, scaled: the nearest point of
+        # RADIUS_CAP·U(m), where every level-m sup over the cap ball is
+        # attained (see `level_sup`).
+        u, _, vh = np.linalg.svd(stack, full_matrices=False)
+        return RADIUS_CAP * (u @ vh)
 
     def start(rng, radius):
         return matcore._random_ball(rng, m, radius)
@@ -166,7 +171,12 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     composite over a builder space), |f| peaks on a circle of level-1 points,
     and `_circle_scan` searches that circle and reads no seed.  Every other
     level runs random restarts of projected ascent and keeps the first
-    restart that reaches the best value.
+    restart that reaches the best value.  A disk function's ascent runs on
+    the scaled unitaries RADIUS_CAP·U(m): for fixed unitaries U, V the map
+    s ↦ ‖f[U·diag(s)·V*]‖ is plurisubharmonic on the polydisk, so the sup
+    over the level-m ball of radius RADIUS_CAP is attained there, on its
+    Shilov boundary.  A space's level-m ball need not hold a unitary, so its
+    ascent projects onto the ball.
     """
     m = matcore.check_level(m)
     budget = matcore.check_count(budget, "budget")

@@ -101,6 +101,10 @@ class Blaschke(HoloFunction):
             raise InvalidInputError(f"leading constant must be unimodular, got |c|={abs(c)}")
         if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise InvalidInputError("zero order at the origin must be a positive integer")
+        # Past the longest truncation every Taylor coefficient of z^m·B lies
+        # beyond it, and the exact rational form would build m + 1 Fractions.
+        if self.m > _MAX_TRUNCATION:
+            raise InvalidInputError(f"zero order at the origin must be at most {_MAX_TRUNCATION}, got {self.m}")
         z = np.asarray(self.zeros, dtype=np.complex128).reshape(-1)
         if z.size and not np.max(np.abs(z)) < 1.0:
             raise InvalidInputError("Blaschke zeros must lie strictly inside the disk")

@@ -1,5 +1,5 @@
 """Dense complex linear algebra: spectral norms, Schur products, and
-sampling/projection for the operator-norm unit ball.
+sampling of the operator-norm unit ball.
 
 All functions are pure; randomness is always owned by the caller through an
 explicit 64-bit seed, so identical seeds and call sequences reproduce
@@ -116,24 +116,3 @@ def _random_ball(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
         nrm = operator_norm(g)
         if nrm > 0.0:
             return g * (radius / nrm)
-
-
-def project_ball(a, r: float) -> np.ndarray:
-    """Clip singular values at r, of one matrix or of each matrix of a
-    (k, p, q) stack; when every matrix is already inside the ball, the input
-    comes back as it is (the very array given, if it is complex128).
-
-    One SVD with vectors of the whole stack both decides which matrices lie
-    outside and clips them; matrices inside keep their entries.  The SVD
-    gufunc decomposes each matrix on its own, so each result has the bits of
-    the same matrix projected alone."""
-    m = as_matrix(a, 3 if np.ndim(a) == 3 else 2)
-    r = float(r)
-    if not r > 0.0:
-        raise InvalidInputError(f"projection radius must be positive, got {r}")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    outside = (s > r).any(axis=-1)
-    if not outside.any():
-        return m
-    clipped = (u * np.minimum(s, r)[..., None, :]) @ vh
-    return clipped if outside.all() else np.where(outside[..., None, None], clipped, m)

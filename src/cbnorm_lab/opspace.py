@@ -158,6 +158,15 @@ def _phases(phi: np.ndarray, n: int) -> np.ndarray:
     return np.where(phi == 0.0, 1.0 + 0.0j, np.exp(-1j * np.angle(phi)))
 
 
+def _two_norm(phi: np.ndarray, n: int) -> float:
+    """‖φ‖₂, with φ scaled by the power of two of its largest modulus so that
+    no square underflows.  The scaling is exact, so a φ in the normal range
+    gets the bits of np.linalg.norm(φ)."""
+    _, e = np.frexp(np.max(np.abs(phi)))
+    parts = np.ldexp(np.ascontiguousarray(phi).view(np.float64), -e)
+    return float(np.ldexp(np.linalg.norm(parts.view(np.complex128)), e))
+
+
 def _unit_vector(phi: np.ndarray, n: int) -> np.ndarray:
     """φ̄/‖φ‖₂, with φ first scaled by its largest modulus so that no
     square underflows."""
@@ -193,12 +202,8 @@ _KINDS = {
         lambda phi, n: _trace_norm(phi.reshape(n, n)),
         _unitary_factor,
     ),
-    "row": _Kind(
-        "n", lambda n: [(0, j) for j in range(n)], lambda phi, n: float(np.linalg.norm(phi)), _unit_vector
-    ),
-    "column": _Kind(
-        "n", lambda n: [(j, 0) for j in range(n)], lambda phi, n: float(np.linalg.norm(phi)), _unit_vector
-    ),
+    "row": _Kind("n", lambda n: [(0, j) for j in range(n)], _two_norm, _unit_vector),
+    "column": _Kind("n", lambda n: [(j, 0) for j in range(n)], _two_norm, _unit_vector),
     "min_linf": _Kind(
         "d", lambda n: [(j, j) for j in range(n)], lambda phi, n: float(np.sum(np.abs(phi))), _phases
     ),

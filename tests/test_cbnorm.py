@@ -93,22 +93,44 @@ def test_level_sup_witness_recomputable():
     assert abs(witness_value(GEOMETRIC, w) - w.value) < 1e-9
 
 
-@pytest.mark.parametrize("m", [1, 2, 8])
-def test_disk_projection_returns_an_inside_stack_as_given(m):
+# Each projected value is within 16 ulps of RADIUS_CAP (ulp 2^-53 below 1).
+_ON_CAP = 16 * 2.0**-53
+
+
+def _on_the_scaled_unitaries(a):
+    return np.all(np.abs(np.linalg.svd(a, compute_uv=False) - RADIUS_CAP) <= _ON_CAP)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_disk_projection_rows_have_the_bits_of_one_point(m):
+    # The line search evaluates its candidates as one stack; its outcome is
+    # that of projecting each candidate alone only if the bits agree.
     _, project, _, _ = _disk_problem(GEOMETRIC, m)
     rng = np.random.default_rng(40 + m)
-    points = rng.standard_normal((6, m, m)) + 1j * rng.standard_normal((6, m, m))
-    at_norms = lambda radii: points * (radii / matcore.operator_norms(points))[:, None, None]
-    inside = at_norms(np.linspace(0.2, 0.9, 6))
-    assert project(inside) is inside
-    # With a point clipped, each point is projected as it would be alone,
-    # bit for bit.
-    for radii in (np.linspace(0.5, 1.5, 6), np.linspace(1.1, 2.0, 6)):
-        stack = at_norms(radii)
+    for k in (1, 2, 8, 64):
+        points = rng.standard_normal((k, m, m)) + 1j * rng.standard_normal((k, m, m))
+        stack = points * (np.linspace(0.2, 2.0, k) / matcore.operator_norms(points))[:, None, None]
         out = project(stack)
-        expected = np.stack([matcore.project_ball(point, RADIUS_CAP) for point in stack])
-        assert out.shape == stack.shape and out.tobytes() == expected.tobytes()
-        assert not np.array_equal(out, stack)
+        assert out.shape == stack.shape
+        for point, row in zip(stack, out):
+            assert row.tobytes() == project(point[None])[0].tobytes()
+            assert _on_the_scaled_unitaries(row)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_searched_disk_witness_lies_on_the_scaled_unitaries(m):
+    for f in (GEOMETRIC, BLASCHKE_HALF, Sum(SQUARE, Scale(-0.5j, GEOMETRIC))):
+        w = level_sup(f, m, 300, 7)
+        assert w.matrix.shape == (m, m) and _on_the_scaled_unitaries(w.matrix)
+        assert witness_value(f, w).hex() == w.value.hex()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_level_two_blaschke_search_leaves_the_cap_value(seed):
+    # Clipped into the ball, 7 of these 10 searches crept along the cap and
+    # ended near |f(RADIUS_CAP)| = 0.99999; on the scaled unitaries each
+    # passes 1.05.
+    assert level_sup(BLASCHKE_HALF, 2, 300, seed).value > 1.05
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +148,16 @@ _SCAN_BUDGETS = [1, 2, 7, 300, 2 * cbnorm._SCAN_STACK + 300]
 _BLASCHKE_COMPOSITE = Composite(BLASCHKE_HALF, space_mk(2), *_functional(space_mk(2), 0.6, 0))
 
 
+def _unprojected(problem):
+    """A search problem whose projection fails the test."""
+
+    def failing(f, m):
+        objective, _, start, witness_matrix = problem(f, m)
+        return objective, lambda stack: pytest.fail("the scan projected a point"), start, witness_matrix
+
+    return failing
+
+
 @pytest.mark.parametrize(
     "budget, f",
     [pytest.param(b, BLASCHKE_HALF, id=str(b)) for b in _SCAN_BUDGETS]
@@ -138,7 +170,8 @@ def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget,
     stacks = []
     eval_array = holofun._eval_array
     monkeypatch.setattr(holofun, "_eval_array", lambda f, z: stacks.append(z.shape) or eval_array(f, z))
-    monkeypatch.setattr(matcore, "project_ball", lambda *args: pytest.fail("the scan projected a point"))
+    for name in ("_disk_problem", "_space_problem"):
+        monkeypatch.setattr(cbnorm, name, _unprojected(getattr(cbnorm, name)))
     w = level_sup(f, 1, budget, 5)
     assert sum(shape[0] for shape in stacks) == budget
     assert all(shape[1:] == (1, 1) and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
@@ -425,6 +458,15 @@ def test_understated_functional_norm_is_replaced_by_the_computed_one():
     assert est.lower <= est.upper == upper
     report = schwarz_check(f, upper, 200, 1)
     assert report.passed and report.detail.startswith("0 violations")
+
+
+def test_tiny_row_functional_sandwich_keeps_its_order():
+    # The dual norm of φ once underflowed to 0.0, an upper bound under the
+    # lower bound 4.999995e-170.
+    f = Composite(IDENTITY, space_row(2), np.array([3e-170, 4e-170j]), 0.0)
+    est = sandwich(f, 2, 50, 1)
+    assert est.upper == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+    assert 0.0 < est.lower <= est.upper
 
 
 def test_linear_composite_matches_closed_form_dual_norm():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cbnorm_lab import cli
+from cbnorm_lab.errors import InvalidInputError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -150,6 +151,18 @@ def test_schema_violation_exits_one(tmp_path, capsys):
         assert run_cli([command, "--config", config]) == 1
         err = capsys.readouterr().err
         assert "$" in err and where in err
+
+
+@pytest.mark.parametrize("m", [2049, 10**9])
+def test_blaschke_zero_order_past_the_cap_exits_one(m, tmp_path, capsys):
+    blaschke = {"kind": "blaschke", "c": [1, 0], "m": m, "zeros": [[0.5, 0]]}
+    config = {"command": "sandwich", "function": blaschke, "max_level": 2, "budget": 50, "seed": 1}
+    with pytest.raises(InvalidInputError, match="at most 2048"):
+        cli.run("sandwich", config)
+    path = tmp_path / "blaschke.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["sandwich", "--config", path]) == 1
+    assert f"at most 2048, got {m}" in capsys.readouterr().err
 
 
 _PROBE = {

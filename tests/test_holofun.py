@@ -247,6 +247,14 @@ def test_domain_space_is_an_attribute_not_a_field():
     assert [field.name for field in fields(Product)] == [field.name for field in fields(Sum)] == ["left", "right"]
 
 
+def test_blaschke_zero_order_is_capped_at_the_longest_truncation():
+    # Past order 2048 every Taylor coefficient of z^m·B lies beyond the
+    # longest truncation, and the exact rational form builds m + 1 Fractions.
+    assert Blaschke(1.0, 2048, [0.5]).m == 2048
+    with pytest.raises(InvalidInputError, match="at most 2048, got 2049"):
+        Blaschke(1.0, 2049, [0.5])
+
+
 def test_variant_validation():
     with pytest.raises(InvalidInputError):
         Blaschke(2.0, 1, [])

@@ -164,112 +164,3 @@ def test_sample_ball_rejects_bad_seed():
         matcore.derive_rng(-1)
     with pytest.raises(InvalidInputError):
         matcore.derive_rng(2**64)
-
-
-def test_project_ball_fixes_interior_exactly():
-    rng = np.random.default_rng(21)
-    a = random_complex(rng, 3, 3)
-    a = a * (0.3 / matcore.operator_norm(a))
-    assert np.array_equal(matcore.project_ball(a, 1.0), a)
-
-
-def test_project_ball_clips_singular_values():
-    out = matcore.project_ball(np.diag([2.0, 0.5]), 1.0)
-    assert np.allclose(out, np.diag([1.0, 0.5]), atol=1e-12)
-
-
-def test_project_ball_inside_ball():
-    rng = np.random.default_rng(23)
-    for _ in range(300):
-        a = random_complex(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7))) * 3.0
-        assert matcore.operator_norm(matcore.project_ball(a, 1.0)) <= 1.0 + 1e-12
-
-
-def test_project_ball_idempotent_and_nonexpansive():
-    rng = np.random.default_rng(29)
-    for _ in range(300):
-        n = int(rng.integers(2, 7))
-        a = random_complex(rng, n, n) * 2.0
-        b = random_complex(rng, n, n) * 2.0
-        pa = matcore.project_ball(a, 1.0)
-        pb = matcore.project_ball(b, 1.0)
-        assert matcore.operator_norm(matcore.project_ball(pa, 1.0) - pa) <= 1e-10
-        assert (
-            matcore.operator_norm(pa - pb)
-            <= matcore.operator_norm(a - b) + 1e-10
-        )
-
-
-def _stack_across_the_ball(rng, k=12, n=3):
-    """k random n×n matrices with norms spread over [0.2, 2.0]."""
-    stack = random_complex(rng, k * n, n).reshape(k, n, n)
-    norms = np.array([matcore.operator_norm(a) for a in stack])
-    return stack * (np.linspace(0.2, 2.0, k) / norms)[:, None, None]
-
-
-def test_project_ball_stack_rows_have_the_bits_of_one_matrix():
-    rng = np.random.default_rng(31)
-    for n in (1, 2, 5, 8):
-        stack = _stack_across_the_ball(rng, n=n)
-        out = matcore.project_ball(stack, 0.999999)
-        assert out.shape == stack.shape
-        for a, row in zip(stack, out):
-            assert np.array_equal(row, matcore.project_ball(a, 0.999999))
-
-
-def test_project_ball_stack_returns_interior_rows_unchanged():
-    stack = _stack_across_the_ball(np.random.default_rng(32))
-    out = matcore.project_ball(stack, 1.0)
-    inside = np.array([matcore.operator_norm(a) <= 1.0 for a in stack])
-    assert inside.any() and not inside.all()
-    assert np.array_equal(out[inside], stack[inside])
-    assert all(matcore.operator_norm(a) <= 1.0 + 1e-12 for a in out[~inside])
-
-
-_STACK = _stack_across_the_ball(np.random.default_rng(33))
-
-
-@pytest.mark.parametrize(
-    "a, n_inside",
-    [
-        (np.diag([0.5, 0.25]).astype(complex), 1),
-        (np.diag([2.0, 0.25]).astype(complex), 0),
-        (_STACK[:4], 4),
-        (_STACK[-4:], 0),
-        (_STACK, 5),
-    ],
-    ids=["matrix-inside", "matrix-outside", "stack-inside", "stack-outside", "stack-mixed"],
-)
-def test_project_ball_takes_one_svd_with_vectors(a, n_inside, monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(x, *args, compute_uv=True, **kwargs):
-        calls.append((compute_uv, np.shape(x)))
-        return svd(x, *args, compute_uv=compute_uv, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    out = matcore.project_ball(a, 1.0)
-    assert calls == [(True, a.shape)]
-    monkeypatch.undo()
-    inside = matcore.operator_norms(a, a.ndim) <= 1.0
-    assert inside.sum() == n_inside
-    # A stack with no row outside comes back as the very array given.
-    assert (out is a) == bool(inside.all())
-    assert np.array_equal(out[inside], a[inside])
-    assert (matcore.operator_norms(out, a.ndim)[~inside] <= 1.0 + 1e-12).all()
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
-def test_project_ball_stack_rejects_non_finite_anywhere(bad):
-    rng = np.random.default_rng(34)
-    for index in [(0, 0, 0), (11, 2, 2), (5, 1, 0)]:
-        stack = _stack_across_the_ball(rng)
-        stack[index] = bad
-        with pytest.raises(InvalidInputError, match="finite"):
-            matcore.project_ball(stack, 1.0)
-
-
-def test_project_ball_rejects_nonpositive_radius():
-    with pytest.raises(InvalidInputError):
-        matcore.project_ball(np.eye(2), 0.0)

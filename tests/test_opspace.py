@@ -242,6 +242,16 @@ def test_closed_form_dual_norms():
     assert abs(closed_form_dual_norm(space_mk(2), [1.0, 0.0, 0.0, 1.0]) - 2.0) < 1e-12
 
 
+def test_tiny_functional_dual_norm_on_row_and_column_does_not_underflow():
+    # Squares of 1e-170 underflow to 0; ‖φ‖₂ is taken of φ scaled by a
+    # power of two, which leaves a φ in the normal range its bits.
+    for space in (space_row(2), space_column(2)):
+        norm = closed_form_dual_norm(space, np.array([3e-170, 4e-170j]))
+        assert norm == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+        phi = np.array([0.3 - 0.1j, 0.4j])
+        assert closed_form_dual_norm(space, phi) == float(np.linalg.norm(phi))
+
+
 def test_norming_element_of_a_tiny_functional_has_unit_norm():
     # Squares of 1e-170 underflow to 0, and conj(φ_k)/|φ_k| of a subnormal
     # φ_k overflows; the norming element stays a unit point that norms φ.

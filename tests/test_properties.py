@@ -172,17 +172,25 @@ def test_sandwich_lower_below_upper(f, seed):
     assert est.lower <= est.upper + 1e-6
 
 
+def _clip(stack):
+    """The projection of the level-1 search the circle scan replaced: clip
+    singular values at RADIUS_CAP, and keep each point inside as given."""
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    clipped = (u * np.minimum(s, RADIUS_CAP)[..., None, :]) @ vh
+    return np.where((s > RADIUS_CAP).any(axis=-1)[..., None, None], clipped, stack)
+
+
 def _level_one_ascent(f, budget, seed):
     """The best value of the level-1 search the circle scan replaced:
     restarts of projected ascent, each from a start whose radius, drawn
-    first, crowds toward the cap."""
-    objective, project, start, _ = _disk_problem(f, 1)
+    first, crowds toward the cap, clipped into the ball."""
+    objective, _, start, _ = _disk_problem(f, 1)
 
     def start_inside(rng):
         u = float(rng.uniform(0.0, 1.0))
         return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
 
-    return max(value for _, value in _search.restarts(objective, project, start_inside, budget, seed, 1))
+    return max(value for _, value in _search.restarts(objective, _clip, start_inside, budget, seed, 1))
 
 
 def _circle_reference(f, k=2**16):
