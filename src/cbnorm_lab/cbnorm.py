@@ -6,9 +6,12 @@ space, by a scan of a circle of radius RADIUS_CAP (`_scan_unit`), every
 other level over sampled-and-ascended matrices (of a disk function, on the
 scaled unitaries RADIUS_CAP·U(m)), with zero-padding used to transfer
 witnesses upward (padding cannot change the amplified norm because
-every function vanishes at 0).  The upper bound comes from the one certified
-analytic rule of the function's kind: exact coefficient sums, quotient and
-geometric-functional bounds, and product/sum/scale combination rules.
+every function vanishes at 0); once the lower bound meets the cap-ball
+bound, no higher level can beat it, and those levels take the padded
+witness unsearched (`_lower_table`).  The upper bound comes from the one
+certified analytic rule of the function's kind: exact coefficient sums,
+quotient and geometric-functional bounds, and product/sum/scale
+combination rules.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class CbEstimate:
     lower: float
     upper: float | None
     level_table: dict  # level -> its Witness
+    samples: dict  # level -> objective evaluations the level spent
     budget: int
     provenance: str
 
@@ -165,8 +169,8 @@ def _scan_unit(f: HoloFunction):
 def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     """Best found amplified norm over the level-m ball of radius 1 − 1e-6.
 
-    Always a valid lower bound for the level-m supremum, and every level
-    spends exactly `budget` objective evaluations.  At level 1 of a function
+    Always a valid lower bound for the level-m supremum, from exactly
+    `budget` objective evaluations.  At level 1 of a function
     with a scan unit (`_scan_unit`: a disk function, or a one-functional
     composite over a builder space), |f| peaks on a circle of level-1 points,
     and `_circle_scan` searches that circle and reads no seed.  Every other
@@ -211,48 +215,64 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray) -> Witness:
     spacing, shrinks to the spacing 2h/(q + 1) of those points.
     The witness is the earliest point, in scan order, whose value ties the
     best up to _ROUNDING_TIE.
+
+    The scan keeps the grid's values (8 bytes a point) and the zoom's points,
+    no grid point: the witness, if a grid point, is made again from its chunk
+    of angles, by the same arithmetic on the same array, so with its bits.
     """
     space = f.domain_space
     evaluate = holofun._eval_array if space is None else holofun._amplify_space_entries
-    points, values = [], []
 
-    def scan(theta):
-        chunks = []
-        for lo in range(0, theta.size, _SCAN_STACK):
-            w = RADIUS_CAP * np.exp(1j * theta[lo : lo + _SCAN_STACK])
-            stack = w.reshape((-1,) + (1,) * unit.ndim) * unit
-            points.append(stack)
-            chunks.append(matcore.operator_norms(evaluate(f, stack)[0]))
-        values.extend(chunks)
-        return np.concatenate(chunks)
+    def points(theta):
+        w = RADIUS_CAP * np.exp(1j * theta)
+        return w.reshape((-1,) + (1,) * unit.ndim) * unit
+
+    def norms(stack):
+        return matcore.operator_norms(evaluate(f, stack, False)[0])
 
     n = budget - min(budget // 2, _ZOOM_SHARE)
-    h = 2.0 * np.pi / n
-    grid = h * np.arange(n)
-    at = scan(grid)
-    peaks = np.flatnonzero((at >= np.roll(at, 1)) & (at >= np.roll(at, -1)))
+    spacing = 2.0 * np.pi / n
+    # Angles spacing·k of the grid chunk starting at k = lo.
+    chunk = lambda lo: spacing * np.arange(lo, min(lo + _SCAN_STACK, n))
+    at = np.empty(n)
+    for lo in range(0, n, _SCAN_STACK):
+        at[lo : lo + _SCAN_STACK] = norms(points(chunk(lo)))
+    # Local maxima of the periodic grid, compared by slices with no copy of `at`.
+    peak = np.empty(n, dtype=bool)
+    peak[0], peak[1:] = at[0] >= at[-1], at[1:] >= at[:-1]
+    peak[-1] &= at[-1] >= at[0]
+    peak[:-1] &= at[:-1] >= at[1:]
+    peaks = np.flatnonzero(peak)
     peaks = peaks[np.argsort(-at[peaks], kind="stable")][:_ZOOM_PEAKS]
-    centers, best = grid[peaks], at[peaks]
+    centers, best, h = spacing * peaks, at[peaks], spacing
     q = _ZOOM_ROWS // centers.size // 2 * 2
     odd = np.arange(1, q, 2) / (q + 1)
     offsets = np.stack([-odd, odd], axis=1).ravel()
+    zoom = []  # (points, values) of each zoom round
     left = budget - n
     while left:
         candidates = centers[:, None] + h * offsets
-        theta = candidates.ravel()[:left]
+        stack = points(candidates.ravel()[:left])
         tried = np.full(candidates.size, -np.inf)
-        tried[: theta.size] = scan(theta)
+        tried[: len(stack)] = norms(stack)
+        zoom.append((stack, tried[: len(stack)]))
         tried = tried.reshape(candidates.shape)
         top = np.argmax(tried, axis=1)
         rows = np.flatnonzero(tried[np.arange(centers.size), top] > best)
         centers[rows], best[rows] = candidates[rows, top[rows]], tried[rows, top[rows]]
         h *= 2.0 / (q + 1)
-        left -= theta.size
-    values = np.concatenate(values)
-    i = int(np.flatnonzero(values >= values.max() * (1.0 - _ROUNDING_TIE))[0])
-    point = np.concatenate(points)[i]
+        left -= len(stack)
+    tie = max([at.max(), *(values.max() for _, values in zoom)]) * (1.0 - _ROUNDING_TIE)
+    k = int(np.argmax(at >= tie))
+    if at[k] >= tie:
+        lo = k - k % _SCAN_STACK
+        point, value = points(chunk(lo))[k - lo], at[k]
+    else:
+        stack, values = next((stack, values) for stack, values in zoom if values.max() >= tie)
+        i = int(np.argmax(values >= tie))
+        point, value = stack[i], values[i]
     matrix = point if space is None else opspace.OpSpaceMatrix(space, point)
-    return Witness(level=1, matrix=matrix, value=float(values[i]))
+    return Witness(level=1, matrix=matrix, value=float(value))
 
 
 def witness_value(f: HoloFunction, w: Witness) -> float:
@@ -270,21 +290,34 @@ def lift_witness(w: Witness, level: int) -> Witness:
     return Witness(level=level, matrix=mat, value=w.value)
 
 
-def _lower_table(f: HoloFunction, levels, budget: int, seed) -> dict:
-    # level_sup restarts until its per-level budget is gone, so each level
-    # spends exactly `budget` evaluations.  A lifted lower-level witness
-    # replaces the level's own only when its value is strictly larger.
-    table = {}
+def _lower_table(f: HoloFunction, levels, budget: int, seed):
+    """The witness of each level, the evaluations each level spent, and the
+    cap-ball bound W_cap.
+
+    Every level-m sup over the ball of radius RADIUS_CAP is at most
+    Σ|aₙ|·RADIUS_CAPⁿ, because ‖f[X]‖ <= Σ|aₙ|·‖X‖ⁿ, and so at most W_cap,
+    the certified rule of x ↦ f(RADIUS_CAP·x).  Once the running lower bound
+    reaches W_cap, up to the scan's rounding tie, no later level can beat it:
+    each later level takes the lifted witness and spends nothing.  A level
+    that is searched spends exactly `budget` evaluations, and a lifted
+    lower-level witness replaces its own only when its value is strictly
+    larger.
+    """
+    cap, _ = _upper_rules(holofun.rescale_argument(f, RADIUS_CAP))
+    table, spent = {}, {}
     running = None
     for m in levels:
+        if running is not None and running.value >= cap * (1.0 - _ROUNDING_TIE):
+            table[m], spent[m] = lift_witness(running, m), 0
+            continue
         w = level_sup(f, m, budget, seed)
         if running is not None:
             lifted = lift_witness(running, m)
             if lifted.value > w.value:
                 w = lifted
-        running = w
-        table[m] = w
-    return table
+        running = table[m] = w
+        spent[m] = budget
+    return table, spent, cap
 
 
 def _default_levels(max_level: int) -> list:
@@ -298,21 +331,29 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     with zero-pad lifting keeping the level table nondecreasing.  Level 1 of
     a function with a scan unit (a disk function, or a one-functional
     composite over a builder space) comes from the circle scan, every other
-    level from projected ascent (`level_sup`)."""
+    level from projected ascent (`level_sup`).  Levels after the lower bound
+    meets the cap-ball bound W_cap are not searched (`_lower_table`): they
+    take the lifted witness, spend 0 evaluations, and the provenance names
+    them with W_cap."""
     budget = matcore.check_count(budget, "budget")
     levels = _default_levels(max_level)
-    table = _lower_table(f, levels, budget, seed)
+    table, spent, cap = _lower_table(f, levels, budget, seed)
     lower = max(w.value for w in table.values())
     scanned = _scan_unit(f) is not None
+    searched = [m for m in levels if spent[m]]
     sources = ["circle scan at level 1"] if scanned else []
-    ascended = levels[1:] if scanned else levels
+    ascended = searched[1:] if scanned else searched
     if ascended:
         sources.append(f"projected-ascent level sups at levels {ascended}")
     provenance = f"lower: {', '.join(sources)}, budget {budget} per level, radius cap {RADIUS_CAP}"
+    filled = [m for m in levels if not spent[m]]
+    if filled:
+        provenance += f", levels {filled} lifted unsearched: the lower bound met the cap-ball bound W_cap = {cap}"
     return CbEstimate(
         lower=float(lower),
         upper=None,
         level_table=table,
+        samples=spent,
         budget=budget,
         provenance=provenance,
     )
@@ -469,7 +510,7 @@ def question_probe(f: HoloFunction, max_level: int, budget: int, seed, schedule=
     levels = _default_levels(max_level) if schedule is None else probe_levels(schedule)
     if levels[-1] > max_level:
         raise InvalidInputError(f"schedule level {levels[-1]} exceeds max_level {max_level}")
-    table = _lower_table(f, levels, budget, seed)
+    table, _, _ = _lower_table(f, levels, budget, seed)
     values = [table[m].value for m in levels]
     if len(levels) < 2:
         slope = 0.0

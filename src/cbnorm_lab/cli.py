@@ -88,7 +88,7 @@ def _run_bounds(bounds, config):
         "upper": est.upper,
         "gap": None if est.upper is None else est.upper - est.lower,
         "provenance": est.provenance,
-        "level_table": {str(m): {"value": w.value, "samples": est.budget} for m, w in est.level_table.items()},
+        "level_table": {str(m): {"value": w.value, "samples": est.samples[m]} for m, w in est.level_table.items()},
     }
     witnesses = {str(m): _serialize_witness(w) for m, w in est.level_table.items()}
     return results, witnesses, True

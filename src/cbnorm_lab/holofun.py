@@ -212,8 +212,10 @@ class TaylorCoeffs:
 # Evaluation
 
 
-def _eval_array(f: HoloFunction, z):
-    """Entrywise value and derivative (F, F′) of a disk function on a complex array."""
+def _eval_array(f: HoloFunction, z, derivative: bool = True):
+    """Entrywise value and derivative (F, F′) of a disk function on a complex
+    array.  Without `derivative`, F′ is None and is never computed; F has
+    the same bits either way, as no step of F reads F′."""
     if isinstance(f, PowerSeries):
         idx = f._lacunary
         if idx is not None:
@@ -231,56 +233,68 @@ def _eval_array(f: HoloFunction, z):
             #   and signed zeros of the term-by-term sum, and the records
             #   their bits.  A pairwise `sum` would not.
             coeffs = f.coeffs[idx]
-            terms = np.zeros((2, *z.shape, idx.size + 1), dtype=np.complex128)
+            parts = 2 if derivative else 1
+            terms = np.zeros((parts, *z.shape, idx.size + 1), dtype=np.complex128)
+            factors = np.zeros((parts, idx.size + 1), dtype=np.complex128)
             np.power(z[..., None], idx + 1, out=terms[0, ..., 1:])
-            np.power(z[..., None], idx, out=terms[1, ..., 1:])
-            factors = np.zeros((2, idx.size + 1), dtype=np.complex128)
-            factors[0, 1:], factors[1, 1:] = coeffs, (idx + 1) * coeffs
-            np.multiply(factors.reshape(2, *(1,) * z.ndim, -1), terms, out=terms)
-            out, der = np.add.accumulate(terms, axis=-1)[..., -1]
-            return out, der
+            factors[0, 1:] = coeffs
+            if derivative:
+                np.power(z[..., None], idx, out=terms[1, ..., 1:])
+                factors[1, 1:] = (idx + 1) * coeffs
+            np.multiply(factors.reshape(parts, *(1,) * z.ndim, -1), terms, out=terms)
+            sums = np.add.accumulate(terms, axis=-1)[..., -1]
+            return sums[0], sums[1] if derivative else None
         acc = dacc = np.zeros(z.shape, dtype=np.complex128)
         for a in f.coeffs[::-1]:
-            dacc = dacc * z + acc
+            if derivative:
+                dacc = dacc * z + acc
             acc = acc * z + a
-        return acc * z, acc + dacc * z
+        return acc * z, acc + dacc * z if derivative else None
     if isinstance(f, Blaschke):
-        out, der = f.c * z**f.m, f.m * f.c * z ** (f.m - 1)
+        out = f.c * z**f.m
+        der = f.m * f.c * z ** (f.m - 1) if derivative else None
         for a in f.zeros:
             den = 1.0 - np.conj(a) * z
-            out, der = out * (z - a) / den, der * (z - a) / den + out * (1.0 - abs(a) ** 2) / den**2
+            if derivative:
+                der = der * (z - a) / den + out * (1.0 - abs(a) ** 2) / den**2
+            out = out * (z - a) / den
         return out, der
     if isinstance(f, MoebiusQuotient):
-        (inner, der), den = _eval_array(f.inner, z), 1.0 - f.a * z
+        (inner, der), den = _eval_array(f.inner, z, derivative), 1.0 - f.a * z
         out = inner / den
-        return out, (der + f.a * out) / den
+        return out, (der + f.a * out) / den if derivative else None
     if isinstance(f, (_Pair, Scale)):
-        return _combine(f, _eval_array, z)
+        return _combine(f, _eval_array, z, derivative)
     raise InvalidInputError(f"{type(f).__name__} is not a disk-domain function")
 
 
-def _combine(f, evaluate, z):
-    """(F, F′) of a product, sum or scale from its parts'; F′ may have more axes."""
+def _combine(f, evaluate, z, derivative):
+    """(F, F′) of a product, sum or scale from its parts'; F′ may have more
+    axes, and is None without `derivative`."""
     if isinstance(f, Scale):
-        return tuple(f.c * part for part in evaluate(f.inner, z))
-    (lo, ld), (ro, rd) = evaluate(f.left, z), evaluate(f.right, z)
+        out, der = evaluate(f.inner, z, derivative)
+        return f.c * out, f.c * der if derivative else None
+    (lo, ld), (ro, rd) = evaluate(f.left, z, derivative), evaluate(f.right, z, derivative)
     if isinstance(f, Sum):
-        return lo + ro, ld + rd
+        return lo + ro, ld + rd if derivative else None
+    if not derivative:
+        return lo * ro, None
     axes = (...,) + (None,) * (ld.ndim - lo.ndim)
     return lo * ro, ld * ro[axes] + lo[axes] * rd
 
 
-def _amplify_space_entries(f: HoloFunction, entries: np.ndarray):
+def _amplify_space_entries(f: HoloFunction, entries: np.ndarray, derivative: bool = True):
     """(F, ∂F_ij/∂E_ijk) of f on an (m, m, d) grid E, or on each grid of a
-    (k, m, m, d) stack; for g∘φ that is g′(E_ij·φ)·φ_k."""
+    (k, m, m, d) stack; for g∘φ that is g′(E_ij·φ)·φ_k.  Without
+    `derivative` the second part is None, as in `_eval_array`."""
     if isinstance(f, GeometricPhi):
         s = entries @ f.phi
-        return s / (1.0 - s), (1.0 / (1.0 - s) ** 2)[..., None] * f.phi
+        return s / (1.0 - s), (1.0 / (1.0 - s) ** 2)[..., None] * f.phi if derivative else None
     if isinstance(f, Composite):
-        out, der = _eval_array(f.scalar, entries @ f.phi)
-        return out, der[..., None] * f.phi
+        out, der = _eval_array(f.scalar, entries @ f.phi, derivative)
+        return out, der[..., None] * f.phi if derivative else None
     if isinstance(f, (_Pair, Scale)):
-        return _combine(f, _amplify_space_entries, entries)
+        return _combine(f, _amplify_space_entries, entries, derivative)
     raise InvalidInputError(f"{type(f).__name__} cannot be amplified over a space")
 
 
@@ -297,13 +311,13 @@ def amplify(f: HoloFunction, x) -> np.ndarray:
         nrm = matcore.operator_norm(z)
         if nrm >= 1.0:
             raise DomainError(f"matrix argument must have operator norm < 1, got {nrm}")
-        return _eval_array(f, z)[0]
+        return _eval_array(f, z, False)[0]
     if not isinstance(x, OpSpaceMatrix) or not same_space(x.space, space):
         raise InvalidInputError("argument must be an OpSpaceMatrix over the function's domain space")
     nrm = matrix_norm(x)
     if nrm >= 1.0:
         raise DomainError(f"matrix argument must have matrix norm < 1, got {nrm}")
-    return _amplify_space_entries(f, x.entries)[0]
+    return _amplify_space_entries(f, x.entries, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +431,16 @@ def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
 
 
 def rescale_argument(f: HoloFunction, t: float) -> HoloFunction:
-    """The disk function z ↦ f(t·z) for 0 < t <= 1, built without approximation.
+    """The function x ↦ f(t·x) for 0 < t <= 1, built without approximation.
 
     Blaschke products lose their product shape under the substitution and come
-    back as an expanded numerator polynomial under nested Möbius quotients.
+    back as an expanded numerator polynomial under nested Möbius quotients.  A
+    functional variant scales φ and its certified norm by t; products, sums
+    and scales over a space recurse as they do on the disk.
     """
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise InvalidInputError(f"rescale factor must lie in (0, 1], got {t}")
-    if f.domain_space is not None:
-        raise InvalidInputError("argument rescaling applies to disk-domain functions")
     if isinstance(f, PowerSeries):
         powers = t ** np.arange(1, f.coeffs.size + 1)
         return PowerSeries(f.coeffs * powers)
@@ -438,6 +452,10 @@ def rescale_argument(f: HoloFunction, t: float) -> HoloFunction:
         return out
     if isinstance(f, MoebiusQuotient):
         return MoebiusQuotient(rescale_argument(f.inner, t), f.a * t)
+    if isinstance(f, GeometricPhi):
+        return GeometricPhi(f.space, t * f.phi, t * f.certified_norm)
+    if isinstance(f, Composite):
+        return Composite(f.scalar, f.space, t * f.phi, t * f.certified_norm)
     if isinstance(f, _Pair):
         return type(f)(rescale_argument(f.left, t), rescale_argument(f.right, t))
     if isinstance(f, Scale):

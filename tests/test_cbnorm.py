@@ -1,5 +1,7 @@
 """Tests for the cb-norm sandwich: level sups, lifting, bound rules, checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,7 @@ def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget,
     # scan.  Points on the circle need no projection.
     stacks = []
     eval_array = holofun._eval_array
-    monkeypatch.setattr(holofun, "_eval_array", lambda f, z: stacks.append(z.shape) or eval_array(f, z))
+    monkeypatch.setattr(holofun, "_eval_array", lambda f, z, *rest: stacks.append(z.shape) or eval_array(f, z, *rest))
     for name in ("_disk_problem", "_space_problem"):
         monkeypatch.setattr(cbnorm, name, _unprojected(getattr(cbnorm, name)))
     w = level_sup(f, 1, budget, 5)
@@ -203,6 +205,24 @@ def test_circle_scan_takes_the_cap_for_nonnegative_coefficients(budget):
         w = level_sup(f, 1, budget, 3)
         assert w.matrix.tobytes() == cap.tobytes()
         assert w.value == matcore.operator_norm(amplify(f, cap))
+
+
+def test_circle_scan_memory_does_not_grow_with_the_points_it_scans():
+    # The scan keeps 8 bytes of grid value per point and no grid point.  When
+    # it kept every point and value, a budget-2 000 000 scan of this function
+    # peaked at 112 MB under tracemalloc (56 bytes a point), with the witness
+    # whose bits are asserted here.
+    budget = 2_000_000
+    level_sup(BLASCHKE_HALF, 1, 300, 1)
+    tracemalloc.start()
+    try:
+        w = level_sup(BLASCHKE_HALF, 1, budget, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * budget
+    assert w.value.hex() == "0x1.ffffd342c17adp-1"
+    assert w.matrix.tobytes().hex() == "b2db10e4fdffefbff7cc9a78db001c3f"
 
 
 def test_circle_scan_finds_the_blaschke_maximum_at_minus_the_cap():
@@ -249,9 +269,17 @@ def test_one_functional_level_one_takes_the_cap_circle(space, kind, seed):
 
 
 def test_one_functional_provenance_names_the_scan():
-    f, _ = _scanned(MIN2, "composite", 0)
+    # The Blaschke composite's level 1 stays below its cap-ball bound, so
+    # levels 2 and 4 are searched; g∘φ with g = z/(1−z/2), and φ/(1 − φ),
+    # meet it at level 1.
+    f = Composite(BLASCHKE_HALF, MIN2, *_functional(MIN2, 0.6, 0))
     est = cb_lower_bound(f, 4, 50, 1)
     assert est.provenance.startswith("lower: circle scan at level 1, projected-ascent level sups at levels [2, 4]")
+    for kind in ("composite", "geometric_phi"):
+        f, _ = _scanned(MIN2, kind, 0)
+        est = cb_lower_bound(f, 4, 50, 1)
+        assert est.provenance.startswith("lower: circle scan at level 1, budget 50 per level, radius cap 0.999999, ")
+        assert "levels [2, 4] lifted unsearched" in est.provenance
 
 
 def test_custom_space_and_two_functionals_still_search_level_one():
@@ -288,10 +316,38 @@ def test_lower_table_keeps_the_direct_witness_on_a_tie_with_the_lifted_one(monke
         4: Witness(level=4, matrix=0.1 * np.eye(4, dtype=np.complex128), value=0.7),
     }
     monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, budget, seed: direct[m])
-    table = cbnorm._lower_table(GEOMETRIC, [1, 2, 4], 10, 5)
+    table, spent, _ = cbnorm._lower_table(GEOMETRIC, [1, 2, 4], 10, 5)
+    assert spent == {1: 10, 2: 10, 4: 10}
     assert table[1] is direct[1] and table[2] is direct[2]
     assert table[4].value == 0.8
     assert table[4].matrix.tobytes() == lift_witness(direct[2], 4).matrix.tobytes()
+
+
+def test_lower_table_stops_once_the_lower_bound_meets_the_cap_ball_bound(monkeypatch):
+    # Level 1 of z reaches W_cap = RADIUS_CAP, so only level 1 reaches the
+    # objective; levels 2, 4 and 8 are padded copies of its witness.
+    levels, shapes = [], []
+    search, eval_array = cbnorm.level_sup, holofun._eval_array
+    monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, *rest: levels.append(m) or search(f, m, *rest))
+    monkeypatch.setattr(holofun, "_eval_array", lambda f, z, *rest: shapes.append(z.shape) or eval_array(f, z, *rest))
+    est = sandwich(IDENTITY, 8, 300, 1)
+    assert levels == [1]
+    assert sum(shape[0] for shape in shapes) == 300 and all(shape[1:] == (1, 1) for shape in shapes)
+    assert est.samples == {1: 300, 2: 0, 4: 0, 8: 0}
+    first = est.level_table[1]
+    for m in (2, 4, 8):
+        w = est.level_table[m]
+        assert w.level == m and w.value == first.value == est.lower
+        assert w.matrix.tobytes() == lift_witness(first, m).matrix.tobytes()
+    assert "levels [2, 4, 8] lifted unsearched: the lower bound met the cap-ball bound W_cap = 0.999999;" in est.provenance
+
+
+def test_lower_table_stops_on_zero_functions():
+    # W_cap = 0 for the zero series and for a composite through φ = 0.
+    zero_phi = Composite(GEOMETRIC, MIN2, np.zeros(2), 0.0)
+    for f in (PowerSeries([0.0]), zero_phi):
+        est = cb_lower_bound(f, 4, 50, 1)
+        assert est.lower == 0.0 and est.samples == {1: 50, 2: 0, 4: 0}
 
 
 def test_lift_witness_preserves_value():

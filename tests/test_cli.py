@@ -1,6 +1,7 @@
 """End-to-end CLI tests: dispatch, exit codes, determinism, reporting."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -302,15 +303,36 @@ def test_undeclared_descriptor_key_exits_one(tmp_path, capsys):
 def test_float_budget_records_integer_samples(command):
     # An integral float budget searches as the integer does, and its record
     # says so: integer samples, the same provenance and the same bounds.
+    # Level 1 of z meets its cap-ball bound, so level 2 spends nothing.
     config = {**load(CONFIG_DIR / "estimate_identity.json"), "command": command, "budget": 200}
     whole, _ = cli.run(command, config)
     floating, _ = cli.run(command, {**config, "budget": 200.0})
     results = floating["results"]
-    assert all(type(entry["samples"]) is int and entry["samples"] == 200 for entry in results["level_table"].values())
+    samples = [entry["samples"] for entry in results["level_table"].values()]
+    assert [type(n) for n in samples] == [int, int] and samples == [200, 0]
     assert "budget 200 per level" in results["provenance"]
     assert results["lower"] == whole["results"]["lower"]
     assert cli.record_to_json(results) == cli.record_to_json(whole["results"])
     assert floating["witnesses"] == whole["witnesses"]
+
+
+def test_blaschke_sandwich_searches_every_level_as_before():
+    # z(z−½)/(1−½z) stays below its cap-ball bound at every level, so every
+    # level is searched, and the record (without runtime_ms) is the one the
+    # search gave before levels could be lifted unsearched: its sha256.
+    config = {
+        "schema_version": 1,
+        "command": "sandwich",
+        "function": {"kind": "blaschke", "c": [1.0, 0.0], "m": 1, "zeros": [[0.5, 0.0]]},
+        "max_level": 8,
+        "budget": 300,
+        "seed": 1,
+    }
+    record, _ = cli.run("sandwich", config)
+    record.pop("runtime_ms")
+    assert [entry["samples"] for entry in record["results"]["level_table"].values()] == [300] * 4
+    text = cli.record_to_json(record)
+    assert hashlib.sha256(text.encode()).hexdigest() == "6e4068fb47bcc17f60ef43c37ae5288bf544dfc97cc05f5adc56340cbfd2b841"
 
 
 def test_cli_runs_without_jsonschema():

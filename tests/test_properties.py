@@ -3,8 +3,9 @@ against an independent mpmath reference, evaluation, argument rescaling,
 descriptor round trips, sandwich order, the level-1 circle scan against the
 ascent it replaced and a fine reference grid, norming elements of functionals
 on the builder spaces, each search objective's exact
-gradient against a central difference, and lacunary evaluation against the
-term-by-term sum, bit for bit."""
+gradient against a central difference, lacunary evaluation against the
+term-by-term sum and value-only evaluation against (F, F′), bit for bit,
+and the cap-ball bound W_cap against every level sup."""
 
 import cmath
 from unittest import mock
@@ -16,10 +17,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cbnorm_lab import _search, descriptors, holofun, matcore, mconvex, opspace
-from cbnorm_lab.cbnorm import RADIUS_CAP, _disk_problem, _space_problem, level_sup, sandwich
+from cbnorm_lab.cbnorm import RADIUS_CAP, _disk_problem, _space_problem, cb_upper_bound, level_sup, sandwich
 from cbnorm_lab.holofun import (
     Blaschke,
     Composite,
+    GeometricPhi,
     MoebiusQuotient,
     PowerSeries,
     Product,
@@ -396,9 +398,12 @@ def _signed_stack(rng, rows, level, radius):
 
 
 def _assert_term_by_term_bits(f, z):
-    for new, old in zip(holofun._eval_array(f, z), _term_by_term(f, z)):
+    reference = _term_by_term(f, z)
+    for new, old in zip(holofun._eval_array(f, z), reference):
         assert new.shape == old.shape
         assert np.ascontiguousarray(new).tobytes() == old.tobytes()
+    value, derivative = holofun._eval_array(f, z, False)
+    assert derivative is None and np.ascontiguousarray(value).tobytes() == reference[0].tobytes()
 
 
 _STACKS = [(rows, level) for rows in (1, 3, 30) for level in (1, 2, 4, 8)]
@@ -441,3 +446,59 @@ def test_lacunary_evaluations_have_the_term_by_term_bits(rows, level):
             z = _signed_stack(rng, rows, level, radius)
             _assert_term_by_term_bits(f, z)
             _assert_term_by_term_bits(f, z[0])
+
+
+@PROPERTY
+@given(SCALARS, SPACES, st.floats(0.05, 0.99), st.integers(0, 2**32))
+def test_value_only_evaluation_keeps_the_bits_of_f(scalar, space, radius, seed):
+    # F without F′ equals F of (F, F′) byte for byte: on disk functions,
+    # and over a space on a composite and its product with a GeometricPhi,
+    # at points E with E·φ = z.
+    rng = np.random.default_rng(seed)
+    phi, norm = _functional(rng, space, 0.9)
+    composite = Composite(scalar, space, phi, norm)
+    pair = Product(composite, GeometricPhi(space, *_functional(rng, space, 0.5)))
+    along = np.conj(phi) / np.vdot(phi, phi).real
+    for rows, level in _STACKS:
+        z = _signed_stack(rng, rows, level, radius)
+        for point in (z, z[0]):
+            value, derivative = holofun._eval_array(scalar, point, False)
+            assert derivative is None and value.tobytes() == holofun._eval_array(scalar, point)[0].tobytes()
+            entries = point[..., None] * along
+            for f in (composite, pair):
+                value, derivative = holofun._amplify_space_entries(f, entries, False)
+                full = holofun._amplify_space_entries(f, entries)[0]
+                assert derivative is None and value.tobytes() == full.tobytes()
+
+
+def _one_functional(scalar, space, r, geometric, seed):
+    phi, norm = _functional(np.random.default_rng(seed), space, r)
+    return GeometricPhi(space, phi, norm) if geometric else Composite(scalar, space, phi, norm)
+
+
+def _has_blaschke_zero(f):
+    if isinstance(f, Blaschke):
+        return f.zeros.size > 0
+    return any(_has_blaschke_zero(getattr(f, part)) for part in ("inner", "left", "right", "scalar") if hasattr(f, part))
+
+
+CAPPED = st.one_of(
+    TREES, st.builds(_one_functional, TREES, SPACES, st.floats(0.0, 0.9), st.booleans(), st.integers(0, 2**32))
+)
+
+
+@PROPERTY
+@given(CAPPED, st.integers(0, 2**32))
+@example(Blaschke(1.0, 1, [0.5]), 1)
+def test_no_level_sup_passes_the_cap_ball_bound(f, seed):
+    # W_cap bounds every level sup over the ball of radius RADIUS_CAP, so a
+    # level that the lower table lifts unsearched once the lower bound meets
+    # W_cap could not have won.  W_cap is at most the certified upper bound,
+    # except past a Blaschke zero a: rescaling expands the product into
+    # Möbius quotients, whose rule (1 + |a|t)/(1 − |a|t) passes the factor's
+    # Wiener norm 1 + 2|a|; a larger W_cap only stops less.
+    cap = cb_upper_bound(rescale_argument(f, RADIUS_CAP))
+    if not _has_blaschke_zero(f):
+        assert cap <= cb_upper_bound(f)
+    for m in (1, 2, 4, 8):
+        assert level_sup(f, m, 60, seed).value <= cap * (1.0 + 1e-12)
