@@ -49,7 +49,6 @@ from .holofun import (
     Sum,
     TaylorCoeffs,
     amplify,
-    rescale_argument,
     taylor_coefficients,
 )
 from .matcore import (

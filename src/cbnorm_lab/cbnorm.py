@@ -11,7 +11,9 @@ bound, no higher level can beat it, and those levels take the padded
 witness unsearched (`_lower_table`).  The upper bound comes from the one
 certified analytic rule of the function's kind: exact coefficient sums,
 quotient and geometric-functional bounds, and product/sum/scale
-combination rules.
+combination rules.  Each rule takes a radius t and bounds the function on
+the ball of radius t (`_upper_rules`): the upper bound is the rule at 1,
+W_cap the rule at RADIUS_CAP.
 """
 
 from __future__ import annotations
@@ -296,14 +298,14 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
 
     Every level-m sup over the ball of radius RADIUS_CAP is at most
     Σ|aₙ|·RADIUS_CAPⁿ, because ‖f[X]‖ <= Σ|aₙ|·‖X‖ⁿ, and so at most W_cap,
-    the certified rule of x ↦ f(RADIUS_CAP·x).  Once the running lower bound
+    the certified rule at radius RADIUS_CAP.  Once the running lower bound
     reaches W_cap, up to the scan's rounding tie, no later level can beat it:
     each later level takes the lifted witness and spends nothing.  A level
     that is searched spends exactly `budget` evaluations, and a lifted
     lower-level witness replaces its own only when its value is strictly
     larger.
     """
-    cap, _ = _upper_rules(holofun.rescale_argument(f, RADIUS_CAP))
+    cap, _ = _upper_rules(f, RADIUS_CAP)
     table, spent = {}, {}
     running = None
     for m in levels:
@@ -363,39 +365,48 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
 # Certified upper bounds
 
 
-def _upper_rules(f: HoloFunction):
-    """The certified rule of the variant's kind; each kind has exactly one.
+def _upper_rules(f: HoloFunction, t: float = 1.0):
+    """The certified rule of the variant's kind at radius t, 0 < t <= 1 (each
+    kind has exactly one): it majorizes Σ|aₙ|·tⁿ >= ‖f[X]‖ for ‖X‖ <= t at
+    every level, and at t = 1 bounds the cb norm.
 
     Returns (bound, description of the rule).
     """
     if isinstance(f, PowerSeries):
-        return float(np.sum(np.abs(f.coeffs))), "coefficient-sum (exact polynomial)"
+        return _weighted_sum(f.coeffs, t), "coefficient-sum (exact polynomial)"
     if isinstance(f, Blaschke):
         if f.zeros.size == 0:
-            return abs(f.c), "coefficient-sum (monomial)"
+            return abs(f.c) * t**f.m, "coefficient-sum (monomial)"
+        # The tail bound covers Σ_{n>K}|aₙ|, so Σ_{n>K}|aₙ|·tⁿ too.
         tc = holofun.taylor_coefficients(f, holofun.blaschke_truncation(f.zeros))
-        bound = float(np.sum(np.abs(tc.coeffs))) + tc.tail_bound
+        bound = _weighted_sum(tc.coeffs, t) + tc.tail_bound
         return bound, "coefficient-sum (rational form + majorant tail)"
     if isinstance(f, MoebiusQuotient):
-        inner, _ = _upper_rules(f.inner)
-        return inner / (1.0 - abs(f.a)), "quotient rule inner/(1-|a|)"
+        inner, _ = _upper_rules(f.inner, t)
+        return inner / (1.0 - abs(f.a * t)), "quotient rule inner/(1-|a|)"
     if isinstance(f, GeometricPhi):
-        r = f.certified_norm
+        r = f.certified_norm * t
         return r / (1.0 - r), "geometric functional r/(1-r)"
     if isinstance(f, Composite):
+        # φ maps the ball of radius t into the disk of radius r·t.
         r = f.certified_norm
         if r == 0.0:
             return 0.0, "composite with zero functional"
-        bound, rule = _upper_rules(holofun.rescale_argument(f.scalar, r))
+        bound, rule = _upper_rules(f.scalar, r * t)
         return bound, f"composite via rescaled scalar part [{rule}]"
     if isinstance(f, Product):
-        return _upper_rules(f.left)[0] * _upper_rules(f.right)[0], "product of factor bounds"
+        return _upper_rules(f.left, t)[0] * _upper_rules(f.right, t)[0], "product of factor bounds"
     if isinstance(f, Sum):
-        return _upper_rules(f.left)[0] + _upper_rules(f.right)[0], "sum of summand bounds"
+        return _upper_rules(f.left, t)[0] + _upper_rules(f.right, t)[0], "sum of summand bounds"
     if isinstance(f, Scale):
-        inner, rule = _upper_rules(f.inner)
+        inner, rule = _upper_rules(f.inner, t)
         return abs(f.c) * inner, f"scaled [{rule}]"
     raise InvalidInputError(f"no certified upper-bound rule for {type(f).__name__}")
+
+
+def _weighted_sum(coeffs: np.ndarray, t: float) -> float:
+    """Σ|aₙ·tⁿ| over coefficients a₁, a₂, ...; at t = 1, Σ|aₙ| with its bits."""
+    return float(np.sum(np.abs(coeffs * t ** np.arange(1, coeffs.size + 1))))
 
 
 def cb_upper_bound(f: HoloFunction) -> float:

@@ -262,30 +262,28 @@ def main(argv=None) -> int:
     rep.add_argument("--out", default=None, help="write the CSV here instead of stdout")
 
     args = parser.parse_args(argv)
-    if args.command == "report":
-        _write_report(args.records, args.out)
-        return 0
-
     try:
+        if args.command == "report":
+            _write_report(args.records, args.out)
+            return 0
         with open(args.config) as fh:
             config = json.load(fh)
         if args.seed is not None and isinstance(config, dict):
             config["seed"] = args.seed
         record, passed = run(args.command, config)
+        text = record_to_json(record)
+        out = args.out or config.get("out")
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except SandwichViolationError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 2
     except (CbnormLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    text = record_to_json(record)
-    out = args.out or config.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if passed else 2
 
 

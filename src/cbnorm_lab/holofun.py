@@ -13,6 +13,7 @@ amplification.
 Every disk function is rational, p(z)/Π_b (1 − b·z) with |b| < 1 and the
 poles known from the construction; `_exact_rational` builds that form in exact
 arithmetic, and all Taylor data (coefficients and tail bound) comes from it.
+Certified bounds on f over a ball of any radius are `cbnorm._upper_rules`.
 """
 
 from __future__ import annotations
@@ -373,12 +374,6 @@ def _exact_rational(f: HoloFunction):
     raise InvalidInputError(f"{type(f).__name__} is not a disk-domain function")
 
 
-def _rational(f: HoloFunction):
-    """The rational form as complex arrays: p (ascending, rounded once) and the poles."""
-    (re, im), poles = _exact_rational(f)
-    return (re + 1j * im).astype(np.complex128), np.array(poles, dtype=np.complex128)
-
-
 def blaschke_truncation(zeros: np.ndarray) -> int:
     """Degree past which the slowest pole's geometric terms, max|b|^K, fall
     below 2^-53, clamped to [_MIN_TRUNCATION, _MAX_TRUNCATION]."""
@@ -390,7 +385,7 @@ def blaschke_truncation(zeros: np.ndarray) -> int:
 def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
     """Coefficients a_1..a_K of the expansion at 0, from the rational form.
 
-    f = p/Π(1 − b·z) (`_rational`; a power series is p itself, with no poles)
+    f = p/Π(1 − b·z) (`_exact_rational`; a power series is p itself, with no poles)
     and p, rounded once, is convolved with each pole's geometric series.  The
     majorant Σ|p_k|z^k / Π(1 − |b|·z) dominates the series coefficientwise and
     sums to E = Σ|p_k| / Π(1 − |b|), so with S_K the sum of its coefficients up
@@ -402,7 +397,8 @@ def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
     k = matcore.as_int(truncation, "truncation")
     if not 1 <= k <= _MAX_TRUNCATION:
         raise InvalidInputError(f"truncation must lie in [1, {_MAX_TRUNCATION}], got {k}")
-    p, poles = _rational(f)
+    (re, im), poles = _exact_rational(f)
+    p, poles = (re + 1j * im).astype(np.complex128), np.array(poles, dtype=np.complex128)
     coeffs = np.zeros(k + 1, dtype=np.complex128)
     coeffs[: min(k + 1, p.size)] = p[: k + 1]
     majorant = np.abs(coeffs)
@@ -424,40 +420,3 @@ def taylor_coefficients(f: HoloFunction, truncation: int) -> TaylorCoeffs:
     u = 2.0**-53
     tail = (e - float(np.sum(majorant))) + n * u / (1.0 - n * u) * e
     return TaylorCoeffs(coeffs[1:], tail)
-
-
-# ---------------------------------------------------------------------------
-# Argument rescaling (exact, structure-preserving)
-
-
-def rescale_argument(f: HoloFunction, t: float) -> HoloFunction:
-    """The function x ↦ f(t·x) for 0 < t <= 1, built without approximation.
-
-    Blaschke products lose their product shape under the substitution and come
-    back as an expanded numerator polynomial under nested Möbius quotients.  A
-    functional variant scales φ and its certified norm by t; products, sums
-    and scales over a space recurse as they do on the disk.
-    """
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise InvalidInputError(f"rescale factor must lie in (0, 1], got {t}")
-    if isinstance(f, PowerSeries):
-        powers = t ** np.arange(1, f.coeffs.size + 1)
-        return PowerSeries(f.coeffs * powers)
-    if isinstance(f, Blaschke):
-        p, poles = _rational(f)
-        out: HoloFunction = PowerSeries(p[1:] * t ** np.arange(1, p.size))
-        for b in poles:
-            out = MoebiusQuotient(out, b * t)
-        return out
-    if isinstance(f, MoebiusQuotient):
-        return MoebiusQuotient(rescale_argument(f.inner, t), f.a * t)
-    if isinstance(f, GeometricPhi):
-        return GeometricPhi(f.space, t * f.phi, t * f.certified_norm)
-    if isinstance(f, Composite):
-        return Composite(f.scalar, f.space, t * f.phi, t * f.certified_norm)
-    if isinstance(f, _Pair):
-        return type(f)(rescale_argument(f.left, t), rescale_argument(f.right, t))
-    if isinstance(f, Scale):
-        return Scale(f.c, rescale_argument(f.inner, t))
-    raise InvalidInputError(f"cannot rescale {type(f).__name__}")

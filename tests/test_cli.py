@@ -90,6 +90,17 @@ def test_main_out_writes_the_record_text(tmp_path):
     assert record == _sandwich_record()
 
 
+@pytest.mark.parametrize(
+    "args", [["separate", "--config", CONFIG_DIR / "separate_scalar.json"], ["report"]], ids=["run", "report"]
+)
+def test_unwritable_out_exits_one_with_an_error_line(args, tmp_path, capsys):
+    # A run command writes its record, and `report` its CSV, into a
+    # directory that does not exist.
+    assert run_cli([*args, "--out", tmp_path / "missing" / "x.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_report_reads_an_indented_record(tmp_path):
     # Records written before they became one compact line were indented.
     record = _sandwich_record()

@@ -17,7 +17,6 @@ from cbnorm_lab.holofun import (
     Scale,
     Sum,
     amplify,
-    rescale_argument,
     taylor_coefficients,
 )
 from cbnorm_lab.opspace import OpSpaceMatrix, closed_form_dual_norm, space_min_linf
@@ -219,16 +218,6 @@ def test_taylor_rejects_a_truncation_that_is_not_an_integer_in_range(truncation)
 def test_taylor_rejects_space_domain():
     with pytest.raises(InvalidInputError):
         taylor_coefficients(GEOM_PHI, 4)
-
-
-def test_rescale_argument_matches_substitution():
-    rng = np.random.default_rng(4)
-    t = 0.6
-    for f in DISK_ZOO:
-        g = rescale_argument(f, t)
-        for _ in range(20):
-            z = 0.95 * np.exp(1j * rng.uniform(0, 2 * np.pi)) * rng.uniform(0, 1)
-            assert abs(value_at(g, z) - value_at(f, t * z)) < 1e-12
 
 
 def test_scale_nodes_collapse():

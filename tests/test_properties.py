@@ -1,11 +1,11 @@
 """Property tests over random disk expression trees of depth <= 3: Taylor data
-against an independent mpmath reference, evaluation, argument rescaling,
-descriptor round trips, sandwich order, the level-1 circle scan against the
-ascent it replaced and a fine reference grid, norming elements of functionals
-on the builder spaces, each search objective's exact
-gradient against a central difference, lacunary evaluation against the
-term-by-term sum and value-only evaluation against (F, F′), bit for bit,
-and the cap-ball bound W_cap against every level sup."""
+against an independent mpmath reference, evaluation, the certified rule at a
+radius t against the mpmath Σ|aₙ|·tⁿ, descriptor round trips, sandwich
+order, the level-1 circle scan against the ascent it replaced and a fine
+reference grid, norming elements of functionals on the builder spaces, each
+search objective's exact gradient against a central difference, lacunary
+evaluation against the term-by-term sum and value-only evaluation against
+(F, F′), bit for bit, and the cap-ball bound W_cap against every level sup."""
 
 import cmath
 from unittest import mock
@@ -17,7 +17,15 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cbnorm_lab import _search, descriptors, holofun, matcore, mconvex, opspace
-from cbnorm_lab.cbnorm import RADIUS_CAP, _disk_problem, _space_problem, cb_upper_bound, level_sup, sandwich
+from cbnorm_lab.cbnorm import (
+    RADIUS_CAP,
+    _disk_problem,
+    _space_problem,
+    _upper_rules,
+    cb_upper_bound,
+    level_sup,
+    sandwich,
+)
 from cbnorm_lab.holofun import (
     Blaschke,
     Composite,
@@ -28,7 +36,6 @@ from cbnorm_lab.holofun import (
     Scale,
     Sum,
     amplify,
-    rescale_argument,
     taylor_coefficients,
 )
 from hull_reference import reference_representation
@@ -150,14 +157,6 @@ def test_taylor_series_sums_to_the_function(f, r, angle):
     terms = tc.coeffs * z ** np.arange(1, k + 1)
     tol = 1e-12 * (1.0 + np.sum(np.abs(terms))) + r ** (k + 1) * tc.tail_bound
     assert abs(np.sum(terms) - _value_at(f, z)) <= tol
-
-
-@PROPERTY
-@given(TREES, st.floats(0.05, 1.0), st.floats(0.0, 0.95), ANGLES)
-def test_rescale_argument_is_substitution(f, t, r, angle):
-    z = cmath.rect(r, angle)
-    scale = 1.0 + float(mpmath.fsum(_mp_series(f, 400, majorant=True)))
-    assert abs(_value_at(rescale_argument(f, t), z) - _value_at(f, t * z)) <= 1e-11 * scale
 
 
 @PROPERTY
@@ -476,29 +475,54 @@ def _one_functional(scalar, space, r, geometric, seed):
     return GeometricPhi(space, phi, norm) if geometric else Composite(scalar, space, phi, norm)
 
 
-def _has_blaschke_zero(f):
-    if isinstance(f, Blaschke):
-        return f.zeros.size > 0
-    return any(_has_blaschke_zero(getattr(f, part)) for part in ("inner", "left", "right", "scalar") if hasattr(f, part))
-
-
 CAPPED = st.one_of(
     TREES, st.builds(_one_functional, TREES, SPACES, st.floats(0.0, 0.9), st.booleans(), st.integers(0, 2**32))
 )
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+# One-functional variants over the row space, which CAPPED seldom draws.
+ROW_COMPOSITE = _one_functional(Blaschke(1.0, 1, [0.5]), opspace.space_row(2), 0.8, False, 1)
+ROW_GEOMETRIC = _one_functional(None, opspace.space_row(2), 0.8, True, 1)
+
+
+@PROPERTY
+@given(CAPPED, st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))
+@example(Blaschke(1.0, 1, [0.5]), 1.0, RADIUS_CAP)
+@example(ROW_COMPOSITE, 0.5, 0.9)
+@example(ROW_GEOMETRIC, 0.5, 0.9)
+def test_the_rule_at_radius_t_majorizes_the_series_at_t(f, t, s):
+    # The rule at radius t bounds Σ|aₙ|·tⁿ, grows with t, is the upper bound
+    # at t = 1 and, for a one-functional composite, is its scalar's rule at
+    # r·t.  Radii stay above 1e-3, where the terms stay normal floats.
+    bound, _ = _upper_rules(f, t)
+    r = mpmath.mpf(getattr(f, "certified_norm", 1.0))
+    if isinstance(f, GeometricPhi):
+        series = r * t / (1 - r * t)
+    else:
+        g = f.scalar if isinstance(f, Composite) else f
+        series = mpmath.fsum(abs(a) * (r * t) ** n for n, a in enumerate(_mp_series(g, 2000)) if n)
+    # The rules round to nearest, so a relative slack.
+    assert bound >= series * (1 - mpmath.mpf(1e-12))
+    assert _upper_rules(f, min(t, s))[0] <= _upper_rules(f, max(t, s))[0]
+    assert _bits(_upper_rules(f, 1.0)[0]) == _bits(cb_upper_bound(f))
+    if isinstance(f, Composite) and f.certified_norm > 0.0:
+        assert _bits(bound) == _bits(_upper_rules(f.scalar, f.certified_norm * t)[0])
+
+
 @PROPERTY
 @given(CAPPED, st.integers(0, 2**32))
 @example(Blaschke(1.0, 1, [0.5]), 1)
+@example(ROW_COMPOSITE, 1)
 def test_no_level_sup_passes_the_cap_ball_bound(f, seed):
-    # W_cap bounds every level sup over the ball of radius RADIUS_CAP, so a
-    # level that the lower table lifts unsearched once the lower bound meets
-    # W_cap could not have won.  W_cap is at most the certified upper bound,
-    # except past a Blaschke zero a: rescaling expands the product into
-    # Möbius quotients, whose rule (1 + |a|t)/(1 − |a|t) passes the factor's
-    # Wiener norm 1 + 2|a|; a larger W_cap only stops less.
-    cap = cb_upper_bound(rescale_argument(f, RADIUS_CAP))
-    if not _has_blaschke_zero(f):
-        assert cap <= cb_upper_bound(f)
+    # W_cap, the certified rule at radius RADIUS_CAP, bounds every level sup
+    # over the ball of radius RADIUS_CAP, so a level that the lower table
+    # lifts unsearched once the lower bound meets W_cap could not have won.
+    # The rule grows with the radius, so W_cap is at most the upper bound.
+    cap, _ = _upper_rules(f, RADIUS_CAP)
+    assert cap <= cb_upper_bound(f)
     for m in (1, 2, 4, 8):
         assert level_sup(f, m, 60, seed).value <= cap * (1.0 + 1e-12)
