@@ -283,13 +283,17 @@ def witness_value(f: HoloFunction, w: Witness) -> float:
 
 
 def lift_witness(w: Witness, level: int) -> Witness:
-    """Pad the witness with zero rows and columns up to `level`: same value."""
-    pad = ((0, level - w.level),) * 2
-    if isinstance(w.matrix, opspace.OpSpaceMatrix):
-        mat = opspace.OpSpaceMatrix(w.matrix.space, np.pad(w.matrix.entries, pad + ((0, 0),)))
-    else:
-        mat = np.pad(np.asarray(w.matrix), pad)
-    return Witness(level=level, matrix=mat, value=w.value)
+    """Pad the witness with zero rows and columns up to `level`: same value.
+
+    The witness goes into the top-left corner of a zero array, which gives
+    np.pad's bits (+0.0 fill) at a fraction of its cost."""
+    over_space = isinstance(w.matrix, opspace.OpSpaceMatrix)
+    corner = w.matrix.entries if over_space else np.asarray(w.matrix)
+    lifted = np.zeros((level, level, *corner.shape[2:]), corner.dtype)
+    lifted[: w.level, : w.level] = corner
+    if over_space:
+        lifted = opspace.OpSpaceMatrix(w.matrix.space, lifted)
+    return Witness(level=level, matrix=lifted, value=w.value)
 
 
 def _lower_table(f: HoloFunction, levels, budget: int, seed):
@@ -378,8 +382,7 @@ def _upper_rules(f: HoloFunction, t: float = 1.0):
         if f.zeros.size == 0:
             return abs(f.c) * t**f.m, "coefficient-sum (monomial)"
         # The tail bound covers Σ_{n>K}|aₙ|, so Σ_{n>K}|aₙ|·tⁿ too.
-        tc = holofun.taylor_coefficients(f, holofun.blaschke_truncation(f.zeros))
-        bound = _weighted_sum(tc.coeffs, t) + tc.tail_bound
+        bound = _weighted_sum(f.taylor.coeffs, t) + f.taylor.tail_bound
         return bound, "coefficient-sum (rational form + majorant tail)"
     if isinstance(f, MoebiusQuotient):
         inner, _ = _upper_rules(f.inner, t)

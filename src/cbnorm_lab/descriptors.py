@@ -50,9 +50,7 @@ def _parser(declared, kind_of=None):
 
 
 def _complex_in(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise InvalidInputError(f"complex scalars are [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_array_in(pair, depth=0))
 
 
 def _complex_out(z) -> list:
@@ -61,10 +59,22 @@ def _complex_out(z) -> list:
 
 
 def _array_in(nested, depth: int) -> np.ndarray:
-    arr = np.asarray(nested, dtype=float)
-    if arr.ndim != depth + 1 or arr.shape[-1] != 2:
-        raise InvalidInputError(f"expected a depth-{depth} nested list of [re, im] pairs")
-    return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
+    """The complex array of a depth-`depth` nested list of [re, im] pairs
+    (depth 0: one pair), read in one numpy conversion.  Each value has the
+    bits of complex(re, im), signed zeros included.  An empty list at depth
+    1 is an empty array, as a Blaschke product without zeros needs.  Only
+    JSON numbers are read: a ragged list, a string (even "1.5") or a null
+    is an InvalidInputError naming the expected depth."""
+    try:
+        arr = np.asarray(nested)
+    except ValueError:  # ragged: no one array holds it
+        arr = np.array([None])
+    if depth == 1 and arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.dtype.kind not in "iuf" or arr.ndim != depth + 1 or arr.shape[-1] != 2:
+        what = "an [re, im] pair" if depth == 0 else f"a depth-{depth} nested list of [re, im] pairs"
+        raise InvalidInputError(f"expected {what} of JSON numbers")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _array_out(arr: np.ndarray) -> list:
@@ -101,7 +111,7 @@ def space_to_descriptor(space: opspace.ConcreteOperatorSpace) -> dict:
 # parsers by name, so a wrapper installed on a parser sees nested calls too.
 _COMPLEX = (_complex_in, _complex_out)
 _COMPLEXES = (
-    lambda values: np.asarray([_complex_in(c) for c in values], dtype=np.complex128),
+    lambda values: _array_in(values, depth=1),
     lambda values: [_complex_out(c) for c in values],
 )
 _REAL = (float, lambda x: x)

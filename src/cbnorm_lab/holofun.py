@@ -18,6 +18,7 @@ Certified bounds on f over a ball of any radius are `cbnorm._upper_rules`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,6 +113,13 @@ class Blaschke(HoloFunction):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "zeros", z)
+
+    @functools.cached_property
+    def taylor(self) -> TaylorCoeffs:
+        """The Taylor data of the coefficient-sum rule, which
+        `cbnorm._upper_rules` weighs at each radius: expanded once per
+        function object, on first use."""
+        return taylor_coefficients(self, blaschke_truncation(self.zeros))
 
 
 @dataclass(frozen=True, eq=False)

@@ -381,6 +381,32 @@ def test_lift_to_equals_repeated_lift_witness(f):
     assert arrays[0].dtype == arrays[1].dtype and arrays[0].tobytes() == arrays[1].tobytes()
 
 
+def _padded_reference(w, level):
+    """The lift as np.pad builds it."""
+    pad = ((0, level - w.level),) * 2
+    if isinstance(w.matrix, OpSpaceMatrix):
+        return np.pad(w.matrix.entries, pad + ((0, 0),))
+    return np.pad(w.matrix, pad)
+
+
+@pytest.mark.parametrize("start, level", [(1, 2), (1, 8), (2, 4)])
+@pytest.mark.parametrize("over_space", [False, True], ids=["disk", "space"])
+def test_lift_witness_has_the_bits_of_np_pad(over_space, start, level):
+    rng = np.random.default_rng(start * level)
+    shape = (start, start, 2) if over_space else (start, start)
+    entries = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    entries.flat[0] = complex(-0.0, -0.0)
+    entries.flat[-1] = complex(-0.0, 0.25)
+    w = Witness(level=start, matrix=OpSpaceMatrix(space_row(2), entries) if over_space else entries, value=0.5)
+    lifted = lift_witness(w, level)
+    assert (lifted.level, lifted.value) == (level, 0.5)
+    assert type(lifted.matrix) is type(w.matrix)
+    array = lifted.matrix.entries if over_space else lifted.matrix
+    reference = _padded_reference(w, level)
+    assert array.shape == reference.shape and array.dtype == reference.dtype
+    assert array.tobytes() == reference.tobytes()
+
+
 def test_cb_lower_identity():
     est = cb_lower_bound(IDENTITY, 4, 2000, 11)
     assert est.lower >= 1.0 - 1e-3
@@ -439,6 +465,26 @@ def test_upper_bound_blaschke_zeros_near_circle():
     # zero's modulus until the majorant tail past it is below rounding.
     assert 2.98 <= cb_upper_bound(Blaschke(1.0, 1, [0.99])) <= 3.0
     assert cb_upper_bound(Blaschke(1.0, 1, [0.5])) <= 2.0 + 1e-9
+
+
+def test_a_blaschke_sandwich_expands_its_taylor_series_once(monkeypatch):
+    # The upper bound and W_cap weigh one expansion, held by the function
+    # object, at radii 1 and RADIUS_CAP; their bits are those of expanding
+    # for each.  A fresh function object expands afresh.
+    expand, calls = holofun.taylor_coefficients, []
+    monkeypatch.setattr(holofun, "taylor_coefficients", lambda *args: calls.append(args) or expand(*args))
+    f = Blaschke(1.0, 1, [0.5])
+    est = sandwich(f, 8, 300, 1)
+    assert len(calls) == 1
+    assert est.upper.hex() == (2.0000000000013713).hex()
+    assert cbnorm._upper_rules(f, RADIUS_CAP)[0].hex() == (1.9999950000073712).hex()
+    tc = expand(Blaschke(1.0, 1, [0.5]), holofun.blaschke_truncation(f.zeros))
+    for t in (1.0, RADIUS_CAP):
+        weighted = cbnorm._weighted_sum(tc.coeffs, t) + tc.tail_bound
+        assert cbnorm._upper_rules(f, t)[0].hex() == weighted.hex()
+    assert len(calls) == 1
+    sandwich(Blaschke(1.0, 1, [0.5]), 8, 300, 1)
+    assert len(calls) == 2
 
 
 def test_size_caps_reject_before_allocation():

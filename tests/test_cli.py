@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cbnorm_lab import cli
-from cbnorm_lab.errors import InvalidInputError
+from cbnorm_lab.errors import CbnormLabError, InvalidInputError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -417,6 +418,57 @@ def test_bad_descriptor_exits_one(tmp_path, capsys):
         config.write_text(json.dumps(body))
         assert run_cli([body["command"], "--config", config]) == 1
         assert message in capsys.readouterr().err
+
+
+def _with_array(site, pairs):
+    """A shipped config with `pairs`, a list of [re, im] pairs, at `site`,
+    nested to the depth that site reads; the scalar `c` takes the last pair.
+    Returns (command, config, depth)."""
+    sandwich = lambda function: {**load(CONFIG_DIR / "sandwich_geometric.json"), "function": function}
+    z = {"kind": "blaschke", "c": [1.0, 0.0], "m": 1}
+    functions = {
+        "coeffs": {"kind": "power_series", "coeffs": pairs},
+        "zeros": {**z, "zeros": pairs},
+        "phi": {"kind": "geometric_phi", "space": {"kind": "row", "param": 2}, "phi": pairs, "certified_norm": 0.5},
+        "c": {"kind": "scale", "c": pairs[-1], "inner": z},
+    }
+    if site in functions:
+        return "sandwich", sandwich(functions[site]), 0 if site == "c" else 1
+    if site == "grid":
+        config = load(CONFIG_DIR / "gcb_duplicate_delta.json")
+        config["dictionary"]["entries"][0]["grid"] = [[pairs]]
+    else:
+        config = {**load(CONFIG_DIR / "delta_isometry_row2.json"), "point": {"level": 1, "entries": [[pairs]]}}
+    return config["command"], config, 3
+
+
+# Pairs that are not two JSON numbers.
+MALFORMED = {"ragged": [2.0], "string": [1.0, "x"], "numeric string": ["1.5", 0.0], "null": [None, 1.0]}
+
+
+@pytest.mark.parametrize("site", ["coeffs", "zeros", "phi", "c", "grid", "entries"])
+@pytest.mark.parametrize("kind", list(MALFORMED))
+def test_malformed_complex_arrays_end_in_an_error_line(site, kind, tmp_path, capsys):
+    # A ragged list, a string (even a numeric one) or a null where a JSON
+    # number belongs is an InvalidInputError naming the depth read there:
+    # `run` raises a CbnormLabError and `main` prints one `error:` line and
+    # exits 1, never a traceback or a nan.
+    command, config, depth = _with_array(site, [[0.5, 0.0], MALFORMED[kind]])
+    expected = "an [re, im] pair" if depth == 0 else f"a depth-{depth} nested list of [re, im] pairs"
+    with pytest.raises(CbnormLabError, match=re.escape(f"expected {expected} of JSON numbers")):
+        cli.run(command, config)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_an_empty_zeros_list_still_parses():
+    # A Blaschke product without zeros: z itself.
+    function = {"kind": "blaschke", "c": [1.0, 0.0], "m": 1, "zeros": []}
+    record, passed = cli.run("sandwich", {**load(CONFIG_DIR / "sandwich_geometric.json"), "function": function})
+    assert passed and record["results"]["upper"] == 1.0
 
 
 @pytest.mark.parametrize("phi", [[[5.0, 0.0], [0.0, 0.0]], [[-0.2, -0.7], [0.2, 0.2]]], ids=["5", "1.01"])

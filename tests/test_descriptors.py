@@ -71,6 +71,19 @@ def test_blaschke_zeros_default_to_empty():
     assert descriptors.function_to_descriptor(f) == {"kind": "blaschke", "c": [0.0, 1.0], "m": 2, "zeros": []}
 
 
+def test_coefficient_lists_read_as_one_array_with_the_bits_of_each_pair():
+    # The lacunary Σ 2^-k·z^(2^k) to k = 12, plus signed zeros and integers:
+    # one numpy conversion gives every coefficient the bits of complex(re, im).
+    coeffs = [[0.0, 0.0] for _ in range(4096)]
+    for k in range(1, 13):
+        coeffs[2**k - 1] = [2.0**-k, 0.0]
+    coeffs[:4] = [[-0.0, 0.0], [0.0, -0.0], [3, -1], [-0.0, -0.0]]
+    f = descriptors.function_from_descriptor({"kind": "power_series", "coeffs": coeffs})
+    reference = np.array([complex(float(re), float(im)) for re, im in coeffs])
+    assert f.coeffs.dtype == np.complex128 and f.coeffs.tobytes() == reference.tobytes()
+    assert descriptors.function_to_descriptor(f)["coeffs"] == coeffs
+
+
 def test_power_series_rejects_analytic_radius():
     # Polynomials are entire: a power series declares no radius.
     d = {"kind": "power_series", "coeffs": [[1.0, 0.0]], "analytic_radius": 2.0}

@@ -71,6 +71,57 @@ def test_operator_norms_equal_operator_norm_bitwise(k):
         assert norm.hex() == matcore.operator_norm(matrix).hex()
 
 
+def _svd_norms(stack):
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _moduli(rng, k):
+    """k complex numbers with moduli spread over 1e-135…1e135, among them
+    purely real and purely imaginary ones with zero parts of either sign."""
+    z = 10.0 ** rng.uniform(-135.0, 135.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+    x, y = z.real, z.imag
+    z[:8] = [complex(x[0], 0.0), complex(x[1], -0.0), complex(-x[2], 0.0), complex(0.0, y[3]),
+             complex(-0.0, y[4]), complex(-0.0, -y[5]), 1.0, -1j]
+    return z
+
+
+def test_one_by_one_norms_are_the_svd_moduli_bit_for_bit_without_lapack(monkeypatch):
+    # In the window σ₁ of a 1×1 matrix is computed as zgesdd does (dlapy3),
+    # so it has the SVD's bits, and no SVD runs; np.abs (hypot) would round
+    # otherwise on a few percent of these.
+    rng = np.random.default_rng(29)
+    stack = _moduli(rng, 4000).reshape(-1, 1, 1)
+    expected = _svd_norms(stack)
+    assert np.count_nonzero(np.abs(stack[:, 0, 0]) != expected) > 0
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("a 1×1 stack reached the SVD"))
+    assert matcore.operator_norms(stack).tobytes() == expected.tobytes()
+    for matrix, norm in zip(stack[:400], expected):
+        assert matcore.operator_norm(matrix).hex() == norm.hex()
+
+
+@pytest.mark.parametrize("outside", [0.0, 5e-324, 1e-300, 1e300, 1e300j, complex(1e-300, -1e-300)])
+def test_one_by_one_stacks_past_the_window_keep_each_rows_bits(outside):
+    # A zero entry, or one whose largest part lies outside the window, sends
+    # the whole stack to the SVD; every row keeps the bits it has alone.
+    rng = np.random.default_rng(31)
+    stack = _moduli(rng, 64).reshape(-1, 1, 1)
+    stack[[5, 40]] = outside
+    norms = matcore.operator_norms(stack)
+    assert norms.tobytes() == _svd_norms(stack).tobytes()
+    for matrix, norm in zip(stack, norms):
+        assert matcore.operator_norms(matrix[None]).tobytes() == norm.tobytes()
+        assert matcore.operator_norm(matrix).hex() == norm.hex()
+
+
+@pytest.mark.parametrize("exponents", [(-300, -137), (137, 300)], ids=["small", "large"])
+def test_one_by_one_stacks_outside_the_window_keep_the_svd_bits(exponents):
+    # Out there zgesdd rescales first, and w·√((x/w)² + (y/w)²) would miss
+    # its bits on about a third of these moduli.
+    rng = np.random.default_rng(37)
+    stack = (10.0 ** rng.uniform(*exponents, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))).reshape(-1, 1, 1)
+    assert matcore.operator_norms(stack).tobytes() == _svd_norms(stack).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_operator_norms_reject_non_finite_anywhere(bad):
     rng = np.random.default_rng(21)
