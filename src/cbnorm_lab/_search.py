@@ -3,8 +3,8 @@ sups of `cbnorm` at levels m >= 2, at level 1 of a space function without a
 norming element, and the separation certificates of `mconvex`) runs random
 restarts of a projected gradient ascent over complex arrays (a disk level
 sup projects onto the scaled unitaries RADIUS_CAP·U(m), a space level sup
-onto the ball, a certificate onto the sphere); `gcb` counts its cost
-evaluations with the same `Budget`.  Level 1 of a disk function, or of a
+onto the cap sphere, a certificate onto the unit sphere); `gcb` counts its
+cost evaluations with the same `Budget`.  Level 1 of a disk function, or of a
 one-functional composite over a builder space, is not searched here: |f|
 peaks on a circle of radius RADIUS_CAP there, and `cbnorm` scans it instead.
 This module owns the ascent and the restart loop.

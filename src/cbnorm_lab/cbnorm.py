@@ -3,8 +3,10 @@
 The lower bound maximizes the amplified norm at a sparse schedule of levels:
 level 1 of a disk function, or of a one-functional composite over a builder
 space, by a scan of a circle of radius RADIUS_CAP (`_scan_unit`), every
-other level over sampled-and-ascended matrices (of a disk function, on the
-scaled unitaries RADIUS_CAP·U(m)), with zero-padding used to transfer
+other level by projected ascent from Gaussian starts on the set where its
+sup over the cap ball is attained (the scaled unitaries RADIUS_CAP·U(m) of
+a disk function, the cap sphere ‖X‖ = RADIUS_CAP of a space function, both
+by the maximum principle), with zero-padding used to transfer
 witnesses upward (padding cannot change the amplified norm because
 every function vanishes at 0); once the lower bound meets the cap-ball
 bound, no higher level can beat it, and those levels take the padded
@@ -41,7 +43,7 @@ from .holofun import (
 # Search stays strictly inside the open ball while approaching the supremum.
 RADIUS_CAP = 1.0 - 1e-6
 DEFAULT_LEVELS = (1, 2, 4, 8)
-# How far a lower bound may pass its upper bound before the pair is out of order.
+# A pair of bounds is in order when lower <= upper·(1 + SANDWICH_SLACK).
 SANDWICH_SLACK = 1e-6
 
 # The circle scan: the most evaluations it keeps for zooming, how many grid
@@ -71,7 +73,6 @@ class CbEstimate:
     upper: float | None
     level_table: dict  # level -> its Witness
     samples: dict  # level -> objective evaluations the level spent
-    budget: int
     provenance: str
 
 
@@ -100,8 +101,8 @@ def _disk_problem(f: HoloFunction, m: int):
         u, _, vh = np.linalg.svd(stack, full_matrices=False)
         return RADIUS_CAP * (u @ vh)
 
-    def start(rng, radius):
-        return matcore._random_ball(rng, m, radius)
+    def start(rng):
+        return matcore.gaussian(rng, (m, m))
 
     def witness_matrix(point):
         return point
@@ -113,32 +114,25 @@ def _space_problem(f: HoloFunction, m: int):
     space = f.domain_space
 
     def along_cap(grad, entries):
-        # On the cap, the outward part of the gradient along the cap normal
-        # would only be scaled back by `project`; drop it.
-        nrm, u, v = matcore.top_singular_pair(opspace.block_matrix(entries, space.basis))
-        if nrm < RADIUS_CAP * (1.0 - 1e-12):
-            return grad
+        # Every point lies on the cap sphere, where the gradient's part along
+        # the sphere's normal would only be scaled back by `project`; drop it.
+        _, u, v = matcore.top_singular_pair(opspace.block_matrix(entries, space.basis))
         normal = np.conj(opspace.block_adjoint(u, v, space.basis))
-        outward = inner(grad, normal)
-        return grad - (outward / inner(normal, normal)) * normal if outward > 0.0 else grad
+        return grad - (inner(grad, normal) / inner(normal, normal)) * normal
 
     def objective(entries):
         values, gradient_at = _norms_and_gradients(*holofun._amplify_space_entries(f, entries))
         return values, lambda i: along_cap(gradient_at(i), entries[i])
 
     def project(stack):
+        # Each point scaled onto the cap sphere (see `level_sup`), part by
+        # part, so a −0.0 part stays −0.0.
         norms = matcore.operator_norms(opspace.block_matrix(stack, space.basis))
-        outside = norms > RADIUS_CAP
-        if not outside.any():
-            return stack
-        # Scaled part by part, so a −0.0 part stays −0.0.
-        scale = (RADIUS_CAP / norms[outside]).reshape(-1, 1, 1, 1)
-        out = stack.copy()
-        out[outside] = (stack[outside].view(np.float64) * scale).view(np.complex128)
-        return out
+        scale = (RADIUS_CAP / norms).reshape(-1, 1, 1, 1)
+        return (stack.view(np.float64) * scale).view(np.complex128)
 
-    def start(rng, radius):
-        return opspace._random_matrix_ball(rng, space, m, radius).entries
+    def start(rng):
+        return matcore.gaussian(rng, (m, m, space.dim))
 
     def witness_matrix(point):
         return opspace.OpSpaceMatrix(space, point)
@@ -177,12 +171,15 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     composite over a builder space), |f| peaks on a circle of level-1 points,
     and `_circle_scan` searches that circle and reads no seed.  Every other
     level runs random restarts of projected ascent and keeps the first
-    restart that reaches the best value.  A disk function's ascent runs on
-    the scaled unitaries RADIUS_CAP·U(m): for fixed unitaries U, V the map
-    s ↦ ‖f[U·diag(s)·V*]‖ is plurisubharmonic on the polydisk, so the sup
-    over the level-m ball of radius RADIUS_CAP is attained there, on its
-    Shilov boundary.  A space's level-m ball need not hold a unitary, so its
-    ascent projects onto the ball.
+    restart that reaches the best value.  Each restart starts from a raw
+    complex Gaussian, which the ascent's first projection places where the
+    sup is attained.  A disk function's ascent runs on the scaled unitaries
+    RADIUS_CAP·U(m): for fixed unitaries U, V the map s ↦ ‖f[U·diag(s)·V*]‖
+    is plurisubharmonic on the polydisk, so the sup over the level-m ball of
+    radius RADIUS_CAP is attained there, on its Shilov boundary.  A space's
+    level-m ball need not hold a unitary, but λ ↦ ‖f[λX]‖ is subharmonic on
+    the disk |λ| <= RADIUS_CAP/‖X‖, so it peaks on its circle, and the
+    space ascent projects onto the cap sphere ‖X‖ = RADIUS_CAP.
     """
     m = matcore.check_level(m)
     budget = matcore.check_count(budget, "budget")
@@ -192,14 +189,8 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
         return _circle_scan(f, budget, unit)
     problem = _disk_problem if f.domain_space is None else _space_problem
     objective, project, start, witness_matrix = problem(f, m)
-
-    def start_inside(rng):
-        # Radii crowd toward the cap; the radius is drawn before the start.
-        u = float(rng.uniform(0.0, 1.0))
-        return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
-
     # max keeps the first of equal values.
-    point, value = max(restarts(objective, project, start_inside, budget, seed, m), key=lambda run: run[1])
+    point, value = max(restarts(objective, project, start, budget, seed, m), key=lambda run: run[1])
     return Witness(level=m, matrix=witness_matrix(point), value=float(value))
 
 
@@ -360,7 +351,6 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
         upper=None,
         level_table=table,
         samples=spent,
-        budget=budget,
         provenance=provenance,
     )
 
@@ -419,10 +409,10 @@ def cb_upper_bound(f: HoloFunction) -> float:
 
 
 def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
-    """Both bounds, with the consistency check lower <= upper + SANDWICH_SLACK."""
+    """Both bounds, with the consistency check lower <= upper·(1 + SANDWICH_SLACK)."""
     est = cb_lower_bound(f, max_level, budget, seed)
     upper, rule = _upper_rules(f)
-    if est.lower > upper + SANDWICH_SLACK:
+    if est.lower > upper * (1.0 + SANDWICH_SLACK):
         raise SandwichViolationError(
             f"lower bound {est.lower} exceeds certified upper bound {upper}; "
             "one of the two computations is wrong"
@@ -480,13 +470,13 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
 
 
 def algebra_check(f: HoloFunction, g: HoloFunction, max_level: int, budget: int, seed) -> CheckReport:
-    """Test the algebra inequality lower(f·g) <= upper(f)·upper(g) + SANDWICH_SLACK."""
+    """Test the algebra inequality lower(f·g) <= upper(f)·upper(g)·(1 + SANDWICH_SLACK)."""
     uf = cb_upper_bound(f)
     ug = cb_upper_bound(g)
     lower = cb_lower_bound(Product(f, g), max_level, budget, seed).lower
     slack = uf * ug - lower
     return CheckReport(
-        passed=lower <= uf * ug + SANDWICH_SLACK,
+        passed=lower <= uf * ug * (1.0 + SANDWICH_SLACK),
         trials=1,
         worst_slack=float(slack),
         detail=f"lower(product) = {lower:.12f} vs bound product {uf * ug:.12f}",

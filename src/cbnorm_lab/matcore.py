@@ -130,10 +130,18 @@ def schur_product(a, b) -> np.ndarray:
     return a * b
 
 
+def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """A complex-Gaussian array: one `standard_normal` draw of twice the size,
+    its first half the real parts and its second half the imaginary parts
+    (the numbers that two draws of `shape` give, in that order)."""
+    draw = rng.standard_normal((2, *shape))
+    return draw[0] + 1j * draw[1]
+
+
 def _random_ball(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
     """Complex-Gaussian m×m draw rescaled to spectral norm exactly `radius`."""
     while True:
-        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        g = gaussian(rng, (m, m))
         nrm = operator_norm(g)
         if nrm > 0.0:
             return g * (radius / nrm)

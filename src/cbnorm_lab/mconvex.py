@@ -364,8 +364,7 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
         return target / peak, gradient_at
 
     def start(rng):
-        draw = rng.standard_normal((2, x0.level, x0.level, space.dim))
-        return draw[0] + 1j * draw[1]
+        return matcore.gaussian(rng, (x0.level, x0.level, space.dim))
 
     for grid, _ in restarts(objective, to_sphere, start, budget - 2, seed):
         found = _scale_to_certificate(k, x0, grid)

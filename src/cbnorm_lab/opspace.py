@@ -304,12 +304,10 @@ def _extension_norm(space: ConcreteOperatorSpace, phi: np.ndarray) -> float:
 
 
 def _random_matrix_ball(rng, space: ConcreteOperatorSpace, level: int, radius: float) -> OpSpaceMatrix:
+    """Complex-Gaussian level-`level` grid rescaled to matrix norm exactly `radius`."""
     while True:
-        g = rng.standard_normal((level, level, space.dim)) + 1j * rng.standard_normal(
-            (level, level, space.dim)
-        )
-        x = OpSpaceMatrix(space, g)
-        nrm = matrix_norm(x)
+        g = matcore.gaussian(rng, (level, level, space.dim))
+        nrm = matcore.operator_norm(block_matrix(g, space.basis))
         if nrm > 0.0:
             return OpSpaceMatrix(space, g * (radius / nrm))
 

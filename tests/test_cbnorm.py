@@ -20,7 +20,7 @@ from cbnorm_lab.cbnorm import (
     schwarz_check,
     witness_value,
 )
-from cbnorm_lab.errors import InvalidInputError
+from cbnorm_lab.errors import InvalidInputError, SandwichViolationError
 from cbnorm_lab.holofun import (
     Blaschke,
     Composite,
@@ -569,6 +569,22 @@ def test_tiny_row_functional_sandwich_keeps_its_order():
     est = sandwich(f, 2, 50, 1)
     assert est.upper == pytest.approx(5e-170, rel=1e-15, abs=0.0)
     assert 0.0 < est.lower <= est.upper
+
+
+def test_sandwich_order_is_checked_at_every_scale(monkeypatch):
+    # Upper bounds halved under lower bounds of about 1e-170 are out of order
+    # by far more than rounding; an absolute slack of 1e-6 let both pass.
+    f, g = Scale(1e-170, IDENTITY), Scale(1e-85, IDENTITY)
+    upper_rules = cbnorm._upper_rules
+
+    def halved(h, t=1.0):
+        bound, rule = upper_rules(h, t)
+        return (bound / 2.0 if h is f or h is g else bound), rule
+
+    monkeypatch.setattr(cbnorm, "_upper_rules", halved)
+    with pytest.raises(SandwichViolationError):
+        sandwich(f, 2, 50, 1)
+    assert not algebra_check(g, g, 2, 50, 1).passed
 
 
 def test_linear_composite_matches_closed_form_dual_norm():

@@ -330,8 +330,8 @@ def test_float_budget_records_integer_samples(command):
 
 def test_blaschke_sandwich_searches_every_level_as_before():
     # z(z−½)/(1−½z) stays below its cap-ball bound at every level, so every
-    # level is searched, and the record (without runtime_ms) is the one the
-    # search gave before levels could be lifted unsearched: its sha256.
+    # level is searched, and the record (without runtime_ms) is the one that
+    # the search from raw Gaussian starts gives: its sha256.
     config = {
         "schema_version": 1,
         "command": "sandwich",
@@ -344,7 +344,7 @@ def test_blaschke_sandwich_searches_every_level_as_before():
     record.pop("runtime_ms")
     assert [entry["samples"] for entry in record["results"]["level_table"].values()] == [300] * 4
     text = cli.record_to_json(record)
-    assert hashlib.sha256(text.encode()).hexdigest() == "6e4068fb47bcc17f60ef43c37ae5288bf544dfc97cc05f5adc56340cbfd2b841"
+    assert hashlib.sha256(text.encode()).hexdigest() == "c56956994894f3e89cf868fe11fd3e88946d531de49541b16afdd021d57e42b1"
 
 
 def test_cli_runs_without_jsonschema():

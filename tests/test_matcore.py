@@ -190,7 +190,17 @@ def test_compression_norm_inequality():
         assert matcore.operator_norm(alpha @ a @ beta) <= bound + 1e-10
 
 
-# `_random_ball` draws the search starts and the Schwarz trials.
+# `gaussian` draws every complex-Gaussian array: the search starts, and in
+# `_random_ball` the Schwarz trials.
+
+
+def test_gaussian_draws_what_two_draws_did():
+    for shape in [(1,), (3, 3), (2, 2, 5)]:
+        two, one = np.random.default_rng(17), np.random.default_rng(17)
+        expected = two.standard_normal(shape) + 1j * two.standard_normal(shape)
+        assert matcore.gaussian(one, shape).tobytes() == expected.tobytes()
+        # The generator is left where the two draws left it.
+        assert one.standard_normal() == two.standard_normal()
 
 
 def test_sample_ball_norm_exact():

@@ -20,6 +20,7 @@ from cbnorm_lab import _search, descriptors, holofun, matcore, mconvex, opspace
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
     _disk_problem,
+    _norms_and_gradients,
     _space_problem,
     _upper_rules,
     cb_upper_bound,
@@ -185,11 +186,11 @@ def _level_one_ascent(f, budget, seed):
     """The best value of the level-1 search the circle scan replaced:
     restarts of projected ascent, each from a start whose radius, drawn
     first, crowds toward the cap, clipped into the ball."""
-    objective, _, start, _ = _disk_problem(f, 1)
+    objective = _disk_problem(f, 1)[0]
 
     def start_inside(rng):
         u = float(rng.uniform(0.0, 1.0))
-        return start(rng, RADIUS_CAP * (1.0 - 0.999 * u * u))
+        return matcore._random_ball(rng, 1, RADIUS_CAP * (1.0 - 0.999 * u * u))
 
     return max(value for _, value in _search.restarts(objective, _clip, start_inside, budget, seed, 1))
 
@@ -243,16 +244,26 @@ def _simple_top(*matrices):
     return True
 
 
-def _assert_exact_gradient(objective, x, h=1e-6):
-    """The objective's gradient at the complex point x against a central
-    difference along each of its n real coordinates (all real parts, then
-    all imaginary parts), the 2n shifted points evaluated as one stack."""
-    grad = objective(x[None])[1](0)
-    exact = np.concatenate([grad.real.ravel(), grad.imag.ravel()])
-    n = exact.size
+def _parts(z):
+    """The real vector of all real parts, then all imaginary parts."""
+    return np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+
+def _central(values_of, x, h=1e-6):
+    """The central difference of a real function at the complex point x along
+    each of its n real coordinates (all real parts, then all imaginary
+    parts), the 2n shifted points evaluated as one stack by `values_of`."""
+    n = 2 * x.size
     steps = h * np.concatenate([np.eye(n // 2), 1j * np.eye(n // 2)]).reshape(n, *x.shape)
-    values, _ = objective(np.concatenate([x + steps, x - steps]))
-    central = (values[:n] - values[n:]) / (2 * h)
+    values = values_of(np.concatenate([x + steps, x - steps]))
+    return (values[:n] - values[n:]) / (2 * h)
+
+
+def _assert_exact_gradient(objective, x):
+    """The objective's gradient at the complex point x against its central
+    difference."""
+    exact = _parts(objective(x[None])[1](0))
+    central = _central(lambda stack: objective(stack)[0], x)
     assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(exact))
 
 
@@ -327,6 +338,10 @@ def test_norming_element_has_unit_norm_and_attains_the_dual_norm(seed, zeros):
         assert abs(phi @ e - closed) <= 1e-12 * closed
 
 
+def _block_norms(space, stack):
+    return matcore.operator_norms(opspace.block_matrix(stack, space.basis))
+
+
 @PROPERTY
 @given(
     SCALARS, SPACES, st.floats(0.1, 0.9), st.integers(1, 3), st.floats(0.1, 0.9), st.booleans(), st.integers(0, 2**32)
@@ -339,8 +354,46 @@ def test_space_objective_gradient_is_exact(scalar, space, r, m, radius, times_ge
     shape = (m, m, space.dim)
     as_matrix = lambda z: opspace.OpSpaceMatrix(space, z)
     x = _point(rng, lambda z: opspace.matrix_norm(as_matrix(z)), shape, radius)
-    assume(_simple_top(holofun.amplify(f, as_matrix(x))))
-    _assert_exact_gradient(_space_problem(f, m)[0], x)
+    assume(_simple_top(holofun.amplify(f, as_matrix(x)), opspace.realize(as_matrix(x))))
+    # The Euclidean gradient, from the same SVD as the search's objective.
+    euclidean = lambda stack: _norms_and_gradients(*holofun._amplify_space_entries(f, stack))
+    _assert_exact_gradient(euclidean, x)
+    # The search's gradient is its tangent part on the sphere through x,
+    # whose normal is the gradient of the block norm.
+    raw = _parts(euclidean(x[None])[1](0))
+    normal = _central(lambda stack: _block_norms(space, stack), x)
+    tangent = raw - (raw @ normal) / (normal @ normal) * normal
+    objective = _space_problem(f, m)[0]
+    assert np.max(np.abs(_parts(objective(x[None])[1](0)) - tangent)) <= 1e-6 * np.max(np.abs(raw))
+
+
+@PROPERTY
+@given(TREES, st.sampled_from(BUILDER_SPACES), st.integers(1, 3), st.booleans(), st.integers(0, 2**32))
+def test_space_search_stays_on_the_cap_sphere(scalar, space, m, times_geometric, seed):
+    rng = np.random.default_rng(seed)
+    f = Composite(scalar, space, *_functional(rng, space, 0.6))
+    if times_geometric:
+        f = Product(f, holofun.GeometricPhi(space, *_functional(rng, space, 0.5)))
+    _, project, start, _ = _space_problem(f, m)
+    # Points inside and outside the cap ball, with −0.0 and +0.0 parts.
+    stack = np.stack([scale * start(rng) for scale in (1e-3, 0.1, 1.0, 10.0, 1e3)])
+    parts = stack.view(np.float64)
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts[rng.random(parts.shape) < 0.3] *= -0.0
+    assume(np.all(np.any(stack != 0.0, axis=(1, 2, 3))))
+    out = project(stack)
+    # The SVD of a block matrix of order up to 9 rounds its norm by up to
+    # about one ulp per order: at most 10 ulps over 15 600 draws.
+    ulps = 16 * np.spacing(RADIUS_CAP)
+    norms = _block_norms(space, out)
+    assert np.all(np.abs(norms - RADIUS_CAP) <= ulps) and np.all(norms < 1.0)
+    signs = lambda z: np.signbit(z.view(np.float64))
+    assert np.array_equal(signs(out), signs(stack))
+    assert np.array_equal(out.view(np.float64) == 0.0, parts == 0.0)
+    # Every searched witness at a level >= 2 lies on the sphere.
+    if m >= 2:
+        w = level_sup(f, m, 120, seed)
+        assert abs(_block_norms(space, w.matrix.entries[None])[0] - RADIUS_CAP) <= ulps
 
 
 def _objective_of(module, run):
