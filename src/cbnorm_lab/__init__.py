@@ -12,7 +12,6 @@ from .cbnorm import (
     cb_upper_bound,
     level_sup,
     lift_witness,
-    question_probe,
     sandwich,
     schwarz_check,
     witness_value,

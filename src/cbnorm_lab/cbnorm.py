@@ -317,27 +317,41 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     return table, spent, cap
 
 
-def _default_levels(max_level: int) -> list:
-    """The schedule DEFAULT_LEVELS capped at max_level."""
+def probe_levels(schedule) -> list:
+    """The distinct levels, ascending, of a probe schedule: a non-empty list of
+    levels in [1, MAX_LEVEL]."""
+    if not isinstance(schedule, (list, tuple)) or not schedule:
+        raise InvalidInputError(f"schedule must be a non-empty list of levels, got {schedule!r}")
+    return sorted({matcore.check_level(m, "schedule entry") for m in schedule})
+
+
+def _levels(max_level: int, schedule) -> list:
+    """The levels a bound searches: the schedule's (`probe_levels`), each at
+    most max_level, or with no schedule DEFAULT_LEVELS capped at max_level."""
     max_level = matcore.check_count(max_level, "max_level")
-    return [m for m in DEFAULT_LEVELS if m <= max_level]
+    if schedule is None:
+        return [m for m in DEFAULT_LEVELS if m <= max_level]
+    levels = probe_levels(schedule)
+    if levels[-1] > max_level:
+        raise InvalidInputError(f"schedule level {levels[-1]} exceeds max_level {max_level}")
+    return levels
 
 
-def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
-    """Max of level sups over the schedule (1, 2, 4, 8) capped at max_level,
-    with zero-pad lifting keeping the level table nondecreasing.  Level 1 of
-    a function with a scan unit (a disk function, or a one-functional
-    composite over a builder space) comes from the circle scan, every other
-    level from projected ascent (`level_sup`).  Levels after the lower bound
-    meets the cap-ball bound W_cap are not searched (`_lower_table`): they
-    take the lifted witness, spend 0 evaluations, and the provenance names
-    them with W_cap."""
+def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> CbEstimate:
+    """Max of level sups over the schedule's levels, or (1, 2, 4, 8), capped
+    at max_level (`_levels`), with zero-pad lifting keeping the level table
+    nondecreasing.  Level 1 of a function with a scan unit (a disk function,
+    or a one-functional composite over a builder space) comes from the circle
+    scan, every other level from projected ascent (`level_sup`).  Levels
+    after the lower bound meets the cap-ball bound W_cap are not searched
+    (`_lower_table`): they take the lifted witness, spend 0 evaluations, and
+    the provenance names them with W_cap."""
     budget = matcore.check_count(budget, "budget")
-    levels = _default_levels(max_level)
+    levels = _levels(max_level, schedule)
     table, spent, cap = _lower_table(f, levels, budget, seed)
     lower = max(w.value for w in table.values())
-    scanned = _scan_unit(f) is not None
     searched = [m for m in levels if spent[m]]
+    scanned = 1 in searched and _scan_unit(f) is not None
     sources = ["circle scan at level 1"] if scanned else []
     ascended = searched[1:] if scanned else searched
     if ascended:
@@ -408,9 +422,10 @@ def cb_upper_bound(f: HoloFunction) -> float:
     return bound
 
 
-def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
-    """Both bounds, with the consistency check lower <= upper·(1 + SANDWICH_SLACK)."""
-    est = cb_lower_bound(f, max_level, budget, seed)
+def sandwich(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> CbEstimate:
+    """Both bounds, with the consistency check lower <= upper·(1 + SANDWICH_SLACK);
+    the lower bound searches the schedule's levels (`cb_lower_bound`)."""
+    est = cb_lower_bound(f, max_level, budget, seed, schedule)
     upper, rule = _upper_rules(f)
     if est.lower > upper * (1.0 + SANDWICH_SLACK):
         raise SandwichViolationError(
@@ -437,12 +452,15 @@ class CheckReport:
 
 
 def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckReport:
-    """Sample (level, X) pairs and test ‖f_m(X)‖ <= upper·‖X‖ + 1e-8 for a certified upper."""
+    """Sample (level, X) pairs and test ‖f_m(X)‖ <= upper·‖X‖·(1 + 1e-10) for a
+    certified upper.  A disk function's X is the one entry of a sample over
+    the scalar space."""
     if isinstance(upper, bool) or not isinstance(upper, (int, float)) or not math.isfinite(upper):
         raise InvalidInputError(f"schwarz check needs a finite upper bound, got {upper!r}")
     upper = float(upper)
     trials = matcore.check_count(trials, "trials")
     space = f.domain_space
+    sampled = opspace.space_scalar() if space is None else space
     worst = np.inf
     worst_detail = ""
     failures = 0
@@ -450,16 +468,15 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
         rng = matcore.derive_rng(seed, t)
         m = int(rng.integers(1, 5))
         radius = float(rng.uniform(0.05, RADIUS_CAP))
+        x = opspace._random_matrix_ball(rng, sampled, m, radius)
         if space is None:
-            x = matcore._random_ball(rng, m, radius)
-        else:
-            x = opspace._random_matrix_ball(rng, space, m, radius)
+            x = x.entries[..., 0]
         actual = matcore.operator_norm(holofun.amplify(f, x))
         slack = upper * radius - actual
         if slack < worst:
             worst = slack
             worst_detail = f"level {m}, radius {radius:.6f}, amplified norm {actual:.12f}"
-        if actual > upper * radius + 1e-8:
+        if actual > upper * radius * (1.0 + 1e-10):
             failures += 1
     return CheckReport(
         passed=failures == 0,
@@ -482,60 +499,3 @@ def algebra_check(f: HoloFunction, g: HoloFunction, max_level: int, budget: int,
         detail=f"lower(product) = {lower:.12f} vs bound product {uf * ug:.12f}",
     )
 
-
-@dataclass(frozen=True)
-class ProbeReport:
-    levels: tuple
-    values: tuple
-    slope: float
-    relative_growth: float
-    verdict: str
-    note: str
-
-
-def probe_levels(schedule) -> list:
-    """The distinct levels, ascending, of a probe schedule: a non-empty list of
-    levels in [1, MAX_LEVEL]."""
-    if not isinstance(schedule, (list, tuple)) or not schedule:
-        raise InvalidInputError(f"schedule must be a non-empty list of levels, got {schedule!r}")
-    return sorted({matcore.check_level(m, "schedule entry") for m in schedule})
-
-
-def question_probe(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> ProbeReport:
-    """Level-sup growth table with a least-squares trend on value vs log(level).
-
-    The levels are the schedule's, or DEFAULT_LEVELS, each at most max_level.
-    The verdict is HEURISTIC EVIDENCE about boundedness of the amplified sups,
-    never a proof in either direction.
-    """
-    if f.domain_space is not None:
-        raise InvalidInputError("growth probe applies to disk-domain functions")
-    max_level = matcore.check_count(max_level, "max_level")
-    levels = _default_levels(max_level) if schedule is None else probe_levels(schedule)
-    if levels[-1] > max_level:
-        raise InvalidInputError(f"schedule level {levels[-1]} exceeds max_level {max_level}")
-    table, _, _ = _lower_table(f, levels, budget, seed)
-    values = [table[m].value for m in levels]
-    if len(levels) < 2:
-        slope = 0.0
-        rel = 0.0
-        verdict = "inconclusive"
-    else:
-        logs = np.log(np.asarray(levels, dtype=float))
-        slope = float(np.polyfit(logs, np.asarray(values), 1)[0])
-        span = slope * (logs[-1] - logs[0])
-        rel = float(span / max(max(values), 1e-12))
-        if rel <= 0.02:
-            verdict = "bounded"
-        elif rel >= 0.15:
-            verdict = "growing"
-        else:
-            verdict = "inconclusive"
-    return ProbeReport(
-        levels=tuple(levels),
-        values=tuple(float(v) for v in values),
-        slope=slope,
-        relative_growth=rel,
-        verdict=verdict,
-        note="HEURISTIC EVIDENCE from finite sampling; not a proof",
-    )

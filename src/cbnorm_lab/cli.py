@@ -1,5 +1,8 @@
 """Reproducible experiment runner: JSON configs in, JSON result records out.
 
+`estimate` records the lower bound, `sandwich` both bounds, and `probe` is a
+sandwich at the levels of its optional `schedule`.
+
 Exit codes: 0 success, 1 input errors, 2 property failures (a check
 report that did not pass, or an internal sandwich violation).  Records rerun
 bit-for-bit from the same config; only runtime_ms is exempt.
@@ -80,9 +83,10 @@ def _fields(report, *drop) -> dict:
 
 
 def _run_bounds(bounds, config):
-    """estimate (bounds = cb_lower_bound) and sandwich (bounds = sandwich)."""
+    """estimate (bounds = cb_lower_bound), and sandwich and probe (bounds =
+    sandwich); a probe searches the levels of its schedule."""
     f = descriptors.function_from_descriptor(config["function"])
-    est = bounds(f, config["max_level"], config["budget"], config["seed"])
+    est = bounds(f, config["max_level"], config["budget"], config["seed"], config.get("schedule"))
     results = {
         "lower": est.lower,
         "upper": est.upper,
@@ -107,18 +111,6 @@ def _run_algebra(config):
     g = descriptors.function_from_descriptor(config["function2"])
     report = cbnorm.algebra_check(f, g, config["max_level"], config["budget"], config["seed"])
     return _fields(report, "trials"), None, report.passed
-
-
-def _run_probe(config):
-    f = descriptors.function_from_descriptor(config["function"])
-    report = cbnorm.question_probe(
-        f,
-        config["max_level"],
-        config["budget"],
-        config["seed"],
-        schedule=config.get("schedule"),
-    )
-    return _fields(report), None, True
 
 
 def _run_hull(config):
@@ -169,7 +161,7 @@ _COMMANDS = {
     # which the disk-sandwich benchmark runs, carries both.
     "schwarz": (_run_schwarz, ("function", "trials", "seed"), ("max_level", "budget")),
     "algebra": (_run_algebra, ("function", "function2", "max_level", "budget", "seed"), ()),
-    "probe": (_run_probe, _SEARCH_KEYS, ("schedule",)),
+    "probe": (lambda config: _run_bounds(cbnorm.sandwich, config), _SEARCH_KEYS, ("schedule",)),
     "hull": (_run_hull, ("set", "trials", "seed"), ()),
     "separate": (_run_separate, ("set", "x0", "budget", "seed"), ()),
     # gcb and delta-isometry draw no random numbers, but a seed in their

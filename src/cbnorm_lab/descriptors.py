@@ -63,12 +63,20 @@ def _array_in(nested, depth: int) -> np.ndarray:
     (depth 0: one pair), read in one numpy conversion.  Each value has the
     bits of complex(re, im), signed zeros included.  An empty list at depth
     1 is an empty array, as a Blaschke product without zeros needs.  Only
-    JSON numbers are read: a ragged list, a string (even "1.5") or a null
-    is an InvalidInputError naming the expected depth."""
+    JSON numbers are read, an int past int64 as complex() rounds it: a ragged
+    list, a string (even "1.5"), a null or an int past the float range is an
+    InvalidInputError naming the expected depth."""
     try:
         arr = np.asarray(nested)
     except ValueError:  # ragged: no one array holds it
         arr = np.array([None])
+    if arr.dtype == object:  # an int past int64, or a leaf that is no number
+        leaves = arr.ravel().tolist()
+        if all(type(leaf) in (int, float) for leaf in leaves):
+            try:
+                arr = np.array([float(leaf) for leaf in leaves]).reshape(arr.shape)
+            except OverflowError:
+                pass
     if depth == 1 and arr.shape == (0,):
         arr = arr.reshape(0, 2)
     if arr.dtype.kind not in "iuf" or arr.ndim != depth + 1 or arr.shape[-1] != 2:

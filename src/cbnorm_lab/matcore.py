@@ -1,5 +1,5 @@
 """Dense complex linear algebra: spectral norms, Schur products, and
-sampling of the operator-norm unit ball.
+complex-Gaussian draws.
 
 All functions are pure; randomness is always owned by the caller through an
 explicit 64-bit seed, so identical seeds and call sequences reproduce
@@ -137,11 +137,3 @@ def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     draw = rng.standard_normal((2, *shape))
     return draw[0] + 1j * draw[1]
 
-
-def _random_ball(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
-    """Complex-Gaussian m×m draw rescaled to spectral norm exactly `radius`."""
-    while True:
-        g = gaussian(rng, (m, m))
-        nrm = operator_norm(g)
-        if nrm > 0.0:
-            return g * (radius / nrm)

@@ -195,7 +195,7 @@ def test_probe_schedule_above_max_level_exits_one(tmp_path, capsys):
     assert "schedule level 16 exceeds max_level 2" in capsys.readouterr().err
     config.write_text(json.dumps({**_PROBE, "schedule": [2, 1]}))
     assert run_cli(["probe", "--config", config, "--out", tmp_path / "record.json"]) == 0
-    assert load(tmp_path / "record.json")["results"]["levels"] == [1, 2]
+    assert sorted(load(tmp_path / "record.json")["results"]["level_table"]) == ["1", "2"]
 
 
 @pytest.mark.parametrize(

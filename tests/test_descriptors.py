@@ -84,6 +84,24 @@ def test_coefficient_lists_read_as_one_array_with_the_bits_of_each_pair():
     assert descriptors.function_to_descriptor(f)["coeffs"] == coeffs
 
 
+def test_integers_past_int64_read_as_complex_rounds_them():
+    # numpy holds such an int as an object, not a number: each leaf is read on its own.
+    coeffs = [[10**20, 0], [-(2**64) - 1, 0.5], [0.25, 10**30]]
+    f = descriptors.function_from_descriptor({"kind": "power_series", "coeffs": coeffs})
+    reference = np.array([complex(re, im) for re, im in coeffs])
+    assert f.coeffs.dtype == np.complex128 and f.coeffs.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[10**400, 0], [10**20, None], [10**20, "1"], [10**20, True], [True, False], [None, 0.5]],
+    ids=["past-float", "null", "string", "bool", "bools", "null-and-float"],
+)
+def test_a_pair_of_other_than_json_numbers_is_rejected(pair):
+    with pytest.raises(InvalidInputError, match="of JSON numbers"):
+        descriptors.function_from_descriptor({"kind": "power_series", "coeffs": [pair]})
+
+
 def test_power_series_rejects_analytic_radius():
     # Polynomials are entire: a power series declares no radius.
     d = {"kind": "power_series", "coeffs": [[1.0, 0.0]], "analytic_radius": 2.0}

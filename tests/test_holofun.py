@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cbnorm_lab import matcore
+from cbnorm_lab import matcore, opspace
 from cbnorm_lab.errors import ConfigurationError, DomainError, InvalidInputError
 from cbnorm_lab.holofun import (
     Blaschke,
@@ -27,6 +27,7 @@ GEOMETRIC = MoebiusQuotient(IDENTITY, 0.5)
 BLASCHKE = Blaschke(1.0, 1, [0.5])
 
 MIN2 = space_min_linf(2)
+
 PHI = np.array([0.4, 0.2], dtype=complex)
 GEOM_PHI = GeometricPhi(MIN2, PHI, 0.6)
 COMPOSITE = Composite(SQUARE, MIN2, PHI, 0.6)
@@ -48,6 +49,11 @@ def value_at(f, z):
     if f.domain_space is None:
         return amplify(f, np.array([[z]]))[0, 0]
     return amplify(f, OpSpaceMatrix(f.domain_space, np.asarray(z).reshape(1, 1, -1)))[0, 0]
+
+
+def _disk_ball(rng, m, radius):
+    """An m×m matrix of norm `radius`: the one entry of a sample over the scalar space."""
+    return opspace._random_matrix_ball(rng, opspace.space_scalar(), m, radius).entries[..., 0]
 
 
 def test_evaluate_linear():
@@ -85,7 +91,7 @@ def test_evaluate_matches_closed_forms():
 
 
 def test_amplify_identity_returns_argument():
-    x = matcore._random_ball(np.random.default_rng(1), 3, 0.8)
+    x = _disk_ball(np.random.default_rng(1), 3, 0.8)
     assert np.array_equal(amplify(IDENTITY, x), x)
 
 
@@ -109,8 +115,8 @@ def test_amplify_rejects_boundary_matrix():
 def test_amplify_commutes_with_direct_sums_exactly():
     rng = np.random.default_rng(2)
     for f in DISK_ZOO:
-        a = matcore._random_ball(rng, 2, 0.5)
-        b = matcore._random_ball(rng, 3, 0.7)
+        a = _disk_ball(rng, 2, 0.5)
+        b = _disk_ball(rng, 3, 0.7)
         combined = amplify(f, np.block([[a, np.zeros((2, 3))], [np.zeros((3, 2)), b]]))
         expected = np.block([[amplify(f, a), np.zeros((2, 3))], [np.zeros((3, 2)), amplify(f, b)]])
         assert np.array_equal(combined, expected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbnorm_lab import matcore
+from cbnorm_lab import matcore, opspace
 from cbnorm_lab.errors import InvalidInputError
 
 
@@ -191,7 +191,12 @@ def test_compression_norm_inequality():
 
 
 # `gaussian` draws every complex-Gaussian array: the search starts, and in
-# `_random_ball` the Schwarz trials.
+# `opspace._random_matrix_ball` the Schwarz trials, a disk trial as the one
+# entry of a sample over the scalar space.
+
+
+def _ball(rng, m, radius):
+    return opspace._random_matrix_ball(rng, opspace.space_scalar(), m, radius).entries[..., 0]
 
 
 def test_gaussian_draws_what_two_draws_did():
@@ -204,18 +209,18 @@ def test_gaussian_draws_what_two_draws_did():
 
 
 def test_sample_ball_norm_exact():
-    a = matcore._random_ball(np.random.default_rng(123), 4, 0.5)
+    a = _ball(np.random.default_rng(123), 4, 0.5)
     assert abs(matcore.operator_norm(a) - 0.5) < 1e-12
 
 
 def test_sample_ball_deterministic():
-    draw = lambda seed: matcore._random_ball(matcore.derive_rng(seed), 3, 0.7)
+    draw = lambda seed: _ball(matcore.derive_rng(seed), 3, 0.7)
     assert np.array_equal(draw(99), draw(99))
     assert not np.array_equal(draw(99), draw(100))
 
 
 def test_sample_ball_scalar_modulus():
-    a = matcore._random_ball(np.random.default_rng(4), 1, 0.25)
+    a = _ball(np.random.default_rng(4), 1, 0.25)
     assert a.shape == (1, 1)
     assert abs(abs(a[0, 0]) - 0.25) < 1e-12
 

@@ -190,7 +190,8 @@ def _level_one_ascent(f, budget, seed):
 
     def start_inside(rng):
         u = float(rng.uniform(0.0, 1.0))
-        return matcore._random_ball(rng, 1, RADIUS_CAP * (1.0 - 0.999 * u * u))
+        radius = RADIUS_CAP * (1.0 - 0.999 * u * u)
+        return opspace._random_matrix_ball(rng, opspace.space_scalar(), 1, radius).entries[..., 0]
 
     return max(value for _, value in _search.restarts(objective, _clip, start_inside, budget, seed, 1))
 

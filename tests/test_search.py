@@ -277,13 +277,13 @@ def test_cb_lower_bound_rejects_non_integer_max_level(max_level):
 @pytest.mark.parametrize("level", _NOT_INTEGERS)
 def test_question_probe_rejects_non_integer_schedules(level):
     with pytest.raises(InvalidInputError, match="schedule entry must be an integer"):
-        cbnorm.question_probe(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[1, level])
+        cbnorm.sandwich(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[1, level])
 
 
 @pytest.mark.parametrize("schedule", [[], 5, "12"])
 def test_question_probe_rejects_non_list_schedules(schedule):
     with pytest.raises(InvalidInputError, match="schedule must be a non-empty list"):
-        cbnorm.question_probe(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=schedule)
+        cbnorm.sandwich(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=schedule)
 
 
 @pytest.mark.parametrize("level", _NOT_INTEGERS)
@@ -309,8 +309,8 @@ def test_sample_matrix_ball_rejects_levels_past_the_cap(level):
 def test_integral_float_levels_are_integers():
     assert opspace.sample_matrix_ball(space_row(2), 2.0, 0.5, 1).level == 2
     assert gcb.GcbElement(space_scalar(), 2.0, ()).level == 2
-    report = cbnorm.question_probe(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[2.0, 1])
-    assert report.levels == (1, 2)
+    est = cbnorm.sandwich(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[2.0, 1])
+    assert sorted(est.level_table) == [1, 2]
 
 
 @pytest.mark.parametrize("budget", [True, 1.5])
