@@ -121,7 +121,7 @@ def _space_problem(f: HoloFunction, m: int):
         return grad - (inner(grad, normal) / inner(normal, normal)) * normal
 
     def objective(entries):
-        values, gradient_at = _norms_and_gradients(*holofun._amplify_space_entries(f, entries))
+        values, gradient_at = _norms_and_gradients(*holofun._eval_array(f, entries))
         return values, lambda i: along_cap(gradient_at(i), entries[i])
 
     def project(stack):
@@ -179,25 +179,29 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     radius RADIUS_CAP is attained there, on its Shilov boundary.  A space's
     level-m ball need not hold a unitary, but λ ↦ ‖f[λX]‖ is subharmonic on
     the disk |λ| <= RADIUS_CAP/‖X‖, so it peaks on its circle, and the
-    space ascent projects onto the cap sphere ‖X‖ = RADIUS_CAP.
+    space ascent projects onto the cap sphere ‖X‖ = RADIUS_CAP.  Scanned or
+    searched, the witness's matrix is the point as the domain's problem
+    (`_disk_problem`, `_space_problem`) wraps it.
     """
     m = matcore.check_level(m)
     budget = matcore.check_count(budget, "budget")
     matcore.check_seed(seed)
-    unit = _scan_unit(f) if m == 1 else None
-    if unit is not None:
-        return _circle_scan(f, budget, unit)
     problem = _disk_problem if f.domain_space is None else _space_problem
     objective, project, start, witness_matrix = problem(f, m)
-    # max keeps the first of equal values.
-    point, value = max(restarts(objective, project, start, budget, seed, m), key=lambda run: run[1])
+    unit = _scan_unit(f) if m == 1 else None
+    if unit is not None:
+        point, value = _circle_scan(f, budget, unit)
+    else:
+        # max keeps the first of equal values.
+        point, value = max(restarts(objective, project, start, budget, seed, m), key=lambda run: run[1])
     return Witness(level=m, matrix=witness_matrix(point), value=float(value))
 
 
-def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray) -> Witness:
-    """The best of `budget` level-1 points w·unit, w = RADIUS_CAP·e^{iθ}, by
-    the amplified norm |f(w·unit)|: `unit` is a disk function's 1×1 matrix
-    [1] or the (1, 1, d) entries of a space's norming element (`_scan_unit`).
+def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray):
+    """(point, value) of the best of `budget` level-1 points w·unit,
+    w = RADIUS_CAP·e^{iθ}, by the amplified norm |f(w·unit)|: `unit` is a
+    disk function's 1×1 matrix [1] or the (1, 1, d) entries of a space's
+    norming element (`_scan_unit`), and the point has its shape.
 
     A uniform grid from θ = 0 comes first; the budget's last
     min(budget // 2, _ZOOM_SHARE) points then zoom in on the grid's best
@@ -213,15 +217,12 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray) -> Witness:
     no grid point: the witness, if a grid point, is made again from its chunk
     of angles, by the same arithmetic on the same array, so with its bits.
     """
-    space = f.domain_space
-    evaluate = holofun._eval_array if space is None else holofun._amplify_space_entries
-
     def points(theta):
         w = RADIUS_CAP * np.exp(1j * theta)
         return w.reshape((-1,) + (1,) * unit.ndim) * unit
 
     def norms(stack):
-        return matcore.operator_norms(evaluate(f, stack, False)[0])
+        return matcore.operator_norms(holofun._eval_array(f, stack, False)[0])
 
     n = budget - min(budget // 2, _ZOOM_SHARE)
     spacing = 2.0 * np.pi / n
@@ -259,13 +260,10 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray) -> Witness:
     k = int(np.argmax(at >= tie))
     if at[k] >= tie:
         lo = k - k % _SCAN_STACK
-        point, value = points(chunk(lo))[k - lo], at[k]
-    else:
-        stack, values = next((stack, values) for stack, values in zoom if values.max() >= tie)
-        i = int(np.argmax(values >= tie))
-        point, value = stack[i], values[i]
-    matrix = point if space is None else opspace.OpSpaceMatrix(space, point)
-    return Witness(level=1, matrix=matrix, value=float(value))
+        return points(chunk(lo))[k - lo], at[k]
+    stack, values = next((stack, values) for stack, values in zoom if values.max() >= tie)
+    i = int(np.argmax(values >= tie))
+    return stack[i], values[i]
 
 
 def witness_value(f: HoloFunction, w: Witness) -> float:
@@ -469,8 +467,7 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
         m = int(rng.integers(1, 5))
         radius = float(rng.uniform(0.05, RADIUS_CAP))
         x = opspace._random_matrix_ball(rng, sampled, m, radius)
-        if space is None:
-            x = x.entries[..., 0]
+        x = x[..., 0] if space is None else opspace.OpSpaceMatrix(space, x)
         actual = matcore.operator_norm(holofun.amplify(f, x))
         slack = upper * radius - actual
         if slack < worst:

@@ -222,9 +222,11 @@ class TaylorCoeffs:
 
 
 def _eval_array(f: HoloFunction, z, derivative: bool = True):
-    """Entrywise value and derivative (F, F′) of a disk function on a complex
-    array.  Without `derivative`, F′ is None and is never computed; F has
-    the same bits either way, as no step of F reads F′."""
+    """Entrywise value and derivative (F, F′) of f on a stack of points of its
+    domain: complex (…, m, m) arrays, or over a space (…, m, m, d) grids E,
+    where F′ = ∂F_ij/∂E_ijk (g′(E_ij·φ)·φ_k for g∘φ).  Only the `GeometricPhi`
+    and `Composite` leaves apply φ.  Without `derivative`, F′ is None and is
+    never computed; F has the same bits either way, as no step of F reads F′."""
     if isinstance(f, PowerSeries):
         idx = f._lacunary
         if idx is not None:
@@ -272,39 +274,25 @@ def _eval_array(f: HoloFunction, z, derivative: bool = True):
         (inner, der), den = _eval_array(f.inner, z, derivative), 1.0 - f.a * z
         out = inner / den
         return out, (der + f.a * out) / den if derivative else None
-    if isinstance(f, (_Pair, Scale)):
-        return _combine(f, _eval_array, z, derivative)
-    raise InvalidInputError(f"{type(f).__name__} is not a disk-domain function")
-
-
-def _combine(f, evaluate, z, derivative):
-    """(F, F′) of a product, sum or scale from its parts'; F′ may have more
-    axes, and is None without `derivative`."""
-    if isinstance(f, Scale):
-        out, der = evaluate(f.inner, z, derivative)
-        return f.c * out, f.c * der if derivative else None
-    (lo, ld), (ro, rd) = evaluate(f.left, z, derivative), evaluate(f.right, z, derivative)
-    if isinstance(f, Sum):
-        return lo + ro, ld + rd if derivative else None
-    if not derivative:
-        return lo * ro, None
-    axes = (...,) + (None,) * (ld.ndim - lo.ndim)
-    return lo * ro, ld * ro[axes] + lo[axes] * rd
-
-
-def _amplify_space_entries(f: HoloFunction, entries: np.ndarray, derivative: bool = True):
-    """(F, ∂F_ij/∂E_ijk) of f on an (m, m, d) grid E, or on each grid of a
-    (k, m, m, d) stack; for g∘φ that is g′(E_ij·φ)·φ_k.  Without
-    `derivative` the second part is None, as in `_eval_array`."""
     if isinstance(f, GeometricPhi):
-        s = entries @ f.phi
+        s = z @ f.phi
         return s / (1.0 - s), (1.0 / (1.0 - s) ** 2)[..., None] * f.phi if derivative else None
     if isinstance(f, Composite):
-        out, der = _eval_array(f.scalar, entries @ f.phi, derivative)
+        out, der = _eval_array(f.scalar, z @ f.phi, derivative)
         return out, der[..., None] * f.phi if derivative else None
-    if isinstance(f, (_Pair, Scale)):
-        return _combine(f, _amplify_space_entries, entries, derivative)
-    raise InvalidInputError(f"{type(f).__name__} cannot be amplified over a space")
+    if isinstance(f, Scale):
+        out, der = _eval_array(f.inner, z, derivative)
+        return f.c * out, f.c * der if derivative else None
+    if isinstance(f, _Pair):
+        (lo, ld), (ro, rd) = _eval_array(f.left, z, derivative), _eval_array(f.right, z, derivative)
+        if isinstance(f, Sum):
+            return lo + ro, ld + rd if derivative else None
+        if not derivative:
+            return lo * ro, None
+        # Over a space F′ has one more axis than F.
+        axes = (...,) + (None,) * (ld.ndim - lo.ndim)
+        return lo * ro, ld * ro[axes] + lo[axes] * rd
+    raise InvalidInputError(f"{type(f).__name__} is not a function of a known kind")
 
 
 def amplify(f: HoloFunction, x) -> np.ndarray:
@@ -326,7 +314,7 @@ def amplify(f: HoloFunction, x) -> np.ndarray:
     nrm = matrix_norm(x)
     if nrm >= 1.0:
         raise DomainError(f"matrix argument must have matrix norm < 1, got {nrm}")
-    return _amplify_space_entries(f, x.entries, False)[0]
+    return _eval_array(f, x.entries, False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -303,13 +303,14 @@ def _extension_norm(space: ConcreteOperatorSpace, phi: np.ndarray) -> float:
 # Sampling
 
 
-def _random_matrix_ball(rng, space: ConcreteOperatorSpace, level: int, radius: float) -> OpSpaceMatrix:
-    """Complex-Gaussian level-`level` grid rescaled to matrix norm exactly `radius`."""
+def _random_matrix_ball(rng, space: ConcreteOperatorSpace, level: int, radius: float) -> np.ndarray:
+    """The (level, level, d) entries of a complex-Gaussian grid over the
+    space, rescaled to matrix norm exactly `radius`."""
     while True:
         g = matcore.gaussian(rng, (level, level, space.dim))
         nrm = matcore.operator_norm(block_matrix(g, space.basis))
         if nrm > 0.0:
-            return OpSpaceMatrix(space, g * (radius / nrm))
+            return g * (radius / nrm)
 
 
 def sample_matrix_ball(space: ConcreteOperatorSpace, level: int, radius: float, seed) -> OpSpaceMatrix:
@@ -318,5 +319,5 @@ def sample_matrix_ball(space: ConcreteOperatorSpace, level: int, radius: float, 
     radius = float(radius)
     if not 0.0 < radius < 1.0:
         raise InvalidInputError(f"radius must lie in (0, 1), got {radius}")
-    return _random_matrix_ball(matcore.derive_rng(seed), space, level, radius)
+    return OpSpaceMatrix(space, _random_matrix_ball(matcore.derive_rng(seed), space, level, radius))
 

@@ -165,17 +165,21 @@ def _unprojected(problem):
     + [pytest.param(b, _BLASCHKE_COMPOSITE, id=f"composite-{b}") for b in _SCAN_BUDGETS],
 )
 def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget, f):
-    # A Blaschke product is evaluated in one `_eval_array` call, also as the
-    # scalar part of a composite, so every call counted is one stack of the
-    # scan.  Points on the circle need no projection.
+    # Only the calls on the scanned function itself are counted: a composite
+    # evaluates its scalar part in a further call on the same stack.  Each
+    # call counted is one stack of the scan, its points shaped as the scan
+    # unit: 1×1 matrices, or a composite's 1×1 grids.  Points on the circle
+    # need no projection.
     stacks = []
     eval_array = holofun._eval_array
-    monkeypatch.setattr(holofun, "_eval_array", lambda f, z, *rest: stacks.append(z.shape) or eval_array(f, z, *rest))
+    monkeypatch.setattr(
+        holofun, "_eval_array", lambda g, z, *rest: (g is f and stacks.append(z.shape)) or eval_array(g, z, *rest)
+    )
     for name in ("_disk_problem", "_space_problem"):
         monkeypatch.setattr(cbnorm, name, _unprojected(getattr(cbnorm, name)))
     w = level_sup(f, 1, budget, 5)
     assert sum(shape[0] for shape in stacks) == budget
-    assert all(shape[1:] == (1, 1) and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
+    assert all(shape[1:] == cbnorm._scan_unit(f).shape and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
     assert w.level == 1 and 0.0 < w.value < 1.0
 
 
@@ -265,6 +269,18 @@ def test_one_functional_level_one_takes_the_cap_circle(space, kind, seed):
     other = level_sup(f, 1, 300, 4)
     assert other.value.hex() == w.value.hex()
     assert other.matrix.entries.tobytes() == w.matrix.entries.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["scanned", "searched"])
+def test_level_sup_wraps_every_witness_for_its_domain(m):
+    # Level 1 is the circle scan and level 2 the ascent: either way a
+    # function over a space gets an OpSpaceMatrix over that space, and a
+    # disk function a complex array.
+    f, _ = _scanned(space_mk(2), "composite", 1)
+    w = level_sup(f, m, 50, 1)
+    assert type(w.matrix) is OpSpaceMatrix and w.matrix.space is f.space and w.matrix.level == m
+    w = level_sup(BLASCHKE_HALF, m, 50, 1)
+    assert type(w.matrix) is np.ndarray and w.matrix.dtype == np.complex128 and w.matrix.shape == (m, m)
 
 
 def test_one_functional_provenance_names_the_scan():

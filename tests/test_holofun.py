@@ -1,11 +1,12 @@
 """Tests for symbolic holomorphic functions, amplification, and Taylor data."""
 
+import hashlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cbnorm_lab import matcore, opspace
+from cbnorm_lab import holofun, matcore, opspace
 from cbnorm_lab.errors import ConfigurationError, DomainError, InvalidInputError
 from cbnorm_lab.holofun import (
     Blaschke,
@@ -53,7 +54,7 @@ def value_at(f, z):
 
 def _disk_ball(rng, m, radius):
     """An m×m matrix of norm `radius`: the one entry of a sample over the scalar space."""
-    return opspace._random_matrix_ball(rng, opspace.space_scalar(), m, radius).entries[..., 0]
+    return opspace._random_matrix_ball(rng, opspace.space_scalar(), m, radius)[..., 0]
 
 
 def test_evaluate_linear():
@@ -132,6 +133,44 @@ def test_amplify_space_direct_sum_exact():
     out = amplify(GEOM_PHI, padded)
     assert np.array_equal(out[:2, :2], amplify(GEOM_PHI, x))
     assert np.all(out[2:, :] == 0) and np.all(out[:, 2:] == 0)
+
+
+# sha256 of F and F′ of one tree that mixes every node kind over a space,
+# on a seeded (5, 3, 3, d) stack, as the space evaluator wrote them before
+# disk and space points shared one evaluator.
+ONE_EVALUATOR_DIGESTS = {
+    "mk2": (
+        "2c854d8af9c1eb6e7bf0d818c642faba4b7e35321a4ccdba5d310e922677d437",
+        "77f02b929c6c189b3c9029946cba0355eae1e41dff7e82e17a2ac23ee52dd408",
+    ),
+    "row3": (
+        "a0f37098986e474203282976bf0f0734fe6d350911bb6100f2f3ad28e5d19e96",
+        "6127a176ca873032833ebcad521ebcffd3bbfeb5f201cc1ea963d6ab256a3248",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_EVALUATOR_DIGESTS)
+def test_one_evaluator_keeps_the_bits_of_every_node_over_a_space(name):
+    space = {"mk2": opspace.space_mk(2), "row3": opspace.space_row(3)}[name]
+    phi = np.array([0.25, -0.125j, 0.0625 + 0.125j, -0.1875][: space.dim])
+    psi = np.array([0.125j, 0.25, -0.0625, 0.125 - 0.0625j][: space.dim])
+    f = Sum(
+        Scale(0.5 - 0.25j, Product(Composite(BLASCHKE, space, phi, 0.6), GeometricPhi(space, psi, 0.6))),
+        Composite(Sum(SQUARE, GEOMETRIC), space, psi, 0.6),
+    )
+    stack = 0.4 * matcore.gaussian(np.random.default_rng(32), (5, 3, 3, space.dim))
+    value, derivative = holofun._eval_array(f, stack)
+    assert value.shape == (5, 3, 3) and derivative.shape == stack.shape
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (value, derivative))
+    assert digests == ONE_EVALUATOR_DIGESTS[name]
+    alone, none = holofun._eval_array(f, stack, False)
+    assert none is None and alone.tobytes() == value.tobytes()
+
+
+def test_one_evaluator_rejects_a_node_of_no_known_kind():
+    with pytest.raises(InvalidInputError, match="not a function of a known kind"):
+        holofun._eval_array(object(), np.zeros((1, 1), dtype=complex))
 
 
 # Functionals whose norm on min-ℓ∞², |φ|₁, is 5 and about 1.01: each states

@@ -196,7 +196,7 @@ def test_compression_norm_inequality():
 
 
 def _ball(rng, m, radius):
-    return opspace._random_matrix_ball(rng, opspace.space_scalar(), m, radius).entries[..., 0]
+    return opspace._random_matrix_ball(rng, opspace.space_scalar(), m, radius)[..., 0]
 
 
 def test_gaussian_draws_what_two_draws_did():

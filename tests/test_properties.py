@@ -191,7 +191,7 @@ def _level_one_ascent(f, budget, seed):
     def start_inside(rng):
         u = float(rng.uniform(0.0, 1.0))
         radius = RADIUS_CAP * (1.0 - 0.999 * u * u)
-        return opspace._random_matrix_ball(rng, opspace.space_scalar(), 1, radius).entries[..., 0]
+        return opspace._random_matrix_ball(rng, opspace.space_scalar(), 1, radius)[..., 0]
 
     return max(value for _, value in _search.restarts(objective, _clip, start_inside, budget, seed, 1))
 
@@ -301,8 +301,8 @@ def test_extension_bound_dominates_the_functional_on_custom_spaces(n, d, m, seed
     bound = opspace.closed_form_dual_norm(space, phi)
     for _ in range(10):
         x = opspace._random_matrix_ball(rng, space, m, 0.5)
-        image = matcore.operator_norm(x.entries @ phi)
-        assert image <= bound * opspace.matrix_norm(x) * (1.0 + 1e-12)
+        image = matcore.operator_norm(x @ phi)
+        assert image <= bound * opspace.matrix_norm(opspace.OpSpaceMatrix(space, x)) * (1.0 + 1e-12)
 
 
 # Every row of the builder table, at each size up to 3 that it allows.
@@ -357,7 +357,7 @@ def test_space_objective_gradient_is_exact(scalar, space, r, m, radius, times_ge
     x = _point(rng, lambda z: opspace.matrix_norm(as_matrix(z)), shape, radius)
     assume(_simple_top(holofun.amplify(f, as_matrix(x)), opspace.realize(as_matrix(x))))
     # The Euclidean gradient, from the same SVD as the search's objective.
-    euclidean = lambda stack: _norms_and_gradients(*holofun._amplify_space_entries(f, stack))
+    euclidean = lambda stack: _norms_and_gradients(*holofun._eval_array(f, stack))
     _assert_exact_gradient(euclidean, x)
     # The search's gradient is its tangent part on the sphere through x,
     # whose normal is the gradient of the block norm.
@@ -410,7 +410,7 @@ def _objective_of(module, run):
 @given(FOUR_SPACES, st.integers(1, 2), st.integers(0, 2**32))
 def test_certificate_objective_gradient_is_exact(space, level, seed):
     rng = np.random.default_rng(seed)
-    gens = tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2))
+    gens = tuple(opspace.OpSpaceMatrix(space, opspace._random_matrix_ball(rng, space, m, 0.7)) for m in (1, 2))
     k = mconvex.MatrixSet(space, gens)
     x0 = mconvex.hull_element(k, reference_representation(k, level, rng))
     objective = _objective_of(mconvex, lambda: mconvex.find_certificate(k, x0, 20, seed=4))
@@ -519,8 +519,8 @@ def test_value_only_evaluation_keeps_the_bits_of_f(scalar, space, radius, seed):
             assert derivative is None and value.tobytes() == holofun._eval_array(scalar, point)[0].tobytes()
             entries = point[..., None] * along
             for f in (composite, pair):
-                value, derivative = holofun._amplify_space_entries(f, entries, False)
-                full = holofun._amplify_space_entries(f, entries)[0]
+                value, derivative = holofun._eval_array(f, entries, False)
+                full = holofun._eval_array(f, entries)[0]
                 assert derivative is None and value.tobytes() == full.tobytes()
 
 

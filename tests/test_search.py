@@ -399,7 +399,7 @@ def _space_case(rng):
 
 def _certificate_case(rng):
     space = [space_min_linf(2), space_row(2)][int(rng.integers(2))]
-    k = MatrixSet(space, tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2)))
+    k = MatrixSet(space, tuple(OpSpaceMatrix(space, opspace._random_matrix_ball(rng, space, m, 0.7)) for m in (1, 2)))
     level = int(rng.integers(1, 3))
     x0 = mconvex.hull_element(k, reference_representation(k, level, rng))
     captured = []
@@ -529,8 +529,8 @@ def test_space_search_and_restart_certificate_keep_their_bits():
 
     space = opspace.space_mk(2)
     rng = np.random.default_rng(1)
-    k = MatrixSet(space, tuple(opspace._random_matrix_ball(rng, space, m, 0.7) for m in (1, 2)))
-    x0 = opspace._random_matrix_ball(rng, space, 2, 0.4)
+    k = MatrixSet(space, tuple(OpSpaceMatrix(space, opspace._random_matrix_ball(rng, space, m, 0.7)) for m in (1, 2)))
+    x0 = OpSpaceMatrix(space, opspace._random_matrix_ball(rng, space, 2, 0.4))
     for warm in (mconvex.coordinate_grid(space), mconvex.svd_compression_grid(x0)):
         assert mconvex._scale_to_certificate(k, x0, warm) is None  # found by a restart
     cert = find_certificate(k, x0, 300, seed=1)
