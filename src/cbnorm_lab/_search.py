@@ -79,34 +79,43 @@ def ascend(objective, x0, project, budget: Budget):
     for the start point and for each line-search candidate, and 2·size for
     each gradient, one per real coordinate; with fewer left, the ascent
     spends them and stops without the gradient.  The budget must have at
-    least one evaluation left, as `restarts` ensures.  Returns the best
-    feasible iterate and its value.
+    least one evaluation left, as `restarts` ensures.  Each line search
+    after the first resumes at the candidate its predecessor accepted
+    (`_line_search`).  Returns the best feasible iterate and its value.
     """
     x = project(np.asarray(x0, dtype=np.complex128)[None])
     budget.spend()
     values, gradient_at = objective(x)
-    x, value, row = x[0], float(values[0]), 0
+    # `row` is the iterate's row in the stack `gradient_at` belongs to, and
+    # k the candidate the last line search accepted.
+    x, value, row, k = x[0], float(values[0]), 0, 0
     cost = 2 * x.size
     for _ in range(_MAX_STEPS):
         if budget.spend(cost) < cost:
             break
-        found = _line_search(objective, project, x, value, gradient_at(row), budget)
+        found = _line_search(objective, project, x, value, gradient_at(row), budget, k + 1)
         if found is None:
             break
-        x, value, gradient_at, row = found
+        x, value, gradient_at, row, k = found
     return x, value
 
 
-def _line_search(objective, project, x, value, grad, budget: Budget):
+def _line_search(objective, project, x, value, grad, budget: Budget, batch: int):
     """The first of the candidates x + s·grad, for s = 1/|grad|, s/2, s/4, ...
     while s·|grad| > 1e-9, whose value beats `value`: (point, value,
-    gradient_at, row), or None if none does before the budget runs out.
+    gradient_at, row, k) for candidate k, row `row` of the stack that
+    `gradient_at` belongs to, or None if none does before the budget runs
+    out.
 
-    The candidates are evaluated in batches of 1, 8, 64, ... points, each
-    capped at the candidates and the budget left.  A batch is charged up to
-    and including its first improving point, or whole when no point
-    improves, so the outcome and the budget spent are those of trying the
-    candidates one at a time.
+    The candidates are evaluated in batches of `batch`, 8·batch, 64·batch,
+    ... points, each capped at the candidates and the budget left: `ascend`
+    starts at 1 and resumes each later line search at the candidate the
+    previous one accepted, k + 1 rows, the usual initial-step rule of a
+    backtracking search (Nocedal & Wright, Numerical Optimization, 2006,
+    §3.5).  A batch is charged up to and including its first improving
+    point, or whole when no point improves, so the outcome and the budget
+    spent are those of trying the candidates one at a time; rows after the
+    first improving one are evaluated and discarded.
     """
     vec = _parts(grad)  # inner(grad, grad), its vector formed once
     gnorm = float(np.sqrt(vec @ vec))
@@ -118,9 +127,9 @@ def _line_search(objective, project, x, value, grad, budget: Budget):
     # Steps scale the gradient's real and imaginary parts, so a −0.0 part
     # stays −0.0, as it would not through a complex product.
     parts = grad.view(np.float64)
-    batch = 1
-    while steps.size and budget.left:
-        taken = steps[: min(batch, steps.size, budget.left)]
+    tried = 0
+    while tried < steps.size and budget.left:
+        taken = steps[tried : tried + min(batch, budget.left)]
         moves = (taken.reshape((-1,) + (1,) * parts.ndim) * parts).view(np.complex128)
         cands = project(x + moves)
         values, gradient_at = objective(cands)
@@ -128,9 +137,9 @@ def _line_search(objective, project, x, value, grad, budget: Budget):
         if better.size:
             i = int(better[0])
             budget.spend(i + 1)
-            return cands[i], float(values[i]), gradient_at, i
+            return cands[i], float(values[i]), gradient_at, i, tried + i
         budget.spend(taken.size)
-        steps = steps[taken.size:]
+        tried += taken.size
         batch *= 8
     return None
 

@@ -422,9 +422,13 @@ def cb_upper_bound(f: HoloFunction) -> float:
 
 def sandwich(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> CbEstimate:
     """Both bounds, with the consistency check lower <= upper·(1 + SANDWICH_SLACK);
-    the lower bound searches the schedule's levels (`cb_lower_bound`)."""
-    est = cb_lower_bound(f, max_level, budget, seed, schedule)
+    the lower bound searches the schedule's levels (`cb_lower_bound`).  The
+    certified upper comes first: a rule that overflows to a non-finite bound
+    is an input error, raised before any search."""
     upper, rule = _upper_rules(f)
+    if not math.isfinite(upper):
+        raise InvalidInputError(f"certified upper bound is not finite: {rule} = {upper}")
+    est = cb_lower_bound(f, max_level, budget, seed, schedule)
     if est.lower > upper * (1.0 + SANDWICH_SLACK):
         raise SandwichViolationError(
             f"lower bound {est.lower} exceeds certified upper bound {upper}; "

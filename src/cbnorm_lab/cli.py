@@ -196,7 +196,9 @@ def run(command: str, config: dict) -> tuple[dict, bool]:
 
 
 def record_to_json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    """The record as one line of JSON; a NaN or infinite number, which JSON
+    cannot hold, raises ValueError (an `error:` line from `main`)."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _report_row(record: dict) -> list[str]:

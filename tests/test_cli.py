@@ -484,6 +484,50 @@ def test_functional_of_norm_one_or_more_exits_one(kind, phi, tmp_path, capsys):
     assert "not below 1" in capsys.readouterr().err
 
 
+_Z = {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
+_OVERFLOWING = {
+    # The summands cancel, but the sum rule bounds the sum by 2e308.
+    "sum": {
+        "kind": "sum",
+        "left": {"kind": "scale", "c": [1e308, 0.0], "inner": _Z},
+        "right": {"kind": "scale", "c": [-1e308, 0.0], "inner": _Z},
+    },
+    # Evaluating it overflows too, so the rule must be checked before any search.
+    "scale": {"kind": "scale", "c": [1e308, 0.0], "inner": {"kind": "power_series", "coeffs": [[1e308, 0.0]]}},
+}
+
+
+@pytest.mark.parametrize("command", ["sandwich", "probe"])
+@pytest.mark.parametrize("name,rule", [("sum", "sum of summand bounds"), ("scale", "scaled [")])
+def test_an_infinite_certified_upper_exits_one(command, name, rule, tmp_path, capsys):
+    # A record with "upper": Infinity would not be JSON.
+    config = {"command": command, "function": _OVERFLOWING[name], "max_level": 2, "budget": 50, "seed": 1}
+    with pytest.raises(InvalidInputError, match=re.escape(f"certified upper bound is not finite: {rule}")):
+        cli.run(command, config)
+    path, out = tmp_path / "overflow.json", tmp_path / "record.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([command, "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certified upper bound is not finite") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_non_finite_number_in_a_record_exits_one(tmp_path, capsys):
+    # The product's certified bound overflows, so the algebra check's slack
+    # is infinite; the record holding it is not written.
+    config = {"command": "algebra", "function": _OVERFLOWING["sum"], "function2": _Z, "max_level": 2, "budget": 50, "seed": 1}
+    record, passed = cli.run("algebra", config)
+    assert passed and record["results"]["worst_slack"] == float("inf")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.record_to_json(record)
+    path, out = tmp_path / "algebra.json", tmp_path / "record.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["algebra", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not JSON compliant" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_command_mismatch_exits_one(tmp_path, capsys):
     assert run_cli(["sandwich", "--config", CONFIG_DIR / "estimate_identity.json"]) == 1
     assert "declares command" in capsys.readouterr().err

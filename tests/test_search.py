@@ -1,6 +1,7 @@
 """Tests for the shared search engine: the real inner product and the
 sphere projection of complex points, the restart loop and its budget
-accounting, the batched line search's schedule and its match with the
+accounting, the batched line search's schedule, its resumption at the
+candidate the previous line search accepted and its match with the
 sequential one, the ascent from a degenerate start, budget 1 in every search
 built on it, bit-exact searches pinned to captured constants, and the
 rejection of budgets, levels and sample sizes that are not integers."""
@@ -17,6 +18,7 @@ from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.mconvex import MatrixSet, find_certificate
 from cbnorm_lab.opspace import (
     OpSpaceMatrix,
+    space_column,
     space_min_linf,
     space_row,
     space_scalar,
@@ -440,11 +442,74 @@ def _batches(objective, x0, project, budget):
     return batches
 
 
+def _line_searches(objective, x0, project, budget):
+    """The rows of each stack `ascend` evaluates, grouped by line search: the
+    start point first, then one group per gradient taken."""
+    groups = [[]]
+
+    def recording(stack):
+        groups[-1].append(len(stack))
+        values, gradient_at = objective(stack)
+        return values, lambda i: groups.append([]) or gradient_at(i)
+
+    _search.ascend(recording, x0, project, _search.Budget(budget))
+    return [group for group in groups if group]
+
+
+def _accepting(ks):
+    """A toy objective on one complex coordinate whose n-th line search first
+    improves at candidate ks[n], the last entry repeating.  The gradient is
+    1, so candidate j is x + 2^-j, and a point beats the iterate x when it
+    lies right of x by at most 2^-k."""
+    state = {"x": None, "n": -1}
+
+    def objective(stack):
+        y = stack[:, 0].real
+        if state["n"] >= 0:
+            k = ks[min(state["n"], len(ks) - 1)]
+            y = np.where(y - state["x"] <= 1.5 * 2.0**-k, y, -np.inf)
+
+        def gradient_at(i):
+            state["x"], state["n"] = y[i], state["n"] + 1
+            return np.ones(1, dtype=complex)
+
+        return y, gradient_at
+
+    return objective
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 12])
+def test_each_line_search_resumes_at_the_accepted_candidate(k):
+    # The first line search tries batches of 1, 8, 64, ... up to candidate
+    # k; each later one hands the objective one stack, candidates 0..k.
+    groups = _line_searches(_accepting([k]), np.zeros(1), lambda stack: stack, 10000)
+    first = {0: [1], 1: [1, 8], 3: [1, 8], 12: [1, 8, 21]}[k]
+    assert groups[:2] == [[1], first]
+    assert groups[2:] == [[k + 1]] * (_search._MAX_STEPS - 1)
+
+
+def test_a_resumed_batch_is_charged_up_to_its_first_improving_row():
+    # The first line search accepts candidate 3, so the second tries 4 rows,
+    # accepts row 1, and is charged 2: the gradient (2 evaluations for a
+    # point of size 1) and the next line search's stack of 2 rows follow at
+    # 9 + 2 + 2 = 13.  Rows 2 and 3 also improve, and are discarded.  Then
+    # 4 more steps of 2^-1, and a last line search cut to 1 row.
+    identity = lambda stack: stack
+    batches = _batches(_accepting([3, 1]), np.zeros(1), identity, 30)
+    assert batches == [(1, 1), (3, 1), (4, 8), (9, 4), (13, 2), (17, 2), (21, 2), (25, 2), (29, 1)]
+    state = _search.Budget(30)
+    x, value = _search.ascend(_accepting([3, 1]), np.zeros(1), identity, state)
+    assert x[0] == value == 0.125 + 5 * 0.5
+    assert state.used == 30
+
+
 @pytest.mark.parametrize("case", _CASES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_line_search_matches_the_sequential_one(case, seed):
     rng = np.random.default_rng(seed)
     objective, project, x0, _ = case(rng)
+    # Some line search after the first resumes at a batch of several rows.
+    assert any(group[0] > 1 for group in _line_searches(objective, x0, project, 3000)[2:])
     # Budgets that run out inside a batch of several candidates, so the
     # batch is cut short, and budgets drawn at random.
     cuts = [used + j for used, rows in _batches(objective, x0, project, 3000) for j in range(1, rows)]
@@ -494,9 +559,10 @@ def _one_row_at_a_time(problem):
 
 
 def test_level_eight_disk_search_takes_fewer_svds(monkeypatch):
-    # One level-8 disk level_sup at budget 300: the batches of 1, 8, 64, ...
-    # line-search candidates take fewer SVDs than the same search, to the
-    # bit, with each candidate evaluated and projected alone.
+    # One level-8 disk level_sup at budget 300: the batches of line-search
+    # candidates (1, 8, 64, ... in a first line search, from k + 1 rows in
+    # one resumed at candidate k) take fewer SVDs than the same search, to
+    # the bit, with each candidate evaluated and projected alone.
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
@@ -507,6 +573,41 @@ def test_level_eight_disk_search_takes_fewer_svds(monkeypatch):
     alone = level_sup(f, 8, 300, seed=8)
     assert batched.value.hex() == alone.value.hex() and np.array_equal(batched.matrix, alone.matrix)
     assert svds < len(calls) - svds
+
+
+def test_level_one_space_search_resumes_its_line_searches(monkeypatch):
+    # A sum of composites has no norming element, so level 1 is searched;
+    # its steps accept candidates past 0, and each resumed line search hands
+    # the objective one stack where batches of 1, 8, ... took two.  The
+    # witness is that of the same search, to the bit, with each candidate
+    # evaluated and projected alone.
+    space = space_column(2)
+    phi, psi = np.array([0.3 + 0.2j, -0.1j]), np.array([-0.2, 0.4 + 0.1j])
+    f = holofun.Sum(
+        holofun.Composite(holofun.PowerSeries([1.0, 0.5]), space, phi, 0.6),
+        holofun.Composite(holofun.PowerSeries([0.0, 0.8j]), space, psi, 0.6),
+    )
+    stacks, line_searches = [0], []
+    space_problem = cbnorm._space_problem
+
+    def counted(f, m):
+        objective, *rest = space_problem(f, m)
+
+        def counting(stack):
+            stacks[0] += 1
+            values, gradient_at = objective(stack)
+            # A gradient is taken only to start a line search.
+            return values, lambda i: line_searches.append(1) or gradient_at(i)
+
+        return (counting, *rest)
+
+    monkeypatch.setattr(cbnorm, "_space_problem", counted)
+    resumed = level_sup(f, 1, 300, seed=2)
+    assert stacks[0] < 2 * len(line_searches)
+    monkeypatch.setattr(cbnorm, "_space_problem", _one_row_at_a_time(space_problem))
+    alone = level_sup(f, 1, 300, seed=2)
+    assert resumed.value.hex() == alone.value.hex()
+    assert np.array_equal(resumed.matrix.entries, alone.matrix.entries)
 
 
 # ---------------------------------------------------------------------------
