@@ -104,10 +104,7 @@ def _disk_problem(f: HoloFunction, m: int):
     def start(rng):
         return matcore.gaussian(rng, (m, m))
 
-    def witness_matrix(point):
-        return point
-
-    return objective, project, start, witness_matrix
+    return objective, project, start
 
 
 def _space_problem(f: HoloFunction, m: int):
@@ -116,8 +113,7 @@ def _space_problem(f: HoloFunction, m: int):
     def along_cap(grad, entries):
         # Every point lies on the cap sphere, where the gradient's part along
         # the sphere's normal would only be scaled back by `project`; drop it.
-        _, u, v = matcore.top_singular_pair(opspace.block_matrix(entries, space.basis))
-        normal = np.conj(opspace.block_adjoint(u, v, space.basis))
+        normal = np.conj(opspace.norm_gradient(opspace.block_matrix(entries, space.basis), space.basis))
         return grad - (inner(grad, normal) / inner(normal, normal)) * normal
 
     def objective(entries):
@@ -134,10 +130,7 @@ def _space_problem(f: HoloFunction, m: int):
     def start(rng):
         return matcore.gaussian(rng, (m, m, space.dim))
 
-    def witness_matrix(point):
-        return opspace.OpSpaceMatrix(space, point)
-
-    return objective, project, start, witness_matrix
+    return objective, project, start
 
 
 def _scan_unit(f: HoloFunction):
@@ -180,21 +173,26 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     level-m ball need not hold a unitary, but λ ↦ ‖f[λX]‖ is subharmonic on
     the disk |λ| <= RADIUS_CAP/‖X‖, so it peaks on its circle, and the
     space ascent projects onto the cap sphere ‖X‖ = RADIUS_CAP.  Scanned or
-    searched, the witness's matrix is the point as the domain's problem
-    (`_disk_problem`, `_space_problem`) wraps it.
+    searched, the point becomes the witness's matrix by `_witness`.
     """
     m = matcore.check_level(m)
     budget = matcore.check_count(budget, "budget")
     matcore.check_seed(seed)
-    problem = _disk_problem if f.domain_space is None else _space_problem
-    objective, project, start, witness_matrix = problem(f, m)
     unit = _scan_unit(f) if m == 1 else None
     if unit is not None:
         point, value = _circle_scan(f, budget, unit)
     else:
+        problem = _disk_problem if f.domain_space is None else _space_problem
         # max keeps the first of equal values.
-        point, value = max(restarts(objective, project, start, budget, seed, m), key=lambda run: run[1])
-    return Witness(level=m, matrix=witness_matrix(point), value=float(value))
+        point, value = max(restarts(*problem(f, m), budget, seed, m), key=lambda run: run[1])
+    return _witness(f.domain_space, m, point, value)
+
+
+def _witness(space, level: int, point: np.ndarray, value) -> Witness:
+    """The witness at a point: a disk point (space None) as its matrix, a
+    space point's entries wrapped over the space."""
+    matrix = point if space is None else opspace.OpSpaceMatrix(space, point)
+    return Witness(level=level, matrix=matrix, value=float(value))
 
 
 def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray):
@@ -274,15 +272,12 @@ def witness_value(f: HoloFunction, w: Witness) -> float:
 def lift_witness(w: Witness, level: int) -> Witness:
     """Pad the witness with zero rows and columns up to `level`: same value.
 
-    The witness goes into the top-left corner of a zero array, which gives
-    np.pad's bits (+0.0 fill) at a fraction of its cost."""
-    over_space = isinstance(w.matrix, opspace.OpSpaceMatrix)
-    corner = w.matrix.entries if over_space else np.asarray(w.matrix)
+    The witness's point goes into the top-left corner of a zero array, which
+    gives np.pad's bits (+0.0 fill) at a fraction of its cost."""
+    corner = np.asarray(getattr(w.matrix, "entries", w.matrix))
     lifted = np.zeros((level, level, *corner.shape[2:]), corner.dtype)
     lifted[: w.level, : w.level] = corner
-    if over_space:
-        lifted = opspace.OpSpaceMatrix(w.matrix.space, lifted)
-    return Witness(level=level, matrix=lifted, value=w.value)
+    return _witness(getattr(w.matrix, "space", None), level, lifted, w.value)
 
 
 def _lower_table(f: HoloFunction, levels, budget: int, seed):
@@ -296,9 +291,9 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     each later level takes the lifted witness and spends nothing.  A level
     that is searched spends exactly `budget` evaluations, and a lifted
     lower-level witness replaces its own only when its value is strictly
-    larger.
+    larger.  A non-finite W_cap is an input error, raised before any search.
     """
-    cap, _ = _upper_rules(f, RADIUS_CAP)
+    cap, _ = _finite_rule(f, RADIUS_CAP)
     table, spent = {}, {}
     running = None
     for m in levels:
@@ -409,9 +404,24 @@ def _upper_rules(f: HoloFunction, t: float = 1.0):
     raise InvalidInputError(f"no certified upper-bound rule for {type(f).__name__}")
 
 
+def _finite_rule(f: HoloFunction, t: float = 1.0):
+    """`_upper_rules` at radius t; a rule that overflows is an input error."""
+    bound, rule = _upper_rules(f, t)
+    if not math.isfinite(bound):
+        raise InvalidInputError(f"certified upper bound is not finite: {rule} = {bound}")
+    return bound, rule
+
+
+def in_order(lower: float, upper: float) -> bool:
+    """Whether a pair of bounds is in order: lower <= upper·(1 + SANDWICH_SLACK)."""
+    return lower <= upper * (1.0 + SANDWICH_SLACK)
+
+
 def _weighted_sum(coeffs: np.ndarray, t: float) -> float:
-    """Σ|aₙ·tⁿ| over coefficients a₁, a₂, ...; at t = 1, Σ|aₙ| with its bits."""
-    return float(np.sum(np.abs(coeffs * t ** np.arange(1, coeffs.size + 1))))
+    """Σ|aₙ·tⁿ| over coefficients a₁, a₂, ...; at t = 1, Σ|aₙ| with its bits.
+    A sum past the float range is inf, which `_finite_rule` refuses."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(coeffs * t ** np.arange(1, coeffs.size + 1))))
 
 
 def cb_upper_bound(f: HoloFunction) -> float:
@@ -421,15 +431,13 @@ def cb_upper_bound(f: HoloFunction) -> float:
 
 
 def sandwich(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> CbEstimate:
-    """Both bounds, with the consistency check lower <= upper·(1 + SANDWICH_SLACK);
-    the lower bound searches the schedule's levels (`cb_lower_bound`).  The
-    certified upper comes first: a rule that overflows to a non-finite bound
-    is an input error, raised before any search."""
-    upper, rule = _upper_rules(f)
-    if not math.isfinite(upper):
-        raise InvalidInputError(f"certified upper bound is not finite: {rule} = {upper}")
+    """Both bounds, with the consistency check `in_order`; the lower bound
+    searches the schedule's levels (`cb_lower_bound`).  The certified upper
+    comes first: a rule that overflows to a non-finite bound is an input
+    error, raised before any search (`_finite_rule`)."""
+    upper, rule = _finite_rule(f)
     est = cb_lower_bound(f, max_level, budget, seed, schedule)
-    if est.lower > upper * (1.0 + SANDWICH_SLACK):
+    if not in_order(est.lower, upper):
         raise SandwichViolationError(
             f"lower bound {est.lower} exceeds certified upper bound {upper}; "
             "one of the two computations is wrong"
@@ -494,7 +502,7 @@ def algebra_check(f: HoloFunction, g: HoloFunction, max_level: int, budget: int,
     lower = cb_lower_bound(Product(f, g), max_level, budget, seed).lower
     slack = uf * ug - lower
     return CheckReport(
-        passed=lower <= uf * ug * (1.0 + SANDWICH_SLACK),
+        passed=in_order(lower, uf * ug),
         trials=1,
         worst_slack=float(slack),
         detail=f"lower(product) = {lower:.12f} vs bound product {uf * ug:.12f}",

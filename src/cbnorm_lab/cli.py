@@ -139,7 +139,7 @@ def _run_gcb(config):
     dictionary = descriptors.dictionary_from_descriptor(config["dictionary"], u.space)
     upper = gcb.gcb_upper_bound(u, config["budget"])
     lower = gcb.gcb_lower_bound(u, dictionary)
-    passed = lower <= upper * (1.0 + cbnorm.SANDWICH_SLACK)
+    passed = cbnorm.in_order(lower, upper)
     results = {"upper": upper, "lower": lower, "gap": upper - lower, "passed": passed}
     return results, None, passed
 

@@ -230,31 +230,9 @@ def _eval_array(f: HoloFunction, z, derivative: bool = True):
     if isinstance(f, PowerSeries):
         idx = f._lacunary
         if idx is not None:
-            # Long lacunary series: summing powers beats dense Horner.  One
-            # power call gives every term of F and one every term of F′,
-            # along a last axis that starts with a +0 term.
-            # - Coefficient first, each product takes numpy's vector loop,
-            #   as the scalar-times-array product of one term did; the zero
-            #   term keeps that axis longer than 1, where a product of
-            #   one-element operands would take a scalar loop that rounds
-            #   differently on CPUs with fused multiply-add.
-            # - The order of the sum matters, as float addition does not
-            #   associate: accumulating along the axis adds the terms one
-            #   at a time, in order, from +0, so F and F′ get the roundings
-            #   and signed zeros of the term-by-term sum, and the records
-            #   their bits.  A pairwise `sum` would not.
+            # Long lacunary series: summing powers beats dense Horner.
             coeffs = f.coeffs[idx]
-            parts = 2 if derivative else 1
-            terms = np.zeros((parts, *z.shape, idx.size + 1), dtype=np.complex128)
-            factors = np.zeros((parts, idx.size + 1), dtype=np.complex128)
-            np.power(z[..., None], idx + 1, out=terms[0, ..., 1:])
-            factors[0, 1:] = coeffs
-            if derivative:
-                np.power(z[..., None], idx, out=terms[1, ..., 1:])
-                factors[1, 1:] = (idx + 1) * coeffs
-            np.multiply(factors.reshape(parts, *(1,) * z.ndim, -1), terms, out=terms)
-            sums = np.add.accumulate(terms, axis=-1)[..., -1]
-            return sums[0], sums[1] if derivative else None
+            return _term_sum(coeffs, z, idx + 1), _term_sum((idx + 1) * coeffs, z, idx) if derivative else None
         acc = dacc = np.zeros(z.shape, dtype=np.complex128)
         for a in f.coeffs[::-1]:
             if derivative:
@@ -293,6 +271,21 @@ def _eval_array(f: HoloFunction, z, derivative: bool = True):
         axes = (...,) + (None,) * (ld.ndim - lo.ndim)
         return lo * ro, ld * ro[axes] + lo[axes] * rd
     raise InvalidInputError(f"{type(f).__name__} is not a function of a known kind")
+
+
+def _term_sum(coeffs: np.ndarray, z: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Σ cⱼ·z^eⱼ of a lacunary series' terms at each entry of z, along a
+    last axis that starts with a +0 term.  Coefficient first, each product
+    takes numpy's vector loop, as the scalar-times-array product of one term
+    did: the zero term keeps the axis longer than 1, where one-element
+    operands would take a scalar loop that rounds differently on CPUs with
+    fused multiply-add.  Accumulating adds the terms one at a time, in order,
+    from +0, so F and F′ get the roundings and signed zeros of the
+    term-by-term sum, and the records their bits; a pairwise `sum` would not."""
+    terms = np.zeros((*z.shape, powers.size + 1), dtype=np.complex128)
+    np.power(z[..., None], powers, out=terms[..., 1:])
+    np.multiply(np.concatenate(([0.0], coeffs)), terms, out=terms)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def amplify(f: HoloFunction, x) -> np.ndarray:

@@ -271,12 +271,6 @@ def pairing(f: SeparationCertificate, x: OpSpaceMatrix) -> np.ndarray:
     return _pairings(f.grid, x)
 
 
-def _pairing_gradient(grid: np.ndarray, x: OpSpaceMatrix) -> np.ndarray:
-    """The grid G with dσ₁(pairing(grid, x)) = Re Σ G·d(grid), x's entries as basis."""
-    _, u, v = matcore.top_singular_pair(_pairings(grid, x))
-    return opspace.block_adjoint(u, v, x.entries.transpose(2, 0, 1))
-
-
 @dataclass(frozen=True)
 class CertificateVerdict:
     valid: bool
@@ -307,8 +301,7 @@ def svd_compression_grid(x: OpSpaceMatrix) -> np.ndarray:
     realize(x): `find_certificate`'s warm start.  No grid of cb norm <= 1
     norms a point better than the coordinate grid, which pairs it to its
     realization, so `gcb`'s evaluation-isometry check pairs with that alone."""
-    _, u, v = matcore.top_singular_pair(realize(x))
-    return opspace.block_adjoint(u, v, x.space.basis)
+    return opspace.norm_gradient(realize(x), x.space.basis)
 
 
 def _scale_to_certificate(k, x0, grid):
@@ -356,9 +349,10 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
         def gradient_at(i):
             # The quotient rule, through the active generator's pairing.
             top, value = float(peak[i]), float(target[i])
-            grad = _pairing_gradient(grids[i], x0) / top
+            grad_of = lambda x: opspace.norm_gradient(_pairings(grids[i], x), x.entries.transpose(2, 0, 1))
+            grad = grad_of(x0) / top
             if gen_values[i, active[i]] > 1e-12:
-                grad = grad - value / top**2 * _pairing_gradient(grids[i], k.generators[active[i]])
+                grad = grad - value / top**2 * grad_of(k.generators[active[i]])
             return np.conj(grad)
 
         return target / peak, gradient_at

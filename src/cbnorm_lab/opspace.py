@@ -92,10 +92,11 @@ def block_matrix(entries: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return blocks.swapaxes(-3, -2).reshape(stack + (m * n, m * n))
 
 
-def block_adjoint(u: np.ndarray, v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The (m, m, d) grid u_i*·B_k·v_j of the N-blocks of mN-vectors u and v:
-    Re(u*·block_matrix(dE, basis)·v) = Re Σ grid·dE, so at the top singular
-    pair (u, v) it gives the block norm's gradient in the entries."""
+def norm_gradient(realized: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The (m, m, d) grid G with d‖block_matrix(E, basis)‖ = Re Σ G·dE, given
+    the realized matrix block_matrix(E, basis): G_ijk = u_i*·B_k·v_j over the
+    N-blocks of its top singular pair (u, v), exact where σ₁ is simple."""
+    _, u, v = matcore.top_singular_pair(realized)
     n = basis.shape[1]
     return np.einsum("ka,tab,lb->klt", u.reshape(-1, n).conj(), basis, v.reshape(-1, n))
 

@@ -106,7 +106,7 @@ def _on_the_scaled_unitaries(a):
 def test_disk_projection_rows_have_the_bits_of_one_point(m):
     # The line search evaluates its candidates as one stack; its outcome is
     # that of projecting each candidate alone only if the bits agree.
-    _, project, _, _ = _disk_problem(GEOMETRIC, m)
+    _, project, _ = _disk_problem(GEOMETRIC, m)
     rng = np.random.default_rng(40 + m)
     for k in (1, 2, 8, 64):
         points = rng.standard_normal((k, m, m)) + 1j * rng.standard_normal((k, m, m))
@@ -153,8 +153,8 @@ def _unprojected(problem):
     """A search problem whose projection fails the test."""
 
     def failing(f, m):
-        objective, _, start, witness_matrix = problem(f, m)
-        return objective, lambda stack: pytest.fail("the scan projected a point"), start, witness_matrix
+        objective, _, start = problem(f, m)
+        return objective, lambda stack: pytest.fail("the scan projected a point"), start
 
     return failing
 

@@ -494,32 +494,42 @@ _OVERFLOWING = {
     },
     # Evaluating it overflows too, so the rule must be checked before any search.
     "scale": {"kind": "scale", "c": [1e308, 0.0], "inner": {"kind": "power_series", "coeffs": [[1e308, 0.0]]}},
+    # Its coefficient sum overflows inside numpy, which must not warn.
+    "coeffs": {"kind": "power_series", "coeffs": [[1e308, 0.0], [1e308, 0.0]]},
 }
 
 
-@pytest.mark.parametrize("command", ["sandwich", "probe"])
-@pytest.mark.parametrize("name,rule", [("sum", "sum of summand bounds"), ("scale", "scaled [")])
+@pytest.mark.parametrize("command", ["sandwich", "probe", "estimate", "algebra"])
+@pytest.mark.parametrize(
+    "name,rule",
+    [("sum", "sum of summand bounds"), ("scale", "scaled ["), ("coeffs", "coefficient-sum (exact polynomial)")],
+)
 def test_an_infinite_certified_upper_exits_one(command, name, rule, tmp_path, capsys):
-    # A record with "upper": Infinity would not be JSON.
+    # A record with "upper": Infinity would not be JSON.  estimate refuses
+    # the function by its cap-ball bound W_cap before any search, and algebra
+    # its product with z, whose lower bound it searches.
     config = {"command": command, "function": _OVERFLOWING[name], "max_level": 2, "budget": 50, "seed": 1}
+    if command == "algebra":
+        config["function2"], rule = _Z, "product of factor bounds"
     with pytest.raises(InvalidInputError, match=re.escape(f"certified upper bound is not finite: {rule}")):
         cli.run(command, config)
     path, out = tmp_path / "overflow.json", tmp_path / "record.json"
     path.write_text(json.dumps(config))
     assert run_cli([command, "--config", path, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: certified upper bound is not finite") and "Traceback" not in err
+    assert err.startswith(f"error: certified upper bound is not finite: {rule}") and "Traceback" not in err
     assert not out.exists()
 
 
-def test_a_non_finite_number_in_a_record_exits_one(tmp_path, capsys):
-    # The product's certified bound overflows, so the algebra check's slack
-    # is infinite; the record holding it is not written.
-    config = {"command": "algebra", "function": _OVERFLOWING["sum"], "function2": _Z, "max_level": 2, "budget": 50, "seed": 1}
-    record, passed = cli.run("algebra", config)
-    assert passed and record["results"]["worst_slack"] == float("inf")
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        cli.record_to_json(record)
+def test_a_non_finite_number_in_a_record_exits_one(monkeypatch, tmp_path, capsys):
+    # A record holding an infinite or NaN number is not JSON, so it is not
+    # written.
+    config = {"command": "algebra", "function": _Z, "function2": _Z, "max_level": 2, "budget": 50, "seed": 1}
+    for number in (float("inf"), float("nan")):
+        record = {"command": "algebra", "results": {"worst_slack": number}}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.record_to_json(record)
+    monkeypatch.setattr(cli, "run", lambda command, config: (record, True))
     path, out = tmp_path / "algebra.json", tmp_path / "record.json"
     path.write_text(json.dumps(config))
     assert run_cli(["algebra", "--config", path, "--out", out]) == 1

@@ -9,13 +9,13 @@ from cbnorm_lab.opspace import (
     ConcreteOperatorSpace,
     _extension_norm,
     OpSpaceMatrix,
-    block_adjoint,
     block_matrix,
     builder_space,
     closed_form_dual_norm,
     compress,
     direct_sum_matrices,
     matrix_norm,
+    norm_gradient,
     norming_element,
     realize,
     sample_matrix_ball,
@@ -137,15 +137,31 @@ def test_realize_matches_hand_indexed_blocks():
                     assert big[2 * i + a, 2 * j + b] == acc
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
-def test_block_adjoint_is_the_adjoint_of_block_matrix(level):
+_CUSTOM = ConcreteOperatorSpace(
+    np.random.default_rng(12).standard_normal((3, 2, 2)) + 1j * np.random.default_rng(13).standard_normal((3, 2, 2))
+)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [space_scalar(), space_mk(2), space_row(3), space_column(2), space_min_linf(3), _CUSTOM],
+    ids=lambda s: s.kind,
+)
+def test_norm_gradient_is_the_derivative_of_the_realized_norm(space):
+    # Re Σ G·dE against the central difference of ‖block_matrix(E + t·dE)‖
+    # along a random direction, where σ₁ is simple.
     rng = np.random.default_rng(9)
-    basis = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-    de = rng.standard_normal((level, level, 3)) + 1j * rng.standard_normal((level, level, 3))
-    u, v = (rng.standard_normal(2 * level) + 1j * rng.standard_normal(2 * level) for _ in range(2))
-    grid = block_adjoint(u, v, basis)
-    assert grid.shape == (level, level, 3)
-    assert np.isclose(u.conj() @ block_matrix(de, basis) @ v, np.sum(grid * de), rtol=1e-13)
+    norm = lambda e: matcore.operator_norm(block_matrix(e, space.basis))
+    for level in (1, 2, 3):
+        entries, de = random_entries(rng, space, level), random_entries(rng, space, level)
+        realized = block_matrix(entries, space.basis)
+        sigma = np.linalg.svd(realized, compute_uv=False)
+        assert sigma.size == 1 or sigma[0] - sigma[1] > 1e-2 * sigma[0]
+        grid = norm_gradient(realized, space.basis)
+        assert grid.shape == entries.shape
+        t = 1e-6
+        central = (norm(entries + t * de) - norm(entries - t * de)) / (2 * t)
+        assert np.isclose(np.sum(grid * de).real, central, rtol=1e-6, atol=1e-9)
 
 
 def test_mk_norm_matches_reshuffled_operator_norm():

@@ -375,7 +375,7 @@ def test_space_search_stays_on_the_cap_sphere(scalar, space, m, times_geometric,
     f = Composite(scalar, space, *_functional(rng, space, 0.6))
     if times_geometric:
         f = Product(f, holofun.GeometricPhi(space, *_functional(rng, space, 0.5)))
-    _, project, start, _ = _space_problem(f, m)
+    _, project, start = _space_problem(f, m)
     # Points inside and outside the cap ball, with −0.0 and +0.0 parts.
     stack = np.stack([scale * start(rng) for scale in (1e-3, 0.1, 1.0, 10.0, 1e3)])
     parts = stack.view(np.float64)

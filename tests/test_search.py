@@ -186,7 +186,7 @@ def test_level_sup_spends_its_budget_when_one_gradient_needs_more(monkeypatch):
 def test_ascent_leaves_a_degenerate_start(f):
     # At 0.5·I₂ the top singular value of f[Z] is double; the ascent still
     # climbs to f(RADIUS_CAP), the level-2 supremum within the cap.
-    objective, project, _, _ = cbnorm._disk_problem(f, 2)
+    objective, project, _ = cbnorm._disk_problem(f, 2)
     x0 = 0.5 * np.eye(2, dtype=complex)
     _, value = _search.ascend(objective, x0, project, _search.Budget(200))
     assert value >= holofun.amplify(f, np.array([[RADIUS_CAP]]))[0, 0].real - 1e-9
@@ -195,7 +195,7 @@ def test_ascent_leaves_a_degenerate_start(f):
 def test_space_gradient_on_the_cap_drops_its_outward_part():
     space = space_min_linf(2)
     f = holofun.Composite(holofun.PowerSeries([1.0]), space, np.array([0.3, 0.4]), 0.7)
-    objective, project, _, _ = cbnorm._space_problem(f, 2)
+    objective, project, _ = cbnorm._space_problem(f, 2)
     x = project(2.0 * _complex_normal(np.random.default_rng(6), (1, 2, 2, 2)))[0]  # onto the cap
     # The cap's outward normal and the objective's gradient, by central
     # differences along the 16 real coordinates, as real vectors of parts.
@@ -382,7 +382,7 @@ def _disk_case(rng):
     f = [holofun.PowerSeries([1.0]), holofun.MoebiusQuotient(holofun.PowerSeries([0.0, 1.0]), 0.5),
          holofun.PowerSeries([0.2, -0.5, 0.3j])][int(rng.integers(3))]
     m = int(rng.integers(2, 4))
-    objective, project, start, _ = cbnorm._disk_problem(f, m)
+    objective, project, start = cbnorm._disk_problem(f, m)
     alone = lambda point: matcore.operator_norm(holofun._eval_array(f, point)[0])
     return objective, project, start(rng), alone
 
@@ -394,7 +394,7 @@ def _space_case(rng):
     f = holofun.Product(holofun.Composite(holofun.PowerSeries([1.0, 0.5]), space, phi, 0.6),
                         holofun.GeometricPhi(space, phi[::-1], 0.6))
     m = int(rng.integers(1, 3))
-    objective, project, start, _ = cbnorm._space_problem(f, m)
+    objective, project, start = cbnorm._space_problem(f, m)
     alone = lambda point: matcore.operator_norm(holofun.amplify(f, OpSpaceMatrix(space, point)))
     return objective, project, start(rng), alone
 
@@ -643,7 +643,7 @@ def test_space_search_and_restart_certificate_keep_their_bits():
     # from inside the ball and from outside it onto the same point.
     signed = np.array([[complex(-0.0, 0.1), complex(0.2, -0.0)], [complex(-0.0, -0.0), complex(-0.1, 0.3)]])
     signs = lambda z: np.signbit(z.view(np.float64))
-    _, space_project, _, _ = cbnorm._space_problem(holofun.GeometricPhi(row, phi, float(np.linalg.norm(phi))), 2)
+    _, space_project, _ = cbnorm._space_problem(holofun.GeometricPhi(row, phi, float(np.linalg.norm(phi))), 2)
     entries = np.stack([signed, signed], axis=-1)
     outside = (4.0 * entries.view(np.float64)).view(np.complex128)  # a complex product would drop −0.0
     out = space_project(np.stack([entries, outside]))
