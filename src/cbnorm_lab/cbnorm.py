@@ -270,10 +270,14 @@ def witness_value(f: HoloFunction, w: Witness) -> float:
 
 
 def lift_witness(w: Witness, level: int) -> Witness:
-    """Pad the witness with zero rows and columns up to `level`: same value.
+    """Pad the witness with zero rows and columns up to `level`, a level in
+    [w.level, MAX_LEVEL]: same value.
 
     The witness's point goes into the top-left corner of a zero array, which
     gives np.pad's bits (+0.0 fill) at a fraction of its cost."""
+    level = matcore.check_level(level)
+    if level < w.level:
+        raise InvalidInputError(f"cannot lift a level-{w.level} witness down to level {level}")
     corner = np.asarray(getattr(w.matrix, "entries", w.matrix))
     lifted = np.zeros((level, level, *corner.shape[2:]), corner.dtype)
     lifted[: w.level, : w.level] = corner
@@ -301,10 +305,8 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
             table[m], spent[m] = lift_witness(running, m), 0
             continue
         w = level_sup(f, m, budget, seed)
-        if running is not None:
-            lifted = lift_witness(running, m)
-            if lifted.value > w.value:
-                w = lifted
+        if running is not None and running.value > w.value:
+            w = lift_witness(running, m)
         running = table[m] = w
         spent[m] = budget
     return table, spent, cap

@@ -49,6 +49,18 @@ def _parser(declared, kind_of=None):
     return wrap
 
 
+def _real_in(value, name: str) -> float:
+    """A real number written as a JSON int or float.  A bool, a string (even
+    "2"), a null or an int past the float range is an InvalidInputError
+    naming the key."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidInputError(f"{name} must be a JSON number, got {value!r}")
+
+
 def _complex_in(pair) -> complex:
     return complex(_array_in(pair, depth=0))
 
@@ -122,7 +134,7 @@ _COMPLEXES = (
     lambda values: _array_in(values, depth=1),
     lambda values: [_complex_out(c) for c in values],
 )
-_REAL = (float, lambda x: x)
+_REAL = (lambda x: _real_in(x, "certified_norm"), lambda x: x)
 _ORDER = (lambda v: as_int(v, "m"), lambda m: m)
 _SPACE = (lambda d: space_from_descriptor(d), space_to_descriptor)
 _FUNCTION = (lambda d: function_from_descriptor(d), lambda f: function_to_descriptor(f))
@@ -227,6 +239,7 @@ def dictionary_from_descriptor(d, space: opspace.ConcreteOperatorSpace) -> gcb.F
 
 @_parser({"scalar": ("function", "bound"), "grid": ("grid", "bound")}, "dictionary entry")
 def _dictionary_entry(e, space: opspace.ConcreteOperatorSpace):
+    bound = _real_in(e["bound"], "bound")
     if e["kind"] == "scalar":
-        return gcb.ScalarEntry(function_from_descriptor(e["function"]), float(e["bound"]))
-    return gcb.GridEntry(space, _array_in(e["grid"], depth=3), float(e["bound"]))
+        return gcb.ScalarEntry(function_from_descriptor(e["function"]), bound)
+    return gcb.GridEntry(space, _array_in(e["grid"], depth=3), bound)

@@ -74,38 +74,20 @@ def as_matrix(a, ndim: int = 2) -> np.ndarray:
     return m
 
 
-# The window of max(|Re z|, |Im z|) in which a 1×1 SVD takes no scaling step:
-# zgesdd rescales a matrix whose largest entry lies outside about
-# [6.7e-139, 1.5e138], and its value then has other bits.
-_MODULUS_WINDOW = (2.0**-450, 2.0**450)
-
-
 def operator_norms(stack, ndim: int = 3) -> np.ndarray:
     """Largest singular value of each matrix of a (k, p, q) stack, or of one
     (p, q) matrix when ndim is 2, accurate to ~1e-10 relative.  The SVD gufunc
     decomposes each matrix on its own, so a value has the same bits whatever
-    else shares the stack.
-
-    A 1×1 matrix z has σ₁ = |z|, which a stack of them gets without LAPACK,
-    with the bits the SVD would give: zgesdd takes it as w·√((x/w)² + (y/w)²)
-    with x = |Re z|, y = |Im z|, w = max(x, y) (LAPACK's dlapy3).  `np.abs`
-    (hypot) rounds otherwise on a few percent of values.  A stack with a zero
-    entry, or with w outside _MODULUS_WINDOW, where zgesdd rescales first,
-    goes to the SVD whole."""
+    else shares the stack.  A 1×1 matrix z has σ₁ = |z|: a stack of them is
+    `np.abs` of its entries, and reaches no SVD."""
     s = as_matrix(stack, ndim)
-    if s.shape[-1] == 1 == s.shape[-2] and s.size:
-        x, y = np.abs(s.real), np.abs(s.imag)
-        w = np.maximum(x, y)
-        low, high = _MODULUS_WINDOW
-        if low <= w.min() and w.max() <= high:
-            x, y = x / w, y / w
-            return (w * np.sqrt(x * x + y * y))[..., 0, 0]
+    if s.shape[-2:] == (1, 1):
+        return np.abs(s[..., 0, 0])
     return np.linalg.svd(s, compute_uv=False)[..., 0] if s.size else np.zeros(s.shape[:-2])
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of one matrix: `operator_norms` with ndim 2, so
-    a 1×1 matrix gets its modulus with the SVD's bits and no LAPACK call.
+    """Largest singular value of one matrix: `operator_norms` with ndim 2.
 
     A single matrix goes to the SVD as it is: wrapped as a stack of one, it
     would take the gufunc's batched loop, which costs more per call than

@@ -381,6 +381,26 @@ def test_lift_twice_is_two_by_two_zero_block():
     assert np.all(mat[1:, :] == 0) and np.all(mat[:, 1:] == 0)
 
 
+def test_lift_witness_to_its_own_level_keeps_it():
+    for w in (level_sup(GEOMETRIC, 2, 200, 7), level_sup(Composite(GEOMETRIC, MIN2, [0.3, 0.2], 0.5), 2, 200, 7)):
+        same = lift_witness(w, w.level)
+        assert same.level == w.level and same.value == w.value
+        assert np.asarray(getattr(same.matrix, "entries", same.matrix)).tobytes() == (
+            np.asarray(getattr(w.matrix, "entries", w.matrix)).tobytes()
+        )
+
+
+@pytest.mark.parametrize(
+    "level, message",
+    [(1, "cannot lift a level-2 witness down to level 1"), (matcore.MAX_LEVEL + 1, "level must lie in"),
+     (2.5, "level must be an integer"), (True, "level must be an integer")],
+)
+def test_lift_witness_refuses_a_level_it_cannot_reach(level, message):
+    w = level_sup(IDENTITY, 2, 10, 0)
+    with pytest.raises(InvalidInputError, match=message):
+        lift_witness(w, level)
+
+
 @pytest.mark.parametrize(
     "f",
     [GEOMETRIC, GeometricPhi(space_row(2), np.array([0.3, 0.4]), 0.5)],

@@ -464,6 +464,39 @@ def test_malformed_complex_arrays_end_in_an_error_line(site, kind, tmp_path, cap
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def _with_real(site, value):
+    """A shipped config with `value` at `site`: the certified norm of a
+    geometric functional or of a composite, or the bound of a grid or a
+    scalar dictionary entry.  Returns (command, config, key)."""
+    space = {"kind": "row", "param": 2}
+    phi = {"space": space, "phi": [[0.3, 0.0], [0.2, 0.0]], "certified_norm": value}
+    functions = {
+        "geometric_phi": {"kind": "geometric_phi", **phi},
+        "composite": {"kind": "composite", "scalar": {"kind": "power_series", "coeffs": [[0.0, 0.0], [1.0, 0.0]]}, **phi},
+    }
+    if site in functions:
+        return "sandwich", {**load(CONFIG_DIR / "sandwich_geometric.json"), "function": functions[site]}, "certified_norm"
+    config = load(CONFIG_DIR / "gcb_duplicate_delta.json")
+    entry = config["dictionary"]["entries"][0]
+    if site == "scalar":
+        entry = {"kind": "scalar", "function": functions["composite"]["scalar"]}
+    config["dictionary"]["entries"] = [{**entry, "bound": value}]
+    return "gcb", config, "bound"
+
+
+@pytest.mark.parametrize("site", ["geometric_phi", "composite", "grid", "scalar"])
+@pytest.mark.parametrize("value", ["2", True, False, None], ids=["string", "true", "false", "null"])
+def test_a_real_that_is_no_json_number_exits_one(site, value, tmp_path, capsys):
+    # A certified norm or an entry bound reads only JSON ints and floats, as
+    # complex pairs and integers do: "2" is no bound of 2.0 and true none of 1.0.
+    command, config, key = _with_real(site, value)
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be a JSON number, got {value!r}\n"
+
+
 def test_an_empty_zeros_list_still_parses():
     # A Blaschke product without zeros: z itself.
     function = {"kind": "blaschke", "c": [1.0, 0.0], "m": 1, "zeros": []}

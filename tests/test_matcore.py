@@ -1,5 +1,6 @@
 """Unit and property tests for the dense linear algebra layer."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,10 +72,6 @@ def test_operator_norms_equal_operator_norm_bitwise(k):
         assert norm.hex() == matcore.operator_norm(matrix).hex()
 
 
-def _svd_norms(stack):
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
-
-
 def _moduli(rng, k):
     """k complex numbers with moduli spread over 1e-135…1e135, among them
     purely real and purely imaginary ones with zero parts of either sign."""
@@ -85,41 +82,49 @@ def _moduli(rng, k):
     return z
 
 
-def test_one_by_one_norms_are_the_svd_moduli_bit_for_bit_without_lapack(monkeypatch):
-    # In the window σ₁ of a 1×1 matrix is computed as zgesdd does (dlapy3),
-    # so it has the SVD's bits, and no SVD runs; np.abs (hypot) would round
-    # otherwise on a few percent of these.
+# Zeros, a subnormal, extreme magnitudes and the largest parts a finite
+# modulus allows.
+_EDGES = [0.0, -0.0j, 5e-324, 1e-300, 1e300, 1e300j, complex(1e-300, -1e-300), complex(1e308, 1e308)]
+
+
+def _edge_stack(rng, k):
+    stack = _moduli(rng, k)
+    stack[rng.choice(k, len(_EDGES), replace=False)] = _EDGES
+    return stack.reshape(-1, 1, 1)
+
+
+def test_one_by_one_stacks_are_moduli_and_reach_no_svd(monkeypatch):
     rng = np.random.default_rng(29)
-    stack = _moduli(rng, 4000).reshape(-1, 1, 1)
-    expected = _svd_norms(stack)
-    assert np.count_nonzero(np.abs(stack[:, 0, 0]) != expected) > 0
+    stack = _edge_stack(rng, 4000)
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("a 1×1 stack reached the SVD"))
-    assert matcore.operator_norms(stack).tobytes() == expected.tobytes()
-    for matrix, norm in zip(stack[:400], expected):
-        assert matcore.operator_norm(matrix).hex() == norm.hex()
+    assert matcore.operator_norms(stack).tobytes() == np.abs(stack[:, 0, 0]).tobytes()
+    for matrix in stack[:400]:
+        assert matcore.operator_norm(matrix) == matcore.operator_norms(matrix[None])[0]
+    assert matcore.operator_norms(np.zeros((0, 1, 1))).shape == (0,)
 
 
-@pytest.mark.parametrize("outside", [0.0, 5e-324, 1e-300, 1e300, 1e300j, complex(1e-300, -1e-300)])
-def test_one_by_one_stacks_past_the_window_keep_each_rows_bits(outside):
-    # A zero entry, or one whose largest part lies outside the window, sends
-    # the whole stack to the SVD; every row keeps the bits it has alone.
-    rng = np.random.default_rng(31)
-    stack = _moduli(rng, 64).reshape(-1, 1, 1)
-    stack[[5, 40]] = outside
-    norms = matcore.operator_norms(stack)
-    assert norms.tobytes() == _svd_norms(stack).tobytes()
-    for matrix, norm in zip(stack, norms):
-        assert matcore.operator_norms(matrix[None]).tobytes() == norm.tobytes()
-        assert matcore.operator_norm(matrix).hex() == norm.hex()
+@pytest.mark.parametrize("k", range(1, 18))
+def test_one_by_one_rows_keep_the_bits_they_have_alone(k):
+    rng = np.random.default_rng(31 + k)
+    plain = _moduli(rng, 64)[-k:]
+    mixed = rng.permutation(np.concatenate([_EDGES, plain]))
+    for stack in (plain, mixed[:k], mixed[-k:]):
+        stack = stack.reshape(-1, 1, 1)
+        norms = matcore.operator_norms(stack)
+        for matrix, norm in zip(stack, norms):
+            assert matcore.operator_norms(matrix[None]).tobytes() == norm.tobytes()
+            assert matcore.operator_norm(matrix).hex() == norm.hex()
 
 
-@pytest.mark.parametrize("exponents", [(-300, -137), (137, 300)], ids=["small", "large"])
-def test_one_by_one_stacks_outside_the_window_keep_the_svd_bits(exponents):
-    # Out there zgesdd rescales first, and w·√((x/w)² + (y/w)²) would miss
-    # its bits on about a third of these moduli.
+def test_one_by_one_norms_are_within_two_ulps_of_the_modulus():
     rng = np.random.default_rng(37)
-    stack = (10.0 ** rng.uniform(*exponents, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))).reshape(-1, 1, 1)
-    assert matcore.operator_norms(stack).tobytes() == _svd_norms(stack).tobytes()
+    z = 10.0 ** rng.uniform(-300.0, 300.0, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    z = np.concatenate([_moduli(rng, 2000), z, _EDGES])
+    norms = matcore.operator_norms(z.reshape(-1, 1, 1))
+    with mpmath.workdps(40):
+        for entry, norm in zip(z, norms):
+            exact = mpmath.hypot(mpmath.mpf(entry.real), mpmath.mpf(entry.imag))
+            assert abs(mpmath.mpf(norm) - exact) <= 2 * mpmath.mpf(np.spacing(float(exact))), entry
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
