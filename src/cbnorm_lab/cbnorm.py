@@ -295,7 +295,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     each later level takes the lifted witness and spends nothing.  A level
     that is searched spends exactly `budget` evaluations, and a lifted
     lower-level witness replaces its own only when its value is strictly
-    larger.  A non-finite W_cap is an input error, raised before any search.
+    larger.  W_cap passes `_finite_rule` before any search.
     """
     cap, _ = _finite_rule(f, RADIUS_CAP)
     table, spent = {}, {}
@@ -312,8 +312,8 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     return table, spent, cap
 
 
-def probe_levels(schedule) -> list:
-    """The distinct levels, ascending, of a probe schedule: a non-empty list of
+def schedule_levels(schedule) -> list:
+    """The distinct levels, ascending, of a schedule: a non-empty list of
     levels in [1, MAX_LEVEL]."""
     if not isinstance(schedule, (list, tuple)) or not schedule:
         raise InvalidInputError(f"schedule must be a non-empty list of levels, got {schedule!r}")
@@ -321,12 +321,12 @@ def probe_levels(schedule) -> list:
 
 
 def _levels(max_level: int, schedule) -> list:
-    """The levels a bound searches: the schedule's (`probe_levels`), each at
+    """The levels a bound searches: the schedule's (`schedule_levels`), each at
     most max_level, or with no schedule DEFAULT_LEVELS capped at max_level."""
     max_level = matcore.check_count(max_level, "max_level")
     if schedule is None:
         return [m for m in DEFAULT_LEVELS if m <= max_level]
-    levels = probe_levels(schedule)
+    levels = schedule_levels(schedule)
     if levels[-1] > max_level:
         raise InvalidInputError(f"schedule level {levels[-1]} exceeds max_level {max_level}")
     return levels
@@ -407,10 +407,13 @@ def _upper_rules(f: HoloFunction, t: float = 1.0):
 
 
 def _finite_rule(f: HoloFunction, t: float = 1.0):
-    """`_upper_rules` at radius t; a rule that overflows is an input error."""
+    """`_upper_rules` at radius t; a rule that overflows, or is positive but
+    subnormal (a searched value there can round far past it), is refused."""
     bound, rule = _upper_rules(f, t)
     if not math.isfinite(bound):
         raise InvalidInputError(f"certified upper bound is not finite: {rule} = {bound}")
+    if 0.0 < bound < np.finfo(float).smallest_normal:
+        raise InvalidInputError(f"certified upper bound is subnormal: {rule} = {bound}")
     return bound, rule
 
 
@@ -435,8 +438,8 @@ def cb_upper_bound(f: HoloFunction) -> float:
 def sandwich(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> CbEstimate:
     """Both bounds, with the consistency check `in_order`; the lower bound
     searches the schedule's levels (`cb_lower_bound`).  The certified upper
-    comes first: a rule that overflows to a non-finite bound is an input
-    error, raised before any search (`_finite_rule`)."""
+    comes first: a rule that overflows, or is subnormal, is an input error,
+    raised before any search (`_finite_rule`)."""
     upper, rule = _finite_rule(f)
     est = cb_lower_bound(f, max_level, budget, seed, schedule)
     if not in_order(est.lower, upper):

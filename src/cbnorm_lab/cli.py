@@ -1,7 +1,7 @@
 """Reproducible experiment runner: JSON configs in, JSON result records out.
 
-`estimate` records the lower bound, `sandwich` both bounds, and `probe` is a
-sandwich at the levels of its optional `schedule`.
+`sandwich` records both bounds, its lower bound searching the levels of the
+optional `schedule`.
 
 Exit codes: 0 success, 1 input errors, 2 property failures (a check
 report that did not pass, or an internal sandwich violation).  Records rerun
@@ -36,7 +36,7 @@ _KEYS = {
     "budget": matcore.check_count,
     "max_level": matcore.check_count,
     "trials": matcore.check_count,
-    "schedule": lambda value, name: cbnorm.probe_levels(value),
+    "schedule": lambda value, name: cbnorm.schedule_levels(value),
     **dict.fromkeys(("function", "function2", "set", "x0", "element", "dictionary", "space", "point"), dict),
     "out": str,
 }
@@ -47,6 +47,8 @@ _COMMON = ("schema_version", "command", "out")
 
 def validate_config(command: str, config: dict) -> None:
     """Reject a config with a missing, unknown or invalid key, naming the key."""
+    if command not in _COMMANDS:
+        raise CbnormLabError(f"unknown command {command!r}; the commands are {', '.join(COMMANDS)}")
     if not isinstance(config, dict):
         raise CbnormLabError(f"config invalid at $: expected an object, got {type(config).__name__}")
     _, required, optional = _COMMANDS[command]
@@ -82,15 +84,13 @@ def _fields(report, *drop) -> dict:
     return {k: v for k, v in asdict(report).items() if k not in drop}
 
 
-def _run_bounds(bounds, config):
-    """estimate (bounds = cb_lower_bound), and sandwich and probe (bounds =
-    sandwich); a probe searches the levels of its schedule."""
+def _run_sandwich(config):
     f = descriptors.function_from_descriptor(config["function"])
-    est = bounds(f, config["max_level"], config["budget"], config["seed"], config.get("schedule"))
+    est = cbnorm.sandwich(f, config["max_level"], config["budget"], config["seed"], config.get("schedule"))
     results = {
         "lower": est.lower,
         "upper": est.upper,
-        "gap": None if est.upper is None else est.upper - est.lower,
+        "gap": est.upper - est.lower,
         "provenance": est.provenance,
         "level_table": {str(m): {"value": w.value, "samples": est.samples[m]} for m, w in est.level_table.items()},
     }
@@ -151,17 +151,13 @@ def _run_delta_isometry(config):
     return _fields(report), None, report.passed
 
 
-_SEARCH_KEYS = ("function", "max_level", "budget", "seed")
-
 # Each command: its runner, its required keys and its optional keys.
 _COMMANDS = {
-    "estimate": (lambda config: _run_bounds(cbnorm.cb_lower_bound, config), _SEARCH_KEYS, ()),
-    "sandwich": (lambda config: _run_bounds(cbnorm.sandwich, config), _SEARCH_KEYS, ()),
+    "sandwich": (_run_sandwich, ("function", "max_level", "budget", "seed"), ("schedule",)),
     # schwarz reads neither max_level nor budget, but configs/schwarz_square.json,
     # which the disk-sandwich benchmark runs, carries both.
     "schwarz": (_run_schwarz, ("function", "trials", "seed"), ("max_level", "budget")),
     "algebra": (_run_algebra, ("function", "function2", "max_level", "budget", "seed"), ()),
-    "probe": (lambda config: _run_bounds(cbnorm.sandwich, config), _SEARCH_KEYS, ("schedule",)),
     "hull": (_run_hull, ("set", "trials", "seed"), ()),
     "separate": (_run_separate, ("set", "x0", "budget", "seed"), ()),
     # gcb and delta-isometry draw no random numbers, but a seed in their

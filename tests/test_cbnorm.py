@@ -365,6 +365,19 @@ def test_lower_table_stops_on_zero_functions():
         assert est.lower == 0.0 and est.samples == {1: 50, 2: 0, 4: 0}
 
 
+@pytest.mark.parametrize(
+    "f, refusal",
+    [(Scale(1e308, PowerSeries([1e308])), "not finite"), (PowerSeries([1e-320]), "subnormal")],
+    ids=["overflowing", "subnormal"],
+)
+def test_lower_table_refuses_a_cap_ball_bound_before_any_search(f, refusal, monkeypatch):
+    # Evaluating the overflowing function would warn, and a subnormal one
+    # rounds its level values above the exact rule.
+    monkeypatch.setattr(cbnorm, "level_sup", lambda *args: pytest.fail("searched"))
+    with pytest.raises(InvalidInputError, match=f"certified upper bound is {refusal}: "):
+        cb_lower_bound(f, 2, 50, 1)
+
+
 def test_lift_witness_preserves_value():
     w = level_sup(GEOMETRIC, 1, 2000, 7)
     lifted = lift_witness(w, w.level + 1)
@@ -673,7 +686,7 @@ def test_algebra_check_pairs():
     assert report.worst_slack >= -1e-6
 
 
-# A probe is the sandwich at the levels of its schedule: the certified upper
+# A schedule names the levels a sandwich searches: the certified upper
 # bounds every level's value, and upper − value is that level's gap.
 
 

@@ -35,7 +35,7 @@ def stripped(record_path):
 
 
 def test_each_command_has_one_runner_and_its_required_keys(tmp_path):
-    assert cli.COMMANDS == tuple(cli._COMMANDS) and len(cli.COMMANDS) == 9
+    assert cli.COMMANDS == tuple(cli._COMMANDS) and len(cli.COMMANDS) == 7
     for runner, required, optional in cli._COMMANDS.values():
         assert callable(runner)
         declared = [*required, *optional, *cli._COMMON]
@@ -125,16 +125,16 @@ def test_sandwich_record_reports_quotient_bound(tmp_path):
 def test_estimate_identity_deterministic_bytes(tmp_path):
     config = CONFIG_DIR / "estimate_identity.json"
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli(["estimate", "--config", config, "--out", a]) == 0
-    assert run_cli(["estimate", "--config", config, "--out", b]) == 0
+    assert run_cli(["sandwich", "--config", config, "--out", a]) == 0
+    assert run_cli(["sandwich", "--config", config, "--out", b]) == 0
     assert stripped(a) == stripped(b)
 
 
 def test_seed_override_changes_record(tmp_path):
     config = CONFIG_DIR / "estimate_identity.json"
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli(["estimate", "--config", config, "--out", a]) == 0
-    assert run_cli(["estimate", "--config", config, "--out", b, "--seed", "99"]) == 0
+    assert run_cli(["sandwich", "--config", config, "--out", a]) == 0
+    assert run_cli(["sandwich", "--config", config, "--out", b, "--seed", "99"]) == 0
     assert load(a)["config"]["seed"] == 7
     assert load(b)["config"]["seed"] == 99
 
@@ -153,15 +153,12 @@ def test_gcb_and_delta_isometry_need_no_seed(name):
 
 
 def test_schema_violation_exits_one(tmp_path, capsys):
-    # A missing seed, and a probe level just above the cap.
+    # A missing seed, and a schedule level just above the cap.
     identity = {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
-    for command, extra, where in (
-        ("estimate", {}, "seed"),
-        ("probe", {"seed": 1, "schedule": [1, 65]}, "schedule"),
-    ):
+    for extra, where in (({}, "seed"), ({"seed": 1, "schedule": [1, 65]}, "schedule")):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"command": command, "function": identity, "max_level": 2, "budget": 10, **extra}))
-        assert run_cli([command, "--config", config]) == 1
+        config.write_text(json.dumps({"command": "sandwich", "function": identity, "max_level": 2, "budget": 10, **extra}))
+        assert run_cli(["sandwich", "--config", config]) == 1
         err = capsys.readouterr().err
         assert "$" in err and where in err
 
@@ -178,8 +175,8 @@ def test_blaschke_zero_order_past_the_cap_exits_one(m, tmp_path, capsys):
     assert f"at most 2048, got {m}" in capsys.readouterr().err
 
 
-_PROBE = {
-    "command": "probe",
+_SANDWICH = {
+    "command": "sandwich",
     "function": {"kind": "power_series", "coeffs": [[1.0, 0.0]]},
     "max_level": 2,
     "budget": 10,
@@ -189,12 +186,12 @@ _PROBE = {
 
 def test_probe_schedule_above_max_level_exits_one(tmp_path, capsys):
     # max_level bounds a given schedule as it bounds the default one.
-    config = tmp_path / "probe.json"
-    config.write_text(json.dumps({**_PROBE, "schedule": [1, 16]}))
-    assert run_cli(["probe", "--config", config]) == 1
+    config = tmp_path / "sandwich.json"
+    config.write_text(json.dumps({**_SANDWICH, "schedule": [1, 16]}))
+    assert run_cli(["sandwich", "--config", config]) == 1
     assert "schedule level 16 exceeds max_level 2" in capsys.readouterr().err
-    config.write_text(json.dumps({**_PROBE, "schedule": [2, 1]}))
-    assert run_cli(["probe", "--config", config, "--out", tmp_path / "record.json"]) == 0
+    config.write_text(json.dumps({**_SANDWICH, "schedule": [2, 1]}))
+    assert run_cli(["sandwich", "--config", config, "--out", tmp_path / "record.json"]) == 0
     assert sorted(load(tmp_path / "record.json")["results"]["level_table"]) == ["1", "2"]
 
 
@@ -212,9 +209,9 @@ def test_probe_schedule_above_max_level_exits_one(tmp_path, capsys):
     ],
 )
 def test_validate_config_accepts(key, value):
-    # trials and function2 are keys of schwarz and algebra, which also take probe's other keys.
-    command = {"trials": "schwarz", "function2": "algebra"}.get(key, "probe")
-    cli.validate_config(command, {**_PROBE, "command": command, key: value})
+    # trials and function2 are keys of schwarz and algebra, which also take sandwich's other keys.
+    command = {"trials": "schwarz", "function2": "algebra"}.get(key, "sandwich")
+    cli.validate_config(command, {**_SANDWICH, "command": command, key: value})
 
 
 @pytest.mark.parametrize(
@@ -244,15 +241,15 @@ def test_validate_config_accepts(key, value):
 )
 def test_validate_config_rejects(key, value, tmp_path, capsys):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({**_PROBE, key: value}))
-    assert run_cli(["probe", "--config", config]) == 1
+    config.write_text(json.dumps({**_SANDWICH, key: value}))
+    assert run_cli(["sandwich", "--config", config]) == 1
     assert f"config invalid at $.{key}: " in capsys.readouterr().err
 
 
 def test_validate_config_rejects_non_object(tmp_path, capsys):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps([_PROBE]))
-    assert run_cli(["probe", "--config", config, "--seed", "2"]) == 1
+    config.write_text(json.dumps([_SANDWICH]))
+    assert run_cli(["sandwich", "--config", config, "--seed", "2"]) == 1
     assert "config invalid at $: " in capsys.readouterr().err
 
 
@@ -267,13 +264,13 @@ _UNDECLARED = [
 
 
 def test_undeclared_keys_include_the_known_strays():
-    assert ("sandwich", "trials") in _UNDECLARED and ("estimate", "schedule") in _UNDECLARED
+    assert ("sandwich", "trials") in _UNDECLARED and ("algebra", "schedule") in _UNDECLARED
     optional = {(command, key) for command, (_, _, keys) in cli._COMMANDS.items() for key in keys}
-    # Probe reads its schedule, and checks it against max_level.  The others
+    # Sandwich reads its schedule, and checks it against max_level.  The others
     # are accepted though unread: schwarz's max_level and budget, and the seed
     # of gcb and of delta-isometry.
     assert optional == {
-        ("probe", "schedule"),
+        ("sandwich", "schedule"),
         ("schwarz", "max_level"),
         ("schwarz", "budget"),
         ("gcb", "seed"),
@@ -311,14 +308,13 @@ def test_undeclared_descriptor_key_exits_one(tmp_path, capsys):
         assert f"error: malformed descriptor: unknown key {key!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["estimate", "sandwich"])
-def test_float_budget_records_integer_samples(command):
+def test_float_budget_records_integer_samples():
     # An integral float budget searches as the integer does, and its record
     # says so: integer samples, the same provenance and the same bounds.
     # Level 1 of z meets its cap-ball bound, so level 2 spends nothing.
-    config = {**load(CONFIG_DIR / "estimate_identity.json"), "command": command, "budget": 200}
-    whole, _ = cli.run(command, config)
-    floating, _ = cli.run(command, {**config, "budget": 200.0})
+    config = {**load(CONFIG_DIR / "estimate_identity.json"), "budget": 200}
+    whole, _ = cli.run("sandwich", config)
+    floating, _ = cli.run("sandwich", {**config, "budget": 200.0})
     results = floating["results"]
     samples = [entry["samples"] for entry in results["level_table"].values()]
     assert [type(n) for n in samples] == [int, int] and samples == [200, 0]
@@ -532,15 +528,14 @@ _OVERFLOWING = {
 }
 
 
-@pytest.mark.parametrize("command", ["sandwich", "probe", "estimate", "algebra"])
+@pytest.mark.parametrize("command", ["sandwich", "algebra"])
 @pytest.mark.parametrize(
     "name,rule",
     [("sum", "sum of summand bounds"), ("scale", "scaled ["), ("coeffs", "coefficient-sum (exact polynomial)")],
 )
 def test_an_infinite_certified_upper_exits_one(command, name, rule, tmp_path, capsys):
-    # A record with "upper": Infinity would not be JSON.  estimate refuses
-    # the function by its cap-ball bound W_cap before any search, and algebra
-    # its product with z, whose lower bound it searches.
+    # A record with "upper": Infinity would not be JSON.  algebra refuses
+    # the product with z, whose lower bound it searches.
     config = {"command": command, "function": _OVERFLOWING[name], "max_level": 2, "budget": 50, "seed": 1}
     if command == "algebra":
         config["function2"], rule = _Z, "product of factor bounds"
@@ -552,6 +547,30 @@ def test_an_infinite_certified_upper_exits_one(command, name, rule, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: certified upper bound is not finite: {rule}") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coeffs", [[1e-320], [5e-324, 5e-324], [1e-310]], ids=["1e-320", "two-5e-324", "1e-310"])
+def test_a_subnormal_certified_upper_exits_one(coeffs, tmp_path, capsys):
+    # Below sys.float_info.min the rounding of each complex product can put a
+    # searched level value well above the exact rule, which would read as a
+    # sandwich violation.  1e-310 is itself subnormal, and so is its W_cap.
+    series = {"kind": "power_series", "coeffs": [[c, 0.0] for c in coeffs]}
+    config = {"command": "sandwich", "function": series, "max_level": 2, "budget": 50, "seed": 0}
+    path, out = tmp_path / "subnormal.json", tmp_path / "record.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["sandwich", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certified upper bound is subnormal: coefficient-sum (exact polynomial) = ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coeff", [0.0, 1e-300])
+def test_a_zero_or_normal_tiny_certified_upper_passes(coeff):
+    series = {"kind": "power_series", "coeffs": [[coeff, 0.0]]}
+    config = {"command": "sandwich", "function": series, "max_level": 2, "budget": 50, "seed": 0}
+    record, passed = cli.run("sandwich", config)
+    assert passed and record["results"]["upper"] == coeff
+    assert record["results"]["lower"] <= coeff
 
 
 def test_a_non_finite_number_in_a_record_exits_one(monkeypatch, tmp_path, capsys):
@@ -572,8 +591,27 @@ def test_a_non_finite_number_in_a_record_exits_one(monkeypatch, tmp_path, capsys
 
 
 def test_command_mismatch_exits_one(tmp_path, capsys):
-    assert run_cli(["sandwich", "--config", CONFIG_DIR / "estimate_identity.json"]) == 1
-    assert "declares command" in capsys.readouterr().err
+    config = tmp_path / "mismatch.json"
+    config.write_text(json.dumps({**load(CONFIG_DIR / "sandwich_geometric.json"), "command": "schwarz"}))
+    assert run_cli(["sandwich", "--config", config]) == 1
+    assert "declares command 'schwarz' but 'sandwich' was invoked" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "probe", "sandwhich"])
+def test_an_unknown_command_is_an_input_error(command, tmp_path, capsys):
+    # The library names the command and the commands there are; the console
+    # script's parser refuses it with a usage line and exit code 2.
+    config = {**load(CONFIG_DIR / "estimate_identity.json"), "command": command}
+    for call in (cli.run, cli.validate_config):
+        with pytest.raises(CbnormLabError, match=re.escape(f"unknown command {command!r}; the commands are ")) as error:
+            call(command, config)
+        assert str(error.value).endswith(", ".join(cli.COMMANDS))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as refused:
+        run_cli([command, "--config", path])
+    assert refused.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: cbnorm-lab")
 
 
 def test_property_failure_exits_two(tmp_path):
