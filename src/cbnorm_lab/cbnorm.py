@@ -9,8 +9,8 @@ a disk function, the cap sphere ‖X‖ = RADIUS_CAP of a space function, both
 by the maximum principle), with zero-padding used to transfer
 witnesses upward (padding cannot change the amplified norm because
 every function vanishes at 0); once the lower bound meets the cap-ball
-bound, no higher level can beat it, and those levels take the padded
-witness unsearched (`_lower_table`).  The upper bound comes from the one
+bound, nothing can beat it: the level-1 scan stops there, and the higher
+levels take the padded witness unsearched (`_lower_table`).  The upper bound comes from the one
 certified analytic rule of the function's kind: exact coefficient sums,
 quotient and geometric-functional bounds, and product/sum/scale
 combination rules.  Each rule takes a radius t and bounds the function on
@@ -159,28 +159,30 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     """Best found amplified norm over the level-m ball of radius 1 − 1e-6.
 
     Always a valid lower bound for the level-m supremum, from exactly
-    `budget` objective evaluations.  At level 1 of a function
-    with a scan unit (`_scan_unit`: a disk function, or a one-functional
-    composite over a builder space), |f| peaks on a circle of level-1 points,
-    and `_circle_scan` searches that circle and reads no seed.  Every other
-    level runs random restarts of projected ascent and keeps the first
-    restart that reaches the best value.  Each restart starts from a raw
-    complex Gaussian, which the ascent's first projection places where the
-    sup is attained.  A disk function's ascent runs on the scaled unitaries
-    RADIUS_CAP·U(m): for fixed unitaries U, V the map s ↦ ‖f[U·diag(s)·V*]‖
-    is plurisubharmonic on the polydisk, so the sup over the level-m ball of
-    radius RADIUS_CAP is attained there, on its Shilov boundary.  A space's
-    level-m ball need not hold a unitary, but λ ↦ ‖f[λX]‖ is subharmonic on
-    the disk |λ| <= RADIUS_CAP/‖X‖, so it peaks on its circle, and the
-    space ascent projects onto the cap sphere ‖X‖ = RADIUS_CAP.  Scanned or
-    searched, the point becomes the witness's matrix by `_witness`.
+    `budget` objective evaluations.  At level 1 of a function with a scan
+    unit (`_scan_unit`: a disk function, or a one-functional composite over
+    a builder space), |f| peaks on a circle of level-1 points, and
+    `_circle_scan` searches that circle and reads no seed; here it has no
+    ceiling and spends the whole budget, while `_lower_table` stops it at
+    W_cap.  Every other level runs random restarts of projected ascent and
+    keeps the first restart that reaches the best value.  Each restart
+    starts from a raw complex Gaussian, which the ascent's first projection
+    places where the sup is attained.  A disk function's ascent runs on the
+    scaled unitaries RADIUS_CAP·U(m): for fixed unitaries U, V the map
+    s ↦ ‖f[U·diag(s)·V*]‖ is plurisubharmonic on the polydisk, so the sup
+    over the level-m ball of radius RADIUS_CAP is attained there, on its
+    Shilov boundary.  A space's level-m ball need not hold a unitary, but
+    λ ↦ ‖f[λX]‖ is subharmonic on the disk |λ| <= RADIUS_CAP/‖X‖, so it
+    peaks on its circle, and the space ascent projects onto the cap sphere
+    ‖X‖ = RADIUS_CAP.  Scanned or searched, the point becomes the witness's
+    matrix by `_witness`.
     """
     m = matcore.check_level(m)
     budget = matcore.check_count(budget, "budget")
     matcore.check_seed(seed)
     unit = _scan_unit(f) if m == 1 else None
     if unit is not None:
-        point, value = _circle_scan(f, budget, unit)
+        point, value, _ = _circle_scan(f, budget, unit)
     else:
         problem = _disk_problem if f.domain_space is None else _space_problem
         # max keeps the first of equal values.
@@ -195,11 +197,12 @@ def _witness(space, level: int, point: np.ndarray, value) -> Witness:
     return Witness(level=level, matrix=matrix, value=float(value))
 
 
-def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray):
-    """(point, value) of the best of `budget` level-1 points w·unit,
-    w = RADIUS_CAP·e^{iθ}, by the amplified norm |f(w·unit)|: `unit` is a
-    disk function's 1×1 matrix [1] or the (1, 1, d) entries of a space's
-    norming element (`_scan_unit`), and the point has its shape.
+def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
+    """(point, value, evaluations spent) of the best of at most `budget`
+    level-1 points w·unit, w = RADIUS_CAP·e^{iθ}, by the amplified norm
+    |f(w·unit)|: `unit` is a disk function's 1×1 matrix [1] or the (1, 1, d)
+    entries of a space's norming element (`_scan_unit`), and the point has
+    its shape.
 
     A uniform grid from θ = 0 comes first; the budget's last
     min(budget // 2, _ZOOM_SHARE) points then zoom in on the grid's best
@@ -208,6 +211,10 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray):
     in that order, inner ones first for a round the budget cuts short; q is
     the even share of _ZOOM_ROWS per peak.  Then h, which starts at the grid
     spacing, shrinks to the spacing 2h/(q + 1) of those points.
+    With a `ceiling`, a value that no point beats but by rounding, the scan
+    stops after the grid, or after the zoom round, whose best value reaches
+    it: further rounds could raise the best by rounding alone.  Without one
+    it spends the whole budget.
     The witness is the earliest point, in scan order, whose value ties the
     best up to _ROUNDING_TIE.
 
@@ -241,27 +248,28 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray):
     odd = np.arange(1, q, 2) / (q + 1)
     offsets = np.stack([-odd, odd], axis=1).ravel()
     zoom = []  # (points, values) of each zoom round
-    left = budget - n
-    while left:
+    left, highest = budget - n, at.max()
+    while left and (ceiling is None or highest < ceiling):
         candidates = centers[:, None] + h * offsets
         stack = points(candidates.ravel()[:left])
         tried = np.full(candidates.size, -np.inf)
         tried[: len(stack)] = norms(stack)
         zoom.append((stack, tried[: len(stack)]))
+        highest = max(highest, tried.max())
         tried = tried.reshape(candidates.shape)
         top = np.argmax(tried, axis=1)
         rows = np.flatnonzero(tried[np.arange(centers.size), top] > best)
         centers[rows], best[rows] = candidates[rows, top[rows]], tried[rows, top[rows]]
         h *= 2.0 / (q + 1)
         left -= len(stack)
-    tie = max([at.max(), *(values.max() for _, values in zoom)]) * (1.0 - _ROUNDING_TIE)
+    tie, spent = highest * (1.0 - _ROUNDING_TIE), budget - left
     k = int(np.argmax(at >= tie))
     if at[k] >= tie:
         lo = k - k % _SCAN_STACK
-        return points(chunk(lo))[k - lo], at[k]
+        return points(chunk(lo))[k - lo], at[k], spent
     stack, values = next((stack, values) for stack, values in zoom if values.max() >= tie)
     i = int(np.argmax(values >= tie))
-    return stack[i], values[i]
+    return stack[i], values[i], spent
 
 
 def witness_value(f: HoloFunction, w: Witness) -> float:
@@ -291,24 +299,32 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     Every level-m sup over the ball of radius RADIUS_CAP is at most
     Σ|aₙ|·RADIUS_CAPⁿ, because ‖f[X]‖ <= Σ|aₙ|·‖X‖ⁿ, and so at most W_cap,
     the certified rule at radius RADIUS_CAP.  Once the running lower bound
-    reaches W_cap, up to the scan's rounding tie, no later level can beat it:
-    each later level takes the lifted witness and spends nothing.  A level
-    that is searched spends exactly `budget` evaluations, and a lifted
-    lower-level witness replaces its own only when its value is strictly
-    larger.  W_cap passes `_finite_rule` before any search.
+    reaches W_cap, up to the scan's rounding tie, nothing can beat it: the
+    level-1 circle scan that `level_sup` would run stops, with W_cap as its
+    ceiling, after the grid or the zoom round that reaches it, and spends
+    only what it evaluated; each later level takes the lifted witness and
+    spends nothing.  Any other searched level spends exactly `budget`
+    evaluations (`level_sup`), and a lifted lower-level witness replaces its
+    own only when its value is strictly larger.  W_cap passes `_finite_rule`
+    before any search.
     """
     cap, _ = _finite_rule(f, RADIUS_CAP)
+    met = cap * (1.0 - _ROUNDING_TIE)
     table, spent = {}, {}
     running = None
     for m in levels:
-        if running is not None and running.value >= cap * (1.0 - _ROUNDING_TIE):
+        if running is not None and running.value >= met:
             table[m], spent[m] = lift_witness(running, m), 0
             continue
-        w = level_sup(f, m, budget, seed)
+        unit = _scan_unit(f) if m == 1 else None
+        if unit is not None:
+            point, value, spent[m] = _circle_scan(f, budget, unit, met)
+            w = _witness(f.domain_space, m, point, value)
+        else:
+            w, spent[m] = level_sup(f, m, budget, seed), budget
         if running is not None and running.value > w.value:
             w = lift_witness(running, m)
         running = table[m] = w
-        spent[m] = budget
     return table, spent, cap
 
 
@@ -337,12 +353,15 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed, schedule=
     at max_level (`_levels`), with zero-pad lifting keeping the level table
     nondecreasing.  Level 1 of a function with a scan unit (a disk function,
     or a one-functional composite over a builder space) comes from the circle
-    scan, every other level from projected ascent (`level_sup`).  Levels
-    after the lower bound meets the cap-ball bound W_cap are not searched
-    (`_lower_table`): they take the lifted witness, spend 0 evaluations, and
-    the provenance names them with W_cap."""
+    scan, every other level from projected ascent (`level_sup`).  Once the
+    lower bound meets the cap-ball bound W_cap, nothing more is searched
+    (`_lower_table`): the circle scan stops after the grid or zoom round that
+    met it, and `samples` records what it spent; later levels take the
+    lifted witness, spend 0 evaluations, and the provenance names them with
+    W_cap."""
     budget = matcore.check_count(budget, "budget")
     levels = _levels(max_level, schedule)
+    matcore.check_seed(seed)
     table, spent, cap = _lower_table(f, levels, budget, seed)
     lower = max(w.value for w in table.values())
     searched = [m for m in levels if spent[m]]

@@ -323,32 +323,34 @@ def test_level_sup_keeps_the_first_restart_of_equal_values(monkeypatch):
 
 
 def test_lower_table_keeps_the_direct_witness_on_a_tie_with_the_lifted_one(monkeypatch):
-    # Stub level sups: level 2 ties the lifted level-1 witness exactly, and
-    # level 4 falls below it.
+    # Stub level sups, level 1 a stub scan that spends its budget: level 2
+    # ties the lifted level-1 witness exactly, and level 4 falls below it.
     direct = {
         1: Witness(level=1, matrix=np.array([[0.5]], dtype=np.complex128), value=0.8),
         2: Witness(level=2, matrix=np.diag([0.75, 0.0]).astype(np.complex128), value=0.8),
         4: Witness(level=4, matrix=0.1 * np.eye(4, dtype=np.complex128), value=0.7),
     }
+    monkeypatch.setattr(cbnorm, "_circle_scan", lambda f, budget, *rest: (direct[1].matrix, direct[1].value, budget))
     monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, budget, seed: direct[m])
     table, spent, _ = cbnorm._lower_table(GEOMETRIC, [1, 2, 4], 10, 5)
     assert spent == {1: 10, 2: 10, 4: 10}
-    assert table[1] is direct[1] and table[2] is direct[2]
+    assert table[1].matrix is direct[1].matrix and table[1].value == 0.8 and table[2] is direct[2]
     assert table[4].value == 0.8
     assert table[4].matrix.tobytes() == lift_witness(direct[2], 4).matrix.tobytes()
 
 
 def test_lower_table_stops_once_the_lower_bound_meets_the_cap_ball_bound(monkeypatch):
-    # Level 1 of z reaches W_cap = RADIUS_CAP, so only level 1 reaches the
-    # objective; levels 2, 4 and 8 are padded copies of its witness.
+    # Level 1 of z reaches W_cap = RADIUS_CAP on the scan's grid, so only the
+    # grid's 150 points reach the objective, and no zoom round; levels 2, 4
+    # and 8 are padded copies of its witness.
     levels, shapes = [], []
     search, eval_array = cbnorm.level_sup, holofun._eval_array
     monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, *rest: levels.append(m) or search(f, m, *rest))
     monkeypatch.setattr(holofun, "_eval_array", lambda f, z, *rest: shapes.append(z.shape) or eval_array(f, z, *rest))
     est = sandwich(IDENTITY, 8, 300, 1)
-    assert levels == [1]
-    assert sum(shape[0] for shape in shapes) == 300 and all(shape[1:] == (1, 1) for shape in shapes)
-    assert est.samples == {1: 300, 2: 0, 4: 0, 8: 0}
+    assert levels == []
+    assert sum(shape[0] for shape in shapes) == 150 and all(shape[1:] == (1, 1) for shape in shapes)
+    assert est.samples == {1: 150, 2: 0, 4: 0, 8: 0}
     first = est.level_table[1]
     for m in (2, 4, 8):
         w = est.level_table[m]
@@ -362,7 +364,52 @@ def test_lower_table_stops_on_zero_functions():
     zero_phi = Composite(GEOMETRIC, MIN2, np.zeros(2), 0.0)
     for f in (PowerSeries([0.0]), zero_phi):
         est = cb_lower_bound(f, 4, 50, 1)
-        assert est.lower == 0.0 and est.samples == {1: 50, 2: 0, 4: 0}
+        assert est.lower == 0.0 and est.samples == {1: 25, 2: 0, 4: 0}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
+def test_lower_bound_refuses_a_bad_seed_that_only_a_scan_would_meet(seed):
+    # Level 1 of z is a circle scan, which reads no seed, and levels above it
+    # are lifted unsearched: the seed is still checked.
+    with pytest.raises(InvalidInputError, match="seed must"):
+        cb_lower_bound(IDENTITY, 2, 50, seed)
+
+
+def _level_one_table(monkeypatch, f, budget, max_level):
+    """cb_lower_bound of f up to max_level, the sizes of the stacks of f
+    itself that its objective saw, and the unstopped level-1 scan."""
+    seen = []
+    eval_array = holofun._eval_array
+    with monkeypatch.context() as patch:
+        patch.setattr(holofun, "_eval_array", lambda g, z, *rest: (g is f and seen.append(len(z))) or eval_array(g, z, *rest))
+        est = cb_lower_bound(f, max_level, budget, 3)
+    return est, seen, level_sup(f, 1, budget, 3)
+
+
+def _same_bits(w, other):
+    bits = lambda w: np.asarray(getattr(w.matrix, "entries", w.matrix)).tobytes()
+    return w.value.hex() == other.value.hex() and bits(w) == bits(other)
+
+
+@pytest.mark.parametrize("budget", [1, 300, 2000])
+def test_lower_table_scan_stops_after_the_grid_that_meets_the_cap_ball_bound(monkeypatch, budget):
+    # These peak at θ = 0, the grid's first point, where the grid meets
+    # W_cap: the objective sees the grid's points alone, the record counts
+    # them, and the witness is the unstopped scan's, bit for bit.
+    grid = budget - min(budget // 2, cbnorm._ZOOM_SHARE)
+    for f in (*_nonnegative_catalog(), _scanned(space_mk(2), "composite", 1)[0]):
+        est, seen, full = _level_one_table(monkeypatch, f, budget, 2)
+        assert sum(seen) == grid and est.samples == {1: grid, 2: 0}
+        assert _same_bits(est.level_table[1], full)
+
+
+@pytest.mark.parametrize("budget", [1, 300, 2000])
+def test_lower_table_scan_below_the_cap_ball_bound_spends_its_budget(monkeypatch, budget):
+    # Level 1 of these stays below W_cap, so the scan is the unstopped one.
+    for f in (BLASCHKE_HALF, Sum(SQUARE, Scale(-0.5j, GEOMETRIC)), _BLASCHKE_COMPOSITE):
+        est, seen, full = _level_one_table(monkeypatch, f, budget, 1)
+        assert sum(seen) == est.samples[1] == budget
+        assert _same_bits(est.level_table[1], full)
 
 
 @pytest.mark.parametrize(
@@ -373,7 +420,8 @@ def test_lower_table_stops_on_zero_functions():
 def test_lower_table_refuses_a_cap_ball_bound_before_any_search(f, refusal, monkeypatch):
     # Evaluating the overflowing function would warn, and a subnormal one
     # rounds its level values above the exact rule.
-    monkeypatch.setattr(cbnorm, "level_sup", lambda *args: pytest.fail("searched"))
+    for name in ("level_sup", "_circle_scan"):
+        monkeypatch.setattr(cbnorm, name, lambda *args: pytest.fail("searched"))
     with pytest.raises(InvalidInputError, match=f"certified upper bound is {refusal}: "):
         cb_lower_bound(f, 2, 50, 1)
 

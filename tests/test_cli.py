@@ -311,13 +311,14 @@ def test_undeclared_descriptor_key_exits_one(tmp_path, capsys):
 def test_float_budget_records_integer_samples():
     # An integral float budget searches as the integer does, and its record
     # says so: integer samples, the same provenance and the same bounds.
-    # Level 1 of z meets its cap-ball bound, so level 2 spends nothing.
+    # Level 1 of z meets its cap-ball bound on the scan's grid of 100 points,
+    # so level 2 spends nothing.
     config = {**load(CONFIG_DIR / "estimate_identity.json"), "budget": 200}
     whole, _ = cli.run("sandwich", config)
     floating, _ = cli.run("sandwich", {**config, "budget": 200.0})
     results = floating["results"]
     samples = [entry["samples"] for entry in results["level_table"].values()]
-    assert [type(n) for n in samples] == [int, int] and samples == [200, 0]
+    assert [type(n) for n in samples] == [int, int] and samples == [100, 0]
     assert "budget 200 per level" in results["provenance"]
     assert results["lower"] == whole["results"]["lower"]
     assert cli.record_to_json(results) == cli.record_to_json(whole["results"])
