@@ -1,11 +1,12 @@
 """Sandwich bounds for the completely bounded norm of a holomorphic function.
 
-The lower bound maximizes the amplified norm at a sparse schedule of levels:
-level 1 of a disk function, or of a one-functional composite over a builder
-space, by a scan of a circle of radius RADIUS_CAP (`_scan_unit`), every
-other level by projected ascent from Gaussian starts on the set where its
-sup over the cap ball is attained (the scaled unitaries RADIUS_CAP·U(m) of
-a disk function, the cap sphere ‖X‖ = RADIUS_CAP of a space function, both
+The lower bound maximizes the amplified norm at the sparse levels
+DEFAULT_LEVELS = (1, 2, 4, 8), capped at max_level: level 1 of a disk
+function, or of a one-functional composite over a builder space, by a scan
+of a circle of radius RADIUS_CAP (`_scan_unit`), every other level by
+projected ascent from Gaussian starts on the set where its sup over the
+cap ball is attained (the scaled unitaries RADIUS_CAP·U(m) of a disk
+function, the cap sphere ‖X‖ = RADIUS_CAP of a space function, both
 by the maximum principle), with zero-padding used to transfer
 witnesses upward (padding cannot change the amplified norm because
 every function vanishes at 0); once the lower bound meets the cap-ball
@@ -178,7 +179,7 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     matrix by `_witness`.
     """
     m = matcore.check_level(m)
-    budget = matcore.check_count(budget, "budget")
+    budget = matcore.check_budget(budget)
     matcore.check_seed(seed)
     unit = _scan_unit(f) if m == 1 else None
     if unit is not None:
@@ -328,44 +329,31 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     return table, spent, cap
 
 
-def schedule_levels(schedule) -> list:
-    """The distinct levels, ascending, of a schedule: a non-empty list of
-    levels in [1, MAX_LEVEL]."""
-    if not isinstance(schedule, (list, tuple)) or not schedule:
-        raise InvalidInputError(f"schedule must be a non-empty list of levels, got {schedule!r}")
-    return sorted({matcore.check_level(m, "schedule entry") for m in schedule})
-
-
-def _levels(max_level: int, schedule) -> list:
-    """The levels a bound searches: the schedule's (`schedule_levels`), each at
-    most max_level, or with no schedule DEFAULT_LEVELS capped at max_level."""
+def _levels(max_level: int) -> list:
+    """The levels a bound searches: DEFAULT_LEVELS capped at max_level."""
     max_level = matcore.check_count(max_level, "max_level")
-    if schedule is None:
-        return [m for m in DEFAULT_LEVELS if m <= max_level]
-    levels = schedule_levels(schedule)
-    if levels[-1] > max_level:
-        raise InvalidInputError(f"schedule level {levels[-1]} exceeds max_level {max_level}")
-    return levels
+    return [m for m in DEFAULT_LEVELS if m <= max_level]
 
 
-def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> CbEstimate:
-    """Max of level sups over the schedule's levels, or (1, 2, 4, 8), capped
-    at max_level (`_levels`), with zero-pad lifting keeping the level table
-    nondecreasing.  Level 1 of a function with a scan unit (a disk function,
-    or a one-functional composite over a builder space) comes from the circle
-    scan, every other level from projected ascent (`level_sup`).  Once the
+def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
+    """Max of level sups over DEFAULT_LEVELS capped at max_level (`_levels`),
+    with zero-pad lifting keeping the level table nondecreasing.  Level 1 of
+    a function with a scan unit (a disk function, or a one-functional
+    composite over a builder space) comes from the circle scan, every other
+    level from projected ascent (`level_sup`).  Once the
     lower bound meets the cap-ball bound W_cap, nothing more is searched
     (`_lower_table`): the circle scan stops after the grid or zoom round that
     met it, and `samples` records what it spent; later levels take the
     lifted witness, spend 0 evaluations, and the provenance names them with
     W_cap."""
-    budget = matcore.check_count(budget, "budget")
-    levels = _levels(max_level, schedule)
+    budget = matcore.check_budget(budget)
+    levels = _levels(max_level)
     matcore.check_seed(seed)
     table, spent, cap = _lower_table(f, levels, budget, seed)
     lower = max(w.value for w in table.values())
+    # Level 1 comes first and is always searched.
     searched = [m for m in levels if spent[m]]
-    scanned = 1 in searched and _scan_unit(f) is not None
+    scanned = _scan_unit(f) is not None
     sources = ["circle scan at level 1"] if scanned else []
     ascended = searched[1:] if scanned else searched
     if ascended:
@@ -449,18 +437,18 @@ def _weighted_sum(coeffs: np.ndarray, t: float) -> float:
 
 
 def cb_upper_bound(f: HoloFunction) -> float:
-    """Certified upper bound for the cb norm."""
-    bound, _ = _upper_rules(f)
-    return bound
+    """Certified upper bound for the cb norm; a rule that overflows, or is
+    subnormal, is an input error (`_finite_rule`)."""
+    return _finite_rule(f)[0]
 
 
-def sandwich(f: HoloFunction, max_level: int, budget: int, seed, schedule=None) -> CbEstimate:
-    """Both bounds, with the consistency check `in_order`; the lower bound
-    searches the schedule's levels (`cb_lower_bound`).  The certified upper
-    comes first: a rule that overflows, or is subnormal, is an input error,
-    raised before any search (`_finite_rule`)."""
+def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
+    """Both bounds, with the consistency check `in_order`; the lower bound is
+    `cb_lower_bound`'s.  The certified upper comes first: a rule that
+    overflows, or is subnormal, is an input error, raised before any search
+    (`_finite_rule`)."""
     upper, rule = _finite_rule(f)
-    est = cb_lower_bound(f, max_level, budget, seed, schedule)
+    est = cb_lower_bound(f, max_level, budget, seed)
     if not in_order(est.lower, upper):
         raise SandwichViolationError(
             f"lower bound {est.lower} exceeds certified upper bound {upper}; "

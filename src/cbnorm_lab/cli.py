@@ -1,7 +1,7 @@
 """Reproducible experiment runner: JSON configs in, JSON result records out.
 
-`sandwich` records both bounds, its lower bound searching the levels of the
-optional `schedule`.
+`sandwich` records both bounds, its lower bound searching the levels 1, 2, 4
+and 8 up to `max_level`.
 
 Exit codes: 0 success, 1 input errors, 2 property failures (a check
 report that did not pass, or an internal sandwich violation).  Records rerun
@@ -33,16 +33,14 @@ _KEYS = {
     "schema_version": _schema_version,
     "command": str,
     "seed": lambda value, name: matcore.check_seed(value),
-    "budget": matcore.check_count,
+    "budget": matcore.check_budget,
     "max_level": matcore.check_count,
     "trials": matcore.check_count,
-    "schedule": lambda value, name: cbnorm.schedule_levels(value),
     **dict.fromkeys(("function", "function2", "set", "x0", "element", "dictionary", "space", "point"), dict),
-    "out": str,
 }
 
 # Every config may carry these keys besides its command's own.
-_COMMON = ("schema_version", "command", "out")
+_COMMON = ("schema_version", "command")
 
 
 def validate_config(command: str, config: dict) -> None:
@@ -86,7 +84,7 @@ def _fields(report, *drop) -> dict:
 
 def _run_sandwich(config):
     f = descriptors.function_from_descriptor(config["function"])
-    est = cbnorm.sandwich(f, config["max_level"], config["budget"], config["seed"], config.get("schedule"))
+    est = cbnorm.sandwich(f, config["max_level"], config["budget"], config["seed"])
     results = {
         "lower": est.lower,
         "upper": est.upper,
@@ -153,7 +151,7 @@ def _run_delta_isometry(config):
 
 # Each command: its runner, its required keys and its optional keys.
 _COMMANDS = {
-    "sandwich": (_run_sandwich, ("function", "max_level", "budget", "seed"), ("schedule",)),
+    "sandwich": (_run_sandwich, ("function", "max_level", "budget", "seed"), ()),
     # schwarz reads neither max_level nor budget, but configs/schwarz_square.json,
     # which the disk-sandwich benchmark runs, carries both.
     "schwarz": (_run_schwarz, ("function", "trials", "seed"), ("max_level", "budget")),
@@ -175,14 +173,13 @@ def run(command: str, config: dict) -> tuple[dict, bool]:
     instead of raising.
     """
     validate_config(command, config)
-    echo = {k: v for k, v in config.items() if k != "out"}
     started = time.perf_counter()
     results, witnesses, passed = _COMMANDS[command][0](config)
     record = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "command": command,
-        "config": echo,
+        "config": config,
         "results": results,
     }
     if witnesses is not None:
@@ -262,9 +259,8 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         record, passed = run(args.command, config)
         text = record_to_json(record)
-        out = args.out or config.get("out")
-        if out:
-            with open(out, "w") as fh:
+        if args.out:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -89,7 +89,7 @@ def gcb_upper_bound(u: GcbElement, budget: int) -> float:
     cost evaluations, two SVDs each; zero terms are dropped.  No step draws
     a random number, so the bound needs no seed.
     """
-    evals = Budget(matcore.check_count(budget, "budget"))
+    evals = Budget(matcore.check_budget(budget))
     grams = []
     for t, norm in zip(u.terms, u.norms):
         alpha, beta, w = np.asarray(t.alpha), np.asarray(t.beta), abs(t.c) * norm

@@ -16,6 +16,9 @@ _MAX_SEED = 2**64
 
 # Largest matrix level a search or a pairing may build; 8 is the largest in use.
 MAX_LEVEL = 64
+# Most objective evaluations a search may spend; a level-1 circle scan keeps
+# 8 bytes per evaluation, so this caps its grid at 128 MiB.
+MAX_BUDGET = 2**24
 
 
 def check_seed(seed) -> int:
@@ -44,6 +47,15 @@ def check_count(value, name: str) -> int:
     if count < 1:
         raise InvalidInputError(f"{name} must be >= 1, got {count}")
     return count
+
+
+def check_budget(value, name: str = "budget") -> int:
+    """A search budget: a count of at most MAX_BUDGET evaluations, refused
+    before anything is allocated."""
+    budget = check_count(value, name)
+    if budget > MAX_BUDGET:
+        raise InvalidInputError(f"{name} must be at most {MAX_BUDGET}, got {value!r}")
+    return budget
 
 
 def check_level(value, name: str = "level") -> int:

@@ -329,7 +329,7 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     generator pairing norm, floored at 1e-12.  Its gradient is dT/G − T·dG/G²,
     with dG that of the active generator's pairing.
     """
-    budget = matcore.check_count(budget, "budget")
+    budget = matcore.check_budget(budget)
     matcore.check_seed(seed)
     if not same_space(k.space, x0.space):
         raise InvalidInputError("matrix set and target live over different spaces")

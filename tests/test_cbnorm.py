@@ -734,53 +734,33 @@ def test_algebra_check_pairs():
     assert report.worst_slack >= -1e-6
 
 
-# A schedule names the levels a sandwich searches: the certified upper
-# bounds every level's value, and upper − value is that level's gap.
+# The certified upper bounds every level's value, and upper − value is that
+# level's gap.
 
 
-def _same_estimate(a, b):
-    assert (a.lower, a.upper, a.samples, a.provenance) == (b.lower, b.upper, b.samples, b.provenance)
-    assert a.level_table.keys() == b.level_table.keys()
-    bits = lambda w: (w.level, w.value, getattr(w.matrix, "entries", w.matrix).tobytes())
-    assert all(bits(w) == bits(b.level_table[m]) for m, w in a.level_table.items())
-
-
-@pytest.mark.parametrize("f", [BLASCHKE_HALF, GeometricPhi(MIN2, np.array([0.5, 0.3j]), 0.8)], ids=["disk", "space"])
-def test_default_schedule_gives_the_default_record(f):
-    # The schedule's distinct levels, in any order, are the default levels.
-    _same_estimate(sandwich(f, 4, 200, 5), sandwich(f, 4, 200, 5, schedule=[4, 1, 2, 2]))
-
-
-def test_schedule_without_level_one_scans_no_circle():
-    est = sandwich(BLASCHKE_HALF, 4, 200, 5, schedule=[2, 4])
-    assert sorted(est.level_table) == [2, 4] and est.samples == {2: 200, 4: 200}
-    assert "circle scan" not in est.provenance
-    assert "projected-ascent level sups at levels [2, 4]" in est.provenance
-
-
-def test_question_probe_identity_bounded():
-    est = sandwich(IDENTITY, 4, 600, 47, schedule=[1, 2, 4])
+def test_sandwich_identity_bounded():
+    est = sandwich(IDENTITY, 4, 600, 47)
     assert est.upper == 1.0
     assert all(w.value <= 1.0 for w in est.level_table.values())
 
 
-def test_question_probe_geometric09_bounded_near_nine():
+def test_sandwich_geometric09_bounded_near_nine():
     f = MoebiusQuotient(IDENTITY, 0.9)
-    est = sandwich(f, 4, 2500, 47, schedule=[1, 2, 4])
+    est = sandwich(f, 4, 2500, 47)
     assert est.level_table[1].value >= 8.5
     assert max(w.value for w in est.level_table.values()) <= 10.0 <= est.upper
 
 
-def test_question_probe_lacunary_control():
+def test_sandwich_lacunary_control():
     f = lacunary(12)
-    est = sandwich(f, 4, 600, 47, schedule=[1, 2, 4])
+    est = sandwich(f, 4, 600, 47)
     assert est.upper == cb_upper_bound(f) < 1.0
     assert max(w.value for w in est.level_table.values()) <= 1.0
 
 
-def test_question_probe_runs_over_a_space():
+def test_sandwich_runs_over_a_space():
     f = GeometricPhi(MIN2, np.array([0.5, 0.0], dtype=complex), 0.5)
-    est = sandwich(f, 2, 100, 1, schedule=[1, 2])
+    est = sandwich(f, 2, 100, 1)
     assert sorted(est.level_table) == [1, 2]
     assert all(0.0 < w.value <= est.upper for w in est.level_table.values())
 

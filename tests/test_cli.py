@@ -153,9 +153,9 @@ def test_gcb_and_delta_isometry_need_no_seed(name):
 
 
 def test_schema_violation_exits_one(tmp_path, capsys):
-    # A missing seed, and a schedule level just above the cap.
+    # A missing seed, and a budget just above the cap.
     identity = {"kind": "power_series", "coeffs": [[1.0, 0.0]]}
-    for extra, where in (({}, "seed"), ({"seed": 1, "schedule": [1, 65]}, "schedule")):
+    for extra, where in (({}, "seed"), ({"seed": 1, "budget": 2**24 + 1}, "budget")):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"command": "sandwich", "function": identity, "max_level": 2, "budget": 10, **extra}))
         assert run_cli(["sandwich", "--config", config]) == 1
@@ -184,17 +184,6 @@ _SANDWICH = {
 }
 
 
-def test_probe_schedule_above_max_level_exits_one(tmp_path, capsys):
-    # max_level bounds a given schedule as it bounds the default one.
-    config = tmp_path / "sandwich.json"
-    config.write_text(json.dumps({**_SANDWICH, "schedule": [1, 16]}))
-    assert run_cli(["sandwich", "--config", config]) == 1
-    assert "schedule level 16 exceeds max_level 2" in capsys.readouterr().err
-    config.write_text(json.dumps({**_SANDWICH, "schedule": [2, 1]}))
-    assert run_cli(["sandwich", "--config", config, "--out", tmp_path / "record.json"]) == 0
-    assert sorted(load(tmp_path / "record.json")["results"]["level_table"]) == ["1", "2"]
-
-
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -203,8 +192,9 @@ def test_probe_schedule_above_max_level_exits_one(tmp_path, capsys):
         ("budget", 600.0),
         ("max_level", 1.0),
         ("trials", 2.0),
-        ("schedule", [1.0]),
-        ("schedule", [1, 64]),
+        # The budget cap, MAX_BUDGET = 2**24.
+        ("budget", 2**24),
+        ("budget", 16777216.0),
         ("function2", {}),
     ],
 )
@@ -229,12 +219,18 @@ def test_validate_config_accepts(key, value):
         ("budget", True),
         ("budget", "3"),
         ("max_level", 1.5),
+        # Neither schedule nor out is a key of any command, whatever its
+        # value; `--out` names the record's path.
         ("schedule", []),
         ("schedule", [0]),
         ("schedule", "1"),
         ("schedule", [True]),
         ("schedule", [1, 65]),
         ("out", 5),
+        # Past the budget cap: refused before the scan allocates its grid.
+        ("budget", 2**24 + 1),
+        ("budget", 2**40),
+        ("budget", 1e300),
         ("command", 5),
         ("colour", "red"),
     ],
@@ -253,24 +249,23 @@ def test_validate_config_rejects_non_object(tmp_path, capsys):
     assert "config invalid at $: " in capsys.readouterr().err
 
 
-# A value for each key that passes the key's own check.
-_VALID = {"seed": 1, "budget": 10, "max_level": 1, "trials": 1, "schedule": [1]}
+# A value for each key that passes the key's own check, and for the keys
+# earlier versions read, which no command takes now.
+_VALID = {"seed": 1, "budget": 10, "max_level": 1, "trials": 1, "schedule": [1, 2, 4], "out": "record.json"}
 _UNDECLARED = [
     (command, key)
     for command, (_, required, optional) in cli._COMMANDS.items()
-    for key in cli._KEYS
+    for key in (*cli._KEYS, "schedule", "out")
     if key not in (*required, *optional, *cli._COMMON)
 ]
 
 
 def test_undeclared_keys_include_the_known_strays():
-    assert ("sandwich", "trials") in _UNDECLARED and ("algebra", "schedule") in _UNDECLARED
+    assert ("sandwich", "trials") in _UNDECLARED and ("sandwich", "schedule") in _UNDECLARED
     optional = {(command, key) for command, (_, _, keys) in cli._COMMANDS.items() for key in keys}
-    # Sandwich reads its schedule, and checks it against max_level.  The others
-    # are accepted though unread: schwarz's max_level and budget, and the seed
-    # of gcb and of delta-isometry.
+    # Every optional key is accepted though unread: schwarz's max_level and
+    # budget, and the seed of gcb and of delta-isometry.
     assert optional == {
-        ("sandwich", "schedule"),
         ("schwarz", "max_level"),
         ("schwarz", "budget"),
         ("gcb", "seed"),
@@ -536,10 +531,10 @@ _OVERFLOWING = {
 )
 def test_an_infinite_certified_upper_exits_one(command, name, rule, tmp_path, capsys):
     # A record with "upper": Infinity would not be JSON.  algebra refuses
-    # the product with z, whose lower bound it searches.
+    # the factor whose rule overflows, before it searches the product with z.
     config = {"command": command, "function": _OVERFLOWING[name], "max_level": 2, "budget": 50, "seed": 1}
     if command == "algebra":
-        config["function2"], rule = _Z, "product of factor bounds"
+        config["function2"] = _Z
     with pytest.raises(InvalidInputError, match=re.escape(f"certified upper bound is not finite: {rule}")):
         cli.run(command, config)
     path, out = tmp_path / "overflow.json", tmp_path / "record.json"
@@ -554,15 +549,18 @@ def test_an_infinite_certified_upper_exits_one(command, name, rule, tmp_path, ca
 def test_a_subnormal_certified_upper_exits_one(coeffs, tmp_path, capsys):
     # Below sys.float_info.min the rounding of each complex product can put a
     # searched level value well above the exact rule, which would read as a
-    # sandwich violation.  1e-310 is itself subnormal, and so is its W_cap.
+    # sandwich violation, and a schwarz trial a false one.  1e-310 is itself
+    # subnormal, and so is its W_cap.
     series = {"kind": "power_series", "coeffs": [[c, 0.0] for c in coeffs]}
-    config = {"command": "sandwich", "function": series, "max_level": 2, "budget": 50, "seed": 0}
-    path, out = tmp_path / "subnormal.json", tmp_path / "record.json"
-    path.write_text(json.dumps(config))
-    assert run_cli(["sandwich", "--config", path, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: certified upper bound is subnormal: coefficient-sum (exact polynomial) = ")
-    assert not out.exists()
+    sandwich = {"command": "sandwich", "function": series, "max_level": 2, "budget": 50, "seed": 0}
+    schwarz = {"command": "schwarz", "function": series, "trials": 200, "seed": 5}
+    for config in (sandwich, schwarz):
+        path, out = tmp_path / "subnormal.json", tmp_path / "record.json"
+        path.write_text(json.dumps(config))
+        assert run_cli([config["command"], "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: certified upper bound is subnormal: coefficient-sum (exact polynomial) = ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("coeff", [0.0, 1e-300])

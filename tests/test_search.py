@@ -277,18 +277,6 @@ def test_cb_lower_bound_rejects_non_integer_max_level(max_level):
 
 
 @pytest.mark.parametrize("level", _NOT_INTEGERS)
-def test_question_probe_rejects_non_integer_schedules(level):
-    with pytest.raises(InvalidInputError, match="schedule entry must be an integer"):
-        cbnorm.sandwich(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[1, level])
-
-
-@pytest.mark.parametrize("schedule", [[], 5, "12"])
-def test_question_probe_rejects_non_list_schedules(schedule):
-    with pytest.raises(InvalidInputError, match="schedule must be a non-empty list"):
-        cbnorm.sandwich(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=schedule)
-
-
-@pytest.mark.parametrize("level", _NOT_INTEGERS)
 def test_gcb_element_rejects_non_integer_levels(level):
     with pytest.raises(InvalidInputError, match="level must be an integer"):
         gcb.GcbElement(space_scalar(), level, ())
@@ -311,22 +299,39 @@ def test_sample_matrix_ball_rejects_levels_past_the_cap(level):
 def test_integral_float_levels_are_integers():
     assert opspace.sample_matrix_ball(space_row(2), 2.0, 0.5, 1).level == 2
     assert gcb.GcbElement(space_scalar(), 2.0, ()).level == 2
-    est = cbnorm.sandwich(holofun.PowerSeries([1.0]), 2, 10, 1, schedule=[2.0, 1])
+    est = cbnorm.sandwich(holofun.PowerSeries([1.0]), 2.0, 10, 1)
     assert sorted(est.level_table) == [1, 2]
+
+
+def _budgeted_searches(budget):
+    """Every search that reads a budget, at the levels where it scans and
+    where it ascends."""
+    s = space_scalar()
+    k = MatrixSet(s, (OpSpaceMatrix(s, np.array([1.0]).reshape(1, 1, -1)),))
+    x0 = OpSpaceMatrix(s, np.full((1, 1, 1), 2.0 + 0j))
+    f = holofun.PowerSeries([1.0])
+    g = holofun.GeometricPhi(space_row(2), np.array([0.3, 0.4]), 0.5)
+    return [
+        *(lambda m=m, h=h: level_sup(h, m, budget, seed=3) for m in (1, 2) for h in (f, g)),
+        lambda: cbnorm.sandwich(f, 2, budget, 3),
+        lambda: find_certificate(k, x0, budget, seed=3),
+        lambda: gcb.gcb_upper_bound(gcb.GcbElement(s, 1, ()), budget),
+    ]
 
 
 @pytest.mark.parametrize("budget", [True, 1.5])
 def test_searches_reject_non_integer_budgets(budget):
-    s = space_scalar()
-    k = MatrixSet(s, (OpSpaceMatrix(s, np.array([1.0]).reshape(1, 1, -1)),))
-    x0 = OpSpaceMatrix(s, np.full((1, 1, 1), 2.0 + 0j))
-    searches = [
-        lambda: level_sup(holofun.PowerSeries([1.0]), 2, budget, seed=3),
-        lambda: level_sup(holofun.GeometricPhi(space_row(2), np.array([0.3, 0.4]), 0.5), 2, budget, seed=3),
-        lambda: find_certificate(k, x0, budget, seed=3),
-    ]
-    for search in searches:
+    for search in _budgeted_searches(budget):
         with pytest.raises(InvalidInputError, match="budget must be an integer"):
+            search()
+
+
+@pytest.mark.parametrize("budget", [matcore.MAX_BUDGET + 1, 2**40, 1e300])
+def test_searches_refuse_budgets_past_the_cap(budget):
+    # Each search refuses before it allocates: a level-1 scan of 2**40 points
+    # would ask for an 8 TB grid, and one of 1e300 for an impossible shape.
+    for search in _budgeted_searches(budget):
+        with pytest.raises(InvalidInputError, match=f"budget must be at most {matcore.MAX_BUDGET}, got "):
             search()
 
 
