@@ -22,7 +22,7 @@ W_cap the rule at RADIUS_CAP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,13 +145,14 @@ def _scan_unit(f: HoloFunction):
     RADIUS_CAP·‖φ‖, where |g| peaks on the circle; with u the norming
     element of φ (`opspace.norming_element`), φ(w·u) = w·‖φ‖ runs over that
     circle.  So a composite g∘φ or a geometric functional over a builder
-    space takes its norming element.  Products and sums of functionals, and
-    custom spaces, have none.
+    space takes its norming element, which the function object finds once
+    and keeps (`norming`).  Products and sums of functionals, and custom
+    spaces, have none.
     """
     if f.domain_space is None:
         return np.ones((1, 1), dtype=np.complex128)
     if isinstance(f, (Composite, GeometricPhi)):
-        e = opspace.norming_element(f.space, f.phi)
+        e = f.norming
         return None if e is None else e.reshape(1, 1, -1)
     return None
 
@@ -214,14 +215,16 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
     spacing, shrinks to the spacing 2h/(q + 1) of those points.
     With a `ceiling`, a value that no point beats but by rounding, the scan
     stops after the grid, or after the zoom round, whose best value reaches
-    it: further rounds could raise the best by rounding alone.  Without one
-    it spends the whole budget.
+    it: further rounds could raise the best by rounding alone.  A grid that
+    reaches it returns before any zoom set-up.  Without one it spends the
+    whole budget.
     The witness is the earliest point, in scan order, whose value ties the
     best up to _ROUNDING_TIE.
 
-    The scan keeps the grid's values (8 bytes a point) and the zoom's points,
-    no grid point: the witness, if a grid point, is made again from its chunk
-    of angles, by the same arithmetic on the same array, so with its bits.
+    The scan keeps the grid's values (8 bytes a point), the points of the
+    grid's first chunk (at most _SCAN_STACK of them) and the zoom's points.
+    A grid witness past the first chunk is made again from its chunk of
+    angles, by the same arithmetic on the same array, so with its bits.
     """
     def points(theta):
         w = RADIUS_CAP * np.exp(1j * theta)
@@ -230,13 +233,24 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
     def norms(stack):
         return matcore.operator_norms(holofun._eval_array(f, stack, False)[0])
 
+    def grid_point(k):
+        lo = k - k % _SCAN_STACK
+        return (first if lo == 0 else points(chunk(lo)))[k - lo]
+
     n = budget - min(budget // 2, _ZOOM_SHARE)
     spacing = 2.0 * np.pi / n
     # Angles spacing·k of the grid chunk starting at k = lo.
     chunk = lambda lo: spacing * np.arange(lo, min(lo + _SCAN_STACK, n))
     at = np.empty(n)
-    for lo in range(0, n, _SCAN_STACK):
+    first = points(chunk(0))
+    at[:_SCAN_STACK] = norms(first)
+    for lo in range(_SCAN_STACK, n, _SCAN_STACK):
         at[lo : lo + _SCAN_STACK] = norms(points(chunk(lo)))
+    left, highest = budget - n, at.max()
+    if not left or (ceiling is not None and highest >= ceiling):
+        # No zoom round runs; the witness is the grid's first tie.
+        k = int(np.argmax(at >= highest * (1.0 - _ROUNDING_TIE)))
+        return grid_point(k), at[k], n
     # Local maxima of the periodic grid, compared by slices with no copy of `at`.
     peak = np.empty(n, dtype=bool)
     peak[0], peak[1:] = at[0] >= at[-1], at[1:] >= at[:-1]
@@ -249,7 +263,6 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
     odd = np.arange(1, q, 2) / (q + 1)
     offsets = np.stack([-odd, odd], axis=1).ravel()
     zoom = []  # (points, values) of each zoom round
-    left, highest = budget - n, at.max()
     while left and (ceiling is None or highest < ceiling):
         candidates = centers[:, None] + h * offsets
         stack = points(candidates.ravel()[:left])
@@ -266,8 +279,7 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
     tie, spent = highest * (1.0 - _ROUNDING_TIE), budget - left
     k = int(np.argmax(at >= tie))
     if at[k] >= tie:
-        lo = k - k % _SCAN_STACK
-        return points(chunk(lo))[k - lo], at[k], spent
+        return grid_point(k), at[k], spent
     stack, values = next((stack, values) for stack, values in zoom if values.max() >= tie)
     i = int(np.argmax(values >= tie))
     return stack[i], values[i], spent
@@ -307,7 +319,8 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     spends nothing.  Any other searched level spends exactly `budget`
     evaluations (`level_sup`), and a lifted lower-level witness replaces its
     own only when its value is strictly larger.  W_cap passes `_finite_rule`
-    before any search.
+    before any search.  Level 1 is scanned through `_scan_unit(f)`, whose
+    norming element the function object finds once and keeps.
     """
     cap, _ = _finite_rule(f, RADIUS_CAP)
     met = cap * (1.0 - _ROUNDING_TIE)
@@ -345,7 +358,9 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     (`_lower_table`): the circle scan stops after the grid or zoom round that
     met it, and `samples` records what it spent; later levels take the
     lifted witness, spend 0 evaluations, and the provenance names them with
-    W_cap."""
+    W_cap.  Whether level 1 was scanned is read from `_scan_unit(f)`, whose
+    norming element the function object kept from the scan, so it is not
+    found again."""
     budget = matcore.check_budget(budget)
     levels = _levels(max_level)
     matcore.check_seed(seed)
@@ -415,8 +430,11 @@ def _upper_rules(f: HoloFunction, t: float = 1.0):
 
 def _finite_rule(f: HoloFunction, t: float = 1.0):
     """`_upper_rules` at radius t; a rule that overflows, or is positive but
-    subnormal (a searched value there can round far past it), is refused."""
-    bound, rule = _upper_rules(f, t)
+    subnormal (a searched value there can round far past it), is refused.
+    The whole rule walk runs under one overflow errstate, which
+    `_weighted_sum` relies on."""
+    with np.errstate(over="ignore"):
+        bound, rule = _upper_rules(f, t)
     if not math.isfinite(bound):
         raise InvalidInputError(f"certified upper bound is not finite: {rule} = {bound}")
     if 0.0 < bound < np.finfo(float).smallest_normal:
@@ -431,9 +449,10 @@ def in_order(lower: float, upper: float) -> bool:
 
 def _weighted_sum(coeffs: np.ndarray, t: float) -> float:
     """Σ|aₙ·tⁿ| over coefficients a₁, a₂, ...; at t = 1, Σ|aₙ| with its bits.
-    A sum past the float range is inf, which `_finite_rule` refuses."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(coeffs * t ** np.arange(1, coeffs.size + 1))))
+    A sum past the float range is inf, which `_finite_rule` refuses; the
+    caller owns the overflow errstate (`_finite_rule` enters it once per rule
+    walk), so an overflow outside it warns."""
+    return float(np.abs(coeffs * t ** np.arange(1, coeffs.size + 1)).sum())
 
 
 def cb_upper_bound(f: HoloFunction) -> float:
@@ -454,9 +473,11 @@ def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
             f"lower bound {est.lower} exceeds certified upper bound {upper}; "
             "one of the two computations is wrong"
         )
-    return replace(
-        est,
+    return CbEstimate(
+        lower=est.lower,
         upper=upper,
+        level_table=est.level_table,
+        samples=est.samples,
         provenance=est.provenance + f"; upper: {rule} = {upper}",
     )
 
@@ -480,7 +501,7 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
     if isinstance(upper, bool) or not isinstance(upper, (int, float)) or not math.isfinite(upper):
         raise InvalidInputError(f"schwarz check needs a finite upper bound, got {upper!r}")
     upper = float(upper)
-    trials = matcore.check_count(trials, "trials")
+    trials = matcore.check_budget(trials, "trials")
     space = f.domain_space
     sampled = opspace.space_scalar() if space is None else space
     worst = np.inf

@@ -35,7 +35,7 @@ _KEYS = {
     "seed": lambda value, name: matcore.check_seed(value),
     "budget": matcore.check_budget,
     "max_level": matcore.check_count,
-    "trials": matcore.check_count,
+    "trials": matcore.check_budget,
     **dict.fromkeys(("function", "function2", "set", "x0", "element", "dictionary", "space", "point"), dict),
 }
 

@@ -98,9 +98,12 @@ def _array_in(nested, depth: int) -> np.ndarray:
 
 
 def _array_out(arr: np.ndarray) -> list:
+    """The nested lists of [re, im] pairs of a complex array, read from a
+    float64 view of its entries in row-major order (a copy only when they are
+    not contiguous): each pair has the bits of its entry's parts, signed
+    zeros included."""
     arr = np.asarray(arr, dtype=np.complex128)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
+    return arr.ravel().view(np.float64).reshape(arr.shape + (2,)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import matcore
+from . import matcore, opspace
 from .errors import ConfigurationError, DomainError, InvalidInputError
 from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, closed_form_dual_norm, matrix_norm, same_space
 
@@ -67,6 +67,13 @@ def _set_functional(f) -> None:
     object.__setattr__(f, "phi", phi)
     object.__setattr__(f, "certified_norm", max(certified_norm, norm))
     object.__setattr__(f, "domain_space", space)
+
+
+def _norming(f) -> np.ndarray | None:
+    """A norming element of f's functional (`opspace.norming_element`), which
+    `cbnorm._scan_unit` scans through: found once per function object, on
+    first use."""
+    return opspace.norming_element(f.space, f.phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +154,7 @@ class GeometricPhi(HoloFunction):
     certified_norm: float
 
     __post_init__ = _set_functional
+    norming = functools.cached_property(_norming)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +170,8 @@ class Composite(HoloFunction):
         if not isinstance(self.scalar, HoloFunction) or self.scalar.domain_space is not None:
             raise InvalidInputError("composite scalar part must be disk-domain")
         _set_functional(self)
+
+    norming = functools.cached_property(_norming)
 
 
 @dataclass(frozen=True, eq=False)

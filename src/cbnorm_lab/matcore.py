@@ -16,8 +16,10 @@ _MAX_SEED = 2**64
 
 # Largest matrix level a search or a pairing may build; 8 is the largest in use.
 MAX_LEVEL = 64
-# Most objective evaluations a search may spend; a level-1 circle scan keeps
-# 8 bytes per evaluation, so this caps its grid at 128 MiB.
+# Most objective evaluations a search may spend, and most trials a property
+# check may run; a level-1 circle scan keeps 8 bytes per grid point, plus the
+# points of its first chunk of at most 4096 (64 KiB for a disk function), so
+# this caps its grid at 128 MiB.
 MAX_BUDGET = 2**24
 
 
@@ -42,7 +44,8 @@ def as_int(value, name: str) -> int:
 
 
 def check_count(value, name: str) -> int:
-    """A positive count (a budget, trials, a level bound)."""
+    """A positive count (a level bound; budgets and trials also pass
+    `check_budget`)."""
     count = as_int(value, name)
     if count < 1:
         raise InvalidInputError(f"{name} must be >= 1, got {count}")
@@ -50,8 +53,8 @@ def check_count(value, name: str) -> int:
 
 
 def check_budget(value, name: str = "budget") -> int:
-    """A search budget: a count of at most MAX_BUDGET evaluations, refused
-    before anything is allocated."""
+    """A search budget, or a property check's trials: a count of at most
+    MAX_BUDGET, refused before anything is allocated or run."""
     budget = check_count(value, name)
     if budget > MAX_BUDGET:
         raise InvalidInputError(f"{name} must be at most {MAX_BUDGET}, got {value!r}")

@@ -197,7 +197,7 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
     `standard_normal` call, then evaluates one stack per level.  The streams
     run on across chunks, so no result depends on the chunk size, and every
     norm has the bits of the same trial evaluated alone."""
-    trials = matcore.check_count(trials, "trials")
+    trials = matcore.check_budget(trials, "trials")
     gen_norms = [matrix_norm(g) for g in k.generators]
     bound = max(gen_norms)
     best_index = int(np.argmax(gen_norms))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cbnorm_lab import cbnorm, holofun, matcore
+from cbnorm_lab import cbnorm, holofun, matcore, opspace
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
     Witness,
@@ -228,6 +228,31 @@ def test_circle_scan_memory_does_not_grow_with_the_points_it_scans():
     assert w.matrix.tobytes().hex() == "b2db10e4fdffefbff7cc9a78db001c3f"
 
 
+@pytest.mark.parametrize("f", [IDENTITY, BLASCHKE_HALF], ids=["first-chunk", "later-chunk"])
+def test_circle_scan_stops_at_a_grid_that_meets_its_ceiling(monkeypatch, f):
+    # Any grid meets the ceiling 0: the scan hands the objective the grid's
+    # chunks, one call each, and no zoom round.  z peaks at θ = 0, in the
+    # first chunk, whose points the scan keeps; the Blaschke product at
+    # θ = π, in the second chunk, which the witness is rebuilt from.
+    budget = 3 * cbnorm._SCAN_STACK
+    grid = budget - cbnorm._ZOOM_SHARE
+    stacks = []
+    eval_array = holofun._eval_array
+    monkeypatch.setattr(
+        holofun, "_eval_array", lambda g, z, *rest: (g is f and stacks.append(len(z))) or eval_array(g, z, *rest)
+    )
+    point, value, spent = cbnorm._circle_scan(f, budget, cbnorm._scan_unit(f), 0.0)
+    assert spent == sum(stacks) == grid
+    assert stacks == [cbnorm._SCAN_STACK, cbnorm._SCAN_STACK, grid - 2 * cbnorm._SCAN_STACK]
+    spacing = 2.0 * np.pi / grid
+    k = int(round(np.angle(point[0, 0]) / spacing)) % grid
+    assert (k == 0) is (f is IDENTITY)
+    lo = k - k % cbnorm._SCAN_STACK
+    chunk = RADIUS_CAP * np.exp(1j * (spacing * np.arange(lo, min(lo + cbnorm._SCAN_STACK, grid))))
+    assert point.tobytes() == (chunk.reshape(-1, 1, 1) * np.ones((1, 1)))[k - lo].tobytes()
+    assert value.tobytes() == np.float64(witness_value(f, Witness(1, point, value))).tobytes()
+
+
 def test_circle_scan_finds_the_blaschke_maximum_at_minus_the_cap():
     # |z(z−½)/(1−½z)| on |z| = r peaks at z = −r: r(r + ½)/(1 + r/2).
     w = level_sup(BLASCHKE_HALF, 1, 300, 3)
@@ -295,6 +320,19 @@ def test_one_functional_provenance_names_the_scan():
         est = cb_lower_bound(f, 4, 50, 1)
         assert est.provenance.startswith("lower: circle scan at level 1, budget 50 per level, radius cap 0.999999, ")
         assert "levels [2, 4] lifted unsearched" in est.provenance
+
+
+@pytest.mark.parametrize("kind", ["composite", "geometric_phi"])
+def test_a_stopped_sandwich_finds_one_norming_element(kind, monkeypatch):
+    # The scan and the provenance both need the scan unit; over M_2 each
+    # norming element costs two SVDs, so the function object keeps it.
+    calls = []
+    norming_element = opspace.norming_element
+    monkeypatch.setattr(opspace, "norming_element", lambda *args: calls.append(args) or norming_element(*args))
+    f, _ = _scanned(space_mk(2), kind, 1)
+    est = sandwich(f, 4, 300, 1)
+    assert est.samples == {1: 150, 2: 0, 4: 0}
+    assert len(calls) == 1
 
 
 def test_custom_space_and_two_functionals_still_search_level_one():
@@ -696,6 +734,13 @@ def test_schwarz_check_identity_tight():
     report = schwarz_check(IDENTITY, est.upper, 200, 37)
     assert report.passed
     assert report.worst_slack >= -1e-12
+
+
+@pytest.mark.parametrize("trials", [matcore.MAX_BUDGET + 1, 1e300])
+def test_schwarz_check_refuses_trials_past_the_cap(trials):
+    # Refused before the first trial: 1e300 trials would run until killed.
+    with pytest.raises(InvalidInputError, match=f"trials must be at most {matcore.MAX_BUDGET}, got "):
+        schwarz_check(IDENTITY, 1.0, trials, 1)
 
 
 def test_schwarz_check_square_has_positive_slack():

@@ -192,9 +192,10 @@ _SANDWICH = {
         ("budget", 600.0),
         ("max_level", 1.0),
         ("trials", 2.0),
-        # The budget cap, MAX_BUDGET = 2**24.
+        # The budget cap, MAX_BUDGET = 2**24, which trials share.
         ("budget", 2**24),
         ("budget", 16777216.0),
+        ("trials", 2**24),
         ("function2", {}),
     ],
 )
@@ -240,6 +241,21 @@ def test_validate_config_rejects(key, value, tmp_path, capsys):
     config.write_text(json.dumps({**_SANDWICH, key: value}))
     assert run_cli(["sandwich", "--config", config]) == 1
     assert f"config invalid at $.{key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [2**24 + 1, 1e300])
+@pytest.mark.parametrize("name", ["schwarz_square.json", "hull_mk2.json"])
+def test_trials_past_the_cap_exit_before_any_trial(name, trials, tmp_path, capsys, monkeypatch):
+    # Before the cap, 1e300 trials ran until the process was killed.
+    for module, check in ((cli.cbnorm, "schwarz_check"), (cli.mconvex, "hull_norm_check")):
+        monkeypatch.setattr(module, check, lambda *args: pytest.fail("a trial ran"))
+    config = {**load(CONFIG_DIR / name), "trials": trials}
+    with pytest.raises(CbnormLabError, match=r"config invalid at \$\.trials: trials must be at most 16777216, got "):
+        cli.validate_config(config["command"], config)
+    path = tmp_path / name
+    path.write_text(json.dumps(config))
+    assert run_cli([config["command"], "--config", path]) == 1
+    assert "config invalid at $.trials: trials must be at most 16777216" in capsys.readouterr().err
 
 
 def test_validate_config_rejects_non_object(tmp_path, capsys):

@@ -23,6 +23,21 @@ def test_space_round_trip_builders():
         assert descriptors.space_to_descriptor(space) == d
 
 
+def test_array_out_has_the_bits_of_the_stacked_parts():
+    # The float64 view gives the pairs that stacking the real and imaginary
+    # parts gave, on views with gaps or reversed strides, 0-d arrays and
+    # signed zeros.
+    rng = np.random.default_rng(3)
+    grid = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    grid[0, 0, 0], grid[1, 2, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    for arr in (grid, grid.T, grid[:, ::2], grid[::-1, :, 1], grid[1, 2, 1], np.array(complex(-0.0, -0.0)), [[1, 2]]):
+        parts = np.asarray(arr, dtype=np.complex128)
+        expected = np.stack([parts.real, parts.imag], axis=-1).tolist()
+        out = descriptors._array_out(arr)
+        assert out == expected
+        assert np.array(out).tobytes() == np.array(expected).tobytes()
+
+
 def test_space_round_trip_custom():
     rng = np.random.default_rng(0)
     basis = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))

@@ -130,6 +130,13 @@ def test_hull_norm_check_two_generators():
     assert report.identity_attained
 
 
+@pytest.mark.parametrize("trials", [matcore.MAX_BUDGET + 1, 1e300])
+def test_hull_norm_check_refuses_trials_past_the_cap(trials):
+    k = MatrixSet(SCALAR, (scalar_point(0.7),))
+    with pytest.raises(InvalidInputError, match=f"trials must be at most {matcore.MAX_BUDGET}, got "):
+        hull_norm_check(k, trials, 3)
+
+
 def test_pairing_scalar_case():
     f = SeparationCertificate(SCALAR, np.array([[[2.0 + 1.0j]]]))
     x = scalar_point(0.5)
