@@ -195,8 +195,8 @@ _SANDWICH = {
         # The budget cap, MAX_BUDGET = 2**24, which trials share.
         ("budget", 2**24),
         ("budget", 16777216.0),
-        ("trials", 2**24),
         ("function2", {}),
+        ("trials", 2**24),
     ],
 )
 def test_validate_config_accepts(key, value):
