@@ -1,13 +1,16 @@
 """The one search engine: every estimated supremum in the package (the level
 sups of `cbnorm` at levels m >= 2, at level 1 of a space function without a
-norming element, and the separation certificates of `mconvex`) runs random
-restarts of a projected gradient ascent over complex arrays (a disk level
-sup projects onto the scaled unitaries RADIUS_CAP·U(m), a space level sup
-onto the cap sphere, a certificate onto the unit sphere); `gcb` counts its
-cost evaluations with the same `Budget`.  Level 1 of a disk function, or of a
+scan unit, half of level 1 of one with two functional leaves over a builder
+space, and the separation certificates of `mconvex`) runs random restarts
+of a projected gradient ascent over complex arrays (a disk level sup
+projects onto the scaled unitaries RADIUS_CAP·U(m), a space level sup onto
+the cap sphere, a certificate onto the unit sphere); `gcb` counts its cost
+evaluations with the same `Budget`.  Level 1 of a disk function, or of a
 one-functional composite over a builder space, is not searched here: |f|
-peaks on a circle of radius RADIUS_CAP there, and `cbnorm` scans it instead.
-This module owns the ascent and the restart loop.
+peaks on a circle of radius RADIUS_CAP there, and `cbnorm` scans it instead;
+a two-functional function's level 1 spends the other half of its budget on
+`cbnorm`'s joint norming scan.  This module owns the ascent and the restart
+loop.
 
 Every objective is the top singular value of a map that is linear or
 entrywise holomorphic in the point, so the SVD that gives its value also

@@ -3,7 +3,10 @@
 The lower bound maximizes the amplified norm at the sparse levels
 DEFAULT_LEVELS = (1, 2, 4, 8), capped at max_level: level 1 of a disk
 function, or of a one-functional composite over a builder space, by a scan
-of a circle of radius RADIUS_CAP (`_scan_unit`), every other level by
+of a circle of radius RADIUS_CAP (`_scan_unit`); level 1 of a function with
+two functional leaves over a builder space by a joint scan of the circles
+through the norming elements of their combinations, on half the budget,
+and the ascent on the other half (`_level_one`); every other level by
 projected ascent from Gaussian starts on the set where its sup over the
 cap ball is attained (the scaled unitaries RADIUS_CAP·U(m) of a disk
 function, the cap sphere ‖X‖ = RADIUS_CAP of a space function, both
@@ -11,12 +14,12 @@ by the maximum principle), with zero-padding used to transfer
 witnesses upward (padding cannot change the amplified norm because
 every function vanishes at 0); once the lower bound meets the cap-ball
 bound, nothing can beat it: the level-1 scan stops there, and the higher
-levels take the padded witness unsearched (`_lower_table`).  The upper bound comes from the one
-certified analytic rule of the function's kind: exact coefficient sums,
-quotient and geometric-functional bounds, and product/sum/scale
-combination rules.  Each rule takes a radius t and bounds the function on
-the ball of radius t (`_upper_rules`): the upper bound is the rule at 1,
-W_cap the rule at RADIUS_CAP.
+levels take the padded witness unsearched (`_lower_table`).  The upper
+bound comes from the one certified analytic rule of the function's kind:
+exact coefficient sums, quotient and geometric-functional bounds, and
+product/sum/scale combination rules.  Each rule takes a radius t and
+bounds the function on the ball of radius t (`_upper_rules`): the upper
+bound is the rule at 1, W_cap the rule at RADIUS_CAP.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import holofun, matcore, opspace
 from ._search import inner, restarts
-from .errors import InvalidInputError, SandwichViolationError
+from .errors import DomainError, InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
     Composite,
@@ -57,6 +60,12 @@ _SCAN_STACK = 4096
 # Scan values this close to the best, relatively, are ties: evaluation
 # rounding alone spreads |z²| over the circle by 5 ulps.
 _ROUNDING_TIE = 2.0**-50
+# Bytes of sampled stacks `schwarz_check` evaluates at once.
+_STACK_BYTES = 1 << 22
+# The joint scan over (a, b, θ) (`_NormingFamily`) zooms fewer grid maxima,
+# with more points a round, each of its rounds computing new units.
+_JOINT_PEAKS = 2
+_JOINT_ROWS = 24
 
 
 @dataclass(frozen=True)
@@ -134,10 +143,45 @@ def _space_problem(f: HoloFunction, m: int):
     return objective, project, start
 
 
+class _NormingFamily:
+    """The scan units of a function whose functional leaves are exactly φ₁
+    and φ₂, over one builder space: for c = (cos a, sin a·e^{ib}) on the
+    unit sphere of ℂ², the norming element e_c of ψ_c = c₁φ₁ + c₂φ₂, as
+    (1, 1, d) entries.  Each e_c is a unit point of the space, and
+    φᵢ(w·e_c) runs over one complex line of the joint image (φ₁, φ₂) of the
+    level-1 ball."""
+
+    def __init__(self, space, first: np.ndarray, second: np.ndarray):
+        self.space, self.first, self.second = space, first, second
+
+    def __call__(self, ab: np.ndarray) -> np.ndarray:
+        """The units e_c of a (T, 2) stack of (a, b): one `norming_element`
+        call for the stack of ψ_c, which takes each run of equal rows once
+        (a scan moves θ with (a, b) fixed)."""
+        starts = np.flatnonzero(np.concatenate(([True], np.any(ab[1:] != ab[:-1], axis=1))))
+        a, b = ab[starts, :1], ab[starts, 1:]
+        psi = np.cos(a) * self.first + (np.sin(a) * np.exp(1j * b)) * self.second
+        units = opspace.norming_element(self.space, psi).reshape(-1, 1, 1, self.space.dim)
+        return np.repeat(units, np.diff(np.append(starts, len(ab))), axis=0)
+
+
+def _functional_leaves(f: HoloFunction) -> list:
+    """The `Composite` and `GeometricPhi` leaves of a space function, left
+    to right."""
+    if isinstance(f, (Composite, GeometricPhi)):
+        return [f]
+    if isinstance(f, Scale):
+        return _functional_leaves(f.inner)
+    if isinstance(f, (Product, Sum)):
+        return _functional_leaves(f.left) + _functional_leaves(f.right)
+    return []
+
+
 def _scan_unit(f: HoloFunction):
     """The unit level-1 point u whose circle w·u, |w| = RADIUS_CAP, holds the
-    maximum of |f| over the level-1 ball of radius RADIUS_CAP; None when
-    none is known.
+    maximum of |f| over the level-1 ball of radius RADIUS_CAP, a
+    `_NormingFamily` of units whose circles are searched for it, or None
+    when neither is known.
 
     A disk function's level-1 ball is the disk, where |f| peaks on the circle
     (maximum modulus): u = [1].  A functional's cb norm is its norm, so φ
@@ -146,15 +190,61 @@ def _scan_unit(f: HoloFunction):
     element of φ (`opspace.norming_element`), φ(w·u) = w·‖φ‖ runs over that
     circle.  So a composite g∘φ or a geometric functional over a builder
     space takes its norming element, which the function object finds once
-    and keeps (`norming`).  Products and sums of functionals, and custom
-    spaces, have none.
+    and keeps (`norming`).  A function with exactly two functional leaves
+    over a builder space (a product or sum of two, scaled or not) is a
+    function of (φ₁(x), φ₂(x)) and takes the family of norming elements of
+    c₁φ₁ + c₂φ₂: a source of seedless witnesses, not a proof that the
+    maximum lies on one of its circles (|z₁z₂| on the ℓ₁ ball of ℂ² peaks
+    at (½, ½), no extreme point of the ball), so `_level_one` keeps the
+    ascent beside it.  Other functions, and custom spaces, have none.
     """
     if f.domain_space is None:
         return np.ones((1, 1), dtype=np.complex128)
     if isinstance(f, (Composite, GeometricPhi)):
         e = f.norming
         return None if e is None else e.reshape(1, 1, -1)
+    leaves = _functional_leaves(f)
+    if len(leaves) == 2 and f.domain_space.kind in opspace._KINDS:
+        return _NormingFamily(f.domain_space, leaves[0].phi, leaves[1].phi)
     return None
+
+
+def _scan_grid(n: int):
+    """(sizes, spacing, offset) of a family's scan grid of at most n points,
+    whose point with index tuple k has the parameters spacing·(k + offset):
+    (a, b, θ) on an s × s × t grid, s = ⌊∛n⌋ and t = ⌊n/s²⌋, with a at the
+    midpoints of s cells of [0, π/2] and b and θ from 0 around the circle."""
+    s = round(n ** (1.0 / 3.0))
+    s -= s**3 > n
+    t = n // (s * s)
+    spacing = np.array([0.5 * np.pi / s, 2.0 * np.pi / s, 2.0 * np.pi / t])
+    return (s, s, t), spacing, np.array([0.5, 0.0, 0.0])
+
+
+def _ascent(f: HoloFunction, m: int, budget: int, seed):
+    """(point, value) of the best of the level-m ascent's restarts
+    (`level_sup`); max keeps the first of equal values."""
+    problem = _disk_problem if f.domain_space is None else _space_problem
+    return max(restarts(*problem(f, m), budget, seed, m), key=lambda run: run[1])
+
+
+def _level_one(f: HoloFunction, budget: int, seed, unit, ceiling=None):
+    """(witness, evaluations spent) of level 1 of a function with a scan
+    unit: the circle scan of its unit, or, for a `_NormingFamily`, the
+    joint scan on budget // 2 and the seeded ascent on the rest, the first
+    of equal values kept, the scan's first.  A scan that meets the
+    `ceiling` stops (`_circle_scan`) and, on a family, no ascent runs."""
+    if not isinstance(unit, _NormingFamily):
+        point, value, spent = _circle_scan(f, budget, unit, ceiling)
+        return _witness(f.domain_space, 1, point, value), spent
+    share, runs = budget // 2, []
+    if share:
+        point, value, spent = _circle_scan(f, share, unit, ceiling)
+        if ceiling is not None and value >= ceiling:
+            return _witness(f.domain_space, 1, point, value), spent
+        runs.append((point, value))
+    runs.append(_ascent(f, 1, budget - share, seed))
+    return _witness(f.domain_space, 1, *max(runs, key=lambda run: run[1])), budget
 
 
 def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
@@ -166,8 +256,11 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     a builder space), |f| peaks on a circle of level-1 points, and
     `_circle_scan` searches that circle and reads no seed; here it has no
     ceiling and spends the whole budget, while `_lower_table` stops it at
-    W_cap.  Every other level runs random restarts of projected ascent and
-    keeps the first restart that reaches the best value.  Each restart
+    W_cap.  Level 1 of a function with two functional leaves over a builder
+    space spends budget // 2 on the joint scan of its `_NormingFamily` and
+    the rest on the ascent (`_level_one`).  Every other level runs random
+    restarts of projected ascent and keeps the first restart that reaches
+    the best value.  Each restart
     starts from a raw complex Gaussian, which the ascent's first projection
     places where the sup is attained.  A disk function's ascent runs on the
     scaled unitaries RADIUS_CAP·U(m): for fixed unitaries U, V the map
@@ -184,12 +277,8 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     matcore.check_seed(seed)
     unit = _scan_unit(f) if m == 1 else None
     if unit is not None:
-        point, value, _ = _circle_scan(f, budget, unit)
-    else:
-        problem = _disk_problem if f.domain_space is None else _space_problem
-        # max keeps the first of equal values.
-        point, value = max(restarts(*problem(f, m), budget, seed, m), key=lambda run: run[1])
-    return _witness(f.domain_space, m, point, value)
+        return _level_one(f, budget, seed, unit)[0]
+    return _witness(f.domain_space, m, *_ascent(f, m, budget, seed))
 
 
 def _witness(space, level: int, point: np.ndarray, value) -> Witness:
@@ -199,20 +288,24 @@ def _witness(space, level: int, point: np.ndarray, value) -> Witness:
     return Witness(level=level, matrix=matrix, value=float(value))
 
 
-def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
+def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=None):
     """(point, value, evaluations spent) of the best of at most `budget`
     level-1 points w·unit, w = RADIUS_CAP·e^{iθ}, by the amplified norm
     |f(w·unit)|: `unit` is a disk function's 1×1 matrix [1] or the (1, 1, d)
-    entries of a space's norming element (`_scan_unit`), and the point has
-    its shape.
+    entries of a space's norming element, or a `_NormingFamily`, whose unit
+    e_c follows (a, b) (`_scan_unit`); the point has the unit's shape.
 
-    A uniform grid from θ = 0 comes first; the budget's last
-    min(budget // 2, _ZOOM_SHARE) points then zoom in on the grid's best
-    local maxima, up to _ZOOM_PEAKS of them.  Each zoom round tries q points
-    around each peak's best angle c, at c ± h/(q + 1), c ± 3h/(q + 1), ...
-    in that order, inner ones first for a round the budget cuts short; q is
-    the even share of _ZOOM_ROWS per peak.  Then h, which starts at the grid
-    spacing, shrinks to the spacing 2h/(q + 1) of those points.
+    A uniform grid comes first: of θ from θ = 0 for one unit, of (a, b, θ)
+    for a family (`_scan_grid`).  The budget's last min(budget // 2,
+    _ZOOM_SHARE) points, and any the grid leaves, then zoom in on the
+    grid's best local maxima, periodic along every axis: up to _ZOOM_PEAKS
+    of them on a circle, _JOINT_PEAKS over (a, b, θ).  Each zoom round
+    tries q points around each peak's best parameters c along each axis, at
+    c ± h/(q + 1), c ± 3h/(q + 1), ... in that order, axis after axis and
+    inner ones first, for a round the budget cuts short; q is the even
+    share of _ZOOM_ROWS (_JOINT_ROWS) per peak and axis.  Then each axis's
+    h, which starts at its grid spacing, shrinks to the spacing 2h/(q + 1)
+    of those points.
     With a `ceiling`, a value that no point beats but by rounding, the scan
     stops after the grid, or after the zoom round, whose best value reaches
     it: further rounds could raise the best by rounding alone.  A grid that
@@ -224,10 +317,27 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
     The scan keeps the grid's values (8 bytes a point), the points of the
     grid's first chunk (at most _SCAN_STACK of them) and the zoom's points.
     A grid witness past the first chunk is made again from its chunk of
-    angles, by the same arithmetic on the same array, so with its bits.
+    parameters, by the same arithmetic on the same array, so with its bits.
     """
-    def points(theta):
-        w = RADIUS_CAP * np.exp(1j * theta)
+    family = isinstance(unit, _NormingFamily)
+    n = budget - min(budget // 2, _ZOOM_SHARE)
+    if family:
+        # Parameters (a, b, θ), one row a point, of the grid points with
+        # these flat indices; the grid's last few points may go to the zoom.
+        sizes, spacing, offset = _scan_grid(n)
+        at_grid = lambda index: spacing * (np.stack(np.unravel_index(index, sizes), axis=1) + offset)
+        n = math.prod(sizes)
+    else:
+        # The angles θ of the grid points with these indices.
+        sizes, spacing = (n,), 2.0 * np.pi / n
+        at_grid = lambda index: spacing * index
+    dims = len(sizes)
+
+    def points(params):
+        if family:
+            w = RADIUS_CAP * np.exp(1j * params[:, -1])
+            return w.reshape(-1, 1, 1, 1) * unit(params[:, :-1])
+        w = RADIUS_CAP * np.exp(1j * params)
         return w.reshape((-1,) + (1,) * unit.ndim) * unit
 
     def norms(stack):
@@ -237,10 +347,8 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
         lo = k - k % _SCAN_STACK
         return (first if lo == 0 else points(chunk(lo)))[k - lo]
 
-    n = budget - min(budget // 2, _ZOOM_SHARE)
-    spacing = 2.0 * np.pi / n
-    # Angles spacing·k of the grid chunk starting at k = lo.
-    chunk = lambda lo: spacing * np.arange(lo, min(lo + _SCAN_STACK, n))
+    # Parameters of the grid chunk starting at point lo.
+    chunk = lambda lo: at_grid(np.arange(lo, min(lo + _SCAN_STACK, n)))
     at = np.empty(n)
     first = points(chunk(0))
     at[:_SCAN_STACK] = norms(first)
@@ -251,30 +359,38 @@ def _circle_scan(f: HoloFunction, budget: int, unit: np.ndarray, ceiling=None):
         # No zoom round runs; the witness is the grid's first tie.
         k = int(np.argmax(at >= highest * (1.0 - _ROUNDING_TIE)))
         return grid_point(k), at[k], n
-    # Local maxima of the periodic grid, compared by slices with no copy of `at`.
-    peak = np.empty(n, dtype=bool)
-    peak[0], peak[1:] = at[0] >= at[-1], at[1:] >= at[:-1]
-    peak[-1] &= at[-1] >= at[0]
-    peak[:-1] &= at[:-1] >= at[1:]
+    # Local maxima of the periodic grid, compared axis by axis through
+    # views, with no copy of `at`.
+    grid, peak = at.reshape(sizes), np.ones(sizes, dtype=bool)
+    for axis in range(dims):
+        g, p = grid.swapaxes(0, axis), peak.swapaxes(0, axis)
+        p[0] &= g[0] >= g[-1]
+        p[1:] &= g[1:] >= g[:-1]
+        p[-1] &= g[-1] >= g[0]
+        p[:-1] &= g[:-1] >= g[1:]
     peaks = np.flatnonzero(peak)
-    peaks = peaks[np.argsort(-at[peaks], kind="stable")][:_ZOOM_PEAKS]
-    centers, best, h = spacing * peaks, at[peaks], spacing
-    q = _ZOOM_ROWS // centers.size // 2 * 2
+    zoom_peaks, zoom_rows = (_JOINT_PEAKS, _JOINT_ROWS) if family else (_ZOOM_PEAKS, _ZOOM_ROWS)
+    peaks = peaks[np.argsort(-at[peaks], kind="stable")][:zoom_peaks]
+    centers, best, h = at_grid(peaks), at[peaks], spacing
+    q = zoom_rows // peaks.size // dims // 2 * 2
     odd = np.arange(1, q, 2) / (q + 1)
-    offsets = np.stack([-odd, odd], axis=1).ravel()
+    moves = np.stack([-odd, odd], axis=1).ravel()
+    if family:
+        # Row j·q + i moves axis j by the i-th offset.
+        moves = np.kron(np.eye(dims), moves[:, None])
     zoom = []  # (points, values) of each zoom round
     while left and (ceiling is None or highest < ceiling):
-        candidates = centers[:, None] + h * offsets
-        stack = points(candidates.ravel()[:left])
-        tried = np.full(candidates.size, -np.inf)
+        candidates = centers[:, None] + h * moves
+        stack = points(candidates.reshape((-1,) + candidates.shape[2:])[:left])
+        tried = np.full(candidates.shape[0] * candidates.shape[1], -np.inf)
         tried[: len(stack)] = norms(stack)
         zoom.append((stack, tried[: len(stack)]))
         highest = max(highest, tried.max())
-        tried = tried.reshape(candidates.shape)
+        tried = tried.reshape(candidates.shape[:2])
         top = np.argmax(tried, axis=1)
-        rows = np.flatnonzero(tried[np.arange(centers.size), top] > best)
+        rows = np.flatnonzero(tried[np.arange(peaks.size), top] > best)
         centers[rows], best[rows] = candidates[rows, top[rows]], tried[rows, top[rows]]
-        h *= 2.0 / (q + 1)
+        h = h * (2.0 / (q + 1))
         left -= len(stack)
     tie, spent = highest * (1.0 - _ROUNDING_TIE), budget - left
     k = int(np.argmax(at >= tie))
@@ -313,14 +429,15 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     Σ|aₙ|·RADIUS_CAPⁿ, because ‖f[X]‖ <= Σ|aₙ|·‖X‖ⁿ, and so at most W_cap,
     the certified rule at radius RADIUS_CAP.  Once the running lower bound
     reaches W_cap, up to the scan's rounding tie, nothing can beat it: the
-    level-1 circle scan that `level_sup` would run stops, with W_cap as its
-    ceiling, after the grid or the zoom round that reaches it, and spends
-    only what it evaluated; each later level takes the lifted witness and
-    spends nothing.  Any other searched level spends exactly `budget`
-    evaluations (`level_sup`), and a lifted lower-level witness replaces its
-    own only when its value is strictly larger.  W_cap passes `_finite_rule`
-    before any search.  Level 1 is scanned through `_scan_unit(f)`, whose
-    norming element the function object finds once and keeps.
+    level-1 scan that `level_sup` would run stops, with W_cap as its
+    ceiling, after the grid or the zoom round that reaches it, a joint
+    scan's ascent does not run, and level 1 spends only what was evaluated
+    (`_level_one`); each later level takes the lifted witness and spends
+    nothing.  Any other searched level spends exactly `budget` evaluations
+    (`level_sup`), and a lifted lower-level witness replaces its own only
+    when its value is strictly larger.  W_cap passes `_finite_rule` before
+    any search.  Level 1 is scanned through `_scan_unit(f)`, whose norming
+    element the function object finds once and keeps.
     """
     cap, _ = _finite_rule(f, RADIUS_CAP)
     met = cap * (1.0 - _ROUNDING_TIE)
@@ -332,8 +449,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
             continue
         unit = _scan_unit(f) if m == 1 else None
         if unit is not None:
-            point, value, spent[m] = _circle_scan(f, budget, unit, met)
-            w = _witness(f.domain_space, m, point, value)
+            w, spent[m] = _level_one(f, budget, seed, unit, met)
         else:
             w, spent[m] = level_sup(f, m, budget, seed), budget
         if running is not None and running.value > w.value:
@@ -352,15 +468,18 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     """Max of level sups over DEFAULT_LEVELS capped at max_level (`_levels`),
     with zero-pad lifting keeping the level table nondecreasing.  Level 1 of
     a function with a scan unit (a disk function, or a one-functional
-    composite over a builder space) comes from the circle scan, every other
-    level from projected ascent (`level_sup`).  Once the
-    lower bound meets the cap-ball bound W_cap, nothing more is searched
-    (`_lower_table`): the circle scan stops after the grid or zoom round that
-    met it, and `samples` records what it spent; later levels take the
-    lifted witness, spend 0 evaluations, and the provenance names them with
-    W_cap.  Whether level 1 was scanned is read from `_scan_unit(f)`, whose
-    norming element the function object kept from the scan, so it is not
-    found again."""
+    composite over a builder space) comes from the circle scan; level 1 of
+    a function with two functional leaves over a builder space from the
+    joint norming scan on budget // 2 and the ascent on the rest
+    (`_level_one`); every other level from projected ascent (`level_sup`).
+    Once the lower bound meets the cap-ball bound W_cap, nothing more is
+    searched (`_lower_table`): the scan stops after the grid or zoom round
+    that met it, a joint scan's ascent does not run, and `samples` records
+    what was spent; later levels take the lifted witness, spend 0
+    evaluations, and the provenance names them with W_cap.  Whether level 1
+    was scanned is read from `_scan_unit(f)`, whose norming element the
+    function object kept from the scan, so it is not found again; whether a
+    joint scan's ascent ran, from level 1's `samples`."""
     budget = matcore.check_budget(budget)
     levels = _levels(max_level)
     matcore.check_seed(seed)
@@ -368,8 +487,15 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     lower = max(w.value for w in table.values())
     # Level 1 comes first and is always searched.
     searched = [m for m in levels if spent[m]]
-    scanned = _scan_unit(f) is not None
-    sources = ["circle scan at level 1"] if scanned else []
+    unit = _scan_unit(f)
+    if isinstance(unit, _NormingFamily):
+        # Budget 1 leaves the joint scan no evaluation: the ascent has it.
+        scanned = budget > 1
+        ascent = " and projected ascent" if spent[1] == budget else ""
+        sources = [f"joint norming scan{ascent} at level 1"] if scanned else []
+    else:
+        scanned = unit is not None
+        sources = ["circle scan at level 1"] if scanned else []
     ascended = searched[1:] if scanned else searched
     if ascended:
         sources.append(f"projected-ascent level sups at levels {ascended}")
@@ -497,29 +623,67 @@ class CheckReport:
 def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckReport:
     """Sample (level, X) pairs and test ‖f_m(X)‖ <= upper·‖X‖·(1 + 1e-10) for a
     certified upper.  A disk function's X is the one entry of a sample over
-    the scalar space."""
+    the scalar space.
+
+    Trial t draws its level, its radius and its Gaussian grid from
+    `derive_rng(seed, t)`, and draws the grid again while its norm is 0
+    (`opspace._random_matrix_ball`).  The trials are taken in chunks of
+    about `_STACK_BYTES`, and a chunk evaluates one stack per level, each
+    norm with the bits of its trial alone.  A point outside the open ball is
+    a DomainError, raised for the first such trial, as `holofun.amplify`
+    raises it; the tightest trial is the first of the least slack."""
     if isinstance(upper, bool) or not isinstance(upper, (int, float)) or not math.isfinite(upper):
         raise InvalidInputError(f"schwarz check needs a finite upper bound, got {upper!r}")
     upper = float(upper)
     trials = matcore.check_budget(trials, "trials")
     space = f.domain_space
     sampled = opspace.space_scalar() if space is None else space
+    # Rough bytes of one level-4 trial in the stacks: its grid and point, and
+    # the realized point and its image.
+    trial_bytes = 16 * 16 * (2 * sampled.dim + 2 * sampled.ambient**2)
+    chunk = max(1, _STACK_BYTES // trial_bytes)
     worst = np.inf
     worst_detail = ""
     failures = 0
-    for t in range(trials):
-        rng = matcore.derive_rng(seed, t)
-        m = int(rng.integers(1, 5))
-        radius = float(rng.uniform(0.05, RADIUS_CAP))
-        x = opspace._random_matrix_ball(rng, sampled, m, radius)
-        x = x[..., 0] if space is None else opspace.OpSpaceMatrix(space, x)
-        actual = matcore.operator_norm(holofun.amplify(f, x))
-        slack = upper * radius - actual
-        if slack < worst:
-            worst = slack
-            worst_detail = f"level {m}, radius {radius:.6f}, amplified norm {actual:.12f}"
-        if actual > upper * radius * (1.0 + 1e-10):
-            failures += 1
+    for start in range(0, trials, chunk):
+        rngs = [matcore.derive_rng(seed, t) for t in range(start, min(start + chunk, trials))]
+        levels = np.array([int(rng.integers(1, 5)) for rng in rngs])
+        radii = np.array([float(rng.uniform(0.05, RADIUS_CAP)) for rng in rngs])
+        actual = np.empty(len(rngs))
+        offending = []  # (trial, norm) of the first point of each level outside the ball
+        for m in range(1, 5):
+            rows = np.flatnonzero(levels == m)
+            if not rows.size:
+                continue
+            draw = lambda i: matcore.gaussian(rngs[i], (m, m, sampled.dim))
+            grids = np.stack([draw(i) for i in rows])
+            norms = matcore.operator_norms(opspace.block_matrix(grids, sampled.basis))
+            for j in np.flatnonzero(~(norms > 0.0)):
+                while not norms[j] > 0.0:
+                    grids[j] = draw(rows[j])
+                    norms[j] = matcore.operator_norm(opspace.block_matrix(grids[j], sampled.basis))
+            points = grids * (radii[rows] / norms)[:, None, None, None]
+            points = points[..., 0] if space is None else points
+            realized = points if space is None else opspace.block_matrix(points, space.basis)
+            norms = matcore.operator_norms(realized)
+            outside = np.flatnonzero(norms >= 1.0)
+            if outside.size:
+                offending.append((rows[outside[0]], float(norms[outside[0]])))
+            actual[rows] = matcore.operator_norms(holofun._eval_array(f, points, False)[0])
+        if offending:
+            _, nrm = min(offending)
+            what = "operator" if space is None else "matrix"
+            raise DomainError(f"matrix argument must have {what} norm < 1, got {nrm}")
+        slack = upper * radii - actual
+        failures += int(np.count_nonzero(actual > upper * radii * (1.0 + 1e-10)))
+        # The first least slack, as a trial-by-trial `slack < worst` keeps it:
+        # NaN and +inf never replace the running worst.
+        finite = np.flatnonzero(slack < np.inf)
+        if finite.size:
+            i = finite[np.argmin(slack[finite])]
+            if slack[i] < worst:
+                worst = slack[i]
+                worst_detail = f"level {levels[i]}, radius {radii[i]:.6f}, amplified norm {actual[i]:.12f}"
     return CheckReport(
         passed=failures == 0,
         trials=trials,

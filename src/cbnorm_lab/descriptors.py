@@ -9,6 +9,7 @@ invariant is enforced on the way in.
 from __future__ import annotations
 
 import functools
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +50,10 @@ def _parser(declared, kind_of=None):
     return wrap
 
 
+# The types of the numbers in a JSON array: a bool is neither.
+_NUMBERS = {int, float}
+
+
 def _real_in(value, name: str) -> float:
     """A real number written as a JSON int or float.  A bool, a string (even
     "2"), a null or an int past the float range is an InvalidInputError
@@ -72,29 +77,36 @@ def _complex_out(z) -> list:
 
 def _array_in(nested, depth: int) -> np.ndarray:
     """The complex array of a depth-`depth` nested list of [re, im] pairs
-    (depth 0: one pair), read in one numpy conversion.  Each value has the
-    bits of complex(re, im), signed zeros included.  An empty list at depth
-    1 is an empty array, as a Blaschke product without zeros needs.  Only
-    JSON numbers are read, an int past int64 as complex() rounds it: a ragged
-    list, a string (even "1.5"), a null or an int past the float range is an
-    InvalidInputError naming the expected depth."""
+    (depth 0: one pair), each value with the bits of complex(re, im), signed
+    zeros included.  An empty list at depth 1 is an empty array, as a
+    Blaschke product without zeros needs.  Only JSON numbers are read, an
+    int past int64 as complex() rounds it: a ragged list, a bool (even
+    beside numbers), a string (even "1.5"), a null or an int past the float
+    range is an InvalidInputError naming the expected depth.
+
+    The lists are flattened a level at a time, each level checked for rows
+    of one length; then one pass over the leaves' types, which finds
+    anything but numbers that a level let through (a string's characters
+    or a dict's keys), and one `np.fromiter` that converts each leaf as
+    float() does."""
+    shape, rows = [], nested
     try:
-        arr = np.asarray(nested)
-    except ValueError:  # ragged: no one array holds it
-        arr = np.array([None])
-    if arr.dtype == object:  # an int past int64, or a leaf that is no number
-        leaves = arr.ravel().tolist()
-        if all(type(leaf) in (int, float) for leaf in leaves):
-            try:
-                arr = np.array([float(leaf) for leaf in leaves]).reshape(arr.shape)
-            except OverflowError:
-                pass
-    if depth == 1 and arr.shape == (0,):
-        arr = arr.reshape(0, 2)
-    if arr.dtype.kind not in "iuf" or arr.ndim != depth + 1 or arr.shape[-1] != 2:
-        what = "an [re, im] pair" if depth == 0 else f"a depth-{depth} nested list of [re, im] pairs"
-        raise InvalidInputError(f"expected {what} of JSON numbers")
-    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+        shape.append(len(nested))
+        for _ in range(depth):
+            sizes = set(map(len, rows))
+            if len(sizes) != 1:
+                break
+            shape.append(sizes.pop())
+            rows = list(chain.from_iterable(rows))
+        else:
+            if shape[-1] == 2 and set(map(type, rows)) <= _NUMBERS:
+                return np.fromiter(rows, np.float64, len(rows)).view(np.complex128).reshape(shape[:-1])
+    except (TypeError, OverflowError):  # a number where a list belongs; an int past the float range
+        pass
+    if depth == 1 and shape == [0]:
+        return np.empty(0, dtype=np.complex128)
+    what = "an [re, im] pair" if depth == 0 else f"a depth-{depth} nested list of [re, im] pairs"
+    raise InvalidInputError(f"expected {what} of JSON numbers")
 
 
 def _array_out(arr: np.ndarray) -> list:

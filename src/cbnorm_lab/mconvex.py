@@ -138,18 +138,22 @@ def _split(k: MatrixSet, target_level: int, draws: np.ndarray):
     return alphas, betas
 
 
-def _rescale(stacks, excess) -> None:
-    # Divide each sample whose constraint norm is above 1 by its square root.
+def _rescale(stacks, excess) -> np.ndarray:
+    """Divide each sample whose constraint norm is above 1 by its square
+    root; returns which samples were rescaled."""
     over = excess > 1.0
     if over.any():
         scale = np.sqrt(excess[over])[:, None, None]
         for s in stacks:
             s[over] = s[over] / scale
+    return over
 
 
 def _normalize(alphas, betas):
     """Map (T, n, k_i) α and (T, k_i, n) β stacks into the constraint set,
-    each of the T samples on its own."""
+    each of the T samples on its own, and check both constraints.  A sample
+    the rescaling left alone has constraint norms <= 1, just computed, so
+    only the rescaled samples are checked again."""
     row, col = _grams(alphas, betas)
     left = _inv_sqrt(row)
     right = _inv_sqrt(col)
@@ -158,17 +162,17 @@ def _normalize(alphas, betas):
     # The ridge leaves rank-deficient samples a hair outside the constraint
     # set; rescale onto it exactly.
     excess_row, excess_col = _constraint_norms(alphas, betas)
-    _rescale(alphas, excess_row)
-    _rescale(betas, excess_col)
+    rescaled = _rescale(alphas, excess_row) | _rescale(betas, excess_col)
+    if rescaled.any():
+        _check_constraints([a[rescaled] for a in alphas], [b[rescaled] for b in betas])
     return alphas, betas
 
 
 def _sampled_norms(k: MatrixSet, target_level: int, draws: np.ndarray) -> np.ndarray:
     """Norms of the hull points of a (T, 4·n·Σk_i) array of same-level draws,
-    one stack per step: the normalized α and β, their constraint check, the
-    points Σ αᵢ·xᵢ·βᵢ and their realizations."""
+    one stack per step: the normalized and checked α and β (`_normalize`),
+    the points Σ αᵢ·xᵢ·βᵢ and their realizations."""
     alphas, betas = _normalize(*_split(k, target_level, draws))
-    _check_constraints(alphas, betas)
     points = sum(
         np.einsum("tpr,rsd,tsq->tpqd", a, gen.entries, b)
         for a, gen, b in zip(alphas, k.generators, betas)

@@ -169,18 +169,27 @@ def _two_norm(phi: np.ndarray, n: int) -> float:
 
 
 def _unit_vector(phi: np.ndarray, n: int) -> np.ndarray:
-    """φ̄/‖φ‖₂, with φ first scaled by its largest modulus so that no
-    square underflows."""
-    psi = np.conj(phi / np.max(np.abs(phi)))
-    return psi / np.linalg.norm(psi)
+    """φ̄/‖φ‖₂ of each functional, with φ first scaled by its largest
+    modulus so that no square underflows.  One functional's norm is
+    `np.linalg.norm` of the vector, whose bits a norm along the last axis
+    of a stack does not share."""
+    if phi.ndim == 1:
+        psi = np.conj(phi / np.max(np.abs(phi)))
+        return psi / np.linalg.norm(psi)
+    psi = np.conj(phi / np.max(np.abs(phi), axis=-1, keepdims=True))
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
 def _unitary_factor(phi: np.ndarray, n: int) -> np.ndarray:
-    """conj(U·V*) from the SVD U·Σ·V* of φ as an n×n matrix, scaled by its
-    computed norm: rounding leaves U·V* a few ulps off unitary."""
-    u, _, vh = np.linalg.svd(phi.reshape(n, n))
+    """conj(U·V*) from the SVD U·Σ·V* of each functional as an n×n matrix,
+    scaled by its computed norm: rounding leaves U·V* a few ulps off
+    unitary.  One functional is one matrix, as a stack of one would take
+    the SVD's slower batched loop; a stack of functionals takes one
+    stacked SVD, each matrix with the bits it has alone."""
+    u, _, vh = np.linalg.svd(phi.reshape(phi.shape[:-1] + (n, n)))
     w = u @ vh
-    return np.conj(w / matcore.operator_norm(w)).reshape(-1)
+    norms = matcore.operator_norms(w, w.ndim)[..., None, None]
+    return np.conj(w / norms).reshape(phi.shape)
 
 
 class _Kind(NamedTuple):
@@ -279,19 +288,28 @@ def closed_form_dual_norm(space: ConcreteOperatorSpace, phi) -> float:
 
 def norming_element(space: ConcreteOperatorSpace, phi: np.ndarray):
     """Coefficients (d,) of a point e of the space with matrix norm 1 and
-    φ(e) = Σ φ_k·e_k = ‖φ‖, for φ given as d complex coefficients; None on a
+    φ(e) = Σ φ_k·e_k = ‖φ‖, for φ given as d complex coefficients, or the
+    (T, d) norming elements of a (T, d) stack of functionals; None on a
     custom space, which has no closed form for one.
 
     On a builder space `_KINDS` gives e in closed form: the phases of φ̄ on
     the scalar and min-ℓ∞ spaces, φ̄/‖φ‖₂ on the row and column spaces, and
-    conj(U·V*) on M_k.  Every unit point norms the zero functional; it gets
-    the first basis element.
+    conj(U·V*) on M_k (one stacked SVD for a stack).  Every unit point
+    norms the zero functional; it gets the first basis element.
     """
     if space.kind not in _KINDS:
         return None
-    if not np.any(phi):
-        return np.eye(1, space.dim, dtype=np.complex128)[0]
-    return _KINDS[space.kind].norming(phi, space.param)
+    norming = _KINDS[space.kind].norming
+    if phi.ndim == 1:
+        return norming(phi, space.param) if np.any(phi) else np.eye(1, space.dim, dtype=np.complex128)[0]
+    nonzero = np.any(phi, axis=-1)
+    if nonzero.all():
+        return norming(phi, space.param)
+    out = np.zeros(phi.shape, dtype=np.complex128)
+    out[..., 0] = 1.0
+    if nonzero.any():
+        out[nonzero] = norming(phi[nonzero], space.param)
+    return out
 
 
 def _extension_norm(space: ConcreteOperatorSpace, phi: np.ndarray) -> float:

@@ -1,11 +1,13 @@
 """Tests for the cb-norm sandwich: level sups, lifting, bound rules, checks."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cbnorm_lab import cbnorm, holofun, matcore, opspace
+from cbnorm_lab import cbnorm, descriptors, holofun, matcore, opspace
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
     Witness,
@@ -19,7 +21,7 @@ from cbnorm_lab.cbnorm import (
     schwarz_check,
     witness_value,
 )
-from cbnorm_lab.errors import InvalidInputError, SandwichViolationError
+from cbnorm_lab.errors import DomainError, InvalidInputError, SandwichViolationError
 from cbnorm_lab.holofun import (
     Blaschke,
     Composite,
@@ -50,6 +52,7 @@ SQUARE = PowerSeries([0.0, 1.0])
 GEOMETRIC = MoebiusQuotient(IDENTITY, 0.5)
 BLASCHKE_HALF = Blaschke(1.0, 1, [0.5])
 MIN2 = space_min_linf(2)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _functional(space, r, seed):
@@ -336,18 +339,204 @@ def test_a_stopped_sandwich_finds_one_norming_element(kind, monkeypatch):
 
 
 def test_custom_space_and_two_functionals_still_search_level_one():
-    # A custom space has no closed-form norming element, and a product of
-    # two functionals is no function of one φ: both keep the seeded ascent.
+    # A custom space has no closed-form norming element, for one functional
+    # or for a combination of two, and a product of three functionals is no
+    # function of two: all keep the seeded ascent.  (A product of two
+    # functionals over a builder space takes the joint norming scan.)
     custom = ConcreteOperatorSpace(space_row(2).basis)
     phi = np.array([0.3, 0.4j])
-    two = Product(*(_scanned(MIN2, kind, 0)[0] for kind in ("composite", "geometric_phi")))
-    for f in (Composite(GEOMETRIC, custom, phi, 0.5), two):
+    two = Product(Composite(GEOMETRIC, custom, phi, 0.5), GeometricPhi(custom, 0.5 * phi[::-1], 0.25))
+    a, b, c = (_scanned(MIN2, kind, seed)[0] for kind, seed in (("composite", 0), ("geometric_phi", 0), ("composite", 1)))
+    three = Product(Product(a, b), c)
+    for f in (Composite(GEOMETRIC, custom, phi, 0.5), two, three):
+        assert cbnorm._scan_unit(f) is None
         first, second = level_sup(f, 1, 300, 1), level_sup(f, 1, 300, 2)
         for w in (first, second):
             assert matrix_norm(w.matrix) <= RADIUS_CAP * (1.0 + 1e-12)
             assert abs(witness_value(f, w) - w.value) <= 1e-12 * w.value
         assert first.matrix.entries.tobytes() != second.matrix.entries.tobytes()
         assert cb_lower_bound(f, 2, 50, 1).provenance.startswith("lower: projected-ascent level sups at levels [1, 2]")
+
+
+# ---------------------------------------------------------------------------
+# Level 1 of a two-functional function: the joint norming scan
+
+
+_BUILDER_SPACES = [space_scalar(), space_mk(2), space_mk(3), space_row(3), space_column(2), MIN2]
+
+
+def _two_functionals(space, kind, seed):
+    """A seeded product or sum of two functional leaves over the space:
+    g∘φ₁ and, for odd seeds, h∘φ₂, for even ones the geometric functional
+    φ₂/(1 − φ₂), with g and h drawn from a few disk functions."""
+    rng = np.random.default_rng(seed)
+    scalars = (IDENTITY, SQUARE, GEOMETRIC, BLASCHKE_HALF, PowerSeries([0.3, -0.5j, 0.2]))
+    (phi1, r1), (phi2, r2) = (_functional(space, rng.uniform(0.3, 0.8), 100 * seed + i) for i in (1, 2))
+    first = Composite(scalars[rng.integers(len(scalars))], space, phi1, r1)
+    second = (
+        Composite(scalars[rng.integers(len(scalars))], space, phi2, r2) if seed % 2 else GeometricPhi(space, phi2, r2)
+    )
+    return Product(first, second) if kind == "product" else Sum(first, Scale(0.5 - 0.25j, second))
+
+
+TWO_FUNCTIONALS = [
+    pytest.param(space, kind, seed, id=f"{space.kind}{space.param}-{kind}-{seed}")
+    for space in _BUILDER_SPACES
+    for kind in ("product", "sum")
+    for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("space, kind, seed", TWO_FUNCTIONALS)
+def test_two_functional_level_one_witness_recomputes_bit_for_bit(space, kind, seed):
+    f = _two_functionals(space, kind, seed)
+    assert isinstance(cbnorm._scan_unit(f), cbnorm._NormingFamily)
+    w = level_sup(f, 1, 300, seed)
+    assert isinstance(w.matrix, OpSpaceMatrix) and w.matrix.level == 1
+    assert matrix_norm(w.matrix) < 1.0
+    assert witness_value(f, w).hex() == w.value.hex()
+    est = cb_lower_bound(f, 2, 300, seed)
+    assert witness_value(f, est.level_table[1]).hex() == est.level_table[1].value.hex()
+    met = cbnorm._finite_rule(f, RADIUS_CAP)[0] * (1.0 - cbnorm._ROUNDING_TIE)
+    if est.level_table[1].value < met:
+        assert est.samples[1] == 300
+        assert est.level_table[1].value.hex() == w.value.hex()
+        assert est.provenance.startswith("lower: joint norming scan and projected ascent at level 1, ")
+    else:
+        # Over the scalar space both functionals norm at one point: a scan
+        # that meets W_cap stops, and no ascent runs.
+        assert space.kind == "scalar" and kind == "product"
+        assert est.samples == {1: 64, 2: 0}
+        assert est.provenance.startswith("lower: joint norming scan at level 1, budget 300 per level, ")
+
+
+@pytest.mark.parametrize("space, kind, seed", TWO_FUNCTIONALS)
+def test_joint_scan_reads_no_seed_and_never_loses_to_its_ascent(space, kind, seed, monkeypatch):
+    # The scan's witness is the same for two seeds; level 1 keeps the
+    # better of it and the seeded ascent on the other half of the budget.
+    f = _two_functionals(space, kind, seed)
+    unit = cbnorm._scan_unit(f)
+    scan = cbnorm._circle_scan(f, 150, unit)
+    ascents = []
+    ascent = cbnorm._ascent
+    monkeypatch.setattr(cbnorm, "_ascent", lambda *args: ascents.append(ascent(*args)) or ascents[-1])
+    for other in (seed, seed + 1):
+        w = level_sup(f, 1, 300, other)
+        again = cbnorm._circle_scan(f, 150, cbnorm._scan_unit(f))
+        assert again[0].tobytes() == scan[0].tobytes() and again[1].hex() == scan[1].hex()
+        best = scan if scan[1] >= ascents[-1][1] else ascents[-1]
+        assert w.value.hex() == float(best[1]).hex()
+        assert w.matrix.entries.tobytes() == best[0].tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 300, 2001])
+def test_joint_scan_spends_half_the_budget_and_the_ascent_the_rest(budget, monkeypatch):
+    # The scan hands the objective stacks of (1, 1, d) points without
+    # derivatives, budget // 2 of them; the ascent spends the rest.
+    f = _two_functionals(space_mk(2), "product", 1)
+    scanned, budgets = [], []
+    eval_array = holofun._eval_array
+    monkeypatch.setattr(
+        holofun,
+        "_eval_array",
+        lambda g, z, *rest: (g is f and rest == (False,) and scanned.append(len(z))) or eval_array(g, z, *rest),
+    )
+    restarts = cbnorm.restarts
+    monkeypatch.setattr(cbnorm, "restarts", lambda *args: budgets.append(args[3]) or restarts(*args))
+    est = cb_lower_bound(f, 1, budget, 5)
+    assert sum(scanned) == budget // 2 and all(n <= cbnorm._SCAN_STACK for n in scanned)
+    assert budgets == [budget - budget // 2]
+    assert est.samples == {1: budget}
+    if budget == 1:
+        assert est.provenance.startswith("lower: projected-ascent level sups at levels [1], budget 1")
+    else:
+        assert est.provenance.startswith("lower: joint norming scan and projected ascent at level 1, budget ")
+
+
+def test_joint_scan_keeps_the_first_of_equal_values_the_scan_first(monkeypatch):
+    # An ascent that ties the scan leaves the scan's witness; one that beats
+    # it by an ulp replaces it.
+    f = _two_functionals(MIN2, "sum", 1)
+    point, value, _ = cbnorm._circle_scan(f, 150, cbnorm._scan_unit(f))
+    other = np.zeros_like(point)
+    for ascended, expected in ((value, point), (np.nextafter(value, np.inf), other)):
+        monkeypatch.setattr(cbnorm, "_ascent", lambda *args: (other, ascended))
+        w = level_sup(f, 1, 300, 1)
+        assert w.matrix.entries.tobytes() == expected.tobytes() and w.value == ascended
+
+
+def test_joint_scan_that_meets_the_ceiling_runs_no_ascent(monkeypatch):
+    # Any grid meets the ceiling 0: the scan spends its grid, of the
+    # budget // 2 it is given, and the ascent does not run.
+    f = _two_functionals(space_row(3), "product", 2)
+    monkeypatch.setattr(cbnorm, "_ascent", lambda *args: pytest.fail("ascended"))
+    w, spent = cbnorm._level_one(f, 300, 1, cbnorm._scan_unit(f), 0.0)
+    sizes, _, _ = cbnorm._scan_grid(150 - 75)
+    assert spent == int(np.prod(sizes)) <= 75
+    assert witness_value(f, w).hex() == w.value.hex()
+
+
+def test_joint_scan_finds_the_catalog_product_level_one_sup():
+    # The benchmark's two-functional product over M_2, g₁∘φ₁·g₂∘φ₂ with
+    # g₁ = z/(1−z/2), g₂ = z: budget-20 000 searches reach 0.27163 at level
+    # 1, and the budget-300 ascent alone 0.129–0.2706 over the benchmark's
+    # seeds.  The joint scan's witness is the same for every seed.
+    config = json.loads((CONFIG_DIR / "sandwich_product_mk2.json").read_text())
+    f = descriptors.function_from_descriptor(config["function"])
+    witnesses = [level_sup(f, 1, 300, seed) for seed in (1, 2, 3, 7)]
+    for w in witnesses:
+        assert w.value >= 0.2715
+        assert w.matrix.entries.tobytes() == witnesses[0].matrix.entries.tobytes()
+
+
+def test_joint_scan_grid_witness_past_the_first_chunk_has_its_bits(monkeypatch):
+    # |φ₁ + φ₂| peaks at the norming element of φ₁ + φ₂, c ∝ (1, 1): on a
+    # 25 × 25 × 25 grid that is a = π/4, b = θ = 0, grid point 12·625, in
+    # the second chunk, which the witness is rebuilt from.
+    (phi1, r1), (phi2, r2) = _functional(MIN2, 0.4, 11), _functional(MIN2, 0.5, 12)
+    f = Sum(Composite(IDENTITY, MIN2, phi1, r1), Composite(IDENTITY, MIN2, phi2, r2))
+    budget = 25**3 + cbnorm._ZOOM_SHARE
+    stacks = []
+    eval_array = holofun._eval_array
+    monkeypatch.setattr(
+        holofun, "_eval_array", lambda g, z, *rest: (g is f and stacks.append(len(z))) or eval_array(g, z, *rest)
+    )
+    point, value, spent = cbnorm._circle_scan(f, budget, cbnorm._scan_unit(f), 0.0)
+    assert spent == sum(stacks) == 25**3 and max(stacks) == cbnorm._SCAN_STACK
+    expected = RADIUS_CAP * opspace.norming_element(MIN2, np.cos(np.pi / 4) * phi1 + np.sin(np.pi / 4) * phi2)
+    assert np.allclose(point[0, 0], expected, rtol=0.0, atol=1e-15)
+    assert value.hex() == witness_value(f, Witness(1, OpSpaceMatrix(MIN2, point), value)).hex()
+    assert value == pytest.approx(RADIUS_CAP * closed_form_dual_norm(MIN2, phi1 + phi2), rel=1e-14)
+
+
+def test_scan_unit_takes_two_functional_leaves_through_scales():
+    a, b = (_scanned(MIN2, kind, 0)[0] for kind in ("composite", "geometric_phi"))
+    for f in (Product(a, b), Sum(Scale(2.0, a), b), Scale(-1j, Product(b, Scale(0.5, a)))):
+        unit = cbnorm._scan_unit(f)
+        assert isinstance(unit, cbnorm._NormingFamily)
+        assert {id(unit.first), id(unit.second)} == {id(a.phi), id(b.phi)}
+    for f in (Scale(2.0, a), Product(Product(a, b), a)):
+        assert cbnorm._scan_unit(f) is None
+
+
+def test_norming_family_units_norm_their_combinations():
+    # e_c is a unit point with ψ_c(e_c) = ‖ψ_c‖ for c = (cos a, sin a·e^{ib}),
+    # equal rows of (a, b) take one unit, and c with ψ_c = 0 takes the first
+    # basis element.
+    phi = np.array([0.3, -0.1j, 0.2, 0.05])
+    space = space_mk(2)
+    unit = cbnorm._NormingFamily(space, phi, -phi)
+    ab = np.array([[0.1, 0.0], [0.1, 0.0], [np.pi / 4, 0.0], [0.7, 2.0], [0.7, 2.0], [0.7, 2.0]])
+    units = unit(ab)
+    assert units.shape == (6, 1, 1, 4)
+    assert units[0].tobytes() == units[1].tobytes() and units[3].tobytes() == units[5].tobytes()
+    psi = np.cos(ab[:, :1]) * phi - (np.sin(ab[:, :1]) * np.exp(1j * ab[:, 1:])) * phi
+    for e, p in zip(units[:, 0, 0], psi):
+        if np.any(np.abs(p) > 1e-15):
+            assert abs(matrix_norm(OpSpaceMatrix(space, e.reshape(1, 1, -1))) - 1.0) <= 1e-14
+            assert abs(p @ e - closed_form_dual_norm(space, p)) <= 1e-14
+    zero = cbnorm._NormingFamily(space, np.zeros(4, complex), np.zeros(4, complex))(ab[:2])
+    assert zero.tobytes() == np.tile(np.eye(1, 4, dtype=complex), (2, 1)).tobytes()
 
 
 def test_level_sup_keeps_the_first_restart_of_equal_values(monkeypatch):
@@ -741,6 +930,85 @@ def test_schwarz_check_refuses_trials_past_the_cap(trials):
     # Refused before the first trial: 1e300 trials would run until killed.
     with pytest.raises(InvalidInputError, match=f"trials must be at most {matcore.MAX_BUDGET}, got "):
         schwarz_check(IDENTITY, 1.0, trials, 1)
+
+
+def _schwarz_reference(f, upper, trials, seed):
+    """The trial-by-trial loop that `schwarz_check` stacks: each trial's
+    point sampled by `opspace._random_matrix_ball` and amplified alone."""
+    space = f.domain_space
+    sampled = space_scalar() if space is None else space
+    worst, detail, failures = np.inf, "", 0
+    for t in range(trials):
+        rng = matcore.derive_rng(seed, t)
+        m = int(rng.integers(1, 5))
+        radius = float(rng.uniform(0.05, cbnorm.RADIUS_CAP))
+        x = opspace._random_matrix_ball(rng, sampled, m, radius)
+        x = x[..., 0] if space is None else OpSpaceMatrix(space, x)
+        actual = matcore.operator_norm(amplify(f, x))
+        if upper * radius - actual < worst:
+            worst = upper * radius - actual
+            detail = f"level {m}, radius {radius:.6f}, amplified norm {actual:.12f}"
+        failures += actual > upper * radius * (1.0 + 1e-10)
+    return failures == 0, trials, float(worst), f"{failures} violations; tightest trial: {detail}"
+
+
+def _report(report):
+    return report.passed, report.trials, report.worst_slack, report.detail
+
+
+_SCHWARZ_FUNCTIONS = [
+    IDENTITY,
+    SQUARE,
+    BLASCHKE_HALF,
+    PowerSeries([1e-9]),
+    _scanned(space_mk(2), "composite", 1)[0],
+    _scanned(space_row(3), "geometric_phi", 2)[0],
+    _two_functionals(space_column(2), "sum", 1),
+]
+
+
+@pytest.mark.parametrize("f", _SCHWARZ_FUNCTIONS, ids=lambda f: type(f).__name__)
+def test_schwarz_check_stacks_give_the_trial_by_trial_report(f, monkeypatch):
+    # Every norm has the bits of its trial alone, whatever the chunk size,
+    # so the report is the loop's, worst slack to the bit.
+    upper = cb_upper_bound(f)
+    for stated, trials, seed in ((upper, 100, 5), (0.9 * upper, 37, 2), (upper, 1, 9)):
+        expected = _schwarz_reference(f, stated, trials, seed)
+        assert _report(schwarz_check(f, stated, trials, seed)) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(cbnorm, "_STACK_BYTES", 1)
+            assert _report(schwarz_check(f, stated, trials, seed)) == expected
+
+
+def test_schwarz_check_redraws_a_zero_grid_from_its_own_trial(monkeypatch):
+    # The first grid each trial draws is zero: it draws again from its own
+    # stream, as `opspace._random_matrix_ball` does.
+    seen = []  # each trial's generator, kept alive so that no id is reused
+    gaussian = matcore.gaussian
+
+    def zero_first(rng, shape):
+        draw = gaussian(rng, shape)
+        return draw if any(rng is other for other in seen) or seen.append(rng) else 0.0 * draw
+
+    f = _scanned(MIN2, "composite", 3)[0]
+    monkeypatch.setattr(matcore, "gaussian", zero_first)
+    expected = _schwarz_reference(f, cb_upper_bound(f), 40, 3)
+    seen.clear()
+    assert _report(schwarz_check(f, cb_upper_bound(f), 40, 3)) == expected
+
+
+@pytest.mark.parametrize("f", [SQUARE, _scanned(space_mk(2), "composite", 1)[0]], ids=["disk", "space"])
+def test_schwarz_check_raises_the_domain_error_of_the_first_trial_outside_the_ball(f, monkeypatch):
+    # With radii drawn up to 1.5, some points leave the open ball: the
+    # error is the first such trial's, in trial order, as the loop raised it.
+    monkeypatch.setattr(cbnorm, "RADIUS_CAP", 1.5)
+    with pytest.raises(DomainError) as expected:
+        _schwarz_reference(f, 1.0, 60, 4)
+    for stack_bytes in (cbnorm._STACK_BYTES, 1):
+        monkeypatch.setattr(cbnorm, "_STACK_BYTES", stack_bytes)
+        with pytest.raises(DomainError) as raised:
+            schwarz_check(f, 1.0, 60, 4)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_schwarz_check_square_has_positive_slack():

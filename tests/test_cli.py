@@ -472,6 +472,22 @@ def test_malformed_complex_arrays_end_in_an_error_line(site, kind, tmp_path, cap
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("site", ["coeffs", "zeros", "phi", "c", "grid", "entries"])
+@pytest.mark.parametrize("pair", [[True, 0.0], [0.5, False], [1, True]], ids=["true-float", "float-false", "int-true"])
+def test_booleans_among_numbers_end_in_an_error_line(site, pair, tmp_path, capsys):
+    # numpy reads true beside numbers as 1.0: a power series with a true
+    # coefficient once ran a sandwich with upper 1.0 and exit 0.
+    command, config, depth = _with_array(site, [[0.5, 0.0], pair])
+    expected = "an [re, im] pair" if depth == 0 else f"a depth-{depth} nested list of [re, im] pairs"
+    with pytest.raises(CbnormLabError, match=re.escape(f"expected {expected} of JSON numbers")):
+        cli.run(command, config)
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def _with_real(site, value):
     """A shipped config with `value` at `site`: the certified norm of a
     geometric functional or of a composite, or the bound of a grid or a

@@ -117,6 +117,42 @@ def test_a_pair_of_other_than_json_numbers_is_rejected(pair):
         descriptors.function_from_descriptor({"kind": "power_series", "coeffs": [pair]})
 
 
+@pytest.mark.parametrize(
+    "nested, depth",
+    [
+        ([[0.0, 0.0], [True, 0.0]], 1),
+        ([[1, 2], [3, False]], 1),
+        ([0.5, True], 0),
+        ([[[[0.5, 0.0], [False, 1.0]]]], 3),
+        ([[[0.5, 0.0]], [[0.25, True]]], 2),
+    ],
+    ids=["true-beside-floats", "false-beside-ints", "pair", "depth-3", "depth-2"],
+)
+def test_booleans_beside_numbers_are_rejected(nested, depth):
+    # numpy reads a bool beside numbers as a number, 1.0 or 1.
+    with pytest.raises(InvalidInputError, match="of JSON numbers"):
+        descriptors._array_in(nested, depth)
+
+
+def test_a_nested_list_reads_each_pair_as_complex_does():
+    # Ints past int64 round as complex() rounds them, signed zeros keep
+    # their signs, and a nested list reads to its shape; the empty list is
+    # an array only at depth 1.
+    rng = np.random.default_rng(7)
+    big = [int(x) * 2**40 + int(y) for x, y in rng.integers(-(2**62), 2**62, size=(50, 2))]
+    leaves = big + [0, -0.0, 0.0, 2**53 + 1, -(2**64) - 1, 1.5, -2.25e-310]
+    pairs = [[leaves[i], leaves[-1 - i]] for i in range(len(leaves))]
+    arr = descriptors._array_in(pairs, 1)
+    assert arr.tobytes() == np.array([complex(re, im) for re, im in pairs]).tobytes()
+    grid = [[[pairs[0], pairs[1]], [pairs[2], pairs[3]]]]
+    arr = descriptors._array_in(grid, 3)
+    assert arr.shape == (1, 2, 2) and arr.tobytes() == np.array([complex(*p) for p in pairs[:4]]).tobytes()
+    assert descriptors._array_in([], 1).shape == (0,)
+    for nested, depth in (([], 2), ([[]], 1), ([[], []], 2), ([], 0), ("ab", 0), (["ab"], 1), ([[0.5, 0.0], 0.5], 1)):
+        with pytest.raises(InvalidInputError, match="of JSON numbers"):
+            descriptors._array_in(nested, depth)
+
+
 def test_power_series_rejects_analytic_radius():
     # Polynomials are entire: a power series declares no radius.
     d = {"kind": "power_series", "coeffs": [[1.0, 0.0]], "analytic_radius": 2.0}

@@ -397,18 +397,27 @@ def test_hull_norm_check_accepts_integral_trials():
 
 
 def test_hull_norm_check_checks_constraints_on_every_trial(monkeypatch):
+    # `_normalize` computes both constraint norms of every trial once; a
+    # trial it does not rescale has both <= 1, and one it rescales is
+    # checked again, as is the identity representation.  Counts are of the
+    # samples each call takes.
     k = _random_set(MIN2, 9)
-    checked = []
-    check = mconvex._check_constraints
-
-    def recording(alphas, betas):
-        checked.append(int(np.prod(alphas[0].shape[:-2])))
-        check(alphas, betas)
-
-    monkeypatch.setattr(mconvex, "_check_constraints", recording)
+    normed, checked = [], []
+    norms, check = mconvex._constraint_norms, mconvex._check_constraints
+    count = lambda alphas: int(np.prod(alphas[0].shape[:-2]))
+    monkeypatch.setattr(mconvex, "_constraint_norms", lambda a, b: normed.append(count(a)) or norms(a, b))
+    monkeypatch.setattr(mconvex, "_check_constraints", lambda a, b: checked.append(count(a)) or check(a, b))
     hull_norm_check(k, 50, 0)
-    # Every trial, and then the identity representation.
-    assert sum(checked) == 51
+    # No trial of this draw is rescaled: only the identity is checked again.
+    assert sum(normed) == 51 and checked == [1]
+    # Doubled inverse square roots put every trial at a constraint norm
+    # near 4, so every one is rescaled and checked again.
+    normed.clear(), checked.clear()
+    inv_sqrt = mconvex._inv_sqrt
+    monkeypatch.setattr(mconvex, "_inv_sqrt", lambda s: 2.0 * inv_sqrt(s))
+    report = hull_norm_check(k, 50, 0)
+    assert sum(checked) == 51 and sum(normed) == 50 + 51
+    assert report.passed
     monkeypatch.setattr(mconvex, "_CONSTRAINT_TOL", -0.5)
     with pytest.raises(InvalidRepresentationError):
         hull_norm_check(k, 5, 0)
