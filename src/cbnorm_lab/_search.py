@@ -1,16 +1,18 @@
 """The one search engine: every estimated supremum in the package (the level
 sups of `cbnorm` at levels m >= 2, at level 1 of a space function without a
-scan unit, half of level 1 of one with two functional leaves over a builder
-space, and the separation certificates of `mconvex`) runs random restarts
-of a projected gradient ascent over complex arrays (a disk level sup
-projects onto the scaled unitaries RADIUS_CAP·U(m), a space level sup onto
-the cap sphere, a certificate onto the unit sphere); `gcb` counts its cost
-evaluations with the same `Budget`.  Level 1 of a disk function, or of a
-one-functional composite over a builder space, is not searched here: |f|
-peaks on a circle of radius RADIUS_CAP there, and `cbnorm` scans it instead;
-a two-functional function's level 1 spends the other half of its budget on
-`cbnorm`'s joint norming scan.  This module owns the ascent and the restart
-loop.
+scan unit, and the separation certificates of `mconvex`) runs random
+restarts of a projected gradient ascent over complex arrays (a disk level
+sup projects onto the scaled unitaries RADIUS_CAP·U(m), a space level sup
+onto the cap sphere, a certificate onto the unit sphere); `gcb` counts its
+cost evaluations with the same `Budget`.  Level 1 of a disk function, or of
+a one-functional composite over a builder space, is not searched here: |f|
+peaks on a circle of radius RADIUS_CAP there, and `cbnorm` scans it
+instead.  Level 1 of a function with two functional leaves over a builder
+space is `cbnorm`'s joint norming scan on half its budget, then `polish`, a
+Frank–Wolfe ascent from the scan's witness, on the other half: its oracle
+is the norming element of the gradient's functional, and it is charged 1
+per gradient and 1 per candidate.  This module owns the ascent, the polish
+and the restart loop.
 
 Every objective is the top singular value of a map that is linear or
 entrywise holomorphic in the point, so the SVD that gives its value also
@@ -26,6 +28,8 @@ from .matcore import as_int, derive_rng
 _MAX_STEPS = 200
 # Enough halvings of a unit-length step to pass the 1e-9 step floor.
 _HALVINGS = np.arange(40)
+# The Frank–Wolfe step sizes γ = 1, ½, …, 2⁻⁷, tried as one stack.
+_FW_STEPS = np.ldexp(1.0, -np.arange(8))
 
 
 class Budget:
@@ -145,6 +149,40 @@ def _line_search(objective, project, x, value, grad, budget: Budget, batch: int)
         tried += taken.size
         batch *= 8
     return None
+
+
+def polish(objective, oracle, x, value, budget: Budget):
+    """Frank–Wolfe polish of the feasible point x, whose value is `value`
+    (Frank & Wolfe, Naval Res. Logist. Q. 3, 1956; Jaggi, ICML 2013).
+
+    `objective` is as `ascend` takes it, and `oracle(grad)` returns the
+    feasible point s that maximizes inner(grad, s), the linear model of the
+    objective at a point with gradient `grad`.  A step takes the gradient
+    at x, charged 1, and s = oracle(gradient); it then evaluates the
+    candidates x + γ·(s − x), for the γ of _FW_STEPS from 1 down, as one
+    stack, charged 1 each and as many as the budget has left.  The first
+    candidate of the best value becomes x if it beats x, and its gradient
+    comes from that stack; the polish stops when the budget is spent or no
+    candidate beats x.  Over a convex set every candidate is feasible, so
+    nothing is projected.  Returns the last x and its value.
+    """
+    if not budget.left:
+        return x, value
+    # The start point's gradient comes from an evaluation of its own, every
+    # later point's from the stack that accepted it.
+    gradient_at, row = objective(x[None])[1], 0
+    while budget.spend():
+        steps = _FW_STEPS[: budget.spend(_FW_STEPS.size)]
+        if not steps.size:
+            break
+        s = oracle(gradient_at(row))
+        cands = x + steps.reshape((-1,) + (1,) * x.ndim) * (s - x)
+        values, gradient_at = objective(cands)
+        row = int(np.argmax(values))
+        if not values[row] > value:
+            break
+        x, value = cands[row], values[row]
+    return x, value
 
 
 def restarts(objective, project, start, budget: int, seed, *stream):

@@ -6,7 +6,10 @@ function, or of a one-functional composite over a builder space, by a scan
 of a circle of radius RADIUS_CAP (`_scan_unit`); level 1 of a function with
 two functional leaves over a builder space by a joint scan of the circles
 through the norming elements of their combinations, on half the budget,
-and the ascent on the other half (`_level_one`); every other level by
+and a Frank–Wolfe polish of its witness on the other half, whose oracle is
+the norming element of the gradient's functional, charged 1 per gradient
+and 1 per candidate (`_level_one`); none of these reads a seed.  Every
+other level is searched by
 projected ascent from Gaussian starts on the set where its sup over the
 cap ball is attained (the scaled unitaries RADIUS_CAP·U(m) of a disk
 function, the cap sphere ‖X‖ = RADIUS_CAP of a space function, both
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import holofun, matcore, opspace
-from ._search import inner, restarts
+from ._search import Budget, inner, polish, restarts
 from .errors import DomainError, InvalidInputError, SandwichViolationError
 from .holofun import (
     Blaschke,
@@ -195,8 +198,8 @@ def _scan_unit(f: HoloFunction):
     function of (φ₁(x), φ₂(x)) and takes the family of norming elements of
     c₁φ₁ + c₂φ₂: a source of seedless witnesses, not a proof that the
     maximum lies on one of its circles (|z₁z₂| on the ℓ₁ ball of ℂ² peaks
-    at (½, ½), no extreme point of the ball), so `_level_one` keeps the
-    ascent beside it.  Other functions, and custom spaces, have none.
+    at (½, ½), no extreme point of the ball), so `_level_one` polishes the
+    scan's witness.  Other functions, and custom spaces, have none.
     """
     if f.domain_space is None:
         return np.ones((1, 1), dtype=np.complex128)
@@ -221,30 +224,50 @@ def _scan_grid(n: int):
     return (s, s, t), spacing, np.array([0.5, 0.0, 0.0])
 
 
-def _ascent(f: HoloFunction, m: int, budget: int, seed):
-    """(point, value) of the best of the level-m ascent's restarts
-    (`level_sup`); max keeps the first of equal values."""
-    problem = _disk_problem if f.domain_space is None else _space_problem
-    return max(restarts(*problem(f, m), budget, seed, m), key=lambda run: run[1])
+def _polish_problem(f: HoloFunction):
+    """(objective, oracle) of the Frank–Wolfe polish of level 1 over f's
+    builder space (`_search.polish`).  At a level-1 point x with F = f(x),
+    d|F| = Re ψ(dx) for ψ = conj(F)·F′/|F| (phase 1 where F = 0), and the
+    linear maximization oracle over the ball of radius RADIUS_CAP is
+    RADIUS_CAP times the norming element of ψ (`opspace.norming_element`)."""
+    space = f.domain_space
+
+    def objective(stack):
+        values, derivative = holofun._eval_array(f, stack)
+        norms = matcore.operator_norms(values)
+
+        def gradient_at(i):
+            # conj(ψ), the gradient in `ascend`'s convention.  The phase is
+            # divided part by part: a complex quotient of subnormals overflows.
+            z, r = values[i, 0, 0], norms[i]
+            phase = complex(z.real / r, z.imag / r) if r else 1.0
+            return phase * np.conj(derivative[i])
+
+        return norms, gradient_at
+
+    def oracle(grad):
+        return RADIUS_CAP * opspace.norming_element(space, np.conj(grad[0, 0]))[None, None]
+
+    return objective, oracle
 
 
-def _level_one(f: HoloFunction, budget: int, seed, unit, ceiling=None):
+def _level_one(f: HoloFunction, budget: int, unit, ceiling=None):
     """(witness, evaluations spent) of level 1 of a function with a scan
-    unit: the circle scan of its unit, or, for a `_NormingFamily`, the
-    joint scan on budget // 2 and the seeded ascent on the rest, the first
-    of equal values kept, the scan's first.  A scan that meets the
-    `ceiling` stops (`_circle_scan`) and, on a family, no ascent runs."""
+    unit: the circle scan of its unit, or, for a `_NormingFamily`, the joint
+    scan on budget − budget // 2 and the Frank–Wolfe polish of its witness
+    on the rest (`_polish_problem`), which keeps the scan's witness unless
+    a step beats it; neither reads a seed.  A scan that meets the `ceiling`
+    stops (`_circle_scan`) and, on a family, is not polished.  A polish
+    that stops early, when no step beats its point, still counts its whole
+    share as spent."""
     if not isinstance(unit, _NormingFamily):
         point, value, spent = _circle_scan(f, budget, unit, ceiling)
         return _witness(f.domain_space, 1, point, value), spent
-    share, runs = budget // 2, []
-    if share:
-        point, value, spent = _circle_scan(f, share, unit, ceiling)
-        if ceiling is not None and value >= ceiling:
-            return _witness(f.domain_space, 1, point, value), spent
-        runs.append((point, value))
-    runs.append(_ascent(f, 1, budget - share, seed))
-    return _witness(f.domain_space, 1, *max(runs, key=lambda run: run[1])), budget
+    point, value, spent = _circle_scan(f, budget - budget // 2, unit, ceiling)
+    if ceiling is not None and value >= ceiling:
+        return _witness(f.domain_space, 1, point, value), spent
+    point, value = polish(*_polish_problem(f), point, value, Budget(budget // 2))
+    return _witness(f.domain_space, 1, point, value), budget
 
 
 def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
@@ -257,10 +280,13 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     `_circle_scan` searches that circle and reads no seed; here it has no
     ceiling and spends the whole budget, while `_lower_table` stops it at
     W_cap.  Level 1 of a function with two functional leaves over a builder
-    space spends budget // 2 on the joint scan of its `_NormingFamily` and
-    the rest on the ascent (`_level_one`).  Every other level runs random
-    restarts of projected ascent and keeps the first restart that reaches
-    the best value.  Each restart
+    space spends budget − budget // 2 on the joint scan of its
+    `_NormingFamily` and the rest on the Frank–Wolfe polish of the scan's
+    witness (`_level_one`): each step's oracle is RADIUS_CAP times the
+    norming element of the functional ψ with d|f| = Re ψ(dx), each gradient
+    and each of its 8 step-size candidates is charged 1, and no seed is
+    read.  Every other level runs random restarts of projected ascent and
+    keeps the first restart that reaches the best value.  Each restart
     starts from a raw complex Gaussian, which the ascent's first projection
     places where the sup is attained.  A disk function's ascent runs on the
     scaled unitaries RADIUS_CAP·U(m): for fixed unitaries U, V the map
@@ -277,8 +303,11 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
     matcore.check_seed(seed)
     unit = _scan_unit(f) if m == 1 else None
     if unit is not None:
-        return _level_one(f, budget, seed, unit)[0]
-    return _witness(f.domain_space, m, *_ascent(f, m, budget, seed))
+        return _level_one(f, budget, unit)[0]
+    problem = _disk_problem if f.domain_space is None else _space_problem
+    runs = restarts(*problem(f, m), budget, seed, m)
+    # max keeps the first of equal values.
+    return _witness(f.domain_space, m, *max(runs, key=lambda run: run[1]))
 
 
 def _witness(space, level: int, point: np.ndarray, value) -> Witness:
@@ -431,7 +460,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
     reaches W_cap, up to the scan's rounding tie, nothing can beat it: the
     level-1 scan that `level_sup` would run stops, with W_cap as its
     ceiling, after the grid or the zoom round that reaches it, a joint
-    scan's ascent does not run, and level 1 spends only what was evaluated
+    scan's witness is not polished, and level 1 spends only what was evaluated
     (`_level_one`); each later level takes the lifted witness and spends
     nothing.  Any other searched level spends exactly `budget` evaluations
     (`level_sup`), and a lifted lower-level witness replaces its own only
@@ -449,7 +478,7 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
             continue
         unit = _scan_unit(f) if m == 1 else None
         if unit is not None:
-            w, spent[m] = _level_one(f, budget, seed, unit, met)
+            w, spent[m] = _level_one(f, budget, unit, met)
         else:
             w, spent[m] = level_sup(f, m, budget, seed), budget
         if running is not None and running.value > w.value:
@@ -470,16 +499,18 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     a function with a scan unit (a disk function, or a one-functional
     composite over a builder space) comes from the circle scan; level 1 of
     a function with two functional leaves over a builder space from the
-    joint norming scan on budget // 2 and the ascent on the rest
+    joint norming scan on budget − budget // 2 and the Frank–Wolfe polish
+    of its witness on the rest, its oracle the norming element of the
+    gradient's functional, charged 1 per gradient and per candidate
     (`_level_one`); every other level from projected ascent (`level_sup`).
     Once the lower bound meets the cap-ball bound W_cap, nothing more is
     searched (`_lower_table`): the scan stops after the grid or zoom round
-    that met it, a joint scan's ascent does not run, and `samples` records
-    what was spent; later levels take the lifted witness, spend 0
+    that met it, a joint scan's witness is not polished, and `samples`
+    records what was spent; later levels take the lifted witness, spend 0
     evaluations, and the provenance names them with W_cap.  Whether level 1
     was scanned is read from `_scan_unit(f)`, whose norming element the
     function object kept from the scan, so it is not found again; whether a
-    joint scan's ascent ran, from level 1's `samples`."""
+    joint scan's witness was polished, from level 1's `samples`."""
     budget = matcore.check_budget(budget)
     levels = _levels(max_level)
     matcore.check_seed(seed)
@@ -488,13 +519,13 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     # Level 1 comes first and is always searched.
     searched = [m for m in levels if spent[m]]
     unit = _scan_unit(f)
+    scanned = unit is not None
     if isinstance(unit, _NormingFamily):
-        # Budget 1 leaves the joint scan no evaluation: the ascent has it.
-        scanned = budget > 1
-        ascent = " and projected ascent" if spent[1] == budget else ""
-        sources = [f"joint norming scan{ascent} at level 1"] if scanned else []
+        # Budget 1 leaves the polish no evaluation; a scan that met W_cap
+        # spent less than the budget.
+        polished = " and Frank–Wolfe polish" if budget > 1 and spent[1] == budget else ""
+        sources = [f"joint norming scan{polished} at level 1"]
     else:
-        scanned = unit is not None
         sources = ["circle scan at level 1"] if scanned else []
     ascended = searched[1:] if scanned else searched
     if ascended:

@@ -181,15 +181,18 @@ def _unit_vector(phi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _unitary_factor(phi: np.ndarray, n: int) -> np.ndarray:
-    """conj(U·V*) from the SVD U·Σ·V* of each functional as an n×n matrix,
-    scaled by its computed norm: rounding leaves U·V* a few ulps off
-    unitary.  One functional is one matrix, as a stack of one would take
-    the SVD's slower batched loop; a stack of functionals takes one
-    stacked SVD, each matrix with the bits it has alone."""
+    """conj(U·V*) from the SVD U·Σ·V* of each functional as an n×n matrix.
+    One functional is one matrix, as a stack of one would take the SVD's
+    slower batched loop, and is scaled by its computed norm: rounding leaves
+    U·V* a few ulps off unitary.  A stack of functionals takes one stacked
+    SVD, each matrix with the bits it has alone, and no second one to scale
+    it: its units stay those few ulps off norm 1, well inside the 1e-6 of
+    room that RADIUS_CAP leaves."""
     u, _, vh = np.linalg.svd(phi.reshape(phi.shape[:-1] + (n, n)))
     w = u @ vh
-    norms = matcore.operator_norms(w, w.ndim)[..., None, None]
-    return np.conj(w / norms).reshape(phi.shape)
+    if phi.ndim == 1:
+        w = w / matcore.operator_norms(w, 2)[..., None, None]
+    return np.conj(w).reshape(phi.shape)
 
 
 class _Kind(NamedTuple):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cbnorm_lab import _search, descriptors, holofun, matcore, mconvex, opspace
+from cbnorm_lab import _search, cbnorm, descriptors, holofun, matcore, mconvex, opspace
 from cbnorm_lab.cbnorm import (
     RADIUS_CAP,
     _disk_problem,
@@ -395,6 +395,39 @@ def test_space_search_stays_on_the_cap_sphere(scalar, space, m, times_geometric,
     if m >= 2:
         w = level_sup(f, m, 120, seed)
         assert abs(_block_norms(space, w.matrix.entries[None])[0] - RADIUS_CAP) <= ulps
+
+
+@PROPERTY
+@given(TREES, TREES, st.sampled_from(BUILDER_SPACES), st.booleans(), st.booleans(), st.integers(0, 2**32))
+# A subnormal F, whose phase as a complex quotient overflows.
+@example(PowerSeries([0j]), PowerSeries([2.2250738585e-313j]), opspace.space_scalar(), False, False, 0)
+def test_level_one_polish_only_climbs_and_stays_in_the_ball(g, h, space, product, geometric, seed):
+    # Level 1 of a product or sum of two functional leaves: the Frank–Wolfe
+    # polish of the joint scan's witness accepts only steps that raise the
+    # value, ends at a point with a nonnegative FW gap max_S Re⟨ψ, S − X⟩
+    # over the cap ball (up to rounding of its two terms), and stays inside
+    # the unit ball.
+    rng = np.random.default_rng(seed)
+    first = Composite(g, space, *_functional(rng, space, rng.uniform(0.3, 0.8)))
+    phi, r = _functional(rng, space, rng.uniform(0.3, 0.8))
+    second = holofun.GeometricPhi(space, phi, r) if geometric else Composite(h, space, phi, r)
+    f = Product(first, second) if product else Sum(first, Scale(0.5 - 0.25j, second))
+    point, value, _ = cbnorm._circle_scan(f, 150, cbnorm._scan_unit(f))
+    objective, oracle = cbnorm._polish_problem(f)
+    climbed = []  # the value at each point whose gradient the polish took
+
+    def recording(stack):
+        values, gradient_at = objective(stack)
+        return values, lambda i: climbed.append(values[i]) or gradient_at(i)
+
+    x, polished = _search.polish(recording, oracle, point, value, _search.Budget(150))
+    assert climbed[0] == value and np.all(np.diff(climbed) > 0) and polished >= climbed[-1]
+    w = level_sup(f, 1, 300, seed)
+    assert w.value == polished and w.matrix.entries.tobytes() == x.tobytes()
+    grad = objective(x[None])[1](0)
+    best = _search.inner(grad, oracle(grad))
+    assert best - _search.inner(grad, x) >= -1e-15 * best
+    assert opspace.matrix_norm(w.matrix) < 1.0
 
 
 def _objective_of(module, run):

@@ -580,12 +580,11 @@ def test_level_eight_disk_search_takes_fewer_svds(monkeypatch):
     assert svds < len(calls) - svds
 
 
-def test_level_one_space_search_resumes_its_line_searches(monkeypatch):
-    # A sum of composites has no norming element, so level 1 is searched;
-    # its steps accept candidates past 0, and each resumed line search hands
-    # the objective one stack where batches of 1, 8, ... took two.  The
-    # witness is that of the same search, to the bit, with each candidate
-    # evaluated and projected alone.
+def test_level_two_space_search_resumes_its_line_searches(monkeypatch):
+    # The level-2 ascent of a sum of composites accepts candidates past 0,
+    # and each resumed line search hands the objective one stack where
+    # batches of 1, 8, ... took two.  The witness is that of the same
+    # search, to the bit, with each candidate evaluated and projected alone.
     space = space_column(2)
     phi, psi = np.array([0.3 + 0.2j, -0.1j]), np.array([-0.2, 0.4 + 0.1j])
     f = holofun.Sum(
@@ -607,10 +606,10 @@ def test_level_one_space_search_resumes_its_line_searches(monkeypatch):
         return (counting, *rest)
 
     monkeypatch.setattr(cbnorm, "_space_problem", counted)
-    resumed = level_sup(f, 1, 300, seed=2)
+    resumed = level_sup(f, 2, 300, seed=2)
     assert stacks[0] < 2 * len(line_searches)
     monkeypatch.setattr(cbnorm, "_space_problem", _one_row_at_a_time(space_problem))
-    alone = level_sup(f, 1, 300, seed=2)
+    alone = level_sup(f, 2, 300, seed=2)
     assert resumed.value.hex() == alone.value.hex()
     assert np.array_equal(resumed.matrix.entries, alone.matrix.entries)
 
