@@ -4,15 +4,10 @@ scan unit, and the separation certificates of `mconvex`) runs random
 restarts of a projected gradient ascent over complex arrays (a disk level
 sup projects onto the scaled unitaries RADIUS_CAP·U(m), a space level sup
 onto the cap sphere, a certificate onto the unit sphere); `gcb` counts its
-cost evaluations with the same `Budget`.  Level 1 of a disk function, or of
-a one-functional composite over a builder space, is not searched here: |f|
-peaks on a circle of radius RADIUS_CAP there, and `cbnorm` scans it
-instead.  Level 1 of a function with two functional leaves over a builder
-space is `cbnorm`'s joint norming scan on half its budget, then `polish`, a
-Frank–Wolfe ascent from the scan's witness, on the other half: its oracle
-is the norming element of the gradient's functional, and it is charged 1
-per gradient and 1 per candidate.  This module owns the ascent, the polish
-and the restart loop.
+cost evaluations with the same `Budget`.  Level 1 of a function with a scan
+unit is `cbnorm`'s seedless scan of circles instead, and `polish`, a
+Frank–Wolfe ascent, polishes a joint scan's witness (`cbnorm.level_sup`).
+This module owns the ascent, the polish and the restart loop.
 
 Every objective is the top singular value of a map that is linear or
 entrywise holomorphic in the point, so the SVD that gives its value also

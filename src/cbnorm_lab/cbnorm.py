@@ -1,20 +1,13 @@
 """Sandwich bounds for the completely bounded norm of a holomorphic function.
 
-The lower bound maximizes the amplified norm at the sparse levels
-DEFAULT_LEVELS = (1, 2, 4, 8), capped at max_level: level 1 of a disk
-function, or of a one-functional composite over a builder space, by a scan
-of a circle of radius RADIUS_CAP (`_scan_unit`); level 1 of a function with
-two functional leaves over a builder space by a joint scan of the circles
-through the norming elements of their combinations, on half the budget,
-and a Frank–Wolfe polish of its witness on the other half, whose oracle is
-the norming element of the gradient's functional, charged 1 per gradient
-and 1 per candidate (`_level_one`); none of these reads a seed.  Every
-other level is searched by
-projected ascent from Gaussian starts on the set where its sup over the
-cap ball is attained (the scaled unitaries RADIUS_CAP·U(m) of a disk
-function, the cap sphere ‖X‖ = RADIUS_CAP of a space function, both
-by the maximum principle), with zero-padding used to transfer
-witnesses upward (padding cannot change the amplified norm because
+The lower bound is the best of one `level_sup` at each of the sparse levels
+DEFAULT_LEVELS = (1, 2, 4, 8), capped at max_level.  Level 1 of a function
+with a scan unit is a seedless scan of circles (`_scan_unit`, `level_sup`).
+Every other level is searched by projected ascent from Gaussian starts on
+the set where its sup over the cap ball is attained (the scaled unitaries
+RADIUS_CAP·U(m) of a disk function, the cap sphere ‖X‖ = RADIUS_CAP of a
+space function, both by the maximum principle), with zero-padding used to
+transfer witnesses upward (padding cannot change the amplified norm because
 every function vanishes at 0); once the lower bound meets the cap-ball
 bound, nothing can beat it: the level-1 scan stops there, and the higher
 levels take the padded witness unsearched (`_lower_table`).  The upper
@@ -78,6 +71,7 @@ class Witness:
     level: int
     matrix: object  # ndarray for disk functions, OpSpaceMatrix over a space
     value: float
+    samples: int = 0  # objective evaluations its search spent; 0 when lifted
 
 
 @dataclass(frozen=True)
@@ -146,13 +140,47 @@ def _space_problem(f: HoloFunction, m: int):
     return objective, project, start
 
 
+class _CircleUnit:
+    """The scan unit of one circle w·u, |w| = RADIUS_CAP, of level-1 points
+    (`_scan_unit`): u is a disk function's 1×1 matrix [1] or the (1, 1, d)
+    entries of a space's norming element.  Its grid is n angles θ = spacing·k
+    from θ = 0, its zoom takes _ZOOM_PEAKS maxima and _ZOOM_ROWS points a
+    round, and its witness is not polished."""
+
+    name, zoom = "circle scan", (_ZOOM_PEAKS, _ZOOM_ROWS)
+
+    def __init__(self, unit: np.ndarray):
+        self.unit = unit
+
+    def grid(self, n: int):
+        """(sizes, spacing, index → θ) of the grid of n angles."""
+        spacing = 2.0 * np.pi / n
+        return (n,), spacing, lambda index: spacing * index
+
+    def points(self, theta: np.ndarray) -> np.ndarray:
+        """The points w·u, w = RADIUS_CAP·e^{iθ}, of a stack of angles."""
+        w = RADIUS_CAP * np.exp(1j * theta)
+        return w.reshape((-1,) + (1,) * self.unit.ndim) * self.unit
+
+    def moves(self, offsets: np.ndarray) -> np.ndarray:
+        """A zoom round's moves around a peak: the offsets of θ."""
+        return offsets
+
+    def polish_share(self, budget: int) -> int:
+        return 0
+
+
 class _NormingFamily:
     """The scan units of a function whose functional leaves are exactly φ₁
     and φ₂, over one builder space: for c = (cos a, sin a·e^{ib}) on the
     unit sphere of ℂ², the norming element e_c of ψ_c = c₁φ₁ + c₂φ₂, as
     (1, 1, d) entries.  Each e_c is a unit point of the space, and
     φᵢ(w·e_c) runs over one complex line of the joint image (φ₁, φ₂) of the
-    level-1 ball."""
+    level-1 ball.  Its grid is over (a, b, θ), its zoom takes _JOINT_PEAKS
+    maxima and _JOINT_ROWS points a round, each round computing new units,
+    and half of a level's budget polishes its witness."""
+
+    name, zoom = "joint norming scan", (_JOINT_PEAKS, _JOINT_ROWS)
 
     def __init__(self, space, first: np.ndarray, second: np.ndarray):
         self.space, self.first, self.second = space, first, second
@@ -166,6 +194,31 @@ class _NormingFamily:
         psi = np.cos(a) * self.first + (np.sin(a) * np.exp(1j * b)) * self.second
         units = opspace.norming_element(self.space, psi).reshape(-1, 1, 1, self.space.dim)
         return np.repeat(units, np.diff(np.append(starts, len(ab))), axis=0)
+
+    def grid(self, n: int):
+        """(sizes, spacing, index → parameters) of the grid of at most n
+        points: the point with flat index k, index tuple (i, j, l), has the
+        parameters (a, b, θ) = spacing·((i, j, l) + (½, 0, 0)), one row a
+        point, on an s × s × t grid, s = ⌊∛n⌋ and t = ⌊n/s²⌋: a at the
+        midpoints of s cells of [0, π/2], b and θ from 0 around the circle."""
+        s = round(n ** (1.0 / 3.0))
+        s -= s**3 > n
+        t = n // (s * s)
+        spacing, offset = np.array([0.5 * np.pi / s, 2.0 * np.pi / s, 2.0 * np.pi / t]), np.array([0.5, 0.0, 0.0])
+        return (s, s, t), spacing, lambda k: spacing * (np.stack(np.unravel_index(k, (s, s, t)), axis=1) + offset)
+
+    def points(self, params: np.ndarray) -> np.ndarray:
+        """The points w·e_c, w = RADIUS_CAP·e^{iθ}, of a stack of (a, b, θ)."""
+        w = RADIUS_CAP * np.exp(1j * params[:, -1])
+        return w.reshape(-1, 1, 1, 1) * self(params[:, :-1])
+
+    def moves(self, offsets: np.ndarray) -> np.ndarray:
+        """A zoom round's moves around a peak: row j·q + i moves axis j by
+        the i-th of the q offsets."""
+        return np.kron(np.eye(3), offsets[:, None])
+
+    def polish_share(self, budget: int) -> int:
+        return budget // 2
 
 
 def _functional_leaves(f: HoloFunction) -> list:
@@ -181,10 +234,10 @@ def _functional_leaves(f: HoloFunction) -> list:
 
 
 def _scan_unit(f: HoloFunction):
-    """The unit level-1 point u whose circle w·u, |w| = RADIUS_CAP, holds the
+    """The scan unit of f's level 1: a `_CircleUnit` whose circle holds the
     maximum of |f| over the level-1 ball of radius RADIUS_CAP, a
-    `_NormingFamily` of units whose circles are searched for it, or None
-    when neither is known.
+    `_NormingFamily` whose circles are searched for it, or None when neither
+    is known.
 
     A disk function's level-1 ball is the disk, where |f| peaks on the circle
     (maximum modulus): u = [1].  A functional's cb norm is its norm, so φ
@@ -193,35 +246,26 @@ def _scan_unit(f: HoloFunction):
     element of φ (`opspace.norming_element`), φ(w·u) = w·‖φ‖ runs over that
     circle.  So a composite g∘φ or a geometric functional over a builder
     space takes its norming element, which the function object finds once
-    and keeps (`norming`).  A function with exactly two functional leaves
-    over a builder space (a product or sum of two, scaled or not) is a
-    function of (φ₁(x), φ₂(x)) and takes the family of norming elements of
+    and keeps (`norming`).  This is the paper's linearization at level 1: a
+    function of functionals factors through the linear map
+    x ↦ (φ₁(x), φ₂(x)), and its scan units are norming elements of
+    combinations of those functionals.  A function with exactly two
+    functional leaves over a builder space (a product or sum of two, scaled
+    or not) is such a function and takes the family of norming elements of
     c₁φ₁ + c₂φ₂: a source of seedless witnesses, not a proof that the
     maximum lies on one of its circles (|z₁z₂| on the ℓ₁ ball of ℂ² peaks
-    at (½, ½), no extreme point of the ball), so `_level_one` polishes the
+    at (½, ½), no extreme point of the ball), so `level_sup` polishes the
     scan's witness.  Other functions, and custom spaces, have none.
     """
     if f.domain_space is None:
-        return np.ones((1, 1), dtype=np.complex128)
+        return _CircleUnit(np.ones((1, 1), dtype=np.complex128))
     if isinstance(f, (Composite, GeometricPhi)):
         e = f.norming
-        return None if e is None else e.reshape(1, 1, -1)
+        return None if e is None else _CircleUnit(e.reshape(1, 1, -1))
     leaves = _functional_leaves(f)
     if len(leaves) == 2 and f.domain_space.kind in opspace._KINDS:
         return _NormingFamily(f.domain_space, leaves[0].phi, leaves[1].phi)
     return None
-
-
-def _scan_grid(n: int):
-    """(sizes, spacing, offset) of a family's scan grid of at most n points,
-    whose point with index tuple k has the parameters spacing·(k + offset):
-    (a, b, θ) on an s × s × t grid, s = ⌊∛n⌋ and t = ⌊n/s²⌋, with a at the
-    midpoints of s cells of [0, π/2] and b and θ from 0 around the circle."""
-    s = round(n ** (1.0 / 3.0))
-    s -= s**3 > n
-    t = n // (s * s)
-    spacing = np.array([0.5 * np.pi / s, 2.0 * np.pi / s, 2.0 * np.pi / t])
-    return (s, s, t), spacing, np.array([0.5, 0.0, 0.0])
 
 
 def _polish_problem(f: HoloFunction):
@@ -251,90 +295,75 @@ def _polish_problem(f: HoloFunction):
     return objective, oracle
 
 
-def _level_one(f: HoloFunction, budget: int, unit, ceiling=None):
-    """(witness, evaluations spent) of level 1 of a function with a scan
-    unit: the circle scan of its unit, or, for a `_NormingFamily`, the joint
-    scan on budget − budget // 2 and the Frank–Wolfe polish of its witness
-    on the rest (`_polish_problem`), which keeps the scan's witness unless
-    a step beats it; neither reads a seed.  A scan that meets the `ceiling`
-    stops (`_circle_scan`) and, on a family, is not polished.  A polish
-    that stops early, when no step beats its point, still counts its whole
-    share as spent."""
-    if not isinstance(unit, _NormingFamily):
-        point, value, spent = _circle_scan(f, budget, unit, ceiling)
-        return _witness(f.domain_space, 1, point, value), spent
-    point, value, spent = _circle_scan(f, budget - budget // 2, unit, ceiling)
-    if ceiling is not None and value >= ceiling:
-        return _witness(f.domain_space, 1, point, value), spent
-    point, value = polish(*_polish_problem(f), point, value, Budget(budget // 2))
-    return _witness(f.domain_space, 1, point, value), budget
+def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witness:
+    """Best found amplified norm over the level-m ball of radius 1 − 1e-6,
+    every level's one entry: a valid lower bound for the level-m supremum,
+    whose witness records the objective evaluations it spent, at most
+    `budget`.
 
+    Level 1 of a function with a scan unit (`_scan_unit`) reads no seed.
+    `_circle_scan` scans the unit's circles on budget − share, the unit's
+    polish share being 0 for a `_CircleUnit` and budget // 2 for a
+    `_NormingFamily`.  A nonzero share goes to the Frank–Wolfe polish of the
+    scan's witness (`_search.polish`, `_polish_problem`): each step's oracle
+    is RADIUS_CAP times the norming element of the functional ψ with
+    d|f| = Re ψ(dx), each gradient and each of its 8 step-size candidates is
+    charged 1, and the scan's witness stays unless a step beats it.  A scan
+    that meets the `ceiling` stops (`_circle_scan`; `_lower_table` passes
+    W_cap) and is not polished; level 1 spends what its scan spent, and a
+    polish that runs counts its whole share.
 
-def level_sup(f: HoloFunction, m: int, budget: int, seed) -> Witness:
-    """Best found amplified norm over the level-m ball of radius 1 − 1e-6.
-
-    Always a valid lower bound for the level-m supremum, from exactly
-    `budget` objective evaluations.  At level 1 of a function with a scan
-    unit (`_scan_unit`: a disk function, or a one-functional composite over
-    a builder space), |f| peaks on a circle of level-1 points, and
-    `_circle_scan` searches that circle and reads no seed; here it has no
-    ceiling and spends the whole budget, while `_lower_table` stops it at
-    W_cap.  Level 1 of a function with two functional leaves over a builder
-    space spends budget − budget // 2 on the joint scan of its
-    `_NormingFamily` and the rest on the Frank–Wolfe polish of the scan's
-    witness (`_level_one`): each step's oracle is RADIUS_CAP times the
-    norming element of the functional ψ with d|f| = Re ψ(dx), each gradient
-    and each of its 8 step-size candidates is charged 1, and no seed is
-    read.  Every other level runs random restarts of projected ascent and
-    keeps the first restart that reaches the best value.  Each restart
-    starts from a raw complex Gaussian, which the ascent's first projection
-    places where the sup is attained.  A disk function's ascent runs on the
-    scaled unitaries RADIUS_CAP·U(m): for fixed unitaries U, V the map
-    s ↦ ‖f[U·diag(s)·V*]‖ is plurisubharmonic on the polydisk, so the sup
-    over the level-m ball of radius RADIUS_CAP is attained there, on its
-    Shilov boundary.  A space's level-m ball need not hold a unitary, but
-    λ ↦ ‖f[λX]‖ is subharmonic on the disk |λ| <= RADIUS_CAP/‖X‖, so it
-    peaks on its circle, and the space ascent projects onto the cap sphere
-    ‖X‖ = RADIUS_CAP.  Scanned or searched, the point becomes the witness's
-    matrix by `_witness`.
+    Every other level ignores the ceiling, runs random restarts of projected
+    ascent, spends exactly `budget` and keeps the first restart that reaches
+    the best value.  Each restart starts from a raw complex Gaussian, which
+    the ascent's first projection places where the sup is attained.  A disk function's ascent runs on the scaled unitaries
+    RADIUS_CAP·U(m): for fixed unitaries U, V the map s ↦ ‖f[U·diag(s)·V*]‖
+    is plurisubharmonic on the polydisk, so the sup over the level-m ball of
+    radius RADIUS_CAP is attained there, on its Shilov boundary.  A space's
+    level-m ball need not hold a unitary, but λ ↦ ‖f[λX]‖ is subharmonic on
+    the disk |λ| <= RADIUS_CAP/‖X‖, so it peaks on its circle, and the space
+    ascent projects onto the cap sphere ‖X‖ = RADIUS_CAP.  Scanned or
+    searched, the point becomes the witness's matrix by `_witness`.
     """
     m = matcore.check_level(m)
     budget = matcore.check_budget(budget)
     matcore.check_seed(seed)
     unit = _scan_unit(f) if m == 1 else None
-    if unit is not None:
-        return _level_one(f, budget, unit)[0]
-    problem = _disk_problem if f.domain_space is None else _space_problem
-    runs = restarts(*problem(f, m), budget, seed, m)
-    # max keeps the first of equal values.
-    return _witness(f.domain_space, m, *max(runs, key=lambda run: run[1]))
+    if unit is None:
+        problem = _disk_problem if f.domain_space is None else _space_problem
+        runs = restarts(*problem(f, m), budget, seed, m)
+        # max keeps the first of equal values.
+        return _witness(f.domain_space, m, *max(runs, key=lambda run: run[1]), budget)
+    share = unit.polish_share(budget)
+    point, value, spent = _circle_scan(f, budget - share, unit, ceiling)
+    if share and (ceiling is None or value < ceiling):
+        point, value = polish(*_polish_problem(f), point, value, Budget(share))
+        spent = budget
+    return _witness(f.domain_space, 1, point, value, spent)
 
 
-def _witness(space, level: int, point: np.ndarray, value) -> Witness:
+def _witness(space, level: int, point: np.ndarray, value, samples: int = 0) -> Witness:
     """The witness at a point: a disk point (space None) as its matrix, a
     space point's entries wrapped over the space."""
     matrix = point if space is None else opspace.OpSpaceMatrix(space, point)
-    return Witness(level=level, matrix=matrix, value=float(value))
+    return Witness(level=level, matrix=matrix, value=float(value), samples=samples)
 
 
 def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=None):
     """(point, value, evaluations spent) of the best of at most `budget`
-    level-1 points w·unit, w = RADIUS_CAP·e^{iθ}, by the amplified norm
-    |f(w·unit)|: `unit` is a disk function's 1×1 matrix [1] or the (1, 1, d)
-    entries of a space's norming element, or a `_NormingFamily`, whose unit
-    e_c follows (a, b) (`_scan_unit`); the point has the unit's shape.
+    points of a scan unit's circles (`_CircleUnit`, `_NormingFamily`), by
+    the amplified norm; the point has the shape of the unit's points.
 
-    A uniform grid comes first: of θ from θ = 0 for one unit, of (a, b, θ)
-    for a family (`_scan_grid`).  The budget's last min(budget // 2,
-    _ZOOM_SHARE) points, and any the grid leaves, then zoom in on the
-    grid's best local maxima, periodic along every axis: up to _ZOOM_PEAKS
-    of them on a circle, _JOINT_PEAKS over (a, b, θ).  Each zoom round
-    tries q points around each peak's best parameters c along each axis, at
-    c ± h/(q + 1), c ± 3h/(q + 1), ... in that order, axis after axis and
-    inner ones first, for a round the budget cuts short; q is the even
-    share of _ZOOM_ROWS (_JOINT_ROWS) per peak and axis.  Then each axis's
-    h, which starts at its grid spacing, shrinks to the spacing 2h/(q + 1)
-    of those points.
+    A uniform grid of the unit's parameters comes first (its `grid`).  The
+    budget's last min(budget // 2, _ZOOM_SHARE) points, and any the grid
+    leaves, then zoom in on the grid's best local maxima, periodic along
+    every axis, as many as the unit's `zoom` takes.  Each zoom round tries q
+    points around each peak's best parameters c along each axis (the unit's
+    `moves`), at c ± h/(q + 1), c ± 3h/(q + 1), ... in that order, axis
+    after axis and inner ones first, for a round the budget cuts short; q is
+    the even share per peak and axis of the unit's points a round.  Then
+    each axis's h, which starts at its grid spacing, shrinks to the spacing
+    2h/(q + 1) of those points.
     With a `ceiling`, a value that no point beats but by rounding, the scan
     stops after the grid, or after the zoom round, whose best value reaches
     it: further rounds could raise the best by rounding alone.  A grid that
@@ -348,26 +377,9 @@ def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=None):
     A grid witness past the first chunk is made again from its chunk of
     parameters, by the same arithmetic on the same array, so with its bits.
     """
-    family = isinstance(unit, _NormingFamily)
-    n = budget - min(budget // 2, _ZOOM_SHARE)
-    if family:
-        # Parameters (a, b, θ), one row a point, of the grid points with
-        # these flat indices; the grid's last few points may go to the zoom.
-        sizes, spacing, offset = _scan_grid(n)
-        at_grid = lambda index: spacing * (np.stack(np.unravel_index(index, sizes), axis=1) + offset)
-        n = math.prod(sizes)
-    else:
-        # The angles θ of the grid points with these indices.
-        sizes, spacing = (n,), 2.0 * np.pi / n
-        at_grid = lambda index: spacing * index
-    dims = len(sizes)
-
-    def points(params):
-        if family:
-            w = RADIUS_CAP * np.exp(1j * params[:, -1])
-            return w.reshape(-1, 1, 1, 1) * unit(params[:, :-1])
-        w = RADIUS_CAP * np.exp(1j * params)
-        return w.reshape((-1,) + (1,) * unit.ndim) * unit
+    # The grid's last few points may go to the zoom.
+    sizes, spacing, at_grid = unit.grid(budget - min(budget // 2, _ZOOM_SHARE))
+    n, dims, points = math.prod(sizes), len(sizes), unit.points
 
     def norms(stack):
         return matcore.operator_norms(holofun._eval_array(f, stack, False)[0])
@@ -398,15 +410,12 @@ def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=None):
         p[-1] &= g[-1] >= g[0]
         p[:-1] &= g[:-1] >= g[1:]
     peaks = np.flatnonzero(peak)
-    zoom_peaks, zoom_rows = (_JOINT_PEAKS, _JOINT_ROWS) if family else (_ZOOM_PEAKS, _ZOOM_ROWS)
+    zoom_peaks, zoom_rows = unit.zoom
     peaks = peaks[np.argsort(-at[peaks], kind="stable")][:zoom_peaks]
     centers, best, h = at_grid(peaks), at[peaks], spacing
     q = zoom_rows // peaks.size // dims // 2 * 2
     odd = np.arange(1, q, 2) / (q + 1)
-    moves = np.stack([-odd, odd], axis=1).ravel()
-    if family:
-        # Row j·q + i moves axis j by the i-th offset.
-        moves = np.kron(np.eye(dims), moves[:, None])
+    moves = unit.moves(np.stack([-odd, odd], axis=1).ravel())
     zoom = []  # (points, values) of each zoom round
     while left and (ceiling is None or highest < ceiling):
         candidates = centers[:, None] + h * moves
@@ -456,17 +465,13 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
 
     Every level-m sup over the ball of radius RADIUS_CAP is at most
     Σ|aₙ|·RADIUS_CAPⁿ, because ‖f[X]‖ <= Σ|aₙ|·‖X‖ⁿ, and so at most W_cap,
-    the certified rule at radius RADIUS_CAP.  Once the running lower bound
-    reaches W_cap, up to the scan's rounding tie, nothing can beat it: the
-    level-1 scan that `level_sup` would run stops, with W_cap as its
-    ceiling, after the grid or the zoom round that reaches it, a joint
-    scan's witness is not polished, and level 1 spends only what was evaluated
-    (`_level_one`); each later level takes the lifted witness and spends
-    nothing.  Any other searched level spends exactly `budget` evaluations
-    (`level_sup`), and a lifted lower-level witness replaces its own only
-    when its value is strictly larger.  W_cap passes `_finite_rule` before
-    any search.  Level 1 is scanned through `_scan_unit(f)`, whose norming
-    element the function object finds once and keeps.
+    the certified rule at radius RADIUS_CAP.  Each searched level is one
+    `level_sup` with W_cap, up to the scan's rounding tie, as its ceiling,
+    and spends what its witness records.  Once the running lower bound
+    reaches that ceiling nothing can beat it: each later level takes the
+    lifted witness and spends nothing.  A lifted lower-level witness
+    replaces a level's own only when its value is strictly larger.  W_cap
+    passes `_finite_rule` before any search.
     """
     cap, _ = _finite_rule(f, RADIUS_CAP)
     met = cap * (1.0 - _ROUNDING_TIE)
@@ -476,11 +481,8 @@ def _lower_table(f: HoloFunction, levels, budget: int, seed):
         if running is not None and running.value >= met:
             table[m], spent[m] = lift_witness(running, m), 0
             continue
-        unit = _scan_unit(f) if m == 1 else None
-        if unit is not None:
-            w, spent[m] = _level_one(f, budget, unit, met)
-        else:
-            w, spent[m] = level_sup(f, m, budget, seed), budget
+        w = level_sup(f, m, budget, seed, ceiling=met)
+        spent[m] = w.samples
         if running is not None and running.value > w.value:
             w = lift_witness(running, m)
         running = table[m] = w
@@ -495,22 +497,13 @@ def _levels(max_level: int) -> list:
 
 def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
     """Max of level sups over DEFAULT_LEVELS capped at max_level (`_levels`),
-    with zero-pad lifting keeping the level table nondecreasing.  Level 1 of
-    a function with a scan unit (a disk function, or a one-functional
-    composite over a builder space) comes from the circle scan; level 1 of
-    a function with two functional leaves over a builder space from the
-    joint norming scan on budget − budget // 2 and the Frank–Wolfe polish
-    of its witness on the rest, its oracle the norming element of the
-    gradient's functional, charged 1 per gradient and per candidate
-    (`_level_one`); every other level from projected ascent (`level_sup`).
-    Once the lower bound meets the cap-ball bound W_cap, nothing more is
-    searched (`_lower_table`): the scan stops after the grid or zoom round
-    that met it, a joint scan's witness is not polished, and `samples`
-    records what was spent; later levels take the lifted witness, spend 0
-    evaluations, and the provenance names them with W_cap.  Whether level 1
-    was scanned is read from `_scan_unit(f)`, whose norming element the
-    function object kept from the scan, so it is not found again; whether a
-    joint scan's witness was polished, from level 1's `samples`."""
+    with zero-pad lifting keeping the level table nondecreasing; each level
+    is searched by `level_sup` until the lower bound meets the cap-ball
+    bound W_cap (`_lower_table`), and `samples` records what each spent.
+    The provenance names level 1's scan unit (`_scan_unit`, whose norming
+    element the function object kept from the scan), its polish when level
+    1 spent more than the scan's share of the budget, the ascended levels,
+    and the levels lifted unsearched, with W_cap."""
     budget = matcore.check_budget(budget)
     levels = _levels(max_level)
     matcore.check_seed(seed)
@@ -519,15 +512,12 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     # Level 1 comes first and is always searched.
     searched = [m for m in levels if spent[m]]
     unit = _scan_unit(f)
-    scanned = unit is not None
-    if isinstance(unit, _NormingFamily):
-        # Budget 1 leaves the polish no evaluation; a scan that met W_cap
-        # spent less than the budget.
-        polished = " and Frank–Wolfe polish" if budget > 1 and spent[1] == budget else ""
-        sources = [f"joint norming scan{polished} at level 1"]
-    else:
-        sources = ["circle scan at level 1"] if scanned else []
-    ascended = searched[1:] if scanned else searched
+    sources = []
+    if unit is not None:
+        # A scan spends at most budget − share; a polish that runs, at least 1.
+        polished = " and Frank–Wolfe polish" if spent[1] > budget - unit.polish_share(budget) else ""
+        sources.append(f"{unit.name}{polished} at level 1")
+    ascended = searched if unit is None else searched[1:]
     if ascended:
         sources.append(f"projected-ascent level sups at levels {ascended}")
     provenance = f"lower: {', '.join(sources)}, budget {budget} per level, radius cap {RADIUS_CAP}"

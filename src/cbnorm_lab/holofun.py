@@ -70,9 +70,9 @@ def _set_functional(f) -> None:
 
 
 def _norming(f) -> np.ndarray | None:
-    """A norming element of f's functional (`opspace.norming_element`), which
-    `cbnorm._scan_unit` scans through: found once per function object, on
-    first use."""
+    """A norming element of f's functional (`opspace.norming_element`), the
+    unit of the circle that level 1's scan searches (`cbnorm._scan_unit`):
+    found once per function object, on first use."""
     return opspace.norming_element(f.space, f.phi)
 
 

@@ -1,6 +1,7 @@
 """Tests for the cb-norm sandwich: level sups, lifting, bound rules, checks."""
 
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -182,7 +183,7 @@ def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget,
         monkeypatch.setattr(cbnorm, name, _unprojected(getattr(cbnorm, name)))
     w = level_sup(f, 1, budget, 5)
     assert sum(shape[0] for shape in stacks) == budget
-    assert all(shape[1:] == cbnorm._scan_unit(f).shape and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
+    assert all(shape[1:] == cbnorm._scan_unit(f).unit.shape and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
     assert w.level == 1 and 0.0 < w.value < 1.0
 
 
@@ -440,9 +441,10 @@ def test_joint_scan_reads_no_seed_and_never_loses_to_its_ascent(space, kind, see
 def test_joint_scan_spends_half_the_budget_and_the_ascent_the_rest(budget, monkeypatch):
     # The scan hands the objective stacks of (1, 1, d) points without
     # derivatives, budget − budget // 2 of them (budget 1 is a one-point
-    # scan); the Frank–Wolfe polish, level 1's ascent, gets the rest, which
-    # is 0 at budget 1, and evaluates at most that many points.  Level 1
-    # counts the whole budget and reads no seed.
+    # scan); the Frank–Wolfe polish, level 1's ascent, gets the rest, and
+    # evaluates at most that many points; at budget 1 the rest is 0 and the
+    # polish does not run.  Level 1 counts the whole budget and reads no
+    # seed.
     f = _two_functionals(space_mk(2), "product", 1)
     scanned, polished, granted = [], [], []
     eval_array = holofun._eval_array
@@ -458,7 +460,7 @@ def test_joint_scan_spends_half_the_budget_and_the_ascent_the_rest(budget, monke
     _seedless(monkeypatch)
     est = cb_lower_bound(f, 1, budget, 5)
     assert sum(scanned) == budget - budget // 2 and all(n <= cbnorm._SCAN_STACK for n in scanned)
-    assert granted == [budget // 2] and sum(polished) <= budget // 2
+    assert granted == [budget // 2] * (budget > 1) and sum(polished) <= budget // 2
     assert est.samples == {1: budget}
     w = est.level_table[1]
     assert matrix_norm(w.matrix) < 1.0
@@ -502,9 +504,9 @@ def test_joint_scan_that_meets_the_ceiling_runs_no_ascent(monkeypatch):
     # 1's ascent, does not run.
     f = _two_functionals(space_row(3), "product", 2)
     monkeypatch.setattr(cbnorm, "polish", lambda *args: pytest.fail("polished"))
-    w, spent = cbnorm._level_one(f, 300, cbnorm._scan_unit(f), 0.0)
-    sizes, _, _ = cbnorm._scan_grid(150 - 75)
-    assert spent == int(np.prod(sizes)) <= 75
+    w = level_sup(f, 1, 300, 1, ceiling=0.0)
+    sizes, _, _ = cbnorm._scan_unit(f).grid(150 - 75)
+    assert w.samples == int(np.prod(sizes)) <= 75
     assert witness_value(f, w).hex() == w.value.hex()
 
 
@@ -583,15 +585,14 @@ def test_level_sup_keeps_the_first_restart_of_equal_values(monkeypatch):
 
 
 def test_lower_table_keeps_the_direct_witness_on_a_tie_with_the_lifted_one(monkeypatch):
-    # Stub level sups, level 1 a stub scan that spends its budget: level 2
-    # ties the lifted level-1 witness exactly, and level 4 falls below it.
+    # Stub level sups, each spending its budget: level 2 ties the lifted
+    # level-1 witness exactly, and level 4 falls below it.
     direct = {
-        1: Witness(level=1, matrix=np.array([[0.5]], dtype=np.complex128), value=0.8),
-        2: Witness(level=2, matrix=np.diag([0.75, 0.0]).astype(np.complex128), value=0.8),
-        4: Witness(level=4, matrix=0.1 * np.eye(4, dtype=np.complex128), value=0.7),
+        1: Witness(level=1, matrix=np.array([[0.5]], dtype=np.complex128), value=0.8, samples=10),
+        2: Witness(level=2, matrix=np.diag([0.75, 0.0]).astype(np.complex128), value=0.8, samples=10),
+        4: Witness(level=4, matrix=0.1 * np.eye(4, dtype=np.complex128), value=0.7, samples=10),
     }
-    monkeypatch.setattr(cbnorm, "_circle_scan", lambda f, budget, *rest: (direct[1].matrix, direct[1].value, budget))
-    monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, budget, seed: direct[m])
+    monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, budget, seed, ceiling: direct[m])
     table, spent, _ = cbnorm._lower_table(GEOMETRIC, [1, 2, 4], 10, 5)
     assert spent == {1: 10, 2: 10, 4: 10}
     assert table[1].matrix is direct[1].matrix and table[1].value == 0.8 and table[2] is direct[2]
@@ -602,13 +603,15 @@ def test_lower_table_keeps_the_direct_witness_on_a_tie_with_the_lifted_one(monke
 def test_lower_table_stops_once_the_lower_bound_meets_the_cap_ball_bound(monkeypatch):
     # Level 1 of z reaches W_cap = RADIUS_CAP on the scan's grid, so only the
     # grid's 150 points reach the objective, and no zoom round; levels 2, 4
-    # and 8 are padded copies of its witness.
+    # and 8 are padded copies of its witness.  Every searched level is one
+    # `level_sup`: level 1 alone for z, levels 1, 2 and 4 for the Blaschke
+    # product, whose level 1 stays below W_cap.
     levels, shapes = [], []
     search, eval_array = cbnorm.level_sup, holofun._eval_array
-    monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, *rest: levels.append(m) or search(f, m, *rest))
+    monkeypatch.setattr(cbnorm, "level_sup", lambda f, m, *rest, **kw: levels.append(m) or search(f, m, *rest, **kw))
     monkeypatch.setattr(holofun, "_eval_array", lambda f, z, *rest: shapes.append(z.shape) or eval_array(f, z, *rest))
     est = sandwich(IDENTITY, 8, 300, 1)
-    assert levels == []
+    assert levels == [1]
     assert sum(shape[0] for shape in shapes) == 150 and all(shape[1:] == (1, 1) for shape in shapes)
     assert est.samples == {1: 150, 2: 0, 4: 0, 8: 0}
     first = est.level_table[1]
@@ -617,6 +620,9 @@ def test_lower_table_stops_once_the_lower_bound_meets_the_cap_ball_bound(monkeyp
         assert w.level == m and w.value == first.value == est.lower
         assert w.matrix.tobytes() == lift_witness(first, m).matrix.tobytes()
     assert "levels [2, 4, 8] lifted unsearched: the lower bound met the cap-ball bound W_cap = 0.999999;" in est.provenance
+    levels.clear()
+    assert sandwich(BLASCHKE_HALF, 4, 300, 1).samples == {1: 300, 2: 300, 4: 300}
+    assert levels == [1, 2, 4]
 
 
 def test_lower_table_stops_on_zero_functions():
@@ -637,12 +643,18 @@ def test_lower_bound_refuses_a_bad_seed_that_only_a_scan_would_meet(seed):
 
 def _level_one_table(monkeypatch, f, budget, max_level):
     """cb_lower_bound of f up to max_level, the sizes of the stacks of f
-    itself that its objective saw, and the unstopped level-1 scan."""
+    itself that its scan handed the objective (without derivatives), and
+    the unstopped level-1 `level_sup`.  The table's level 1 is the
+    `level_sup` with W_cap as its ceiling, bit for bit and in samples."""
     seen = []
     eval_array = holofun._eval_array
     with monkeypatch.context() as patch:
-        patch.setattr(holofun, "_eval_array", lambda g, z, *rest: (g is f and seen.append(len(z))) or eval_array(g, z, *rest))
+        scanned = lambda g, z, *rest: (g is f and rest == (False,) and seen.append(len(z))) or eval_array(g, z, *rest)
+        patch.setattr(holofun, "_eval_array", scanned)
         est = cb_lower_bound(f, max_level, budget, 3)
+    met = cbnorm._finite_rule(f, RADIUS_CAP)[0] * (1.0 - cbnorm._ROUNDING_TIE)
+    capped = level_sup(f, 1, budget, 3, ceiling=met)
+    assert _same_bits(est.level_table[1], capped) and est.samples[1] == capped.samples
     return est, seen, level_sup(f, 1, budget, 3)
 
 
@@ -651,24 +663,52 @@ def _same_bits(w, other):
     return w.value.hex() == other.value.hex() and bits(w) == bits(other)
 
 
-@pytest.mark.parametrize("budget", [1, 300, 2000])
-def test_lower_table_scan_stops_after_the_grid_that_meets_the_cap_ball_bound(monkeypatch, budget):
+def _scan_share(f, budget):
+    """The budget that f's level-1 scan is given."""
+    return budget - cbnorm._scan_unit(f).polish_share(budget)
+
+
+_TABLE_BUDGETS = [1, 300, 2000]
+
+
+@pytest.mark.parametrize(
+    "budget, unit",
+    [pytest.param(b, "circle", id=str(b)) for b in _TABLE_BUDGETS]
+    + [pytest.param(b, "family", id=f"family-{b}") for b in _TABLE_BUDGETS],
+)
+def test_lower_table_scan_stops_after_the_grid_that_meets_the_cap_ball_bound(monkeypatch, budget, unit):
     # These peak at θ = 0, the grid's first point, where the grid meets
     # W_cap: the objective sees the grid's points alone, the record counts
-    # them, and the witness is the unstopped scan's, bit for bit.
-    grid = budget - min(budget // 2, cbnorm._ZOOM_SHARE)
-    for f in (*_nonnegative_catalog(), _scanned(space_mk(2), "composite", 1)[0]):
+    # them, the joint scan's witness is not polished, and the witness is the
+    # unstopped `level_sup`'s, bit for bit.  Over the scalar space both
+    # functionals of the product norm at one point.
+    if unit == "circle":
+        functions = (*_nonnegative_catalog(), _scanned(space_mk(2), "composite", 1)[0])
+    else:
+        functions = (_two_functionals(space_scalar(), "product", 1),)
+    for f in functions:
+        share = _scan_share(f, budget)
+        grid = math.prod(cbnorm._scan_unit(f).grid(share - min(share // 2, cbnorm._ZOOM_SHARE))[0])
         est, seen, full = _level_one_table(monkeypatch, f, budget, 2)
         assert sum(seen) == grid and est.samples == {1: grid, 2: 0}
         assert _same_bits(est.level_table[1], full)
 
 
-@pytest.mark.parametrize("budget", [1, 300, 2000])
-def test_lower_table_scan_below_the_cap_ball_bound_spends_its_budget(monkeypatch, budget):
-    # Level 1 of these stays below W_cap, so the scan is the unstopped one.
-    for f in (BLASCHKE_HALF, Sum(SQUARE, Scale(-0.5j, GEOMETRIC)), _BLASCHKE_COMPOSITE):
+@pytest.mark.parametrize(
+    "budget, unit",
+    [pytest.param(b, "circle", id=str(b)) for b in _TABLE_BUDGETS]
+    + [pytest.param(b, "family", id=f"family-{b}") for b in _TABLE_BUDGETS],
+)
+def test_lower_table_scan_below_the_cap_ball_bound_spends_its_budget(monkeypatch, budget, unit):
+    # Level 1 of these stays below W_cap, so the scan, and a joint scan's
+    # polish, are the unstopped ones.
+    if unit == "circle":
+        functions = (BLASCHKE_HALF, Sum(SQUARE, Scale(-0.5j, GEOMETRIC)), _BLASCHKE_COMPOSITE)
+    else:
+        functions = (_two_functionals(MIN2, "sum", 1), _two_functionals(space_mk(2), "product", 2))
+    for f in functions:
         est, seen, full = _level_one_table(monkeypatch, f, budget, 1)
-        assert sum(seen) == est.samples[1] == budget
+        assert sum(seen) == _scan_share(f, budget) and est.samples[1] == budget
         assert _same_bits(est.level_table[1], full)
 
 
