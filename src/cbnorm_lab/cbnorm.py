@@ -310,8 +310,8 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witne
     d|f| = Re ψ(dx), each gradient and each of its 8 step-size candidates is
     charged 1, and the scan's witness stays unless a step beats it.  A scan
     that meets the `ceiling` stops (`_circle_scan`; `_lower_table` passes
-    W_cap) and is not polished; level 1 spends what its scan spent, and a
-    polish that runs counts its whole share.
+    W_cap) and is not polished.  Level 1 spends what its scan and its
+    polish spent: a polish stops early when no step beats its point.
 
     Every other level ignores the ceiling, runs random restarts of projected
     ascent, spends exactly `budget` and keeps the first restart that reaches
@@ -337,8 +337,9 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witne
     share = unit.polish_share(budget)
     point, value, spent = _circle_scan(f, budget - share, unit, ceiling)
     if share and (ceiling is None or value < ceiling):
-        point, value = polish(*_polish_problem(f), point, value, Budget(share))
-        spent = budget
+        left = Budget(share)
+        point, value = polish(*_polish_problem(f), point, value, left)
+        spent += left.used
     return _witness(f.domain_space, 1, point, value, spent)
 
 
