@@ -23,7 +23,8 @@ def _docstring_lines(tree) -> set:
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+            value = getattr(first, "value", None) if isinstance(first, ast.Expr) else None
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
                 lines.update(range(first.lineno, first.end_lineno + 1))
     return lines
 

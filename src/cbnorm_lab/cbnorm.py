@@ -258,7 +258,7 @@ def _scan_unit(f: HoloFunction):
     scan's witness.  Other functions, and custom spaces, have none.
     """
     if f.domain_space is None:
-        return _CircleUnit(np.ones((1, 1), dtype=np.complex128))
+        return _CircleUnit(np.array([[1.0 + 0.0j]]))
     if isinstance(f, (Composite, GeometricPhi)):
         e = f.norming
         return None if e is None else _CircleUnit(e.reshape(1, 1, -1))
@@ -316,14 +316,15 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witne
     Every other level ignores the ceiling, runs random restarts of projected
     ascent, spends exactly `budget` and keeps the first restart that reaches
     the best value.  Each restart starts from a raw complex Gaussian, which
-    the ascent's first projection places where the sup is attained.  A disk function's ascent runs on the scaled unitaries
-    RADIUS_CAP·U(m): for fixed unitaries U, V the map s ↦ ‖f[U·diag(s)·V*]‖
-    is plurisubharmonic on the polydisk, so the sup over the level-m ball of
-    radius RADIUS_CAP is attained there, on its Shilov boundary.  A space's
-    level-m ball need not hold a unitary, but λ ↦ ‖f[λX]‖ is subharmonic on
-    the disk |λ| <= RADIUS_CAP/‖X‖, so it peaks on its circle, and the space
-    ascent projects onto the cap sphere ‖X‖ = RADIUS_CAP.  Scanned or
-    searched, the point becomes the witness's matrix by `_witness`.
+    the ascent's first projection places where the sup is attained.  A disk
+    function's ascent runs on the scaled unitaries RADIUS_CAP·U(m): for
+    fixed unitaries U, V the map s ↦ ‖f[U·diag(s)·V*]‖ is plurisubharmonic
+    on the polydisk, so the sup over the level-m ball of radius RADIUS_CAP
+    is attained there, on its Shilov boundary.  A space's level-m ball need
+    not hold a unitary, but λ ↦ ‖f[λX]‖ is subharmonic on the disk
+    |λ| <= RADIUS_CAP/‖X‖, so it peaks on its circle, and the space ascent
+    projects onto the cap sphere ‖X‖ = RADIUS_CAP.  Scanned or searched,
+    the point becomes the witness's matrix by `_witness`.
     """
     m = matcore.check_level(m)
     budget = matcore.check_budget(budget)
@@ -347,7 +348,7 @@ def _witness(space, level: int, point: np.ndarray, value, samples: int = 0) -> W
     """The witness at a point: a disk point (space None) as its matrix, a
     space point's entries wrapped over the space."""
     matrix = point if space is None else opspace.OpSpaceMatrix(space, point)
-    return Witness(level=level, matrix=matrix, value=float(value), samples=samples)
+    return Witness(level, matrix, float(value), samples)
 
 
 def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=None):

@@ -671,14 +671,14 @@ def _scan_share(f, budget):
     return budget - cbnorm._scan_unit(f).polish_share(budget)
 
 
-_TABLE_BUDGETS = [1, 300, 2000]
+# Each lower-table scan test at three budgets, over a `_CircleUnit` and a
+# `_NormingFamily` function; the circle cases keep their old ids.
+_TABLE_CASES = [pytest.param(b, "circle", id=str(b)) for b in (1, 300, 2000)] + [
+    pytest.param(b, "family", id=f"family-{b}") for b in (1, 300, 2000)
+]
 
 
-@pytest.mark.parametrize(
-    "budget, unit",
-    [pytest.param(b, "circle", id=str(b)) for b in _TABLE_BUDGETS]
-    + [pytest.param(b, "family", id=f"family-{b}") for b in _TABLE_BUDGETS],
-)
+@pytest.mark.parametrize("budget, unit", _TABLE_CASES)
 def test_lower_table_scan_stops_after_the_grid_that_meets_the_cap_ball_bound(monkeypatch, budget, unit):
     # These peak at θ = 0, the grid's first point, where the grid meets
     # W_cap: the objective sees the grid's points alone, the record counts
@@ -697,11 +697,7 @@ def test_lower_table_scan_stops_after_the_grid_that_meets_the_cap_ball_bound(mon
         assert _same_bits(est.level_table[1], full)
 
 
-@pytest.mark.parametrize(
-    "budget, unit",
-    [pytest.param(b, "circle", id=str(b)) for b in _TABLE_BUDGETS]
-    + [pytest.param(b, "family", id=f"family-{b}") for b in _TABLE_BUDGETS],
-)
+@pytest.mark.parametrize("budget, unit", _TABLE_CASES)
 def test_lower_table_scan_below_the_cap_ball_bound_spends_its_budget(monkeypatch, budget, unit):
     # Level 1 of these stays below W_cap, so the scan, and a joint scan's
     # polish, are the unstopped ones: a circle scan spends the budget, a

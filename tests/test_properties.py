@@ -611,7 +611,18 @@ def test_no_level_sup_passes_the_cap_ball_bound(f, seed):
     # over the ball of radius RADIUS_CAP, so a level that the lower table
     # lifts unsearched once the lower bound meets W_cap could not have won.
     # The rule grows with the radius, so W_cap is at most the upper bound.
+    # With W_cap as its ceiling, as the lower table calls it, a level sup
+    # spends at most its budget, its witness recomputes bit for bit, and a
+    # level whose unstopped value stays below the ceiling is the unstopped
+    # one, bit for bit.
     cap, _ = _upper_rules(f, RADIUS_CAP)
     assert cap <= cb_upper_bound(f)
+    met = cap * (1.0 - cbnorm._ROUNDING_TIE)
+    bits = lambda w: (np.float64(w.value).tobytes(), np.asarray(getattr(w.matrix, "entries", w.matrix)).tobytes())
     for m in (1, 2, 4, 8):
-        assert level_sup(f, m, 60, seed).value <= cap * (1.0 + 1e-12)
+        free, capped = level_sup(f, m, 60, seed), level_sup(f, m, 60, seed, ceiling=met)
+        for w in (free, capped):
+            assert w.value <= cap * (1.0 + 1e-12) and 0 < w.samples <= 60
+        assert _bits(cbnorm.witness_value(f, capped)) == _bits(capped.value)
+        if free.value < met:
+            assert bits(capped) == bits(free) and capped.samples == free.samples
