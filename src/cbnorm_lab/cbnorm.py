@@ -56,8 +56,6 @@ _SCAN_STACK = 4096
 # Scan values this close to the best, relatively, are ties: evaluation
 # rounding alone spreads |z²| over the circle by 5 ulps.
 _ROUNDING_TIE = 2.0**-50
-# Bytes of sampled stacks `schwarz_check` evaluates at once.
-_STACK_BYTES = 1 << 22
 # The joint scan over (a, b, θ) (`_NormingFamily`) zooms fewer grid maxima,
 # with more points a round, each of its rounds computing new units.
 _JOINT_PEAKS = 2
@@ -86,15 +84,22 @@ class CbEstimate:
 def _norms_and_gradients(values: np.ndarray, derivative: np.ndarray):
     """σ₁ of each entrywise image F of a stack of points, and a function
     returning row i's gradient, dσ₁ = Re Σ conj(u_j)·v_l·dF_jl with
-    dF_jl = derivative[i, j, l]·dz_jl."""
+    dF_jl = derivative[i, j, l]·dz_jl.  A 1×1 F = z has σ₁ = |z| and
+    conj(u)·v = conj(z)/|z| (1 where z = 0), with no SVD."""
+    norms = matcore.operator_norms(values)
 
     def gradient_at(i):
+        if values.shape[-2:] == (1, 1):
+            # The phase is divided part by part: a complex quotient of
+            # subnormals overflows.
+            z, r = values[i, 0, 0], norms[i]
+            return (complex(z.real / r, z.imag / r) if r else 1.0) * np.conj(derivative[i])
         _, u, v = matcore.top_singular_pair(values[i])
         weights = u.conj()[:, None] * v
         der = derivative[i]
         return np.conj(der * weights.reshape(weights.shape + (1,) * (der.ndim - 2)))
 
-    return matcore.operator_norms(values), gradient_at
+    return norms, gradient_at
 
 
 def _disk_problem(f: HoloFunction, m: int):
@@ -277,17 +282,8 @@ def _polish_problem(f: HoloFunction):
     space = f.domain_space
 
     def objective(stack):
-        values, derivative = holofun._eval_array(f, stack)
-        norms = matcore.operator_norms(values)
-
-        def gradient_at(i):
-            # conj(ψ), the gradient in `ascend`'s convention.  The phase is
-            # divided part by part: a complex quotient of subnormals overflows.
-            z, r = values[i, 0, 0], norms[i]
-            phase = complex(z.real / r, z.imag / r) if r else 1.0
-            return phase * np.conj(derivative[i])
-
-        return norms, gradient_at
+        # Its gradient is conj(ψ), in `ascend`'s convention.
+        return _norms_and_gradients(*holofun._eval_array(f, stack))
 
     def oracle(grad):
         return RADIUS_CAP * opspace.norming_element(space, np.conj(grad[0, 0]))[None, None]
@@ -648,13 +644,17 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
     certified upper.  A disk function's X is the one entry of a sample over
     the scalar space.
 
-    Trial t draws its level, its radius and its Gaussian grid from
-    `derive_rng(seed, t)`, and draws the grid again while its norm is 0
-    (`opspace._random_matrix_ball`).  The trials are taken in chunks of
-    about `_STACK_BYTES`, and a chunk evaluates one stack per level, each
-    norm with the bits of its trial alone.  A point outside the open ball is
-    a DomainError, raised for the first such trial, as `holofun.amplify`
-    raises it; the tightest trial is the first of the least slack."""
+    The trial levels come in trial order from `derive_rng(seed)`, the radii
+    from `derive_rng(seed, 0)`, and the grids of the level-m trials in trial
+    order from `derive_rng(seed, m)`.  Trials are taken in chunks that fill
+    about `matcore.STACK_BYTES`: a chunk draws its levels and its radii with
+    one call each, then each level's points with one
+    `opspace._random_matrix_ball` call, and evaluates one stack per level.
+    The streams run on across chunks, so the report does not depend on the
+    chunk size, and every norm has the bits of the same trial evaluated
+    alone.  A point outside the open ball is a DomainError, raised for the
+    first such trial, as `holofun.amplify` raises it; the tightest trial is
+    the first of the least slack."""
     if isinstance(upper, bool) or not isinstance(upper, (int, float)) or not math.isfinite(upper):
         raise InvalidInputError(f"schwarz check needs a finite upper bound, got {upper!r}")
     upper = float(upper)
@@ -664,49 +664,35 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
     # Rough bytes of one level-4 trial in the stacks: its grid and point, and
     # the realized point and its image.
     trial_bytes = 16 * 16 * (2 * sampled.dim + 2 * sampled.ambient**2)
-    chunk = max(1, _STACK_BYTES // trial_bytes)
-    worst = np.inf
-    worst_detail = ""
-    failures = 0
+    chunk = max(1, matcore.STACK_BYTES // trial_bytes)
+    level_rng, radius_rng = matcore.derive_rng(seed), matcore.derive_rng(seed, 0)
+    grid_rngs = {m: matcore.derive_rng(seed, m) for m in range(1, 5)}
+    worst, worst_detail, failures = np.inf, "", 0
     for start in range(0, trials, chunk):
-        rngs = [matcore.derive_rng(seed, t) for t in range(start, min(start + chunk, trials))]
-        levels = np.array([int(rng.integers(1, 5)) for rng in rngs])
-        radii = np.array([float(rng.uniform(0.05, RADIUS_CAP)) for rng in rngs])
-        actual = np.empty(len(rngs))
-        offending = []  # (trial, norm) of the first point of each level outside the ball
+        levels = level_rng.integers(1, 5, size=min(chunk, trials - start))
+        radii = radius_rng.uniform(0.05, RADIUS_CAP, size=levels.size)
+        actual = np.empty(levels.size)
+        offending = []  # (trial, norm) of each point outside the ball
         for m in range(1, 5):
             rows = np.flatnonzero(levels == m)
             if not rows.size:
                 continue
-            draw = lambda i: matcore.gaussian(rngs[i], (m, m, sampled.dim))
-            grids = np.stack([draw(i) for i in rows])
-            norms = matcore.operator_norms(opspace.block_matrix(grids, sampled.basis))
-            for j in np.flatnonzero(~(norms > 0.0)):
-                while not norms[j] > 0.0:
-                    grids[j] = draw(rows[j])
-                    norms[j] = matcore.operator_norm(opspace.block_matrix(grids[j], sampled.basis))
-            points = grids * (radii[rows] / norms)[:, None, None, None]
+            points = opspace._random_matrix_ball(grid_rngs[m], sampled, m, radii[rows])
+            norms = matcore.operator_norms(opspace.block_matrix(points, sampled.basis))
+            offending += [(rows[i], float(norms[i])) for i in np.flatnonzero(norms >= 1.0)]
             points = points[..., 0] if space is None else points
-            realized = points if space is None else opspace.block_matrix(points, space.basis)
-            norms = matcore.operator_norms(realized)
-            outside = np.flatnonzero(norms >= 1.0)
-            if outside.size:
-                offending.append((rows[outside[0]], float(norms[outside[0]])))
             actual[rows] = matcore.operator_norms(holofun._eval_array(f, points, False)[0])
         if offending:
-            _, nrm = min(offending)
             what = "operator" if space is None else "matrix"
-            raise DomainError(f"matrix argument must have {what} norm < 1, got {nrm}")
+            raise DomainError(f"matrix argument must have {what} norm < 1, got {min(offending)[1]}")
         slack = upper * radii - actual
         failures += int(np.count_nonzero(actual > upper * radii * (1.0 + 1e-10)))
         # The first least slack, as a trial-by-trial `slack < worst` keeps it:
         # NaN and +inf never replace the running worst.
-        finite = np.flatnonzero(slack < np.inf)
-        if finite.size:
-            i = finite[np.argmin(slack[finite])]
-            if slack[i] < worst:
-                worst = slack[i]
-                worst_detail = f"level {levels[i]}, radius {radii[i]:.6f}, amplified norm {actual[i]:.12f}"
+        i = np.argmin(np.where(slack < np.inf, slack, np.inf))
+        if slack[i] < worst:
+            worst = slack[i]
+            worst_detail = f"level {levels[i]}, radius {radii[i]:.6f}, amplified norm {actual[i]:.12f}"
     return CheckReport(
         passed=failures == 0,
         trials=trials,

@@ -21,6 +21,9 @@ MAX_LEVEL = 64
 # points of its first chunk of at most 4096 (64 KiB for a disk function), so
 # this caps its grid at 128 MiB.
 MAX_BUDGET = 2**24
+# Bytes of sampled stacks a property check evaluates at once
+# (`cbnorm.schwarz_check`, `mconvex.hull_norm_check`).
+STACK_BYTES = 1 << 22
 
 
 def check_seed(seed) -> int:

@@ -21,8 +21,6 @@ from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, matrix_norm, realize,
 
 _CONSTRAINT_TOL = 1e-10
 _PAIRING_TOL = 1e-9
-# Bytes of sampled stacks `hull_norm_check` evaluates at once.
-_STACK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +194,12 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
 
     The trial levels come in trial order from `derive_rng(seed)`, and the
     α, β rows of the level-L trials in trial order from `derive_rng(seed, L)`.
-    Trials are drawn in chunks that fill about `_STACK_BYTES`: a chunk takes
-    its next levels with one `integers` call and each level's rows with one
-    `standard_normal` call, then evaluates one stack per level.  The streams
-    run on across chunks, so no result depends on the chunk size, and every
-    norm has the bits of the same trial evaluated alone."""
+    Trials are drawn in chunks that fill about `matcore.STACK_BYTES`: a
+    chunk takes its next levels with one `integers` call and each level's
+    rows with one `standard_normal` call, then evaluates one stack per
+    level.  The streams run on across chunks, so no result depends on the
+    chunk size, and every norm has the bits of the same trial evaluated
+    alone."""
     trials = matcore.check_budget(trials, "trials")
     gen_norms = [matrix_norm(g) for g in k.generators]
     bound = max(gen_norms)
@@ -208,7 +207,7 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
     width = 4 * sum(g.level for g in k.generators)
     # Rough bytes of one level-3 trial in the stacks: draws, α, β, point and realization.
     trial_bytes = 8 * 3 * width + 16 * 9 * (k.space.ambient**2 + k.space.dim)
-    chunk = max(1, _STACK_BYTES // trial_bytes)
+    chunk = max(1, matcore.STACK_BYTES // trial_bytes)
     levels = matcore.derive_rng(seed)
     rows = {level: matcore.derive_rng(seed, level) for level in range(1, 4)}
     worst = -np.inf

@@ -325,14 +325,26 @@ def _extension_norm(space: ConcreteOperatorSpace, phi: np.ndarray) -> float:
 # Sampling
 
 
-def _random_matrix_ball(rng, space: ConcreteOperatorSpace, level: int, radius: float) -> np.ndarray:
+def _random_matrix_ball(rng, space: ConcreteOperatorSpace, level: int, radius) -> np.ndarray:
     """The (level, level, d) entries of a complex-Gaussian grid over the
-    space, rescaled to matrix norm exactly `radius`."""
-    while True:
-        g = matcore.gaussian(rng, (level, level, space.dim))
-        nrm = matcore.operator_norm(block_matrix(g, space.basis))
-        if nrm > 0.0:
-            return g * (radius / nrm)
+    space, rescaled to matrix norm exactly `radius`; for an array of k radii,
+    a (k, level, level, d) stack of such grids, row i at radius i.
+
+    One `standard_normal((k, 2, level, level, d))` call draws the k grids,
+    so row i holds the numbers that the i-th of k one-grid draws takes
+    (`matcore.gaussian`), and its norm has the bits it has alone.  A zero
+    grid is drawn again, one grid at a time, after the stack, until its
+    norm is positive; a single grid is thus the k = 1 case."""
+    radii = np.asarray(radius, dtype=np.float64)
+    draw = rng.standard_normal((radii.size, 2, level, level, space.dim))
+    grids = draw[:, 0] + 1j * draw[:, 1]
+    norms = matcore.operator_norms(block_matrix(grids, space.basis))
+    for i in np.flatnonzero(norms == 0.0):
+        while not norms[i] > 0.0:
+            grids[i] = matcore.gaussian(rng, grids.shape[1:])
+            norms[i] = matcore.operator_norm(block_matrix(grids[i], space.basis))
+    points = grids * (radii.reshape(-1) / norms)[:, None, None, None]
+    return points.reshape(radii.shape + points.shape[1:])
 
 
 def sample_matrix_ball(space: ConcreteOperatorSpace, level: int, radius: float, seed) -> OpSpaceMatrix:

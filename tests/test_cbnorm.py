@@ -1009,15 +1009,18 @@ def test_schwarz_check_refuses_trials_past_the_cap(trials):
 
 def _schwarz_reference(f, upper, trials, seed):
     """The trial-by-trial loop that `schwarz_check` stacks: each trial's
-    point sampled by `opspace._random_matrix_ball` and amplified alone."""
+    level from `derive_rng(seed)`, its radius from `derive_rng(seed, 0)`
+    and its point from its level's `derive_rng(seed, m)`, sampled one point
+    at a time by `opspace._random_matrix_ball` and amplified alone."""
     space = f.domain_space
     sampled = space_scalar() if space is None else space
+    levels, radii = matcore.derive_rng(seed), matcore.derive_rng(seed, 0)
+    grids = {m: matcore.derive_rng(seed, m) for m in range(1, 5)}
     worst, detail, failures = np.inf, "", 0
-    for t in range(trials):
-        rng = matcore.derive_rng(seed, t)
-        m = int(rng.integers(1, 5))
-        radius = float(rng.uniform(0.05, cbnorm.RADIUS_CAP))
-        x = opspace._random_matrix_ball(rng, sampled, m, radius)
+    for _ in range(trials):
+        m = int(levels.integers(1, 5))
+        radius = float(radii.uniform(0.05, cbnorm.RADIUS_CAP))
+        x = opspace._random_matrix_ball(grids[m], sampled, m, radius)
         x = x[..., 0] if space is None else OpSpaceMatrix(space, x)
         actual = matcore.operator_norm(amplify(f, x))
         if upper * radius - actual < worst:
@@ -1044,32 +1047,46 @@ _SCHWARZ_FUNCTIONS = [
 
 @pytest.mark.parametrize("f", _SCHWARZ_FUNCTIONS, ids=lambda f: type(f).__name__)
 def test_schwarz_check_stacks_give_the_trial_by_trial_report(f, monkeypatch):
-    # Every norm has the bits of its trial alone, whatever the chunk size,
-    # so the report is the loop's, worst slack to the bit.
+    # Every norm has the bits of its trial alone, and every stream runs on
+    # across chunks, so the report is the loop's, worst slack to the bit,
+    # whatever the chunk size.
     upper = cb_upper_bound(f)
     for stated, trials, seed in ((upper, 100, 5), (0.9 * upper, 37, 2), (upper, 1, 9)):
         expected = _schwarz_reference(f, stated, trials, seed)
         assert _report(schwarz_check(f, stated, trials, seed)) == expected
         with monkeypatch.context() as patch:
-            patch.setattr(cbnorm, "_STACK_BYTES", 1)
+            patch.setattr(matcore, "STACK_BYTES", 1)
             assert _report(schwarz_check(f, stated, trials, seed)) == expected
 
 
-def test_schwarz_check_redraws_a_zero_grid_from_its_own_trial(monkeypatch):
-    # The first grid each trial draws is zero: it draws again from its own
-    # stream, as `opspace._random_matrix_ball` does.
-    seen = []  # each trial's generator, kept alive so that no id is reused
-    gaussian = matcore.gaussian
+class _ZeroFirst:
+    """A generator whose first `standard_normal` draw comes out zero."""
 
-    def zero_first(rng, shape):
-        draw = gaussian(rng, shape)
-        return draw if any(rng is other for other in seen) or seen.append(rng) else 0.0 * draw
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, False
 
+    def standard_normal(self, shape):
+        draw, first, self.drawn = self.rng.standard_normal(shape), not self.drawn, True
+        return 0.0 * draw if first else draw
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_schwarz_check_redraws_a_zero_grid_from_its_own_level_stream(monkeypatch):
+    # Each level's first grid is zero: it is drawn again from its level's
+    # stream, as `opspace._random_matrix_ball` draws one point.  One trial a
+    # chunk samples as the loop does; a whole chunk of zero grids is drawn
+    # again grid by grid, so its report is finite too.
+    derive_rng = matcore.derive_rng
+    monkeypatch.setattr(matcore, "derive_rng", lambda *args: _ZeroFirst(derive_rng(*args)))
     f = _scanned(MIN2, "composite", 3)[0]
-    monkeypatch.setattr(matcore, "gaussian", zero_first)
+    report = schwarz_check(f, cb_upper_bound(f), 40, 3)
+    assert report.passed and math.isfinite(report.worst_slack)
     expected = _schwarz_reference(f, cb_upper_bound(f), 40, 3)
-    seen.clear()
+    monkeypatch.setattr(matcore, "STACK_BYTES", 1)
     assert _report(schwarz_check(f, cb_upper_bound(f), 40, 3)) == expected
+    assert math.isfinite(expected[2])
 
 
 @pytest.mark.parametrize("f", [SQUARE, _scanned(space_mk(2), "composite", 1)[0]], ids=["disk", "space"])
@@ -1079,11 +1096,22 @@ def test_schwarz_check_raises_the_domain_error_of_the_first_trial_outside_the_ba
     monkeypatch.setattr(cbnorm, "RADIUS_CAP", 1.5)
     with pytest.raises(DomainError) as expected:
         _schwarz_reference(f, 1.0, 60, 4)
-    for stack_bytes in (cbnorm._STACK_BYTES, 1):
-        monkeypatch.setattr(cbnorm, "_STACK_BYTES", stack_bytes)
+    for stack_bytes in (matcore.STACK_BYTES, 1):
+        monkeypatch.setattr(matcore, "STACK_BYTES", stack_bytes)
         with pytest.raises(DomainError) as raised:
             schwarz_check(f, 1.0, 60, 4)
         assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("trials", [1, 100, 2000])
+def test_schwarz_check_makes_at_most_six_streams(monkeypatch, trials):
+    # One stream for the levels, one for the radii and one per level,
+    # whatever the trial count.
+    calls = []
+    derive_rng = matcore.derive_rng
+    monkeypatch.setattr(matcore, "derive_rng", lambda *args: calls.append(args) or derive_rng(*args))
+    schwarz_check(SQUARE, 1.0, trials, 4)
+    assert len(calls) <= 6
 
 
 def test_schwarz_check_square_has_positive_slack():

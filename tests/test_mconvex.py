@@ -322,7 +322,7 @@ def test_hull_norm_check_chunks_match_trial_by_trial(monkeypatch, stack_bytes):
     # at a time.
     k = _random_set(MK2, 5)
     whole = hull_norm_check(k, 60, 4)
-    monkeypatch.setattr(mconvex, "_STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(matcore, "STACK_BYTES", stack_bytes)
     chunked = hull_norm_check(k, 60, 4)
     _assert_same_report(chunked, _trial_by_trial(k, 60, 4))
     _assert_same_report(chunked, whole)

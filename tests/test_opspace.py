@@ -1,9 +1,11 @@
 """Tests for concrete operator spaces and their matrix-level norms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from cbnorm_lab import matcore
+from cbnorm_lab import matcore, opspace
 from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.opspace import (
     ConcreteOperatorSpace,
@@ -242,6 +244,31 @@ def test_sample_matrix_ball_norm_and_determinism():
     assert abs(matrix_norm(x) - 0.8) < 1e-12
     y = sample_matrix_ball(s, 2, 0.8, 17)
     assert np.array_equal(x.entries, y.entries)
+
+
+def test_sample_matrix_ball_keeps_its_bits():
+    # sha256 of the entries of one sample per space, level 1-4 and seed
+    # 0-19, as drawn one grid per `matcore.gaussian` call before the
+    # sampler took a stack of radii.
+    digest = hashlib.sha256()
+    for space in SPACES:
+        for level in range(1, 5):
+            for seed in range(20):
+                digest.update(sample_matrix_ball(space, level, 0.75, seed).entries.tobytes())
+    assert digest.hexdigest() == "9507e4d3e0eec342de0ab7a7d2e878c693a3efbc4e871674c133905a9a263fd2"
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}{s.param}")
+def test_random_matrix_ball_stack_rows_are_one_point_draws(space):
+    # Row i of a stack of k radii holds the i-th of k one-point draws from
+    # the same stream, to the bit.
+    radii = np.array([0.2, 0.5, 0.9, 0.7])
+    for level in (1, 3):
+        stack = opspace._random_matrix_ball(matcore.derive_rng(6, level), space, level, radii)
+        rng = matcore.derive_rng(6, level)
+        rows = [opspace._random_matrix_ball(rng, space, level, float(r)) for r in radii]
+        assert stack.shape == (4, level, level, space.dim)
+        assert stack.tobytes() == np.stack(rows).tobytes()
 
 
 @pytest.mark.parametrize("radius", [0.0, 1.0, -0.5, 1.5])

@@ -13,7 +13,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from cbnorm_lab import _search, cbnorm, descriptors, holofun, matcore, mconvex, opspace
@@ -27,6 +27,7 @@ from cbnorm_lab.cbnorm import (
     level_sup,
     sandwich,
 )
+from cbnorm_lab.errors import InvalidInputError
 from cbnorm_lab.holofun import (
     Blaschke,
     Composite,
@@ -576,6 +577,22 @@ def _bits(x):
 # One-functional variants over the row space, kept as explicit examples.
 ROW_COMPOSITE = _one_functional(Blaschke(1.0, 1, [0.5]), opspace.space_row(2), 0.8, False, 1)
 ROW_GEOMETRIC = _one_functional(None, opspace.space_row(2), 0.8, True, 1)
+
+
+@PROPERTY
+@given(CAPPED, st.integers(1, 60), st.integers(0, 2**32))
+def test_schwarz_check_passes_at_the_upper_bound_whatever_the_chunk_size(f, trials, seed):
+    # Every function vanishes at 0, so ‖f_m(X)‖ <= ‖f‖_cb·‖X‖ at every
+    # level, and the certified upper bound passes.  The streams run on
+    # across chunks, so one trial a chunk gives the same report.
+    try:
+        upper = cb_upper_bound(f)
+    except InvalidInputError:  # no certified bound: it overflows or is subnormal
+        reject()
+    report = cbnorm.schwarz_check(f, upper, trials, seed)
+    assert report.passed and report.trials == trials
+    with mock.patch.object(matcore, "STACK_BYTES", 1):
+        assert cbnorm.schwarz_check(f, upper, trials, seed) == report
 
 
 @PROPERTY
