@@ -21,7 +21,7 @@ bound is the rule at 1, W_cap the rule at RADIUS_CAP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,12 +64,17 @@ _JOINT_ROWS = 24
 
 @dataclass(frozen=True)
 class Witness:
-    """A feasible matrix certifying a lower bound at one level."""
+    """A feasible matrix certifying a lower bound at one level, with the
+    objective evaluations its search spent (0 when lifted) and, for a
+    scanned level 1, how it was found: its scan unit's name, and
+    " and Frank–Wolfe polish" when the polish ran (`level_sup`); "" for an
+    ascended or lifted witness."""
 
     level: int
     matrix: object  # ndarray for disk functions, OpSpaceMatrix over a space
     value: float
-    samples: int = 0  # objective evaluations its search spent; 0 when lifted
+    samples: int = 0
+    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,14 @@ def _norms_and_gradients(values: np.ndarray, derivative: np.ndarray):
     return norms, gradient_at
 
 
-def _disk_problem(f: HoloFunction, m: int):
-    def objective(stack):
-        return _norms_and_gradients(*holofun._eval_array(f, stack))
+def _objective(f: HoloFunction):
+    """The objective of f that `_search.ascend` and `_search.polish` take:
+    σ₁ of f at each point of a stack, and its gradients
+    (`_norms_and_gradients`)."""
+    return lambda stack: _norms_and_gradients(*holofun._eval_array(f, stack))
 
+
+def _disk_problem(f: HoloFunction, m: int):
     def project(stack):
         # The polar factor of each point, scaled: the nearest point of
         # RADIUS_CAP·U(m), where every level-m sup over the cap ball is
@@ -116,11 +125,11 @@ def _disk_problem(f: HoloFunction, m: int):
     def start(rng):
         return matcore.gaussian(rng, (m, m))
 
-    return objective, project, start
+    return _objective(f), project, start
 
 
 def _space_problem(f: HoloFunction, m: int):
-    space = f.domain_space
+    space, raw = f.domain_space, _objective(f)
 
     def along_cap(grad, entries):
         # Every point lies on the cap sphere, where the gradient's part along
@@ -129,7 +138,7 @@ def _space_problem(f: HoloFunction, m: int):
         return grad - (inner(grad, normal) / inner(normal, normal)) * normal
 
     def objective(entries):
-        values, gradient_at = _norms_and_gradients(*holofun._eval_array(f, entries))
+        values, gradient_at = raw(entries)
         return values, lambda i: along_cap(gradient_at(i), entries[i])
 
     def project(stack):
@@ -148,11 +157,12 @@ def _space_problem(f: HoloFunction, m: int):
 class _CircleUnit:
     """The scan unit of one circle w·u, |w| = RADIUS_CAP, of level-1 points
     (`_scan_unit`): u is a disk function's 1×1 matrix [1] or the (1, 1, d)
-    entries of a space's norming element.  Its grid is n angles θ = spacing·k
-    from θ = 0, its zoom takes _ZOOM_PEAKS maxima and _ZOOM_ROWS points a
-    round, and its witness is not polished."""
+    entries of the norming element of a space function's one functional.
+    Its grid is n angles θ = spacing·k from θ = 0, its zoom takes
+    _ZOOM_PEAKS maxima and _ZOOM_ROWS points a round, and its witness is not
+    polished: the circle holds the maximum."""
 
-    name, zoom = "circle scan", (_ZOOM_PEAKS, _ZOOM_ROWS)
+    name, zoom, polished = "circle scan", (_ZOOM_PEAKS, _ZOOM_ROWS), False
 
     def __init__(self, unit: np.ndarray):
         self.unit = unit
@@ -171,9 +181,6 @@ class _CircleUnit:
         """A zoom round's moves around a peak: the offsets of θ."""
         return offsets
 
-    def polish_share(self, budget: int) -> int:
-        return 0
-
 
 class _NormingFamily:
     """The scan units of a function whose functional leaves are exactly φ₁
@@ -183,9 +190,10 @@ class _NormingFamily:
     φᵢ(w·e_c) runs over one complex line of the joint image (φ₁, φ₂) of the
     level-1 ball.  Its grid is over (a, b, θ), its zoom takes _JOINT_PEAKS
     maxima and _JOINT_ROWS points a round, each round computing new units,
-    and half of a level's budget polishes its witness."""
+    and its witness is polished (`level_sup`): no circle need hold the
+    maximum."""
 
-    name, zoom = "joint norming scan", (_JOINT_PEAKS, _JOINT_ROWS)
+    name, zoom, polished = "joint norming scan", (_JOINT_PEAKS, _JOINT_ROWS), True
 
     def __init__(self, space, first: np.ndarray, second: np.ndarray):
         self.space, self.first, self.second = space, first, second
@@ -222,9 +230,6 @@ class _NormingFamily:
         the i-th of the q offsets."""
         return np.kron(np.eye(3), offsets[:, None])
 
-    def polish_share(self, budget: int) -> int:
-        return budget // 2
-
 
 def _functional_leaves(f: HoloFunction) -> list:
     """The `Composite` and `GeometricPhi` leaves of a space function, left
@@ -239,38 +244,39 @@ def _functional_leaves(f: HoloFunction) -> list:
 
 
 def _scan_unit(f: HoloFunction):
-    """The scan unit of f's level 1: a `_CircleUnit` whose circle holds the
+    """The scan unit of f's level 1, decided by f's functional leaves
+    (`_functional_leaves`) alone: a `_CircleUnit` whose circle holds the
     maximum of |f| over the level-1 ball of radius RADIUS_CAP, a
     `_NormingFamily` whose circles are searched for it, or None when neither
     is known.
 
-    A disk function's level-1 ball is the disk, where |f| peaks on the circle
-    (maximum modulus): u = [1].  A functional's cb norm is its norm, so φ
-    maps the level-1 ball of a space onto the closed disk of radius
-    RADIUS_CAP·‖φ‖, where |g| peaks on the circle; with u the norming
-    element of φ (`opspace.norming_element`), φ(w·u) = w·‖φ‖ runs over that
-    circle.  So a composite g∘φ or a geometric functional over a builder
-    space takes its norming element, which the function object finds once
-    and keeps (`norming`).  This is the paper's linearization at level 1: a
-    function of functionals factors through the linear map
-    x ↦ (φ₁(x), φ₂(x)), and its scan units are norming elements of
-    combinations of those functionals.  A function with exactly two
-    functional leaves over a builder space (a product or sum of two, scaled
-    or not) is such a function and takes the family of norming elements of
-    c₁φ₁ + c₂φ₂: a source of seedless witnesses, not a proof that the
-    maximum lies on one of its circles (|z₁z₂| on the ℓ₁ ball of ℂ² peaks
-    at (½, ½), no extreme point of the ball), so `level_sup` polishes the
-    scan's witness.  Other functions, and custom spaces, have none.
+    This is the paper's linearization at level 1: a function of functionals
+    factors through the linear map x ↦ (φ₁(x), φ₂(x)), and its scan units
+    are norming elements of combinations of those functionals, whatever
+    scales wrap them.  A disk function's level-1 ball is the disk, where |f|
+    peaks on the circle (maximum modulus): u = [1].  A functional's cb norm
+    is its norm, so φ maps the level-1 ball of a space onto the closed disk
+    of radius RADIUS_CAP·‖φ‖, where c·g peaks in modulus on the circle; with
+    u the norming element of φ (`opspace.norming_element`), φ(w·u) = w·‖φ‖
+    runs over that circle.  So a function with one functional leaf over a
+    builder space (g∘φ or φ/(1 − φ), scaled or not) takes the circle of its
+    norming element.  A function with exactly two (a product or sum of two,
+    scaled or not) takes the family of norming elements of c₁φ₁ + c₂φ₂: a
+    source of seedless witnesses, not a proof that the maximum lies on one
+    of its circles (|z₁z₂| on the ℓ₁ ball of ℂ² peaks at (½, ½), no extreme
+    point of the ball), so `level_sup` polishes the scan's witness.
+    Functions with more leaves, and custom spaces, which have no closed-form
+    norming element, have none.
     """
-    if f.domain_space is None:
+    space = f.domain_space
+    if space is None:
         return _CircleUnit(np.array([[1.0 + 0.0j]]))
-    if isinstance(f, (Composite, GeometricPhi)):
-        e = f.norming
-        return None if e is None else _CircleUnit(e.reshape(1, 1, -1))
     leaves = _functional_leaves(f)
-    if len(leaves) == 2 and f.domain_space.kind in opspace._KINDS:
-        return _NormingFamily(f.domain_space, leaves[0].phi, leaves[1].phi)
-    return None
+    if space.kind == "custom" or len(leaves) > 2:
+        return None
+    if len(leaves) == 1:
+        return _CircleUnit(opspace.norming_element(space, leaves[0].phi).reshape(1, 1, -1))
+    return _NormingFamily(space, leaves[0].phi, leaves[1].phi)
 
 
 def _polish_problem(f: HoloFunction):
@@ -281,14 +287,11 @@ def _polish_problem(f: HoloFunction):
     RADIUS_CAP times the norming element of ψ (`opspace.norming_element`)."""
     space = f.domain_space
 
-    def objective(stack):
-        # Its gradient is conj(ψ), in `ascend`'s convention.
-        return _norms_and_gradients(*holofun._eval_array(f, stack))
-
     def oracle(grad):
+        # The objective's gradient is conj(ψ), in `ascend`'s convention.
         return RADIUS_CAP * opspace.norming_element(space, np.conj(grad[0, 0]))[None, None]
 
-    return objective, oracle
+    return _objective(f), oracle
 
 
 def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witness:
@@ -297,17 +300,18 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witne
     whose witness records the objective evaluations it spent, at most
     `budget`.
 
-    Level 1 of a function with a scan unit (`_scan_unit`) reads no seed.
-    `_circle_scan` scans the unit's circles on budget − share, the unit's
-    polish share being 0 for a `_CircleUnit` and budget // 2 for a
-    `_NormingFamily`.  A nonzero share goes to the Frank–Wolfe polish of the
-    scan's witness (`_search.polish`, `_polish_problem`): each step's oracle
-    is RADIUS_CAP times the norming element of the functional ψ with
+    Level 1 of a function with a scan unit (`_scan_unit`, decided here once)
+    reads no seed.  `_circle_scan` scans the unit's circles on the whole
+    budget, or on budget − budget // 2 when the unit is `polished` (a
+    `_NormingFamily`).  Then budget // 2 goes to the Frank–Wolfe polish of
+    the scan's witness (`_search.polish`, `_polish_problem`): each step's
+    oracle is RADIUS_CAP times the norming element of the functional ψ with
     d|f| = Re ψ(dx), each gradient and each of its 8 step-size candidates is
     charged 1, and the scan's witness stays unless a step beats it.  A scan
     that meets the `ceiling` stops (`_circle_scan`; `_lower_table` passes
     W_cap) and is not polished.  Level 1 spends what its scan and its
-    polish spent: a polish stops early when no step beats its point.
+    polish spent: a polish stops early when no step beats its point.  Its
+    witness's `source` names the unit, and the polish when it ran.
 
     Every other level ignores the ceiling, runs random restarts of projected
     ascent, spends exactly `budget` and keeps the first restart that reaches
@@ -331,20 +335,22 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witne
         runs = restarts(*problem(f, m), budget, seed, m)
         # max keeps the first of equal values.
         return _witness(f.domain_space, m, *max(runs, key=lambda run: run[1]), budget)
-    share = unit.polish_share(budget)
+    share = budget // 2 if unit.polished else 0
     point, value, spent = _circle_scan(f, budget - share, unit, ceiling)
+    source = unit.name
     if share and (ceiling is None or value < ceiling):
         left = Budget(share)
         point, value = polish(*_polish_problem(f), point, value, left)
         spent += left.used
-    return _witness(f.domain_space, 1, point, value, spent)
+        source += " and Frank–Wolfe polish"
+    return _witness(f.domain_space, 1, point, value, spent, source)
 
 
-def _witness(space, level: int, point: np.ndarray, value, samples: int = 0) -> Witness:
+def _witness(space, level: int, point: np.ndarray, value, samples: int = 0, source: str = "") -> Witness:
     """The witness at a point: a disk point (space None) as its matrix, a
     space point's entries wrapped over the space."""
     matrix = point if space is None else opspace.OpSpaceMatrix(space, point)
-    return Witness(level, matrix, float(value), samples)
+    return Witness(level, matrix, float(value), samples, source)
 
 
 def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=None):
@@ -498,10 +504,8 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     with zero-pad lifting keeping the level table nondecreasing; each level
     is searched by `level_sup` until the lower bound meets the cap-ball
     bound W_cap (`_lower_table`), and `samples` records what each spent.
-    The provenance names level 1's scan unit (`_scan_unit`, whose norming
-    element the function object kept from the scan), its polish when level
-    1 spent more than the scan's share of the budget, the ascended levels,
-    and the levels lifted unsearched, with W_cap."""
+    The provenance names how level 1 was scanned (its witness's `source`),
+    the ascended levels, and the levels lifted unsearched, with W_cap."""
     budget = matcore.check_budget(budget)
     levels = _levels(max_level)
     matcore.check_seed(seed)
@@ -509,26 +513,16 @@ def cb_lower_bound(f: HoloFunction, max_level: int, budget: int, seed) -> CbEsti
     lower = max(w.value for w in table.values())
     # Level 1 comes first and is always searched.
     searched = [m for m in levels if spent[m]]
-    unit = _scan_unit(f)
-    sources = []
-    if unit is not None:
-        # A scan spends at most budget − share; a polish that runs, at least 1.
-        polished = " and Frank–Wolfe polish" if spent[1] > budget - unit.polish_share(budget) else ""
-        sources.append(f"{unit.name}{polished} at level 1")
-    ascended = searched if unit is None else searched[1:]
+    scanned = table[1].source
+    sources = [f"{scanned} at level 1"] if scanned else []
+    ascended = searched[1:] if scanned else searched
     if ascended:
         sources.append(f"projected-ascent level sups at levels {ascended}")
     provenance = f"lower: {', '.join(sources)}, budget {budget} per level, radius cap {RADIUS_CAP}"
     filled = [m for m in levels if not spent[m]]
     if filled:
         provenance += f", levels {filled} lifted unsearched: the lower bound met the cap-ball bound W_cap = {cap}"
-    return CbEstimate(
-        lower=float(lower),
-        upper=None,
-        level_table=table,
-        samples=spent,
-        provenance=provenance,
-    )
+    return CbEstimate(lower=float(lower), upper=None, level_table=table, samples=spent, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +612,7 @@ def sandwich(f: HoloFunction, max_level: int, budget: int, seed) -> CbEstimate:
             f"lower bound {est.lower} exceeds certified upper bound {upper}; "
             "one of the two computations is wrong"
         )
-    return CbEstimate(
-        lower=est.lower,
-        upper=upper,
-        level_table=est.level_table,
-        samples=est.samples,
-        provenance=est.provenance + f"; upper: {rule} = {upper}",
-    )
+    return replace(est, upper=upper, provenance=est.provenance + f"; upper: {rule} = {upper}")
 
 
 # ---------------------------------------------------------------------------

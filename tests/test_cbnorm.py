@@ -328,8 +328,9 @@ def test_one_functional_provenance_names_the_scan():
 
 @pytest.mark.parametrize("kind", ["composite", "geometric_phi"])
 def test_a_stopped_sandwich_finds_one_norming_element(kind, monkeypatch):
-    # The scan and the provenance both need the scan unit; over M_2 each
-    # norming element costs two SVDs, so the function object keeps it.
+    # Level 1's scan unit is decided once, in `level_sup`, and the
+    # provenance reads its witness: over M_2 each norming element costs two
+    # SVDs, and one is found.
     calls = []
     norming_element = opspace.norming_element
     monkeypatch.setattr(opspace, "norming_element", lambda *args: calls.append(args) or norming_element(*args))
@@ -337,6 +338,31 @@ def test_a_stopped_sandwich_finds_one_norming_element(kind, monkeypatch):
     est = sandwich(f, 4, 300, 1)
     assert est.samples == {1: 150, 2: 0, 4: 0}
     assert len(calls) == 1
+
+
+# The composite z∘φ over M_2 with φ = (0.3, 0.2i, −0.1, 0.4), whose level 1
+# once took the seeded ascent when scaled.
+_IDENTITY_COMPOSITE = Composite(IDENTITY, space_mk(2), np.array([0.3, 0.2j, -0.1, 0.4]), 0.5)
+
+
+@pytest.mark.parametrize("c", [0.5, -2j], ids=["half", "minus-2i"])
+@pytest.mark.parametrize("kind", ["composite", "geometric_phi", "identity_composite"])
+def test_a_scaled_lone_leaf_scans_the_circle_of_its_leaf(kind, c, monkeypatch):
+    # A scale changes no functional leaf, so c·g scans g's circle: level 1
+    # reads no seed, finds g's witness, and its value is |c| times g's, bit
+    # for bit, since scaling by 0.5 or −2i is exact.  Like g, c·g meets its
+    # cap-ball bound at level 1, and the sandwich stops there.
+    g = _IDENTITY_COMPOSITE if kind == "identity_composite" else _scanned(space_mk(2), kind, 1)[0]
+    f = Scale(c, g)
+    _seedless(monkeypatch)
+    bare, w = level_sup(g, 1, 300, 1), level_sup(f, 1, 300, 2)
+    assert w.matrix.entries.tobytes() == bare.matrix.entries.tobytes()
+    assert w.value.hex() == (abs(c) * bare.value).hex()
+    assert w.samples == bare.samples and w.source == "circle scan"
+    est = sandwich(f, 4, 300, 3)
+    assert est.samples == {1: 150, 2: 0, 4: 0}
+    assert est.lower.hex() == (abs(c) * sandwich(g, 4, 300, 3).lower).hex()
+    assert est.provenance.startswith("lower: circle scan at level 1, budget 300 per level, ")
 
 
 def test_custom_space_and_two_functionals_still_search_level_one():
@@ -410,6 +436,24 @@ def test_two_functional_level_one_witness_recomputes_bit_for_bit(space, kind, se
         assert space.kind == "scalar" and kind == "product"
         assert est.samples == {1: 64, 2: 0}
         assert est.provenance.startswith("lower: joint norming scan at level 1, budget 300 per level, ")
+
+
+@pytest.mark.parametrize(
+    "space, kind, seed, budget",
+    [pytest.param(*case.values, 300, id=case.id) for case in TWO_FUNCTIONALS]
+    + [pytest.param(space_scalar(), "product", 1, 2000, id="scalar-product-stopped")],
+)
+def test_level_one_source_names_the_polish_exactly_when_it_spent(space, kind, seed, budget):
+    # A joint scan spends at most budget − budget // 2 and a polish that
+    # runs at least 1, so the samples tell whether the polish ran, and the
+    # witness's source says the same.  The last case's scan meets W_cap on
+    # its grid and stops.
+    est = cb_lower_bound(_two_functionals(space, kind, seed), 2, budget, seed)
+    polished = est.samples[1] > budget - budget // 2
+    assert est.level_table[1].source == "joint norming scan" + " and Frank–Wolfe polish" * polished
+    assert est.provenance.startswith(f"lower: {est.level_table[1].source} at level 1, ")
+    if budget == 2000:
+        assert est.samples == {1: 729, 2: 0} and not polished
 
 
 def _seedless(monkeypatch):
@@ -548,13 +592,18 @@ def test_joint_scan_grid_witness_past_the_first_chunk_has_its_bits(monkeypatch):
 
 
 def test_scan_unit_takes_two_functional_leaves_through_scales():
+    # The unit is decided by the functional leaves alone: a scaled lone
+    # leaf scans the circle of its norming element, two leaves the joint
+    # family, and three leaves have none.
     a, b = (_scanned(MIN2, kind, 0)[0] for kind in ("composite", "geometric_phi"))
     for f in (Product(a, b), Sum(Scale(2.0, a), b), Scale(-1j, Product(b, Scale(0.5, a)))):
         unit = cbnorm._scan_unit(f)
         assert isinstance(unit, cbnorm._NormingFamily)
         assert {id(unit.first), id(unit.second)} == {id(a.phi), id(b.phi)}
-    for f in (Scale(2.0, a), Product(Product(a, b), a)):
-        assert cbnorm._scan_unit(f) is None
+    unit = cbnorm._scan_unit(Scale(2.0, a))
+    assert isinstance(unit, cbnorm._CircleUnit)
+    assert unit.unit.tobytes() == opspace.norming_element(MIN2, a.phi).reshape(1, 1, -1).tobytes()
+    assert cbnorm._scan_unit(Product(Product(a, b), a)) is None
 
 
 def test_norming_family_units_norm_their_combinations():
@@ -667,8 +716,9 @@ def _same_bits(w, other):
 
 
 def _scan_share(f, budget):
-    """The budget that f's level-1 scan is given."""
-    return budget - cbnorm._scan_unit(f).polish_share(budget)
+    """The budget that f's level-1 scan is given: all of it, or what a
+    polished unit's polish leaves."""
+    return budget - budget // 2 if cbnorm._scan_unit(f).polished else budget
 
 
 # Each lower-table scan test at three budgets, over a `_CircleUnit` and a

@@ -558,12 +558,16 @@ def test_value_only_evaluation_keeps_the_bits_of_f(scalar, space, radius, seed):
                 assert derivative is None and value.tobytes() == full.tobytes()
 
 
-def _one_functional(scalar, space, r, geometric, seed):
+def _one_functional(scalar, space, r, geometric, seed, c=None):
+    """A composite or geometric functional, scaled by c unless c is None."""
     phi, norm = _functional(np.random.default_rng(seed), space, r)
-    return GeometricPhi(space, phi, norm) if geometric else Composite(scalar, space, phi, norm)
+    f = GeometricPhi(space, phi, norm) if geometric else Composite(scalar, space, phi, norm)
+    return f if c is None else Scale(c, f)
 
 
-ONE_FUNCTIONAL = st.builds(_one_functional, TREES, SPACES, st.floats(0.0, 0.9), st.booleans(), st.integers(0, 2**32))
+ONE_FUNCTIONAL = st.builds(
+    _one_functional, TREES, SPACES, st.floats(0.0, 0.9), st.booleans(), st.integers(0, 2**32), st.none() | COEFFS
+)
 # Disk trees or one-functional variants, each branch drawn about half the
 # time: st.one_of(TREES, ONE_FUNCTIONAL) would flatten TREES into its own
 # branches and draw the functional one seldom.
@@ -603,14 +607,17 @@ def test_schwarz_check_passes_at_the_upper_bound_whatever_the_chunk_size(f, tria
 def test_the_rule_at_radius_t_majorizes_the_series_at_t(f, t, s):
     # The rule at radius t bounds Σ|aₙ|·tⁿ, grows with t, is the upper bound
     # at t = 1 and, for a one-functional composite, is its scalar's rule at
-    # r·t.  Radii stay above 1e-3, where the terms stay normal floats.
+    # r·t.  A scaled functional leaf's series is |c| times its leaf's.
+    # Radii stay above 1e-3, where the terms stay normal floats.
     bound, _ = _upper_rules(f, t)
-    r = mpmath.mpf(getattr(f, "certified_norm", 1.0))
-    if isinstance(f, GeometricPhi):
+    leaf, c = (f.inner, abs(f.c)) if isinstance(f, Scale) and f.domain_space is not None else (f, 1.0)
+    r = mpmath.mpf(getattr(leaf, "certified_norm", 1.0))
+    if isinstance(leaf, GeometricPhi):
         series = r * t / (1 - r * t)
     else:
-        g = f.scalar if isinstance(f, Composite) else f
+        g = leaf.scalar if isinstance(leaf, Composite) else leaf
         series = mpmath.fsum(abs(a) * (r * t) ** n for n, a in enumerate(_mp_series(g, 2000)) if n)
+    series *= mpmath.mpf(c)
     # The rules round to nearest, so a relative slack.
     assert bound >= series * (1 - mpmath.mpf(1e-12))
     assert _upper_rules(f, min(t, s))[0] <= _upper_rules(f, max(t, s))[0]
@@ -623,6 +630,7 @@ def test_the_rule_at_radius_t_majorizes_the_series_at_t(f, t, s):
 @given(CAPPED, st.integers(0, 2**32))
 @example(Blaschke(1.0, 1, [0.5]), 1)
 @example(ROW_COMPOSITE, 1)
+@example(Scale(-2j, ROW_GEOMETRIC), 1)
 def test_no_level_sup_passes_the_cap_ball_bound(f, seed):
     # W_cap, the certified rule at radius RADIUS_CAP, bounds every level sup
     # over the ball of radius RADIUS_CAP, so a level that the lower table
