@@ -46,9 +46,10 @@ DEFAULT_LEVELS = (1, 2, 4, 8)
 # A pair of bounds is in order when lower <= upper·(1 + SANDWICH_SLACK).
 SANDWICH_SLACK = 1e-6
 
-# The circle scan: the most evaluations it keeps for zooming, how many grid
-# maxima it zooms, the points of one zoom round (shared by those maxima),
-# and the most points it hands the objective at once.
+# The level-1 scan (`_circle_scan`): the most evaluations it keeps for
+# zooming, how many grid maxima a unit with no parameter axes zooms, the
+# points of its zoom round (shared by those maxima), and the most points the
+# scan hands the objective at once.
 _ZOOM_SHARE = 192
 _ZOOM_PEAKS = 4
 _ZOOM_ROWS = 16
@@ -56,8 +57,9 @@ _SCAN_STACK = 4096
 # Scan values this close to the best, relatively, are ties: evaluation
 # rounding alone spreads |z²| over the circle by 5 ulps.
 _ROUNDING_TIE = 2.0**-50
-# The joint scan over (a, b, θ) (`_NormingFamily`) zooms fewer grid maxima,
-# with more points a round, each of its rounds computing new units.
+# A unit with parameter axes (`_ScanUnit`), such as the (a, b) family of
+# `_scan_unit`, zooms fewer grid maxima, with more points a round, each of
+# its rounds computing new units.
 _JOINT_PEAKS = 2
 _JOINT_ROWS = 24
 
@@ -154,81 +156,50 @@ def _space_problem(f: HoloFunction, m: int):
     return objective, project, start
 
 
-class _CircleUnit:
-    """The scan unit of one circle w·u, |w| = RADIUS_CAP, of level-1 points
-    (`_scan_unit`): u is a disk function's 1×1 matrix [1] or the (1, 1, d)
-    entries of the norming element of a space function's one functional.
-    Its grid is n angles θ = spacing·k from θ = 0, its zoom takes
-    _ZOOM_PEAKS maxima and _ZOOM_ROWS points a round, and its witness is not
-    polished: the circle holds the maximum."""
+class _ScanUnit:
+    """A scan unit of level 1 (`_scan_unit`): the circles w·u,
+    w = RADIUS_CAP·e^{iθ}, of the unit points u = units(p) of a (T, k) stack
+    of parameters p, with one (length, offset) pair in `axes` for each of
+    the k parameter axes; θ is always the last grid axis.  A unit with no
+    axes is one circle, whose fixed point `units` returns for any stack: its
+    circle holds the maximum, so its witness is not polished, and its zoom
+    takes _ZOOM_PEAKS maxima and _ZOOM_ROWS points a round.  A unit with
+    axes is a family whose circles are searched for the maximum: its zoom
+    takes _JOINT_PEAKS maxima and _JOINT_ROWS points a round, each round
+    computing new units, and its witness is polished (`level_sup`)."""
 
-    name, zoom, polished = "circle scan", (_ZOOM_PEAKS, _ZOOM_ROWS), False
-
-    def __init__(self, unit: np.ndarray):
-        self.unit = unit
-
-    def grid(self, n: int):
-        """(sizes, spacing, index → θ) of the grid of n angles."""
-        spacing = 2.0 * np.pi / n
-        return (n,), spacing, lambda index: spacing * index
-
-    def points(self, theta: np.ndarray) -> np.ndarray:
-        """The points w·u, w = RADIUS_CAP·e^{iθ}, of a stack of angles."""
-        w = RADIUS_CAP * np.exp(1j * theta)
-        return w.reshape((-1,) + (1,) * self.unit.ndim) * self.unit
-
-    def moves(self, offsets: np.ndarray) -> np.ndarray:
-        """A zoom round's moves around a peak: the offsets of θ."""
-        return offsets
-
-
-class _NormingFamily:
-    """The scan units of a function whose functional leaves are exactly φ₁
-    and φ₂, over one builder space: for c = (cos a, sin a·e^{ib}) on the
-    unit sphere of ℂ², the norming element e_c of ψ_c = c₁φ₁ + c₂φ₂, as
-    (1, 1, d) entries.  Each e_c is a unit point of the space, and
-    φᵢ(w·e_c) runs over one complex line of the joint image (φ₁, φ₂) of the
-    level-1 ball.  Its grid is over (a, b, θ), its zoom takes _JOINT_PEAKS
-    maxima and _JOINT_ROWS points a round, each round computing new units,
-    and its witness is polished (`level_sup`): no circle need hold the
-    maximum."""
-
-    name, zoom, polished = "joint norming scan", (_JOINT_PEAKS, _JOINT_ROWS), True
-
-    def __init__(self, space, first: np.ndarray, second: np.ndarray):
-        self.space, self.first, self.second = space, first, second
-
-    def __call__(self, ab: np.ndarray) -> np.ndarray:
-        """The units e_c of a (T, 2) stack of (a, b): one `norming_element`
-        call for the stack of ψ_c, which takes each run of equal rows once
-        (a scan moves θ with (a, b) fixed)."""
-        starts = np.flatnonzero(np.concatenate(([True], np.any(ab[1:] != ab[:-1], axis=1))))
-        a, b = ab[starts, :1], ab[starts, 1:]
-        psi = np.cos(a) * self.first + (np.sin(a) * np.exp(1j * b)) * self.second
-        units = opspace.norming_element(self.space, psi).reshape(-1, 1, 1, self.space.dim)
-        return np.repeat(units, np.diff(np.append(starts, len(ab))), axis=0)
+    def __init__(self, units, axes=()):
+        self.units, self.axes, self.polished = units, axes, bool(axes)
+        self.name = "joint norming scan" if axes else "circle scan"
+        self.zoom = (_JOINT_PEAKS, _JOINT_ROWS) if axes else (_ZOOM_PEAKS, _ZOOM_ROWS)
 
     def grid(self, n: int):
         """(sizes, spacing, index → parameters) of the grid of at most n
-        points: the point with flat index k, index tuple (i, j, l), has the
-        parameters (a, b, θ) = spacing·((i, j, l) + (½, 0, 0)), one row a
-        point, on an s × s × t grid, s = ⌊∛n⌋ and t = ⌊n/s²⌋: a at the
-        midpoints of s cells of [0, π/2], b and θ from 0 around the circle."""
-        s = round(n ** (1.0 / 3.0))
-        s -= s**3 > n
-        t = n // (s * s)
-        spacing, offset = np.array([0.5 * np.pi / s, 2.0 * np.pi / s, 2.0 * np.pi / t]), np.array([0.5, 0.0, 0.0])
-        return (s, s, t), spacing, lambda k: spacing * (np.stack(np.unravel_index(k, (s, s, t)), axis=1) + offset)
+        points, an s × … × s × t grid with s = ⌊n^(1/(k+1))⌋ points on each
+        of the k parameter axes and t = ⌊n/sᵏ⌋ angles (n angles when k = 0).
+        The point with flat index i and index tuple (i₁, …, i_k, l) has the
+        parameters spacing·((i₁, …, i_k, l) + offsets), one row a point: a
+        parameter axis has the spacing length/s and its own offset, and θ
+        the spacing 2π/t and offset 0."""
+        k = len(self.axes)
+        s = round(n ** (1.0 / (k + 1)))
+        s -= s ** (k + 1) > n
+        sizes = (s,) * k + (n // s**k,)
+        axes = (*self.axes, (2.0 * np.pi, 0.0))
+        spacing = np.array([length / size for (length, _), size in zip(axes, sizes)])
+        offset = np.array([start for _, start in axes])
+        return sizes, spacing, lambda index: spacing * (np.array(np.unravel_index(index, sizes)).T + offset)
 
     def points(self, params: np.ndarray) -> np.ndarray:
-        """The points w·e_c, w = RADIUS_CAP·e^{iθ}, of a stack of (a, b, θ)."""
-        w = RADIUS_CAP * np.exp(1j * params[:, -1])
-        return w.reshape(-1, 1, 1, 1) * self(params[:, :-1])
+        """The points w·u of a stack of parameters, θ last."""
+        w, units = RADIUS_CAP * np.exp(1j * params[:, -1]), self.units(params[:, :-1])
+        return w.reshape((-1,) + (1,) * (units.ndim - 1)) * units
 
     def moves(self, offsets: np.ndarray) -> np.ndarray:
         """A zoom round's moves around a peak: row j·q + i moves axis j by
         the i-th of the q offsets."""
-        return np.kron(np.eye(3), offsets[:, None])
+        dims = len(self.axes) + 1
+        return (np.eye(dims)[:, None] * offsets[:, None]).reshape(-1, dims)
 
 
 def _functional_leaves(f: HoloFunction) -> list:
@@ -244,11 +215,11 @@ def _functional_leaves(f: HoloFunction) -> list:
 
 
 def _scan_unit(f: HoloFunction):
-    """The scan unit of f's level 1, decided by f's functional leaves
-    (`_functional_leaves`) alone: a `_CircleUnit` whose circle holds the
-    maximum of |f| over the level-1 ball of radius RADIUS_CAP, a
-    `_NormingFamily` whose circles are searched for it, or None when neither
-    is known.
+    """The scan unit of f's level 1 (`_ScanUnit`), decided by f's functional
+    leaves (`_functional_leaves`) alone: a unit with no parameter axes, one
+    circle that holds the maximum of |f| over the level-1 ball of radius
+    RADIUS_CAP; a unit over the parameters (a, b), whose circles are
+    searched for it; or None when neither is known.
 
     This is the paper's linearization at level 1: a function of functionals
     factors through the linear map x ↦ (φ₁(x), φ₂(x)), and its scan units
@@ -260,23 +231,41 @@ def _scan_unit(f: HoloFunction):
     u the norming element of φ (`opspace.norming_element`), φ(w·u) = w·‖φ‖
     runs over that circle.  So a function with one functional leaf over a
     builder space (g∘φ or φ/(1 − φ), scaled or not) takes the circle of its
-    norming element.  A function with exactly two (a product or sum of two,
-    scaled or not) takes the family of norming elements of c₁φ₁ + c₂φ₂: a
-    source of seedless witnesses, not a proof that the maximum lies on one
-    of its circles (|z₁z₂| on the ℓ₁ ball of ℂ² peaks at (½, ½), no extreme
-    point of the ball), so `level_sup` polishes the scan's witness.
+    norming element, computed once.  A function with exactly two (a product
+    or sum of two, scaled or not) takes the family of norming elements e_c
+    of ψ_c = c₁φ₁ + c₂φ₂, c = (cos a, sin a·e^{ib}) on the unit sphere of
+    ℂ², as (1, 1, d) entries: each e_c is a unit point of the space, and
+    φᵢ(w·e_c) runs over one complex line of the joint image (φ₁, φ₂) of the
+    level-1 ball.  That family is a source of seedless witnesses, not a
+    proof that the maximum lies on one of its circles (|z₁z₂| on the ℓ₁
+    ball of ℂ² peaks at (½, ½), no extreme point of the ball), so
+    `level_sup` polishes the scan's witness.
     Functions with more leaves, and custom spaces, which have no closed-form
     norming element, have none.
     """
     space = f.domain_space
     if space is None:
-        return _CircleUnit(np.array([[1.0 + 0.0j]]))
+        unit = np.array([[[1.0 + 0.0j]]])
+        return _ScanUnit(lambda p: unit)
     leaves = _functional_leaves(f)
     if space.kind == "custom" or len(leaves) > 2:
         return None
     if len(leaves) == 1:
-        return _CircleUnit(opspace.norming_element(space, leaves[0].phi).reshape(1, 1, -1))
-    return _NormingFamily(space, leaves[0].phi, leaves[1].phi)
+        unit = opspace.norming_element(space, leaves[0].phi).reshape(1, 1, 1, -1)
+        return _ScanUnit(lambda p: unit)
+    first, second = leaves[0].phi, leaves[1].phi
+
+    def units(ab):
+        # One `norming_element` call for the stack of ψ_c, which takes each
+        # run of equal rows once (a scan moves θ with (a, b) fixed).
+        starts = np.flatnonzero(np.concatenate(([True], np.any(ab[1:] != ab[:-1], axis=1))))
+        a, b = ab[starts, :1], ab[starts, 1:]
+        psi = np.cos(a) * first + (np.sin(a) * np.exp(1j * b)) * second
+        units = opspace.norming_element(space, psi).reshape(-1, 1, 1, space.dim)
+        return np.repeat(units, np.diff(np.append(starts, len(ab))), axis=0)
+
+    # a at the midpoints of s cells of [0, π/2], b from 0 around the circle.
+    return _ScanUnit(units, ((0.5 * np.pi, 0.5), (2.0 * np.pi, 0.0)))
 
 
 def _polish_problem(f: HoloFunction):
@@ -294,7 +283,7 @@ def _polish_problem(f: HoloFunction):
     return _objective(f), oracle
 
 
-def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witness:
+def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=math.inf) -> Witness:
     """Best found amplified norm over the level-m ball of radius 1 − 1e-6,
     every level's one entry: a valid lower bound for the level-m supremum,
     whose witness records the objective evaluations it spent, at most
@@ -302,16 +291,17 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witne
 
     Level 1 of a function with a scan unit (`_scan_unit`, decided here once)
     reads no seed.  `_circle_scan` scans the unit's circles on the whole
-    budget, or on budget − budget // 2 when the unit is `polished` (a
-    `_NormingFamily`).  Then budget // 2 goes to the Frank–Wolfe polish of
+    budget, or on budget − budget // 2 when the unit is `polished` (a unit
+    with parameter axes).  Then budget // 2 goes to the Frank–Wolfe polish of
     the scan's witness (`_search.polish`, `_polish_problem`): each step's
     oracle is RADIUS_CAP times the norming element of the functional ψ with
     d|f| = Re ψ(dx), each gradient and each of its 8 step-size candidates is
     charged 1, and the scan's witness stays unless a step beats it.  A scan
     that meets the `ceiling` stops (`_circle_scan`; `_lower_table` passes
-    W_cap) and is not polished.  Level 1 spends what its scan and its
-    polish spent: a polish stops early when no step beats its point.  Its
-    witness's `source` names the unit, and the polish when it ran.
+    W_cap) and is not polished; no ceiling is `math.inf`, which no value
+    meets.  Level 1 spends what its scan and its polish spent: a polish
+    stops early when no step beats its point.  Its witness's `source` names
+    the unit, and the polish when it ran.
 
     Every other level ignores the ceiling, runs random restarts of projected
     ascent, spends exactly `budget` and keeps the first restart that reaches
@@ -338,7 +328,7 @@ def level_sup(f: HoloFunction, m: int, budget: int, seed, ceiling=None) -> Witne
     share = budget // 2 if unit.polished else 0
     point, value, spent = _circle_scan(f, budget - share, unit, ceiling)
     source = unit.name
-    if share and (ceiling is None or value < ceiling):
+    if share and value < ceiling:
         left = Budget(share)
         point, value = polish(*_polish_problem(f), point, value, left)
         spent += left.used
@@ -353,28 +343,28 @@ def _witness(space, level: int, point: np.ndarray, value, samples: int = 0, sour
     return Witness(level, matrix, float(value), samples, source)
 
 
-def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=None):
+def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=math.inf):
     """(point, value, evaluations spent) of the best of at most `budget`
-    points of a scan unit's circles (`_CircleUnit`, `_NormingFamily`), by
-    the amplified norm; the point has the shape of the unit's points.
+    points of a scan unit's circles (`_ScanUnit`), by the amplified norm;
+    the point has the shape of the unit's points.
 
     A uniform grid of the unit's parameters comes first (its `grid`).  The
     budget's last min(budget // 2, _ZOOM_SHARE) points, and any the grid
     leaves, then zoom in on the grid's best local maxima, periodic along
-    every axis, as many as the unit's `zoom` takes.  Each zoom round tries q
-    points around each peak's best parameters c along each axis (the unit's
-    `moves`), at c ± h/(q + 1), c ± 3h/(q + 1), ... in that order, axis
-    after axis and inner ones first, for a round the budget cuts short; q is
-    the even share per peak and axis of the unit's points a round.  Then
-    each axis's h, which starts at its grid spacing, shrinks to the spacing
-    2h/(q + 1) of those points.
-    With a `ceiling`, a value that no point beats but by rounding, the scan
+    every axis, θ and each parameter axis alike, as many as the unit's
+    `zoom` takes.  Each zoom round tries q points around each peak's best
+    parameters c along each axis (the unit's `moves`), at c ± h/(q + 1),
+    c ± 3h/(q + 1), ... in that order, axis after axis and inner ones first,
+    for a round the budget cuts short; q is the even share per peak and axis
+    of the unit's points a round.  Then each axis's h, which starts at its
+    grid spacing, shrinks to the spacing 2h/(q + 1) of those points.
+    The `ceiling` is a value that no point beats but by rounding: the scan
     stops after the grid, or after the zoom round, whose best value reaches
-    it: further rounds could raise the best by rounding alone.  A grid that
-    reaches it returns before any zoom set-up.  Without one it spends the
-    whole budget.
-    The witness is the earliest point, in scan order, whose value ties the
-    best up to _ROUNDING_TIE.
+    it, as further rounds could raise the best by rounding alone.  A grid
+    that reaches it, or that spends the whole budget, sets up no zoom.  With
+    no ceiling (`math.inf`) the scan spends the whole budget.
+    Either way the witness is the earliest point, in scan order, whose value
+    ties the best up to _ROUNDING_TIE.
 
     The scan keeps the grid's values (8 bytes a point), the points of the
     grid's first chunk (at most _SCAN_STACK of them) and the zoom's points.
@@ -400,40 +390,37 @@ def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=None):
     for lo in range(_SCAN_STACK, n, _SCAN_STACK):
         at[lo : lo + _SCAN_STACK] = norms(points(chunk(lo)))
     left, highest = budget - n, at.max()
-    if not left or (ceiling is not None and highest >= ceiling):
-        # No zoom round runs; the witness is the grid's first tie.
-        k = int(np.argmax(at >= highest * (1.0 - _ROUNDING_TIE)))
-        return grid_point(k), at[k], n
-    # Local maxima of the periodic grid, compared axis by axis through
-    # views, with no copy of `at`.
-    grid, peak = at.reshape(sizes), np.ones(sizes, dtype=bool)
-    for axis in range(dims):
-        g, p = grid.swapaxes(0, axis), peak.swapaxes(0, axis)
-        p[0] &= g[0] >= g[-1]
-        p[1:] &= g[1:] >= g[:-1]
-        p[-1] &= g[-1] >= g[0]
-        p[:-1] &= g[:-1] >= g[1:]
-    peaks = np.flatnonzero(peak)
-    zoom_peaks, zoom_rows = unit.zoom
-    peaks = peaks[np.argsort(-at[peaks], kind="stable")][:zoom_peaks]
-    centers, best, h = at_grid(peaks), at[peaks], spacing
-    q = zoom_rows // peaks.size // dims // 2 * 2
-    odd = np.arange(1, q, 2) / (q + 1)
-    moves = unit.moves(np.stack([-odd, odd], axis=1).ravel())
     zoom = []  # (points, values) of each zoom round
-    while left and (ceiling is None or highest < ceiling):
-        candidates = centers[:, None] + h * moves
-        stack = points(candidates.reshape((-1,) + candidates.shape[2:])[:left])
-        tried = np.full(candidates.shape[0] * candidates.shape[1], -np.inf)
-        tried[: len(stack)] = norms(stack)
-        zoom.append((stack, tried[: len(stack)]))
-        highest = max(highest, tried.max())
-        tried = tried.reshape(candidates.shape[:2])
-        top = np.argmax(tried, axis=1)
-        rows = np.flatnonzero(tried[np.arange(peaks.size), top] > best)
-        centers[rows], best[rows] = candidates[rows, top[rows]], tried[rows, top[rows]]
-        h = h * (2.0 / (q + 1))
-        left -= len(stack)
+    if left and highest < ceiling:
+        # Local maxima of the periodic grid, compared axis by axis through
+        # views, with no copy of `at`.
+        grid, peak = at.reshape(sizes), np.ones(sizes, dtype=bool)
+        for axis in range(dims):
+            g, p = grid.swapaxes(0, axis), peak.swapaxes(0, axis)
+            p[0] &= g[0] >= g[-1]
+            p[1:] &= g[1:] >= g[:-1]
+            p[-1] &= g[-1] >= g[0]
+            p[:-1] &= g[:-1] >= g[1:]
+        peaks = np.flatnonzero(peak)
+        zoom_peaks, zoom_rows = unit.zoom
+        peaks = peaks[np.argsort(-at[peaks], kind="stable")][:zoom_peaks]
+        centers, best, h = at_grid(peaks), at[peaks], spacing
+        q = zoom_rows // peaks.size // dims // 2 * 2
+        odd = np.arange(1, q, 2) / (q + 1)
+        moves = unit.moves(np.stack([-odd, odd], axis=1).ravel())
+        while left and highest < ceiling:
+            candidates = centers[:, None] + h * moves
+            stack = points(candidates.reshape(-1, dims)[:left])
+            tried = np.full(candidates.shape[0] * candidates.shape[1], -np.inf)
+            tried[: len(stack)] = norms(stack)
+            zoom.append((stack, tried[: len(stack)]))
+            highest = max(highest, tried.max())
+            tried = tried.reshape(candidates.shape[:2])
+            top = np.argmax(tried, axis=1)
+            rows = np.flatnonzero(tried[np.arange(peaks.size), top] > best)
+            centers[rows], best[rows] = candidates[rows, top[rows]], tried[rows, top[rows]]
+            h = h * (2.0 / (q + 1))
+            left -= len(stack)
     tie, spent = highest * (1.0 - _ROUNDING_TIE), budget - left
     k = int(np.argmax(at >= tie))
     if at[k] >= tie:

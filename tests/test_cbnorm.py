@@ -183,7 +183,8 @@ def test_circle_scan_hands_the_objective_exactly_its_budget(monkeypatch, budget,
         monkeypatch.setattr(cbnorm, name, _unprojected(getattr(cbnorm, name)))
     w = level_sup(f, 1, budget, 5)
     assert sum(shape[0] for shape in stacks) == budget
-    assert all(shape[1:] == cbnorm._scan_unit(f).unit.shape and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
+    unit_shape = cbnorm._scan_unit(f).points(np.zeros((1, 1))).shape[1:]
+    assert all(shape[1:] == unit_shape and shape[0] <= cbnorm._SCAN_STACK for shape in stacks)
     assert w.level == 1 and 0.0 < w.value < 1.0
 
 
@@ -417,7 +418,7 @@ TWO_FUNCTIONALS = [
 @pytest.mark.parametrize("space, kind, seed", TWO_FUNCTIONALS)
 def test_two_functional_level_one_witness_recomputes_bit_for_bit(space, kind, seed):
     f = _two_functionals(space, kind, seed)
-    assert isinstance(cbnorm._scan_unit(f), cbnorm._NormingFamily)
+    assert len(cbnorm._scan_unit(f).axes) == 2
     w = level_sup(f, 1, 300, seed)
     assert isinstance(w.matrix, OpSpaceMatrix) and w.matrix.level == 1
     assert matrix_norm(w.matrix) < 1.0
@@ -591,18 +592,30 @@ def test_joint_scan_grid_witness_past_the_first_chunk_has_its_bits(monkeypatch):
     assert value == pytest.approx(RADIUS_CAP * closed_form_dual_norm(MIN2, phi1 + phi2), rel=1e-14)
 
 
+def _family_units(space, first, second, ab):
+    """The units e_c, by `norming_element`, of ψ_c = c₁φ₁ + c₂φ₂ for
+    c = (cos a, sin a·e^{ib}), each row of (a, b) alone."""
+    psi = [np.cos(a) * first + (np.sin(a) * np.exp(1j * b)) * second for a, b in ab]
+    return np.stack([opspace.norming_element(space, p) for p in psi]).reshape(-1, 1, 1, space.dim)
+
+
 def test_scan_unit_takes_two_functional_leaves_through_scales():
     # The unit is decided by the functional leaves alone: a scaled lone
     # leaf scans the circle of its norming element, two leaves the joint
-    # family, and three leaves have none.
+    # family of (φ₁, φ₂), left to right, and three leaves have none.
     a, b = (_scanned(MIN2, kind, 0)[0] for kind in ("composite", "geometric_phi"))
-    for f in (Product(a, b), Sum(Scale(2.0, a), b), Scale(-1j, Product(b, Scale(0.5, a)))):
+    ab = np.array([[0.0, 0.0], [0.4, 1.0], [0.5 * np.pi, 3.0]])
+    for f, first, second in (
+        (Product(a, b), a, b),
+        (Sum(Scale(2.0, a), b), a, b),
+        (Scale(-1j, Product(b, Scale(0.5, a))), b, a),
+    ):
         unit = cbnorm._scan_unit(f)
-        assert isinstance(unit, cbnorm._NormingFamily)
-        assert {id(unit.first), id(unit.second)} == {id(a.phi), id(b.phi)}
+        assert len(unit.axes) == 2
+        assert unit.units(ab).tobytes() == _family_units(MIN2, first.phi, second.phi, ab).tobytes()
     unit = cbnorm._scan_unit(Scale(2.0, a))
-    assert isinstance(unit, cbnorm._CircleUnit)
-    assert unit.unit.tobytes() == opspace.norming_element(MIN2, a.phi).reshape(1, 1, -1).tobytes()
+    assert unit.axes == ()
+    assert unit.units(ab[:, :0]).tobytes() == opspace.norming_element(MIN2, a.phi).tobytes()
     assert cbnorm._scan_unit(Product(Product(a, b), a)) is None
 
 
@@ -612,9 +625,12 @@ def test_norming_family_units_norm_their_combinations():
     # basis element.
     phi = np.array([0.3, -0.1j, 0.2, 0.05])
     space = space_mk(2)
-    unit = cbnorm._NormingFamily(space, phi, -phi)
     ab = np.array([[0.1, 0.0], [0.1, 0.0], [np.pi / 4, 0.0], [0.7, 2.0], [0.7, 2.0], [0.7, 2.0]])
-    units = unit(ab)
+
+    def family(first, second):
+        return cbnorm._scan_unit(Sum(GeometricPhi(space, first, 0.0), GeometricPhi(space, second, 0.0)))
+
+    units = family(phi, -phi).units(ab)
     assert units.shape == (6, 1, 1, 4)
     assert units[0].tobytes() == units[1].tobytes() and units[3].tobytes() == units[5].tobytes()
     psi = np.cos(ab[:, :1]) * phi - (np.sin(ab[:, :1]) * np.exp(1j * ab[:, 1:])) * phi
@@ -622,8 +638,69 @@ def test_norming_family_units_norm_their_combinations():
         if np.any(np.abs(p) > 1e-15):
             assert abs(matrix_norm(OpSpaceMatrix(space, e.reshape(1, 1, -1))) - 1.0) <= 1e-14
             assert abs(p @ e - closed_form_dual_norm(space, p)) <= 1e-14
-    zero = cbnorm._NormingFamily(space, np.zeros(4, complex), np.zeros(4, complex))(ab[:2])
+    zero = family(np.zeros(4, complex), np.zeros(4, complex)).units(ab[:2])
     assert zero.tobytes() == np.tile(np.eye(1, 4, dtype=complex), (2, 1)).tobytes()
+
+
+def _lone_and_joint():
+    """A lone functional leaf over M_2 and a product of two."""
+    a, b = (_scanned(MIN2, kind, 0)[0] for kind in ("composite", "geometric_phi"))
+    return Scale(2.0, a), Product(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 4097])
+def test_circle_grid_is_n_angles_from_zero(n):
+    # A unit with no parameter axes has a grid of n angles θ = (2π/n)·k.
+    for f in (BLASCHKE_HALF, _lone_and_joint()[0]):
+        sizes, spacing, at_grid = cbnorm._scan_unit(f).grid(n)
+        theta = at_grid(np.arange(n))
+        assert sizes == (n,) and theta.shape == (n, 1)
+        assert spacing.tobytes() == np.array([2.0 * np.pi / n]).tobytes()
+        assert theta.tobytes() == ((2.0 * np.pi / n) * np.arange(n)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 150, 2000])
+def test_joint_grid_is_the_s_by_s_by_t_grid_of_a_b_and_theta(n):
+    # The (a, b) family's grid, written out for its three axes: s = ⌊∛n⌋
+    # points of a at the midpoints of s cells of [0, π/2], s of b and
+    # t = ⌊n/s²⌋ of θ from 0 around the circle, one row a point.
+    s = round(n ** (1.0 / 3.0))
+    s -= s**3 > n
+    t = n // (s * s)
+    spacing = np.array([0.5 * np.pi / s, 2.0 * np.pi / s, 2.0 * np.pi / t])
+    index = np.arange(s * s * t)
+    expected = spacing * (np.stack(np.unravel_index(index, (s, s, t)), axis=1) + np.array([0.5, 0.0, 0.0]))
+    sizes, got_spacing, at_grid = cbnorm._scan_unit(_lone_and_joint()[1]).grid(n)
+    assert sizes == (s, s, t)
+    assert got_spacing.tobytes() == spacing.tobytes()
+    assert at_grid(index).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_zoom_moves_step_one_axis_at_a_time(q):
+    # Row j·q + i moves axis j by the i-th offset, as the Kronecker product
+    # of the identity on the axes with the column of offsets.
+    odd = np.arange(1, q, 2) / (q + 1)
+    offsets = np.stack([-odd, odd], axis=1).ravel()
+    for f, dims in zip(_lone_and_joint(), (1, 3)):
+        moves = cbnorm._scan_unit(f).moves(offsets)
+        assert moves.tobytes() == np.kron(np.eye(dims), offsets[:, None]).tobytes()
+
+
+def test_scan_unit_name_zoom_and_polish_follow_from_its_axes():
+    # A unit with no parameter axes is one circle, which holds the maximum;
+    # a unit with axes is a family, whose scan witness is polished.
+    lone, joint = _lone_and_joint()
+    circle = ("circle scan", (cbnorm._ZOOM_PEAKS, cbnorm._ZOOM_ROWS), False)
+    family = ("joint norming scan", (cbnorm._JOINT_PEAKS, cbnorm._JOINT_ROWS), True)
+    for f, axes, expected, shape in (
+        (BLASCHKE_HALF, 0, circle, (3, 1, 1)),
+        (lone, 0, circle, (3, 1, 1, MIN2.dim)),
+        (joint, 2, family, (3, 1, 1, MIN2.dim)),
+    ):
+        unit = cbnorm._scan_unit(f)
+        assert len(unit.axes) == axes and (unit.name, unit.zoom, unit.polished) == expected
+        assert unit.points(np.zeros((3, axes + 1))).shape == shape
 
 
 def test_level_sup_keeps_the_first_restart_of_equal_values(monkeypatch):
@@ -721,8 +798,9 @@ def _scan_share(f, budget):
     return budget - budget // 2 if cbnorm._scan_unit(f).polished else budget
 
 
-# Each lower-table scan test at three budgets, over a `_CircleUnit` and a
-# `_NormingFamily` function; the circle cases keep their old ids.
+# Each lower-table scan test at three budgets, over a function whose scan
+# unit is one circle and one whose unit has the (a, b) axes; the circle
+# cases keep their old ids.
 _TABLE_CASES = [pytest.param(b, "circle", id=str(b)) for b in (1, 300, 2000)] + [
     pytest.param(b, "family", id=f"family-{b}") for b in (1, 300, 2000)
 ]

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,65 @@ def test_main_reports_every_config_and_fails_if_one_differs(tmp_path, monkeypatc
     _write(tmp_path / "configs" / "b.json", json.dumps({"command": "sandwich", "record": GOLDEN}))
     (tmp_path / "configs" / "c.json").unlink()
     assert golden_records.main(tmp_path / "out") == 0
+
+
+SANDWICH = {"command": "sandwich", "results": {"lower": 0.5, "upper": 1.0, "gap": 0.5}}
+SCHWARZ = {"command": "schwarz", "results": {"passed": True}}
+CSV = "id,lower,upper,gap,levels\nz,0.5,1.0,0.5,1:0.5\nschwarz,,,,\n"
+
+
+def _stub_report(tmp_path, monkeypatch, records, stdout, stderr):
+    """A config and its record in OUT_DIR for each of the records, and a
+    stub console script whose `report` prints the given CSV and warnings;
+    returns OUT_DIR and the list of the stub's calls."""
+    (tmp_path / "configs").mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, record in records.items():
+        _write(tmp_path / "configs" / name, json.dumps({"command": record["command"]}))
+        _write(out / name, json.dumps(record))
+    calls = []
+
+    def run(args, capture_output, text, check):
+        calls.append(args)
+        return golden_records.subprocess.CompletedProcess(args, 0, stdout, stderr)
+
+    monkeypatch.setattr(golden_records, "_ROOT", tmp_path)
+    monkeypatch.setattr(golden_records.subprocess, "run", run)
+    return out, calls
+
+
+def test_check_report_passes_a_report_of_every_record(tmp_path, monkeypatch, capsys):
+    # A schwarz record needs no upper or gap.
+    out, calls = _stub_report(tmp_path, monkeypatch, {"a.json": SANDWICH, "b.json": SCHWARZ}, CSV, "")
+    assert golden_records.check_report(out) == 0
+    assert calls == [["cbnorm-lab", "report", str(out / "a.json"), str(out / "b.json")]]
+    assert capsys.readouterr().out == CSV
+
+
+@pytest.mark.parametrize(
+    "case, problem",
+    [
+        ("warning", "report warned: warning: skipping b.json: bad"),
+        ("missing row", "report has 2 rows, not the header and 2 records"),
+        ("no header", "report has 2 rows, not the header and 2 records"),
+        ("no gap", "a.json: a sandwich record with no upper or no gap"),
+        ("no upper", "a.json: a sandwich record with no upper or no gap"),
+        ("NaN", "a.json: ValueError: holds NaN, which is not JSON"),
+    ],
+)
+def test_check_report_fails_on_each_check(tmp_path, monkeypatch, capsys, case, problem):
+    sandwich, stdout, stderr = json.loads(json.dumps(SANDWICH)), CSV, ""
+    if case == "warning":
+        stderr = "warning: skipping b.json: bad\n"
+    elif case == "missing row":
+        stdout = CSV.rsplit("schwarz", 1)[0]
+    elif case == "no header":
+        stdout = CSV.split("\n", 1)[1]
+    elif case == "NaN":
+        sandwich["results"]["lower"] = math.nan
+    else:
+        sandwich["results"][case.split()[1]] = None
+    out, _ = _stub_report(tmp_path, monkeypatch, {"a.json": sandwich, "b.json": SCHWARZ}, stdout, stderr)
+    assert golden_records.check_report(out) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == problem
