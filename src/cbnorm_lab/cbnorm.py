@@ -48,20 +48,20 @@ SANDWICH_SLACK = 1e-6
 
 # The level-1 scan (`_circle_scan`): the most evaluations it keeps for
 # zooming, how many grid maxima a unit with no parameter axes zooms, the
-# points of its zoom round (shared by those maxima), and the most points the
-# scan hands the objective at once.
+# points a zoom round of any unit tries per axis and per peak when the grid
+# has as many peaks as the unit zooms (fewer peaks share as many points),
+# and the most points the scan hands the objective at once.
 _ZOOM_SHARE = 192
 _ZOOM_PEAKS = 4
-_ZOOM_ROWS = 16
+_ZOOM_STEPS = 4
 _SCAN_STACK = 4096
 # Scan values this close to the best, relatively, are ties: evaluation
 # rounding alone spreads |z²| over the circle by 5 ulps.
 _ROUNDING_TIE = 2.0**-50
 # A unit with parameter axes (`_ScanUnit`), such as the (a, b) family of
-# `_scan_unit`, zooms fewer grid maxima, with more points a round, each of
-# its rounds computing new units.
+# `_scan_unit`, zooms fewer grid maxima, each of its rounds computing new
+# units.
 _JOINT_PEAKS = 2
-_JOINT_ROWS = 24
 
 
 @dataclass(frozen=True)
@@ -163,15 +163,16 @@ class _ScanUnit:
     the k parameter axes; θ is always the last grid axis.  A unit with no
     axes is one circle, whose fixed point `units` returns for any stack: its
     circle holds the maximum, so its witness is not polished, and its zoom
-    takes _ZOOM_PEAKS maxima and _ZOOM_ROWS points a round.  A unit with
-    axes is a family whose circles are searched for the maximum: its zoom
-    takes _JOINT_PEAKS maxima and _JOINT_ROWS points a round, each round
-    computing new units, and its witness is polished (`level_sup`)."""
+    takes _ZOOM_PEAKS maxima.  A unit with axes is a family whose circles
+    are searched for the maximum: its zoom takes _JOINT_PEAKS maxima, each
+    round computing new units, and its witness is polished (`level_sup`).
+    Either way a zoom round tries _ZOOM_STEPS points per axis and per
+    maximum when the grid has all of them."""
 
     def __init__(self, units, axes=()):
         self.units, self.axes, self.polished = units, axes, bool(axes)
         self.name = "joint norming scan" if axes else "circle scan"
-        self.zoom = (_JOINT_PEAKS, _JOINT_ROWS) if axes else (_ZOOM_PEAKS, _ZOOM_ROWS)
+        self.zoom = _JOINT_PEAKS if axes else _ZOOM_PEAKS
 
     def grid(self, n: int):
         """(sizes, spacing, index → parameters) of the grid of at most n
@@ -355,9 +356,11 @@ def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=math.inf):
     `zoom` takes.  Each zoom round tries q points around each peak's best
     parameters c along each axis (the unit's `moves`), at c ± h/(q + 1),
     c ± 3h/(q + 1), ... in that order, axis after axis and inner ones first,
-    for a round the budget cuts short; q is the even share per peak and axis
-    of the unit's points a round.  Then each axis's h, which starts at its
-    grid spacing, shrinks to the spacing 2h/(q + 1) of those points.
+    for a round the budget cuts short.  q is the even share per peak of
+    _ZOOM_STEPS·zoom steps: _ZOOM_STEPS when the grid has all the zoom's
+    maxima, and at least that when it has fewer.  Then each axis's h, which
+    starts at its grid spacing, shrinks to the spacing 2h/(q + 1) of those
+    points.
     The `ceiling` is a value that no point beats but by rounding: the scan
     stops after the grid, or after the zoom round, whose best value reaches
     it, as further rounds could raise the best by rounding alone.  A grid
@@ -402,10 +405,9 @@ def _circle_scan(f: HoloFunction, budget: int, unit, ceiling=math.inf):
             p[-1] &= g[-1] >= g[0]
             p[:-1] &= g[:-1] >= g[1:]
         peaks = np.flatnonzero(peak)
-        zoom_peaks, zoom_rows = unit.zoom
-        peaks = peaks[np.argsort(-at[peaks], kind="stable")][:zoom_peaks]
+        peaks = peaks[np.argsort(-at[peaks], kind="stable")][: unit.zoom]
         centers, best, h = at_grid(peaks), at[peaks], spacing
-        q = zoom_rows // peaks.size // dims // 2 * 2
+        q = _ZOOM_STEPS * unit.zoom // peaks.size // 2 * 2
         odd = np.arange(1, q, 2) / (q + 1)
         moves = unit.moves(np.stack([-odd, odd], axis=1).ravel())
         while left and highest < ceiling:
@@ -619,17 +621,12 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
     certified upper.  A disk function's X is the one entry of a sample over
     the scalar space.
 
-    The trial levels come in trial order from `derive_rng(seed)`, the radii
-    from `derive_rng(seed, 0)`, and the grids of the level-m trials in trial
-    order from `derive_rng(seed, m)`.  Trials are taken in chunks that fill
-    about `matcore.STACK_BYTES`: a chunk draws its levels and its radii with
-    one call each, then each level's points with one
-    `opspace._random_matrix_ball` call, and evaluates one stack per level.
-    The streams run on across chunks, so the report does not depend on the
-    chunk size, and every norm has the bits of the same trial evaluated
-    alone.  A point outside the open ball is a DomainError, raised for the
-    first such trial, as `holofun.amplify` raises it; the tightest trial is
-    the first of the least slack."""
+    The trials, levels 1 to 4, come from `matcore.trial_chunks`; the radii
+    come in trial order from `derive_rng(seed, 0)`, one call a chunk, and
+    each level's points from one `opspace._random_matrix_ball` call on its
+    stream, evaluated as one stack.  A point outside the open ball is a
+    DomainError, raised for the first such trial, as `holofun.amplify`
+    raises it; the tightest trial is the first of the least slack."""
     if isinstance(upper, bool) or not isinstance(upper, (int, float)) or not math.isfinite(upper):
         raise InvalidInputError(f"schwarz check needs a finite upper bound, got {upper!r}")
     upper = float(upper)
@@ -639,20 +636,14 @@ def schwarz_check(f: HoloFunction, upper: float, trials: int, seed) -> CheckRepo
     # Rough bytes of one level-4 trial in the stacks: its grid and point, and
     # the realized point and its image.
     trial_bytes = 16 * 16 * (2 * sampled.dim + 2 * sampled.ambient**2)
-    chunk = max(1, matcore.STACK_BYTES // trial_bytes)
-    level_rng, radius_rng = matcore.derive_rng(seed), matcore.derive_rng(seed, 0)
-    grid_rngs = {m: matcore.derive_rng(seed, m) for m in range(1, 5)}
+    radius_rng = matcore.derive_rng(seed, 0)
     worst, worst_detail, failures = np.inf, "", 0
-    for start in range(0, trials, chunk):
-        levels = level_rng.integers(1, 5, size=min(chunk, trials - start))
+    for levels, groups in matcore.trial_chunks(seed, trials, 4, trial_bytes):
         radii = radius_rng.uniform(0.05, RADIUS_CAP, size=levels.size)
         actual = np.empty(levels.size)
         offending = []  # (trial, norm) of each point outside the ball
-        for m in range(1, 5):
-            rows = np.flatnonzero(levels == m)
-            if not rows.size:
-                continue
-            points = opspace._random_matrix_ball(grid_rngs[m], sampled, m, radii[rows])
+        for m, rows, rng in groups:
+            points = opspace._random_matrix_ball(rng, sampled, m, radii[rows])
             norms = matcore.operator_norms(opspace.block_matrix(points, sampled.basis))
             offending += [(rows[i], float(norms[i])) for i in np.flatnonzero(norms >= 1.0)]
             points = points[..., 0] if space is None else points

@@ -21,8 +21,7 @@ MAX_LEVEL = 64
 # points of its first chunk of at most 4096 (64 KiB for a disk function), so
 # this caps its grid at 128 MiB.
 MAX_BUDGET = 2**24
-# Bytes of sampled stacks a property check evaluates at once
-# (`cbnorm.schwarz_check`, `mconvex.hull_norm_check`).
+# Bytes of sampled stacks a property check evaluates at once (`trial_chunks`).
 STACK_BYTES = 1 << 22
 
 
@@ -76,6 +75,24 @@ def check_level(value, name: str = "level") -> int:
 def derive_rng(seed, *stream) -> np.random.Generator:
     """Deterministic generator for (seed, *stream); each call site owns its own."""
     return np.random.default_rng([check_seed(seed), *(int(s) for s in stream)])
+
+
+def trial_chunks(seed, trials: int, top: int, trial_bytes: int):
+    """The trials of a sampled property check (`cbnorm.schwarz_check`,
+    `mconvex.hull_norm_check`), in chunks of max(1, STACK_BYTES //
+    trial_bytes) trials.  Each chunk's levels in [1, top] come in trial
+    order from one `integers` call on `derive_rng(seed)`, and level m's
+    draws from its own stream `derive_rng(seed, m)`, made once per call.
+    Yields, per chunk, its levels and a (m, rows, stream) triple for each
+    level m present, rows the indices of its level-m trials in trial order.
+    The streams run on across chunks, so a check that draws each level's
+    trials with one call and keeps each trial's bits does not depend on
+    the chunk size."""
+    chunk = max(1, STACK_BYTES // trial_bytes)
+    level_rng, streams = derive_rng(seed), [derive_rng(seed, m) for m in range(1, top + 1)]
+    for start in range(0, trials, chunk):
+        levels = level_rng.integers(1, top + 1, size=min(chunk, trials - start))
+        yield levels, [(m, rows, rng) for m, rng in enumerate(streams, 1) if (rows := np.flatnonzero(levels == m)).size]
 
 
 def as_matrix(a, ndim: int = 2) -> np.ndarray:

@@ -192,14 +192,9 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
     """Sampled hull points must not beat the generator norm (within 1e-8);
     the identity representation must attain it exactly.
 
-    The trial levels come in trial order from `derive_rng(seed)`, and the
-    α, β rows of the level-L trials in trial order from `derive_rng(seed, L)`.
-    Trials are drawn in chunks that fill about `matcore.STACK_BYTES`: a
-    chunk takes its next levels with one `integers` call and each level's
-    rows with one `standard_normal` call, then evaluates one stack per
-    level.  The streams run on across chunks, so no result depends on the
-    chunk size, and every norm has the bits of the same trial evaluated
-    alone."""
+    The trials, levels 1 to 3, come from `matcore.trial_chunks`: the α, β
+    rows of each level's trials in a chunk are one `standard_normal` call on
+    its stream, evaluated as one stack (`_sampled_norms`)."""
     trials = matcore.check_budget(trials, "trials")
     gen_norms = [matrix_norm(g) for g in k.generators]
     bound = max(gen_norms)
@@ -207,19 +202,13 @@ def hull_norm_check(k: MatrixSet, trials: int, seed) -> HullReport:
     width = 4 * sum(g.level for g in k.generators)
     # Rough bytes of one level-3 trial in the stacks: draws, α, β, point and realization.
     trial_bytes = 8 * 3 * width + 16 * 9 * (k.space.ambient**2 + k.space.dim)
-    chunk = max(1, matcore.STACK_BYTES // trial_bytes)
-    levels = matcore.derive_rng(seed)
-    rows = {level: matcore.derive_rng(seed, level) for level in range(1, 4)}
     worst = -np.inf
     failures = 0
-    for start in range(0, trials, chunk):
-        counts = np.bincount(levels.integers(1, 4, size=min(chunk, trials - start)), minlength=4)
-        for level in range(1, 4):
-            if counts[level]:
-                draws = rows[level].standard_normal((counts[level], level * width))
-                excess = _sampled_norms(k, level, draws) - bound
-                worst = max(worst, float(excess.max()))
-                failures += int(np.count_nonzero(excess > 1e-8))
+    for _, groups in matcore.trial_chunks(seed, trials, 3, trial_bytes):
+        for level, rows, rng in groups:
+            excess = _sampled_norms(k, level, rng.standard_normal((rows.size, level * width))) - bound
+            worst = max(worst, float(excess.max()))
+            failures += int(np.count_nonzero(excess > 1e-8))
     attained = matrix_norm(hull_element(k, identity_representation(k, best_index))) == bound
     return HullReport(
         passed=failures == 0 and attained,

@@ -691,8 +691,8 @@ def test_scan_unit_name_zoom_and_polish_follow_from_its_axes():
     # A unit with no parameter axes is one circle, which holds the maximum;
     # a unit with axes is a family, whose scan witness is polished.
     lone, joint = _lone_and_joint()
-    circle = ("circle scan", (cbnorm._ZOOM_PEAKS, cbnorm._ZOOM_ROWS), False)
-    family = ("joint norming scan", (cbnorm._JOINT_PEAKS, cbnorm._JOINT_ROWS), True)
+    circle = ("circle scan", cbnorm._ZOOM_PEAKS, False)
+    family = ("joint norming scan", cbnorm._JOINT_PEAKS, True)
     for f, axes, expected, shape in (
         (BLASCHKE_HALF, 0, circle, (3, 1, 1)),
         (lone, 0, circle, (3, 1, 1, MIN2.dim)),
@@ -701,6 +701,34 @@ def test_scan_unit_name_zoom_and_polish_follow_from_its_axes():
         unit = cbnorm._scan_unit(f)
         assert len(unit.axes) == axes and (unit.name, unit.zoom, unit.polished) == expected
         assert unit.points(np.zeros((3, axes + 1))).shape == shape
+
+
+@pytest.mark.parametrize("f", [BLASCHKE_HALF, _lone_and_joint()[1]], ids=["circle", "joint"])
+def test_zoom_steps_give_the_points_per_round_of_sixteen_and_twenty_four(f):
+    # A zoom round once had 16 points on a circle (4 peaks, 1 axis) and 24
+    # for the (a, b) family (2 peaks, 3 axes), shared by the P peaks found:
+    # 4 steps per axis and per peak give the same q for every P.
+    unit = cbnorm._scan_unit(f)
+    dims = len(unit.axes) + 1
+    rows = {1: 16, 3: 24}[dims]
+    for found in range(1, unit.zoom + 1):
+        assert cbnorm._ZOOM_STEPS * unit.zoom // found // 2 * 2 == rows // found // dims // 2 * 2
+
+
+class _Unknown(holofun.HoloFunction):
+    """A variant with no upper-bound rule."""
+
+
+def test_cb_upper_bound_refuses_a_variant_it_has_no_rule_for():
+    with pytest.raises(InvalidInputError) as raised:
+        cb_upper_bound(_Unknown())
+    assert str(raised.value) == "no certified upper-bound rule for _Unknown"
+
+
+@pytest.mark.parametrize("f", [SQUARE, Product(SQUARE, BLASCHKE_HALF)], ids=["square", "product"])
+def test_a_disk_function_has_no_functional_leaves(f):
+    assert cbnorm._functional_leaves(f) == []
+    assert cbnorm._functional_leaves(Scale(2.0, f)) == []
 
 
 def test_level_sup_keeps_the_first_restart_of_equal_values(monkeypatch):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cbnorm_lab import cli
-from cbnorm_lab.errors import CbnormLabError, InvalidInputError
+from cbnorm_lab.errors import CbnormLabError, InvalidInputError, SandwichViolationError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -711,3 +712,51 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert load(out)["results"]["found"] is True
+
+
+def _separate_inside_the_hull():
+    # The generator is 0.5 and the target 0.25, inside its hull: no grid
+    # separates them.
+    config = load(CONFIG_DIR / "separate_scalar.json")
+    config["x0"]["entries"] = [[[[0.25, 0.0]]]]
+    return config
+
+
+def test_separate_inside_the_hull_finds_no_certificate():
+    record, passed = cli.run("separate", _separate_inside_the_hull())
+    assert passed
+    assert record["results"] == {"found": False, "certificate": None, "verdict": None}
+    record_json = json.loads(cli.record_to_json(record))
+    assert record_json["results"] == {"found": False, "certificate": None, "verdict": None}
+
+
+def test_main_without_out_writes_the_record_to_stdout(capsys):
+    assert run_cli(["sandwich", "--config", CONFIG_DIR / "sandwich_geometric.json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == cli.record_to_json(json.loads(captured.out))
+    record = json.loads(captured.out)
+    record.pop("runtime_ms")
+    assert record == _sandwich_record()
+
+
+def test_a_sandwich_violation_exits_two_with_a_property_failure_line(monkeypatch, tmp_path, capsys):
+    def violated(*args):
+        raise SandwichViolationError("lower 2 exceeds upper 1")
+
+    monkeypatch.setattr(cli.cbnorm, "sandwich", violated)
+    out = tmp_path / "record.json"
+    assert run_cli(["sandwich", "--config", CONFIG_DIR / "sandwich_geometric.json", "--out", out]) == 2
+    assert capsys.readouterr().err == "property failure: lower 2 exceeds upper 1\n"
+    assert not out.exists()
+
+
+def test_running_the_module_runs_main(monkeypatch, capsys):
+    # `python -m cbnorm_lab.cli`, in process: the module runs afresh as
+    # __main__ and exits with main's status.
+    monkeypatch.delitem(sys.modules, "cbnorm_lab.cli")
+    monkeypatch.setattr(sys, "argv", ["cbnorm-lab", "report"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("cbnorm_lab.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.splitlines() == ["id,lower,upper,gap,levels"]

@@ -274,3 +274,45 @@ def test_integral_sizes_accepted_as_floats():
     x = descriptors.space_matrix_from_descriptor({"level": 1.0, "entries": [[[[0.5, 0.0]]]]}, space_min_linf(1))
     assert x.level == 1
 
+
+
+class _Unknown(holofun.HoloFunction):
+    """A variant that no descriptor kind names."""
+
+
+_GRID_ENTRY = {"kind": "grid", "grid": [[[[1.0, 0.0]]]]}
+
+_REFUSED = {
+    "a space that is no object": (
+        lambda: descriptors.space_from_descriptor([{"kind": "scalar"}]),
+        "space descriptor must be an object with a 'kind'",
+    ),
+    "a function with no kind": (
+        lambda: descriptors.function_from_descriptor({"coeffs": [[1.0, 0.0]]}),
+        "function descriptor must be an object with a 'kind'",
+    ),
+    "a bound past the float range": (
+        lambda: descriptors.dictionary_from_descriptor(
+            {"entries": [{**_GRID_ENTRY, "bound": 10**400}]}, space_min_linf(1)
+        ),
+        f"bound must be a JSON number, got {10**400!r}",
+    ),
+    "a custom basis of another ambient size": (
+        lambda: descriptors.space_from_descriptor(
+            {"kind": "custom", "ambient": 2, "basis": descriptors._array_out(np.eye(3)[None])}
+        ),
+        "custom basis does not match the declared ambient size",
+    ),
+    "an unknown function class": (
+        lambda: descriptors.function_to_descriptor(_Unknown()),
+        "cannot serialize _Unknown",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_descriptors_refuse_with_their_message(case):
+    make, message = _REFUSED[case]
+    with pytest.raises(InvalidInputError) as raised:
+        make()
+    assert str(raised.value) == message

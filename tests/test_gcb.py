@@ -446,3 +446,39 @@ def test_dictionary_normalizes_large_bounds():
 def test_dictionary_rejects_empty():
     with pytest.raises(InvalidInputError):
         FunctionDictionary(())
+
+
+def _element_over(space):
+    return delta_element(OpSpaceMatrix(space, np.zeros((1, 1, space.dim), dtype=complex)))
+
+
+_REFUSED = {
+    "grid entry over another space": (
+        lambda: gcb_pairing(_element_over(MK2), GridEntry(SCALAR, coordinate_grid(SCALAR), 1.0)),
+        "grid entry and element live over different spaces",
+    ),
+    "disk entry on a non-scalar space": (
+        lambda: gcb_pairing(_element_over(MK2), ScalarEntry(SQUARE, 1.0)),
+        "disk-domain dictionary entries need the scalar space",
+    ),
+    "a term that is no GcbTerm": (
+        lambda: GcbElement(MK2, 1, (object(),)),
+        "terms must be GcbTerm values over the element's space",
+    ),
+    "a negative entry bound": (
+        lambda: FunctionDictionary((ScalarEntry(SQUARE, -1.0),)),
+        "entry bounds must be finite and nonnegative",
+    ),
+    "a non-finite entry bound": (
+        lambda: FunctionDictionary((ScalarEntry(SQUARE, float("nan")),)),
+        "entry bounds must be finite and nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_gcb_refuses_with_its_message(case):
+    make, message = _REFUSED[case]
+    with pytest.raises(InvalidInputError) as raised:
+        make()
+    assert str(raised.value) == message

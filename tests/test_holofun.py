@@ -311,3 +311,31 @@ def test_variant_validation():
         MoebiusQuotient(GEOM_PHI, 0.5)
     with pytest.raises(InvalidInputError):
         Product(IDENTITY, GEOM_PHI)
+
+
+class _Unknown(holofun.HoloFunction):
+    """A disk-domain variant with no rational form."""
+
+
+_REFUSED = {
+    "functional over no space": (lambda: GeometricPhi("min2", PHI, 0.6), "functional variants need a ConcreteOperatorSpace"),
+    "functional of the wrong length": (lambda: GeometricPhi(MIN2, PHI[:1], 0.6), "functional must have 2 coefficients"),
+    "non-finite functional": (lambda: Composite(SQUARE, MIN2, [np.nan, 0.2], 0.6), "functional coefficients must be finite"),
+    "point over another space": (
+        lambda: amplify(GEOM_PHI, OpSpaceMatrix(space_min_linf(3), np.zeros((1, 1, 3)))),
+        "argument must be an OpSpaceMatrix over the function's domain space",
+    ),
+    "no coefficients": (lambda: PowerSeries([]), "coefficients must be a non-empty 1-D array"),
+    "non-finite coefficients": (lambda: PowerSeries([1.0, np.inf]), "coefficients must be finite"),
+    "space-domain scalar part": (lambda: Composite(GEOM_PHI, MIN2, PHI, 0.6), "composite scalar part must be disk-domain"),
+    "non-finite scale": (lambda: Scale(complex(1.0, np.nan), SQUARE), "scale factor must be finite"),
+    "no rational form": (lambda: taylor_coefficients(_Unknown(), 4), "_Unknown is not a disk-domain function"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_holofun_refuses_with_its_message(case):
+    make, message = _REFUSED[case]
+    with pytest.raises(InvalidInputError) as raised:
+        make()
+    assert str(raised.value) == message

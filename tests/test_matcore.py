@@ -235,3 +235,49 @@ def test_sample_ball_rejects_bad_seed():
         matcore.derive_rng(-1)
     with pytest.raises(InvalidInputError):
         matcore.derive_rng(2**64)
+
+
+def _trial_draws(seed, trials, top, trial_bytes):
+    """The levels of every chunk of `matcore.trial_chunks`, concatenated, and
+    each level's draws, three numbers a trial, in trial order; checking that
+    each level's rows are its trials and that chunks have their size."""
+    chunk = max(1, matcore.STACK_BYTES // trial_bytes)
+    levels, draws = [], {m: [] for m in range(1, top + 1)}
+    for got, groups in matcore.trial_chunks(seed, trials, top, trial_bytes):
+        assert got.size == min(chunk, trials - sum(map(len, levels)))
+        assert [m for m, _, _ in groups] == sorted(set(got.tolist()))
+        for m, rows, rng in groups:
+            assert rows.tolist() == np.flatnonzero(got == m).tolist()
+            draws[m].append(rng.standard_normal((rows.size, 3)))
+        levels.append(got)
+    return np.concatenate(levels), {m: np.concatenate(d) if d else None for m, d in draws.items()}
+
+
+@pytest.mark.parametrize("seed, trials, top, trial_bytes", [(1, 1, 4, 4096), (5, 200, 4, 40000), (9, 333, 3, 300)])
+def test_trial_chunks_draw_the_same_whatever_the_chunk_size(monkeypatch, seed, trials, top, trial_bytes):
+    # One trial a chunk, seven a chunk, and the default: the level stream
+    # and each level's stream run on across chunks.
+    expected = _trial_draws(seed, trials, top, trial_bytes)
+    assert set(expected[0].tolist()) <= set(range(1, top + 1))
+    for stack_bytes in (1, 7 * trial_bytes):
+        monkeypatch.setattr(matcore, "STACK_BYTES", stack_bytes)
+        levels, draws = _trial_draws(seed, trials, top, trial_bytes)
+        assert levels.tobytes() == expected[0].tobytes()
+        for m, d in draws.items():
+            assert (d is None) == (expected[1][m] is None)
+            assert d is None or d.tobytes() == expected[1][m].tobytes()
+
+
+def test_trial_chunks_make_one_stream_per_level_and_one_for_the_levels(monkeypatch):
+    calls = []
+    derive_rng = matcore.derive_rng
+    monkeypatch.setattr(matcore, "derive_rng", lambda *args: calls.append(args) or derive_rng(*args))
+    monkeypatch.setattr(matcore, "STACK_BYTES", 1)
+    assert sum(1 for _ in matcore.trial_chunks(3, 50, 4, 1)) == 50
+    assert calls == [(3,), (3, 1), (3, 2), (3, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("a", [["a"], [object()]], ids=["string", "object"])
+def test_as_matrix_refuses_what_is_no_complex_number(a):
+    with pytest.raises(InvalidInputError, match="^not a complex matrix: "):
+        matcore.as_matrix(a)

@@ -421,3 +421,73 @@ def test_hull_norm_check_checks_constraints_on_every_trial(monkeypatch):
     monkeypatch.setattr(mconvex, "_CONSTRAINT_TOL", -0.5)
     with pytest.raises(InvalidRepresentationError):
         hull_norm_check(k, 5, 0)
+
+def _one_generator_set(space):
+    return MatrixSet(space, (OpSpaceMatrix(space, np.full((1, 1, space.dim), 0.5, dtype=complex)),))
+
+
+def _zero_point(space):
+    return OpSpaceMatrix(space, np.zeros((1, 1, space.dim), dtype=complex))
+
+
+def _coordinates(space):
+    return SeparationCertificate(space, mconvex.coordinate_grid(space))
+
+
+_REFUSED = {
+    "no terms": (
+        lambda: mconvex.validate_representation(_one_generator_set(SCALAR), HullRepresentation((), 1)),
+        InvalidInputError,
+        "representation has no terms",
+    ),
+    "an index out of range": (
+        lambda: mconvex.validate_representation(
+            _one_generator_set(SCALAR), HullRepresentation((HullTerm(np.eye(1), 1, np.eye(1)),), 1)
+        ),
+        InvalidInputError,
+        "generator index 1 out of range",
+    ),
+    "a violated column constraint": (
+        lambda: mconvex.validate_representation(
+            _one_generator_set(SCALAR), HullRepresentation((HullTerm(0.5 * np.eye(1), 0, 2.0 * np.eye(1)),), 1)
+        ),
+        InvalidRepresentationError,
+        "column constraint ‖Σ β*β‖ <= 1 violated",
+    ),
+    "a non-finite grid": (
+        lambda: SeparationCertificate(MK2, np.full((1, 1, 4), np.nan)),
+        InvalidInputError,
+        "grid entries must be finite",
+    ),
+    "pairing across spaces": (
+        lambda: pairing(_coordinates(MK2), _zero_point(ROW2)),
+        InvalidInputError,
+        "certificate and matrix live over different spaces",
+    ),
+    "checking across spaces": (
+        lambda: check_certificate(_coordinates(MK2), _one_generator_set(ROW2), _zero_point(ROW2)),
+        InvalidInputError,
+        "certificate, matrix set and target live over different spaces",
+    ),
+    "searching across spaces": (
+        lambda: find_certificate(_one_generator_set(MK2), _zero_point(ROW2), 10, 1),
+        InvalidInputError,
+        "matrix set and target live over different spaces",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_mconvex_refuses_with_its_message(case):
+    make, error, message = _REFUSED[case]
+    with pytest.raises(error) as raised:
+        make()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("space", [SCALAR, MK2], ids=["scalar", "matrix2"])
+def test_a_zero_target_scales_to_no_certificate(space):
+    # Every grid pairs the zero point to 0, so no scaling separates it.
+    k, zero = _one_generator_set(space), _zero_point(space)
+    assert mconvex._scale_to_certificate(k, zero, mconvex.coordinate_grid(space)) is None
+    assert find_certificate(k, zero, 20, 3) is None

@@ -358,3 +358,37 @@ def test_element_validation():
         OpSpaceMatrix(s, np.ones((2, 3, 2), dtype=complex))
     with pytest.raises(InvalidInputError):
         OpSpaceMatrix(s, np.full((2, 2, 2), np.nan, dtype=complex))
+
+
+_REFUSED = {
+    "compression shapes": (
+        lambda: opspace.compression_pair(np.eye(2), np.eye(2), 1, 2),
+        "compression shapes must be (1, 2) and (2, 1), got (2, 2) and (2, 2)",
+    ),
+    "a direct sum across spaces": (
+        lambda: direct_sum_matrices(
+            OpSpaceMatrix(space_mk(2), np.zeros((1, 1, 4))), OpSpaceMatrix(space_row(4), np.zeros((1, 1, 4)))
+        ),
+        "direct sum needs matrices over the same space",
+    ),
+    "a dual norm of the wrong length": (
+        lambda: closed_form_dual_norm(space_min_linf(2), np.ones(3)),
+        "functional must have 2 coefficients",
+    ),
+    "a basis of non-square matrices": (
+        lambda: ConcreteOperatorSpace(np.zeros((2, 2, 3))),
+        "basis must be a (d, N, N) array of square matrices",
+    ),
+    "a basis with non-finite entries": (
+        lambda: ConcreteOperatorSpace(np.full((1, 2, 2), np.inf)),
+        "basis entries must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_opspace_refuses_with_its_message(case):
+    make, message = _REFUSED[case]
+    with pytest.raises(InvalidInputError) as raised:
+        make()
+    assert str(raised.value) == message

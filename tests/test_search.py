@@ -653,3 +653,12 @@ def test_space_search_and_restart_certificate_keep_their_bits():
     out = space_project(np.stack([entries, outside]))
     assert np.array_equal(signs(out), signs(np.stack([entries, entries])))
     assert np.array_equal(out[0], out[1]) and not np.array_equal(out[0], entries)
+
+
+def test_polish_with_an_empty_budget_returns_its_point_and_calls_nothing():
+    def refuse(*args):
+        raise AssertionError("called")
+
+    x, budget = np.ones((2, 2), dtype=complex), _search.Budget(0)
+    point, value = _search.polish(refuse, refuse, x, 0.5, budget)
+    assert point is x and value == 0.5 and budget.used == 0
