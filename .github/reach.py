@@ -15,8 +15,12 @@ not.  Prints, for each top-level function, method of a top-level class,
 class body or `<module>` that holds a code line of an unreached statement
 (a code line as .github/code_lines.py counts it), one
 `path::name first-last, ...` line with the ranges of those lines; a range
-runs on over comments and blank lines, and stops at a reached code line.
-Then a total.  A report, not a gate: it exits 0 whatever it finds.
+runs on over comments and blank lines, and stops at a reached code line or
+one of the other section.  The lines of unreached `raise` statements, most
+of them input checks, come apart: first every part's other lines (paths),
+then a `raise statements:` line and every part's raise lines, then the
+total, split into the two.  A report, not a gate: it exits 0 whatever it
+finds.
 """
 
 import ast
@@ -82,46 +86,52 @@ def _owners(tree) -> dict:
     return owners
 
 
-def unreached(source: str, ran: set) -> list:
-    """(name, [(first, last), ...]) of each part of a module (`_owners`, else
-    `<module>`) that holds code lines of statements no line of which is in
-    `ran`, in source order, with the ranges of those lines."""
+def unreached(source: str, ran: set) -> tuple:
+    """(paths, raises): each a list of (name, [(first, last), ...]) of the
+    parts of a module (`_owners`, else `<module>`) that hold code lines of
+    statements no line of which is in `ran`, in source order, with the
+    ranges of those lines; raises holds the lines of unreached `raise`
+    statements, and paths every other unreached code line."""
     tree = ast.parse(source)
     code = sorted(code_lines._code_line_set(source, tree))
-    missed = set()
+    missed, raised = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.stmt):
             first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             span = range(first, node.end_lineno + 1)
             if ran.isdisjoint(span):
                 missed.update(span)
-    owners, parts, last = _owners(tree), {}, None
+                if isinstance(node, ast.Raise):
+                    raised.update(span)
+    owners, sections, last = _owners(tree), ({}, {}), None
     for line in code:
-        name = owners.get(line, "<module>")
+        name, kind = owners.get(line, "<module>"), line in raised
         if line not in missed:
             last = None
-        elif last == name:
-            parts[name][-1] = (parts[name][-1][0], line)
+        elif last == (name, kind):
+            sections[kind][name][-1] = (sections[kind][name][-1][0], line)
         else:
-            parts.setdefault(name, []).append((line, line))
-            last = name
-    return list(parts.items())
+            sections[kind].setdefault(name, []).append((line, line))
+            last = (name, kind)
+    return tuple(list(parts.items()) for parts in sections)
 
 
 def report(directory, ran: dict) -> int:
     """Print the unreached ranges of every module under `directory`, by
-    its path relative to the working directory, and a total; return the
-    number of unreached code lines."""
-    total = 0
+    its path relative to the working directory: the paths, then the raise
+    statements, then the total; return the number of unreached code lines."""
+    counts, lines = [0, 0], ([], [])
     for path in sorted(Path(directory).glob("*.py")):
         source = path.read_text(encoding="utf-8")
         code = code_lines._code_line_set(source, ast.parse(source))
-        for name, ranges in unreached(source, ran.get(os.path.realpath(path), set())):
-            total += sum(len(code.intersection(range(a, b + 1))) for a, b in ranges)
-            spans = ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in ranges)
-            print(f"{os.path.relpath(path)}::{name} {spans}")
-    print(f"{total} code lines unreached")
-    return total
+        for kind, parts in enumerate(unreached(source, ran.get(os.path.realpath(path), set()))):
+            for name, ranges in parts:
+                counts[kind] += sum(len(code.intersection(range(a, b + 1))) for a, b in ranges)
+                spans = ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in ranges)
+                lines[kind].append(f"{os.path.relpath(path)}::{name} {spans}")
+    print(*lines[0], "raise statements:", *lines[1], sep="\n")
+    print(f"{sum(counts)} code lines unreached: {counts[0]} on paths, {counts[1]} in raise statements")
+    return sum(counts)
 
 
 def run_everything():

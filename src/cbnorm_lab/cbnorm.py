@@ -203,23 +203,11 @@ class _ScanUnit:
         return (np.eye(dims)[:, None] * offsets[:, None]).reshape(-1, dims)
 
 
-def _functional_leaves(f: HoloFunction) -> list:
-    """The `Composite` and `GeometricPhi` leaves of a space function, left
-    to right."""
-    if isinstance(f, (Composite, GeometricPhi)):
-        return [f]
-    if isinstance(f, Scale):
-        return _functional_leaves(f.inner)
-    if isinstance(f, (Product, Sum)):
-        return _functional_leaves(f.left) + _functional_leaves(f.right)
-    return []
-
-
 def _scan_unit(f: HoloFunction):
-    """The scan unit of f's level 1 (`_ScanUnit`), decided by f's functional
-    leaves (`_functional_leaves`) alone: a unit with no parameter axes, one
-    circle that holds the maximum of |f| over the level-1 ball of radius
-    RADIUS_CAP; a unit over the parameters (a, b), whose circles are
+    """The scan unit of f's level 1 (`_ScanUnit`), decided by the φ of f's
+    functional leaves (`f.functionals`) alone: a unit with no parameter
+    axes, one circle that holds the maximum of |f| over the level-1 ball of
+    radius RADIUS_CAP; a unit over the parameters (a, b), whose circles are
     searched for it; or None when neither is known.
 
     This is the paper's linearization at level 1: a function of functionals
@@ -248,13 +236,13 @@ def _scan_unit(f: HoloFunction):
     if space is None:
         unit = np.array([[[1.0 + 0.0j]]])
         return _ScanUnit(lambda p: unit)
-    leaves = _functional_leaves(f)
-    if space.kind == "custom" or len(leaves) > 2:
+    phis = f.functionals
+    if space.kind == "custom" or len(phis) > 2:
         return None
-    if len(leaves) == 1:
-        unit = opspace.norming_element(space, leaves[0].phi).reshape(1, 1, 1, -1)
+    if len(phis) == 1:
+        unit = opspace.norming_element(space, phis[0]).reshape(1, 1, 1, -1)
         return _ScanUnit(lambda p: unit)
-    first, second = leaves[0].phi, leaves[1].phi
+    first, second = phis
 
     def units(ab):
         # One `norming_element` call for the stack of ψ_c, which takes each

@@ -9,6 +9,7 @@ invariant is enforced on the way in.
 from __future__ import annotations
 
 import functools
+import reprlib
 from itertools import chain
 
 import numpy as np
@@ -57,13 +58,14 @@ _NUMBERS = {int, float}
 def _real_in(value, name: str) -> float:
     """A real number written as a JSON int or float.  A bool, a string (even
     "2"), a null or an int past the float range is an InvalidInputError
-    naming the key."""
+    naming the key and the value, by `reprlib.repr`: its repr up to 40
+    characters, and a longer one with its middle elided."""
     if type(value) in (int, float):
         try:
             return float(value)
         except OverflowError:
             pass
-    raise InvalidInputError(f"{name} must be a JSON number, got {value!r}")
+    raise InvalidInputError(f"{name} must be a JSON number, got {reprlib.repr(value)}")
 
 
 def _complex_in(pair) -> complex:

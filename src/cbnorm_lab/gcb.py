@@ -23,7 +23,7 @@ from . import holofun, matcore, mconvex, opspace
 from ._search import Budget
 from .errors import InvalidInputError
 from .holofun import HoloFunction
-from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, compress, matrix_norm, realize, same_space
+from .opspace import ConcreteOperatorSpace, OpSpaceMatrix, block_matrix, matrix_norm, realize, same_space
 
 # Points carried by predual elements stay this far inside the unit ball.
 _INTERIOR_MARGIN = 1e-9
@@ -163,10 +163,8 @@ class FunctionDictionary:
 def linearize(u: GcbElement) -> OpSpaceMatrix:
     """The level-n point Σ cᵢ·αᵢ·xᵢ·βᵢ.  Every cb-holomorphic f factors
     through δ by a linear map, so a linear f pairs with u as f_n at this point."""
-    acc = np.zeros((u.level, u.level, u.space.dim), dtype=np.complex128)
-    for t in u.terms:
-        acc += t.c * compress(t.alpha, t.point, t.beta).entries
-    return OpSpaceMatrix(u.space, acc)
+    terms = ((t.c, t.alpha, t.point.entries, t.beta) for t in u.terms)
+    return OpSpaceMatrix(u.space, opspace.combination(terms, (u.level, u.level, u.space.dim)))
 
 
 def gcb_pairing(u: GcbElement, entry) -> np.ndarray:

@@ -37,17 +37,20 @@ class HoloFunction:
     """Base class; concrete variants are the dataclasses below."""
 
     # None for disk functions; a variant over a concrete space stores that
-    # space in `__post_init__`.  A plain attribute, not a dataclass field, so
-    # no constructor takes it and no repr shows it.
+    # space in `__post_init__`, and the φ coefficient vectors of its
+    # `Composite` and `GeometricPhi` leaves, left to right, as `functionals`:
+    # the linear maps it factors through.  Plain attributes, not dataclass
+    # fields, so no constructor takes them and no repr shows them.
     domain_space = None
+    functionals = ()
 
 
 def _set_functional(f) -> None:
     """Check f's functional against f.space and store φ as complex
     coefficients, r = max(stated norm, the norm that `closed_form_dual_norm`
-    computes from the space) as its certified norm, and the space as its
-    domain.  A functional's cb norm is its norm, so g∘φ maps the ball into
-    the disk exactly when it is < 1."""
+    computes from the space) as its certified norm, the space as its domain
+    and (φ,) as its functionals.  A functional's cb norm is its norm, so g∘φ
+    maps the ball into the disk exactly when it is < 1."""
     space = f.space
     if not isinstance(space, ConcreteOperatorSpace):
         raise InvalidInputError("functional variants need a ConcreteOperatorSpace")
@@ -67,6 +70,7 @@ def _set_functional(f) -> None:
     object.__setattr__(f, "phi", phi)
     object.__setattr__(f, "certified_norm", max(certified_norm, norm))
     object.__setattr__(f, "domain_space", space)
+    object.__setattr__(f, "functionals", (phi,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +180,7 @@ class _Pair(HoloFunction):
         if (ls is None) != (rs is None) or (ls is not None and not same_space(ls, rs)):
             raise InvalidInputError("operands must share a domain (both disk, or the same space)")
         object.__setattr__(self, "domain_space", ls)
+        object.__setattr__(self, "functionals", self.left.functionals + self.right.functionals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +211,7 @@ class Scale(HoloFunction):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "domain_space", inner.domain_space)
+        object.__setattr__(self, "functionals", inner.functionals)
 
 
 @dataclass(frozen=True)

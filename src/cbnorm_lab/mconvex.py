@@ -99,12 +99,9 @@ def _check_constraints(alphas, betas) -> None:
 def hull_element(k: MatrixSet, rep: HullRepresentation) -> OpSpaceMatrix:
     """The hull point Σ αᵢ·xᵢ·βᵢ at the representation's target level."""
     validate_representation(k, rep)
-    n, d = rep.target_level, k.space.dim
-    acc = np.zeros((n, n, d), dtype=np.complex128)
-    for term in rep.terms:
-        gen = k.generators[term.index]
-        acc += opspace.compress(term.alpha, gen, term.beta).entries
-    return OpSpaceMatrix(k.space, acc)
+    n = rep.target_level
+    terms = ((1.0, t.alpha, k.generators[t.index].entries, t.beta) for t in rep.terms)
+    return OpSpaceMatrix(k.space, opspace.combination(terms, (n, n, k.space.dim)))
 
 
 def identity_representation(k: MatrixSet, index: int) -> HullRepresentation:
@@ -171,10 +168,8 @@ def _sampled_norms(k: MatrixSet, target_level: int, draws: np.ndarray) -> np.nda
     one stack per step: the normalized and checked α and β (`_normalize`),
     the points Σ αᵢ·xᵢ·βᵢ and their realizations."""
     alphas, betas = _normalize(*_split(k, target_level, draws))
-    points = sum(
-        np.einsum("tpr,rsd,tsq->tpqd", a, gen.entries, b)
-        for a, gen, b in zip(alphas, k.generators, betas)
-    )
+    terms = ((1.0, a, gen.entries, b) for a, gen, b in zip(alphas, k.generators, betas))
+    points = opspace.combination(terms, (len(draws), target_level, target_level, k.space.dim))
     return matcore.operator_norms(opspace.block_matrix(points, k.space.basis))
 
 
@@ -325,6 +320,9 @@ def find_certificate(k: MatrixSet, x0: OpSpaceMatrix, budget: int, seed):
     matcore.check_seed(seed)
     if not same_space(k.space, x0.space):
         raise InvalidInputError("matrix set and target live over different spaces")
+    # A zero target lies in every hull, and every grid pairs it to 0.
+    if not x0.entries.any():
+        return None
     space = k.space
     # Each warm start costs one evaluation, like a restart's first point.
     for warm in (coordinate_grid(space), svd_compression_grid(x0))[:budget]:

@@ -134,6 +134,19 @@ def compress(alpha, x: OpSpaceMatrix, beta) -> OpSpaceMatrix:
     return OpSpaceMatrix(x.space, out)
 
 
+def combination(terms, shape) -> np.ndarray:
+    """Σ cᵢ·αᵢ·xᵢ·βᵢ of (c, α, x, β) terms: x a coefficient grid, α and β
+    matrices or (T, ·, ·) stacks of them, so the entries of one point or of
+    a stack of T points, such as a predual element's linearized point.  Each
+    term is one einsum, with the bits of `compress` for matrices and of the
+    explicit "tpr,rsd,tsq->tpqd" einsum for stacks, times c.  The terms are
+    added in order to zeros of `shape`, so that no terms give zeros, not the
+    int 0, and no entry holds −0.  A stack's rows need not have the bits of
+    the same term computed one matrix at a time."""
+    products = (c * np.einsum("...pr,rsd,...sq->...pqd", alpha, x, beta) for c, alpha, x, beta in terms)
+    return sum(products, np.zeros(shape, dtype=np.complex128))
+
+
 def direct_sum_matrices(x: OpSpaceMatrix, y: OpSpaceMatrix) -> OpSpaceMatrix:
     """Block-diagonal x ⊕ y at level level(x)+level(y)."""
     if not same_space(x.space, y.space):

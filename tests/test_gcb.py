@@ -319,6 +319,32 @@ def test_gcb_lower_bound_delta_reaches_point_norm():
         assert lower <= matrix_norm(x) + 1e-9
 
 
+def test_a_scalar_entry_sees_what_no_linear_entry_does():
+    # δ([[0.5]]) + δ([[−0.5]]) linearizes to the zero point, so every linear
+    # entry, the coordinate grid among them, pairs it to 0.  A holomorphic
+    # entry sees Σ cᵢ·αᵢ·f(xᵢ)·βᵢ instead: z² pairs it to 0.25 + 0.25.
+    u = GcbElement(SCALAR, 1, (eye_term(scalar_matrix([[0.5]])), eye_term(scalar_matrix([[-0.5]]))))
+    assert not gcb.linearize(u).entries.any()
+    assert gcb_lower_bound(u, coordinate_dictionary(SCALAR)) == 0.0
+    square = ScalarEntry(SQUARE, 1.0)
+    assert np.array_equal(gcb_pairing(u, square), [[0.5]])
+    lower = gcb_lower_bound(u, FunctionDictionary((coordinate_dictionary(SCALAR).entries[0], square)))
+    # Each term costs 0.5, and the search starts from their one group, which
+    # costs at most their sum.
+    assert lower == 0.5 < gcb_upper_bound(u, 300) <= 1.0 + _ULPS
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_an_element_with_no_terms_pairs_to_zero(level):
+    u = GcbElement(MK2, level, ())
+    point = gcb.linearize(u)
+    assert point.space is MK2 and point.entries.shape == (level, level, MK2.dim)
+    assert not point.entries.any() and not np.signbit(point.entries.view(float)).any()
+    pairing = gcb_pairing(u, coordinate_dictionary(MK2).entries[0])
+    assert pairing.shape == (2 * level, 2 * level) and not pairing.any()
+    assert gcb_lower_bound(u, coordinate_dictionary(MK2)) == 0.0
+
+
 def test_gcb_lower_bound_skips_degenerate_entries():
     x = sample_matrix_ball(MK2, 1, 0.5, 15)
     u = delta_element(x)

@@ -281,6 +281,28 @@ def test_domain_space_is_an_attribute_not_a_field():
     assert [field.name for field in fields(Product)] == [field.name for field in fields(Sum)] == ["left", "right"]
 
 
+def test_functionals_are_the_leaves_phis_left_to_right():
+    # The φ vectors themselves, as `_set_functional` stored them, not the
+    # leaves: a leaf holding itself would be a reference cycle.
+    other = GeometricPhi(MIN2, [0.1, -0.3j], 0.5)
+    third = Composite(BLASCHKE, MIN2, [0.2j, 0.1], 0.5)
+    nested = Sum(Scale(0.5, Product(other, GEOM_PHI)), Product(third, Scale(3.0, COMPOSITE)))
+    cases = [
+        (GEOM_PHI, [GEOM_PHI]),
+        (COMPOSITE, [COMPOSITE]),
+        (Scale(2.0, Scale(-1.0j, COMPOSITE)), [COMPOSITE]),
+        (Product(GEOM_PHI, other), [GEOM_PHI, other]),
+        (Sum(other, COMPOSITE), [other, COMPOSITE]),
+        (nested, [other, GEOM_PHI, third, COMPOSITE]),
+    ]
+    for f, leaves in cases:
+        assert len(f.functionals) == len(leaves)
+        assert all(phi is leaf.phi for phi, leaf in zip(f.functionals, leaves))
+        assert "functionals" not in [field.name for field in fields(f)] and "functionals" not in repr(f)
+    assert GEOM_PHI.functionals[0].dtype == np.complex128
+    assert [f.functionals for f in DISK_ZOO] == [()] * len(DISK_ZOO)
+
+
 def test_blaschke_zero_order_is_capped_at_the_longest_truncation():
     # Past order 2048 every Taylor coefficient of z^m·B lies beyond the
     # longest truncation, and the exact rational form builds m + 1 Fractions.

@@ -491,3 +491,21 @@ def test_a_zero_target_scales_to_no_certificate(space):
     k, zero = _one_generator_set(space), _zero_point(space)
     assert mconvex._scale_to_certificate(k, zero, mconvex.coordinate_grid(space)) is None
     assert find_certificate(k, zero, 20, 3) is None
+
+
+@pytest.mark.parametrize("budget", [1, 400])
+def test_a_zero_target_returns_no_certificate_without_a_search(budget, monkeypatch):
+    # The zero point lies in every absolutely matrix convex hull, so no grid
+    # separates it: the search returns before its first check.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_certificate(*args)
+
+    monkeypatch.setattr(mconvex, "check_certificate", counted)
+    rng = np.random.default_rng(4)
+    gens = (OpSpaceMatrix(MK2, 0.2 * rng.standard_normal((m, m, 4))) for m in (1, 2))
+    k = MatrixSet(MK2, tuple(gens))
+    assert find_certificate(k, OpSpaceMatrix(MK2, np.zeros((2, 2, 4))), budget, 3) is None
+    assert calls == []

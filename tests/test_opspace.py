@@ -213,6 +213,34 @@ def test_compress_matches_realized_compression():
         assert np.allclose(realize(compress(alpha, x, beta)), expected, atol=1e-13)
 
 
+def test_combination_of_one_pair_has_the_bits_of_compress():
+    rng = np.random.default_rng(17)
+    for space in SPACES:
+        for l, m in [(1, 1), (2, 3), (3, 2)]:
+            x = OpSpaceMatrix(space, random_entries(rng, space, m))
+            alpha = rng.standard_normal((l, m)) + 1j * rng.standard_normal((l, m))
+            beta = rng.standard_normal((m, l)) + 1j * rng.standard_normal((m, l))
+            for c in (1.0, 0.5 - 2.0j):
+                out = opspace.combination([(c, alpha, x.entries, beta)], (l, l, space.dim))
+                assert out.tobytes() == (c * compress(alpha, x, beta).entries).tobytes()
+
+
+def test_combination_of_stacks_has_the_bits_of_the_explicit_einsum():
+    # Two generators at levels 1 and 3 and a stack of 5 level-2 compressions,
+    # as `mconvex._sampled_norms` takes them.
+    rng = np.random.default_rng(18)
+    space, n, t = space_mk(2), 2, 5
+    terms, expected = [], 0
+    for k in (1, 3):
+        x = random_entries(rng, space, k)
+        alpha = rng.standard_normal((t, n, k)) + 1j * rng.standard_normal((t, n, k))
+        beta = rng.standard_normal((t, k, n)) + 1j * rng.standard_normal((t, k, n))
+        terms.append((1.0, alpha, x, beta))
+        expected = expected + np.einsum("tpr,rsd,tsq->tpqd", alpha, x, beta)
+    out = opspace.combination(terms, (t, n, n, space.dim))
+    assert out.shape == (t, n, n, space.dim) and out.tobytes() == expected.tobytes()
+
+
 def test_ruan_scaling_inequality():
     rng = np.random.default_rng(7)
     for space in SPACES:

@@ -47,7 +47,13 @@ def test_an_untaken_branch_is_listed_and_a_taken_one_is_not(tmp_path):
     ran = reach.trace_lines(tmp_path, lambda: _run_toy(tmp_path))
     lines = ran[str((tmp_path / "toy.py").resolve())]
     assert {5, 6, 8, 12, 19} <= lines and not lines & {9, 10, 11, 22}
-    assert reach.unreached(TOY, lines) == [("sign", [(9, 11)]), ("Box.shrink", [(22, 22)])]
+    # The untaken raise is listed apart from the uncalled method.
+    assert reach.unreached(TOY, lines) == ([("Box.shrink", [(22, 22)])], [("sign", [(9, 11)])])
+
+
+def test_a_raise_splits_the_range_of_the_path_around_it():
+    source = "def f(x):\n    if x:\n        raise ValueError(x)\n    return x\n"
+    assert reach.unreached(source, set()) == ([("f", [(1, 2), (4, 4)])], [("f", [(3, 3)])])
 
 
 def test_report_lists_each_part_and_a_module_that_never_ran(tmp_path, monkeypatch, capsys):
@@ -59,7 +65,8 @@ def test_report_lists_each_part_and_a_module_that_never_ran(tmp_path, monkeypatc
     assert capsys.readouterr().out.splitlines() == [
         "never.py::<module> 3",
         "never.py::f 6-7",
-        "toy.py::sign 9-11",
         "toy.py::Box.shrink 22",
-        "7 code lines unreached",
+        "raise statements:",
+        "toy.py::sign 9-11",
+        "7 code lines unreached: 4 on paths, 3 in raise statements",
     ]
